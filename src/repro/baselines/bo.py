@@ -108,7 +108,6 @@ class LatentBO(SearchAlgorithm):
                     optimizer=optimizer,
                     checkpoint_dir=checkpoint_dir,
                     checkpoint_tag=f"round{round_index:03d}",
-                    replica_pool=getattr(simulator, "replica_pool", None),
                 )
             report_training_round(simulator, stats, round_index)
             first_round = False

@@ -65,22 +65,6 @@ _ALL: Tuple[KnobDef, ...] = (
         kill_switch=True,
     ),
     KnobDef(
-        "REPRO_COMPILED_LOOP",
-        "`1` (on)",
-        "`0` disables the recorded-loop engine (training replays whole "
-        "checkpoint segments as one program); the per-step compiled path "
-        "runs instead, bit-identically.",
-        kill_switch=True,
-    ),
-    KnobDef(
-        "REPRO_STACKED_REPLICAS",
-        "`1` (on)",
-        "`0` disables vmap-style stacked multi-replica training "
-        "(`train_replicas` trains each model serially through the "
-        "reference `train_model` path).",
-        kill_switch=True,
-    ),
-    KnobDef(
         "REPRO_IR_VERIFY",
         "`0` (off)",
         "`1` runs the GraphProgram IR verifier (`repro.check.ir`) on every "
@@ -139,12 +123,6 @@ _ALL: Tuple[KnobDef, ...] = (
         "`8`",
         "Timed epochs for the VAE-training bench; the compiled-vs-eager "
         "speedup gate only arms at 4+.",
-    ),
-    KnobDef(
-        "REPRO_BENCH_REPLICAS",
-        "`4`",
-        "Replica count K for the recorded-loop/stacked-replica bench; "
-        "the stacked speedup gate compares K stacked vs K serial rounds.",
     ),
     KnobDef(
         "REPRO_BENCH_SERVE_GRAPHS",

@@ -49,19 +49,12 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .. import nn
-from ..nn.loop import CompiledTrainLoop, use_compiled_loop
 from ..obs import trace
 from ..utils.io import atomic_write_json
 from .dataset import CircuitDataset
 from .vae import CircuitVAEModel
 
-__all__ = [
-    "TrainConfig",
-    "TrainStats",
-    "train_model",
-    "train_replicas",
-    "report_training_round",
-]
+__all__ = ["TrainConfig", "TrainStats", "train_model", "report_training_round"]
 
 
 @dataclass(frozen=True)
@@ -100,13 +93,6 @@ class TrainStats:
     #: the eager twin of ``replay_seconds``, so latency telemetry sees
     #: both engines (``train_step_eager`` histogram).
     eager_seconds: List[float] = field(default_factory=list)
-    #: wall-clock of each recorded-loop segment replay in this call
-    #: (seconds); empty unless the recorded loop ran
-    #: (``train_loop_replay`` histogram, ``loop_replays`` counter).
-    loop_seconds: List[float] = field(default_factory=list)
-    #: True when this round trained as one replica of a stacked
-    #: multi-model program (:func:`repro.core.replicas.train_replicas`).
-    stacked: bool = False
     #: per-kernel replay-second *deltas* (``fwd:<op>`` / ``bwd:<op>``)
     #: from this call; populated only under ``REPRO_PROFILE=1``.
     kernel_seconds: Dict[str, float] = field(default_factory=dict)
@@ -185,30 +171,6 @@ def _compiled_step_for(
         )
         per_model[key] = step
     return step
-
-
-def _compiled_loop_for(step: nn.CompiledTrainStep) -> CompiledTrainLoop:
-    """The step's recorded loop, cached on the step itself."""
-    loop = getattr(step, "_train_loop", None)
-    if loop is None:
-        loop = CompiledTrainLoop(step)
-        step._train_loop = loop
-    return loop
-
-
-def _loop_segment_epochs(epoch: int, config: TrainConfig, checkpoint_dir) -> int:
-    """Epochs from ``epoch`` to the next durable-checkpoint boundary.
-
-    Without checkpointing the whole remaining run is one segment;
-    otherwise segments end exactly where ``train_model`` writes
-    checkpoints, so the rng stream and parameter state at every save
-    point are bit-identical to per-step execution.
-    """
-    if checkpoint_dir is None or config.checkpoint_every <= 0:
-        return config.epochs - epoch
-    every = config.checkpoint_every
-    boundary = ((epoch // every) + 1) * every
-    return min(boundary, config.epochs) - epoch
 
 
 # ----------------------------------------------------------------------
@@ -368,7 +330,6 @@ def train_model(
     optimizer: Optional[nn.Adam] = None,
     checkpoint_dir: Optional[str] = None,
     checkpoint_tag: str = "train",
-    replica_pool=None,
 ) -> TrainStats:
     """Fit the model on the current dataset; returns loss traces.
 
@@ -382,25 +343,11 @@ def train_model(
     matching checkpoint — restoring parameters, optimizer moments and
     the rng state exactly, so a resumed run is bit-identical to an
     uninterrupted one.
-
-    ``replica_pool`` (a :class:`repro.core.replicas.ReplicaRoundPool`
-    handle, installed by the seed-grid runner) lets identically shaped
-    first-round cells train as one stacked multi-replica program; a
-    checkpointed cell withdraws immediately so durable resume semantics
-    stay per-cell.
     """
     config = config or TrainConfig()
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     optimizer = optimizer or nn.Adam(model.parameters(), lr=config.lr)
-
-    if replica_pool is not None:
-        if checkpoint_dir is not None:
-            replica_pool.withdraw()
-        else:
-            pooled = replica_pool.train(model, dataset, rng, config, optimizer)
-            if pooled is not None:
-                return pooled
 
     mean, std = dataset.cost_normalizer()
     model.set_cost_normalizer(mean, std)
@@ -435,43 +382,9 @@ def train_model(
     all_grids = dataset.grids()
     model.train()
 
-    # Recorded-loop engine: replay whole checkpoint segments through the
-    # step's own program (REPRO_COMPILED_LOOP=0 forces per-step replay;
-    # anything the loop cannot prove bit-identical also falls back).
-    session = None
-    if compiled_step is not None and use_compiled_loop():
-        try:
-            session = _compiled_loop_for(compiled_step).begin(
-                all_grids, targets, sample_p, batch, model._pad_grids, latent_dim
-            )
-        except nn.CompileUnsupported:
-            session = None
-    segment_rows = None
-    segment_next = 0
-
     for epoch in range(start_epoch, config.epochs):
-        if session is not None and segment_rows is None:
-            seg_epochs = _loop_segment_epochs(epoch, config, checkpoint_dir)
-            seg_start = time.perf_counter()
-            segment_rows = session.run(seg_epochs * batches_per_epoch, rng)
-            stats.loop_seconds.append(time.perf_counter() - seg_start)
-            segment_next = 0
         epoch_total = epoch_rec = epoch_kl = epoch_cost = 0.0
         for _batch in range(batches_per_epoch):
-            if segment_rows is not None:
-                row = segment_rows[segment_next]
-                segment_next += 1
-                values = {
-                    "loss": float(row[0]),
-                    "reconstruction": float(row[1]),
-                    "kl": float(row[2]),
-                    "cost": float(row[3]),
-                }
-                epoch_total += values["loss"]
-                epoch_rec += values["reconstruction"]
-                epoch_kl += values["kl"]
-                epoch_cost += values["cost"]
-                continue
             idx = rng.choice(len(dataset), size=batch, replace=True, p=sample_p)
             grids = all_grids[idx]
             batch_targets = targets[idx]
@@ -514,8 +427,6 @@ def train_model(
         stats.reconstruction.append(epoch_rec / batches_per_epoch)
         stats.kl.append(epoch_kl / batches_per_epoch)
         stats.cost.append(epoch_cost / batches_per_epoch)
-        if segment_rows is not None and segment_next >= len(segment_rows):
-            segment_rows = None
 
         done = epoch + 1
         if checkpoint_dir is not None and config.checkpoint_every > 0:
@@ -546,18 +457,6 @@ def train_model(
     return stats
 
 
-def train_replicas(models, datasets, rngs, config=None, optimizers=None):
-    """Train K same-architecture models as one stacked program.
-
-    Thin indirection over :func:`repro.core.replicas.train_replicas`
-    (imported lazily — replicas builds on this module's
-    :func:`train_model` for its serial reference path).
-    """
-    from .replicas import train_replicas as _impl
-
-    return _impl(models, datasets, rngs, config=config, optimizers=optimizers)
-
-
 def report_training_round(simulator, stats: TrainStats, round_index: int) -> None:
     """Surface one ``train_model`` round through the engine plumbing.
 
@@ -577,15 +476,10 @@ def report_training_round(simulator, stats: TrainStats, round_index: int) -> Non
         telemetry.add("train_replays", counters.get("replays", 0))
         telemetry.add("train_fused_kernels", counters.get("fused_ops", 0))
         telemetry.add("train_fallbacks", counters.get("fallbacks", 0))
-        telemetry.add("loop_replays", len(stats.loop_seconds))
-        if stats.stacked:
-            telemetry.add("stacked_replicas", 1)
         for seconds in stats.replay_seconds:
             telemetry.observe_latency("train_step_replay", seconds)
         for seconds in stats.eager_seconds:
             telemetry.observe_latency("train_step_eager", seconds)
-        for seconds in stats.loop_seconds:
-            telemetry.observe_latency("train_loop_replay", seconds)
         # REPRO_PROFILE=1 only: fold the round's per-kernel replay
         # seconds into the stage timers and emit matching
         # imposed-duration spans, so trace-derived stage totals keep

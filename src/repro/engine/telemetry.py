@@ -98,9 +98,7 @@ KNOWN_SPANS = frozenset(
 
 #: Named latency histograms fed through ``observe_latency`` (per-stage
 #: ``stage_latency:<stage>`` histograms are derived, not listed).
-KNOWN_HISTOGRAMS = frozenset(
-    {"cache_lookup", "train_step_replay", "train_step_eager", "train_loop_replay"}
-)
+KNOWN_HISTOGRAMS = frozenset({"cache_lookup", "train_step_replay", "train_step_eager"})
 
 
 def snapshot_delta(before: Dict, after: Dict) -> Dict:
@@ -178,10 +176,6 @@ class EngineTelemetry:
         compiled-step compile/replay/fusion/fallback counts from
         :mod:`repro.nn.compile` (``train_fused_kernels`` counts ops
         folded into fused chains across compiles).
-    ``loop_replays`` / ``stacked_replicas``
-        Recorded-loop segments replayed (:mod:`repro.nn.loop`) and
-        training rounds that ran as one replica of a stacked
-        multi-model program (:mod:`repro.core.replicas`).
     """
 
     _COUNTERS = (
@@ -205,8 +199,6 @@ class EngineTelemetry:
         "train_replays",
         "train_fused_kernels",
         "train_fallbacks",
-        "loop_replays",
-        "stacked_replicas",
     )
 
     def __init__(self) -> None:

@@ -9,10 +9,7 @@ the equivalent substrate offline: reverse-mode autograd
 
 from . import functional, graph, init, losses
 from . import compile as compile  # noqa: A001 — torch-style nn.compile namespace
-from . import loop, vmap
 from .compile import CompiledTrainStep, CompileStats, CompileUnsupported, compile_train_step
-from .loop import CompiledTrainLoop, use_compiled_loop
-from .vmap import StackedTrainStep
 from .layers import (
     MLP,
     Conv2d,
@@ -75,9 +72,4 @@ __all__ = [
     "CompileStats",
     "CompileUnsupported",
     "compile_train_step",
-    "loop",
-    "vmap",
-    "CompiledTrainLoop",
-    "use_compiled_loop",
-    "StackedTrainStep",
 ]

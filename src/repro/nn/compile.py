@@ -684,7 +684,6 @@ class GraphProgram:
                 self._storage[nid] = value
 
         self._forward: List[Callable] = []
-        self._fwd_kernels: Dict[int, Callable] = {}
         self._bwd_kernels: Dict[int, Callable] = {}
         for nid in sched:
             node = nodes[nid]
@@ -756,7 +755,6 @@ class GraphProgram:
         fast = self._build_fast_kernel(node, buf)
         if fast is not None:
             self.stats.fast_kernels += 1
-            self._fwd_kernels[nid] = fast
             px, pw = parents
 
             def run_fast() -> None:
@@ -1191,15 +1189,7 @@ class CompiledTrainStep:
                 totals[label] = totals.get(label, 0.0) + seconds
         return totals
 
-    def program_for(self, arrays: Sequence[np.ndarray]) -> GraphProgram:
-        """The cached :class:`GraphProgram` for these input shapes.
-
-        Compiles (and verifies) on first use, exactly as :meth:`__call__`
-        would; raises :class:`CompileUnsupported` when the trace was (or
-        is now) rejected.  This is the hook the recorded-loop layer
-        (:mod:`repro.nn.loop`) uses to share one program — and therefore
-        bitwise-identical replay values — with the per-step path.
-        """
+    def __call__(self, *arrays: np.ndarray) -> Dict[str, float]:
         arrays = tuple(np.asarray(a, dtype=np.float64) for a in arrays)
         key = self.signature(arrays)
         if key not in self._programs:
@@ -1222,11 +1212,6 @@ class CompiledTrainStep:
         if program is None:
             self.stats.fallbacks += 1
             raise CompileUnsupported("trace previously rejected for this signature")
-        return program
-
-    def __call__(self, *arrays: np.ndarray) -> Dict[str, float]:
-        arrays = tuple(np.asarray(a, dtype=np.float64) for a in arrays)
-        program = self.program_for(arrays)
         self.stats.replays += 1
         outputs = program.run(arrays)
         if self.grad_clip is not None:

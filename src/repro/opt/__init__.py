@@ -16,7 +16,7 @@ from .records_io import (
     load_records,
     save_records,
 )
-from .runner import GridObserver, RunInterrupted, run_comparison, run_method
+from .runner import GridObserver, RunInterrupted
 from .simulator import BudgetExhausted, CircuitSimulator, Evaluation
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
     "aggregate_curves",
     "median_iqr",
     "vae_speedup",
-    "run_method",
-    "run_comparison",
     "GridObserver",
     "RunInterrupted",
     "save_records",

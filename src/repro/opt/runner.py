@@ -3,39 +3,26 @@
 This is the machinery behind every figure/table bench: the paper runs each
 experiment "with five different random seeds and independently collected
 initial datasets" and reports medians and interquartile ranges.
+:meth:`repro.api.Session.run` is the public entry point; it drives
+:func:`_run_seed_grid` once per method.
 
-Both entry points optionally route through a
-:class:`repro.engine.EvaluationEngine`: every seed then gets an
-engine-backed simulator sharing one persistent cache and worker pool, and
-``parallel_seeds > 1`` runs seeds concurrently on threads (the heavy
-synthesis work happens in the engine's worker processes; per-seed budget
-accounting stays independent, so records are bit-identical to serial
-execution in any case).  Parallel waves additionally share a
-:class:`repro.core.replicas.ReplicaRoundPool`: same-shaped model-based
-cells train their first round as one stacked multi-replica program,
-equivalent to per-cell training within floating-point reassociation
-(``REPRO_STACKED_REPLICAS=0`` restores strictly bit-identical per-cell
-training; checkpointed cells always train per-cell).
-
-.. deprecated::
-    :func:`run_method` and :func:`run_comparison` are thin shims kept for
-    backward compatibility.  New code should describe the grid as a
-    :class:`repro.api.ExperimentSpec` and run it through
-    :meth:`repro.api.Session.run`, which owns the engine lifecycle and
-    resolves methods by name from the registry.
+A grid optionally routes through a :class:`repro.engine.EvaluationEngine`:
+every seed then gets an engine-backed simulator sharing one persistent
+cache and worker pool.  ``parallel_seeds > 1`` runs one thread per seed
+(up to that many at a time).  Each seed owns its simulator, budget
+accounting, rng and model, so records are bit-identical to serial
+execution.
 """
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..circuits.task import CircuitTask
 from ..obs import trace
-from ..utils.rng import seed_sequence
 from .optimizer import SearchAlgorithm
 from .results import RunRecord
 from .simulator import BudgetExhausted, CircuitSimulator
@@ -43,7 +30,7 @@ from .simulator import BudgetExhausted, CircuitSimulator
 if TYPE_CHECKING:  # runtime import would cycle: repro.engine imports repro.opt
     from ..engine.service import EvaluationEngine
 
-__all__ = ["run_method", "run_comparison", "GridObserver", "RunInterrupted"]
+__all__ = ["GridObserver", "RunInterrupted"]
 
 AlgorithmFactory = Callable[[int], SearchAlgorithm]
 
@@ -142,16 +129,15 @@ def _run_seed_grid(
     parallel_seeds: int = 1,
     observer: Optional[GridObserver] = None,
 ) -> List[RunRecord]:
-    """The engine room behind :meth:`repro.api.Session.run` (and the
-    deprecated shims below): one algorithm across seeds, one fresh
-    simulator per run.
+    """The engine room behind :meth:`repro.api.Session.run`: one
+    algorithm across seeds, one fresh simulator per run.
 
     ``factory(seed)`` builds the algorithm instance (so per-seed
     configuration like initial-dataset sizes can vary, as in the paper's
     grouped-budget curves).  ``engine`` is a shared
     :class:`repro.engine.EvaluationEngine` or ``None`` (plain serial
-    simulators); ``parallel_seeds`` runs that many seeds concurrently on
-    threads when an engine carries the synthesis work.
+    simulators); ``parallel_seeds`` runs that many seeds concurrently,
+    one thread per seed, with records bit-identical to serial.
 
     ``observer`` (a :class:`GridObserver`) adds job-lifecycle semantics
     without touching any method: a per-seed completion ledger (finished
@@ -163,7 +149,7 @@ def _run_seed_grid(
     if observer is not None and method_name is None:
         raise ValueError("an observed grid needs an explicit method_name")
 
-    def _run_one(seed: int, pool_handle=None) -> RunRecord:
+    def _run_one(seed: int) -> RunRecord:
         # The span context-manager form guarantees the seed span closes
         # even when RunInterrupted (or anything else) unwinds the seed
         # thread mid-run; fresh threads parent to the tracer's default
@@ -172,16 +158,9 @@ def _run_seed_grid(
             if method_name is not None:
                 span.set_attr("method", method_name)
             span.set_attr("seed", seed)
-            try:
-                return _run_seed(seed, pool_handle)
-            finally:
-                if pool_handle is not None:
-                    # Every registered cell must arrive or withdraw, or
-                    # the wave's rendezvous never releases; withdrawing
-                    # an already-consumed handle is a no-op.
-                    pool_handle.withdraw()
+            return _run_seed(seed)
 
-    def _run_seed(seed: int, pool_handle=None) -> RunRecord:
+    def _run_seed(seed: int) -> RunRecord:
         if observer is not None:
             observer.check_interrupt()
             done = observer.completed_record(method_name, seed)
@@ -190,8 +169,6 @@ def _run_seed_grid(
                 return done
         algorithm = factory(seed)
         simulator = _make_simulator(task, budget, engine)
-        if pool_handle is not None:
-            simulator.replica_pool = pool_handle
         if observer is not None:
             replayed = observer.before_seed(method_name, seed, simulator)
             observer.on_seed_started(method_name, seed, replayed)
@@ -218,107 +195,6 @@ def _run_seed_grid(
 
     seeds = list(seeds)
     if parallel_seeds > 1 and len(seeds) > 1:
-        # Seeds run in waves of exactly the worker count, one fresh
-        # ReplicaRoundPool per wave: every wave member is guaranteed its
-        # own live thread, so the pool's rendezvous (first training
-        # round trains same-shaped cells as one stacked multi-replica
-        # program) can never deadlock on thread reuse.  Results are
-        # identical to the plain map — cells are independent.
-        from ..core.replicas import ReplicaRoundPool, use_stacked_replicas
-
-        workers = min(parallel_seeds, len(seeds))
-        pooling = use_stacked_replicas()
-        records: List[RunRecord] = []
-        for start in range(0, len(seeds), workers):
-            wave = seeds[start:start + workers]
-            if pooling and len(wave) > 1:
-                wave_pool = ReplicaRoundPool()
-                handles = [wave_pool.handle(seed) for seed in wave]
-            else:
-                handles = [None] * len(wave)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                records.extend(pool.map(_run_one, wave, handles))
-        return records
+        with ThreadPoolExecutor(max_workers=min(parallel_seeds, len(seeds))) as pool:
+            return list(pool.map(_run_one, seeds))
     return [_run_one(seed) for seed in seeds]
-
-
-def run_method(
-    factory: AlgorithmFactory,
-    task: CircuitTask,
-    budget: int,
-    seeds: Sequence[int],
-    method_name: Optional[str] = None,
-    engine: Optional["EvaluationEngine"] = None,
-    parallel_seeds: int = 1,
-) -> List[RunRecord]:
-    """Run one algorithm across seeds; one fresh simulator per run.
-
-    ``factory(seed)`` builds the algorithm instance.  Pass an ``engine``
-    (:class:`repro.engine.EvaluationEngine`) to share a persistent cache
-    and synthesis worker pool across seeds; ``parallel_seeds`` runs that
-    many seeds concurrently.
-
-    .. deprecated::
-        Prefer :meth:`repro.api.Session.run` with an
-        :class:`repro.api.ExperimentSpec` — it resolves methods by
-        registry name, owns the engine, and returns aggregated results.
-    """
-    warnings.warn(
-        "run_method is deprecated; describe the experiment as a "
-        "repro.api.ExperimentSpec and run it with repro.api.Session.run",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_seed_grid(
-        factory,
-        task,
-        budget,
-        seeds,
-        method_name=method_name,
-        engine=engine,
-        parallel_seeds=parallel_seeds,
-    )
-
-
-def run_comparison(
-    factories: Dict[str, AlgorithmFactory],
-    task: CircuitTask,
-    budget: int,
-    num_seeds: int = 3,
-    base_seed: int = 0,
-    engine: Optional["EvaluationEngine"] = None,
-    parallel_seeds: int = 1,
-) -> Dict[str, List[RunRecord]]:
-    """Run several methods on one task with paired seeds.
-
-    Returns {method: [RunRecord per seed]} with all methods sharing the
-    same seed list, which keeps the Table-1 speedup pairing meaningful.
-    ``engine`` (a :class:`repro.engine.EvaluationEngine` or ``None``) and
-    ``parallel_seeds`` forward to the per-method grid; with an engine,
-    methods additionally share cache entries (e.g. the classical seed
-    structures every method evaluates are synthesized exactly once).
-
-    .. deprecated::
-        Prefer :meth:`repro.api.Session.run` — an
-        :class:`repro.api.ExperimentSpec` with several method specs is
-        the declarative form of this call.
-    """
-    warnings.warn(
-        "run_comparison is deprecated; describe the experiment as a "
-        "repro.api.ExperimentSpec and run it with repro.api.Session.run",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    seeds = seed_sequence(base_seed, num_seeds)
-    return {
-        name: _run_seed_grid(
-            factory,
-            task,
-            budget,
-            seeds,
-            method_name=name,
-            engine=engine,
-            parallel_seeds=parallel_seeds,
-        )
-        for name, factory in factories.items()
-    }

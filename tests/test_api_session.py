@@ -1,7 +1,6 @@
 """End-to-end tests for Session.run and the python -m repro CLI."""
 
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +9,10 @@ from repro.api import ExperimentSpec, MethodSpec, Session, TaskSpec, load_spec
 from repro.api.cli import bench_presets, main
 from repro.baselines import GAConfig, GeneticAlgorithm, RandomSearch
 from repro.circuits import adder_task
-from repro.opt import load_records, run_method
+from repro.opt import load_records
+from repro.opt.runner import _run_seed_grid
+
+from helpers import VAE_PARAMS
 
 TINY_SPEC_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -29,19 +31,41 @@ def assert_bit_identical(record, reference):
 
 
 def direct_reference_records(spec):
-    """The same grid, hand-assembled the pre-API way (plain serial)."""
+    """The same grid, hand-assembled below the API (plain serial
+    simulators, hand-built algorithm factories)."""
     factories = {
         "GA": lambda seed: GeneticAlgorithm(GAConfig(population_size=8)),
         "Random": lambda seed: RandomSearch(),
     }
     task = adder_task(spec.task.n, spec.task.delay_weight)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return {
-            name: run_method(factory, task, spec.budget, spec.seed_list(),
+    return {
+        name: _run_seed_grid(factory, task, spec.budget, spec.seed_list(),
                              method_name=name)
-            for name, factory in factories.items()
-        }
+        for name, factory in factories.items()
+    }
+
+
+def model_based_spec():
+    """CircuitVAE and BO at the tiny ``VAE_PARAMS`` scale.  Budget 45
+    takes every cell through a second training round (20 initial
+    designs, at most 16 new ones per round)."""
+    return ExperimentSpec(
+        name="session-model-based",
+        task=TaskSpec(circuit_type="adder", n=8, delay_weight=0.66),
+        methods=(
+            MethodSpec("CircuitVAE", params=VAE_PARAMS),
+            MethodSpec(
+                "BO",
+                params=dict(
+                    vae=VAE_PARAMS, batch_per_round=8, candidate_pool=64,
+                    gp_max_points=64,
+                ),
+            ),
+        ),
+        budget=45,
+        num_seeds=2,
+        curve_points=3,
+    )
 
 
 class TestSessionRun:
@@ -60,7 +84,7 @@ class TestSessionRun:
             curve_points=3,
         )
 
-    def test_records_bit_identical_to_direct_run_method(self):
+    def test_records_bit_identical_to_direct_seed_grid(self):
         spec = self.spec()
         with Session() as session:
             result = session.run(spec)
@@ -121,14 +145,22 @@ class TestSessionRun:
         assert second.telemetry["memory_hits"] > 0
 
     def test_parallel_seeds_identical(self):
-        spec = self.spec()
-        with Session() as serial_session:
-            serial = serial_session.run(spec)
-        with Session(parallel_seeds=2) as parallel_session:
-            parallel = parallel_session.run(spec)
-        for name in serial.records:
-            for a, b in zip(serial.records[name], parallel.records[name]):
-                assert_bit_identical(a, b)
+        # Model-based cells train one VAE per seed thread, concurrently.
+        for spec in (self.spec(), model_based_spec()):
+            with Session() as serial_session:
+                serial = serial_session.run(spec)
+            with Session(parallel_seeds=2) as parallel_session:
+                parallel = parallel_session.run(spec)
+            assert set(parallel.records) == set(serial.records)
+            for name in serial.records:
+                assert len(parallel.records[name]) == spec.num_seeds
+                for a, b in zip(serial.records[name], parallel.records[name]):
+                    assert_bit_identical(a, b)
+        # The model-based grid (run last) really retrained: every cell
+        # trained for more epochs than its first round alone.
+        first_round = VAE_PARAMS["first_round_epochs"]
+        for records in serial.records.values():
+            assert all(r.telemetry["train_epochs"] > first_round for r in records)
 
 
 class TestCLI:

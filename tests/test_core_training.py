@@ -1,13 +1,15 @@
 """Tests for VAE + cost-head training (repro.core.training)."""
 
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.core.dataset import CircuitDataset
-from repro.core.training import TrainConfig, train_model
+from repro.core.training import TrainConfig, _compiled_step_for, train_model
 from repro.core.vae import CircuitVAEModel, VAEConfig
 from repro.prefix import random_graph
 
@@ -156,6 +158,16 @@ class TestCompiledTraining:
         assert stats.compiled is False
         assert stats.compile_counters == {}
 
+    def test_step_timings_carry_engine_labels(self, monkeypatch):
+        """Compiled replays and eager steps time into separate lists
+        (``train_step_replay`` vs ``train_step_eager`` histograms)."""
+        _, compiled = self._fit(monkeypatch, compiled=True, epochs=2)
+        assert len(compiled.replay_seconds) == 2 * 2  # epochs * batches
+        assert compiled.eager_seconds == []
+        _, eager = self._fit(monkeypatch, compiled=False, epochs=2)
+        assert eager.replay_seconds == []
+        assert len(eager.eager_seconds) == 2 * 2
+
     def test_compiled_step_reused_across_rounds(self, monkeypatch):
         """One optimizer carried across train_model calls retraces nothing."""
         monkeypatch.setenv("REPRO_COMPILED_TRAIN", "1")
@@ -303,98 +315,56 @@ class TestTrainingCheckpoints:
         assert meta["epoch"] == self.CFG.epochs  # gates genuinely matched
 
 
-class TestRecordedLoopCheckpoints:
-    """Checkpoint/resume interplay with the recorded-loop engine.
+class TestCompiledStepCache:
+    """The per-optimizer compiled-step cache holds its models weakly."""
 
-    Segments end exactly at checkpoint boundaries, so every durable save
-    point (and any resume from one) must be bit-identical to per-step
-    execution — in particular, checkpoints written by one engine must
-    resume exactly under the other."""
+    CFG = TrainConfig(epochs=2, batch_size=16)
 
-    CFG = TrainConfig(epochs=6, batch_size=16, checkpoint_every=2)
-
-    def _run(self, monkeypatch, loop, checkpoint_dir=None, interrupt_after=None):
-        monkeypatch.setenv("REPRO_COMPILED_TRAIN", "1")
-        monkeypatch.setenv("REPRO_COMPILED_LOOP", loop)
-        ds = small_dataset(seed=20)
-        model = small_model(seed=21)
+    def test_cache_hit_same_model_and_config(self):
+        model = small_model()
         optimizer = nn.Adam(model.parameters(), lr=1e-3)
-        rng = np.random.default_rng(22)
-        cfg = self.CFG if interrupt_after is None else TrainConfig(
-            epochs=interrupt_after, batch_size=16, checkpoint_every=2
+        step = _compiled_step_for(model, optimizer, self.CFG)
+        assert _compiled_step_for(model, optimizer, self.CFG) is step
+
+    def test_distinct_models_get_distinct_steps(self):
+        model_a, model_b = small_model(1), small_model(2)
+        opt_a = nn.Adam(model_a.parameters(), lr=1e-3)
+        opt_b = nn.Adam(model_b.parameters(), lr=1e-3)
+        assert _compiled_step_for(model_a, opt_a, self.CFG) is not (
+            _compiled_step_for(model_b, opt_b, self.CFG)
         )
+
+    def test_entry_dies_with_model(self, monkeypatch):
+        """Regression: the cached step must not strongly reference the
+        model (a WeakKeyDictionary entry whose value holds its key is
+        immortal), so dropping the model drops the whole entry — even
+        after a full compiled training round."""
+        monkeypatch.setenv("REPRO_COMPILED_TRAIN", "1")
+        model = small_model()
+        optimizer = nn.Adam(model.parameters(), lr=1e-3)
         stats = train_model(
-            model, ds, rng, cfg, optimizer=optimizer,
-            checkpoint_dir=checkpoint_dir, checkpoint_tag="round000",
+            model, small_dataset(), np.random.default_rng(5), self.CFG,
+            optimizer=optimizer,
         )
-        return model, rng, stats
+        assert stats.compiled
+        cache = optimizer._compiled_train_steps
+        assert len(cache) == 1
+        model_ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert model_ref() is None
+        assert len(cache) == 0
 
-    @staticmethod
-    def _rewrite_epochs(checkpoint_dir, epochs):
-        """Make an interrupted-run checkpoint resumable into the full
-        schedule (the interrupted call's fingerprint recorded fewer)."""
-        import json
-        meta_path = os.path.join(checkpoint_dir, "round000.json")
-        with open(meta_path) as handle:
-            meta = json.load(handle)
-        meta["fingerprint"]["epochs"] = epochs
-        with open(meta_path, "w") as handle:
-            json.dump(meta, handle)
-
-    @staticmethod
-    def _assert_identical(run_a, run_b):
-        model_a, rng_a, stats_a = run_a
-        model_b, rng_b, stats_b = run_b
-        np.testing.assert_array_equal(stats_b.total, stats_a.total)
-        for (_, p1), (_, p2) in zip(
-            model_a.named_parameters(), model_b.named_parameters()
-        ):
-            np.testing.assert_array_equal(p1.data, p2.data)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
-    def test_segments_align_with_checkpoint_boundaries(self, monkeypatch, tmp_path):
-        _, _, stats = self._run(monkeypatch, "1", checkpoint_dir=str(tmp_path / "c"))
-        # 6 epochs, checkpoint_every=2: three segments, no per-step replays.
-        assert len(stats.loop_seconds) == 3
-        assert stats.replay_seconds == []
-
-    @pytest.mark.parametrize("loop", ["0", "1"])
-    def test_boundary_interrupt_resumes_bit_identically(
-        self, monkeypatch, tmp_path, loop
-    ):
-        reference = self._run(monkeypatch, loop)
-        ckpt = str(tmp_path / "train")
-        # "Crash" at epoch 4 (a durable segment boundary), then resume
-        # the full schedule against the same directory.
-        self._run(monkeypatch, loop, checkpoint_dir=ckpt, interrupt_after=4)
-        self._rewrite_epochs(ckpt, self.CFG.epochs)
-        resumed = self._run(monkeypatch, loop, checkpoint_dir=ckpt)
-        assert resumed[2].epochs_skipped == 4
-        assert resumed[2].epochs_run == 2
-        self._assert_identical(reference, resumed)
-
-    @pytest.mark.parametrize("write_loop,resume_loop", [("0", "1"), ("1", "0")])
-    def test_cross_engine_resume_bit_identical(
-        self, monkeypatch, tmp_path, write_loop, resume_loop
-    ):
-        """A checkpoint written by either engine resumes exactly under
-        the other — save-point states are bitwise engine-independent."""
-        reference = self._run(monkeypatch, resume_loop)
-        ckpt = str(tmp_path / "train")
-        self._run(
-            monkeypatch, write_loop, checkpoint_dir=ckpt, interrupt_after=4
-        )
-        self._rewrite_epochs(ckpt, self.CFG.epochs)
-        resumed = self._run(monkeypatch, resume_loop, checkpoint_dir=ckpt)
-        assert resumed[2].epochs_skipped == 4
-        self._assert_identical(reference, resumed)
-
-    @pytest.mark.parametrize("loop", ["0", "1"])
-    def test_completed_run_fully_skipped(self, monkeypatch, tmp_path, loop):
-        ckpt = str(tmp_path / "train")
-        first = self._run(monkeypatch, loop, checkpoint_dir=ckpt)
-        second = self._run(monkeypatch, loop, checkpoint_dir=ckpt)
-        assert second[2].epochs_skipped == self.CFG.epochs
-        assert second[2].epochs_run == 0
-        assert second[2].loop_seconds == []  # nothing left to replay
-        self._assert_identical(first, second)
+    def test_dead_model_trace_raises_compile_unsupported(self):
+        model = small_model()
+        optimizer = nn.Adam(model.parameters(), lr=1e-3)
+        step = _compiled_step_for(model, optimizer, self.CFG)
+        del model
+        gc.collect()
+        with pytest.raises(nn.CompileUnsupported):
+            step.step_fn(
+                nn.Tensor(np.zeros((2, 1, 12, 12))),
+                nn.Tensor(np.zeros((2, 8, 8))),
+                nn.Tensor(np.zeros((2, 8))),
+                nn.Tensor(np.zeros(2)),
+            )

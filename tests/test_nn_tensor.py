@@ -223,9 +223,9 @@ class TestConstructors:
 class TestGradModeThreadLocal:
     def test_no_grad_is_per_thread(self):
         """Regression: one thread's no_grad section must never disable
-        graph construction in a concurrently working thread (the stacked
-        replica pool releases a whole wave of cells in lockstep, so
-        overlapping no_grad windows are the norm, not a race)."""
+        graph construction in a concurrently working thread
+        (``parallel_seeds`` trains one model per seed thread at the same
+        time, so overlapping no_grad windows are the norm, not a race)."""
         import threading
 
         inside = threading.Event()

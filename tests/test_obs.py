@@ -520,9 +520,7 @@ class TestKernelProfiling:
         stats = self._train()
         assert stats.compiled
         assert stats.kernel_seconds == {}
-        # Either engine may carry the run (recorded loop vs per-step
-        # replay); whichever did must have recorded its timings.
-        assert len(stats.replay_seconds) + len(stats.loop_seconds) > 0
+        assert len(stats.replay_seconds) > 0
 
     def test_profile_on_collects_kernel_seconds(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "1")
