@@ -640,6 +640,7 @@ _SHARED_PREFIXES = ("src/repro/serve/", "src/repro/engine/")
 _SHARED_FILES = (
     "src/repro/synth/incremental.py",
     "src/repro/synth/batched.py",
+    "src/repro/utils/threads.py",
 )
 
 _MUTABLE_CALLS = {

@@ -193,7 +193,15 @@ def _format_node(node: SpanNode, root_duration: float) -> str:
     attrs = node.data.get("attrs") or {}
     tags = [
         f"{key}={attrs[key]}"
-        for key in ("method", "seed", "batch", "outcome", "mode")
+        for key in (
+            "method",
+            "seed",
+            "seed_threads",
+            "blas_threads",
+            "batch",
+            "outcome",
+            "mode",
+        )
         if key in attrs
     ]
     if tags:

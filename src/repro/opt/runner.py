@@ -12,6 +12,13 @@ cache and worker pool.  ``parallel_seeds > 1`` runs one thread per seed
 (up to that many at a time).  Each seed owns its simulator, budget
 accounting, rng and model, so records are bit-identical to serial
 execution.
+
+Cores are a budget: while a parallel grid runs, every OpenBLAS build is
+capped at ``cores // seed threads`` threads
+(:func:`repro.utils.threads.blas_budget`), so seed threads × BLAS
+threads ≤ cores.  Serial grids never enter a budget, but the cap is
+process-wide: a serial grid running while another grid's budget is
+active runs under that cap too.  Records do not depend on either count.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import numpy as np
 
 from ..circuits.task import CircuitTask
 from ..obs import trace
+from ..utils.threads import blas_budget, blas_thread_counts, usable_cores
 from .optimizer import SearchAlgorithm
 from .results import RunRecord
 from .simulator import BudgetExhausted, CircuitSimulator
@@ -148,6 +156,8 @@ def _run_seed_grid(
     """
     if observer is not None and method_name is None:
         raise ValueError("an observed grid needs an explicit method_name")
+    seeds = list(seeds)
+    workers = max(1, min(parallel_seeds, len(seeds)))
 
     def _run_one(seed: int) -> RunRecord:
         # The span context-manager form guarantees the seed span closes
@@ -158,7 +168,15 @@ def _run_seed_grid(
             if method_name is not None:
                 span.set_attr("method", method_name)
             span.set_attr("seed", seed)
-            return _run_seed(seed)
+            span.set_attr("seed_threads", workers)
+            try:
+                return _run_seed(seed)
+            finally:
+                if trace.active():
+                    # The live count at seed end, not the grid's request:
+                    # the cap is process-wide (see the module docstring).
+                    counts = blas_thread_counts().values()
+                    span.set_attr("blas_threads", max(counts, default=0))
 
     def _run_seed(seed: int) -> RunRecord:
         if observer is not None:
@@ -193,8 +211,10 @@ def _run_seed_grid(
             observer.on_seed_finished(method_name, seed, record, resumed=False)
         return record
 
-    seeds = list(seeds)
-    if parallel_seeds > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=min(parallel_seeds, len(seeds))) as pool:
+    if workers == 1:
+        return [_run_one(seed) for seed in seeds]
+    # Cores are a budget: each seed thread gets its share of BLAS threads.
+    # The pool joins its threads before the budget restores the counts.
+    with blas_budget(max(1, usable_cores() // workers)):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_one, seeds))
-    return [_run_one(seed) for seed in seeds]

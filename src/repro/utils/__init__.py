@@ -1,4 +1,4 @@
-"""``repro.utils`` — RNG management, ASCII plotting, table formatting."""
+"""``repro.utils`` — RNG management, ASCII plotting, table formatting, OpenBLAS thread budgets."""
 
 from .rng import make_rng, seed_sequence, spawn
 

@@ -1,0 +1,187 @@
+"""OpenBLAS thread counts as a budget shared by concurrent work.
+
+OpenBLAS starts one thread per core by default.  That is the right
+default for one serial run, but a parallel seed grid already runs one
+Python thread per seed: each seed's GEMMs then fan out over every core
+again, and ``seeds × cores`` threads contend for ``cores``.  This module
+lets the grid hand each seed its share instead.
+
+Two OpenBLAS builds can live in one process, each with its own thread
+pool: numpy's ``libscipy_openblas64_`` (the training GEMMs) and scipy's
+``libscipy_openblas`` (the GP Cholesky).  :func:`blas_libraries` finds
+every loaded build through ``ctypes`` — stdlib only, no
+``threadpoolctl`` — and :func:`blas_budget` caps all of them for the
+duration of a ``with`` block.  Where no OpenBLAS symbol is found (numpy
+on Accelerate/MKL, non-Linux platforms without the wheel's bundled
+library) everything here is a silent no-op.
+
+Thread counts change wall-clock only: the records of a run do not
+depend on them (the parallel-seed tests compare records bit for bit).
+"""
+
+from __future__ import annotations
+
+import ctypes
+import glob
+import os
+import sys
+import threading
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional
+
+__all__ = [
+    "BlasLibrary",
+    "blas_budget",
+    "blas_libraries",
+    "blas_thread_counts",
+    "usable_cores",
+]
+
+#: (getter, setter) symbol pairs, one per OpenBLAS flavour: numpy's
+#: ILP64 scipy-openblas build, scipy's LP64 one, and the plain-prefixed
+#: builds that numpy 1.x / older scipy wheels bundle (setup.py allows
+#: numpy>=1.22).
+_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def usable_cores() -> int:
+    """CPUs this process may run on (its affinity mask where the
+    platform has one, else the machine's count)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class BlasLibrary:
+    """One loaded OpenBLAS build and its thread-count entry points."""
+
+    def __init__(self, path: str, getter, setter) -> None:
+        self.path = path
+        self.name = os.path.basename(path)
+        self._get = getter
+        self._set = setter
+
+    def get_num_threads(self) -> int:
+        return int(self._get())
+
+    def set_num_threads(self, count: int) -> None:
+        self._set(int(count))
+
+    def __repr__(self) -> str:
+        return f"BlasLibrary({self.name}, threads={self.get_num_threads()})"
+
+
+# thread-safety: _LOCK guards all three module-level stores below.
+_LOCK = threading.Lock()
+#: path -> BlasLibrary (None: loaded, but no OpenBLAS symbols).
+_LIBRARIES: Dict[str, Optional[BlasLibrary]] = {}
+#: budgets currently entered, duplicates allowed (guarded by _LOCK).
+_ACTIVE: List[int] = []
+#: each library's count when the outermost budget was entered (or when
+#: it first appeared under an active budget); restored on the last exit.
+#: Guarded by _LOCK.
+_SAVED: Dict[str, int] = {}
+
+
+def _loaded_paths() -> List[str]:
+    """Shared objects with ``openblas`` in their name mapped into this
+    process (Linux), else the wheels' bundled libraries of the numpy and
+    scipy already imported (ctypes re-opens an already-loaded library)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+        return sorted(
+            path
+            for path in paths
+            if path.startswith("/") and "openblas" in os.path.basename(path).lower()
+        )
+    except OSError:
+        pass
+    paths: List[str] = []
+    for package in ("numpy", "scipy"):
+        module = sys.modules.get(package)
+        if module is None or not getattr(module, "__file__", None):
+            continue
+        root = os.path.dirname(module.__file__)
+        for libdir in (root + ".libs", os.path.join(root, ".dylibs")):
+            paths.extend(sorted(glob.glob(os.path.join(libdir, "*openblas*"))))
+    return paths
+
+
+def _open(path: str) -> Optional[BlasLibrary]:
+    try:
+        handle = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for get_name, set_name in _SYMBOLS:
+        getter = getattr(handle, get_name, None)
+        setter = getattr(handle, set_name, None)
+        if getter is not None and setter is not None:
+            getter.restype = ctypes.c_int
+            getter.argtypes = []
+            setter.restype = None
+            setter.argtypes = [ctypes.c_int]
+            return BlasLibrary(path, getter, setter)
+    return None
+
+
+def _discover() -> List[BlasLibrary]:
+    # Caller holds _LOCK.  Re-scanned on every call: scipy's build only
+    # loads when scipy.linalg is first imported.
+    for path in _loaded_paths():
+        if path not in _LIBRARIES:
+            _LIBRARIES[path] = _open(path)
+    return [lib for lib in _LIBRARIES.values() if lib is not None]
+
+
+def blas_libraries() -> List[BlasLibrary]:
+    """Every OpenBLAS build loaded in this process (may be empty)."""
+    with _LOCK:
+        return _discover()
+
+
+def blas_thread_counts() -> Dict[str, int]:
+    """Current thread count of each loaded OpenBLAS build, by file name."""
+    return {lib.name: lib.get_num_threads() for lib in blas_libraries()}
+
+
+def _apply() -> None:
+    # Caller holds _LOCK.  Each library runs at the tightest active
+    # budget, never above the count it had when the budget began.
+    cap = min(_ACTIVE)
+    for lib in _discover():
+        original = _SAVED.setdefault(lib.path, lib.get_num_threads())
+        lib.set_num_threads(max(1, min(cap, original)))
+
+
+@contextmanager
+def blas_budget(threads: int) -> Iterator[None]:
+    """Cap every loaded OpenBLAS build at ``threads`` for the block.
+
+    Budgets nest and overlap across threads: while any is active the
+    count is the minimum of the active budgets, and it never rises above
+    the count found on entry (so an explicit ``OPENBLAS_NUM_THREADS`` is
+    respected).  The last budget to exit restores the original counts,
+    on a normal exit and on an exception alike.
+    """
+    threads = max(1, int(threads))
+    with _LOCK:
+        _ACTIVE.append(threads)
+        _apply()
+    try:
+        yield
+    finally:
+        with _LOCK:
+            _ACTIVE.remove(threads)
+            if _ACTIVE:
+                _apply()
+            else:
+                for lib in _discover():
+                    if lib.path in _SAVED:
+                        lib.set_num_threads(_SAVED[lib.path])
+                _SAVED.clear()

@@ -7,10 +7,13 @@ import pytest
 
 from repro.api import ExperimentSpec, MethodSpec, Session, TaskSpec, load_spec
 from repro.api.cli import bench_presets, main
+from repro.api.events import EvaluationDone
 from repro.baselines import GAConfig, GeneticAlgorithm, RandomSearch
 from repro.circuits import adder_task
-from repro.opt import load_records
+from repro.opt import RunInterrupted, load_records
+from repro.obs.trace import Tracer
 from repro.opt.runner import _run_seed_grid
+from repro.utils.threads import blas_thread_counts, usable_cores
 
 from helpers import VAE_PARAMS
 
@@ -145,22 +148,57 @@ class TestSessionRun:
         assert second.telemetry["memory_hits"] > 0
 
     def test_parallel_seeds_identical(self):
-        # Model-based cells train one VAE per seed thread, concurrently.
+        # Model-based cells train one VAE per seed thread, concurrently,
+        # each under its share of the OpenBLAS threads; the BLAS thread
+        # count must not leak into records, nor outlive the run.
+        before = blas_thread_counts()
+        share = max(1, usable_cores() // 2)
+        during = []
+
+        def sample(event):
+            if isinstance(event, EvaluationDone):
+                during.append(blas_thread_counts())
+
         for spec in (self.spec(), model_based_spec()):
             with Session() as serial_session:
                 serial = serial_session.run(spec)
-            with Session(parallel_seeds=2) as parallel_session:
-                parallel = parallel_session.run(spec)
+            assert blas_thread_counts() == before
+            tracer = Tracer(collect=True)
+            with tracer.activate(), Session(parallel_seeds=2) as parallel_session:
+                parallel = parallel_session.submit(spec, on_event=sample).result()
+            assert blas_thread_counts() == before
+            # Each seed span records the budget it ran under.
+            seed_spans = [s for s in tracer.drain() if s["name"] == "seed"]
+            assert len(seed_spans) == spec.num_seeds * len(spec.methods)
+            for seed_span in seed_spans:
+                assert seed_span["attrs"]["seed_threads"] == 2
+                assert seed_span["attrs"]["blas_threads"] == min(
+                    share, max(before.values(), default=0)
+                )
             assert set(parallel.records) == set(serial.records)
             for name in serial.records:
                 assert len(parallel.records[name]) == spec.num_seeds
                 for a, b in zip(serial.records[name], parallel.records[name]):
                     assert_bit_identical(a, b)
+        assert during and all(
+            count <= share for counts in during for count in counts.values()
+        )
         # The model-based grid (run last) really retrained: every cell
         # trained for more epochs than its first round alone.
         first_round = VAE_PARAMS["first_round_epochs"]
         for records in serial.records.values():
             assert all(r.telemetry["train_epochs"] > first_round for r in records)
+
+        # An interrupted parallel grid restores the counts too.
+        def stop(event):
+            if isinstance(event, EvaluationDone):
+                raise RunInterrupted("test stop")
+
+        with Session(parallel_seeds=2) as session:
+            handle = session.submit(model_based_spec(), on_event=stop)
+            with pytest.raises(RunInterrupted):
+                handle.result()
+        assert blas_thread_counts() == before
 
 
 class TestCLI:

@@ -1,10 +1,19 @@
 """Tests for utilities (repro.utils)."""
 
+import threading
+
 import numpy as np
 import pytest
+import scipy.linalg  # noqa: F401  (loads scipy's own OpenBLAS build)
 
 from repro.prefix import sklansky
 from repro.utils import make_rng, seed_sequence, spawn
+from repro.utils import threads
+from repro.utils.threads import (
+    blas_budget,
+    blas_libraries,
+    blas_thread_counts,
+)
 from repro.utils.plotting import ascii_plot, ascii_scatter, format_series_csv, render_prefix_graph
 from repro.utils.tables import format_median_iqr, format_table
 
@@ -65,3 +74,105 @@ class TestTables:
         assert len(lines) == 4
         assert lines[0].startswith("method")
         assert set(lines[1]) <= {"-", "+"}
+
+
+@pytest.fixture
+def blas_at_two():
+    """Every loaded OpenBLAS build at 2 threads for the test (so a cap
+    of 1 is observable even on a 1-CPU machine), restored afterwards."""
+    libraries = blas_libraries()
+    if not libraries:
+        pytest.skip("no OpenBLAS build loaded")
+    saved = {lib.path: lib.get_num_threads() for lib in libraries}
+    _set_all(libraries, 2)
+    yield libraries
+    for lib in libraries:
+        lib.set_num_threads(saved[lib.path])
+
+
+def _set_all(libraries, count):
+    for lib in libraries:
+        lib.set_num_threads(count)
+
+
+def _counts():
+    return set(blas_thread_counts().values())
+
+
+class TestBlasThreads:
+    def test_numpy_and_scipy_builds_round_trip(self):
+        libraries = blas_libraries()
+        if len(libraries) < 2:
+            pytest.skip("numpy and scipy do not load two OpenBLAS builds here")
+        for lib in libraries:
+            original = lib.get_num_threads()
+            lib.set_num_threads(1)
+            assert lib.get_num_threads() == 1
+            lib.set_num_threads(original)
+            assert lib.get_num_threads() == original
+        assert len({lib.path for lib in libraries}) == len(libraries)
+
+    def test_budget_caps_and_restores(self, blas_at_two):
+        with blas_budget(1):
+            assert _counts() == {1}
+        assert _counts() == {2}
+
+    def test_budget_restores_after_exception(self, blas_at_two):
+        with pytest.raises(RuntimeError):
+            with blas_budget(1):
+                assert _counts() == {1}
+                raise RuntimeError("boom")
+        assert _counts() == {2}
+
+    def test_never_raises_above_entry_count(self, blas_at_two):
+        _set_all(blas_at_two, 1)  # e.g. OPENBLAS_NUM_THREADS=1
+        with blas_budget(8):
+            assert _counts() == {1}
+        assert _counts() == {1}
+
+    def test_nested_budget_takes_the_minimum(self, blas_at_two):
+        with blas_budget(1):
+            with blas_budget(2):
+                assert _counts() == {1}
+            assert _counts() == {1}
+        assert _counts() == {2}
+
+    def test_overlapping_budgets_from_two_threads(self, blas_at_two):
+        # A enters first and exits first; B (the looser budget) is the
+        # last one out and must restore the counts found before A.
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def first():
+            with blas_budget(1):
+                a_in.set()
+                b_in.wait(10)
+                seen["both"] = _counts()
+            a_out.set()
+
+        def second():
+            a_in.wait(10)
+            with blas_budget(2):
+                b_in.set()
+                a_out.wait(10)
+                seen["b_alone"] = _counts()
+
+        workers = [threading.Thread(target=first), threading.Thread(target=second)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(10)
+        assert seen == {"both": {1}, "b_alone": {2}}
+        assert _counts() == {2}
+
+    def test_missing_library_is_a_silent_noop(self, monkeypatch):
+        # A path that cannot be opened, as if no OpenBLAS were loaded.
+        monkeypatch.setattr(threads, "_LIBRARIES", {})
+        monkeypatch.setattr(
+            threads, "_loaded_paths", lambda: ["/nonexistent/libopenblas.so"]
+        )
+        assert blas_libraries() == []
+        assert blas_thread_counts() == {}
+        with blas_budget(1):
+            pass
+        assert threads._ACTIVE == [] and threads._SAVED == {}
