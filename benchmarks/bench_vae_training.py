@@ -8,7 +8,8 @@ paper training hyperparameters: beta=0.01, lambda=10, Adam 1e-3, batch
 * **eager** — the define-by-run tape, the numerical reference
   (``REPRO_COMPILED_TRAIN=0``);
 * **compiled** — the traced graph executor (:mod:`repro.nn.compile`):
-  fused kernels, liveness-arena buffer reuse, shape-guarded replay.
+  matmul-based conv kernels, liveness-arena buffer reuse, shape-guarded
+  replay.
 
 Asserts the **equivalence contract** (identical per-epoch loss curves to
 1e-10 across both engines, same seeds) and the **>= 2x steady-state

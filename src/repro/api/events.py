@@ -128,7 +128,7 @@ class TrainingRoundFinished(RunEvent):
 
     Emitted between query boundaries, whenever the method's
     ``train_model`` call returns.  ``counters`` carries the compiled
-    graph-executor's compile/replay/fusion deltas for the round (empty
+    graph-executor's compile/replay/arena deltas for the round (empty
     for eager training); ``epochs_skipped`` counts epochs restored from
     a durable training checkpoint instead of re-trained (resume).
     """

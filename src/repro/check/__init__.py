@@ -11,8 +11,8 @@ Two levels, one findings model:
   discipline, fast-path contracts, and daemon thread-safety basics.
 * **Level 2** (:mod:`repro.check.ir`): a static verifier for compiled
   :class:`~repro.nn.compile.GraphProgram` plans — def-before-use,
-  live-slot overwrites, backward-schedule soundness, fused-chain
-  legality — run on every compile under ``REPRO_IR_VERIFY=1`` and
+  backward-schedule soundness and live-slot overwrites — run on every
+  compile under ``REPRO_IR_VERIFY=1`` and
   unconditionally in tests.
 
 Entry point: ``python -m repro check [--strict] [--format json]

@@ -2,7 +2,7 @@
 
 :func:`verify_program` takes a compiled
 :class:`~repro.nn.compile.GraphProgram` (or its retained
-:class:`~repro.nn.compile.ProgramPlan`) and statically proves the four
+:class:`~repro.nn.compile.ProgramPlan`) and statically proves the three
 properties the buffer-arena compiler relies on:
 
 ``ir-use-before-def``
@@ -16,13 +16,8 @@ properties the buffer-arena compiler relies on:
     No write lands in a buffer whose previous occupant is still live:
     each materialized root's storage token may only be reassigned after
     the previous occupant's last read (backward-needed, pinned and
-    output values count as read at +infinity).  The one sanctioned
-    exception is a declared fused link, where the consumer overwrites
-    its producer's scratch *in the same instruction* that reads it.
-``ir-illegal-fusion``
-    Every declared fused link is legal: sole consumer, same shape,
-    elementwise with an ``out=``-writing kernel, producer not a view,
-    not pinned, not backward-needed, not an output.
+    output values count as read at +infinity).  No op may write the
+    buffer of a value it reads itself.
 
 Verification is pure data analysis over the plan — it never executes
 the program, so wiring it under ``REPRO_IR_VERIFY=1`` adds compile-time
@@ -46,7 +41,6 @@ IR_RULES = (
     "ir-use-before-def",
     "ir-bad-schedule",
     "ir-overwrite-live",
-    "ir-illegal-fusion",
 )
 
 #: pseudo-path findings are anchored to (the IR has no source file).
@@ -163,14 +157,12 @@ def verify_program(program) -> List[Finding]:
 
     # -- liveness: last read position per alias root -------------------
     last_read: Dict[int, int] = {}
-    reader_at: Dict[int, Dict[int, int]] = {}  # root -> {pos: reader nid}
     for nid in sched:
         if nid not in pos:
             continue
         for parent in plan.parents.get(nid, ()):
             root = plan.root.get(parent, parent)
             last_read[root] = max(last_read.get(root, -1), pos[nid])
-            reader_at.setdefault(root, {})[pos[nid]] = nid
     for nid in plan.needed_val | set(plan.outputs.values()) | {plan.loss_id}:
         root = plan.root.get(nid, nid)
         last_read[root] = _FOREVER
@@ -178,7 +170,6 @@ def verify_program(program) -> List[Finding]:
         last_read[root] = _FOREVER
 
     # -- storage: no write to a slot whose value is still live ---------
-    fused = set(plan.fused_links)
     writes_by_token: Dict[int, List[int]] = {}
     for nid in sched:
         if plan.root.get(nid) != nid:
@@ -194,12 +185,6 @@ def verify_program(program) -> List[Finding]:
             live_until = max(last_read.get(previous, -1), pos.get(previous, -1))
             if live_until < write_pos:
                 continue  # previous occupant dead before this write
-            if (
-                (previous, current) in fused
-                and last_read.get(previous, -1) == write_pos
-                and reader_at.get(previous, {}).get(write_pos) == current
-            ):
-                continue  # sanctioned in-place overwrite by the fused consumer
             still = (
                 "pinned/backward-needed"
                 if last_read.get(previous, -1) >= _FOREVER
@@ -230,47 +215,4 @@ def verify_program(program) -> List[Finding]:
                 )
             )
 
-    # -- fused-chain legality ------------------------------------------
-    consumer_count: Dict[int, int] = {}
-    for nid in sched:
-        for parent in plan.parents.get(nid, ()):
-            consumer_count[parent] = consumer_count.get(parent, 0) + 1
-    for producer, consumer in plan.fused_links:
-        symbol = f"fuse:{producer}->{consumer}"
-
-        def illegal(reason: str) -> None:
-            findings.append(
-                _finding(
-                    "ir-illegal-fusion",
-                    f"fused link {producer} ({plan.ops.get(producer)}) -> "
-                    f"{consumer} ({plan.ops.get(consumer)}) is illegal: "
-                    f"{reason}",
-                    symbol,
-                )
-            )
-
-        if producer not in plan.parents.get(consumer, ()):
-            illegal("consumer does not read the producer")
-            continue
-        if consumer_count.get(producer, 0) != 1:
-            illegal(
-                f"producer has {consumer_count.get(producer, 0)} consumers "
-                "(in-place overwrite requires exactly one)"
-            )
-        if plan.shapes.get(producer) != plan.shapes.get(consumer):
-            illegal(
-                f"shape mismatch {plan.shapes.get(producer)} vs "
-                f"{plan.shapes.get(consumer)}"
-            )
-        if not plan.elementwise.get(consumer, False):
-            illegal("consumer is not elementwise")
-        if not plan.has_kernel.get(consumer, False):
-            illegal("consumer has no out=-writing kernel")
-        if plan.view.get(producer, False):
-            illegal("producer is a view")
-        root = plan.root.get(producer, producer)
-        if root in plan.pinned_roots or producer in plan.needed_val:
-            illegal("producer's value is needed by the backward pass")
-        if producer in plan.outputs.values():
-            illegal("producer is a program output")
     return findings

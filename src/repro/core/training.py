@@ -16,8 +16,8 @@ Execution engine
 ----------------
 The step graph never changes shape within a call, so by default the
 forward+backward+optimizer step runs through the traced graph executor
-(:mod:`repro.nn.compile`): one eager trace, then buffer-reusing fused
-replay — numerically equivalent to the eager tape (which remains the
+(:mod:`repro.nn.compile`): one eager trace, then buffer-reusing replay
+with matmul-based convolution kernels — numerically equivalent to the eager tape (which remains the
 reference; per-epoch losses agree to well below 1e-10) and >= 2x faster
 on the CNN-VAE configuration (gated by
 ``benchmarks/bench_vae_training.py``).  Set ``REPRO_COMPILED_TRAIN=0``
@@ -83,7 +83,7 @@ class TrainStats:
     compiled: bool = False
     #: epochs restored from a checkpoint instead of re-trained.
     epochs_skipped: int = 0
-    #: compile/replay/fusion counter *deltas* from this call
+    #: compile/replay/arena counter *deltas* from this call
     #: (:class:`repro.nn.CompileStats` keys), empty when eager.
     compile_counters: Dict[str, int] = field(default_factory=dict)
     #: wall-clock of each compiled-step replay in this call (seconds);
@@ -474,7 +474,6 @@ def report_training_round(simulator, stats: TrainStats, round_index: int) -> Non
         counters = stats.compile_counters
         telemetry.add("train_compiles", counters.get("traces", 0))
         telemetry.add("train_replays", counters.get("replays", 0))
-        telemetry.add("train_fused_kernels", counters.get("fused_ops", 0))
         telemetry.add("train_fallbacks", counters.get("fallbacks", 0))
         for seconds in stats.replay_seconds:
             telemetry.observe_latency("train_step_replay", seconds)

@@ -173,9 +173,8 @@ class EngineTelemetry:
     ``train_*``
         Neural-training engine counters (CircuitVAE / latent-BO rounds):
         epochs trained vs restored from checkpoints, and the
-        compiled-step compile/replay/fusion/fallback counts from
-        :mod:`repro.nn.compile` (``train_fused_kernels`` counts ops
-        folded into fused chains across compiles).
+        compiled-step compile/replay/fallback counts from
+        :mod:`repro.nn.compile`.
     """
 
     _COUNTERS = (
@@ -197,7 +196,6 @@ class EngineTelemetry:
         "train_epochs_skipped",
         "train_compiles",
         "train_replays",
-        "train_fused_kernels",
         "train_fallbacks",
     )
 

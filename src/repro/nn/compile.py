@@ -8,22 +8,20 @@ compiles it into a :class:`GraphProgram`:
 * **Topological schedule** — the op list in recorded order, pruned to
   the ancestors of the requested outputs; the backward schedule
   replicates the eager engine's DFS order exactly, so gradient
-  accumulation associates identically and results stay bit-for-bit
-  equal to eager.
+  accumulation associates identically; every non-conv node runs its
+  registry VJP — the same function eager runs — so its gradients are
+  bit-for-bit eager's.
 * **Liveness-analyzed buffer arena** — every intermediate gets a
   preallocated numpy buffer written with ``out=`` kernels; values not
   needed by any VJP are placed in a shared arena where buffers are
   reused across liveness-disjoint intermediates, and *all* buffers are
   reused across steps (zero allocations in the steady-state forward
   pass).
-* **Fused elementwise chains** — single-consumer runs of same-shape
-  elementwise ops whose intermediates are dead in backward (e.g. the
-  VAE reparameterization's ``mul -> exp -> mul -> add``) collapse onto
-  one scratch buffer and execute as a single in-place pass.
 * **Fast kernels** — convolutions replay through matmul-based kernels
   with persistent im2col workspaces (the batched GEMM numpy's einsum
   performs internally, called directly), and the backward pass reuses
-  the forward's unfolded patches instead of re-unfolding.
+  the forward's unfolded patches instead of re-unfolding.  They match
+  the eager conv kernels up to summation order (~1 ulp).
 * **Shape-guarded replay** — programs are cached per input-shape
   signature; a new shape triggers a fresh trace, never a wrong replay.
 
@@ -110,14 +108,17 @@ class CompileStats:
     ``traces`` counts compilations (one per new input-shape signature),
     ``replays`` counts steps served by a cached program, ``fallbacks``
     counts steps that ran eager because compilation was rejected.  The
-    rest describe the most recently built program.
+    rest sum over every program built: scheduled ops (``nodes``),
+    dedicated buffers for outputs and backward-needed values
+    (``buffers``), arena buffers allocated (``arena_slots``) and arena
+    buffers handed to a later intermediate (``arena_reused``), and conv
+    replay kernels (``fast_kernels``).  Every counter is cumulative, so
+    callers can take deltas of any of them.
     """
 
     traces: int = 0
     replays: int = 0
     fallbacks: int = 0
-    fused_chains: int = 0
-    fused_ops: int = 0
     buffers: int = 0
     arena_slots: int = 0
     arena_reused: int = 0
@@ -135,7 +136,7 @@ class ProgramPlan:
     :class:`GraphProgram` retains this alongside the closed-over replay
     instructions so the IR verifier (:mod:`repro.check.ir`) can prove
     the plan sound — def-before-use, no live-slot overwrite, backward
-    topological order, fused-chain legality — without re-deriving it
+    topological order — without re-deriving it
     from the closures.  Everything here is plain data (ints, tuples,
     dicts keyed by node id); ``buffer_token`` maps each materialized
     alias root to the identity of its backing array, so two roots
@@ -151,13 +152,10 @@ class ProgramPlan:
     shapes: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     requires_grad: Dict[int, bool] = field(default_factory=dict)
     view: Dict[int, bool] = field(default_factory=dict)
-    elementwise: Dict[int, bool] = field(default_factory=dict)
-    has_kernel: Dict[int, bool] = field(default_factory=dict)
     root: Dict[int, int] = field(default_factory=dict)
     buffer_token: Dict[int, int] = field(default_factory=dict)
     pinned_roots: set = field(default_factory=set)
     needed_val: set = field(default_factory=set)
-    fused_links: List[Tuple[int, int]] = field(default_factory=list)
     outputs: Dict[str, int] = field(default_factory=dict)
     loss_id: int = -1
 
@@ -172,13 +170,10 @@ class ProgramPlan:
             shapes=dict(self.shapes),
             requires_grad=dict(self.requires_grad),
             view=dict(self.view),
-            elementwise=dict(self.elementwise),
-            has_kernel=dict(self.has_kernel),
             root=dict(self.root),
             buffer_token=dict(self.buffer_token),
             pinned_roots=set(self.pinned_roots),
             needed_val=set(self.needed_val),
-            fused_links=list(self.fused_links),
             outputs=dict(self.outputs),
             loss_id=self.loss_id,
         )
@@ -508,21 +503,14 @@ class GraphProgram:
         self._grad_sched = grad_sched
 
         # -- 3. which values does the backward pass read? --------------
-        # Two compiled-executor refinements over the registry metadata:
-        # relu backward multiplies by a boolean mask cached at forward
-        # time (so its input need not survive), and the conv2d VJP
-        # reuses the forward's unfolded patches (so only the weight — a
-        # param leaf — is read).  Both keep large activations out of the
-        # pinned set, which is what lets whole conv->bias->relu blocks
-        # fuse onto scratch buffers.
-        self._relu_masks: Dict[int, np.ndarray] = {}
+        # The registry metadata, with one refinement: the conv2d VJP
+        # reuses the forward's unfolded patches, so only the weight — a
+        # param leaf — is read, and the large input activation can go
+        # to the arena.
         needed_val = set(self._outputs.values())
         for nid in grad_sched:
             node = nodes[nid]
             op = OPS[node.op]
-            if node.op == "relu":
-                self._relu_masks[nid] = np.empty(node.shape, dtype=bool)
-                continue
             if node.op == "conv2d":
                 needed_val.add(node.parents[1])
                 continue
@@ -539,10 +527,6 @@ class GraphProgram:
                 root[nid] = root[node.parents[0]]
             else:
                 root[nid] = nid
-        consumers: Dict[int, List[int]] = {nid: [] for nid in keep}
-        for nid in sched:
-            for parent in nodes[nid].parents:
-                consumers[parent].append(nid)
         last_use: Dict[int, int] = {}
         for nid in sched:
             last_use[root[nid]] = max(last_use.get(root[nid], -1), pos[nid])
@@ -550,66 +534,12 @@ class GraphProgram:
                 last_use[root[parent]] = max(last_use.get(root[parent], -1), pos[nid])
         pinned_roots = {root[nid] for nid in needed_val}
 
-        # -- 5. fused elementwise chains -------------------------------
-        # j -> k fuses when j is elementwise with an out= kernel, k is
-        # its only consumer, shapes match, and j's value is dead in
-        # backward: then j writes into a chain scratch that k reads and
-        # overwrites in place — the chain runs as one buffer-resident
-        # pass with no intermediate materialization.
-        fuse_next: Dict[int, int] = {}
-        fused_parent_of: Dict[int, int] = {}
-        for nid in sched:
-            node = nodes[nid]
-            op = OPS[node.op]
-            # A chain *start* only needs an out=-writing kernel (convs
-            # and matmuls start chains into their bias adds); members
-            # after the start must be elementwise for in-place safety.
-            startable = op.kernel is not None or node.op in (
-                "conv2d",
-                "conv_transpose2d",
-            )
-            if not startable or op.view:
-                continue
-            if root[nid] in pinned_roots or nid in self._outputs.values():
-                continue
-            cons = consumers[nid]
-            if len(cons) != 1:
-                continue
-            consumer = cons[0]
-            cop = OPS[nodes[consumer].op]
-            if not (cop.elementwise and cop.kernel is not None):
-                continue
-            if nodes[consumer].shape != node.shape:
-                continue
-            if consumer in fused_parent_of:
-                continue  # one in-place operand per consumer
-            fuse_next[nid] = consumer
-            fused_parent_of[consumer] = nid
-        # Group the links into chains sharing one scratch each.
-        scratch_of: Dict[int, np.ndarray] = {}
-        for nid in sched:
-            if nid in fuse_next and nid not in fused_parent_of:
-                scratch = np.empty(nodes[nid].shape)
-                chain = [nid]
-                walk = nid
-                while walk in fuse_next and fuse_next[walk] in fuse_next:
-                    walk = fuse_next[walk]
-                    chain.append(walk)
-                for member in chain:
-                    scratch_of[member] = scratch
-                self.stats.fused_chains += 1
-                self.stats.fused_ops += len(chain) + 1  # + the chain head
-        fused_intermediates = set(scratch_of)
-
-        # -- 6. storage: dedicated / arena / scratch -------------------
+        # -- 5. storage: dedicated / arena -----------------------------
         buffers: Dict[int, np.ndarray] = {}
         free_slots: Dict[Tuple[Tuple[int, ...], str], List[Tuple[int, np.ndarray]]] = {}
         for nid in sched:
             node = nodes[nid]
             if OPS[node.op].view or root[nid] != nid:
-                continue
-            if nid in fused_intermediates:
-                buffers[nid] = scratch_of[nid]
                 continue
             if nid in pinned_roots:
                 buffers[nid] = np.empty(node.shape)
@@ -628,7 +558,7 @@ class GraphProgram:
                 self.stats.arena_slots += 1
             buffers[nid] = taken
             pool.append((last_use[root[nid]] + 1, taken))
-        self.stats.nodes = len(sched)
+        self.stats.nodes += len(sched)
 
         # Retain the scheduling/storage decisions as plain data so the
         # IR verifier (repro.check.ir) can prove them sound without
@@ -650,26 +580,15 @@ class GraphProgram:
                 for nid in keep
                 if nodes[nid].kind == "op"
             },
-            elementwise={
-                nid: bool(OPS[nodes[nid].op].elementwise)
-                for nid in keep
-                if nodes[nid].kind == "op"
-            },
-            has_kernel={
-                nid: OPS[nodes[nid].op].kernel is not None
-                for nid in keep
-                if nodes[nid].kind == "op"
-            },
             root=dict(root),
             buffer_token={nid: id(buf) for nid, buf in buffers.items()},
             pinned_roots=set(pinned_roots),
             needed_val=set(needed_val),
-            fused_links=sorted(fuse_next.items()),
             outputs=dict(self._outputs),
             loss_id=loss_id,
         )
 
-        # -- 7. forward instructions -----------------------------------
+        # -- 6. forward instructions -----------------------------------
         self._storage: List[Optional[np.ndarray]] = [None] * len(nodes)
         self._input_binds: List[Tuple[int, int]] = []  # (node id, input position)
         self._param_binds: List[Tuple[int, Tensor]] = []
@@ -691,7 +610,7 @@ class GraphProgram:
             instr = self._build_forward_instr(node, op, buffers.get(nid))
             self._forward.append(instr)
 
-        # -- 8. backward instructions ----------------------------------
+        # -- 7. backward instructions ----------------------------------
         grads: Dict[int, np.ndarray] = {}
         for nid in received:
             if nid == loss_id:
@@ -718,10 +637,8 @@ class GraphProgram:
                 first_write.discard(parent)
             self._backward.append(self._build_backward_instr(node, sites))
 
-        # -- 9. optional per-kernel profiling (REPRO_PROFILE=1) --------
-        # Cumulative replay seconds per op label; fused-chain members
-        # still run one instruction each (writing into shared scratch),
-        # so per-node labels attribute fused work to its actual kernels.
+        # -- 8. optional per-kernel profiling (REPRO_PROFILE=1) --------
+        # Cumulative replay seconds per op label.
         self.kernel_seconds: Dict[str, float] = {}
         if profile_enabled():
             totals = self.kernel_seconds
@@ -761,18 +678,6 @@ class GraphProgram:
                 fast(storage[px], storage[pw])
 
             return run_fast
-        mask = self._relu_masks.get(nid)
-        if mask is not None:
-            # Cache the sign mask for the backward pass while computing
-            # x * (x > 0) — identical values, and the input no longer
-            # needs to outlive the forward pass.
-            src = parents[0]
-
-            def run_relu() -> None:
-                np.greater(storage[src], 0, out=mask)
-                np.multiply(storage[src], mask, out=buf)
-
-            return run_relu
         if op.kernel is not None:
             kernel = op.kernel
 
@@ -809,241 +714,6 @@ class GraphProgram:
                 )
         return forward
 
-    # -- specialized backward sites ------------------------------------
-    # For the hot ops, the per-parent gradient is computed by ufuncs
-    # writing straight into the parent's grad buffer (first write) or a
-    # persistent scratch (accumulation) — zero allocations per step.
-    # Each maker returns ``compute_into(out_buffer)`` or None; the
-    # formulas match the registry VJPs operation-for-operation so the
-    # values stay identical to eager.
-    @staticmethod
-    def _reduce_maker(g, pshape, negate: bool) -> Optional[Callable]:
-        """A single-``np.sum`` form of ``_unbroadcast`` into ``out``.
-
-        Only the single-stage cases are handled (leading broadcast axes
-        *or* kept-1 axes, not both); they cover every bias gradient in
-        practice.  ``sum`` then ``negate`` is bit-identical to negating
-        first — float negation is exact.
-        """
-        gshape = g.shape
-        extra = len(gshape) - len(pshape)
-        lead = tuple(range(extra))
-        axes = tuple(
-            i for i, s in enumerate(pshape) if s == 1 and gshape[extra + i] != 1
-        )
-        if extra and not axes:
-            def reduce_lead(o):
-                np.add.reduce(g, axis=lead, out=o)
-                if negate:
-                    np.negative(o, out=o)
-
-            return reduce_lead
-        if axes and not extra:
-            def reduce_keep(o):
-                np.add.reduce(g, axis=axes, keepdims=True, out=o)
-                if negate:
-                    np.negative(o, out=o)
-
-            return reduce_keep
-        return None
-
-    @staticmethod
-    def _is_basic_index(idx) -> bool:
-        if isinstance(idx, tuple):
-            return all(GraphProgram._is_basic_index(i) for i in idx)
-        return isinstance(idx, (int, np.integer, slice, type(None), type(Ellipsis)))
-
-    def _bwd_site_maker(self, node: Node, slot: int, pshape) -> Optional[Callable]:
-        S = self._storage
-        g = self._grads[node.id]
-        parents = node.parents
-        name = node.op
-        reduced = pshape != node.shape
-        if name == "add":
-            if reduced:
-                return self._reduce_maker(g, pshape, negate=False)
-            return lambda o: np.copyto(o, g)
-        if name == "sub":
-            if reduced:
-                return self._reduce_maker(g, pshape, negate=slot == 1)
-            if slot == 0:
-                return lambda o: np.copyto(o, g)
-            return lambda o: np.negative(g, out=o)
-        # Shape-changing ops produce parent-shaped gradients directly.
-        if name == "sum":
-            axis, keepdims = node.attrs["axis"], node.attrs["keepdims"]
-            expanded = g
-            if axis is not None and not keepdims:
-                expanded = np.expand_dims(g, axis=axis)
-            return lambda o: np.copyto(o, expanded)
-        if name == "reshape":
-            view = g.reshape(pshape)
-            return lambda o: np.copyto(o, view)
-        if name == "transpose":
-            view = g.transpose(node.attrs["inverse"])
-            return lambda o: np.copyto(o, view)
-        if name == "getitem":
-            idx = node.attrs["idx"]
-            if not self._is_basic_index(idx):
-                return None
-
-            def getitem_bwd(o):
-                # Basic slicing has no duplicate indices, so the
-                # reference np.add.at over zeros is a plain assignment.
-                o.fill(0.0)
-                o[idx] = g
-
-            return getitem_bwd
-        if name == "matmul":
-            a_nd = len(self._trace.nodes[parents[0]].shape)
-            b_nd = len(self._trace.nodes[parents[1]].shape)
-            if a_nd < 2 or b_nd < 2:
-                return None
-            if slot == 0:
-                return lambda o, b=parents[1]: np.matmul(
-                    g, np.swapaxes(S[b], -1, -2), out=o
-                )
-            return lambda o, a=parents[0]: np.matmul(
-                np.swapaxes(S[a], -1, -2), g, out=o
-            )
-        # Elementwise makers below require an unreduced (same-shape) site.
-        if reduced:
-            return None
-        if name == "abs":
-            tmp = np.empty(node.shape)
-
-            def abs_bwd(o, p=parents[0]):
-                np.sign(S[p], out=tmp)
-                np.multiply(g, tmp, out=o)
-
-            return abs_bwd
-        if name == "neg":
-            return lambda o: np.negative(g, out=o)
-        if name == "mul":
-            other = parents[1 - slot]
-            return lambda o: np.multiply(g, S[other], out=o)
-        if name == "div":
-            if slot == 0:
-                return lambda o: np.divide(g, S[parents[1]], out=o)
-            tmp = np.empty(node.shape)
-            tmp2 = np.empty(self._trace.nodes[parents[1]].shape)
-
-            def div_b(o, a=parents[0], b=parents[1]):
-                np.negative(g, out=tmp)
-                np.multiply(tmp, S[a], out=tmp)
-                np.multiply(S[b], S[b], out=tmp2)
-                np.divide(tmp, tmp2, out=o)
-
-            return div_b
-        if name == "exp":
-            nid = node.id
-            return lambda o: np.multiply(g, S[nid], out=o)
-        if name == "relu":
-            mask = self._relu_masks.get(node.id)
-            if mask is None:
-                return None
-            return lambda o: np.multiply(g, mask, out=o)
-        if name == "sigmoid":
-            tmp = np.empty(node.shape)
-            tmp2 = np.empty(node.shape)
-            nid = node.id
-
-            def sigmoid_bwd(o):
-                np.multiply(g, S[nid], out=tmp)
-                np.subtract(1.0, S[nid], out=tmp2)
-                np.multiply(tmp, tmp2, out=o)
-
-            return sigmoid_bwd
-        if name == "tanh":
-            tmp = np.empty(node.shape)
-            nid = node.id
-
-            def tanh_bwd(o):
-                np.multiply(S[nid], S[nid], out=tmp)
-                np.subtract(1.0, tmp, out=tmp)
-                np.multiply(g, tmp, out=o)
-
-            return tanh_bwd
-        if name == "softplus":
-            from .graph import stable_sigmoid
-
-            tmp = np.empty(node.shape)
-
-            def softplus_bwd(o, p=parents[0]):
-                stable_sigmoid(S[p], out=tmp)
-                np.multiply(g, tmp, out=o)
-
-            return softplus_bwd
-        if name == "sqrt":
-            tmp = np.empty(node.shape)
-            nid = node.id
-
-            def sqrt_bwd(o):
-                np.multiply(g, 0.5, out=tmp)
-                np.divide(tmp, S[nid], out=o)
-
-            return sqrt_bwd
-        if name == "pow":
-            exponent = node.attrs["exponent"]
-            tmp = np.empty(node.shape)
-            tmp2 = np.empty(node.shape)
-
-            def pow_bwd(o, p=parents[0]):
-                np.power(S[p], exponent - 1, out=tmp)
-                np.multiply(g, exponent, out=tmp2)
-                np.multiply(tmp2, tmp, out=o)
-
-            return pow_bwd
-        return None
-
-    def _build_specialized_bwd(self, node: Node, sites) -> Optional[Callable]:
-        op = OPS[node.op]
-        # One reference VJP evaluation on the traced example values gates
-        # specialization: shapes must match the parents exactly (no
-        # unbroadcast reduction) for the direct-write forms to apply.
-        values = self._trace.values
-        try:
-            example = op.vjp(
-                np.ones(node.shape),
-                values[node.id],
-                tuple(values[p] for p in node.parents),
-                node.attrs,
-                tuple(True for _ in node.parents),
-            )
-        except Exception:
-            return None
-        runners = []
-        grads = self._grads
-        for slot, parent, first, pshape in sites:
-            if example[slot] is None:
-                return None
-            # add/sub handle the unbroadcast reduction themselves; every
-            # other maker requires the raw VJP shape to match the parent.
-            if node.op not in ("add", "sub") and np.shape(example[slot]) != pshape:
-                return None
-            compute = self._bwd_site_maker(node, slot, pshape)
-            if compute is None:
-                return None
-            target = grads[parent]
-            if first:
-                runners.append(lambda compute=compute, target=target: compute(target))
-            else:
-                tmp = np.empty(pshape)
-
-                def accumulate(compute=compute, target=target, tmp=tmp):
-                    compute(tmp)
-                    target += tmp
-
-                runners.append(accumulate)
-        if not runners:
-            return None
-
-        def run_specialized() -> None:
-            for runner in runners:
-                runner()
-
-        return run_specialized
-
     def _build_backward_instr(self, node: Node, sites) -> Callable:
         storage = self._storage
         grads = self._grads
@@ -1064,9 +734,6 @@ class GraphProgram:
                         grads[parent] += pg
 
             return run_fast_bwd
-        specialized = self._build_specialized_bwd(node, sites)
-        if specialized is not None:
-            return specialized
         op = OPS[node.op]
         vjp = op.vjp
         needed = tuple(
@@ -1261,7 +928,7 @@ class CompiledTrainStep:
                     f"IR verifier rejected the program: {len(ir_findings)} "
                     f"finding(s), first [{first.rule}] {first.message}"
                 )
-        trace.release()  # drop example values/pins; run() needs only the tables
+        trace.release()  # drop the tensor pins; run() needs only the tables
         self.stats.traces += 1
         return program
 

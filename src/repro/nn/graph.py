@@ -8,8 +8,8 @@ or replayed.  This module replaces that with data:
 * :class:`OpDef` — one entry per differentiable operation, holding the
   forward kernel and the **VJP rule as a plain function over arrays**
   (``vjp(g, out, inputs, attrs, needed) -> per-parent grads``), plus the
-  metadata the compiler needs (elementwise? does the VJP read the saved
-  output / input values? is the output a view?).
+  metadata the compiler needs (does the VJP read the saved output /
+  input values? is the output a view?).
 * :data:`OPS` — the registry.  ``Tensor`` methods dispatch through
   :func:`repro.nn.tensor.apply`, which looks ops up here; eager mode
   computes immediately and stores only ``(op id, parents, attrs)`` on
@@ -79,15 +79,15 @@ class OpDef:
 
     ``needs_out`` / ``needs_inputs`` declare whether the VJP reads the
     saved output / input *values* (not just shapes) — this is the
-    liveness information behind the compiler's buffer arena and its
-    elementwise fusion rule.
+    liveness information behind the compiler's buffer arena: a value
+    no VJP reads can share an arena slot once its last forward reader
+    has run.
     """
 
     name: str
     forward: Callable[[Tuple[np.ndarray, ...], Dict], np.ndarray]
     vjp: Callable
     kernel: Optional[Callable] = None
-    elementwise: bool = False
     needs_out: bool = False
     needs_inputs: bool = False
     view: bool = False
@@ -114,21 +114,18 @@ _op(
     lambda x, a: x[0] + x[1],
     lambda g, out, x, a, need: (g, g),
     kernel=lambda x, a, out: np.add(x[0], x[1], out=out),
-    elementwise=True,
 )
 _op(
     "sub",
     lambda x, a: x[0] - x[1],
     lambda g, out, x, a, need: (g, -g),
     kernel=lambda x, a, out: np.subtract(x[0], x[1], out=out),
-    elementwise=True,
 )
 _op(
     "mul",
     lambda x, a: x[0] * x[1],
     lambda g, out, x, a, need: (g * x[1], g * x[0]),
     kernel=lambda x, a, out: np.multiply(x[0], x[1], out=out),
-    elementwise=True,
     needs_inputs=True,
 )
 _op(
@@ -136,7 +133,6 @@ _op(
     lambda x, a: x[0] / x[1],
     lambda g, out, x, a, need: (g / x[1], -g * x[0] / (x[1] * x[1])),
     kernel=lambda x, a, out: np.divide(x[0], x[1], out=out),
-    elementwise=True,
     needs_inputs=True,
 )
 _op(
@@ -144,7 +140,6 @@ _op(
     lambda x, a: -x[0],
     lambda g, out, x, a, need: (-g,),
     kernel=lambda x, a, out: np.negative(x[0], out=out),
-    elementwise=True,
 )
 _op(
     "pow",
@@ -153,7 +148,6 @@ _op(
         g * a["exponent"] * x[0] ** (a["exponent"] - 1),
     ),
     kernel=lambda x, a, out: np.power(x[0], a["exponent"], out=out),
-    elementwise=True,
     needs_inputs=True,
 )
 
@@ -163,7 +157,6 @@ _op(
     lambda x, a: np.exp(x[0]),
     lambda g, out, x, a, need: (g * out,),
     kernel=lambda x, a, out: np.exp(x[0], out=out),
-    elementwise=True,
     needs_out=True,
 )
 _op(
@@ -171,7 +164,6 @@ _op(
     lambda x, a: np.log(x[0]),
     lambda g, out, x, a, need: (g / x[0],),
     kernel=lambda x, a, out: np.log(x[0], out=out),
-    elementwise=True,
     needs_inputs=True,
 )
 _op(
@@ -179,7 +171,6 @@ _op(
     lambda x, a: np.sqrt(x[0]),
     lambda g, out, x, a, need: (g * 0.5 / out,),
     kernel=lambda x, a, out: np.sqrt(x[0], out=out),
-    elementwise=True,
     needs_out=True,
 )
 _op(
@@ -187,7 +178,6 @@ _op(
     lambda x, a: np.abs(x[0]),
     lambda g, out, x, a, need: (g * np.sign(x[0]),),
     kernel=lambda x, a, out: np.abs(x[0], out=out),
-    elementwise=True,
     needs_inputs=True,
 )
 _op(
@@ -195,7 +185,6 @@ _op(
     lambda x, a: np.tanh(x[0]),
     lambda g, out, x, a, need: (g * (1.0 - out * out),),
     kernel=lambda x, a, out: np.tanh(x[0], out=out),
-    elementwise=True,
     needs_out=True,
 )
 _op(
@@ -203,7 +192,6 @@ _op(
     lambda x, a: stable_sigmoid(x[0]),
     lambda g, out, x, a, need: (g * out * (1.0 - out),),
     kernel=lambda x, a, out: stable_sigmoid(x[0], out=out),
-    elementwise=True,
     needs_out=True,
 )
 _op(
@@ -211,7 +199,6 @@ _op(
     lambda x, a: x[0] * (x[0] > 0),
     lambda g, out, x, a, need: (g * (x[0] > 0),),
     kernel=lambda x, a, out: np.multiply(x[0], x[0] > 0, out=out),
-    elementwise=True,
     needs_inputs=True,
 )
 
@@ -227,7 +214,6 @@ _op(
     kernel=lambda x, a, out: np.multiply(
         x[0], _leaky_mask(x[0], a["negative_slope"]), out=out
     ),
-    elementwise=True,
     needs_inputs=True,
 )
 _op(
@@ -235,7 +221,6 @@ _op(
     lambda x, a: np.logaddexp(0.0, x[0]),
     lambda g, out, x, a, need: (g * stable_sigmoid(x[0]),),
     kernel=lambda x, a, out: np.logaddexp(0.0, x[0], out=out),
-    elementwise=True,
     needs_inputs=True,
 )
 _op(
@@ -245,7 +230,6 @@ _op(
         g * ((x[0] >= a["low"]) & (x[0] <= a["high"])),
     ),
     kernel=lambda x, a, out: np.clip(x[0], a["low"], a["high"], out=out),
-    elementwise=True,
     needs_inputs=True,
 )
 
@@ -259,7 +243,7 @@ def _where_vjp(g, out, x, a, need):
     return (g * cond, g * (~cond))
 
 
-_op("where", _where_fw, _where_vjp, elementwise=True)
+_op("where", _where_fw, _where_vjp)
 
 
 # -- reductions --------------------------------------------------------
@@ -474,9 +458,6 @@ class Trace:
         self._input_order = [id(t) for t in inputs]
         self.constants: Dict[int, np.ndarray] = {}  # node id -> array
         self.tensor_nodes: Dict[int, int] = {}  # id(tensor) -> node id
-        #: example value per node (the arrays the traced call computed);
-        #: the compiler verifies its program against these bit-for-bit.
-        self.values: Dict[int, np.ndarray] = {}
 
     # -- context management -------------------------------------------
     def __enter__(self) -> "Trace":
@@ -524,7 +505,6 @@ class Trace:
             self.constants[node.id] = tensor.data
         self._ids[key] = node.id
         self.tensor_nodes[key] = node.id
-        self.values[node.id] = tensor.data
         return node.id
 
     def record(self, op_name: str, inputs: Sequence, attrs: Dict, out) -> int:
@@ -542,7 +522,6 @@ class Trace:
         self._pins.append(out)
         self._ids[id(out)] = node.id
         self.tensor_nodes[id(out)] = node.id
-        self.values[node.id] = out.data
         return node.id
 
     def record_unsupported(self, reason: str) -> None:
@@ -550,14 +529,13 @@ class Trace:
         self.unsupported.append(reason)
 
     def release(self) -> None:
-        """Drop the example values and tensor pins after compilation.
+        """Drop the tensor pins after compilation.
 
         They are only needed while a program is built and verified; a
         cached program holds the trace for its node/leaf tables, and
         without this the full set of traced intermediate arrays would
         stay resident for the program's whole lifetime.
         """
-        self.values.clear()
         self._pins.clear()
         self._ids.clear()
         self.tensor_nodes.clear()

@@ -16,7 +16,7 @@ The engine has two modes sharing one op set (:mod:`repro.nn.graph`):
 * **Traced**: while a :class:`repro.nn.graph.Trace` is active (see
   :mod:`repro.nn.compile`), :func:`apply` additionally records each op
   into an explicit :class:`~repro.nn.graph.Node` IR that the compiler
-  schedules into a buffer-reusing, fused replay program.
+  schedules into a buffer-reusing replay program.
 
 Broadcasting is supported everywhere; gradients are un-broadcast
 (summed) back to each parent's shape.  Tensors are float64 by default;

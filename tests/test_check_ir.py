@@ -4,7 +4,7 @@ The clean direction compiles real programs (an MLP step and the actual
 CNN-VAE training step) and asserts zero findings.  The dirty direction
 hand-injects each bug class into a copied :class:`ProgramPlan` —
 use-before-def schedules, backward disorder, aliasing writes over live
-values, illegal fusions — and asserts the verifier names the specific
+values — and asserts the verifier names the specific
 ``ir-*`` rule.  A wiring test proves ``REPRO_IR_VERIFY=1`` runs the
 pass inside ``compile_train_step`` at compile time only.
 """
@@ -69,9 +69,8 @@ class TestCleanPrograms:
         (program,) = step._programs.values()
         findings = verify_program(program)
         assert findings == [], [f.message for f in findings]
-        # real programs exercise the interesting cases: fused chains and
-        # buffer reuse are present, not vacuously absent
-        assert program.plan.fused_links
+        # real programs exercise the interesting case: buffer reuse is
+        # present, not vacuously absent
         assert len(set(program.plan.buffer_token.values())) < len(
             program.plan.buffer_token
         )
@@ -159,6 +158,22 @@ class TestInjectedBugs:
         assert findings, "aliased write over a pinned value must be flagged"
         assert "pinned/backward-needed" in findings[0].message
 
+    def test_write_into_own_operand_buffer_is_flagged(self, mlp_plan):
+        plan = mlp_plan.copy()
+        # an op writing the buffer it reads from is an in-place overwrite
+        producer, consumer = next(
+            (p, nid)
+            for nid in plan.sched
+            if plan.root.get(nid) == nid and nid in plan.buffer_token
+            for p in plan.parents.get(nid, ())
+            if plan.root.get(p) == p and p in plan.buffer_token
+        )
+        plan.buffer_token[consumer] = plan.buffer_token[producer]
+        findings = [
+            f for f in verify_program(plan) if f.rule == "ir-overwrite-live"
+        ]
+        assert any(f.symbol == f"node:{consumer}" for f in findings)
+
     def test_legitimate_reuse_of_dead_slot_is_not_flagged(self, mlp_plan):
         # the compiler's own arena reuse produces shared tokens between
         # dead and live occupants; the clean fixture must already contain
@@ -167,59 +182,11 @@ class TestInjectedBugs:
         assert len(set(tokens)) < len(tokens)
         assert verify_program(mlp_plan) == []
 
-    def test_illegal_fusion_into_non_elementwise_consumer_is_flagged(
-        self, mlp_plan
-    ):
-        plan = mlp_plan.copy()
-        producer, consumer = next(
-            (p, nid)
-            for nid in plan.sched
-            if not plan.elementwise.get(nid, False)
-            for p in plan.parents.get(nid, ())
-            if plan.kinds.get(p) == "op"
-        )
-        plan.fused_links = plan.fused_links + [(producer, consumer)]
-        findings = [
-            f for f in verify_program(plan) if f.rule == "ir-illegal-fusion"
-        ]
-        assert findings
-        assert any("not elementwise" in f.message for f in findings)
-
-    def test_fusion_pinned_producer_is_flagged(self, mlp_plan):
-        plan = mlp_plan.copy()
-        # forge a link whose producer's value the backward pass still needs
-        producer, consumer = next(
-            (p, nid)
-            for nid in plan.sched
-            for p in plan.parents.get(nid, ())
-            if plan.kinds.get(p) == "op"
-            and (
-                plan.root.get(p, p) in plan.pinned_roots
-                or p in plan.needed_val
-            )
-        )
-        plan.fused_links = plan.fused_links + [(producer, consumer)]
-        findings = [
-            f for f in verify_program(plan) if f.rule == "ir-illegal-fusion"
-        ]
-        assert findings
-
-    def test_fusion_wrong_consumer_is_flagged(self, mlp_plan):
-        plan = mlp_plan.copy()
-        # the last op cannot be a parent of the first
-        a, b = plan.sched[0], plan.sched[-1]
-        plan.fused_links = plan.fused_links + [(b, a)]
-        findings = [
-            f for f in verify_program(plan) if f.rule == "ir-illegal-fusion"
-        ]
-        assert any("does not read the producer" in f.message for f in findings)
-
     def test_all_rule_ids_are_documented(self):
         assert set(IR_RULES) == {
             "ir-use-before-def",
             "ir-bad-schedule",
             "ir-overwrite-live",
-            "ir-illegal-fusion",
         }
 
 
