@@ -140,7 +140,6 @@ class LatentBO(SearchAlgorithm):
                 simulator,
                 rng,
                 telemetry,
-                structural_context=self.dataset.graphs[-8:],
             )
             new_points = self.dataset.add_evaluations(evaluations)
             if new_points == 0 and not simulator.exhausted():
@@ -154,6 +153,6 @@ class LatentBO(SearchAlgorithm):
                 ]
                 explore = [mutate(g, rng, rate=0.05) for g in parents]
                 self.dataset.add_evaluations(
-                    simulator.query_many(explore, structural_context=parents)
+                    simulator.query_many(explore)
                 )
         return simulator.best()

@@ -98,11 +98,7 @@ class GeneticAlgorithm(SearchAlgorithm):
                     else:
                         child = parent_a
                     children.append(mutate(child, rng, rate=config.mutation_rate))
-            # Parents are the natural delta bases: most children differ
-            # from one of them by a mutation or crossover splice.
-            evaluations = simulator.query_many(
-                children, structural_context=population
-            )
+            evaluations = simulator.query_many(children)
             if not evaluations:
                 break
             # Cache hits return instantly, so some children may be stale

@@ -638,7 +638,6 @@ def fast_path_rule(context: CheckContext) -> Iterator[Finding]:
 #: pool/thread entry points (parallel seeds share one in-process engine).
 _SHARED_PREFIXES = ("src/repro/serve/", "src/repro/engine/")
 _SHARED_FILES = (
-    "src/repro/synth/incremental.py",
     "src/repro/synth/batched.py",
     "src/repro/utils/threads.py",
 )

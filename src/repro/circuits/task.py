@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence
 
 from ..prefix.graph import PrefixGraph
 from ..synth.batched import synthesize_many
-from ..synth.incremental import synthesize_population
 from ..synth.cost import cost_from_metrics
 from ..synth.library import CellLibrary, nangate45
 from ..synth.physical import PhysicalResult, SynthesisOptions, synthesize
@@ -90,37 +89,8 @@ class CircuitTask:
             graphs, self.library, self.circuit_type, self.io_timing, self.options
         )
 
-    def evaluate_population(
-        self,
-        graphs: Sequence[PrefixGraph],
-        base_hints: Sequence[PrefixGraph] = (),
-        stats=None,
-    ) -> List[PhysicalResult]:
-        """Synthesize a population through the delta-aware pipeline.
-
-        Structurally shared graphs ride :mod:`repro.synth.incremental`
-        (cone-hash delta planning + dirty batched STA); any guard failure
-        falls back to :meth:`evaluate_many`.  Results are bit-identical
-        either way.  ``base_hints`` are previously evaluated graphs
-        (e.g. the engine's :class:`~repro.engine.cache.ConeBaseTier`);
-        ``stats`` collects :class:`~repro.synth.incremental.IncrementalStats`.
-        """
-        graphs = list(graphs)
-        for graph in graphs:
-            if graph.n != self.n:
-                raise ValueError(
-                    f"graph width {graph.n} != task width {self.n}"
-                )
-        results, _ = synthesize_population(
-            graphs,
-            self.library,
-            self.circuit_type,
-            self.io_timing,
-            self.options,
-            base_hints=base_hints,
-            stats=stats,
-        )
-        return results
+    # Uncalled alias, kept because perfbench/layers.py patches this name.
+    evaluate_population = evaluate_many
 
     def cost(self, result: PhysicalResult) -> float:
         """Scalar cost of a synthesis result under this task's omega."""

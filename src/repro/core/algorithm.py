@@ -176,7 +176,6 @@ class CircuitVAEOptimizer(SearchAlgorithm):
                 simulator,
                 rng,
                 telemetry,
-                structural_context=self.dataset.graphs[-8:],
             )
             new_points = self.dataset.add_evaluations(evaluations)
             if simulator.history:
@@ -192,6 +191,6 @@ class CircuitVAEOptimizer(SearchAlgorithm):
                 ]
                 explore = [mutate(g, rng, rate=0.05) for g in parents]
                 self.dataset.add_evaluations(
-                    simulator.query_many(explore, structural_context=parents)
+                    simulator.query_many(explore)
                 )
         return simulator.best()

@@ -23,7 +23,7 @@ candidates along the path from known-good to predicted-better designs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Literal, Optional, Sequence, Tuple
+from typing import List, Literal, Optional, Tuple
 
 import numpy as np
 
@@ -109,7 +109,6 @@ def decode_and_query(
     simulator: CircuitSimulator,
     rng: np.random.Generator,
     telemetry: Optional[EngineTelemetry] = None,
-    structural_context: Sequence[PrefixGraph] = (),
 ) -> Tuple[List[PrefixGraph], List[Evaluation]]:
     """Decode a latent population and evaluate it as one batch.
 
@@ -122,9 +121,7 @@ def decode_and_query(
     """
     with stage(telemetry, "decode"):
         designs = model.sample_designs(latents, rng)
-    return designs, simulator.query_many(
-        designs, structural_context=structural_context
-    )
+    return designs, simulator.query_many(designs)
 
 
 def latent_gradient_search(

@@ -41,13 +41,7 @@ from ..obs import trace
 from ..opt.simulator import CircuitSimulator, Evaluation
 from ..prefix.graph import PrefixGraph
 from ..synth.cost import cost_from_metrics
-from ..synth.incremental import IncrementalStats, incremental_enabled
-from .cache import (
-    ConeBaseTier,
-    EvaluationCache,
-    default_cache_dir,
-    task_fingerprint,
-)
+from .cache import EvaluationCache, default_cache_dir, task_fingerprint
 from .pool import SynthesisPool
 from .telemetry import EngineTelemetry, stage_all
 
@@ -88,9 +82,6 @@ class EvaluationEngine:
         self.cache = cache
         self.pool = pool if pool is not None else SynthesisPool(workers)
         self.telemetry = EngineTelemetry()
-        # Recently evaluated graphs per task fingerprint: delta bases for
-        # the incremental synthesis path (repro.synth.incremental).
-        self.cone_bases = ConeBaseTier()
         # In-flight synthesis registry: parallel seed threads that miss
         # the cache on the same design wait for the first thread's result
         # instead of synthesizing it again.
@@ -125,7 +116,6 @@ class EvaluationEngine:
         graphs: Sequence[PrefixGraph],
         telemetry: Optional[EngineTelemetry] = None,
         fingerprint: Optional[str] = None,
-        structural_context: Sequence[PrefixGraph] = (),
     ) -> List[Tuple[float, float, float]]:
         """(cost, area, delay) for each graph, cache-first, pool-backed.
 
@@ -133,10 +123,6 @@ class EvaluationEngine:
         dedup and budget accounting.  Results preserve input order.
         ``fingerprint`` lets long-lived callers (EngineSimulator) skip
         re-hashing the task configuration on every call.
-        ``structural_context`` is extra, already-evaluated graphs the
-        caller believes the batch shares structure with (e.g. the GA's
-        parent population); they seed the incremental delta planner as
-        base candidates but are never synthesized here.
         """
         if not graphs:
             return []
@@ -146,9 +132,7 @@ class EvaluationEngine:
 
         with trace.span("engine_evaluate") as span:
             span.set_attr("batch", len(graphs))
-            return self._evaluate(
-                task, graphs, sinks, fingerprint, span, structural_context
-            )
+            return self._evaluate(task, graphs, sinks, fingerprint, span)
 
     def _evaluate(
         self,
@@ -157,7 +141,6 @@ class EvaluationEngine:
         sinks: List[EngineTelemetry],
         fingerprint: str,
         span,
-        structural_context: Sequence[PrefixGraph] = (),
     ) -> List[Tuple[float, float, float]]:
         """:meth:`evaluate`'s body, under an ``engine_evaluate`` span
         (the shared no-op span when tracing is off)."""
@@ -217,49 +200,16 @@ class EvaluationEngine:
                     if still_owned:
                         batch_graphs = [graphs[i] for i in still_owned]
                         mode = self.pool.execution_mode(len(batch_graphs))
-                        # Delta-aware path: a vectorized in-process batch
-                        # with enough designs to share structure.  A real
-                        # worker pool keeps the chunked flow instead —
-                        # splitting a population across processes would
-                        # also split the shared cones the planner needs.
-                        incremental = (
-                            mode == "vectorized"
-                            and incremental_enabled()
-                            and len(batch_graphs) >= 2
-                            and not self.pool.parallel
+                        detail = (
+                            "synthesis_vectorized"
+                            if mode == "vectorized"
+                            else "synthesis_scalar"
                         )
-                        if incremental:
-                            hints = list(structural_context)
-                            hints += self.cone_bases.bases(fingerprint)
-                            stats = IncrementalStats()
-                            with stage_all(sinks, "synthesis"):
-                                with stage_all(sinks, "synthesis_incremental"):
-                                    results = task.evaluate_population(
-                                        batch_graphs,
-                                        base_hints=hints,
-                                        stats=stats,
-                                    )
-                            fresh = [
-                                (r.area_um2, r.delay_ns) for r in results
-                            ]
-                            span.set_attr("incremental", stats.incremental_evals)
-                            span.set_attr("cone_hits", stats.cone_hits)
-                            span.set_attr("full_fallbacks", stats.full_fallbacks)
-                            for sink in sinks:
-                                sink.add("incremental_evals", stats.incremental_evals)
-                                sink.add("cone_hits", stats.cone_hits)
-                                sink.add("full_fallbacks", stats.full_fallbacks)
-                        else:
-                            detail = (
-                                "synthesis_vectorized"
-                                if mode == "vectorized"
-                                else "synthesis_scalar"
-                            )
-                            with stage_all(sinks, "synthesis"):
-                                with stage_all(sinks, detail):
-                                    fresh = self.pool.synthesize_batch(
-                                        task, batch_graphs
-                                    )
+                        with stage_all(sinks, "synthesis"):
+                            with stage_all(sinks, detail):
+                                fresh = self.pool.synthesize_batch(
+                                    task, batch_graphs
+                                )
                         # Counted after the batch returns, so a raised
                         # synthesis doesn't skew hit-rate/throughput.
                         span.add_counter("synth_calls", len(still_owned))
@@ -273,10 +223,6 @@ class EvaluationEngine:
                         for i, measured in zip(still_owned, fresh):
                             self.cache.put(fingerprint, graphs[i].key(), measured)
                             metrics[i] = measured
-                        if incremental:
-                            # Freshly evaluated graphs become delta bases
-                            # for the next round of this task.
-                            self.cone_bases.remember(fingerprint, batch_graphs)
                 finally:
                     # Release waiters even if synthesis raised; they retry.
                     with self._inflight_lock:
@@ -387,9 +333,7 @@ class EngineSimulator(CircuitSimulator):
 
     # ------------------------------------------------------------------
     def _evaluate_graphs(
-        self,
-        graphs: List[PrefixGraph],
-        structural_context: Sequence[PrefixGraph] = (),
+        self, graphs: List[PrefixGraph]
     ) -> List[Tuple[float, float, float]]:
         """The single point where graphs meet the engine.
 
@@ -405,7 +349,6 @@ class EngineSimulator(CircuitSimulator):
             graphs,
             self.telemetry,
             fingerprint=self._fingerprint,
-            structural_context=structural_context,
         )
 
     def _synthesize(self, graph: PrefixGraph) -> Tuple[float, float, float]:
@@ -426,31 +369,23 @@ class EngineSimulator(CircuitSimulator):
             span.add_counter("queries")
             return super().query(graph)
 
-    def query_plan(
-        self, designs, structural_context=()
-    ) -> List[Optional[Evaluation]]:
+    def query_plan(self, designs) -> List[Optional[Evaluation]]:
         """Batched planner with serial-identical semantics (see module doc).
 
         Classifies every design in submission order — run-memo hit,
         duplicate of a design scheduled earlier in this batch, budget
         refusal, or new — then synthesizes all new unique graphs in one
         parallel submission and materializes the plan.
-        ``structural_context`` designs (a GA's parents, a BO round's
-        incumbents) are canonicalized and forwarded to the engine as
-        delta-base hints; they affect wall-clock only, never results.
         """
         designs = list(designs)
         if self.check_abort is not None:
             self.check_abort()
         self.telemetry.add("queries", len(designs))
 
-        context = [self.canonicalize(d) for d in structural_context]
         with trace.span("evaluate_batch") as batch_span:
-            return self._query_plan(designs, batch_span, context)
+            return self._query_plan(designs, batch_span)
 
-    def _query_plan(
-        self, designs, batch_span, structural_context=()
-    ) -> List[Optional[Evaluation]]:
+    def _query_plan(self, designs, batch_span) -> List[Optional[Evaluation]]:
         """:meth:`query_plan`'s body, under an ``evaluate_batch`` span."""
         HIT, PENDING, REFUSED = 0, 1, 2
         slots: List[Tuple[int, object]] = []
@@ -489,7 +424,7 @@ class EngineSimulator(CircuitSimulator):
 
         for graph, (cost, area_um2, delay_ns) in zip(
             scheduled,
-            self._evaluate_graphs(scheduled, structural_context),
+            self._evaluate_graphs(scheduled),
         ):
             evaluation = Evaluation(
                 graph=graph,

@@ -65,7 +65,6 @@ KNOWN_STAGES = frozenset(
         "synthesis",
         "synthesis_vectorized",
         "synthesis_scalar",
-        "synthesis_incremental",
         "train",
         "acquisition",
         "variation",
@@ -163,13 +162,8 @@ class EngineTelemetry:
         vectorized population fast path (:mod:`repro.synth.batched`)
         instead of per-graph scalar synthesis.  Stage timers mirror the
         split: ``synthesis`` is total synthesis wall-clock, with
-        ``synthesis_vectorized`` / ``synthesis_scalar`` /
-        ``synthesis_incremental`` attributing it to the execution paths.
-    ``incremental_evals`` / ``cone_hits`` / ``full_fallbacks``
-        Delta-aware population synthesis (:mod:`repro.synth.incremental`):
-        designs that rode the delta pipeline, the fanin cones they shared
-        with their chosen base, and designs that paid a full evaluation
-        (anchors, guard failures, or ``REPRO_INCREMENTAL_EVAL=0``).
+        ``synthesis_vectorized`` / ``synthesis_scalar`` attributing it to
+        the execution paths.
     ``train_*``
         Neural-training engine counters (CircuitVAE / latent-BO rounds):
         epochs trained vs restored from checkpoints, and the
@@ -189,9 +183,6 @@ class EngineTelemetry:
         "batch_designs",
         "vector_batches",
         "vector_designs",
-        "incremental_evals",
-        "cone_hits",
-        "full_fallbacks",
         "train_epochs",
         "train_epochs_skipped",
         "train_compiles",

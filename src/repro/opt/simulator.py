@@ -148,9 +148,7 @@ class CircuitSimulator:
             self.on_evaluation(evaluation)
         return evaluation
 
-    def query_plan(
-        self, designs, structural_context=()
-    ) -> List[Optional[Evaluation]]:
+    def query_plan(self, designs) -> List[Optional[Evaluation]]:
         """Query a batch, one slot per design; None marks a budget refusal.
 
         Scans the *whole* batch even after the budget runs out: cached
@@ -158,12 +156,6 @@ class CircuitSimulator:
         this very batch) are always served, only genuinely-new designs are
         refused.  ``repro.engine`` overrides this with a batched parallel
         planner that preserves these exact semantics.
-
-        ``structural_context`` is an optional hint — already-evaluated
-        designs the batch likely shares structure with (a GA's parents,
-        a BO round's incumbents).  The serial simulator ignores it; the
-        engine forwards it to the incremental delta planner.  It never
-        changes results, only wall-clock.
         """
         plan: List[Optional[Evaluation]] = []
         for design in designs:
@@ -173,15 +165,14 @@ class CircuitSimulator:
                 plan.append(None)
         return plan
 
-    def query_many(self, designs, structural_context=()) -> List[Evaluation]:
+    def query_many(self, designs) -> List[Evaluation]:
         """Query a batch, silently skipping designs the budget refuses.
 
         Returns the evaluations obtained, in design order.  Cached hits
         are always served, even for designs that appear *after* the budget
-        runs out mid-batch.  ``structural_context`` as in
-        :meth:`query_plan`.
+        runs out mid-batch.
         """
-        plan = self.query_plan(designs, structural_context=structural_context)
+        plan = self.query_plan(designs)
         return [e for e in plan if e is not None]
 
     # ------------------------------------------------------------------

@@ -30,6 +30,32 @@ def unique_random_graphs(n, count, seed=0, base_density=0.1):
     )
 
 
+def mutant_population(n, total, seed=42, flips=(1, 3)):
+    """Classic parents + legalized bit-flip mutants: the GA/BO shape.
+
+    Most graphs share almost every fanin cone with one of the parents,
+    the structurally shared batches search methods actually submit.
+    """
+    from repro.prefix import brent_kung, kogge_stone, legalize, sklansky
+
+    bases = [sklansky(n), brent_kung(n), kogge_stone(n)]
+    rng = np.random.default_rng(seed)
+    graphs = list(bases[: min(3, total)])
+    seen = {g.key() for g in graphs}
+    while len(graphs) < total:
+        base = graphs[int(rng.integers(0, len(bases)))]
+        grid = base.grid.copy()
+        for _ in range(int(rng.integers(*flips))):
+            i = int(rng.integers(2, n))
+            j = int(rng.integers(1, i))
+            grid[i, j] ^= True
+        graph = legalize(grid)
+        if graph.key() not in seen:
+            seen.add(graph.key())
+            graphs.append(graph)
+    return graphs
+
+
 def numerical_grad(f, x, eps=1e-6):
     """Central-difference gradient of scalar f() w.r.t. array x (in place)."""
     grad = np.zeros_like(x)

@@ -559,19 +559,13 @@ class TestTelemetry:
         assert telemetry["vector_batches"] >= 1
         assert telemetry["vector_designs"] >= 10
         assert telemetry["vector_designs"] <= telemetry["synth_calls"]
-        # Population batches land in one of the vectorized stages: the
-        # delta-aware incremental pipeline when its guards admit the
-        # batch, the plain vectorized flow otherwise.
+        # Population batches land in the vectorized stage.
         stages = telemetry["stage_seconds"]
-        assert (
-            stages.get("synthesis_vectorized", 0)
-            + stages.get("synthesis_incremental", 0)
-        ) > 0
+        assert stages.get("synthesis_vectorized", 0) > 0
         # The split stages partition total synthesis wall-clock.
         total = stages["synthesis"]
         split = (
             stages.get("synthesis_vectorized", 0.0)
-            + stages.get("synthesis_incremental", 0.0)
             + stages.get("synthesis_scalar", 0.0)
         )
         assert split <= total + 1e-6

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import unique_random_graphs as unique_graphs
+from helpers import mutant_population, unique_random_graphs as unique_graphs
 
 from repro.circuits import (
     adder_task,
@@ -102,10 +102,55 @@ class TestBitIdentity:
         assert adder_task(8, 0.66).evaluate_many([]) == []
 
 
+class TestMutantPopulations:
+    """Structurally shared batches (parents + mutants), where the sizing
+    passes' cone-limited re-STA cuts off at the most unchanged gates."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_adder_mutant_population(self, n):
+        assert_results_identical(adder_task(n, 0.66), mutant_population(n, 10))
+
+    def test_gray_population(self):
+        assert_results_identical(gray_to_binary_task(n=8), mutant_population(8, 8))
+
+    def test_lzd_population(self):
+        assert_results_identical(lzd_task(n=8), mutant_population(8, 8))
+
+    def test_andor_mapping_style(self):
+        task = replace(
+            adder_task(8, 0.66), options=SynthesisOptions(mapping_style="andor")
+        )
+        assert_results_identical(task, mutant_population(8, 8))
+
+    @pytest.mark.parametrize("max_fanout", [2, 3])
+    def test_tight_fanout_deep_buffer_trees(self, max_fanout):
+        # Deep buffer trees take the structural builder's per-graph
+        # queue loop instead of its one-wave vectorized pass.
+        task = replace(
+            adder_task(12, 0.66), options=SynthesisOptions(max_fanout=max_fanout)
+        )
+        assert_results_identical(task, mutant_population(12, 6))
+
+    def test_sizing_passes_zero(self):
+        task = replace(
+            adder_task(8, 0.66), options=SynthesisOptions(sizing_passes=0)
+        )
+        assert_results_identical(task, mutant_population(8, 6))
+
+
 class TestTaskValidation:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="width"):
             adder_task(8, 0.66).evaluate_many([sklansky(16)])
+
+    def test_fanout_below_two_rejected(self):
+        # Same guard as the scalar flow's buffer_fanout.
+        task = replace(adder_task(8, 0.66), options=SynthesisOptions(max_fanout=1))
+        graphs = unique_graphs(8, 2)
+        with pytest.raises(ValueError, match="max_fanout"):
+            task.synthesize(graphs[0])
+        with pytest.raises(ValueError, match="max_fanout"):
+            synthesize_many(graphs, task.library, options=task.options)
 
     def test_unknown_circuit_type_rejected(self):
         task = adder_task(8, 0.66)
