@@ -1,15 +1,20 @@
 """Microbench: compiled CircuitVAE train step vs the eager tape.
 
 Measures ``repro.core.training.train_model`` on the paper's CNN-VAE
-configuration (the architecture of Sec. 5.1 at this repo's CPU scale,
-paper training hyperparameters: beta=0.01, lambda=10, Adam 1e-3, batch
-64) under both execution engines:
+configuration at the size the ``vae_adder32`` workload trains (n=32, the
+default ``VAEConfig`` — the architecture of Sec. 5.1 at this repo's CPU
+scale — and the paper training hyperparameters: beta=0.01, lambda=10,
+Adam 1e-3, batch 64) under both execution engines:
 
 * **eager** — the define-by-run tape, the numerical reference
   (``REPRO_COMPILED_TRAIN=0``);
 * **compiled** — the traced graph executor (:mod:`repro.nn.compile`):
   matmul-based conv kernels, liveness-arena buffer reuse, shape-guarded
-  replay.
+  replay, and the two half-batch shards on two threads when the core
+  budget allows.
+
+Both engines run the same two-shard step, so the loss curves compare
+like for like.
 
 Asserts the **equivalence contract** (identical per-epoch loss curves to
 1e-10 across both engines, same seeds) and the **>= 2x steady-state
@@ -43,7 +48,7 @@ from common import once
 EPOCHS = int(os.environ.get("REPRO_BENCH_TRAIN_EPOCHS", "8"))
 OUT_PATH = record_path("vae_training")
 SPEEDUP_TARGET = 2.0
-N = 8  # the repo's standard adder bitwidth (tests/figures)
+N = 32  # the bitwidth of the vae_adder32 workload, default VAEConfig
 DATASET = 128
 BATCH = 64  # paper batch size -> 2 steps per epoch
 EQUIV_EPOCHS = 4

@@ -26,6 +26,13 @@ back to eager automatically.  Both engines consume the *same* rng
 stream (minibatch indices, then reparameterization noise), so switching
 engines never desynchronizes an algorithm's randomness.
 
+Both engines also run every step as the size-weighted mean of
+:data:`TRAIN_SHARDS` half-batch passes.  The compiled step overlaps the
+halves on two threads while the core budget
+(:func:`repro.utils.threads.core_budget`) allows, and replays them back
+to back otherwise; the count is fixed so that records never depend on
+the machine.
+
 Checkpointing
 -------------
 Pass ``checkpoint_dir`` (the run-directory integration does, per
@@ -94,7 +101,10 @@ class TrainStats:
     #: both engines (``train_step_eager`` histogram).
     eager_seconds: List[float] = field(default_factory=list)
     #: per-kernel replay-second *deltas* (``fwd:<op>`` / ``bwd:<op>``)
-    #: from this call; populated only under ``REPRO_PROFILE=1``.
+    #: from this call, summed over every shard's program; populated only
+    #: under ``REPRO_PROFILE=1``.  Shards that overlap on two threads
+    #: both count, so these are thread-seconds and may exceed the wall
+    #: time of the steps.
     kernel_seconds: Dict[str, float] = field(default_factory=dict)
 
     def last(self) -> Dict[str, float]:
@@ -121,6 +131,13 @@ FAST_PATH_CONTRACT = {
     "reference": "training_losses",
     "bench": "bench_vae_training.py",
 }
+
+
+#: Every training step is the size-weighted mean of this many half-batch
+#: forward+backward passes (:class:`repro.nn.CompiledTrainStep`).  It is
+#: numerics, not placement: fixed, so records do not depend on the
+#: machine's cores, which only decide whether the shards overlap.
+TRAIN_SHARDS = 2
 
 
 def _use_compiled_train() -> bool:
@@ -167,10 +184,45 @@ def _compiled_step_for(
 
         step = nn.compile_train_step(
             step_fn, model.parameters(), optimizer=optimizer,
-            grad_clip=config.grad_clip,
+            grad_clip=config.grad_clip, shards=TRAIN_SHARDS,
         )
         per_model[key] = step
     return step
+
+
+def _eager_step(
+    model: CircuitVAEModel,
+    optimizer: nn.Optimizer,
+    config: TrainConfig,
+    arrays,
+) -> Dict[str, float]:
+    """One training step on the eager tape: the compiled step's reference.
+
+    Runs the same :data:`TRAIN_SHARDS` shards back to back and combines
+    them through the same :class:`repro.nn.ShardMean`, so
+    ``REPRO_COMPILED_TRAIN=0`` computes the same math.
+    """
+    params = model.parameters()
+    parts = nn.shard_slices(len(arrays[0]), TRAIN_SHARDS)
+    combined = nn.ShardMean()
+    for rows in parts:
+        outs = model.training_losses(
+            *(nn.Tensor(a[rows]) for a in arrays), beta=config.beta, lam=config.lam
+        )
+        optimizer.zero_grad()
+        outs["loss"].backward()
+        names = list(outs)
+        values = [outs[name].item() for name in names]
+        if len(parts) > 1:
+            combined.add(values + [p.grad for p in params], rows.stop - rows.start)
+    if len(parts) > 1:
+        means = combined.mean()
+        values = [float(mean) for mean in means[: len(names)]]
+        for p, grad in zip(params, means[len(names):]):
+            p.grad = grad
+    nn.clip_grad_norm(params, config.grad_clip)
+    optimizer.step()
+    return dict(zip(names, values))
 
 
 # ----------------------------------------------------------------------
@@ -404,19 +456,9 @@ def train_model(
                     compiled_step = None
             if values is None:
                 step_start = time.perf_counter()
-                outs = model.training_losses(
-                    nn.Tensor(x_pad),
-                    nn.Tensor(grids),
-                    nn.Tensor(eps),
-                    nn.Tensor(batch_targets),
-                    beta=config.beta,
-                    lam=config.lam,
+                values = _eager_step(
+                    model, optimizer, config, (x_pad, grids, eps, batch_targets)
                 )
-                optimizer.zero_grad()
-                outs["loss"].backward()
-                nn.clip_grad_norm(model.parameters(), config.grad_clip)
-                optimizer.step()
-                values = {name: tensor.item() for name, tensor in outs.items()}
                 stats.eager_seconds.append(time.perf_counter() - step_start)
 
             epoch_total += values["loss"]

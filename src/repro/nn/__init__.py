@@ -9,7 +9,14 @@ the equivalent substrate offline: reverse-mode autograd
 
 from . import functional, graph, init, losses
 from . import compile as compile  # noqa: A001 — torch-style nn.compile namespace
-from .compile import CompiledTrainStep, CompileStats, CompileUnsupported, compile_train_step
+from .compile import (
+    CompiledTrainStep,
+    CompileStats,
+    CompileUnsupported,
+    ShardMean,
+    compile_train_step,
+    shard_slices,
+)
 from .layers import (
     MLP,
     Conv2d,
@@ -72,4 +79,6 @@ __all__ = [
     "CompileStats",
     "CompileUnsupported",
     "compile_train_step",
+    "ShardMean",
+    "shard_slices",
 ]

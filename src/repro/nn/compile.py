@@ -24,6 +24,17 @@ compiles it into a :class:`GraphProgram`:
   the eager conv kernels up to summation order (~1 ulp).
 * **Shape-guarded replay** — programs are cached per input-shape
   signature; a new shape triggers a fresh trace, never a wrong replay.
+* **Sharded steps** — ``CompiledTrainStep(shards=k)`` splits each batch
+  into ``k`` row shards (:func:`shard_slices`), replays forward+backward
+  per shard and combines outputs and gradients as the size-weighted
+  mean (:class:`ShardMean`) before one clip and one optimizer step.
+  The shard count is part of the numerics; the core budget
+  (:func:`repro.utils.threads.core_budget`) decides only whether the
+  shards overlap — each on its own thread and program instance, under
+  ``blas_budget(1)`` — or replay back to back through one program.
+  Both placements are bitwise identical, so the records of a run do not
+  depend on the machine.  Programs therefore never write ``Tensor.grad``
+  themselves; the step points each parameter at its gradient.
 
 **Equivalence contract**: a compiled step must be *numerically
 equivalent* to the eager step.  The compiler enforces this mechanically:
@@ -43,12 +54,15 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ..utils.threads import blas_budget, core_budget
 from .graph import OPS, Node, Trace
 from .optim import Optimizer, clip_grad_norm
 from .tensor import Tensor, _unbroadcast
@@ -59,9 +73,11 @@ __all__ = [
     "GraphProgram",
     "ProgramPlan",
     "CompiledTrainStep",
+    "ShardMean",
     "compile_train_step",
     "ir_verify_enabled",
     "profile_enabled",
+    "shard_slices",
 ]
 
 
@@ -105,8 +121,13 @@ class CompileUnsupported(RuntimeError):
 class CompileStats:
     """Counters one :class:`CompiledTrainStep` accumulates.
 
-    ``traces`` counts compilations (one per new input-shape signature),
-    ``replays`` counts steps served by a cached program, ``fallbacks``
+    ``traces`` counts compilations: one per new input-shape signature,
+    plus one per worker-thread shard program — a two-shard step on an
+    even batch compiles once when its shards replay back to back and
+    twice when they run on two threads (``nn.train_compiles`` in the
+    benchmark's per-layer metrics).  ``replays`` counts steps served by
+    cached programs, one per step however many shards it replays
+    (``nn.train_replays``); ``fallbacks``
     counts steps that ran eager because compilation was rejected.  The
     rest sum over every program built: scheduled ops (``nodes``),
     dedicated buffers for outputs and backward-needed values
@@ -406,9 +427,17 @@ class _ConvT2dBackward:
         _, out_ch, kh, kw = w_shape
         self.unfold = _Im2Col(g_shape, kh, kw, stride, padding)
         self.x_shape, self.w_shape = x_shape, w_shape
-        self.gcols = np.empty((batch, out_ch, kh, kw, height, width))
-        self.gcols_mat = self.gcols.reshape(batch, out_ch * kh * kw, height * width)
-        self.gcols_src = self.unfold.cols[:, :, :, :, :height, :width]
+        if (self.unfold.oh, self.unfold.ow) == (height, width):
+            # The unfold covers the input grid exactly: its patches are
+            # the gradient columns, no per-step copy.
+            self.gcols_src = None
+            self.gcols_mat = self.unfold.cols_mat
+        else:
+            self.gcols = np.empty((batch, out_ch, kh, kw, height, width))
+            self.gcols_mat = self.gcols.reshape(
+                batch, out_ch * kh * kw, height * width
+            )
+            self.gcols_src = self.unfold.cols[:, :, :, :, :height, :width]
         self.in_ch = in_ch
         self.x_mat_shape = (batch, in_ch, height * width)
         self.gemm_dw = _BatchGemmT(self.x_mat_shape, self.gcols_mat.shape)
@@ -418,7 +447,8 @@ class _ConvT2dBackward:
 
     def __call__(self, g, x, w):
         self.unfold(g)
-        np.copyto(self.gcols, self.gcols_src)
+        if self.gcols_src is not None:
+            np.copyto(self.gcols, self.gcols_src)
         x_mat = x.reshape(self.x_mat_shape)
         dw = self.gemm_dw(x_mat, self.gcols_mat).reshape(self.w_shape)
         dx = None
@@ -761,7 +791,13 @@ class GraphProgram:
 
     # ------------------------------------------------------------------
     def run(self, inputs: Sequence[np.ndarray]) -> Dict[str, np.ndarray]:
-        """One forward+backward replay; parameter grads land in ``.grad``."""
+        """One forward+backward replay; returns the output arrays.
+
+        Parameter gradients land in the program's own buffers
+        (:meth:`param_grads`), never in ``Tensor.grad``: programs of one
+        step may replay on different threads at once, and the step
+        decides what the parameters see.
+        """
         storage = self._storage
         for nid, position in self._input_binds:
             storage[nid] = inputs[position]
@@ -769,11 +805,14 @@ class GraphProgram:
             storage[nid] = tensor.data
         for instr in self._forward:
             instr()
-        for tensor, grad_buf in self._param_grad_binds:
-            tensor.grad = grad_buf
         for instr in self._backward:
             instr()
         return {name: storage[nid] for name, nid in self._outputs.items()}
+
+    def param_grads(self) -> List[Tuple[Tensor, np.ndarray]]:
+        """``(parameter, gradient buffer)`` for every parameter the loss
+        reaches; each buffer holds the last replay's gradient."""
+        return list(self._param_grad_binds)
 
     def verify(self, inputs: Sequence[np.ndarray], traced: Dict[str, Tensor]) -> None:
         """Enforce the equivalence contract against the eager engine.
@@ -807,6 +846,62 @@ class GraphProgram:
 # ----------------------------------------------------------------------
 # The compiled train step
 # ----------------------------------------------------------------------
+def shard_slices(batch: int, shards: int) -> List[slice]:
+    """Row slices splitting ``batch`` rows into ``shards`` contiguous
+    shards, the first ``batch % shards`` one row larger (7 -> 4 + 3).
+
+    Never returns an empty shard: a batch smaller than ``shards`` splits
+    into one-row shards.
+    """
+    shards = max(1, min(int(shards), int(batch)))
+    base, extra = divmod(int(batch), shards)
+    slices, start = [], 0
+    for index in range(shards):
+        stop = start + base + (index < extra)
+        slices.append(slice(start, stop))
+        start = stop
+    return slices
+
+
+class ShardMean:
+    """The full-batch mean ``(n0*v0 + n1*v1 + ...) / n`` of per-shard
+    means, folded shard by shard in shard order.
+
+    The compiled step and the eager fallback both combine through this
+    class, so they evaluate the same float expressions.  ``values`` are
+    floats or float64 arrays; :meth:`add` copies them into sums it owns
+    (so a program may overwrite its buffers for the next shard), and
+    :meth:`mean` divides those sums in place and returns them, ready for
+    the next step's :meth:`add` calls to reuse — no steady-state
+    allocations.  Only meant for two or more shards: a one-shard step
+    uses its values as they are (``(n*v)/n`` need not round back to
+    ``v``).
+    """
+
+    def __init__(self) -> None:
+        self._sums: List[np.ndarray] = []
+        self._scaled: List[np.ndarray] = []
+        self.rows = 0
+
+    def add(self, values: Sequence, rows: int) -> None:
+        if not self._sums:
+            self._sums = [np.empty(np.shape(value)) for value in values]
+            self._scaled = [np.empty(np.shape(value)) for value in values]
+        for total, scaled, value in zip(self._sums, self._scaled, values):
+            if self.rows == 0:
+                np.multiply(value, rows, out=total)
+            else:
+                np.multiply(value, rows, out=scaled)
+                np.add(total, scaled, out=total)
+        self.rows += rows
+
+    def mean(self) -> List[np.ndarray]:
+        for total in self._sums:
+            np.divide(total, self.rows, out=total)
+        self.rows = 0
+        return self._sums
+
+
 class CompiledTrainStep:
     """Trace-once, replay-many wrapper around one training step.
 
@@ -817,6 +912,21 @@ class CompiledTrainStep:
     program, clips gradients, steps the optimizer, and returns the
     outputs as floats — numerically equivalent to running the same
     ``step_fn`` eagerly followed by ``loss.backward()`` / clip / step.
+
+    **Shards.**  With ``shards > 1`` every input is split along its
+    first (batch) axis by :func:`shard_slices`; each shard replays
+    forward+backward on its own, and the step combines outputs and
+    gradients as :class:`ShardMean` before one clip and one optimizer
+    step.  For a batch-mean loss that is the full-batch step up to
+    rounding.  The shard count is numerics; cores decide only whether
+    the shards overlap.  While :func:`~repro.utils.threads.core_budget`
+    is at least the shard count, shard 0 replays on the calling thread
+    and each other shard on a lazily created worker thread, each through
+    its own program instance (compiled through the same trace + verify
+    path), all under ``blas_budget(1)``; otherwise the shards replay
+    back to back through the caller's programs.  Both placements give
+    bitwise-identical results.  ``shards=1`` (the default) replays the
+    whole batch and is bitwise eager on graphs without convolutions.
 
     Programs are cached per input-shape signature (shape-guarded
     replay); if a trace cannot be compiled, :class:`CompileUnsupported`
@@ -830,13 +940,20 @@ class CompiledTrainStep:
         params: Sequence[Tensor],
         optimizer: Optional[Optimizer] = None,
         grad_clip: Optional[float] = None,
+        shards: int = 1,
     ) -> None:
         self.step_fn = step_fn
         self.params = list(params)
         self.optimizer = optimizer
         self.grad_clip = grad_clip
+        self.shards = max(1, int(shards))
         self.stats = CompileStats()
+        #: the calling thread's programs, by signature
         self._programs: Dict[Tuple, Optional[GraphProgram]] = {}
+        #: worker-thread instances, by (shard index, signature)
+        self._worker_programs: Dict[Tuple, Optional[GraphProgram]] = {}
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self._combined = ShardMean()
 
     def signature(self, arrays: Sequence[np.ndarray]) -> Tuple:
         return tuple((a.shape, a.dtype.str) for a in arrays)
@@ -846,10 +963,12 @@ class CompiledTrainStep:
 
         Empty unless the programs were built with ``REPRO_PROFILE=1``
         (see :func:`profile_enabled`); labels are ``fwd:<op>`` /
-        ``bwd:<op>`` summed over every shape-specialized program.
+        ``bwd:<op>`` summed over every shape-specialized program and
+        every shard's program.  Shards on worker threads overlap in
+        time, so these are thread-seconds and may exceed the wall time.
         """
         totals: Dict[str, float] = {}
-        for program in self._programs.values():
+        for program in (*self._programs.values(), *self._worker_programs.values()):
             if program is None:
                 continue
             for label, seconds in program.kernel_seconds.items():
@@ -858,34 +977,99 @@ class CompiledTrainStep:
 
     def __call__(self, *arrays: np.ndarray) -> Dict[str, float]:
         arrays = tuple(np.asarray(a, dtype=np.float64) for a in arrays)
-        key = self.signature(arrays)
-        if key not in self._programs:
+        parts = [arrays]
+        if self.shards > 1 and arrays:
+            parts = [
+                tuple(a[rows] for a in arrays)
+                for rows in shard_slices(len(arrays[0]), self.shards)
+            ]
+        overlap = len(parts) > 1 and core_budget() >= len(parts)
+        programs = []
+        for index, part in enumerate(parts):
+            key = self.signature(part)
+            if overlap and index > 0:
+                programs.append(self._program(self._worker_programs, (index, key), part))
+            else:
+                programs.append(self._program(self._programs, key, part))
+        self.stats.replays += 1
+
+        if len(parts) == 1:
+            outputs = programs[0].run(arrays)
+            for tensor, grad_buf in programs[0].param_grads():
+                tensor.grad = grad_buf
+            values = {name: float(value) for name, value in outputs.items()}
+        else:
+            values = self._run_shards(programs, parts, overlap)
+        if self.grad_clip is not None:
+            clip_grad_norm(self.params, self.grad_clip)
+        if self.optimizer is not None:
+            self.optimizer.step()
+        return values
+
+    def _run_shards(self, programs, parts, overlap: bool) -> Dict[str, float]:
+        """Replay every shard, then point each parameter's ``.grad`` at
+        the combined gradient; returns the combined outputs."""
+        tensors = [tensor for tensor, _ in programs[0].param_grads()]
+        combined = self._combined
+
+        def fold(program: GraphProgram, outputs, rows: int) -> None:
+            grads = {id(tensor): buf for tensor, buf in program.param_grads()}
+            combined.add(
+                list(outputs.values()) + [grads[id(tensor)] for tensor in tensors],
+                rows,
+            )
+
+        if overlap:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.shards - 1, thread_name_prefix="repro-shard"
+                )
+            with blas_budget(1):
+                pending = [
+                    self._pool.submit(program.run, part)
+                    for program, part in zip(programs[1:], parts[1:])
+                ]
+                try:
+                    results = [programs[0].run(parts[0])]
+                finally:
+                    futures_wait(pending)
+                results += [future.result() for future in pending]
+            for program, outputs, part in zip(programs, results, parts):
+                fold(program, outputs, len(part[0]))
+        else:
+            results = []
+            for program, part in zip(programs, parts):
+                results.append(program.run(part))
+                fold(program, results[-1], len(part[0]))
+        means = combined.mean()
+        names = list(results[0])
+        for tensor, grad in zip(tensors, means[len(names):]):
+            tensor.grad = grad
+        return {name: float(value) for name, value in zip(names, means)}
+
+    def _program(self, cache: Dict, key: Tuple, arrays) -> GraphProgram:
+        """The cached program for ``key``, compiling it on first use."""
+        if key not in cache:
             try:
-                self._programs[key] = self._compile(arrays)
+                cache[key] = self._compile(arrays)
             except CompileUnsupported:
-                self._programs[key] = None
+                cache[key] = None
                 self.stats.fallbacks += 1
                 raise
             except Exception as error:
                 # Anything unexpected during trace/build/verify must not
                 # take training down — the eager tape is always correct.
-                self._programs[key] = None
+                cache[key] = None
                 self.stats.fallbacks += 1
                 raise CompileUnsupported(
                     f"compiler error ({type(error).__name__}: {error}); "
                     "falling back to eager"
                 ) from error
-        program = self._programs[key]
+        program = cache[key]
         if program is None:
             self.stats.fallbacks += 1
             raise CompileUnsupported("trace previously rejected for this signature")
-        self.stats.replays += 1
-        outputs = program.run(arrays)
-        if self.grad_clip is not None:
-            clip_grad_norm(self.params, self.grad_clip)
-        if self.optimizer is not None:
-            self.optimizer.step()
-        return {name: float(value) for name, value in outputs.items()}
+        return program
 
     def _compile(self, arrays: Tuple[np.ndarray, ...]) -> GraphProgram:
         input_tensors = [Tensor(a) for a in arrays]
@@ -938,6 +1122,9 @@ def compile_train_step(
     params: Sequence[Tensor],
     optimizer: Optional[Optimizer] = None,
     grad_clip: Optional[float] = None,
+    shards: int = 1,
 ) -> CompiledTrainStep:
     """Build a :class:`CompiledTrainStep` (convenience constructor)."""
-    return CompiledTrainStep(step_fn, params, optimizer=optimizer, grad_clip=grad_clip)
+    return CompiledTrainStep(
+        step_fn, params, optimizer=optimizer, grad_clip=grad_clip, shards=shards
+    )

@@ -17,6 +17,16 @@ library) everything here is a silent no-op.
 
 Thread counts change wall-clock only: the records of a run do not
 depend on them (the parallel-seed tests compare records bit for bit).
+
+:func:`core_budget` is the number of cores the calling code may spend:
+the tightest active budget, else every usable core.  Seed threads are
+not the only threads that spend it: a compiled training step runs its
+second half-batch shard on a worker thread only while the budget is at
+least 2, and caps BLAS at one thread for the step
+(:class:`repro.nn.CompiledTrainStep`).  A serial grid on two cores
+therefore trains on two shard threads; a two-seed grid on two cores
+(budget 1) runs each seed's shards back to back.  Seed threads × shard
+threads × BLAS threads stay at or below the cores.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ __all__ = [
     "blas_budget",
     "blas_libraries",
     "blas_thread_counts",
+    "core_budget",
     "usable_cores",
 ]
 
@@ -159,6 +170,16 @@ def _apply() -> None:
         lib.set_num_threads(max(1, min(cap, original)))
 
 
+def core_budget() -> int:
+    """Cores the caller may spend: the tightest active :func:`blas_budget`
+    (from any thread — budgets are process-wide), else
+    :func:`usable_cores`."""
+    with _LOCK:
+        if _ACTIVE:
+            return min(_ACTIVE)
+    return usable_cores()
+
+
 @contextmanager
 def blas_budget(threads: int) -> Iterator[None]:
     """Cap every loaded OpenBLAS build at ``threads`` for the block.
@@ -181,7 +202,9 @@ def blas_budget(threads: int) -> Iterator[None]:
             if _ACTIVE:
                 _apply()
             else:
-                for lib in _discover():
-                    if lib.path in _SAVED:
+                # Only libraries in _SAVED were ever capped, and each was
+                # discovered on the way in: no rescan of the process maps.
+                for lib in _LIBRARIES.values():
+                    if lib is not None and lib.path in _SAVED:
                         lib.set_num_threads(_SAVED[lib.path])
                 _SAVED.clear()

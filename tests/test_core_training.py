@@ -9,9 +9,15 @@ import pytest
 
 from repro import nn
 from repro.core.dataset import CircuitDataset
-from repro.core.training import TrainConfig, _compiled_step_for, train_model
+from repro.core.training import (
+    TRAIN_SHARDS,
+    TrainConfig,
+    _compiled_step_for,
+    train_model,
+)
 from repro.core.vae import CircuitVAEModel, VAEConfig
 from repro.prefix import random_graph
+from repro.utils.threads import blas_budget, core_budget
 
 
 def small_dataset(seed=0, size=40, n=8):
@@ -28,6 +34,13 @@ def small_model(seed=1):
         VAEConfig(n=8, latent_dim=8, base_channels=4, hidden_dim=48),
         np.random.default_rng(seed),
     )
+
+
+def _expected_traces():
+    """Programs one sharded compiled step builds for an even batch: one
+    when both halves replay back to back through it, one per shard when
+    the core budget lets the shards run on their own threads."""
+    return TRAIN_SHARDS if core_budget() >= TRAIN_SHARDS else 1
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +161,7 @@ class TestCompiledTraining:
 
     def test_compile_counters_surface_in_stats(self, monkeypatch):
         _, stats = self._fit(monkeypatch, compiled=True)
-        assert stats.compile_counters.get("traces", 0) == 1
+        assert stats.compile_counters.get("traces", 0) == _expected_traces()
         assert stats.compile_counters.get("replays", 0) == stats.epochs_run * 2
         assert stats.epochs_skipped == 0
 
@@ -177,9 +190,46 @@ class TestCompiledTraining:
         cfg = TrainConfig(epochs=2, batch_size=16)
         first = train_model(model, ds, rng, cfg, optimizer=optimizer)
         second = train_model(model, ds, rng, cfg, optimizer=optimizer)
-        assert first.compile_counters.get("traces", 0) == 1
+        assert first.compile_counters.get("traces", 0) == _expected_traces()
         assert second.compile_counters.get("traces", 0) == 0
         assert second.compile_counters.get("replays", 0) > 0
+
+
+class TestShardedTraining:
+    """The fixed two-shard step: placement never changes the numbers."""
+
+    @pytest.mark.parametrize("batch_size", [16, 15])
+    def test_parallel_and_serial_shards_bitwise(self, monkeypatch, batch_size):
+        monkeypatch.setenv("REPRO_COMPILED_TRAIN", "1")
+        ds = small_dataset(seed=13)
+        cfg = TrainConfig(epochs=3, batch_size=batch_size)
+
+        def fit():
+            model = small_model(seed=14)
+            rng = np.random.default_rng(15)
+            stats = train_model(model, ds, rng, cfg)
+            return model, stats, rng.bit_generator.state
+
+        # Overlap even on a one-core machine; then force the back-to-back
+        # placement the way a two-seed grid on two cores does.
+        monkeypatch.setattr(nn.compile, "core_budget", lambda: TRAIN_SHARDS)
+        m_par, s_par, rng_par = fit()
+        monkeypatch.undo()
+        monkeypatch.setenv("REPRO_COMPILED_TRAIN", "1")
+        with blas_budget(1):
+            m_ser, s_ser, rng_ser = fit()
+        assert s_par.compiled and s_ser.compiled
+        odd = batch_size % 2
+        assert s_par.compile_counters["traces"] == 2
+        assert s_ser.compile_counters["traces"] == 1 + odd
+        assert s_par.compile_counters["replays"] == s_ser.compile_counters["replays"]
+        for name in ("total", "reconstruction", "kl", "cost"):
+            assert getattr(s_par, name) == getattr(s_ser, name), name
+        for (name, p1), (_, p2) in zip(
+            m_par.named_parameters(), m_ser.named_parameters()
+        ):
+            np.testing.assert_array_equal(p1.data, p2.data, err_msg=name)
+        assert rng_par == rng_ser
 
 
 class TestTrainingCheckpoints:

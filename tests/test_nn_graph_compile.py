@@ -207,6 +207,62 @@ class TestCompiledTrainStep:
         assert step.stats.arena_reused > 0
 
 
+class TestShardedStep:
+    """``shards=2``: compiled half-batch replays vs the eager fallback."""
+
+    @pytest.mark.parametrize("batch", [8, 7])  # 7 -> 4 + 3: size weights
+    def test_matches_sharded_eager_fallback(self, batch):
+        from repro.core.training import TrainConfig, _eager_step
+        from repro.core.vae import CircuitVAEModel, VAEConfig
+
+        config = TrainConfig(beta=0.01, lam=10.0, grad_clip=5.0)
+        rng = np.random.default_rng(4)
+        grids = (rng.random((batch, 8, 8)) > 0.5).astype(float)
+        eps = rng.standard_normal((batch, 6))
+        costs = rng.standard_normal(batch)
+
+        def build():
+            return CircuitVAEModel(
+                VAEConfig(n=8, latent_dim=6, base_channels=4, hidden_dim=16),
+                np.random.default_rng(9),
+            )
+
+        m1 = build()
+        o1 = nn.Adam(m1.parameters(), lr=1e-3)
+        arrays = (m1._pad_grids(grids), grids, eps, costs)
+        eager = [_eager_step(m1, o1, config, arrays) for _ in range(3)]
+
+        m2 = build()
+        o2 = nn.Adam(m2.parameters(), lr=1e-3)
+        step = nn.compile_train_step(
+            lambda x, t, e, c: m2.training_losses(
+                x, t, e, c, beta=config.beta, lam=config.lam
+            ),
+            m2.parameters(),
+            optimizer=o2,
+            grad_clip=config.grad_clip,
+            shards=2,
+        )
+        compiled = [step(*arrays) for _ in range(3)]
+        assert step.stats.replays == 3 and step.stats.fallbacks == 0
+        for e_step, c_step in zip(eager, compiled):
+            assert e_step.keys() == c_step.keys()
+            for key in e_step:
+                np.testing.assert_allclose(
+                    c_step[key], e_step[key], rtol=1e-12, atol=1e-14, err_msg=key
+                )
+        for (name, p1), (_, p2) in zip(m1.named_parameters(), m2.named_parameters()):
+            np.testing.assert_allclose(
+                p2.data, p1.data, rtol=1e-12, atol=1e-14, err_msg=name
+            )
+
+    def test_shard_slices(self):
+        assert nn.shard_slices(8, 2) == [slice(0, 4), slice(4, 8)]
+        assert nn.shard_slices(7, 2) == [slice(0, 4), slice(4, 7)]
+        assert nn.shard_slices(1, 2) == [slice(0, 1)]
+        assert nn.shard_slices(5, 1) == [slice(0, 5)]
+
+
 def _positive(shape):
     return lambda rng: rng.random(shape) + 0.5
 

@@ -13,6 +13,8 @@ from repro.utils.threads import (
     blas_budget,
     blas_libraries,
     blas_thread_counts,
+    core_budget,
+    usable_cores,
 )
 from repro.utils.plotting import ascii_plot, ascii_scatter, format_series_csv, render_prefix_graph
 from repro.utils.tables import format_median_iqr, format_table
@@ -164,6 +166,17 @@ class TestBlasThreads:
             worker.join(10)
         assert seen == {"both": {1}, "b_alone": {2}}
         assert _counts() == {2}
+
+    def test_core_budget_is_the_tightest_active_budget(self):
+        assert core_budget() == usable_cores()
+        with blas_budget(3):
+            assert core_budget() == 3
+            with blas_budget(1):
+                assert core_budget() == 1
+                with blas_budget(2):
+                    assert core_budget() == 1
+            assert core_budget() == 3
+        assert core_budget() == usable_cores()
 
     def test_missing_library_is_a_silent_noop(self, monkeypatch):
         # A path that cannot be opened, as if no OpenBLAS were loaded.
