@@ -28,13 +28,6 @@ Five subcommands:
     of the paper's grid) without writing a spec file first; ``--list``
     shows them, ``--dump-spec`` prints a preset as JSON to copy and
     edit.
-``serve start|stop|status|compact`` (and the internal ``serve run``)
-    Manage a shared evaluation daemon (:mod:`repro.serve`): ``start``
-    spawns one in the background and waits until it answers, ``stop``
-    asks it to drain gracefully, ``status`` prints scheduler/cache
-    stats, ``compact`` dedups and garbage-collects a cache directory's
-    JSONL shards.  Runs attach to a daemon transparently whenever
-    ``$REPRO_ENGINE_SOCKET`` names its socket.
 
 ``--workers``, ``--cache-dir`` and ``--parallel-seeds`` override the
 spec's advisory :class:`~repro.api.spec.EngineSpec`; ``--out`` writes
@@ -344,216 +337,6 @@ def _print_methods(as_json: bool) -> None:
 
 
 # ----------------------------------------------------------------------
-# serve: daemon management
-# ----------------------------------------------------------------------
-def _serve_socket(args: argparse.Namespace) -> str:
-    from ..serve.protocol import default_socket_path
-
-    path = args.socket or default_socket_path()
-    if not path:
-        raise ValueError(
-            "no socket path: pass --socket or set $REPRO_ENGINE_SOCKET"
-        )
-    return path
-
-
-def _serve_start(args: argparse.Namespace) -> int:
-    import subprocess
-    import time as _time
-
-    from ..serve.client import ServeClient, ServeUnavailable
-
-    path = _serve_socket(args)
-    try:
-        client = ServeClient(path, connect_timeout=1.0)
-    except ServeUnavailable:
-        pass
-    else:
-        print(
-            f"error: a daemon already serves {path} (pid {client.server_pid})",
-            file=sys.stderr,
-        )
-        client.close()
-        return 2
-    log_path = args.log or path + ".log"
-    cmd = [sys.executable, "-m", "repro", "serve", "run", "--socket", path,
-           "--quantum", str(args.quantum)]
-    if args.cache_dir:
-        cmd += ["--cache-dir", args.cache_dir]
-    if args.workers is not None:
-        cmd += ["--workers", str(args.workers)]
-    with open(log_path, "ab") as log:
-        process = subprocess.Popen(
-            cmd,
-            stdin=subprocess.DEVNULL,
-            stdout=log,
-            stderr=log,
-            start_new_session=True,  # survives this shell; SIGTERM to stop
-        )
-    deadline = _time.time() + 15.0
-    while _time.time() < deadline:
-        if process.poll() is not None:
-            print(
-                f"error: daemon exited immediately "
-                f"(code {process.returncode}); see {log_path}",
-                file=sys.stderr,
-            )
-            return 1
-        try:
-            client = ServeClient(path, connect_timeout=0.5)
-        except ServeUnavailable:
-            _time.sleep(0.1)
-            continue
-        print(
-            f"daemon serving {path} (pid {client.server_pid}, log {log_path})"
-        )
-        client.close()
-        return 0
-    print(f"error: daemon did not answer within 15s; see {log_path}",
-          file=sys.stderr)
-    return 1
-
-
-def _serve_stop(args: argparse.Namespace) -> int:
-    import signal
-    import time as _time
-
-    from ..serve.client import ServeClient, ServeUnavailable
-    from ..serve.daemon import pid_file_path
-    from ..utils.locks import pid_alive, read_lock_pid
-
-    path = _serve_socket(args)
-    try:
-        client = ServeClient(path, connect_timeout=2.0)
-    except ServeUnavailable:
-        # No live socket: maybe a daemon that lost it — use the pid file.
-        pid = read_lock_pid(pid_file_path(path))
-        if pid is None or not pid_alive(pid):
-            print(f"no daemon at {path}")
-            return 0
-        os.kill(pid, signal.SIGTERM)
-    else:
-        client.shutdown()
-        client.close()
-    deadline = _time.time() + args.timeout
-    while _time.time() < deadline:
-        if not os.path.exists(path):
-            print("daemon stopped (drained)")
-            return 0
-        _time.sleep(0.1)
-    print(
-        f"daemon is still draining after {args.timeout:.0f}s "
-        "(queued work finishes first; re-run stop to keep waiting)",
-        file=sys.stderr,
-    )
-    return 1
-
-
-def _serve_status(args: argparse.Namespace) -> int:
-    from ..serve.client import ServeClient, ServeUnavailable
-
-    path = _serve_socket(args)
-    try:
-        client = ServeClient(path, connect_timeout=2.0)
-    except ServeUnavailable as error:
-        print(f"no daemon at {path} ({error})", file=sys.stderr)
-        return 1
-    stats = client.stats()
-    client.close()
-    if args.json:
-        payload = stats.to_dict()
-        payload.pop("v", None)
-        payload.pop("type", None)
-        print(json.dumps(payload, indent=2))
-        return 0
-    state = "draining" if stats.draining else "serving"
-    print(
-        f"daemon pid {stats.server_pid}: {state}, "
-        f"up {stats.uptime_seconds:.0f}s  ({path})\n"
-        f"jobs: {stats.jobs_completed} completed, "
-        f"{stats.jobs_failed} failed, {stats.jobs_cancelled} cancelled"
-    )
-    if stats.queues:
-        rows = [[tenant, str(depth)] for tenant, depth in sorted(stats.queues.items())]
-        print(format_table(["tenant", "queued graphs"], rows))
-    else:
-        print("queues: idle")
-    if stats.schedule:
-        tail = stats.schedule[-8:]
-        print(
-            "recent schedule: "
-            + "  ".join(f"{s['tenant']}x{s['count']}" for s in tail)
-        )
-    telemetry = stats.telemetry
-    print(
-        f"engine: {telemetry.get('synth_calls', 0)} synthesis calls, "
-        f"{telemetry.get('memory_hits', 0)} memory hits, "
-        f"{telemetry.get('disk_hits', 0)} disk hits"
-    )
-    cache = stats.cache
-    print(
-        f"cache: {cache.get('entries_in_memory', 0)} entries in memory "
-        f"({cache.get('cache_dir') or 'memory-only'})"
-    )
-    return 0
-
-
-def _serve_compact(args: argparse.Namespace) -> int:
-    from ..serve.compact import compact_cache_dir
-
-    report = compact_cache_dir(
-        args.cache_dir,
-        max_age_seconds=args.max_age_seconds,
-        max_entries=args.max_entries,
-    )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-        return 0
-    if not report.shards:
-        print(f"{args.cache_dir}: no shards to compact")
-        return 0
-    rows = [
-        [
-            s["shard"],
-            f"{s['lines_before']} -> {s['lines_after']}",
-            str(s["duplicates_dropped"]),
-            str(s["evicted"]),
-            str(s["corrupt_dropped"]),
-        ]
-        for s in report.shards
-    ]
-    print(format_table(
-        ["shard", "lines", "dups dropped", "evicted", "corrupt"], rows
-    ))
-    saved = report.bytes_before - report.bytes_after
-    print(
-        f"total: {report.lines_before} -> {report.lines_after} lines, "
-        f"{saved} bytes reclaimed"
-    )
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.serve_command == "compact":
-        return _serve_compact(args)
-    if args.serve_command == "run":
-        from ..serve.daemon import run_daemon
-
-        run_daemon(
-            _serve_socket(args),
-            cache_dir=args.cache_dir,
-            workers=args.workers,
-            quantum=args.quantum,
-        )
-        return 0
-    if args.serve_command == "start":
-        return _serve_start(args)
-    if args.serve_command == "stop":
-        return _serve_stop(args)
-    return _serve_status(args)
-
-
-# ----------------------------------------------------------------------
 # Argument parsing
 # ----------------------------------------------------------------------
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
@@ -657,81 +440,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_execution_flags(bench_p)
 
-    serve_p = sub.add_parser(
-        "serve", help="manage a shared evaluation daemon (repro.serve)"
-    )
-    serve_sub = serve_p.add_subparsers(dest="serve_command", required=True)
-
-    def _socket_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--socket", default=None,
-            help="daemon unix-socket path (default: $REPRO_ENGINE_SOCKET)",
-        )
-
-    def _daemon_flags(p: argparse.ArgumentParser) -> None:
-        _socket_flag(p)
-        p.add_argument(
-            "--cache-dir", default=None,
-            help="persistent evaluation-cache directory for the daemon's "
-            "engine (default: $REPRO_CACHE_DIR)",
-        )
-        p.add_argument(
-            "--workers", type=int, default=None,
-            help="synthesis worker processes for the daemon's engine",
-        )
-        p.add_argument(
-            "--quantum", type=int, default=8,
-            help="fair-share quantum: graphs per tenant per scheduler "
-            "turn (default 8)",
-        )
-
-    start_p = serve_sub.add_parser(
-        "start", help="spawn a daemon in the background and wait for it"
-    )
-    _daemon_flags(start_p)
-    start_p.add_argument(
-        "--log", default=None,
-        help="daemon log file (default: <socket>.log)",
-    )
-
-    serve_run_p = serve_sub.add_parser(
-        "run", help="run the daemon in the foreground (what start spawns)"
-    )
-    _daemon_flags(serve_run_p)
-
-    stop_p = serve_sub.add_parser(
-        "stop", help="ask the daemon to drain gracefully and exit"
-    )
-    _socket_flag(stop_p)
-    stop_p.add_argument(
-        "--timeout", type=float, default=15.0,
-        help="seconds to wait for the drain to finish (default 15)",
-    )
-
-    serve_status_p = serve_sub.add_parser(
-        "status", help="print daemon scheduler/cache/telemetry stats"
-    )
-    _socket_flag(serve_status_p)
-    serve_status_p.add_argument(
-        "--json", action="store_true", help="machine-readable"
-    )
-
-    compact_p = serve_sub.add_parser(
-        "compact", help="dedup + GC a cache directory's JSONL shards"
-    )
-    compact_p.add_argument("cache_dir", help="evaluation-cache directory")
-    compact_p.add_argument(
-        "--max-age-seconds", type=float, default=None,
-        help="also evict records older than this (unstamped records "
-        "count as infinitely old)",
-    )
-    compact_p.add_argument(
-        "--max-entries", type=int, default=None,
-        help="also keep only the newest N records per shard",
-    )
-    compact_p.add_argument(
-        "--json", action="store_true", help="machine-readable report"
-    )
     return parser
 
 
@@ -819,8 +527,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     # their traceback.
     resume = getattr(args, "resume", None)
     try:
-        if args.command == "serve":
-            return _cmd_serve(args)
         if args.command == "status":
             run_dir = RunDirectory.open(args.run_dir)
             _print_status(run_dir)

@@ -4,11 +4,11 @@ Two levels, one findings model:
 
 * **Level 1** (:mod:`repro.check.engine` + :mod:`repro.check.rules`):
   an :mod:`ast`-based lint engine with a rule registry
-  (:func:`~repro.check.engine.register_rule`, rules-as-data) and five
+  (:func:`~repro.check.engine.register_rule`, rules-as-data) and four
   project-specific analyzers — env-knob registry discipline
   (:mod:`repro.check.knobs` is the single source of truth the README
-  table is generated from), protocol/dataclass drift, telemetry-name
-  discipline, fast-path contracts, and daemon thread-safety basics.
+  table is generated from), telemetry-name discipline, fast-path
+  contracts, and thread-safety basics.
 * **Level 2** (:mod:`repro.check.ir`): a static verifier for compiled
   :class:`~repro.nn.compile.GraphProgram` plans — def-before-use,
   backward-schedule soundness and live-slot overwrites — run on every

@@ -83,24 +83,6 @@ _ALL: Tuple[KnobDef, ...] = (
         "`paper` runs benches at full paper scale.",
     ),
     KnobDef(
-        "REPRO_ENGINE_SOCKET",
-        "unset (in-process)",
-        "Unix-socket path of a live `repro serve` daemon; simulators "
-        "attach transparently and fall back in-process when unreachable.",
-    ),
-    KnobDef(
-        "REPRO_ENGINE_TENANT",
-        "`client-<pid>`",
-        "Tenant name used for the daemon's fair-share scheduling (one "
-        "queue per tenant).",
-    ),
-    KnobDef(
-        "REPRO_ENGINE_TIMEOUT",
-        "unset (none)",
-        "Per-batch deadline in seconds for daemon evaluations; expired "
-        "jobs fail with a `timeout` error.",
-    ),
-    KnobDef(
         "REPRO_BENCH_POPULATION",
         "`64`",
         "Population size for the batched-eval bench; the speedup gate "
@@ -113,12 +95,6 @@ _ALL: Tuple[KnobDef, ...] = (
         "speedup gate only arms at 4+.",
     ),
     KnobDef(
-        "REPRO_BENCH_SERVE_GRAPHS",
-        "`48`",
-        "Workload size (graphs per client) for the daemon warm-attach "
-        "bench.",
-    ),
-    KnobDef(
         "REPRO_BENCH_ASSERT_SPEEDUP",
         "`1` (gate armed)",
         "`0` records throughput ratios without enforcing the >= Nx "
@@ -129,12 +105,6 @@ _ALL: Tuple[KnobDef, ...] = (
         "`0` (off)",
         "`1` additionally gates the *measured* on/off tracing wall-clock "
         "ratio, not just the deterministic off-path estimate.",
-    ),
-    KnobDef(
-        "REPRO_BENCH_ASSERT_SERVE",
-        "`0` (off)",
-        "`1` gates the daemon warm-attach bench on cached-reattach "
-        "synthesis counts, not just record shape.",
     ),
     KnobDef(
         "REPRO_BENCH_OUT",

@@ -1,4 +1,4 @@
-"""The five project-invariant analyzers.
+"""The project-invariant analyzers.
 
 Each rule encodes a contract the codebase otherwise enforces only by
 convention:
@@ -7,11 +7,6 @@ convention:
     Every ``os.environ`` read of a ``REPRO_*`` name must be registered
     in :mod:`repro.check.knobs` (and therefore in README's generated
     env table); registered knobs nothing reads are rot.
-``check-protocol-drift``
-    The wire forms in :mod:`repro.serve.protocol` must stay field-exact
-    with the domain dataclasses they serialize — a field added to
-    ``SynthesisOptions`` but not to ``task_to_dict`` would silently
-    desynchronize daemon results from in-process ones.
 ``check-telemetry-names``
     Counter/stage/span string literals must resolve against the names
     :class:`~repro.engine.telemetry.EngineTelemetry` registers — a
@@ -24,11 +19,11 @@ convention:
     gating bench; every registered kill-switch knob must be claimed by
     exactly one contract.
 ``check-thread-safety``
-    Module/class-level mutable state in code reached from both the
-    ``EvalDaemon`` event loop and pool/thread entry points must carry a
-    ``thread-safe``/``lock`` annotation comment explaining its
-    discipline (or actually be lock-guarded, which the annotation
-    names).
+    Module/class-level mutable state in code reached from more than one
+    thread (the engine parallel seeds share, the vectorized synthesis
+    flow, the thread utilities) must carry a ``thread-safe``/``lock``
+    annotation comment explaining its discipline (or actually be
+    lock-guarded, which the annotation names).
 
 Rules yield :class:`~repro.check.findings.Finding` objects with only
 location/message/symbol filled; the engine stamps rule id, severity and
@@ -200,172 +195,6 @@ def readme_env_table_rule(context: CheckContext) -> Iterator[Finding]:
             f"env-knob table disagrees with check/knobs.py: {detail}",
             symbol="env-table",
         )
-
-
-# ----------------------------------------------------------------------
-# protocol / dataclass drift
-# ----------------------------------------------------------------------
-def _dict_keys(node: ast.Dict) -> Set[str]:
-    return {
-        key.value
-        for key in node.keys
-        if isinstance(key, ast.Constant) and isinstance(key.value, str)
-    }
-
-
-def _nested_dict(node: ast.Dict, key: str) -> Optional[ast.Dict]:
-    for k, v in zip(node.keys, node.values):
-        if (
-            isinstance(k, ast.Constant)
-            and k.value == key
-            and isinstance(v, ast.Dict)
-        ):
-            return v
-    return None
-
-
-def _field_names(cls) -> Set[str]:
-    import dataclasses
-    import inspect
-
-    if dataclasses.is_dataclass(cls):
-        return {f.name for f in dataclasses.fields(cls)}
-    params = inspect.signature(cls.__init__).parameters
-    return {name for name in params if name != "self"}
-
-
-@register_rule(
-    "check-protocol-drift",
-    "error",
-    "update task_to_dict/task_from_dict and the dataclass together; the "
-    "wire form must cover exactly the dataclass's fields",
-)
-def protocol_drift_rule(context: CheckContext) -> Iterator[Finding]:
-    """serve/protocol.py wire forms must biject with the dataclasses."""
-    source = context.find("src/repro/serve/protocol.py")
-    if source is None or source.tree is None:
-        return
-    from ..circuits.task import CircuitTask
-    from ..synth.library import Cell, CellLibrary
-    from ..synth.physical import SynthesisOptions
-    from ..synth.timing import IOTiming
-
-    funcs = {
-        node.name: node
-        for node in source.tree.body  # type: ignore[attr-defined]
-        if isinstance(node, ast.FunctionDef)
-    }
-
-    def mismatch(
-        line: int, what: str, got: Set[str], want: Set[str], symbol: str
-    ) -> Iterator[Finding]:
-        missing = sorted(want - got)
-        extra = sorted(got - want)
-        if missing or extra:
-            parts = []
-            if missing:
-                parts.append(f"missing {missing}")
-            if extra:
-                parts.append(f"unexpected {extra}")
-            yield _f(
-                source.rel,
-                line,
-                f"{what}: {', '.join(parts)}",
-                symbol=symbol,
-            )
-
-    # task_to_dict: returned dict-literal keys vs dataclass fields
-    to_dict = funcs.get("task_to_dict")
-    if to_dict is None:
-        yield _f(source.rel, 1, "task_to_dict not found", symbol="task_to_dict")
-    else:
-        returned: Optional[ast.Dict] = None
-        for node in ast.walk(to_dict):
-            if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict):
-                returned = node.value
-        if returned is None:
-            yield _f(
-                source.rel,
-                to_dict.lineno,
-                "task_to_dict does not return a dict literal",
-                symbol="task_to_dict",
-            )
-        else:
-            yield from mismatch(
-                to_dict.lineno,
-                "task_to_dict top-level keys vs CircuitTask fields",
-                _dict_keys(returned),
-                _field_names(CircuitTask),
-                "to_dict:task",
-            )
-            checks = (
-                ("library", CellLibrary, "cells"),
-                ("io_timing", IOTiming, None),
-                ("options", SynthesisOptions, None),
-            )
-            for key, cls, _cells in checks:
-                nested = _nested_dict(returned, key)
-                if nested is None:
-                    yield _f(
-                        source.rel,
-                        to_dict.lineno,
-                        f"task_to_dict {key!r} is not a dict literal",
-                        symbol=f"to_dict:{key}",
-                    )
-                    continue
-                yield from mismatch(
-                    nested.lineno,
-                    f"task_to_dict {key!r} keys vs {cls.__name__} fields",
-                    _dict_keys(nested),
-                    _field_names(cls),
-                    f"to_dict:{key}",
-                )
-            # per-cell dicts live in a comprehension under "library"
-            library = _nested_dict(returned, "library")
-            if library is not None:
-                cell_dicts = [
-                    node
-                    for node in ast.walk(library)
-                    if isinstance(node, ast.Dict) and node is not library
-                ]
-                for cell_dict in cell_dicts:
-                    if _dict_keys(cell_dict) & {"name", "function"}:
-                        yield from mismatch(
-                            cell_dict.lineno,
-                            "task_to_dict cell keys vs Cell fields",
-                            _dict_keys(cell_dict),
-                            _field_names(Cell),
-                            "to_dict:cell",
-                        )
-
-    # task_from_dict: constructor keywords vs dataclass fields
-    from_dict = funcs.get("task_from_dict")
-    if from_dict is None:
-        yield _f(
-            source.rel, 1, "task_from_dict not found", symbol="task_from_dict"
-        )
-    else:
-        targets = {
-            "CircuitTask": CircuitTask,
-            "CellLibrary": CellLibrary,
-            "Cell": Cell,
-            "IOTiming": IOTiming,
-            "SynthesisOptions": SynthesisOptions,
-        }
-        for node in ast.walk(from_dict):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
-                continue
-            cls = targets.get(node.func.id)
-            if cls is None:
-                continue
-            kwargs = {kw.arg for kw in node.keywords if kw.arg is not None}
-            yield from mismatch(
-                node.lineno,
-                f"task_from_dict {node.func.id}(...) keywords vs fields",
-                kwargs,
-                _field_names(cls),
-                f"from_dict:{node.func.id}",
-            )
 
 
 # ----------------------------------------------------------------------
@@ -632,11 +461,11 @@ def fast_path_rule(context: CheckContext) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# daemon thread-safety basics
+# thread-safety basics
 # ----------------------------------------------------------------------
-#: rel-path prefixes reached from both the EvalDaemon event loop and
-#: pool/thread entry points (parallel seeds share one in-process engine).
-_SHARED_PREFIXES = ("src/repro/serve/", "src/repro/engine/")
+#: rel-path prefixes reached from pool/thread entry points (parallel
+#: seeds share one in-process engine).
+_SHARED_PREFIXES = ("src/repro/engine/",)
 _SHARED_FILES = (
     "src/repro/synth/batched.py",
     "src/repro/utils/threads.py",

@@ -21,24 +21,22 @@ has already measured.  This module provides that store:
 
 Disk format: ``<cache_dir>/<fingerprint>.jsonl``, one record per line::
 
-    {"k": "<hex of packed grid bits>", "a": <area_um2>, "d": <delay_ns>,
-     "t": <unix seconds written>}
+    {"k": "<hex of packed grid bits>", "a": <area_um2>, "d": <delay_ns>}
 
 Append-only and last-writer-wins, so concurrent processes can share a
 directory; a truncated or otherwise corrupt line (crash mid-append,
 bit rot, manual edits) is skipped with a ``RuntimeWarning`` on load,
-and duplicate keys resolve to the newest record.  ``t`` feeds the
-age-eviction policy of :mod:`repro.serve.compact`; readers ignore it
-(and any other unknown key), so shards written before it existed stay
-loadable.
+and duplicate keys resolve to the newest record.  Readers ignore
+unknown keys, so shards carrying extra fields (older ones have a ``t``
+write stamp) stay loadable.  The directory is a disposable accelerator:
+records are identical with or without it, so deleting it is the only
+garbage collection it needs.
 
-Sharing with external writers is incremental: each instance remembers
+Sharing with other processes is incremental: each instance remembers
 how far into every shard it has parsed, so a miss against a shard that
-another process (a daemon, a parallel sweep) has since appended to only
-parses the *new* tail — a long-lived daemon never re-reads its whole
-history to discover one new record.  A shard that *shrank* (another
-process compacted it) is detected the same way and triggers one full
-reload.
+a concurrent run has since appended to only parses the *new* tail.  A
+shard that *shrank* (truncated or recreated from outside) is detected
+the same way and triggers one full reload.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ import hashlib
 import json
 import os
 import threading
-import time
 import warnings
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
@@ -244,8 +241,8 @@ class EvaluationCache:
         metrics = self._read_at(fingerprint, key, offset)
         if metrics is not None:
             return metrics
-        # Offset went stale (e.g. another process compacted the shard):
-        # fall back to one full rescan, rebuilding the index.
+        # Offset went stale (the shard was rewritten from outside): fall
+        # back to one full rescan, rebuilding the index.
         self._disk_offsets.pop(fingerprint, None)
         self._read_positions.pop(fingerprint, None)
         self._line_counts.pop(fingerprint, None)
@@ -265,9 +262,9 @@ class EvaluationCache:
         """Catch up with external writers on an already-loaded shard.
 
         Parses only the bytes appended since this instance last read the
-        shard (the incremental path a long-lived daemon relies on); a
-        shard that shrank — another process compacted it — triggers one
-        full reload instead.  Returns True when anything changed.
+        shard; a shard that shrank — truncated or recreated from outside
+        — triggers one full reload instead.  Returns True when anything
+        changed.
         """
         if not self.cache_dir:
             return False
@@ -278,7 +275,7 @@ class EvaluationCache:
         except OSError:
             size = 0
         if size < position:
-            # Shrunk underneath us: compaction rewrote the shard, every
+            # Shrunk underneath us: the shard was rewritten, every
             # remembered offset is void — rescan from byte 0.
             self._disk_offsets.pop(fingerprint, None)
             self._read_positions.pop(fingerprint, None)
@@ -346,7 +343,7 @@ class EvaluationCache:
                 # rather than letting the miss trigger a re-synthesis.
                 metrics = self._reload_entry(fingerprint, key)
                 if metrics is None and self._refresh_fingerprint(fingerprint):
-                    # An external writer grew (or compacted) the shard
+                    # An external writer grew (or rewrote) the shard
                     # since our last read; the refresh may have brought
                     # the key in.
                     entry = self._memory.get((fingerprint, key))
@@ -369,35 +366,32 @@ class EvaluationCache:
             self._insert(fingerprint, key, metrics, from_disk=False)
             if self.cache_dir:
                 path = self._path(fingerprint)
-                line = json.dumps(
-                    {
-                        "k": key.hex(),
-                        "a": metrics[0],
-                        "d": metrics[1],
-                        # written-at stamp for compaction age eviction
-                        "t": round(time.time(), 3),
-                    }
-                )
-                # getsize-then-append gives this process an exact offset;
-                # a concurrent writer can only make it stale, which
-                # _reload_entry detects and repairs with a rescan.
-                offset = os.path.getsize(path) if os.path.exists(path) else 0
-                with open(path, "a") as handle:
-                    handle.write(line + "\n")
+                record = (
+                    json.dumps({"k": key.hex(), "a": metrics[0], "d": metrics[1]})
+                    + "\n"
+                ).encode("utf-8")
+                # O_APPEND puts the write at the end of the file as it is
+                # *at write time*, so only the position after our own
+                # write says where the record landed — a size read before
+                # it is stale as soon as another process appends.
+                with open(path, "ab") as handle:
+                    handle.write(record)
+                    handle.flush()
+                    offset = handle.tell() - len(record)
                 self._disk_offsets.setdefault(fingerprint, {})[key] = offset
                 if offset == 0:
                     # We created the shard, so we know its entire content:
                     # nothing on disk predates us that a load could find.
                     self._loaded_fingerprints.add(fingerprint)
                 # Our own append needs no future re-parse: advance the
-                # incremental-read position over it iff we were current
-                # (if external appends are pending, leave it so the next
-                # refresh picks them up).
+                # incremental-read position over it iff it starts exactly
+                # where we stopped reading (if external appends sit in
+                # between, leave it so the next refresh picks them up).
                 if (
                     fingerprint in self._loaded_fingerprints
                     and self._read_positions.get(fingerprint, 0) == offset
                 ):
-                    self._read_positions[fingerprint] = offset + len(line) + 1
+                    self._read_positions[fingerprint] = offset + len(record)
                     self._line_counts[fingerprint] = (
                         self._line_counts.get(fingerprint, 0) + 1
                     )

@@ -31,7 +31,6 @@ eliminates physical synthesis work, never paper-semantics accounting.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -92,22 +91,7 @@ class EvaluationEngine:
     def simulator(
         self, task: CircuitTask, budget: Optional[int] = None
     ) -> "EngineSimulator":
-        """A fresh engine-backed simulator for one run.
-
-        When ``$REPRO_ENGINE_SOCKET`` names a live evaluation daemon
-        (:mod:`repro.serve`), the simulator transparently routes its
-        synthesis through it — budget accounting, history and records
-        stay client-side and bit-identical either way, and the facade
-        falls back to this in-process engine if the daemon goes away.
-        """
-        if os.environ.get("REPRO_ENGINE_SOCKET", "").strip():
-            # Lazy import: repro.serve.client subclasses EngineSimulator,
-            # so a top-level import would be a cycle.
-            from ..serve.client import maybe_remote_simulator
-
-            remote = maybe_remote_simulator(self, task, budget)
-            if remote is not None:
-                return remote
+        """A fresh engine-backed simulator for one run."""
         return EngineSimulator(task, budget=budget, engine=self)
 
     def evaluate(
@@ -340,9 +324,6 @@ class EngineSimulator(CircuitSimulator):
         Both the scalar ``query`` path and the batched ``query_plan``
         path funnel through here with unique, legalized graphs; all
         accounting (budget, memo, sim_index) happens in the callers.
-        :class:`repro.serve.client.RemoteEngineSimulator` overrides
-        exactly this method, which is what makes remote runs
-        bit-identical by construction.
         """
         return self.engine.evaluate(
             self.task,

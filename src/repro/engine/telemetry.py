@@ -89,8 +89,6 @@ KNOWN_SPANS = frozenset(
         "synthesize_chunk",
         "cache_load",
         "cache_refresh",
-        "serve_job",
-        "serve_evaluate",
         "bench",
     }
 )

@@ -1,16 +1,14 @@
-"""Advisory pid-file locks shared by the run-directory and cache layers.
+"""Advisory pid-file lock helpers for run directories.
 
-The repo has two places where exactly-one-live-process coordination
-matters: a run directory being executed (:mod:`repro.api.rundir`) and an
-evaluation-cache directory being compacted (:mod:`repro.serve.compact`).
-Both use the same discipline:
+A run directory being executed (:mod:`repro.api.rundir`) must have
+exactly one live process behind it.  The discipline:
 
 * the lock is a small JSON file naming the owning pid, written
   atomically;
-* a lock whose pid is dead (the SIGKILLed run a resume exists for, a
-  crashed compactor) is **stolen** with a :class:`RuntimeWarning` naming
-  the dead pid — silent stealing hides the fact that a previous process
-  died uncleanly;
+* a lock whose pid is dead (the SIGKILLed run a resume exists for) is
+  **stolen** with a :class:`RuntimeWarning` naming the dead pid —
+  silent stealing hides the fact that a previous process died
+  uncleanly;
 * a lock whose pid is alive is respected (the caller raises or waits).
 
 Advisory only: a pathological simultaneous acquire can still race, but
@@ -24,9 +22,7 @@ import os
 import warnings
 from typing import Optional
 
-from .io import atomic_write_json
-
-__all__ = ["pid_alive", "read_lock_pid", "warn_stale_lock", "PidFileLock"]
+__all__ = ["pid_alive", "read_lock_pid", "warn_stale_lock"]
 
 
 def pid_alive(pid: int) -> bool:
@@ -61,42 +57,3 @@ def warn_stale_lock(path: str, pid: Optional[int]) -> None:
         RuntimeWarning,
         stacklevel=3,
     )
-
-
-class PidFileLock:
-    """One advisory pid-file lock (used by cache compaction).
-
-    ``acquire`` raises :class:`ValueError` when a live process holds the
-    lock; a stale lock is stolen with a :class:`RuntimeWarning`.  Usable
-    as a context manager.
-    """
-
-    def __init__(self, path: str, purpose: str = "resource") -> None:
-        self.path = path
-        self.purpose = purpose
-
-    def acquire(self) -> None:
-        if os.path.exists(self.path):
-            pid = read_lock_pid(self.path)
-            if pid is not None and pid != os.getpid() and pid_alive(pid):
-                raise ValueError(
-                    f"{self.purpose} is locked by live process {pid} "
-                    f"({self.path}); wait for it (or remove the lock if "
-                    "it is wrong)"
-                )
-            if pid != os.getpid():  # re-acquiring our own lock is silent
-                warn_stale_lock(self.path, pid)
-        atomic_write_json(self.path, {"pid": os.getpid()})
-
-    def release(self) -> None:
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
-
-    def __enter__(self) -> "PidFileLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()

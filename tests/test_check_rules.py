@@ -43,7 +43,6 @@ class TestRegistry:
             "check-env-knobs",
             "check-env-stale",
             "check-readme-env-table",
-            "check-protocol-drift",
             "check-telemetry-names",
             "check-fast-path-contract",
             "check-thread-safety",
@@ -138,70 +137,6 @@ class TestReadmeEnvTable:
             row.startswith("| `REPRO_IR_VERIFY` |")
             for row in render_env_table().splitlines()
         )
-
-
-class TestProtocolDrift:
-    def test_real_protocol_is_drift_free(self):
-        assert run_check(
-            ROOT,
-            paths=["src/repro/serve/protocol.py"],
-            rule_ids=["check-protocol-drift"],
-        ) == []
-
-    def test_missing_and_extra_keys_fire(self, tmp_path):
-        _write(
-            tmp_path,
-            "src/repro/serve/protocol.py",
-            """
-            def task_to_dict(task):
-                return {
-                    "name": task.name,
-                    "n": task.n,
-                    "circuit_type": task.circuit_type,
-                    "library": {"name": task.library.name, "cells": {}},
-                    "io_timing": {"input_arrival_ns": {}, "output_required_ns": {}},
-                    "options": {
-                        "target_delay_ns": 1.0,
-                        "effort": "high",
-                        "max_fanout": 4,
-                        "buffer_cell": "BUF",
-                        "sizing_iterations": 2,
-                    },
-                    "bogus": 1,
-                }
-
-            def task_from_dict(payload):
-                return None
-            """,
-        )
-        found = _run(
-            tmp_path, ["src/repro/serve/protocol.py"], "check-protocol-drift"
-        )
-        task_level = [f for f in found if f.symbol == "to_dict:task"]
-        assert len(task_level) == 1
-        message = task_level[0].message
-        # delay_weight/io_timing-sibling fields dropped, "bogus" invented
-        assert "missing" in message and "'delay_weight'" in message
-        assert "unexpected" in message and "'bogus'" in message
-
-    def test_from_dict_constructor_drift_fires(self, tmp_path):
-        _write(
-            tmp_path,
-            "src/repro/serve/protocol.py",
-            """
-            def task_to_dict(task):
-                return {}
-
-            def task_from_dict(payload):
-                return IOTiming(input_arrival_ns={}, wrong_kw=1)
-            """,
-        )
-        found = _run(
-            tmp_path, ["src/repro/serve/protocol.py"], "check-protocol-drift"
-        )
-        io = [f for f in found if f.symbol == "from_dict:IOTiming"]
-        assert len(io) == 1
-        assert "'wrong_kw'" in io[0].message
 
 
 class TestTelemetryNames:
@@ -343,7 +278,7 @@ class TestThreadSafety:
     def test_unannotated_shared_state_warns(self, tmp_path):
         _write(
             tmp_path,
-            "src/repro/serve/state.py",
+            "src/repro/engine/state.py",
             """
             CACHE = {}
 
@@ -351,14 +286,14 @@ class TestThreadSafety:
                 entries = []
             """,
         )
-        found = _run(tmp_path, ["src/repro/serve/state.py"], "check-thread-safety")
+        found = _run(tmp_path, ["src/repro/engine/state.py"], "check-thread-safety")
         assert {f.symbol for f in found} == {"CACHE", "Registry.entries"}
         assert all(f.severity == "warning" for f in found)
 
     def test_annotation_and_dunders_silence(self, tmp_path):
         _write(
             tmp_path,
-            "src/repro/serve/state.py",
+            "src/repro/engine/state.py",
             """
             __all__ = ["CACHE"]
 
@@ -367,7 +302,7 @@ class TestThreadSafety:
             """,
         )
         assert (
-            _run(tmp_path, ["src/repro/serve/state.py"], "check-thread-safety") == []
+            _run(tmp_path, ["src/repro/engine/state.py"], "check-thread-safety") == []
         )
 
     def test_out_of_scope_files_ignored(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the parallel/persistent/batched evaluation engine (repro.engine)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -182,9 +183,9 @@ class TestEvaluationCache:
         assert evicting.get(fp, key) == (9.0, 10.0)
 
     def test_external_append_is_read_incrementally(self, task, tmp_path, monkeypatch):
-        # A long-lived reader (the serve daemon) must not re-parse the
-        # whole shard every time another process appends: only the tail
-        # past its per-shard read position gets parsed.
+        # A long-lived reader (a run sharing --cache-dir) must not
+        # re-parse the whole shard every time another process appends:
+        # only the tail past its per-shard read position gets parsed.
         fp = task_fingerprint(task)
         graphs = unique_graphs(16, 6)
         writer = EvaluationCache(cache_dir=str(tmp_path))
@@ -231,9 +232,58 @@ class TestEvaluationCache:
         assert cache.get(fp, graphs[2].key()) == (3.0, 1.0)
         assert len(parsed) == 1  # the foreign record only
 
+    def test_append_interleaved_by_another_process_stays_readable(
+        self, task, tmp_path, monkeypatch
+    ):
+        # Another process appends after this instance opened the shard
+        # for append but before its write lands.  Our record then sits
+        # *behind* the foreign one, so the read position must not skip
+        # over it: the foreign key stays findable, with no corrupt-line
+        # warning from resuming mid-record.
+        import repro.engine.cache as cache_module
+
+        fp = task_fingerprint(task)
+        first, mine, theirs = (g.key() for g in unique_graphs(16, 3))
+        cache = EvaluationCache(cache_dir=str(tmp_path))
+        other = EvaluationCache(cache_dir=str(tmp_path))
+        cache.put(fp, first, (1.0, 1.0))
+        assert other.get(fp, first) == (1.0, 1.0)
+        interleaved = []
+
+        def open_then_interleave(path, mode="r", *args, **kwargs):
+            handle = open(path, mode, *args, **kwargs)
+            if mode.startswith("a") and not interleaved:
+                interleaved.append(path)
+                other.put(fp, theirs, (123.456, 7.0))
+            return handle
+
+        monkeypatch.setattr(
+            cache_module, "open", open_then_interleave, raising=False
+        )
+        cache.put(fp, mine, (2.0, 2.0))
+        monkeypatch.delattr(cache_module, "open")
+        assert interleaved
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cache.get(fp, theirs) == (123.456, 7.0)
+            assert cache.get(fp, mine) == (2.0, 2.0)
+            fresh = EvaluationCache(cache_dir=str(tmp_path))
+            assert fresh.get(fp, mine) == (2.0, 2.0)
+            assert fresh.get(fp, theirs) == (123.456, 7.0)
+
+    def test_unknown_record_fields_are_ignored(self, task, tmp_path):
+        # Shards written with extra fields (older ones carry a "t" write
+        # stamp) must keep loading.
+        fp = task_fingerprint(task)
+        key = sklansky(16).key()
+        (tmp_path / f"{fp}.jsonl").write_text(
+            json.dumps({"k": key.hex(), "a": 1.5, "d": 2.5, "t": 1.0}) + "\n"
+        )
+        assert EvaluationCache(cache_dir=str(tmp_path)).get(fp, key) == (1.5, 2.5)
+
     def test_shard_shrink_triggers_full_reload(self, task, tmp_path):
-        # Compaction rewrites a shard shorter; every remembered offset
-        # and read position is void, so the reader rescans from byte 0.
+        # A shard rewritten shorter from outside voids every remembered
+        # offset and read position, so the reader rescans from byte 0.
         fp = task_fingerprint(task)
         old, new = (g.key() for g in unique_graphs(16, 2))
         cache = EvaluationCache(cache_dir=str(tmp_path))
@@ -241,7 +291,7 @@ class TestEvaluationCache:
             cache.put(fp, old, (float(round_index), 1.0))
         reader = EvaluationCache(cache_dir=str(tmp_path))
         assert reader.get(fp, old) == (3.0, 1.0)
-        # a compactor replaces the shard with one record for a new key
+        # the shard is replaced with one record for a new key
         path = tmp_path / f"{fp}.jsonl"
         path.write_text(
             json.dumps({"k": new.hex(), "a": 7.0, "d": 8.0}) + "\n"
