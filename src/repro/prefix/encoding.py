@@ -14,6 +14,7 @@ Two views of the same circuit:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -43,10 +44,20 @@ def num_free_cells(n: int) -> int:
     return (n - 1) * (n - 2) // 2
 
 
+@lru_cache(maxsize=None)
+def _free_index(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays of :func:`free_cells`, in its order."""
+    rows, cols = np.tril_indices(n, k=-1)
+    keep = cols > 0
+    rows, cols = rows[keep], cols[keep]
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def graph_to_bits(graph: PrefixGraph) -> np.ndarray:
     """Extract the free-cell bitvector (bool array) from a graph."""
-    cells = free_cells(graph.n)
-    return np.array([graph.grid[i, j] for i, j in cells], dtype=bool)
+    rows, cols = _free_index(graph.n)
+    return graph.grid[rows, cols]
 
 
 def bits_to_graph(bits: np.ndarray, n: int) -> PrefixGraph:
@@ -57,12 +68,11 @@ def bits_to_graph(bits: np.ndarray, n: int) -> PrefixGraph:
     not injective.
     """
     bits = np.asarray(bits, dtype=bool).reshape(-1)
-    cells = free_cells(n)
-    if bits.shape[0] != len(cells):
-        raise ValueError(f"expected {len(cells)} bits for n={n}, got {bits.shape[0]}")
+    rows, cols = _free_index(n)
+    if bits.shape[0] != len(rows):
+        raise ValueError(f"expected {len(rows)} bits for n={n}, got {bits.shape[0]}")
     grid = np.zeros((n, n), dtype=bool)
-    for (i, j), bit in zip(cells, bits):
-        grid[i, j] = bit
+    grid[rows, cols] = bits
     return legalize(grid)
 
 

@@ -81,23 +81,29 @@ def batch_levels(grids: np.ndarray) -> np.ndarray:
     ``grids`` is a legal ``(B, n, n)`` stack; the result is ``(B, n, n)``
     int64 with absent cells at 0.  Equals ``PrefixGraph.levels()`` entry
     for entry: level(i, j) = max(level(i, k), level(k-1, j)) + 1 with
-    ``k`` the nearest present column right of ``j`` — resolved by one
-    right-to-left sweep per row, vectorized over the batch dimension.
+    ``k`` the nearest present column right of ``j``.  Both parents of
+    ``(i, j)`` cover a shorter span than ``i - j``, so one vectorized step
+    per span ``d = 1 .. n-1`` (one diagonal of every grid) resolves all
+    levels in ``n - 1`` steps.
     """
     grids = np.asarray(grids, dtype=bool)
     if grids.ndim != 3 or grids.shape[1] != grids.shape[2]:
         raise ValueError(f"expected a (B, n, n) stack, got shape {grids.shape}")
     B, n, _ = grids.shape
-    rows = np.arange(B)
+    # nearest[b, i, j]: first present column k > j of row i (k <= i, as
+    # the diagonal is always present; n where no such column exists).
+    cols = np.where(grids, np.arange(n), n)
+    nearest = np.full((B, n, n), n, dtype=np.int64)
+    nearest[:, :, :-1] = np.minimum.accumulate(cols[:, :, :0:-1], axis=2)[:, :, ::-1]
+    rows = np.arange(B)[:, None]
     levels = np.zeros((B, n, n), dtype=np.int64)
-    for i in range(1, n):
-        nearest = np.full(B, i)  # diagonal (i, i) is always present
-        for j in range(i - 1, -1, -1):
-            present = grids[:, i, j]
-            upper = levels[rows, i, nearest]
-            lower = levels[rows, nearest - 1, j]
-            levels[:, i, j] = np.where(present, np.maximum(upper, lower) + 1, 0)
-            nearest = np.where(present, j, nearest)
+    for d in range(1, n):
+        i = np.arange(d, n)
+        j = i - d
+        k = nearest[:, i, j]
+        upper = levels[rows, i, k]
+        lower = levels[rows, k - 1, j]
+        levels[:, i, j] = np.where(grids[:, i, j], np.maximum(upper, lower) + 1, 0)
     return levels
 
 

@@ -18,7 +18,8 @@ The flow has two halves with very different batching structure:
    :func:`~repro.synth.mapping.map_prefix_graph` without building
    :class:`~repro.synth.netlist.Netlist` objects.  Fanout buffering
    (:func:`~repro.synth.physical.buffer_fanout`) touches only the
-   over-limit nets; deep buffer trees take a per-graph queue loop.
+   over-limit nets and builds every buffer tree, however deep, in
+   vectorized waves (one batch-wide pass per tree level).
    Every net/gate index, sink order and float operation matches the
    reference flow, so downstream timing sees the same circuit in the
    same order.
@@ -56,7 +57,7 @@ types, libraries, mapping styles, IO profiles and flow options.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -407,11 +408,15 @@ def _buffer_flat(m, gate_cell, pin_counts, flat_pins, gate_col, po_net,
 
     The scalar pass scans every net id descending; nets at or under the
     limit are no-ops there and a net can only *lose* sinks, so visiting
-    just the over-limit nets in the same order is exact.  Only those nets
-    (and the buffer trees they grow) are touched in Python; everything
-    else stays in the already-built arrays.  Existing
-    sink pins are rewired in place in ``flat_pins``; per-graph buffer
-    gates are appended by an interleaved concatenate at the end.
+    just the over-limit nets is exact.  A net with ``s`` sinks is split
+    into waves of ``g1 = ceil(s/mf)``, ``g2 = ceil(g1/mf)``, ... groups
+    until a wave has at most ``mf`` buffers: wave 1 groups the net's
+    sinks, each later wave groups the previous wave's buffers of the
+    same net.  Every wave is one vectorized pass over all nets of the
+    batch.  Buffer ids follow the scalar creation order (graphs, nets
+    descending, waves, groups).  Existing sink pins are rewired in place
+    in ``flat_pins``; the buffers are interleaved after each graph's
+    gates by one scatter at the end.
     """
     if max_fanout < 2:
         raise ValueError("max_fanout must be >= 2")
@@ -419,8 +424,7 @@ def _buffer_flat(m, gate_cell, pin_counts, flat_pins, gate_col, po_net,
     npi = template.num_pis
     goff = np.concatenate([[0], np.cumsum(m)])
     M = int(goff[-1])
-    net_counts = m + npi
-    net_off = np.concatenate([[0], np.cumsum(net_counts)])
+    net_off = np.concatenate([[0], np.cumsum(m + npi)])
     gate_graph = np.repeat(np.arange(B), m)
     pin_off = np.concatenate([[0], np.cumsum(pin_counts)])
     pin_gate = np.repeat(np.arange(M), pin_counts)
@@ -428,192 +432,102 @@ def _buffer_flat(m, gate_cell, pin_counts, flat_pins, gate_col, po_net,
     global_pin = flat_pins + net_off[gate_graph[pin_gate]]
     sink_counts = np.bincount(global_pin, minlength=int(net_off[-1]))
     over = np.flatnonzero(sink_counts > max_fanout)
-    num_buffers = np.zeros(B, dtype=np.int64)
     if not len(over):
         return _FlatPopulation(
-            m, gate_cell, pin_counts, flat_pins, gate_col, po_net, num_buffers
+            m, gate_cell, pin_counts, flat_pins, gate_col, po_net,
+            np.zeros(B, dtype=np.int64),
         )
+    # Scalar order: graphs ascending, nets descending within a graph.
+    over_graph = np.searchsorted(net_off, over, side="right") - 1
+    creation = np.lexsort((-over, over_graph))
+    over, over_graph = over[creation], over_graph[creation]
+    over_local = over - net_off[over_graph]
 
     # Sink lists in (gate, pin) order — flat_pins is gate-major/pin-minor,
     # so a stable argsort groups each net's sinks in sink-list order.
     order = np.argsort(global_pin, kind="stable")
-    sorted_nets = global_pin[order]
-    starts = np.searchsorted(sorted_nets, over)
-    ends = np.searchsorted(sorted_nets, over, side="right")
-    # Gather just the over-limit nets' sink ranges (not the whole batch).
-    span = ends - starts
-    span_off = np.concatenate([[0], np.cumsum(span)])
-    gather = np.repeat(starts - span_off[:-1], span) + np.arange(int(span_off[-1]))
-    sel_pins = order[gather]
-    sink_gate = pin_gate[sel_pins]
-    sink_slot = pin_slot[sel_pins]
-    over_graph = np.searchsorted(net_off, over, side="right") - 1
-    buf_caps = np.asarray(tables.buf_caps, dtype=np.float64)
-    buf_ids = np.asarray(tables.buf_ids, dtype=np.int64)
-    buf_cell: List[List[int]] = [[] for _ in range(B)]
-    buf_in: List[List[int]] = [[] for _ in range(B)]
-    buf_col: List[List[float]] = [[] for _ in range(B)]
+    starts = np.searchsorted(global_pin[order], over)
+    span = sink_counts[over]
 
-    # A net with at most max_fanout**2 sinks is fixed by one wave of
-    # groups (its ceil(s/mf) buffers themselves fit under the limit), so
-    # graphs whose over-limit nets all satisfy that build their whole
-    # buffer list in one vectorized pass; deeper trees (and libraries
-    # whose BUF variants aren't cap-sorted, where the first-fit scan
-    # can't become a searchsorted) take the per-graph queue loop below.
-    is_deep = np.zeros(B, dtype=bool)
-    if np.any(np.diff(buf_caps) < 0.0):
-        is_deep[over_graph] = True
-    else:
-        is_deep[over_graph[span > max_fanout * max_fanout]] = True
-    v = np.flatnonzero(~is_deep[over_graph])
-    vbuf_off = np.zeros(B + 1, dtype=np.int64)
-    vbuf_cell = vbuf_in = np.zeros(0, dtype=np.int64)
-    vbuf_col = np.zeros(0, dtype=np.float64)
-    if len(v):
-        # Scalar order: nets descending within a graph, groups ascending
-        # within a net, graphs independent (sorted ascending for slicing).
-        ordv = v[np.lexsort((-over[v], over_graph[v]))]
-        vspan = span[ordv]
-        ngroups = -(-vspan // max_fanout)
-        total = int(ngroups.sum())
-        gnet = np.repeat(ordv, ngroups)  # group -> index into `over`
-        gidx = np.arange(total) - np.repeat(
-            np.cumsum(ngroups) - ngroups, ngroups
-        )
+    # Groups per (net, wave), then every buffer's batch-wide id.
+    waves = [-(-span // max_fanout)]
+    while (waves[-1] > max_fanout).any():
+        waves.append(np.where(waves[-1] > max_fanout, -(-waves[-1] // max_fanout), 0))
+    waves = np.stack(waves, axis=1)
+    net_total = waves.sum(axis=1)
+    wave_start = (np.cumsum(net_total) - net_total)[:, None] + (
+        np.cumsum(waves, axis=1) - waves
+    )
+    num_buffers = np.zeros(B, dtype=np.int64)
+    np.add.at(num_buffers, over_graph, net_total)
+    buf_start = np.cumsum(num_buffers) - num_buffers
+    total = int(num_buffers.sum())
+    buf_cell = np.empty(total, dtype=np.int64)
+    buf_in = np.empty(total, dtype=np.int64)
+    buf_col = np.empty(total, dtype=np.float64)
+    buf_ids = np.asarray(tables.buf_ids, dtype=np.int64)
+    buf_limits = np.asarray(tables.buf_caps, dtype=np.float64)[None, :] * 4.0
+
+    for w in range(waves.shape[1]):
+        ng = waves[:, w]
+        gnet = np.repeat(np.arange(len(over)), ng)
+        gidx = np.arange(len(gnet)) - np.repeat(np.cumsum(ng) - ng, ng)
         local = gidx[:, None] * max_fanout + np.arange(max_fanout)[None, :]
-        valid = local < np.repeat(vspan, ngroups)[:, None]
-        pos = np.where(valid, span_off[gnet][:, None] + local, 0)
-        sg = sink_gate[pos]
+        if w == 0:
+            valid = local < span[gnet][:, None]
+            pos = order[np.where(valid, starts[gnet][:, None] + local, 0)]
+            members = pin_gate[pos]
+            caps = tables.cap[gate_cell[members]]
+            cols = gate_col[members]
+        else:
+            valid = local < waves[gnet, w - 1][:, None]
+            pos = np.where(valid, wave_start[gnet, w - 1][:, None] + local, 0)
+            caps = tables.cap[buf_cell[pos]]
+            cols = buf_col[pos]
         # Group load: caps in sink order, zero-padded — np.add.accumulate
         # is the exact left-to-right fold of the scalar sum() (trailing
         # +0.0 never changes a positive partial sum).
-        caps_m = np.where(valid, tables.cap[gate_cell[sg]], 0.0)
-        load = np.add.accumulate(caps_m, axis=1)[:, -1]
-        cell_idx = np.minimum(
-            np.searchsorted(buf_caps * 4.0, load, side="left"),
-            len(buf_caps) - 1,
-        )
-        colm = gate_col[sg]
-        colok = valid & ~np.isnan(colm)
+        load = np.add.accumulate(np.where(valid, caps, 0.0), axis=1)[:, -1]
+        # First-fit over the BUF variants in library order, else the last.
+        fits = buf_limits >= load[:, None]
+        choice = np.where(fits.any(axis=1), fits.argmax(axis=1), len(buf_ids) - 1)
         # NaN columns are skipped, not zeroed: c + 0.0 == c exactly, so
         # substituting 0.0 reproduces the skip-sum bit for bit.
-        csum = np.add.accumulate(np.where(colok, colm, 0.0), axis=1)[:, -1]
+        colok = valid & ~np.isnan(cols)
+        csum = np.add.accumulate(np.where(colok, cols, 0.0), axis=1)[:, -1]
         ccount = colok.sum(axis=1)
-        centroid = np.where(
-            ccount > 0, csum / np.maximum(ccount, 1), np.nan
-        )
+        q = wave_start[gnet, w] + gidx
         gb = over_graph[gnet]
-        gcount = np.bincount(gb, minlength=B)
-        buf_local = np.arange(total) - (np.cumsum(gcount) - gcount)[gb]
-        buf_out_local = npi + m[gb] + buf_local
-        pp = pin_off[sg] + sink_slot[pos]
-        flat_pins[pp[valid]] = np.broadcast_to(
-            buf_out_local[:, None], (total, max_fanout)
+        buf_cell[q] = buf_ids[choice]
+        buf_col[q] = np.where(ccount > 0, csum / np.maximum(ccount, 1), np.nan)
+        buf_in[q] = over_local[gnet]
+        out_net = np.broadcast_to(
+            (npi + m[gb] + q - buf_start[gb])[:, None], valid.shape
         )[valid]
-        vbuf_cell = buf_ids[cell_idx]
-        vbuf_in = over[gnet] - net_off[gb]
-        vbuf_col = centroid
-        vbuf_off[1:] = np.cumsum(gcount)
-        num_buffers += gcount
-
-    deep_graphs = np.flatnonzero(is_deep).tolist()
-    if deep_graphs:
-        over_sink_gate = sink_gate.tolist()
-        over_sink_slot = sink_slot.tolist()
-        caps = tables.cap.tolist()
-        buf_pairs = list(zip(tables.buf_ids, tables.buf_caps))
-    for b in deep_graphs:
-        sel = np.flatnonzero(over_graph == b)
-        noff = int(net_off[b])
-        base = int(goff[b])
-        mb = int(m[b])
-        cells_b = buf_cell[b]
-        ins_b = buf_in[b]
-        cols_b = buf_col[b]
-        # net -> [(local gate, pin)] for the nets buffering will touch.
-        sinks: Dict[int, List[Tuple[int, int]]] = {}
-        for o in sel.tolist():
-            sinks[int(over[o]) - noff] = [
-                (over_sink_gate[p] - base, over_sink_slot[p])
-                for p in range(int(span_off[o]), int(span_off[o + 1]))
-            ]
-
-        def cap_of(gate: int) -> float:
-            if gate < mb:
-                return caps[gate_cell[base + gate]]
-            return caps[cells_b[gate - mb]]
-
-        def col_of(gate: int) -> Optional[float]:
-            column = gate_col[base + gate] if gate < mb else cols_b[gate - mb]
-            return None if np.isnan(column) else float(column)
-
-        def rewire(gate: int, pin: int, new_net: int) -> None:
-            if gate < mb:
-                flat_pins[pin_off[base + gate] + pin] = new_net
-            else:
-                ins_b[gate - mb] = new_net
-
-        queue = sorted(sinks)
-        while queue:
-            net = queue.pop()
-            slist = list(sinks[net])
-            if len(slist) <= max_fanout:
-                continue
-            groups = [
-                slist[k : k + max_fanout] for k in range(0, len(slist), max_fanout)
-            ]
-            for group in groups:
-                load = sum(cap_of(g) for g, _ in group)
-                cell_id = buf_pairs[0][0]
-                for cell_id, cap in buf_pairs:
-                    if cap * 4.0 >= load:
-                        break
-                sink_columns = [
-                    c for c in (col_of(g) for g, _ in group) if c is not None
-                ]
-                centroid = (
-                    sum(sink_columns) / len(sink_columns) if sink_columns
-                    else float("nan")
-                )
-                buf_gate = mb + len(cells_b)
-                buf_out = npi + buf_gate
-                cells_b.append(cell_id)
-                ins_b.append(net)
-                cols_b.append(centroid)
-                sinks[net].append((buf_gate, 0))
-                sinks[buf_out] = []
-                num_buffers[b] += 1
-                for sink in group:
-                    sinks[net].remove(sink)
-                    rewire(sink[0], sink[1], buf_out)
-                    sinks[buf_out].append(sink)
-            if len(sinks[net]) > max_fanout:
-                queue.append(net)
-
-    gate_counts = m + num_buffers
-    cell_parts, count_parts, pin_parts, col_parts = [], [], [], []
-    for b in range(B):
-        gs, ge = int(goff[b]), int(goff[b + 1])
-        ps, pe = int(pin_off[gs]), int(pin_off[ge])
-        if is_deep[b]:
-            bc = np.asarray(buf_cell[b], dtype=np.int64)
-            bi = np.asarray(buf_in[b], dtype=np.int64)
-            bcol = np.asarray(buf_col[b], dtype=np.float64)
+        if w == 0:
+            flat_pins[pin_off[members[valid]] + pin_slot[pos[valid]]] = out_net
         else:
-            vs, ve = int(vbuf_off[b]), int(vbuf_off[b + 1])
-            bc = vbuf_cell[vs:ve]
-            bi = vbuf_in[vs:ve]
-            bcol = vbuf_col[vs:ve]
-        cell_parts += [gate_cell[gs:ge], bc]
-        count_parts += [pin_counts[gs:ge], np.ones(len(bc), dtype=np.int64)]
-        pin_parts += [flat_pins[ps:pe], bi]
-        col_parts += [gate_col[gs:ge], bcol]
+            buf_in[pos[valid]] = out_net
+
+    # Append each graph's buffers after its own gates (and pins).
+    buf_graph = np.repeat(np.arange(B), num_buffers)
+    gate_pos = np.arange(M) + buf_start[gate_graph]
+    buf_gate_pos = goff[1:][buf_graph] + np.arange(total)
+    pin_pos = np.arange(len(flat_pins)) + buf_start[gate_graph[pin_gate]]
+    buf_pin_pos = pin_off[goff[1:]][buf_graph] + np.arange(total)
+
+    def interleave(old, new, old_pos, new_pos):
+        out = np.empty(len(old) + len(new), dtype=old.dtype)
+        out[old_pos] = old
+        out[new_pos] = new
+        return out
+
     return _FlatPopulation(
-        gate_counts,
-        np.concatenate(cell_parts),
-        np.concatenate(count_parts),
-        np.concatenate(pin_parts),
-        np.concatenate(col_parts),
+        m + num_buffers,
+        interleave(gate_cell, buf_cell, gate_pos, buf_gate_pos),
+        interleave(pin_counts, np.ones(total, dtype=np.int64), gate_pos, buf_gate_pos),
+        interleave(flat_pins, buf_in, pin_pos, buf_pin_pos),
+        interleave(gate_col, buf_col, gate_pos, buf_gate_pos),
         po_net,
         num_buffers,
     )

@@ -11,6 +11,7 @@ from repro.prefix import (
     graph_to_bits,
     graph_to_grid,
     grid_to_graph,
+    legalize,
     num_free_cells,
     random_graph,
     sklansky,
@@ -31,6 +32,21 @@ class TestRoundtrips:
     def test_legal_graph_roundtrips_through_bits(self):
         g = sklansky(16)
         assert bits_to_graph(graph_to_bits(g), 16) == g
+
+    def test_index_gather_matches_per_cell_loop(self):
+        rng = np.random.default_rng(3)
+        for n in range(2, 65):
+            cells = free_cells(n)
+            graph = random_graph(n, rng, 0.3)
+            expected = np.array([graph.grid[i, j] for i, j in cells], dtype=bool)
+            bits = graph_to_bits(graph)
+            assert bits.dtype == bool and np.array_equal(bits, expected), n
+            assert bits_to_graph(bits, n) == graph, n
+            raw = rng.random(len(cells)) < 0.3
+            grid = np.zeros((n, n), dtype=bool)
+            for (i, j), bit in zip(cells, raw):
+                grid[i, j] = bit
+            assert bits_to_graph(raw, n) == legalize(grid), n
 
     def test_bits_length_validated(self):
         with pytest.raises(ValueError):

@@ -88,6 +88,18 @@ class TestBatchMetrics:
                 for j in range(i + 1):
                     assert levels[b, i, j] == expected.get((i, j), 0), (b, i, j)
 
+    def test_batch_levels_match_scalar_levels_at_64_bits(self):
+        # Ripple carry is the deepest legal graph (depth 63): every span
+        # step depends on the previous one.
+        graphs = self.graphs(n=64, count=4)
+        levels = batch_levels(stacked_grids(graphs))
+        assert levels[3].max() == ripple_carry(64).depth() == 63
+        for b, graph in enumerate(graphs):
+            expected = np.zeros((64, 64), dtype=np.int64)
+            for (i, j), level in graph.levels().items():
+                expected[i, j] = level
+            assert np.array_equal(levels[b], expected), b
+
     def test_batch_depths_and_node_counts_match_scalar(self):
         graphs = self.graphs()
         stack = stacked_grids(graphs)

@@ -21,7 +21,7 @@ from repro.circuits import (
 )
 from repro.engine import EvaluationEngine, SynthesisPool
 from repro.prefix import sklansky
-from repro.synth import SynthesisOptions, scaled_library, synthesize_many
+from repro.synth import CellLibrary, SynthesisOptions, scaled_library, synthesize_many
 
 
 def assert_results_identical(task, graphs):
@@ -94,6 +94,23 @@ class TestBitIdentity:
         )
         assert_results_identical(adder_task(24, 0.66), graphs)
 
+    def test_three_wave_buffer_trees(self):
+        # Dense 16-bit graphs at max_fanout=2: a net with more than
+        # 2**3 sinks needs at least three buffer waves.
+        from repro.prefix import unique_random_graphs
+        from repro.synth.mapping import map_prefix_graph
+
+        task = replace(adder_task(16, 0.66), options=SynthesisOptions(max_fanout=2))
+        graphs = unique_random_graphs(
+            16, 4, np.random.default_rng(3), density_low=0.7, density_high=0.95
+        )
+        sinks = [
+            max(len(s) for s in map_prefix_graph(g, task.library).net_sinks)
+            for g in graphs
+        ]
+        assert max(sinks) > 2 ** 3
+        assert_results_identical(task, graphs)
+
     def test_single_graph_and_duplicate_free_structures(self):
         task = adder_task(8, 0.66)
         assert_results_identical(task, [sklansky(8)])
@@ -106,7 +123,9 @@ class TestMutantPopulations:
     """Structurally shared batches (parents + mutants), where the sizing
     passes' cone-limited re-STA cuts off at the most unchanged gates."""
 
-    @pytest.mark.parametrize("n", [8, 16])
+    # n=64 at the default max_fanout=4: Sklansky and its mutants carry
+    # nets of 32+ sinks, so their buffer trees take two waves.
+    @pytest.mark.parametrize("n", [8, 16, 64])
     def test_adder_mutant_population(self, n):
         assert_results_identical(adder_task(n, 0.66), mutant_population(n, 10))
 
@@ -124,12 +143,35 @@ class TestMutantPopulations:
 
     @pytest.mark.parametrize("max_fanout", [2, 3])
     def test_tight_fanout_deep_buffer_trees(self, max_fanout):
-        # Deep buffer trees take the structural builder's per-graph
-        # queue loop instead of its one-wave vectorized pass.
+        # Nets past max_fanout**2 sinks get buffer trees of two or more
+        # waves, each wave grouping the previous wave's buffers.
         task = replace(
             adder_task(12, 0.66), options=SynthesisOptions(max_fanout=max_fanout)
         )
         assert_results_identical(task, mutant_population(12, 6))
+
+    @pytest.mark.parametrize("max_fanout", [2, 4])
+    def test_unsorted_buffer_caps(self, max_fanout):
+        # BUF variants come in drive order; here their caps are not
+        # ascending, so first-fit selection is not a sorted search.
+        base = scaled_library("8nm")
+        scale = {1: 4, 2: 1, 4: 8, 8: 2}
+        cells = [
+            replace(c, input_cap=c.input_cap / c.drive * scale[c.drive])
+            if c.function == "BUF" else c
+            for f in base.functions() for c in base.variants(f)
+        ]
+        library = CellLibrary(
+            "unsorted-buf", cells, base.tau_ns, base.wire_cap_per_um,
+            base.bit_pitch_um, base.row_height_um,
+        )
+        caps = [c.input_cap for c in library.variants("BUF")]
+        assert caps != sorted(caps)
+        task = replace(
+            adder_task(16, 0.66, library=library),
+            options=SynthesisOptions(max_fanout=max_fanout),
+        )
+        assert_results_identical(task, mutant_population(16, 8))
 
     def test_sizing_passes_zero(self):
         task = replace(
