@@ -426,11 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
     methods_p = sub.add_parser("methods", help="list registered methods")
     methods_p.add_argument("--json", action="store_true", help="machine-readable")
 
-    # registered by the subsystem it fronts (repro.check owns the flags)
-    from ..check.cli import add_check_parser
-
-    add_check_parser(sub)
-
     bench_p = sub.add_parser("bench", help="run a built-in preset experiment")
     bench_p.add_argument("name", nargs="?", help="preset name (see --list)")
     bench_p.add_argument("--list", action="store_true", help="list presets")
@@ -517,10 +512,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "methods":
         _print_methods(args.json)
         return 0
-    if args.command == "check":
-        from ..check.cli import run_check_command
-
-        return run_check_command(args)
 
     # Only spec/run-dir loading and validation get the friendly one-line
     # treatment; failures *during* execution are real bugs and keep

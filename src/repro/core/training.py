@@ -120,19 +120,6 @@ class TrainStats:
         return len(self.total) - self.epochs_skipped
 
 
-#: The compiled-train fast path's contract, machine-checked by
-#: ``python -m repro check``: :func:`_use_compiled_train` reads the kill
-#: switch below, the eager reference is ``model.training_losses`` (the
-#: define-by-run tape every fallback — and the compiler's own verify
-#: pass — runs), and ``benchmarks/bench_vae_training.py`` gates the
-#: speedup while asserting loss-curve equivalence against that tape.
-FAST_PATH_CONTRACT = {
-    "kill_switch": "REPRO_COMPILED_TRAIN",
-    "reference": "training_losses",
-    "bench": "bench_vae_training.py",
-}
-
-
 #: Every training step is the size-weighted mean of this many half-batch
 #: forward+backward passes (:class:`repro.nn.CompiledTrainStep`).  It is
 #: numerics, not placement: fixed, so records do not depend on the
@@ -140,6 +127,12 @@ FAST_PATH_CONTRACT = {
 TRAIN_SHARDS = 2
 
 
+# The compiled-train fast path's contract, held by
+# tests/test_invariants.py: this reads the kill switch, the eager
+# reference is ``model.training_losses`` (the define-by-run tape every
+# fallback — and the compiler's own verify pass — runs), and
+# ``benchmarks/bench_vae_training.py`` gates the speedup while
+# asserting loss-curve equivalence against that tape.
 def _use_compiled_train() -> bool:
     return os.environ.get("REPRO_COMPILED_TRAIN", "1") != "0"
 

@@ -43,19 +43,13 @@ from ..prefix.graph import PrefixGraph
 __all__ = ["SynthesisPool", "default_worker_count", "vectorized_enabled"]
 
 _ENV_WORKERS = "REPRO_ENGINE_WORKERS"
+# The vectorized population fast path's contract, held by
+# tests/test_invariants.py: :func:`vectorized_enabled` reads this kill
+# switch, the scalar reference is :func:`_synth_job` (one synthesis per
+# graph — the loop ``synthesize_batch`` degrades to), and
+# ``benchmarks/bench_batched_eval.py`` gates the speedup while
+# asserting bit-identity against that scalar loop.
 _ENV_VECTORIZED = "REPRO_VECTORIZED_EVAL"
-
-#: The vectorized population fast path's contract, machine-checked by
-#: ``python -m repro check``: :func:`vectorized_enabled` reads the kill
-#: switch here, the scalar reference is :func:`_synth_job` (one
-#: synthesis per graph — the loop ``synthesize_batch`` degrades to),
-#: and ``benchmarks/bench_batched_eval.py`` gates the speedup while
-#: asserting bit-identity against that scalar loop.
-FAST_PATH_CONTRACT = {
-    "kill_switch": "REPRO_VECTORIZED_EVAL",
-    "reference": "_synth_job",
-    "bench": "bench_batched_eval.py",
-}
 
 Metrics = Tuple[float, float]
 

@@ -57,9 +57,9 @@ _STAGE_ATTRS = {"stage": True}
 #: The canonical stage vocabulary.  :func:`stage`/:func:`stage_all`/
 #: ``EngineTelemetry.time`` names must come from this set (plus the
 #: dynamic ``train_kernel:<op>`` family from REPRO_PROFILE=1) — a typo'd
-#: stage would silently create a fresh ``stage_seconds`` series, so the
-#: static checker (``python -m repro check``) resolves every literal
-#: stage name against this frozenset.
+#: stage would silently create a fresh ``stage_seconds`` series, so
+#: ``tests/test_invariants.py`` resolves every literal stage name in the
+#: tree against this frozenset.
 KNOWN_STAGES = frozenset(
     {
         "synthesis",
@@ -76,7 +76,8 @@ KNOWN_STAGES = frozenset(
 
 #: The canonical trace-span vocabulary (stage spans reuse KNOWN_STAGES).
 #: Same discipline as KNOWN_STAGES: report tooling groups by these names,
-#: so new span call sites register here and the checker enforces it.
+#: so new span call sites register here (``tests/test_invariants.py``
+#: enforces it).
 KNOWN_SPANS = frozenset(
     {
         "experiment",

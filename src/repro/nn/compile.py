@@ -63,6 +63,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..utils.threads import blas_budget, core_budget
+from . import verify as ir_verify
 from .graph import OPS, Node, Trace
 from .optim import Optimizer, clip_grad_norm
 from .tensor import Tensor, _unbroadcast
@@ -155,7 +156,7 @@ class ProgramPlan:
     """The structured scheduling/storage decisions of one program.
 
     :class:`GraphProgram` retains this alongside the closed-over replay
-    instructions so the IR verifier (:mod:`repro.check.ir`) can prove
+    instructions so the IR verifier (:mod:`repro.nn.verify`) can prove
     the plan sound — def-before-use, no live-slot overwrite, backward
     topological order — without re-deriving it
     from the closures.  Everything here is plain data (ints, tuples,
@@ -591,7 +592,7 @@ class GraphProgram:
         self.stats.nodes += len(sched)
 
         # Retain the scheduling/storage decisions as plain data so the
-        # IR verifier (repro.check.ir) can prove them sound without
+        # IR verifier (repro.nn.verify) can prove them sound without
         # reverse-engineering the replay closures.
         self.plan = ProgramPlan(
             sched=list(sched),
@@ -1100,12 +1101,8 @@ class CompiledTrainStep:
         program.verify(arrays, outputs)
         if ir_verify_enabled():
             # Optional static pass (REPRO_IR_VERIFY=1): prove the plan
-            # sound before caching it for replay.  Imported lazily —
-            # repro.check sits above nn in the layering and must not
-            # load on the replay path.
-            from ..check.ir import verify_program
-
-            ir_findings = verify_program(program)
+            # sound before caching it for replay.
+            ir_findings = ir_verify.verify_program(program)
             if ir_findings:
                 first = ir_findings[0]
                 raise CompileUnsupported(

@@ -1,4 +1,4 @@
-"""Level 2: the GraphProgram IR verifier.
+"""The GraphProgram IR verifier.
 
 :func:`verify_program` takes a compiled
 :class:`~repro.nn.compile.GraphProgram` (or its retained
@@ -30,35 +30,28 @@ the point is to catch the compiler lying to itself.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
-from .findings import Finding
+__all__ = ["Finding", "IR_RULES", "verify_program"]
 
-__all__ = ["IR_RULES", "verify_program"]
-
-#: rule ids this verifier can emit (documented for the CLI/tests).
+#: rule ids this verifier can emit.
 IR_RULES = (
     "ir-use-before-def",
     "ir-bad-schedule",
     "ir-overwrite-live",
 )
 
-#: pseudo-path findings are anchored to (the IR has no source file).
-_PATH = "<GraphProgram>"
-
 #: sentinel read position for values that must survive the whole replay.
 _FOREVER = 1 << 60
 
 
-def _finding(rule: str, message: str, symbol: str) -> Finding:
-    return Finding(
-        rule=rule,
-        severity="error",
-        path=_PATH,
-        line=0,
-        message=message,
-        symbol=symbol,
-    )
+class Finding(NamedTuple):
+    """One unsound plan decision: the rule it breaks, what happened, and
+    the node/output it is anchored to."""
+
+    rule: str
+    message: str
+    symbol: str
 
 
 def verify_program(program) -> List[Finding]:
@@ -72,7 +65,7 @@ def verify_program(program) -> List[Finding]:
     for index, nid in enumerate(sched):
         if nid in pos:
             findings.append(
-                _finding(
+                Finding(
                     "ir-use-before-def",
                     f"node {nid} ({plan.ops.get(nid)}) scheduled twice",
                     f"node:{nid}",
@@ -82,7 +75,7 @@ def verify_program(program) -> List[Finding]:
         pos[nid] = index
         if plan.kinds.get(nid) != "op":
             findings.append(
-                _finding(
+                Finding(
                     "ir-use-before-def",
                     f"scheduled node {nid} is not an op "
                     f"(kind={plan.kinds.get(nid)!r})",
@@ -95,7 +88,7 @@ def verify_program(program) -> List[Finding]:
             if kind == "op":
                 if parent not in pos or pos[parent] >= index:
                     findings.append(
-                        _finding(
+                        Finding(
                             "ir-use-before-def",
                             f"node {nid} ({plan.ops.get(nid)}) reads op "
                             f"{parent} ({plan.ops.get(parent)}) which is "
@@ -105,7 +98,7 @@ def verify_program(program) -> List[Finding]:
                     )
             elif kind is None:
                 findings.append(
-                    _finding(
+                    Finding(
                         "ir-use-before-def",
                         f"node {nid} reads unknown node {parent}",
                         f"node:{nid}",
@@ -114,7 +107,7 @@ def verify_program(program) -> List[Finding]:
     for name, nid in plan.outputs.items():
         if plan.kinds.get(nid) == "op" and nid not in pos:
             findings.append(
-                _finding(
+                Finding(
                     "ir-use-before-def",
                     f"output {name!r} (node {nid}) is never scheduled",
                     f"output:{name}",
@@ -125,7 +118,7 @@ def verify_program(program) -> List[Finding]:
     grad_pos = {nid: i for i, nid in enumerate(plan.grad_sched)}
     if plan.grad_sched and plan.grad_sched[0] != plan.loss_id:
         findings.append(
-            _finding(
+            Finding(
                 "ir-bad-schedule",
                 f"backward schedule starts at node {plan.grad_sched[0]} "
                 f"instead of the loss (node {plan.loss_id})",
@@ -135,7 +128,7 @@ def verify_program(program) -> List[Finding]:
     for nid, index in grad_pos.items():
         if not plan.requires_grad.get(nid, False):
             findings.append(
-                _finding(
+                Finding(
                     "ir-bad-schedule",
                     f"backward schedule contains node {nid} "
                     f"({plan.ops.get(nid)}) which does not require grad",
@@ -145,7 +138,7 @@ def verify_program(program) -> List[Finding]:
         for parent in plan.parents.get(nid, ()):
             if parent in grad_pos and grad_pos[parent] <= index:
                 findings.append(
-                    _finding(
+                    Finding(
                         "ir-bad-schedule",
                         f"gradient of node {parent} "
                         f"({plan.ops.get(parent)}) is processed before "
@@ -191,7 +184,7 @@ def verify_program(program) -> List[Finding]:
                 else f"still read at schedule position {live_until}"
             )
             findings.append(
-                _finding(
+                Finding(
                     "ir-overwrite-live",
                     f"node {current} ({plan.ops.get(current)}) at position "
                     f"{write_pos} overwrites the buffer of node {previous} "
@@ -207,7 +200,7 @@ def verify_program(program) -> List[Finding]:
         root = plan.root.get(nid, nid)
         if plan.buffer_token.get(root) is None and plan.kinds.get(root) == "op":
             findings.append(
-                _finding(
+                Finding(
                     "ir-use-before-def",
                     f"node {nid} ({plan.ops.get(nid)}) has no backing "
                     f"buffer (root {root})",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.api import ExperimentSpec, MethodSpec, Session, TaskSpec
+from repro.api.cli import _tiny_vae_params
 from repro.circuits import gray_to_binary_task, realistic_adder_task
 from repro.core import CircuitVAEConfig, CircuitVAEOptimizer, SearchConfig, TrainConfig
 from repro.opt import CircuitSimulator, aggregate_curves, vae_speedup
@@ -124,3 +125,58 @@ class TestSeedIndependence:
             )
             records = run_spec(spec).records[method.display_name]
             assert records[0].num_simulations == 30
+
+
+class TestKillSwitchParity:
+    """Records are a pure function of (spec, seed): neither kill switch
+    may change them.  CircuitVAE and latent BO exercise both fast paths
+    (compiled training and vectorized population synthesis)."""
+
+    SPEC = ExperimentSpec(
+        name="kill-switch-parity",
+        task=TaskSpec(circuit_type="adder", n=8, delay_weight=0.33),
+        methods=(
+            MethodSpec("CircuitVAE", params=_tiny_vae_params()),
+            MethodSpec(
+                "BO",
+                params=dict(
+                    vae=_tiny_vae_params(),
+                    batch_per_round=8,
+                    candidate_pool=64,
+                    gp_max_points=48,
+                ),
+            ),
+        ),
+        budget=40,
+        num_seeds=2,
+    )
+
+    @pytest.fixture(scope="class")
+    def default_result(self):
+        return run_spec(self.SPEC)
+
+    def test_default_run_takes_both_fast_paths(self, default_result):
+        assert default_result.telemetry["train_replays"] > 0
+        assert default_result.telemetry["vector_designs"] > 0
+
+    @pytest.mark.parametrize(
+        "switch, fast_counter",
+        [
+            ("REPRO_COMPILED_TRAIN", "train_replays"),
+            ("REPRO_VECTORIZED_EVAL", "vector_designs"),
+        ],
+    )
+    def test_switching_off_keeps_records(
+        self, default_result, monkeypatch, switch, fast_counter
+    ):
+        monkeypatch.setenv(switch, "0")
+        result = run_spec(self.SPEC)
+        assert result.telemetry[fast_counter] == 0
+        for name, reference in default_result.records.items():
+            records = result.records[name]
+            assert len(records) == len(reference) == 2
+            for record, expected in zip(records, reference):
+                assert record.seed == expected.seed
+                np.testing.assert_array_equal(record.costs, expected.costs)
+                np.testing.assert_array_equal(record.areas, expected.areas)
+                np.testing.assert_array_equal(record.delays, expected.delays)

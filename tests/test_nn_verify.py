@@ -1,4 +1,4 @@
-"""GraphProgram IR verifier tests (repro.check.ir).
+"""GraphProgram IR verifier tests (repro.nn.verify).
 
 The clean direction compiles real programs (an MLP step and the actual
 CNN-VAE training step) and asserts zero findings.  The dirty direction
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.check.ir import IR_RULES, verify_program
+from repro.nn.verify import IR_RULES, verify_program
 from repro.nn.compile import ir_verify_enabled
 
 
@@ -202,7 +202,7 @@ class TestCompileWiring:
     def test_verify_runs_at_compile_time_only(self, monkeypatch):
         monkeypatch.setenv("REPRO_IR_VERIFY", "1")
         calls = []
-        import repro.check.ir as ir_mod
+        import repro.nn.verify as ir_mod
 
         real = ir_mod.verify_program
 
@@ -230,8 +230,8 @@ class TestCompileWiring:
 
     def test_rejected_program_raises_compile_unsupported(self, monkeypatch):
         monkeypatch.setenv("REPRO_IR_VERIFY", "1")
-        import repro.check.ir as ir_mod
-        from repro.check.findings import Finding
+        import repro.nn.verify as ir_mod
+        from repro.nn.verify import Finding
 
         monkeypatch.setattr(
             ir_mod,
@@ -239,10 +239,8 @@ class TestCompileWiring:
             lambda program: [
                 Finding(
                     rule="ir-overwrite-live",
-                    severity="error",
-                    path="<GraphProgram>",
-                    line=0,
                     message="injected",
+                    symbol="",
                 )
             ],
         )
