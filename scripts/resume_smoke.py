@@ -6,12 +6,16 @@ This script proves it end to end through the real CLI:
 
 1. run the reference spec to completion in one process (``ref/``);
 2. start the same spec in a child process (``killed/``), poll its run
-   directory until the first checkpoint lines are durable, then SIGKILL
-   the child with no warning;
+   directory until the CircuitVAE cell's first training checkpoint
+   (``cells/<cell>/train/``) is durable, then SIGKILL the child with no
+   warning — by then GA and Random are finished and CircuitVAE has
+   part of its evaluation history on disk;
 3. ``python -m repro run --resume killed/`` in a fresh process;
 4. assert the resumed ``records.json`` is bit-identical to the
    uninterrupted reference (costs/areas/delays/graphs — telemetry is
-   attribution, not paper semantics, and legitimately differs).
+   attribution, not paper semantics, and legitimately differs), and
+   that the resumed CircuitVAE cell restored training epochs from the
+   checkpoint instead of re-training them.
 
 Exit code 0 = the crash lost nothing.  Used by the CI ``resume-smoke``
 job; run locally with ``PYTHONPATH=src python scripts/resume_smoke.py``.
@@ -26,6 +30,8 @@ import sys
 import tempfile
 import time
 
+from repro.api.cli import _tiny_vae_params
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SPEC = {
@@ -34,6 +40,7 @@ SPEC = {
     "methods": [
         {"method": "GA", "label": None, "params": {"population_size": 16}},
         {"method": "Random", "label": None, "params": {}},
+        {"method": "CircuitVAE", "label": None, "params": _tiny_vae_params()},
     ],
     "budget": 40,
     "num_seeds": 1,
@@ -64,14 +71,19 @@ def checkpointed_lines(run_dir):
     return total
 
 
-def load_essentials(records_path):
-    """records.json minus telemetry (attribution differs across attempts)."""
+def train_checkpoints(run_dir):
+    """Durable training-checkpoint metadata files across the run's cells."""
+    return glob.glob(os.path.join(run_dir, "cells", "*", "train", "*.json"))
+
+
+def load_records(records_path):
     with open(records_path) as handle:
-        payload = json.load(handle)
-    essentials = []
-    for record in payload["records"]:
-        essentials.append({k: v for k, v in record.items() if k != "telemetry"})
-    return essentials
+        return json.load(handle)["records"]
+
+
+def essentials(records):
+    """Records minus telemetry (attribution differs across attempts)."""
+    return [{k: v for k, v in record.items() if k != "telemetry"} for record in records]
 
 
 def main() -> int:
@@ -85,17 +97,21 @@ def main() -> int:
     print("== reference run (uninterrupted)")
     assert cli("run", spec_path, "--out-dir", ref_dir).wait() == 0
 
-    print("== victim run: SIGKILL after the first checkpoints are durable")
+    print("== victim run: SIGKILL after the first training checkpoint is durable")
     victim = cli("run", spec_path, "--out-dir", killed_dir)
     deadline = time.time() + 120
     while time.time() < deadline:
-        if checkpointed_lines(killed_dir) >= 3 or victim.poll() is not None:
+        if train_checkpoints(killed_dir) or victim.poll() is not None:
             break
         time.sleep(0.01)
-    if victim.poll() is None:
+    killed = victim.poll() is None
+    if killed:
         victim.send_signal(signal.SIGKILL)
         victim.wait()
-        print(f"   killed with {checkpointed_lines(killed_dir)} durable evaluations")
+        print(
+            f"   killed with {checkpointed_lines(killed_dir)} durable evaluations "
+            f"and {len(train_checkpoints(killed_dir))} training checkpoint(s)"
+        )
     else:
         # The run outraced the poll loop; a finished directory still must
         # resume as a clean no-op, so the comparison below stays valid.
@@ -104,12 +120,20 @@ def main() -> int:
     print("== resume in a fresh process")
     assert cli("run", "--resume", killed_dir).wait() == 0
 
-    reference = load_essentials(os.path.join(ref_dir, "records.json"))
-    resumed = load_essentials(os.path.join(killed_dir, "records.json"))
-    if reference != resumed:
+    reference = load_records(os.path.join(ref_dir, "records.json"))
+    resumed = load_records(os.path.join(killed_dir, "records.json"))
+    if essentials(reference) != essentials(resumed):
         print("FAIL: resumed records differ from the uninterrupted reference")
         return 1
-    print(f"OK: {len(resumed)} resumed records bit-identical to the reference")
+    (vae,) = [r for r in resumed if r["method"] == "CircuitVAE"]
+    skipped = vae["telemetry"]["train_epochs_skipped"]
+    if killed and skipped == 0:
+        print("FAIL: the resumed CircuitVAE cell re-trained instead of restoring")
+        return 1
+    print(
+        f"OK: {len(resumed)} resumed records bit-identical to the reference; "
+        f"CircuitVAE restored {skipped} training epoch(s) from checkpoints"
+    )
     return 0
 
 

@@ -2,9 +2,9 @@
 
 The single public entrypoint for running experiments.  The paper's
 results are a grid of (task x method x seed x budget) runs; this package
-makes each grid cell *data* instead of driver code, so any frontend —
-the ``python -m repro`` CLI, CI smoke jobs, a future job queue — can
-submit the same serializable description and get identical records back:
+makes each grid cell *data* instead of driver code, so the
+``python -m repro`` CLI, CI smoke jobs and library callers submit the
+same serializable description and get identical records back:
 
 ``spec``
     :class:`TaskSpec` / :class:`MethodSpec` / :class:`EngineSpec` /
@@ -13,9 +13,9 @@ submit the same serializable description and get identical records back:
     fields, unknown method names and unknown method parameters before
     any synthesis runs.  Defaults mirror the paper's grid.
 ``registry``
-    ``@register_method("name", ConfigClass)`` maps names to (config
-    dataclass, factory) pairs.  CircuitVAE and all four baselines are
-    registered at import; :func:`available_methods` lists them, and
+    One table maps method names to (config dataclass, algorithm class)
+    pairs for CircuitVAE and its four baselines;
+    :func:`available_methods` lists them, and
     :func:`build_config` materializes JSON params into configs (nested
     dataclasses and named classical structures included).
 ``session``
@@ -69,16 +69,13 @@ from .events import (
     RunEvent,
     SeedFinished,
     SeedStarted,
-    TrainingRoundFinished,
 )
 from .handle import RunHandle
 from .registry import (
     MethodEntry,
     available_methods,
-    build_algorithm,
     build_config,
     get_method,
-    register_method,
     validate_params,
 )
 from .rundir import RunDirectory
@@ -100,12 +97,10 @@ __all__ = [
     "load_spec",
     "save_spec",
     "MethodEntry",
-    "register_method",
     "available_methods",
     "get_method",
     "validate_params",
     "build_config",
-    "build_algorithm",
     "Session",
     "ExperimentResult",
     "RunHandle",
@@ -115,7 +110,6 @@ __all__ = [
     "SeedStarted",
     "EvaluationDone",
     "Checkpointed",
-    "TrainingRoundFinished",
     "SeedFinished",
     "ExperimentFinished",
 ]

@@ -1,9 +1,9 @@
 """Typed events streamed by a :class:`~repro.api.handle.RunHandle`.
 
 A submitted experiment is observable while it runs: every event below is
-emitted at a well-defined boundary and carries plain data, so any
-frontend — the CLI's ``--progress`` printer, a future web dashboard, a
-test harness — can fold the stream however it likes.  Events arrive in
+emitted at a well-defined boundary and carries plain data, so a reader —
+the CLI's ``--progress`` printer, an ``on_event`` callback, a test — can
+fold the stream however it likes.  Events arrive in
 causal order per (method, seed) cell; with ``parallel_seeds > 1`` the
 cells interleave.
 
@@ -17,19 +17,12 @@ The stream of one run is always shaped::
       SeedFinished           (per cell — also for ledger-served cells,
                               with resumed=True and no SeedStarted)
     ExperimentFinished       (status: finished | interrupted | failed)
-
-``EvaluationDone.telemetry_delta`` carries the engine-counter increments
-since the cell's previous event (see
-:func:`repro.engine.telemetry.snapshot_delta`): whether work was cache
-hits or fresh synthesis, and how much wall-clock each stage took.  For
-batched submissions the whole batch's counters arrive with its first
-evaluation (see the field's doc); event sums are always exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 if TYPE_CHECKING:  # imports would cycle: spec/session import the runner
     from ..opt.results import RunRecord
@@ -41,7 +34,6 @@ __all__ = [
     "SeedStarted",
     "EvaluationDone",
     "Checkpointed",
-    "TrainingRoundFinished",
     "SeedFinished",
     "ExperimentFinished",
 ]
@@ -94,15 +86,6 @@ class EvaluationDone(RunEvent):
     delay_ns: float
     #: running minimum cost for this cell, this evaluation included.
     best_cost: float
-    #: engine-counter increments accrued since the cell's *previous*
-    #: event (None when the simulator has no telemetry).  For scalar
-    #: queries this is exactly this query's work; batched submissions
-    #: (``query_plan``/``query_many``) record their work before any
-    #: evaluation is announced, so the whole batch's counters land on
-    #: its first ``EvaluationDone`` and the batch's later events carry
-    #: empty deltas — sums over events are always exact, per-event
-    #: attribution is exact only for scalar queries.
-    telemetry_delta: Optional[Dict] = None
 
 
 @dataclass(frozen=True)
@@ -120,33 +103,6 @@ class Checkpointed(RunEvent):
     path: str
     #: total evaluations durable for this cell in the current attempt.
     evaluations: int = 0
-
-
-@dataclass(frozen=True)
-class TrainingRoundFinished(RunEvent):
-    """A model-based method (CircuitVAE, latent BO) finished a retrain.
-
-    Emitted between query boundaries, whenever the method's
-    ``train_model`` call returns.  ``counters`` carries the compiled
-    graph-executor's compile/replay/arena deltas for the round (empty
-    for eager training); ``epochs_skipped`` counts epochs restored from
-    a durable training checkpoint instead of re-trained (resume).
-    """
-
-    method: str
-    seed: int
-    #: 0-based acquisition-round index within the seed's run.
-    round: int
-    #: epochs actually trained this round.
-    epochs: int
-    #: epochs restored from a checkpoint (only on resumed runs).
-    epochs_skipped: int
-    #: True when the compiled graph executor ran the steps.
-    compiled: bool
-    #: last-epoch losses: total / reconstruction / kl / cost.
-    losses: Dict[str, float]
-    #: compiled-step counter deltas (repro.nn.CompileStats keys).
-    counters: Optional[Dict[str, int]] = None
 
 
 @dataclass(frozen=True)

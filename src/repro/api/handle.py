@@ -29,7 +29,6 @@ import uuid
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..engine.cache import task_fingerprint
-from ..engine.telemetry import snapshot_delta
 from ..obs.sink import TraceSink
 from ..obs.trace import Tracer
 from ..opt.results import RunRecord
@@ -42,7 +41,6 @@ from .events import (
     RunEvent,
     SeedFinished,
     SeedStarted,
-    TrainingRoundFinished,
 )
 from .rundir import RunDirectory
 
@@ -69,9 +67,8 @@ class _StreamingGridObserver(GridObserver):
     """Forwards grid hooks to a handle's event queue and run directory.
 
     Thread-safe across cells: with ``parallel_seeds > 1`` several seeds
-    call in concurrently, but per-cell state (writer, best-so-far,
-    previous telemetry snapshot) is only ever touched by the one thread
-    driving that cell.
+    call in concurrently, but per-cell state (writer, best-so-far) is
+    only ever touched by the one thread driving that cell.
     """
 
     def __init__(self, handle: "RunHandle") -> None:
@@ -99,7 +96,6 @@ class _StreamingGridObserver(GridObserver):
     def before_seed(self, method: str, seed: int, simulator) -> int:
         cell = self._cell(method, seed)
         cell["best"] = float("inf")
-        cell["telemetry"] = {}
         run_dir = self._handle.run_dir
         if run_dir is None:
             return 0
@@ -137,7 +133,7 @@ class _StreamingGridObserver(GridObserver):
     def on_seed_started(self, method: str, seed: int, replayed: int) -> None:
         self._handle._emit(SeedStarted(method=method, seed=seed, replayed=replayed))
 
-    def on_evaluation(self, method, seed, evaluation, simulator) -> None:
+    def on_evaluation(self, method, seed, evaluation) -> None:
         cell = self._cell(method, seed)
         # Persist before announcing: once the Checkpointed event is
         # visible, the evaluation it covers must already be durable.
@@ -145,11 +141,6 @@ class _StreamingGridObserver(GridObserver):
         count = writer.append(evaluation) if writer is not None else 0
         best = min(cell.get("best", float("inf")), evaluation.cost)
         cell["best"] = best
-        delta = None
-        if simulator.telemetry is not None:
-            snapshot = simulator.telemetry.as_dict()
-            delta = snapshot_delta(cell.get("telemetry") or {}, snapshot)
-            cell["telemetry"] = snapshot
         self._handle._emit(
             EvaluationDone(
                 method=method,
@@ -159,7 +150,6 @@ class _StreamingGridObserver(GridObserver):
                 area_um2=evaluation.area_um2,
                 delay_ns=evaluation.delay_ns,
                 best_cost=best,
-                telemetry_delta=delta,
             )
         )
         if writer is not None:
@@ -172,20 +162,6 @@ class _StreamingGridObserver(GridObserver):
                 )
             )
         self.check_interrupt()
-
-    def on_training(self, method, seed, info) -> None:
-        self._handle._emit(
-            TrainingRoundFinished(
-                method=method,
-                seed=seed,
-                round=int(info.get("round", 0)),
-                epochs=int(info.get("epochs", 0)),
-                epochs_skipped=int(info.get("epochs_skipped", 0)),
-                compiled=bool(info.get("compiled", False)),
-                losses=dict(info.get("losses", {})),
-                counters=info.get("counters"),
-            )
-        )
 
     def on_seed_finished(self, method, seed, record, resumed) -> None:
         cell = self._cell(method, seed)

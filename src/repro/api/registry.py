@@ -1,20 +1,14 @@
 """The method registry: search algorithms resolved by name.
 
-Every optimization method is registered as a ``(config dataclass,
-factory)`` pair under a stable name, so frontends — the CLI, specs in
-JSON, future job queues — can say ``"GA"`` instead of importing
-:class:`~repro.baselines.ga.GeneticAlgorithm` and closing over a lambda.
-CircuitVAE and all four baselines register at import time; plugins add
-themselves with the same decorator:
-
->>> from repro.api import register_method
->>> @register_method("my-search", MySearchConfig)
-... def _build(config):
-...     return MySearch(config)
+Every optimization method sits in one table under a stable name, as a
+``(config dataclass, algorithm class)`` pair, so the CLI and JSON specs
+can say ``"GA"`` instead of importing
+:class:`~repro.baselines.ga.GeneticAlgorithm`.  The table holds
+CircuitVAE and its four baselines.
 
 Method parameters travel as plain JSON-able dicts
 (:attr:`repro.api.MethodSpec.params`) and are materialized into the
-registered config dataclass by :func:`build_config`, which understands
+method's config dataclass by :func:`build_config`, which understands
 nested config dataclasses (``{"train": {"epochs": 5}}`` builds a
 :class:`~repro.core.training.TrainConfig`) and resolves named classical
 structures for :class:`~repro.prefix.graph.PrefixGraph`-typed fields
@@ -47,56 +41,45 @@ from ..prefix.structures import STRUCTURES, make_structure
 
 __all__ = [
     "MethodEntry",
-    "register_method",
     "available_methods",
     "get_method",
     "validate_params",
     "build_config",
-    "build_algorithm",
 ]
 
 
 @dataclasses.dataclass(frozen=True)
 class MethodEntry:
-    """One registered method: its name, config type and factory."""
+    """One method: its name, config type and factory (``factory(config)``
+    returns a fresh algorithm)."""
 
     name: str
     config_cls: type
     factory: Callable[[Any], SearchAlgorithm]
 
 
-_REGISTRY: Dict[str, MethodEntry] = {}
-
-
-def register_method(name: str, config_cls: type):
-    """Class-/function-decorator registering ``factory(config)`` under ``name``.
-
-    ``config_cls`` must be a dataclass; its fields define the parameters a
-    :class:`repro.api.MethodSpec` may set.  Registering an already-taken
-    name raises ``ValueError`` (replacing a method silently would make
-    specs ambiguous).
-    """
-    if not dataclasses.is_dataclass(config_cls):
-        raise TypeError(f"config_cls for {name!r} must be a dataclass")
-
-    def decorator(factory: Callable[[Any], SearchAlgorithm]):
-        if name in _REGISTRY:
-            raise ValueError(f"method {name!r} is already registered")
-        _REGISTRY[name] = MethodEntry(name=name, config_cls=config_cls, factory=factory)
-        return factory
-
-    return decorator
+#: The paper's contribution and its four baselines.
+_METHODS: Dict[str, MethodEntry] = {
+    entry.name: entry
+    for entry in (
+        MethodEntry("CircuitVAE", CircuitVAEConfig, CircuitVAEOptimizer),
+        MethodEntry("GA", GAConfig, GeneticAlgorithm),
+        MethodEntry("RL", RLConfig, PrefixRL),
+        MethodEntry("BO", BOConfig, LatentBO),
+        MethodEntry("Random", RandomSearchConfig, RandomSearch),
+    )
+}
 
 
 def available_methods() -> List[str]:
-    """Sorted names of every registered method."""
-    return sorted(_REGISTRY)
+    """Sorted names of every method."""
+    return sorted(_METHODS)
 
 
 def get_method(name: str) -> MethodEntry:
-    """Look up one registered method; unknown names list the alternatives."""
+    """Look up one method; unknown names list the alternatives."""
     try:
-        return _REGISTRY[name]
+        return _METHODS[name]
     except KeyError:
         raise ValueError(
             f"unknown method {name!r}; available: {', '.join(available_methods())}"
@@ -113,7 +96,7 @@ def _field_types(config_cls: type) -> Dict[str, Any]:
         return typing.get_type_hints(config_cls)
     except (NameError, TypeError) as error:
         # Unresolvable forward refs (e.g. TYPE_CHECKING-only names in a
-        # plugin config) degrade nested validation/materialization to
+        # config) degrade nested validation/materialization to
         # pass-through — say so instead of failing silently.
         warnings.warn(
             f"cannot resolve field annotations of {config_cls.__name__} "
@@ -195,38 +178,3 @@ def build_config(method: str, params: Mapping[str, Any], n: Optional[int] = None
     validate_params(entry.config_cls, params, context=method)
     return _materialize(entry.config_cls, params, n, context=method)
 
-
-def build_algorithm(
-    method: str, params: Optional[Mapping[str, Any]] = None, n: Optional[int] = None
-) -> SearchAlgorithm:
-    """A fresh algorithm instance for one run: config + factory in one step."""
-    entry = get_method(method)
-    return entry.factory(build_config(method, params or {}, n=n))
-
-
-# ----------------------------------------------------------------------
-# Built-in methods: the paper's contribution and its four baselines.
-# ----------------------------------------------------------------------
-@register_method("CircuitVAE", CircuitVAEConfig)
-def _make_circuitvae(config: CircuitVAEConfig) -> SearchAlgorithm:
-    return CircuitVAEOptimizer(config)
-
-
-@register_method("GA", GAConfig)
-def _make_ga(config: GAConfig) -> SearchAlgorithm:
-    return GeneticAlgorithm(config)
-
-
-@register_method("RL", RLConfig)
-def _make_rl(config: RLConfig) -> SearchAlgorithm:
-    return PrefixRL(config)
-
-
-@register_method("BO", BOConfig)
-def _make_bo(config: BOConfig) -> SearchAlgorithm:
-    return LatentBO(config)
-
-
-@register_method("Random", RandomSearchConfig)
-def _make_random(config: RandomSearchConfig) -> SearchAlgorithm:
-    return RandomSearch(config)

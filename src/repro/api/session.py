@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Union
 
 from ..engine.service import EvaluationEngine
+from ..engine.telemetry import derived_fields
 from ..opt.records_io import save_records
 from ..opt.results import RunRecord, aggregate_curves, median_iqr
 from .events import RunEvent
@@ -50,8 +51,9 @@ def _sum_telemetry(snapshots: List[Dict]) -> Dict:
     Summing the runs' own snapshots (not diffing the engine aggregate)
     attributes exactly this experiment's work — including the counters
     only per-run telemetry records (queries, run_hits, budget_refusals)
-    — and stays correct on a reused session.  The derived ratios
-    (hit_rate, synth_throughput) are recomputed from the totals.
+    — and stays correct on a reused session.  The derived fields
+    (cache_hits, hit_rate, synth_throughput) are recomputed from the
+    totals by the same helper ``as_dict`` uses.
     """
     total: Dict = {}
     for snapshot in snapshots:
@@ -62,12 +64,7 @@ def _sum_telemetry(snapshots: List[Dict]) -> Dict:
                     bucket[name] = bucket.get(name, 0) + amount
             else:
                 total[key] = total.get(key, 0) + value
-    charged = total.get("cache_hits", 0) + total.get("synth_calls", 0)
-    total["hit_rate"] = total.get("cache_hits", 0) / charged if charged else 0.0
-    seconds = total.get("stage_seconds", {}).get("synthesis", 0.0)
-    total["synth_throughput"] = (
-        total.get("synth_calls", 0) / seconds if seconds > 0 else 0.0
-    )
+    total.update(derived_fields(total))
     return total
 
 

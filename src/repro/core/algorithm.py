@@ -168,8 +168,8 @@ class CircuitVAEOptimizer(SearchAlgorithm):
             self.traces.append(trace)
 
             # Lines 9-11: decode, batch-query, extend the dataset.  The
-            # whole captured population goes through one EvalBatch, which
-            # an engine-backed simulator vectorizes.
+            # whole captured population goes through one ``query_many``,
+            # which an engine-backed simulator vectorizes.
             _designs, evaluations = decode_and_query(
                 model,
                 trace.captured_latents,

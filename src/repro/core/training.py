@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -93,13 +92,6 @@ class TrainStats:
     #: compile/replay/arena counter *deltas* from this call
     #: (:class:`repro.nn.CompileStats` keys), empty when eager.
     compile_counters: Dict[str, int] = field(default_factory=dict)
-    #: wall-clock of each compiled-step replay in this call (seconds);
-    #: empty when every step ran eager.
-    replay_seconds: List[float] = field(default_factory=list)
-    #: wall-clock of each eager (fallback) step in this call (seconds);
-    #: the eager twin of ``replay_seconds``, so latency telemetry sees
-    #: both engines (``train_step_eager`` histogram).
-    eager_seconds: List[float] = field(default_factory=list)
     #: per-kernel replay-second *deltas* (``fwd:<op>`` / ``bwd:<op>``)
     #: from this call, summed over every shard's program; populated only
     #: under ``REPRO_PROFILE=1``.  Shards that overlap on two threads
@@ -439,20 +431,16 @@ def train_model(
             values = None
             if compiled_step is not None:
                 try:
-                    step_start = time.perf_counter()
                     values = compiled_step(x_pad, grids, eps, batch_targets)
-                    stats.replay_seconds.append(time.perf_counter() - step_start)
                 except nn.CompileUnsupported:
                     # Permanent fallback for this call: the eager tape is
                     # always correct, and retrying the trace every step
                     # would only burn time.
                     compiled_step = None
             if values is None:
-                step_start = time.perf_counter()
                 values = _eager_step(
                     model, optimizer, config, (x_pad, grids, eps, batch_targets)
                 )
-                stats.eager_seconds.append(time.perf_counter() - step_start)
 
             epoch_total += values["loss"]
             epoch_rec += values["reconstruction"]
@@ -474,8 +462,7 @@ def train_model(
 
     if step_obj is not None:
         # Counters are reported even after a fallback — that is how the
-        # train_fallbacks telemetry (and the TrainingRoundFinished
-        # event) can ever show one.
+        # train_fallbacks telemetry can ever show one.
         stats.compiled = compiled_step is not None
         after = step_obj.stats.as_dict()
         stats.compile_counters = {
@@ -493,46 +480,28 @@ def train_model(
 
 
 def report_training_round(simulator, stats: TrainStats, round_index: int) -> None:
-    """Surface one ``train_model`` round through the engine plumbing.
-
-    Folds the round's epoch and compiled-step counters into the
-    simulator's per-run :class:`~repro.engine.telemetry.EngineTelemetry`
-    (when engine-backed) and fires the simulator's ``on_training`` hook,
-    which the streaming run API turns into a
-    :class:`~repro.api.events.TrainingRoundFinished` event.  No-ops
-    gracefully against a bare simulator with neither.
+    """Fold one ``train_model`` round into the simulator's per-run
+    :class:`~repro.engine.telemetry.EngineTelemetry`: its epoch and
+    compiled-step counters, plus the per-kernel stage seconds under
+    ``REPRO_PROFILE=1``.  A no-op against a bare simulator without
+    telemetry.
     """
     telemetry = getattr(simulator, "telemetry", None)
-    if telemetry is not None:
-        telemetry.add("train_epochs", stats.epochs_run)
-        telemetry.add("train_epochs_skipped", stats.epochs_skipped)
-        counters = stats.compile_counters
-        telemetry.add("train_compiles", counters.get("traces", 0))
-        telemetry.add("train_replays", counters.get("replays", 0))
-        telemetry.add("train_fallbacks", counters.get("fallbacks", 0))
-        for seconds in stats.replay_seconds:
-            telemetry.observe_latency("train_step_replay", seconds)
-        for seconds in stats.eager_seconds:
-            telemetry.observe_latency("train_step_eager", seconds)
-        # REPRO_PROFILE=1 only: fold the round's per-kernel replay
-        # seconds into the stage timers and emit matching
-        # imposed-duration spans, so trace-derived stage totals keep
-        # reproducing ``stage_seconds`` even for the kernel breakdown.
-        for label, seconds in sorted(stats.kernel_seconds.items()):
-            name = "train_kernel:" + label
-            telemetry.add_stage_time(name, seconds)
-            span = trace.start_span(name, attrs={"stage": True})
-            span.set_attr("round", round_index)
-            span.finish(elapsed=seconds)
-    notify = getattr(simulator, "on_training", None)
-    if notify is not None:
-        notify(
-            {
-                "round": round_index,
-                "epochs": stats.epochs_run,
-                "epochs_skipped": stats.epochs_skipped,
-                "compiled": stats.compiled,
-                "losses": stats.last() if stats.total else {},
-                "counters": dict(stats.compile_counters),
-            }
-        )
+    if telemetry is None:
+        return
+    telemetry.add("train_epochs", stats.epochs_run)
+    telemetry.add("train_epochs_skipped", stats.epochs_skipped)
+    counters = stats.compile_counters
+    telemetry.add("train_compiles", counters.get("traces", 0))
+    telemetry.add("train_replays", counters.get("replays", 0))
+    telemetry.add("train_fallbacks", counters.get("fallbacks", 0))
+    # REPRO_PROFILE=1 only: fold the round's per-kernel replay seconds
+    # into the stage timers and emit matching imposed-duration spans, so
+    # trace-derived stage totals keep reproducing ``stage_seconds`` even
+    # for the kernel breakdown.
+    for label, seconds in sorted(stats.kernel_seconds.items()):
+        name = "train_kernel:" + label
+        telemetry.add_stage_time(name, seconds)
+        span = trace.start_span(name, attrs={"stage": True})
+        span.set_attr("round", round_index)
+        span.finish(elapsed=seconds)

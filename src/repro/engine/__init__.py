@@ -17,9 +17,6 @@ adds the production machinery the ROADMAP's north star calls for:
     batches of unique legalized graphs in parallel, with a serial
     fallback.  Only metrics cross the process boundary; accounting stays
     in the parent.
-``batch``
-    :class:`EvalBatch` / :class:`EvalFuture` — futures-style
-    ``submit``/``gather`` over any simulator.
 ``service``
     :class:`EvaluationEngine` (shared cache + pool + telemetry) and
     :class:`EngineSimulator`, the drop-in ``CircuitSimulator`` facade.
@@ -49,7 +46,6 @@ Environment knobs
     no processes spawned).  Explicit constructor arguments win.
 """
 
-from .batch import EvalBatch, EvalFuture
 from .cache import EvaluationCache, default_cache_dir, task_fingerprint
 from .pool import SynthesisPool, default_worker_count
 from .service import EngineSimulator, EvaluationEngine
@@ -63,8 +59,6 @@ __all__ = [
     "default_cache_dir",
     "SynthesisPool",
     "default_worker_count",
-    "EvalBatch",
-    "EvalFuture",
     "EngineTelemetry",
     "stage",
 ]

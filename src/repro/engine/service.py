@@ -32,7 +32,6 @@ eliminates physical synthesis work, never paper-semantics accounting.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.task import CircuitTask
@@ -130,7 +129,6 @@ class EvaluationEngine:
         (the shared no-op span when tracing is off)."""
         metrics: List[Optional[Metrics]] = [None] * len(graphs)
         misses: List[int] = []
-        lookup_start = time.perf_counter()
         for i, graph in enumerate(graphs):
             hit = self.cache.get_with_origin(fingerprint, graph.key())
             if hit is not None:
@@ -141,9 +139,6 @@ class EvaluationEngine:
                     sink.add(counter)
             else:
                 misses.append(i)
-        lookup_elapsed = time.perf_counter() - lookup_start
-        for sink in sinks:
-            sink.observe_latency("cache_lookup", lookup_elapsed)
         span.set_attr(
             "outcome",
             "hit" if not misses

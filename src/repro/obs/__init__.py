@@ -1,19 +1,16 @@
-"""repro.obs — hierarchical tracing, unified metrics, run reporting.
+"""repro.obs — hierarchical tracing and run reporting.
 
-Three stdlib-only cores (safe for the dependency-light engine layers to
+Two stdlib-only cores (safe for the dependency-light engine layers to
 import) plus analysis tooling:
 
 - :mod:`repro.obs.trace` — spans, the ambient :class:`Tracer`,
   cross-thread and cross-process context propagation.
-- :mod:`repro.obs.metrics` — counters/gauges/histograms behind one
-  :class:`MetricsRegistry` (backs ``EngineTelemetry``).
 - :mod:`repro.obs.sink` — durable ``trace.jsonl`` writer, readers, the
   Perfetto exporter and the CI schema validator.
 - :mod:`repro.obs.report` — span trees, self/total attribution,
   stage-seconds reconstruction, live tailing.
 """
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .sink import (
     TRACE_FILENAME,
     TraceSink,
@@ -46,10 +43,6 @@ from .report import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "TRACE_FILENAME",
     "TraceSink",
     "export_perfetto",

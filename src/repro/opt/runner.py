@@ -84,27 +84,12 @@ class GridObserver:
     def on_seed_started(self, method: str, seed: int, replayed: int) -> None:
         """The seed's algorithm is about to run."""
 
-    def on_evaluation(
-        self,
-        method: str,
-        seed: int,
-        evaluation,
-        simulator: CircuitSimulator,
-    ) -> None:
+    def on_evaluation(self, method: str, seed: int, evaluation) -> None:
         """One new evaluation was appended to the seed's history.
 
         Called at the simulator query boundary (see
         :attr:`~repro.opt.simulator.CircuitSimulator.on_evaluation`); may
         raise :class:`RunInterrupted` to abort the run here.
-        """
-
-    def on_training(self, method: str, seed: int, info: dict) -> None:
-        """A model-based method finished one retraining round.
-
-        ``info`` is the plain dict the method handed to
-        :attr:`~repro.opt.simulator.CircuitSimulator.on_training`
-        (round index, epochs run/skipped, last losses, compiled-step
-        counters).  Purely observational — never raises into the run.
         """
 
     def on_seed_finished(
@@ -191,10 +176,7 @@ def _run_seed_grid(
             replayed = observer.before_seed(method_name, seed, simulator)
             observer.on_seed_started(method_name, seed, replayed)
             simulator.on_evaluation = lambda evaluation: observer.on_evaluation(
-                method_name, seed, evaluation, simulator
-            )
-            simulator.on_training = lambda info: observer.on_training(
-                method_name, seed, info
+                method_name, seed, evaluation
             )
             # Checked at the start of *every* query (cache hits too), so
             # an interrupt cannot stall behind a hit-only stretch.

@@ -71,12 +71,6 @@ class CircuitSimulator:
         #: -evaluated designs and ``on_evaluation`` would never fire.
         #: Raises (e.g. RunInterrupted) to abort; must not mutate state.
         self.check_abort: Optional[Callable[[], None]] = None
-        #: training hook: model-based methods (CircuitVAE, latent BO)
-        #: call it after each retraining round with a plain info dict
-        #: (round index, epochs run/skipped, last losses, compiled-step
-        #: counters).  The streaming run API forwards it as a
-        #: TrainingRoundFinished event; None means nobody is listening.
-        self.on_training: Optional[Callable[[Dict], None]] = None
         #: durable home for training checkpoints: the run-directory
         #: layer points this at the executing (method, seed) cell so
         #: train_model can checkpoint epochs and Session.resume can

@@ -103,11 +103,6 @@ class TestEventStream:
             assert [e.sim_index for e in cell] == list(range(1, len(cell) + 1))
             running = np.minimum.accumulate([e.cost for e in cell])
             np.testing.assert_array_equal([e.best_cost for e in cell], running)
-        # engine-backed runs attach per-query telemetry deltas
-        assert all(e.telemetry_delta is not None for e in evaluations)
-        assert sum(
-            e.telemetry_delta.get("synth_calls", 0) for e in evaluations
-        ) == result.telemetry["synth_calls"]
         # in-memory run: no checkpoints
         assert not any(isinstance(e, Checkpointed) for e in events)
 
@@ -467,24 +462,21 @@ class TestTrainingCheckpointsInRunDir:
         )
 
     def test_durable_run_writes_train_checkpoints_and_events(self, tmp_path):
-        from repro.api import TrainingRoundFinished
-
         spec = self._vae_spec("train-ckpt")
         out = str(tmp_path / "run")
         with Session() as session:
             handle = session.submit(spec, out_dir=out)
             events = list(handle.events())
-            handle.result()
+            record = handle.result().records["CircuitVAE"][0]
         train_dir = os.path.join(
             RunDirectory.open(out).cell_dir("CircuitVAE", 0), "train"
         )
         files = sorted(os.listdir(train_dir))
         assert "round000.npz" in files and "round000.json" in files
-        rounds = [e for e in events if isinstance(e, TrainingRoundFinished)]
-        assert rounds and rounds[0].round == 0
-        assert rounds[0].epochs > 0 and rounds[0].epochs_skipped == 0
-        assert all(set(r.losses) == {"total", "reconstruction", "kl", "cost"}
-                   for r in rounds)
+        assert any(isinstance(e, Checkpointed) for e in events)
+        # the training rounds are accounted in the record's telemetry
+        assert record.telemetry["train_epochs"] > 0
+        assert record.telemetry["train_epochs_skipped"] == 0
 
     def test_resume_skips_completed_training_epochs(self, tmp_path):
         spec = self._vae_spec("train-ckpt-resume")

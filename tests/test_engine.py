@@ -12,11 +12,9 @@ from repro.api import ExperimentSpec, MethodSpec, Session, TaskSpec
 from repro.baselines import GAConfig, GeneticAlgorithm, RandomSearch
 from repro.circuits import adder_task
 from repro.engine import (
-    EvalBatch,
     EvaluationCache,
     EvaluationEngine,
     EngineSimulator,
-    EngineTelemetry,
     SynthesisPool,
     task_fingerprint,
 )
@@ -554,33 +552,6 @@ class TestPersistentReuse:
             assert other.history[0].cost == pytest.approx(direct.cost)
 
 
-class TestFuturesAPI:
-    def test_submit_gather_resolves_everything(self, task):
-        sim = EngineSimulator(task, budget=3, engine=EvaluationEngine())
-        graphs = unique_graphs(16, 5)
-        batch = EvalBatch(sim)
-        futures = [batch.submit(g) for g in graphs]
-        fulfilled = batch.gather()
-        assert len(fulfilled) == 3
-        assert all(f.done for f in futures)
-        assert [f.refused for f in futures] == [False] * 3 + [True] * 2
-        assert futures[0].result().sim_index == 1
-        with pytest.raises(BudgetExhausted):
-            futures[4].result()
-
-    def test_works_against_plain_simulator(self, task):
-        batch = EvalBatch(CircuitSimulator(task, budget=2))
-        for g in unique_graphs(16, 4):
-            batch.submit(g)
-        assert len(batch.gather()) == 2
-
-    def test_unresolved_future_raises(self, task):
-        batch = EvalBatch(CircuitSimulator(task))
-        future = batch.submit(sklansky(16))
-        with pytest.raises(RuntimeError):
-            future.result()
-
-
 class TestTelemetry:
     def test_counters_and_record_snapshot(self, task):
         with EvaluationEngine() as engine:
@@ -636,15 +607,6 @@ class TestTelemetry:
             lambda seed: RandomSearch(), task, 5, [0], "Random"
         )
         assert records[0].telemetry is None
-
-    def test_merge_and_dict(self):
-        a, b = EngineTelemetry(), EngineTelemetry()
-        a.add("synth_calls", 3)
-        b.add("synth_calls", 2)
-        b.add_stage_time("synthesis", 1.5)
-        a.merge(b)
-        assert a.synth_calls == 5
-        assert a.as_dict()["stage_seconds"]["synthesis"] == pytest.approx(1.5)
 
     def test_records_io_roundtrip_with_telemetry(self, task, tmp_path):
         from repro.opt import load_records, save_records

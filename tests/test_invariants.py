@@ -6,9 +6,10 @@ Plain :mod:`ast` scans of ``src/repro``, ``scripts/`` and ``benchmarks/``:
 * the ``REPRO_*`` environment names the code reads are exactly the rows
   of README's env table, which is the only knob registry (edit it by
   hand; this file checks it);
-* counter/stage/span/histogram literals resolve against the names
+* counter/stage/span literals resolve against the names
   :mod:`repro.engine.telemetry` registers — a typo'd counter raises at
-  runtime, but a typo'd stage or span silently opens a new series;
+  runtime, but a typo'd stage or span silently opens a new series — and
+  every registered span name keeps at least one call site;
 * each kill switch's module reads the switch and calls its reference
   path, and the bench gating it imports the module (:data:`FAST_PATHS`);
 * mutable module/class state in code reached from more than one thread
@@ -191,16 +192,14 @@ def env_problems(root: str, sources: Sequence[Source]) -> List[str]:
 #: telemetry method name -> the registry its first argument must be in
 _TELEMETRY_METHODS = {
     "add": "counter",
-    "time": "stage",
     "add_stage_time": "stage",
-    "observe_latency": "histogram",
 }
 _SPAN_CALLS = ("span", "start_span")
 
 
 def _telemetry_name(call: ast.Call) -> Optional[Tuple[str, str]]:
-    """(kind, literal name) when ``call`` names a counter/stage/span/
-    histogram with a string literal."""
+    """(kind, literal name) when ``call`` names a counter/stage/span
+    with a string literal."""
     func, kind, index = call.func, None, 0
     if isinstance(func, ast.Name):
         if func.id in ("stage", "stage_all"):
@@ -224,18 +223,12 @@ def _telemetry_name(call: ast.Call) -> Optional[Tuple[str, str]]:
 def telemetry_problems(sources: Sequence[Source]) -> List[str]:
     """Telemetry literals must name what ``repro.engine.telemetry``
     registers (stages may also be the dynamic ``train_kernel:*`` family)."""
-    from repro.engine.telemetry import (
-        KNOWN_HISTOGRAMS,
-        KNOWN_SPANS,
-        KNOWN_STAGES,
-        EngineTelemetry,
-    )
+    from repro.engine.telemetry import KNOWN_SPANS, KNOWN_STAGES, EngineTelemetry
 
     known = {
         "counter": set(EngineTelemetry._COUNTERS),
         "stage": KNOWN_STAGES,
         "span": KNOWN_SPANS,
-        "histogram": KNOWN_HISTOGRAMS,
     }
     problems = []
     for source in sources:
@@ -254,6 +247,28 @@ def telemetry_problems(sources: Sequence[Source]) -> List[str]:
                 continue
             problems.append(f"{source.rel}:{node.lineno}: unknown {kind} {name!r}")
     return problems
+
+
+def unused_span_problems(
+    sources: Sequence[Source], known: Optional[Sequence[str]] = None
+) -> List[str]:
+    """Every registered span name (``KNOWN_SPANS`` unless ``known`` is
+    given) appears as the literal name of at least one span call."""
+    if known is None:
+        from repro.engine.telemetry import KNOWN_SPANS as known
+    used = set()
+    for source in sources:
+        if source.tree is None:
+            continue
+        for node in ast.walk(source.tree):
+            if isinstance(node, ast.Call):
+                found = _telemetry_name(node)
+                if found is not None and found[0] == "span":
+                    used.add(found[1])
+    return [
+        f"KNOWN_SPANS: {name!r} has no span(...)/start_span(...) call site"
+        for name in sorted(set(known) - used)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -403,6 +418,9 @@ class TestTree:
     def test_telemetry_names_resolve(self, tree):
         assert telemetry_problems(tree) == []
 
+    def test_every_known_span_has_a_call_site(self, tree):
+        assert unused_span_problems(tree) == []
+
     def test_fast_path_contracts_hold(self, tree):
         assert fast_path_problems(tree, FAST_PATHS) == []
 
@@ -520,7 +538,6 @@ class TestTelemetryNames:
             def run(telemetry, tracer):
                 telemetry.add("synth_callz", 1)
                 telemetry.add_stage_time("synthesiss", 0.1)
-                telemetry.observe_latency("cache_lookupp", 0.1)
                 with tracer.span("bogus_span"):
                     pass
             """,
@@ -528,8 +545,7 @@ class TestTelemetryNames:
         assert telemetry_problems(_sources(tmp_path)) == [
             "t.py:3: unknown counter 'synth_callz'",
             "t.py:4: unknown stage 'synthesiss'",
-            "t.py:5: unknown histogram 'cache_lookupp'",
-            "t.py:6: unknown span 'bogus_span'",
+            "t.py:5: unknown span 'bogus_span'",
         ]
 
     def test_known_names_and_foreign_receivers_silent(self, tmp_path):
@@ -581,6 +597,33 @@ class TestTelemetryNames:
         assert telemetry_problems(_sources(tmp_path)) == [
             "sp.py:5: unknown span 'typo'",
             "sp.py:6: unknown span 'also_typo'",
+        ]
+
+    def test_span_without_call_site_fires(self, tmp_path):
+        _write(
+            tmp_path,
+            "used.py",
+            """
+            from repro.obs import trace
+
+            with trace.span("seed"):
+                pass
+            tracer.start_span("synthesize").finish()
+            span_name = "gather"  # a bare string is not a call site
+            """,
+        )
+        sources = _sources(tmp_path)
+        assert unused_span_problems(sources, ["seed", "synthesize"]) == []
+        assert unused_span_problems(sources, ["seed", "synthesize", "gather"]) == [
+            "KNOWN_SPANS: 'gather' has no span(...)/start_span(...) call site"
+        ]
+
+    def test_registering_gather_again_fires_on_the_tree(self, tree):
+        from repro.engine.telemetry import KNOWN_SPANS
+
+        known = set(KNOWN_SPANS) | {"gather"}
+        assert unused_span_problems(tree, known) == [
+            "KNOWN_SPANS: 'gather' has no span(...)/start_span(...) call site"
         ]
 
 

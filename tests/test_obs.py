@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.obs` — tracing, metrics, sinks, reports — and
+"""Tests for :mod:`repro.obs` — tracing, sinks, reports — and
 the telemetry/compile integrations that ride on them."""
 
 import json
@@ -11,14 +11,8 @@ import pytest
 
 from repro.api import ExperimentSpec, MethodSpec, Session, TaskSpec
 from repro.api.events import ExperimentStarted
-from repro.engine.telemetry import (
-    EngineTelemetry,
-    snapshot_delta,
-    stage,
-    stage_all,
-)
+from repro.engine.telemetry import EngineTelemetry, stage, stage_all
 from repro.obs import trace
-from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 from repro.obs.report import (
     aggregate,
     build_tree,
@@ -158,81 +152,6 @@ class TestTrace:
         by_name = {s["name"]: s for s in spans}
         assert by_name["synthesize"]["parent_id"] == engine_span.span_id
         assert validate_spans(spans) == []
-
-
-# ----------------------------------------------------------------------
-class TestMetrics:
-    def test_counter_gauge_basics(self):
-        reg = MetricsRegistry()
-        c = reg.counter("hits")
-        c.add()
-        c.add(4)
-        assert c.value == 5
-        assert reg.counter("hits") is c  # get-or-create
-        g = reg.gauge("depth")
-        g.set(2.5)
-        g.add(0.5)
-        assert g.value == 3.0
-
-    def test_counter_values_missing_is_zero(self):
-        reg = MetricsRegistry()
-        reg.counter("a").add(2)
-        assert reg.counter_values(["a", "b"]) == {"a": 2, "b": 0}
-
-    def test_histogram_buckets_and_stats(self):
-        h = Histogram("lat", threading.RLock(), buckets=(0.1, 1.0))
-        for v in (0.05, 0.5, 0.7, 5.0):
-            h.observe(v)
-        assert h.count == 4
-        assert h.sum == pytest.approx(6.25)
-        assert h.min == pytest.approx(0.05)
-        assert h.max == pytest.approx(5.0)
-        assert h.mean() == pytest.approx(6.25 / 4)
-        d = h.as_dict()
-        assert d["count"] == 4
-        # +inf bucket holds the overflow observation
-        assert d["buckets"]["+inf"] == 1
-
-    def test_histogram_quantile_monotone(self):
-        h = Histogram("lat", threading.RLock())
-        for v in np.linspace(0.001, 0.2, 50):
-            h.observe(float(v))
-        assert h.quantile(0.5) <= h.quantile(0.9) <= h.quantile(0.99)
-
-    def test_default_buckets_sorted(self):
-        assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
-
-    def test_merge(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("x").add(1)
-        b.counter("x").add(2)
-        b.counter("y").add(3)
-        b.histogram("h").observe(0.5)
-        a.merge(b)
-        assert a.counter("x").value == 3
-        assert a.counter("y").value == 3
-        assert a.histogram("h").count == 1
-
-    def test_registry_snapshot_is_atomic_under_concurrency(self):
-        reg = MetricsRegistry()
-        a, b = reg.counter("a"), reg.counter("b")
-        stop = threading.Event()
-
-        def hammer():
-            while not stop.is_set():
-                with reg.lock:
-                    a.add()
-                    b.add()
-
-        t = threading.Thread(target=hammer)
-        t.start()
-        try:
-            for _ in range(300):
-                values = reg.counter_values(["a", "b"])
-                assert values["a"] == values["b"], values
-        finally:
-            stop.set()
-            t.join()
 
 
 # ----------------------------------------------------------------------
@@ -459,41 +378,6 @@ class TestTelemetryObs:
         with pytest.raises(KeyError):
             EngineTelemetry().add("not_a_counter")
 
-    def test_train_step_replay_histogram(self):
-        telemetry = EngineTelemetry()
-        telemetry.observe_latency("train_step_replay", 0.01)
-        telemetry.observe_latency("train_step_replay", 0.02)
-        h = telemetry.metrics.histogram("train_step_replay")
-        assert h.count == 2
-        assert h.sum == pytest.approx(0.03)
-
-
-class TestSnapshotDelta:
-    def test_empty_before_is_the_snapshot(self):
-        after = {"queries": 2, "stage_seconds": {"synthesis": 1.5}}
-        assert snapshot_delta({}, after) == after
-
-    def test_disappearing_key_ignored(self):
-        before = {"queries": 2, "legacy": 7}
-        after = {"queries": 3}
-        assert snapshot_delta(before, after) == {"queries": 1}
-
-    def test_zero_delta_nested_dict_suppressed(self):
-        before = {"queries": 1, "stage_seconds": {"synthesis": 1.0}}
-        after = {"queries": 2, "stage_seconds": {"synthesis": 1.0}}
-        assert snapshot_delta(before, after) == {"queries": 1}
-
-    def test_derived_ratios_dropped(self):
-        before = {"queries": 0, "hit_rate": 0.0, "synth_throughput": 0.0}
-        after = {"queries": 4, "hit_rate": 0.75, "synth_throughput": 12.0}
-        assert snapshot_delta(before, after) == {"queries": 4}
-
-    def test_nested_key_appearing_mid_run(self):
-        before = {"stage_seconds": {}}
-        after = {"stage_seconds": {"synthesis": 0.5}}
-        assert snapshot_delta(before, after) == {"stage_seconds": {"synthesis": 0.5}}
-
-
 # ----------------------------------------------------------------------
 class TestKernelProfiling:
     def _train(self):
@@ -520,7 +404,7 @@ class TestKernelProfiling:
         stats = self._train()
         assert stats.compiled
         assert stats.kernel_seconds == {}
-        assert len(stats.replay_seconds) > 0
+        assert stats.compile_counters["replays"] > 0
 
     def test_profile_on_collects_kernel_seconds(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "1")
@@ -563,9 +447,6 @@ class TestKernelProfiling:
             name: pytest.approx(seconds, abs=1e-6)
             for name, seconds in folded.items()
         }
-        assert sim.telemetry.metrics.histogram("train_step_replay").count == len(
-            stats.replay_seconds
-        )
 
 
 # ----------------------------------------------------------------------
