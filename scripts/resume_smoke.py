@@ -87,7 +87,13 @@ def essentials(records):
 
 
 def main() -> int:
-    base = tempfile.mkdtemp(prefix="repro-resume-smoke-")
+    # Everything the smoke writes (spec, both run directories, training
+    # checkpoints) lives in one temporary directory removed on every exit.
+    with tempfile.TemporaryDirectory(prefix="repro-resume-smoke-") as base:
+        return smoke(base)
+
+
+def smoke(base) -> int:
     spec_path = os.path.join(base, "spec.json")
     ref_dir = os.path.join(base, "ref")
     killed_dir = os.path.join(base, "killed")
@@ -99,15 +105,18 @@ def main() -> int:
 
     print("== victim run: SIGKILL after the first training checkpoint is durable")
     victim = cli("run", spec_path, "--out-dir", killed_dir)
-    deadline = time.time() + 120
-    while time.time() < deadline:
-        if train_checkpoints(killed_dir) or victim.poll() is not None:
-            break
-        time.sleep(0.01)
-    killed = victim.poll() is None
-    if killed:
-        victim.send_signal(signal.SIGKILL)
+    try:
+        deadline = time.time() + 120
+        while time.time() < deadline:
+            if train_checkpoints(killed_dir) or victim.poll() is not None:
+                break
+            time.sleep(0.01)
+        killed = victim.poll() is None
+    finally:
+        if victim.poll() is None:
+            victim.send_signal(signal.SIGKILL)
         victim.wait()
+    if killed:
         print(
             f"   killed with {checkpointed_lines(killed_dir)} durable evaluations "
             f"and {len(train_checkpoints(killed_dir))} training checkpoint(s)"

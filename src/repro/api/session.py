@@ -2,8 +2,8 @@
 
 A :class:`Session` is the runtime counterpart of a declarative
 :class:`~repro.api.spec.ExperimentSpec`: it owns one
-:class:`~repro.engine.EvaluationEngine` (persistent cache, synthesis
-worker pool, aggregate telemetry) for its whole lifetime, so callers
+:class:`~repro.engine.EvaluationEngine` (persistent cache and synthesis
+worker pool) for its whole lifetime, so callers
 never thread raw ``engine=`` handles through their code.  Any number of
 experiments can run on one session and share cache entries; closing the
 session (or using it as a context manager) shuts the worker pool down.
@@ -48,10 +48,8 @@ __all__ = ["Session", "ExperimentResult"]
 def _sum_telemetry(snapshots: List[Dict]) -> Dict:
     """Fold per-run telemetry snapshots into one experiment total.
 
-    Summing the runs' own snapshots (not diffing the engine aggregate)
-    attributes exactly this experiment's work — including the counters
-    only per-run telemetry records (queries, run_hits, budget_refusals)
-    — and stays correct on a reused session.  The derived fields
+    Summing the runs' own snapshots attributes exactly this
+    experiment's work and stays correct on a reused session.  The derived fields
     (cache_hits, hit_rate, synth_throughput) are recomputed from the
     totals by the same helper ``as_dict`` uses.
     """
@@ -298,10 +296,6 @@ class Session:
             handle.wait()
             raise
         return handle.result()
-
-    def telemetry_snapshot(self) -> Dict:
-        """The engine's aggregate counters across every run so far."""
-        return self.engine.telemetry.as_dict()
 
     # ------------------------------------------------------------------
     def close(self) -> None:

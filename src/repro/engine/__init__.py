@@ -13,22 +13,25 @@ adds the production machinery the ROADMAP's north star calls for:
     synthesis-relevant configuration (``omega`` excluded, so delay-weight
     sweeps share synthesis results and cost is recomputed at serve time).
 ``pool``
-    :class:`SynthesisPool` — multiprocessing workers that synthesize
-    batches of unique legalized graphs in parallel, with a serial
-    fallback.  Only metrics cross the process boundary; accounting stays
-    in the parent.
+    :class:`SynthesisPool` — synthesis dispatch for batches of unique
+    legalized graphs: one design through ``task.synthesize``, two or
+    more through one vectorized ``task.evaluate_many`` pass, chunked
+    across multiprocessing workers when the batch is large enough.  Only
+    metrics cross the process boundary; accounting stays in the parent.
 ``service``
-    :class:`EvaluationEngine` (shared cache + pool + telemetry) and
-    :class:`EngineSimulator`, the drop-in ``CircuitSimulator`` facade.
+    :class:`EvaluationEngine` (shared cache + pool + in-flight claim
+    registry) and :class:`EngineSimulator`, the drop-in
+    ``CircuitSimulator`` facade that overrides only its synthesis hook.
 ``telemetry``
     :class:`EngineTelemetry` — cache hit-rate, synthesis throughput and
-    per-stage timers, snapshotted into every ``RunRecord``.
+    per-stage timers of one run, snapshotted into its ``RunRecord``.
 
 Guarantees
 ----------
-Engine-backed runs are **bit-identical** to serial runs: batch
-classification walks designs in submission order and assigns budget +
-``sim_index`` before any parallel work starts, and a persistent-cache hit
+Engine-backed runs are **bit-identical** to serial runs: the one
+planner (:meth:`CircuitSimulator.query_plan`) walks designs in
+submission order and assigns budget + ``sim_index`` before any parallel
+work starts, and a persistent-cache hit
 still charges the budget (it removes physical synthesis work, not
 paper-semantics accounting).  Warm caches therefore change wall-clock
 only — a repeated benchmark invocation performs zero new synthesis calls

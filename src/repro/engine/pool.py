@@ -1,27 +1,20 @@
-"""Multiprocessing synthesis workers + the vectorized batch fast path.
+"""Synthesis dispatch: one design scalar, populations vectorized.
 
-Physical synthesis is pure Python and CPU-bound, so batches of *unique*
-legalized graphs are executed through the fastest available backend.  The
-pool only ever sees (task, graphs) and returns (area, delay) metric
-tuples — budget accounting, caching and history stay in the parent, and
-every backend is bit-identical to serial per-graph synthesis, so the
-choice changes wall-clock only:
-
-* **vectorized** (default for any batch of >= 2 graphs): the whole
-  population goes through :meth:`CircuitTask.evaluate_many`
-  (:mod:`repro.synth.batched`), one numpy-vectorized pass instead of N
-  interpreter round-trips.  Set ``REPRO_VECTORIZED_EVAL=0`` to disable.
-* **vectorized + pooled**: with multiple workers and a large enough
-  batch, contiguous chunks are vectorized inside ``fork``'ed worker
-  processes.
-* **scalar / pooled scalar**: the reference per-graph loop, used for
-  single designs or when the fast path is disabled.
+The pool only ever sees (task, graphs) of *unique* legalized graphs and
+returns (area, delay) metric tuples — budget accounting, caching and
+history stay in the parent.  The dispatch rule is one line: a single
+design goes through :meth:`CircuitTask.synthesize`; two or more go
+through :meth:`CircuitTask.evaluate_many` (:mod:`repro.synth.batched`),
+one numpy-vectorized pass instead of N interpreter round-trips, with
+contiguous chunks vectorized inside ``fork``'ed worker processes when
+the batch holds at least two designs per worker.  Both paths are
+bit-identical, so the rule changes wall-clock only.
 
 Worker count comes from the constructor or the ``REPRO_ENGINE_WORKERS``
 environment variable (default 1 = serial, no processes spawned).  Worker
 processes start eagerly at construction — while the parent is still
 single-threaded, which keeps fork safe under thread-parallel seed runs —
-and the pool degrades to serial execution if process creation fails
+and the pool degrades to in-process execution if process creation fails
 (sandboxed environments).
 """
 
@@ -40,17 +33,9 @@ from ..obs import trace
 from ..obs.trace import SpanContext, Tracer
 from ..prefix.graph import PrefixGraph
 
-__all__ = ["SynthesisPool", "default_worker_count", "vectorized_enabled"]
+__all__ = ["SynthesisPool", "default_worker_count"]
 
 _ENV_WORKERS = "REPRO_ENGINE_WORKERS"
-# The vectorized population fast path's contract, held by
-# tests/test_invariants.py: :func:`vectorized_enabled` reads this kill
-# switch, the scalar reference is :func:`_synth_job` (one synthesis per
-# graph — the loop ``synthesize_batch`` degrades to), and
-# ``benchmarks/bench_batched_eval.py`` gates the speedup while
-# asserting bit-identity against that scalar loop.
-_ENV_VECTORIZED = "REPRO_VECTORIZED_EVAL"
-
 Metrics = Tuple[float, float]
 
 
@@ -63,15 +48,8 @@ def default_worker_count() -> int:
         return 1
 
 
-def vectorized_enabled() -> bool:
-    """Whether batches may use the vectorized fast path (default yes);
-    ``REPRO_VECTORIZED_EVAL=0`` opts out (e.g. to benchmark against the
-    scalar reference loop)."""
-    return os.environ.get(_ENV_VECTORIZED, "").strip() != "0"
-
-
 def _synth_job(task: CircuitTask, graph: PrefixGraph) -> Metrics:
-    """Worker entry point: synthesize one graph, return its metrics."""
+    """Synthesize one graph with the scalar flow, return its metrics."""
     result = task.synthesize(graph)
     return (result.area_um2, result.delay_ns)
 
@@ -104,19 +82,6 @@ def _worker_tracer(parent_ctx: Optional[SpanContext], trace_id: str) -> Tracer:
         trace_id=trace_id,
         id_prefix=f"w{os.getpid():x}j{next(_WORKER_JOB_SEQ):x}-",
     )
-
-
-def _traced_synth_job(
-    task: CircuitTask,
-    parent_ctx: Optional[SpanContext],
-    trace_id: str,
-    graph: PrefixGraph,
-) -> Tuple[Metrics, List[dict]]:
-    tracer = _worker_tracer(parent_ctx, trace_id)
-    with tracer.span("synthesize", parent=parent_ctx) as span:
-        span.set_attr("graph", graph.key().hex()[:16])
-        metrics = _synth_job(task, graph)
-    return metrics, tracer.drain()
 
 
 def _traced_synth_many_job(
@@ -185,88 +150,45 @@ class SynthesisPool:
         return self.workers > 1 and not self._pool_broken
 
     # ------------------------------------------------------------------
-    def execution_mode(self, count: int) -> str:
-        """How a batch of ``count`` designs would execute right now:
-        ``'vectorized'``, ``'pooled'`` or ``'serial'`` (telemetry uses
-        this to attribute stage time without changing behaviour)."""
-        if count >= 2 and vectorized_enabled():
-            return "vectorized"
-        if count > 1 and self.workers > 1 and not self._pool_broken:
-            return "pooled"
-        return "serial"
-
     def synthesize_batch(
         self, task: CircuitTask, graphs: Sequence[PrefixGraph]
     ) -> List[Metrics]:
-        """Synthesize unique graphs, in order, on the fastest backend.
-
-        Every backend produces bit-identical metrics (see
-        :mod:`repro.synth.batched`), so routing is purely a wall-clock
-        decision.
-        """
-        if not graphs:
-            return []
-        if self.execution_mode(len(graphs)) == "vectorized":
-            graphs = list(graphs)
-            # Big batches on a real pool: vectorize contiguous chunks in
-            # parallel workers; otherwise vectorize in-process.
-            if self.workers > 1 and len(graphs) >= 2 * self.workers:
-                pool = self._ensure_pool()
-                if pool is not None:
-                    base, extra = divmod(len(graphs), self.workers)
-                    chunks, start = [], 0
-                    for worker in range(self.workers):
-                        size = base + (1 if worker < extra else 0)
-                        if size:
-                            chunks.append(graphs[start : start + size])
-                            start += size
-                    tracer = trace.current_tracer()
-                    try:
-                        if tracer is not None:
-                            job = functools.partial(
-                                _traced_synth_many_job,
-                                task,
-                                tracer.current_context(),
-                                tracer.trace_id,
-                            )
-                            pairs = pool.map(job, chunks)
-                            for _, spans in pairs:
-                                tracer.emit_raw(spans)
-                            return [m for part, _ in pairs for m in part]
-                        job = functools.partial(_synth_many_job, task)
-                        parts = pool.map(job, chunks)
-                        return [metrics for part in parts for metrics in part]
-                    except (OSError, RuntimeError):
-                        with self._pool_lock:
-                            self._pool_broken = True
-                            self._pool = None
-            return _synth_many_job(task, graphs)
-        if self.workers > 1 and len(graphs) > 1:
+        """Synthesize unique graphs, in order: one design scalar, two or
+        more vectorized — chunked across workers when the batch holds at
+        least two designs per worker."""
+        graphs = list(graphs)
+        if len(graphs) < 2:
+            return [_synth_job(task, graph) for graph in graphs]
+        if self.workers > 1 and len(graphs) >= 2 * self.workers:
             pool = self._ensure_pool()
             if pool is not None:
-                # partial pickles the task once per chunk (not per graph);
-                # the task's cell library dwarfs a packed grid.
-                chunksize = max(1, len(graphs) // (self.workers * 4))
+                base, extra = divmod(len(graphs), self.workers)
+                chunks, start = [], 0
+                for worker in range(self.workers):
+                    size = base + (1 if worker < extra else 0)
+                    chunks.append(graphs[start : start + size])
+                    start += size
                 tracer = trace.current_tracer()
                 try:
                     if tracer is not None:
                         job = functools.partial(
-                            _traced_synth_job,
+                            _traced_synth_many_job,
                             task,
                             tracer.current_context(),
                             tracer.trace_id,
                         )
-                        pairs = pool.map(job, graphs, chunksize=chunksize)
+                        pairs = pool.map(job, chunks)
                         for _, spans in pairs:
                             tracer.emit_raw(spans)
-                        return [metrics for metrics, _ in pairs]
-                    job = functools.partial(_synth_job, task)
-                    return pool.map(job, graphs, chunksize=chunksize)
+                        return [m for part, _ in pairs for m in part]
+                    job = functools.partial(_synth_many_job, task)
+                    parts = pool.map(job, chunks)
+                    return [metrics for part in parts for metrics in part]
                 except (OSError, RuntimeError):
                     with self._pool_lock:
                         self._pool_broken = True
                         self._pool = None
-        return [_synth_job(task, graph) for graph in graphs]
+        return _synth_many_job(task, graphs)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

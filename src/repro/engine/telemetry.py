@@ -1,9 +1,9 @@
 """Throughput, hit-rate and per-stage timing counters for the engine.
 
 One :class:`EngineTelemetry` instance is a thread-safe bag of counters and
-stage timers.  The engine keeps a global aggregate across every simulator
-it backs; each :class:`~repro.engine.service.EngineSimulator` additionally
-owns a per-run instance whose snapshot lands in
+stage timers.  Each :class:`~repro.engine.service.EngineSimulator` owns a
+per-run instance — the one sink every engine, planner and algorithm
+write goes to — whose snapshot lands in
 :class:`~repro.opt.results.RunRecord.telemetry`, so every figure/table
 bench can report cache hit-rates and synthesis throughput alongside the
 paper's sample-efficiency numbers.
@@ -12,11 +12,10 @@ Counters and stage timers are plain dicts under one lock, so
 ``as_dict()`` is computed from one atomic snapshot; its derived
 ``cache_hits``/``hit_rate``/``synth_throughput`` fields come from
 :func:`derived_fields`, which also re-derives them for summed
-snapshots.  The :func:`stage`/:func:`stage_all` helpers also emit
-:mod:`repro.obs.trace` spans (marked ``attrs.stage``) whose durations
-are *imposed* from the same single wall-clock measurement that feeds
-``stage_seconds``, so a trace-derived report reproduces the engine's
-stage totals exactly.
+snapshots.  The :func:`stage` helper also emits :mod:`repro.obs.trace`
+spans (marked ``attrs.stage``) whose durations are *imposed* from the
+same single wall-clock measurement that feeds ``stage_seconds``, so a
+trace-derived report reproduces the engine's stage totals exactly.
 
 This module only imports the stdlib-only :mod:`repro.obs.trace` (no
 engine/core imports), so the rest of the codebase — core, baselines —
@@ -38,7 +37,6 @@ __all__ = [
     "KNOWN_STAGES",
     "derived_fields",
     "stage",
-    "stage_all",
 ]
 
 #: shared attrs dict for stage spans (Span copies it; never mutated) —
@@ -46,8 +44,7 @@ __all__ = [
 #: thread-safe: written once at import time, read-only afterwards.
 _STAGE_ATTRS = {"stage": True}
 
-#: The canonical stage vocabulary.  :func:`stage`/:func:`stage_all`
-#: names must come from this set (plus the dynamic
+#: The canonical stage vocabulary.  :func:`stage` names must come from this set (plus the dynamic
 #: ``train_kernel:<op>`` family from REPRO_PROFILE=1) — a typo'd
 #: stage would silently create a fresh ``stage_seconds`` series, so
 #: ``tests/test_invariants.py`` resolves every literal stage name in the
@@ -55,8 +52,6 @@ _STAGE_ATTRS = {"stage": True}
 KNOWN_STAGES = frozenset(
     {
         "synthesis",
-        "synthesis_vectorized",
-        "synthesis_scalar",
         "train",
         "acquisition",
         "variation",
@@ -75,9 +70,7 @@ KNOWN_SPANS = frozenset(
         "experiment",
         "seed",
         "engine_evaluate",
-        "evaluate",
         "evaluate_batch",
-        "synthesize",
         "synthesize_chunk",
         "cache_load",
         "cache_refresh",
@@ -124,16 +117,11 @@ class EngineTelemetry:
     ``synth_calls``
         Designs that actually went through the physical-synthesis flow.
     ``budget_refusals``
-        Batch entries skipped because the budget was exhausted.
+        Designs refused because the budget was exhausted (single
+        queries and batch entries alike).
     ``batches`` / ``batch_designs``
-        Parallel batch submissions and their total size.
-    ``vector_batches`` / ``vector_designs``
-        Batch submissions (and their total size) that went through the
-        vectorized population fast path (:mod:`repro.synth.batched`)
-        instead of per-graph scalar synthesis.  Stage timers mirror the
-        split: ``synthesis`` is total synthesis wall-clock, with
-        ``synthesis_vectorized`` / ``synthesis_scalar`` attributing it to
-        the execution paths.
+        Synthesis submissions and their total size (the ``synthesis``
+        stage timer is their wall-clock).
     ``train_*``
         Neural-training engine counters (CircuitVAE / latent-BO rounds):
         epochs trained vs restored from checkpoints, and the
@@ -151,8 +139,6 @@ class EngineTelemetry:
         "budget_refusals",
         "batches",
         "batch_designs",
-        "vector_batches",
-        "vector_designs",
         "train_epochs",
         "train_epochs_skipped",
         "train_compiles",
@@ -229,25 +215,4 @@ def stage(telemetry: Optional[EngineTelemetry], name: str) -> Iterator[None]:
     finally:
         elapsed = time.perf_counter() - start
         telemetry.add_stage_time(name, elapsed)
-        span.finish(elapsed=elapsed)
-
-
-@contextmanager
-def stage_all(telemetries, name: str) -> Iterator[None]:
-    """Charge one wall-clock measurement to several telemetry sinks.
-
-    ``None`` entries are skipped (same convention as :func:`stage`), so
-    mixed sink lists — e.g. an engine aggregate plus an optional per-run
-    instance — work without the caller filtering.
-    """
-    span = trace.span(name, _STAGE_ATTRS)
-    span.__enter__()
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        elapsed = time.perf_counter() - start
-        for telemetry in telemetries:
-            if telemetry is not None:
-                telemetry.add_stage_time(name, elapsed)
         span.finish(elapsed=elapsed)

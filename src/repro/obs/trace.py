@@ -5,11 +5,10 @@ and counter deltas — covering one experiment run::
 
     experiment                       (the whole grid, root span)
       seed GA/0                      (one (method, seed) cell)
-        evaluate_batch               (one query_plan iteration)
+        evaluate_batch               (one query or query_plan call)
           engine_evaluate            (cache classification + synthesis)
             synthesis                (stage span, == telemetry seconds)
-              synthesis_vectorized
-                synthesize_chunk     (shipped back from a pool worker)
+              synthesize_chunk       (shipped back from a pool worker)
         train                        (stage span around a retrain round)
 
 Design constraints, in order:

@@ -6,9 +6,9 @@ initial datasets" and reports medians and interquartile ranges.
 :meth:`repro.api.Session.run` is the public entry point; it drives
 :func:`_run_seed_grid` once per method.
 
-A grid optionally routes through a :class:`repro.engine.EvaluationEngine`:
-every seed then gets an engine-backed simulator sharing one persistent
-cache and worker pool.  ``parallel_seeds > 1`` runs one thread per seed
+A grid routes through a :class:`repro.engine.EvaluationEngine`: every
+seed gets an engine-backed simulator sharing one persistent cache and
+worker pool.  ``parallel_seeds > 1`` runs one thread per seed
 (up to that many at a time).  Each seed owns its simulator, budget
 accounting, rng and model, so records are bit-identical to serial
 execution.
@@ -98,27 +98,13 @@ class GridObserver:
         """The cell completed (``resumed`` = served from a prior record)."""
 
 
-def _make_simulator(
-    task: CircuitTask, budget: int, engine: Optional["EvaluationEngine"]
-) -> CircuitSimulator:
-    """One fresh oracle for one run.
-
-    ``engine`` is a :class:`repro.engine.EvaluationEngine` (shared
-    persistent cache + synthesis worker pool) or ``None`` for a plain
-    serial :class:`CircuitSimulator`.
-    """
-    if engine is None:
-        return CircuitSimulator(task, budget=budget)
-    return engine.simulator(task, budget=budget)
-
-
 def _run_seed_grid(
     factory: AlgorithmFactory,
     task: CircuitTask,
     budget: int,
     seeds: Sequence[int],
+    engine: "EvaluationEngine",
     method_name: Optional[str] = None,
-    engine: Optional["EvaluationEngine"] = None,
     parallel_seeds: int = 1,
     observer: Optional[GridObserver] = None,
 ) -> List[RunRecord]:
@@ -127,9 +113,9 @@ def _run_seed_grid(
 
     ``factory(seed)`` builds the algorithm instance (so per-seed
     configuration like initial-dataset sizes can vary, as in the paper's
-    grouped-budget curves).  ``engine`` is a shared
-    :class:`repro.engine.EvaluationEngine` or ``None`` (plain serial
-    simulators); ``parallel_seeds`` runs that many seeds concurrently,
+    grouped-budget curves).  ``engine`` is the shared
+    :class:`repro.engine.EvaluationEngine` every seed's simulator runs
+    on; ``parallel_seeds`` runs that many seeds concurrently,
     one thread per seed, with records bit-identical to serial.
 
     ``observer`` (a :class:`GridObserver`) adds job-lifecycle semantics
@@ -171,7 +157,7 @@ def _run_seed_grid(
                 observer.on_seed_finished(method_name, seed, done, resumed=True)
                 return done
         algorithm = factory(seed)
-        simulator = _make_simulator(task, budget, engine)
+        simulator = engine.simulator(task, budget=budget)
         if observer is not None:
             replayed = observer.before_seed(method_name, seed, simulator)
             observer.on_seed_started(method_name, seed, replayed)

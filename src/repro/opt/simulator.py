@@ -65,8 +65,8 @@ class CircuitSimulator:
         #: a query boundary; the evaluation it was called with is already
         #: durable in ``history`` at that point.
         self.on_evaluation: Optional[Callable[[Evaluation], None]] = None
-        #: abort hook checked at the *start* of every query — cache hits
-        #: included, so an interrupt lands at the very next query
+        #: abort hook checked at the *start* of every query and batch —
+        #: cache hits included, so an interrupt lands at the very next query
         #: boundary even when a method is cycling through already
         #: -evaluated designs and ``on_evaluation`` would never fire.
         #: Raises (e.g. RunInterrupted) to abort; must not mutate state.
@@ -99,17 +99,24 @@ class CircuitSimulator:
             return design
         return legalize(np.asarray(design))
 
-    def _synthesize(self, graph: PrefixGraph) -> Tuple[float, float, float]:
-        """Run physical synthesis on one new graph -> (cost, area, delay).
+    def _synthesize_many(
+        self, graphs: List[PrefixGraph]
+    ) -> List[Tuple[float, float, float]]:
+        """Run physical synthesis on unique new graphs -> (cost, area,
+        delay) each, in order.
 
         The single override point for alternative execution backends: the
         batched/parallel/persistent engine
         (:class:`repro.engine.service.EngineSimulator`) replaces only this
-        hook (and the batch planner), so budget, cache-identity and
-        history semantics live in exactly one place — here.
+        hook, so budget, cache-identity and history semantics live in
+        exactly one place — :meth:`query_plan`.  This reference is the
+        scalar ``task.synthesize`` loop.
         """
-        result = self.task.synthesize(graph)
-        return self.task.cost(result), result.area_um2, result.delay_ns
+        out = []
+        for graph in graphs:
+            result = self.task.synthesize(graph)
+            out.append((self.task.cost(result), result.area_um2, result.delay_ns))
+        return out
 
     def query(self, design: Union[PrefixGraph, np.ndarray]) -> Evaluation:
         """Synthesize a design (or return its cached evaluation).
@@ -117,47 +124,73 @@ class CircuitSimulator:
         Raises :class:`BudgetExhausted` if the design is new and the budget
         is used up.
         """
-        if self.check_abort is not None:
-            self.check_abort()
-        graph = self.canonicalize(design)
-        key = graph.key()
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if self.exhausted():
+        (evaluation,) = self.query_plan([design])
+        if evaluation is None:
             raise BudgetExhausted(
                 f"simulation budget of {self.budget} exhausted on task {self.task.name}"
             )
-        cost, area_um2, delay_ns = self._synthesize(graph)
-        evaluation = Evaluation(
-            graph=graph,
-            cost=cost,
-            area_um2=area_um2,
-            delay_ns=delay_ns,
-            sim_index=self.num_simulations + 1,
-        )
-        self._cache[key] = evaluation
-        self.history.append(evaluation)
-        if self.on_evaluation is not None:
-            self.on_evaluation(evaluation)
         return evaluation
 
     def query_plan(self, designs) -> List[Optional[Evaluation]]:
         """Query a batch, one slot per design; None marks a budget refusal.
 
+        Classifies every design in submission order — run-memo hit,
+        duplicate of a design scheduled earlier in this batch, budget
+        refusal, or new — then synthesizes all new unique graphs in one
+        :meth:`_synthesize_many` call and assigns ``sim_index`` in
+        submission order, so accounting never depends on the backend.
         Scans the *whole* batch even after the budget runs out: cached
-        designs (including duplicates of entries synthesized earlier in
-        this very batch) are always served, only genuinely-new designs are
-        refused.  ``repro.engine`` overrides this with a batched parallel
-        planner that preserves these exact semantics.
+        designs (including duplicates of entries scheduled earlier in
+        this very batch) are always served, only genuinely-new designs
+        are refused.
         """
-        plan: List[Optional[Evaluation]] = []
+        if self.check_abort is not None:
+            self.check_abort()
+        telemetry = self.telemetry
+        # Each slot is an Evaluation (memo hit), a scheduled key, or None.
+        slots: List[Union[Evaluation, bytes, None]] = []
+        scheduled: List[PrefixGraph] = []
+        scheduled_keys = set()
         for design in designs:
-            try:
-                plan.append(self.query(design))
-            except BudgetExhausted:
-                plan.append(None)
-        return plan
+            graph = self.canonicalize(design)
+            key = graph.key()
+            cached = self._cache.get(key)
+            if cached is not None:
+                if telemetry is not None:
+                    telemetry.add("run_hits")
+                slots.append(cached)
+            elif key in scheduled_keys:
+                slots.append(key)
+            elif self.budget is not None and (
+                self.num_simulations + len(scheduled) >= self.budget
+            ):
+                if telemetry is not None:
+                    telemetry.add("budget_refusals")
+                slots.append(None)
+            else:
+                scheduled_keys.add(key)
+                scheduled.append(graph)
+                slots.append(key)
+
+        if scheduled:
+            measured = self._synthesize_many(scheduled)
+            for graph, (cost, area_um2, delay_ns) in zip(scheduled, measured):
+                evaluation = Evaluation(
+                    graph=graph,
+                    cost=cost,
+                    area_um2=area_um2,
+                    delay_ns=delay_ns,
+                    sim_index=self.num_simulations + 1,
+                )
+                self._cache[graph.key()] = evaluation
+                self.history.append(evaluation)
+                # If the hook raises mid-batch, every evaluation appended
+                # so far is already recorded; the batch's later designs
+                # simply rerun on resume (synthesis is deterministic, so
+                # bit-identically).
+                if self.on_evaluation is not None:
+                    self.on_evaluation(evaluation)
+        return [self._cache[s] if isinstance(s, bytes) else s for s in slots]
 
     def query_many(self, designs) -> List[Evaluation]:
         """Query a batch, silently skipping designs the budget refuses.

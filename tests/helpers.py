@@ -30,6 +30,22 @@ def unique_random_graphs(n, count, seed=0, base_density=0.1):
     )
 
 
+def run_serial_grid(factory, task, budget, seeds, method_name):
+    """The plain reference grid: one serial :class:`CircuitSimulator`
+    (scalar ``task.synthesize`` per design) per seed."""
+    from repro.opt import BudgetExhausted, CircuitSimulator, RunRecord
+
+    records = []
+    for seed in seeds:
+        simulator = CircuitSimulator(task, budget=budget)
+        try:
+            factory(seed).run(simulator, np.random.default_rng(seed))
+        except BudgetExhausted:
+            pass
+        records.append(RunRecord.from_simulator(method_name, seed, simulator))
+    return records
+
+
 def mutant_population(n, total, seed=42, flips=(1, 3)):
     """Classic parents + legalized bit-flip mutants: the GA/BO shape.
 

@@ -310,17 +310,27 @@ class TestInterruptResume:
             for a, b in zip(reference.records[method], result.records[method]):
                 assert_bit_identical(b, a)
 
-    def test_resume_of_finished_run_is_a_noop(self, tmp_path):
+    def test_resume_of_finished_run_is_a_noop(self, tmp_path, monkeypatch):
+        from repro.engine import SynthesisPool
+
         spec = tiny_spec(name="resume-noop")
         out = str(tmp_path / "run")
         with Session() as session:
             reference = session.run(spec, out_dir=out)
+        batches = []
+        real_batch = SynthesisPool.synthesize_batch
+        monkeypatch.setattr(
+            SynthesisPool,
+            "synthesize_batch",
+            lambda pool, task, graphs: batches.append(len(graphs))
+            or real_batch(pool, task, graphs),
+        )
         with Session() as session:
             handle = session.resume(out)
             events = list(handle.events())
             result = handle.result()
-            # every cell served from the ledger; engine did nothing
-            assert session.telemetry_snapshot()["synth_calls"] == 0
+        # every cell served from the ledger; the engine synthesized nothing
+        assert batches == []
         finished = [e for e in events if isinstance(e, SeedFinished)]
         assert finished and all(e.resumed for e in finished)
         assert not any(isinstance(e, SeedStarted) for e in events)

@@ -12,10 +12,9 @@ from repro.baselines import GAConfig, GeneticAlgorithm, RandomSearch
 from repro.circuits import adder_task
 from repro.opt import RunInterrupted, load_records
 from repro.obs.trace import Tracer
-from repro.opt.runner import _run_seed_grid
 from repro.utils.threads import blas_thread_counts, usable_cores
 
-from helpers import VAE_PARAMS
+from helpers import VAE_PARAMS, run_serial_grid
 
 TINY_SPEC_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -42,8 +41,7 @@ def direct_reference_records(spec):
     }
     task = adder_task(spec.task.n, spec.task.delay_weight)
     return {
-        name: _run_seed_grid(factory, task, spec.budget, spec.seed_list(),
-                             method_name=name)
+        name: run_serial_grid(factory, task, spec.budget, spec.seed_list(), name)
         for name, factory in factories.items()
     }
 

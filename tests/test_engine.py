@@ -6,35 +6,23 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import unique_random_graphs as unique_graphs
+from helpers import run_serial_grid, unique_random_graphs as unique_graphs
 
 from repro.api import ExperimentSpec, MethodSpec, Session, TaskSpec
 from repro.baselines import GAConfig, GeneticAlgorithm, RandomSearch
 from repro.circuits import adder_task
 from repro.engine import (
+    EngineTelemetry,
     EvaluationCache,
     EvaluationEngine,
     EngineSimulator,
     SynthesisPool,
     task_fingerprint,
 )
-from repro.opt import BudgetExhausted, CircuitSimulator, RunRecord
+from repro.opt import BudgetExhausted, CircuitSimulator
 from repro.prefix import sklansky
 
 TASK_SPEC = TaskSpec(circuit_type="adder", n=16, delay_weight=0.66)
-
-
-def run_serial_grid(factory, task, budget, seeds, method_name):
-    """The plain pre-engine reference: one serial simulator per seed."""
-    records = []
-    for seed in seeds:
-        simulator = CircuitSimulator(task, budget=budget)
-        try:
-            factory(seed).run(simulator, np.random.default_rng(seed))
-        except BudgetExhausted:
-            pass
-        records.append(RunRecord.from_simulator(method_name, seed, simulator))
-    return records
 
 
 def run_session_grid(engine, methods, budget, seeds, parallel_seeds=1):
@@ -332,68 +320,115 @@ class TestPool:
         assert not pool.parallel
 
 
+def refusals_counted(sim, expected):
+    """The engine's per-run telemetry counts refusals; the plain
+    simulator keeps none."""
+    return sim.telemetry is None or sim.telemetry.budget_refusals == expected
+
+
 class TestBudgetAccountingUnderBatches:
-    def test_no_overspend_on_oversized_batch(self, task):
+    """The one planner (``CircuitSimulator.query_plan``) on the engine
+    backend; :class:`TestBudgetAccountingPlainSimulator` holds the plain
+    scalar simulator to the same rules."""
+
+    @pytest.fixture
+    def make_sim(self):
+        engines = []
+
+        def make(task, budget, workers=1):
+            engines.append(EvaluationEngine(workers=workers))
+            return EngineSimulator(task, budget=budget, engine=engines[-1])
+
+        yield make
+        for engine in engines:
+            engine.close()
+
+    def test_no_overspend_on_oversized_batch(self, task, make_sim):
         graphs = unique_graphs(16, 12)
-        sim = EngineSimulator(task, budget=5, engine=EvaluationEngine(workers=2))
+        sim = make_sim(task, budget=5, workers=2)
         out = sim.query_many(graphs)
         assert sim.num_simulations == 5
         assert len(out) == 5
         assert [e.sim_index for e in sim.history] == [1, 2, 3, 4, 5]
-        assert sim.telemetry.budget_refusals == 7
+        assert refusals_counted(sim, 7)
 
-    def test_in_batch_duplicates_charge_once(self, task):
+    def test_in_batch_duplicates_charge_once(self, task, make_sim):
         graphs = unique_graphs(16, 4)
         batch = graphs + [graphs[0], graphs[2]] + graphs[:2]
-        sim = EngineSimulator(task, budget=None, engine=EvaluationEngine(workers=2))
+        sim = make_sim(task, budget=None, workers=2)
         out = sim.query_many(batch)
         assert sim.num_simulations == 4
         assert len(out) == len(batch)  # duplicates served, not skipped
         assert out[4] is out[0] and out[5] is out[2]
 
-    def test_duplicate_after_exhaustion_is_served(self, task):
+    def test_duplicate_after_exhaustion_is_served(self, task, make_sim):
         graphs = unique_graphs(16, 6)
         batch = graphs + [graphs[1]]  # dup lands after the budget runs out
-        sim = EngineSimulator(task, budget=3, engine=EvaluationEngine())
+        sim = make_sim(task, budget=3)
         out = sim.query_many(batch)
         assert sim.num_simulations == 3
         assert out[-1] is out[1]
 
-    def test_scalar_query_raises_when_exhausted(self, task):
+    def test_scalar_query_raises_when_exhausted(self, task, make_sim):
         graphs = unique_graphs(16, 3)
-        sim = EngineSimulator(task, budget=2, engine=EvaluationEngine())
+        sim = make_sim(task, budget=2)
         sim.query(graphs[0])
         sim.query(graphs[1])
         with pytest.raises(BudgetExhausted):
             sim.query(graphs[2])
         assert sim.query(graphs[0]).sim_index == 1  # cached hit still served
+        assert sim.num_simulations == 2
+        assert refusals_counted(sim, 1)
 
-    def test_refusal_mid_batch_after_in_batch_duplicates(self, task):
+    def test_refusal_mid_batch_after_in_batch_duplicates(self, task, make_sim):
         # Duplicates of already-scheduled designs are free: they must not
         # advance the budget cursor, so the refusal boundary lands on the
         # fourth *unique* design, not the fourth slot.
         g = unique_graphs(16, 4)
         batch = [g[0], g[0], g[1], g[1], g[2], g[3]]
-        sim = EngineSimulator(task, budget=3, engine=EvaluationEngine())
+        sim = make_sim(task, budget=3)
         out = sim.query_plan(batch)
         assert sim.num_simulations == 3
         assert out[5] is None  # g[3] alone is refused
         assert [e is not None for e in out[:5]] == [True] * 5
         assert out[1] is out[0] and out[3] is out[2]
-        assert sim.telemetry.budget_refusals == 1
+        assert refusals_counted(sim, 1)
 
-    def test_refusal_on_exact_last_budget_unit(self, task):
+    def test_refusal_on_exact_last_budget_unit(self, task, make_sim):
         # budget=4 with 5 uniques: the fourth consumes the final unit in
         # the same batch, the fifth is refused — no off-by-one overspend.
         g = unique_graphs(16, 5)
-        sim = EngineSimulator(task, budget=4, engine=EvaluationEngine())
+        sim = make_sim(task, budget=4)
         out = sim.query_plan(g)
         assert sim.num_simulations == 4
         assert [e.sim_index for e in out[:4]] == [1, 2, 3, 4]
         assert out[4] is None
-        assert sim.telemetry.budget_refusals == 1
+        assert refusals_counted(sim, 1)
         # the exhausted simulator still serves memo hits for free
         assert sim.query_plan([g[0]])[0] is out[0]
+
+    def test_hooks_fire_once_per_new_evaluation(self, task, make_sim):
+        # check_abort runs at every query boundary (hits included);
+        # on_evaluation fires for each new evaluation, in sim_index order.
+        g = unique_graphs(16, 3)
+        sim = make_sim(task, budget=None)
+        seen, checks = [], []
+        sim.on_evaluation = seen.append
+        sim.check_abort = lambda: checks.append(1)
+        sim.query_plan([g[0], g[1], g[0]])
+        sim.query(g[0])
+        sim.query(g[2])
+        assert [e.sim_index for e in seen] == [1, 2, 3]
+        assert seen == sim.history
+        assert len(checks) == 3
+
+
+class TestBudgetAccountingPlainSimulator(TestBudgetAccountingUnderBatches):
+    """Every rule above on the plain simulator (scalar synthesis)."""
+
+    @pytest.fixture
+    def make_sim(self):
+        return lambda task, budget, workers=1: CircuitSimulator(task, budget=budget)
 
 
 class TestSerialEquivalence:
@@ -450,57 +485,61 @@ class TestSerialEquivalence:
         import threading
 
         graphs = unique_graphs(16, 4)
+        telemetry = EngineTelemetry()
         with EvaluationEngine(workers=1) as engine:
             barrier = threading.Barrier(2)
 
             def worker():
                 barrier.wait()
-                engine.evaluate(task, graphs)
+                engine.evaluate(task, graphs, telemetry)
 
             threads = [threading.Thread(target=worker) for _ in range(2)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
-            assert engine.telemetry.synth_calls == len(graphs)
+        assert telemetry.synth_calls == len(graphs)
 
     def test_waiter_recovers_when_owner_synthesis_fails(self, task):
-        # If the owning thread's synthesis raises, exactly one waiter must
-        # reclaim the in-flight slot and produce the result.
+        # The first synthesis raises while two other threads wait on its
+        # in-flight slot: exactly one of them reclaims the slot and
+        # synthesizes, the other is served its result.
         import threading
+        import time
 
         graphs = unique_graphs(16, 1)
         engine = EvaluationEngine(workers=1)
         real_batch = engine.pool.synthesize_batch
-        fail_once = threading.Event()
+        calls = []
 
         def flaky_batch(task_, graphs_):
-            if not fail_once.is_set():
-                fail_once.set()
+            calls.append(len(graphs_))
+            if len(calls) == 1:
+                time.sleep(0.2)  # let the other threads queue behind us
                 raise RuntimeError("injected synthesis failure")
             return real_batch(task_, graphs_)
 
         engine.pool.synthesize_batch = flaky_batch
-        barrier = threading.Barrier(2)
+        barrier = threading.Barrier(3)
         outcomes = []
 
         def worker():
             barrier.wait()
             try:
-                outcomes.append(engine.evaluate(task, graphs)[0])
+                outcomes.append(engine.evaluate(task, graphs, EngineTelemetry())[0])
             except RuntimeError:
                 outcomes.append("failed")
 
-        threads = [threading.Thread(target=worker) for _ in range(2)]
+        threads = [threading.Thread(target=worker) for _ in range(3)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        # One thread saw the injected failure OR both succeeded (if the
-        # failing call happened first and the survivor re-synthesized);
-        # either way at least one real evaluation came back and nothing
-        # deadlocked.
-        assert any(isinstance(o, tuple) for o in outcomes), outcomes
+            t.join(timeout=60)
+            assert not t.is_alive()  # no waiter left blocked
+        assert calls == [1, 1]  # the failed owner, then one reclaim
+        assert outcomes.count("failed") == 1, outcomes
+        served = [o for o in outcomes if o != "failed"]
+        assert len(served) == 2 and served[0] == served[1]
         assert engine._inflight == {}  # registry fully drained
 
     def test_unique_random_graphs_rejects_impossible_count(self):
@@ -530,14 +569,14 @@ class TestPersistentReuse:
         method = MethodSpec("GA", params={"population_size": 10})
         seeds = seed_sequence(0, 2)
         with EvaluationEngine(cache_dir=str(tmp_path), workers=1) as engine:
-            cold = run_session_grid(engine, (method,), 12, seeds).records
-            assert engine.telemetry.synth_calls > 0
+            cold = run_session_grid(engine, (method,), 12, seeds)
+        assert cold.telemetry["synth_calls"] > 0
         # Fresh process-equivalent: new engine, same cache directory.
         with EvaluationEngine(cache_dir=str(tmp_path), workers=1) as engine:
-            warm = run_session_grid(engine, (method,), 12, seeds).records
-            assert engine.telemetry.synth_calls == 0
-            assert engine.telemetry.disk_hits > 0
-        for record_c, record_w in zip(cold["GA"], warm["GA"]):
+            warm = run_session_grid(engine, (method,), 12, seeds)
+        assert warm.telemetry["synth_calls"] == 0
+        assert warm.telemetry["disk_hits"] > 0
+        for record_c, record_w in zip(cold.records["GA"], warm.records["GA"]):
             np.testing.assert_array_equal(record_c.costs, record_w.costs)
 
     def test_omega_sweep_shares_synthesis(self, tmp_path):
@@ -566,9 +605,9 @@ class TestTelemetry:
         assert "proposal" in telemetry["stage_seconds"]
         assert 0.0 <= telemetry["hit_rate"] <= 1.0
 
-    def test_vectorized_batches_are_attributed(self, task):
-        # A GA generation is a population batch: the engine must route it
-        # through the vectorized fast path and say so in telemetry.
+    def test_population_batches_are_attributed(self, task):
+        # A GA generation is one population batch: its new designs reach
+        # synthesis in one submission, and telemetry says so.
         with EvaluationEngine() as engine:
             records = run_session_grid(
                 engine,
@@ -577,30 +616,9 @@ class TestTelemetry:
                 [0],
             ).records["GA"]
         telemetry = records[0].telemetry
-        assert telemetry["vector_batches"] >= 1
-        assert telemetry["vector_designs"] >= 10
-        assert telemetry["vector_designs"] <= telemetry["synth_calls"]
-        # Population batches land in the vectorized stage.
-        stages = telemetry["stage_seconds"]
-        assert stages.get("synthesis_vectorized", 0) > 0
-        # The split stages partition total synthesis wall-clock.
-        total = stages["synthesis"]
-        split = (
-            stages.get("synthesis_vectorized", 0.0)
-            + stages.get("synthesis_scalar", 0.0)
-        )
-        assert split <= total + 1e-6
-
-    def test_vectorized_fast_path_can_be_disabled(self, task, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTORIZED_EVAL", "0")
-        graphs = unique_graphs(16, 4)
-        with EvaluationEngine() as engine:
-            simulator = engine.simulator(task)
-            simulator.query_many(graphs)
-            assert simulator.telemetry.vector_batches == 0
-            assert (
-                simulator.telemetry.stage_seconds.get("synthesis_scalar", 0) > 0
-            )
+        assert telemetry["batch_designs"] == telemetry["synth_calls"] == 12
+        assert telemetry["batches"] < telemetry["synth_calls"]
+        assert telemetry["stage_calls"]["synthesis"] == telemetry["batches"]
 
     def test_plain_simulator_records_no_telemetry(self, task):
         records = run_serial_grid(

@@ -10,12 +10,13 @@ import pytest
 
 from repro.api import ExperimentSpec, MethodSpec, Session, TaskSpec
 from repro.api.cli import _tiny_vae_params
+from repro.api.registry import build_config, get_method
 from repro.circuits import gray_to_binary_task, realistic_adder_task
 from repro.core import CircuitVAEConfig, CircuitVAEOptimizer, SearchConfig, TrainConfig
 from repro.opt import CircuitSimulator, aggregate_curves, vae_speedup
 from repro.synth import CommercialTool, scaled_library
 
-from helpers import VAE_PARAMS
+from helpers import VAE_PARAMS, run_serial_grid
 
 
 def vae_factory(_seed):
@@ -128,9 +129,10 @@ class TestSeedIndependence:
 
 
 class TestKillSwitchParity:
-    """Records are a pure function of (spec, seed): neither kill switch
-    may change them.  CircuitVAE and latent BO exercise both fast paths
-    (compiled training and vectorized population synthesis)."""
+    """Records are a pure function of (spec, seed): neither the compiled
+    training kill switch nor the synthesis backend may change them.
+    CircuitVAE and latent BO exercise compiled training and vectorized
+    population synthesis."""
 
     SPEC = ExperimentSpec(
         name="kill-switch-parity",
@@ -155,16 +157,24 @@ class TestKillSwitchParity:
     def default_result(self):
         return run_spec(self.SPEC)
 
+    @staticmethod
+    def assert_same_records(records_by_method, reference):
+        for name, expected_records in reference.items():
+            records = records_by_method[name]
+            assert len(records) == len(expected_records) == 2
+            for record, expected in zip(records, expected_records):
+                assert record.seed == expected.seed
+                np.testing.assert_array_equal(record.costs, expected.costs)
+                np.testing.assert_array_equal(record.areas, expected.areas)
+                np.testing.assert_array_equal(record.delays, expected.delays)
+
     def test_default_run_takes_both_fast_paths(self, default_result):
         assert default_result.telemetry["train_replays"] > 0
-        assert default_result.telemetry["vector_designs"] > 0
+        # population batches reach synthesis as one submission each
+        assert default_result.telemetry["batches"] < default_result.telemetry["synth_calls"]
 
     @pytest.mark.parametrize(
-        "switch, fast_counter",
-        [
-            ("REPRO_COMPILED_TRAIN", "train_replays"),
-            ("REPRO_VECTORIZED_EVAL", "vector_designs"),
-        ],
+        "switch, fast_counter", [("REPRO_COMPILED_TRAIN", "train_replays")]
     )
     def test_switching_off_keeps_records(
         self, default_result, monkeypatch, switch, fast_counter
@@ -172,11 +182,22 @@ class TestKillSwitchParity:
         monkeypatch.setenv(switch, "0")
         result = run_spec(self.SPEC)
         assert result.telemetry[fast_counter] == 0
-        for name, reference in default_result.records.items():
-            records = result.records[name]
-            assert len(records) == len(reference) == 2
-            for record, expected in zip(records, reference):
-                assert record.seed == expected.seed
-                np.testing.assert_array_equal(record.costs, expected.costs)
-                np.testing.assert_array_equal(record.areas, expected.areas)
-                np.testing.assert_array_equal(record.delays, expected.delays)
+        self.assert_same_records(result.records, default_result.records)
+
+    def test_plain_scalar_simulators_keep_records(self, default_result):
+        # The same grid on plain CircuitSimulators — scalar
+        # task.synthesize per design, no engine — built through the
+        # registry like Session builds it.
+        task = self.SPEC.task.to_task()
+        records = {}
+        for method in self.SPEC.methods:
+            entry = get_method(method.method)
+            config = build_config(method.method, method.params, n=task.n)
+            records[method.display_name] = run_serial_grid(
+                lambda seed, _config=config: entry.factory(_config),
+                task,
+                self.SPEC.budget,
+                self.SPEC.seed_list(),
+                method.display_name,
+            )
+        self.assert_same_records(records, default_result.records)

@@ -37,12 +37,6 @@ SCANNED = ("src/repro", "scripts", "benchmarks")
 #: gating the fast path, which must import the module).
 FAST_PATHS = (
     (
-        "REPRO_VECTORIZED_EVAL",
-        "src/repro/engine/pool.py",
-        "_synth_job",
-        "benchmarks/bench_batched_eval.py",
-    ),
-    (
         "REPRO_COMPILED_TRAIN",
         "src/repro/core/training.py",
         "training_losses",
@@ -202,13 +196,13 @@ def _telemetry_name(call: ast.Call) -> Optional[Tuple[str, str]]:
     with a string literal."""
     func, kind, index = call.func, None, 0
     if isinstance(func, ast.Name):
-        if func.id in ("stage", "stage_all"):
+        if func.id == "stage":
             kind, index = "stage", 1  # stage(telemetry, "name")
         elif func.id in _SPAN_CALLS:
             kind = "span"
     elif isinstance(func, ast.Attribute):
         receiver = ast.unparse(func.value).lower()
-        if "telemetry" in receiver or receiver in ("sink", "sinks"):
+        if "telemetry" in receiver:
             kind = _TELEMETRY_METHODS.get(func.attr)
         elif "trace" in receiver and func.attr in _SPAN_CALLS:
             kind = "span"
@@ -557,7 +551,7 @@ class TestTelemetryNames:
                 telemetry.add("synth_calls", 1)
                 telemetry.add_stage_time("synthesis", 0.1)
                 telemetry.add_stage_time("train_kernel:matmul", 0.1)
-                with tracer.span("synthesize"):
+                with tracer.span("synthesize_chunk"):
                     pass
                 trace.start_span("seed")
                 queue.add("anything")  # not a telemetry receiver
@@ -570,10 +564,10 @@ class TestTelemetryNames:
             tmp_path,
             "s.py",
             """
-            def run(sinks):
-                with stage(sinks, "not_a_stage"):
+            def run(telemetry):
+                with stage(telemetry, "not_a_stage"):
                     pass
-                with stage_all(sinks, "train"):
+                with stage(telemetry, "train"):
                     pass
             """,
         )

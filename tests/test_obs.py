@@ -11,7 +11,7 @@ import pytest
 
 from repro.api import ExperimentSpec, MethodSpec, Session, TaskSpec
 from repro.api.events import ExperimentStarted
-from repro.engine.telemetry import EngineTelemetry, stage, stage_all
+from repro.engine.telemetry import EngineTelemetry, stage
 from repro.obs import trace
 from repro.obs.report import (
     aggregate,
@@ -335,14 +335,6 @@ class TestTelemetryObs:
         assert payload["t1"] - payload["t0"] == pytest.approx(
             telemetry.as_dict()["stage_seconds"]["synthesis"], abs=1e-6
         )
-
-    def test_stage_all_skips_none_sinks(self):
-        live = EngineTelemetry()
-        with stage_all([None, live, None], "synthesis"):
-            pass
-        assert live.as_dict()["stage_calls"]["synthesis"] == 1
-        with stage_all([], "synthesis"):
-            pass  # no sinks at all is fine too
 
     def test_stage_with_none_telemetry(self):
         with stage(None, "synthesis"):

@@ -14,6 +14,7 @@ import pytest
 from helpers import mutant_population, unique_random_graphs as unique_graphs
 
 from repro.circuits import (
+    CircuitTask,
     adder_task,
     gray_to_binary_task,
     lzd_task,
@@ -201,34 +202,62 @@ class TestTaskValidation:
 
 
 class TestEngineRouting:
+    """One dispatch rule: a single design takes ``task.synthesize``, two
+    or more take ``task.evaluate_many``."""
+
     @staticmethod
     def scalar_metrics(task, graphs):
         results = [task.synthesize(g) for g in graphs]
         return [(r.area_um2, r.delay_ns) for r in results]
 
-    def test_pool_vectorized_matches_scalar(self):
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = {"synthesize": 0, "evaluate_many": 0}
+        for name in calls:
+            real = getattr(CircuitTask, name)
+
+            def counted(self, *args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(CircuitTask, name, counted)
+        return calls
+
+    def test_single_design_stays_scalar(self, spy):
+        task = adder_task(16, 0.66)
+        graphs = unique_graphs(16, 1)
+        expected = self.scalar_metrics(task, graphs)
+        spy["synthesize"] = 0
+        assert SynthesisPool(workers=1).synthesize_batch(task, graphs) == expected
+        assert spy == {"synthesize": 1, "evaluate_many": 0}
+
+    def test_pool_vectorized_matches_scalar(self, spy):
+        # Two or more designs: one evaluate_many pass per batch, in-process.
         task = adder_task(16, 0.66)
         graphs = unique_graphs(16, 6)
+        expected = self.scalar_metrics(task, graphs)
+        spy["synthesize"] = 0
         pool = SynthesisPool(workers=1)
-        assert pool.execution_mode(len(graphs)) == "vectorized"
-        assert pool.synthesize_batch(task, graphs) == self.scalar_metrics(task, graphs)
+        assert pool.synthesize_batch(task, graphs[:2]) == expected[:2]
+        assert pool.synthesize_batch(task, graphs) == expected
+        assert spy == {"synthesize": 0, "evaluate_many": 2}
 
-    def test_pool_chunked_across_workers_matches_scalar(self):
+    def test_pool_chunked_across_workers_matches_scalar(self, spy, monkeypatch):
+        # At workers=2, below two designs per worker the batch vectorizes
+        # in-process; at or above it, chunks vectorize in forked workers,
+        # which inherit a scalar flow that fails if it is ever called.
         task = adder_task(16, 0.66)
         graphs = unique_graphs(16, 8)
+        expected = self.scalar_metrics(task, graphs)
+
+        def no_scalar(self, graph):
+            raise AssertionError("population routed to task.synthesize")
+
+        monkeypatch.setattr(CircuitTask, "synthesize", no_scalar)
         with SynthesisPool(workers=2) as pool:
-            assert pool.synthesize_batch(task, graphs) == self.scalar_metrics(
-                task, graphs
-            )
-
-    def test_single_design_stays_scalar(self):
-        pool = SynthesisPool(workers=1)
-        assert pool.execution_mode(1) == "serial"
-
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTORIZED_EVAL", "0")
-        pool = SynthesisPool(workers=1)
-        assert pool.execution_mode(64) == "serial"
+            assert pool.synthesize_batch(task, graphs[:3]) == expected[:3]
+            assert spy["evaluate_many"] == 1
+            assert pool.synthesize_batch(task, graphs) == expected
 
     def test_engine_population_query_bit_identical(self):
         # End to end: EngineSimulator batches (vectorized) vs the plain
