@@ -29,6 +29,7 @@ import uuid
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..engine.cache import task_fingerprint
+from ..obs import trace
 from ..obs.sink import TraceSink
 from ..obs.trace import Tracer
 from ..opt.results import RunRecord
@@ -389,24 +390,28 @@ class RunHandle:
                     parallel_seeds=self._session.parallel_seeds,
                     observer=observer,
                 )
-            result = ExperimentResult(
-                spec=self.spec,
-                records=records,
-                telemetry=_sum_telemetry(
-                    [
-                        r.telemetry
-                        for rs in records.values()
-                        for r in rs
-                        if r.telemetry is not None
-                    ]
-                ),
-                run_dir=self.run_dir_path,
-                trace_path=(
-                    self.run_dir.trace_path() if tracer is not None else None
-                ),
-            )
-            if self.run_dir is not None:
-                self.run_dir.write_final_records(result.all_records())
+            # Assembling and writing the final records is the root's
+            # last piece of real work; its own span keeps it out of the
+            # root's uncovered self-time.
+            with trace.span("final_records"):
+                result = ExperimentResult(
+                    spec=self.spec,
+                    records=records,
+                    telemetry=_sum_telemetry(
+                        [
+                            r.telemetry
+                            for rs in records.values()
+                            for r in rs
+                            if r.telemetry is not None
+                        ]
+                    ),
+                    run_dir=self.run_dir_path,
+                    trace_path=(
+                        self.run_dir.trace_path() if tracer is not None else None
+                    ),
+                )
+                if self.run_dir is not None:
+                    self.run_dir.write_final_records(result.all_records())
             self._result = result
             status = "finished"
         except RunInterrupted:

@@ -4,8 +4,11 @@
 bitvector representation of the circuit."  The GA works on the free-cell
 bitvector encoding (see :mod:`repro.prefix.encoding`): tournament
 selection, uniform crossover, per-bit mutation, elitism, with every child
-legalized before synthesis.  The first generations of this GA also serve
-as CircuitVAE's initial dataset, exactly as in the paper.
+legalized before synthesis.  Each generation is varied as one population
+(:func:`repro.opt.variation.breed`): the rng draws run child by child,
+then the whole generation is legalized in batched sweeps.  The first
+generations of this GA also serve as CircuitVAE's initial dataset,
+exactly as in the paper.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ import numpy as np
 from ..engine.telemetry import stage
 from ..opt.optimizer import SearchAlgorithm
 from ..opt.simulator import BudgetExhausted, CircuitSimulator, Evaluation
-from ..opt.variation import crossover, mutate, random_population
+# mutate/crossover are breed's per-design form; perfbench's traced run
+# wraps them under this module's names, so they stay importable here.
+from ..opt.variation import breed, crossover, mutate, random_population  # noqa: F401
 from ..prefix.graph import PrefixGraph
 from ..prefix.structures import STRUCTURES
 
@@ -61,15 +66,9 @@ class GeneticAlgorithm(SearchAlgorithm):
             population.extend(random_population(n, fill, rng))
         return population[: config.population_size]
 
-    def _tournament(
-        self,
-        population: List[PrefixGraph],
-        fitness: np.ndarray,
-        rng: np.random.Generator,
-    ) -> PrefixGraph:
-        contenders = rng.integers(0, len(population), size=self.config.tournament_size)
-        winner = min(contenders, key=lambda i: fitness[i])
-        return population[int(winner)]
+    def _tournament(self, fitness: np.ndarray, rng: np.random.Generator) -> int:
+        contenders = rng.integers(0, len(fitness), size=self.config.tournament_size)
+        return int(min(contenders, key=lambda i: fitness[i]))
 
     # ------------------------------------------------------------------
     def run(self, simulator: CircuitSimulator, rng: np.random.Generator) -> Evaluation:
@@ -90,14 +89,14 @@ class GeneticAlgorithm(SearchAlgorithm):
             with stage(telemetry, "variation"):
                 elite_idx = np.argsort(fitness)[: config.elite_count]
                 children: List[PrefixGraph] = [population[int(i)] for i in elite_idx]
-                while len(children) < config.population_size:
-                    parent_a = self._tournament(population, fitness, rng)
-                    if rng.random() < config.crossover_prob:
-                        parent_b = self._tournament(population, fitness, rng)
-                        child = crossover(parent_a, parent_b, rng)
-                    else:
-                        child = parent_a
-                    children.append(mutate(child, rng, rate=config.mutation_rate))
+                children += breed(
+                    population,
+                    config.population_size - len(children),
+                    lambda: self._tournament(fitness, rng),
+                    rng,
+                    crossover_prob=config.crossover_prob,
+                    mutation_rate=config.mutation_rate,
+                )
             evaluations = simulator.query_many(children)
             if not evaluations:
                 break

@@ -78,11 +78,25 @@ def build_initial_dataset(
     n = simulator.task.n
     seeds: List[PrefixGraph] = [builder(n) for builder in STRUCTURES.values()]
     seeds += random_population(n, max(size // 4, 4), rng)
+    # The seeds do not depend on each other's results, so they go out as
+    # one query_plan batch (one vectorized pass on an engine-backed
+    # simulator).  The batch ends where a design-by-design loop would
+    # stop — right after the seed that brings the dataset to ``size``, so
+    # at least one seed is always queried — and a budget refusal (None)
+    # ends the whole build there, as BudgetExhausted would.
+    count, counted = len(dataset), set()
+    for stop, graph in enumerate(seeds, start=1):
+        key = graph.key()
+        if key not in counted and graph not in dataset:
+            counted.add(key)
+            count += 1
+        if count >= size:
+            break
+    for evaluation in simulator.query_plan(seeds[:stop]):
+        if evaluation is None:
+            return dataset
+        dataset.add_evaluations([evaluation])
     try:
-        for graph in seeds:
-            dataset.add_evaluations([simulator.query(graph)])
-            if len(dataset) >= size:
-                break
         # Mutation-of-sampled exploration until the dataset reaches `size`.
         while len(dataset) < size:
             weights = dataset.weights()

@@ -69,6 +69,7 @@ KNOWN_SPANS = frozenset(
     {
         "experiment",
         "seed",
+        "final_records",
         "engine_evaluate",
         "evaluate_batch",
         "synthesize_chunk",

@@ -5,18 +5,45 @@ Shared by the genetic-algorithm baseline, the initial-dataset builder
 the random-search baseline.  All operators work on the free-cell
 bitvector encoding and legalize their results, so they always produce
 valid circuits.
+
+:func:`mutate` and :func:`crossover` vary one design.  :func:`breed` and
+:func:`random_population` vary a whole population: they draw from the
+rng child by child, in exactly the order the per-design operators would,
+then legalize every child in one batched sweep
+(:func:`repro.prefix.legalize.legalize_grids`) — so their designs are
+identical to the per-design loop's.  No draw depends on a legalized
+result, because the chromosome length ``num_free_cells(n)`` is fixed.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, List, Sequence
 
 import numpy as np
 
-from ..prefix.encoding import bits_to_graph, graph_to_bits, num_free_cells
+from ..prefix.encoding import (
+    bits_to_graph,
+    bits_to_graphs,
+    graph_to_bits,
+    legalize_bits,
+    num_free_cells,
+)
 from ..prefix.graph import PrefixGraph
 
-__all__ = ["mutate", "crossover", "random_population"]
+__all__ = ["mutate", "crossover", "breed", "random_population"]
+
+
+def _mutation_flips(size: int, rng: np.random.Generator, rate: float) -> np.ndarray:
+    """Per-bit flips with probability ``rate``, at least one forced."""
+    flips = rng.random(size) < rate
+    if not flips.any():
+        flips[rng.integers(size)] = True
+    return flips
+
+
+def _crossover_mask(size: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform-crossover mask: True takes the first parent's bit."""
+    return rng.random(size) < 0.5
 
 
 def mutate(graph: PrefixGraph, rng: np.random.Generator, rate: float = 0.02) -> PrefixGraph:
@@ -27,10 +54,7 @@ def mutate(graph: PrefixGraph, rng: np.random.Generator, rate: float = 0.02) -> 
     flipped cell was structurally implied).
     """
     bits = graph_to_bits(graph)
-    flips = rng.random(bits.shape[0]) < rate
-    if not flips.any():
-        flips[rng.integers(bits.shape[0])] = True
-    return bits_to_graph(bits ^ flips, graph.n)
+    return bits_to_graph(bits ^ _mutation_flips(bits.shape[0], rng, rate), graph.n)
 
 
 def crossover(
@@ -41,8 +65,47 @@ def crossover(
         raise ValueError("parents must share a bitwidth")
     bits_a = graph_to_bits(parent_a)
     bits_b = graph_to_bits(parent_b)
-    mask = rng.random(bits_a.shape[0]) < 0.5
+    mask = _crossover_mask(bits_a.shape[0], rng)
     return bits_to_graph(np.where(mask, bits_a, bits_b), parent_a.n)
+
+
+def breed(
+    parents: Sequence[PrefixGraph],
+    count: int,
+    select: Callable[[], int],
+    rng: np.random.Generator,
+    crossover_prob: float,
+    mutation_rate: float,
+) -> List[PrefixGraph]:
+    """``count`` children of ``parents``, varied as one population.
+
+    Child by child, ``select()`` picks parent a (an index into
+    ``parents``); with probability ``crossover_prob`` a second
+    ``select()`` picks parent b and the child is ``crossover(a, b)``,
+    else it is a; the child is then mutated at ``mutation_rate``.  The
+    result equals that per-design loop of :func:`crossover` and
+    :func:`mutate` for the same rng state, but all crossover children are
+    legalized in one sweep and all mutants in a second.
+    """
+    n = parents[0].n
+    size = num_free_cells(n)
+    parent_bits = np.stack([graph_to_bits(graph) for graph in parents])
+    first = np.empty(count, dtype=np.intp)
+    second = np.full(count, -1, dtype=np.intp)
+    masks = np.zeros((count, size), dtype=bool)
+    flips = np.empty((count, size), dtype=bool)
+    for child in range(count):
+        first[child] = select()
+        if rng.random() < crossover_prob:
+            second[child] = select()
+            masks[child] = _crossover_mask(size, rng)
+        flips[child] = _mutation_flips(size, rng, mutation_rate)
+    bits = parent_bits[first]
+    crossed = second >= 0
+    if crossed.any():
+        mixed = np.where(masks[crossed], bits[crossed], parent_bits[second[crossed]])
+        bits[crossed] = legalize_bits(mixed, n)
+    return bits_to_graphs(bits ^ flips, n)
 
 
 def random_population(
@@ -50,9 +113,8 @@ def random_population(
 ) -> List[PrefixGraph]:
     """Random legal circuits with varied densities (exploration seeds)."""
     lo, hi = density_range
-    population = []
-    for _ in range(size):
+    bits = np.empty((max(size, 0), num_free_cells(n)), dtype=bool)
+    for member in range(bits.shape[0]):
         density = rng.uniform(lo, hi)
-        bits = rng.random(num_free_cells(n)) < density
-        population.append(bits_to_graph(bits, n))
-    return population
+        bits[member] = rng.random(bits.shape[1]) < density
+    return bits_to_graphs(bits, n)

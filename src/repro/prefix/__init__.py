@@ -7,17 +7,19 @@ structural metrics.
 
 from .encoding import (
     bits_to_graph,
+    bits_to_graphs,
     free_cells,
     graph_to_bits,
     graph_to_grid,
     grid_to_graph,
+    legalize_bits,
     num_free_cells,
     random_graph,
     unique_random_graphs,
 )
 from .graph import PrefixGraph, Span
 from .io import graph_from_dict, graph_to_dict, load_designs, save_designs
-from .legalize import legalize, legalize_grid, prune_redundant
+from .legalize import legalize, legalize_grid, legalize_grids, prune_redundant
 from .metrics import (
     batch_depths,
     batch_levels,
@@ -59,6 +61,7 @@ __all__ = [
     "load_designs",
     "legalize",
     "legalize_grid",
+    "legalize_grids",
     "prune_redundant",
     "ripple_carry",
     "sklansky",
@@ -79,6 +82,8 @@ __all__ = [
     "num_free_cells",
     "graph_to_bits",
     "bits_to_graph",
+    "bits_to_graphs",
+    "legalize_bits",
     "graph_to_grid",
     "grid_to_graph",
     "random_graph",

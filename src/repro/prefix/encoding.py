@@ -20,13 +20,15 @@ from typing import List, Tuple
 import numpy as np
 
 from .graph import PrefixGraph
-from .legalize import legalize
+from .legalize import legalize, legalize_grids
 
 __all__ = [
     "free_cells",
     "num_free_cells",
     "graph_to_bits",
     "bits_to_graph",
+    "bits_to_graphs",
+    "legalize_bits",
     "graph_to_grid",
     "grid_to_graph",
     "random_graph",
@@ -74,6 +76,35 @@ def bits_to_graph(bits: np.ndarray, n: int) -> PrefixGraph:
     grid = np.zeros((n, n), dtype=bool)
     grid[rows, cols] = bits
     return legalize(grid)
+
+
+def _legal_grids(bits: np.ndarray, n: int) -> np.ndarray:
+    """Legalize a ``(B, L)`` stack of free-cell bitvectors -> (B, n, n)."""
+    bits = np.asarray(bits, dtype=bool)
+    rows, cols = _free_index(n)
+    if bits.ndim != 2 or bits.shape[1] != len(rows):
+        raise ValueError(
+            f"expected a (B, {len(rows)}) bit stack for n={n}, got {bits.shape}"
+        )
+    grids = np.zeros((bits.shape[0], n, n), dtype=bool)
+    grids[:, rows, cols] = bits
+    return legalize_grids(grids)
+
+
+def bits_to_graphs(bits: np.ndarray, n: int) -> List[PrefixGraph]:
+    """Batched :func:`bits_to_graph`: one legalization sweep for a whole
+    ``(B, L)`` stack of free-cell bitvectors."""
+    return [PrefixGraph(grid, validate=False) for grid in _legal_grids(bits, n)]
+
+
+def legalize_bits(bits: np.ndarray, n: int) -> np.ndarray:
+    """The free-cell bits of the legalized designs of a ``(B, L)`` stack.
+
+    ``bits_to_graphs(legalize_bits(bits, n), n)`` equals
+    ``bits_to_graphs(bits, n)``; this form skips building the graphs.
+    """
+    rows, cols = _free_index(n)
+    return _legal_grids(bits, n)[:, rows, cols]
 
 
 def graph_to_grid(graph: PrefixGraph) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,13 +22,19 @@ __all__ = ["graph_to_dict", "graph_from_dict", "save_designs", "load_designs"]
 _FORMAT_VERSION = 1
 
 
+@lru_cache(maxsize=None)
+def _stored_cells(n: int) -> np.ndarray:
+    """Cells a stored design lists: the strict lower triangle minus the
+    output column (diagonal and column 0 are structurally forced)."""
+    cells = np.tril(np.ones((n, n), dtype=bool), k=-1)
+    cells[:, 0] = False
+    cells.flags.writeable = False
+    return cells
+
+
 def graph_to_dict(graph: PrefixGraph) -> Dict:
     """JSON-serializable form: width + list of non-forced node cells."""
-    nodes = [
-        [int(i), int(j)]
-        for i, j in graph.internal_nodes()
-        if j != 0  # output column is structurally forced; omit for compactness
-    ]
+    nodes = np.argwhere(graph.grid & _stored_cells(graph.n)).tolist()
     return {"version": _FORMAT_VERSION, "n": graph.n, "nodes": nodes}
 
 

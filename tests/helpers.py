@@ -72,6 +72,120 @@ def mutant_population(n, total, seed=42, flips=(1, 3)):
     return graphs
 
 
+def legalize_grid_per_pair(grid):
+    """Reference legalization: the per-pair top-down sweep of one grid.
+
+    The oracle :func:`repro.prefix.legalize_grids` must match — one
+    Python-level insertion per (node, upper parent) pair, row by row.
+    """
+    grid = np.asarray(grid)
+    n = grid.shape[0]
+    if grid.ndim != 2 or grid.shape[1] != n:
+        raise ValueError(f"grid must be square, got {grid.shape}")
+    out = np.zeros((n, n), dtype=bool)
+    tri = np.tril(np.ones((n, n), dtype=bool))
+    out[tri] = grid.astype(bool)[tri]
+    np.fill_diagonal(out, True)
+    out[:, 0] = True
+    for i in range(n - 1, 0, -1):
+        present = np.nonzero(out[i][: i + 1])[0]
+        for j, k in zip(present[:-1], present[1:]):
+            out[k - 1, j] = True
+    return out
+
+
+def random_population_per_member(n, size, rng, density_range=(0.05, 0.5)):
+    """Reference :func:`repro.opt.variation.random_population`: one
+    density draw, bit draw and legalization per member."""
+    from repro.prefix import bits_to_graph, num_free_cells
+
+    lo, hi = density_range
+    population = []
+    for _ in range(size):
+        density = rng.uniform(lo, hi)
+        bits = rng.random(num_free_cells(n)) < density
+        population.append(bits_to_graph(bits, n))
+    return population
+
+
+def per_child_ga(config=None):
+    """A GA whose generations are varied child by child — tournament,
+    :func:`~repro.opt.variation.crossover`, then
+    :func:`~repro.opt.variation.mutate` per child — and whose random
+    initial members are built one at a time: the reference the
+    population-level GA must reproduce design for design."""
+    from repro.baselines import GeneticAlgorithm
+    from repro.opt.variation import crossover, mutate
+    from repro.prefix import STRUCTURES
+
+    class PerChildGA(GeneticAlgorithm):
+        def run(self, simulator, rng):
+            config = self.config
+            n = simulator.task.n
+            population = []
+            if config.seed_with_classics:
+                population.extend(builder(n) for builder in STRUCTURES.values())
+            fill = config.population_size - len(population)
+            if fill > 0:
+                population.extend(random_population_per_member(n, fill, rng))
+            evaluations = simulator.query_many(population[: config.population_size])
+            if not evaluations:
+                return simulator.best()
+            population = [e.graph for e in evaluations]
+            fitness = np.array([e.cost for e in evaluations])
+
+            def tournament():
+                contenders = rng.integers(
+                    0, len(population), size=config.tournament_size
+                )
+                return population[int(min(contenders, key=lambda i: fitness[i]))]
+
+            while not simulator.exhausted():
+                elite_idx = np.argsort(fitness)[: config.elite_count]
+                children = [population[int(i)] for i in elite_idx]
+                while len(children) < config.population_size:
+                    parent_a = tournament()
+                    if rng.random() < config.crossover_prob:
+                        child = crossover(parent_a, tournament(), rng)
+                    else:
+                        child = parent_a
+                    children.append(mutate(child, rng, rate=config.mutation_rate))
+                evaluations = simulator.query_many(children)
+                if not evaluations:
+                    break
+                population = [e.graph for e in evaluations]
+                fitness = np.array([e.cost for e in evaluations])
+            return simulator.best()
+
+    return PerChildGA(config)
+
+
+def build_initial_dataset_serial(simulator, size, rng, dataset=None, k=1e-3):
+    """Reference :func:`repro.core.build_initial_dataset`: every seed is
+    its own ``simulator.query``, checked against ``size`` after each."""
+    from repro.core import CircuitDataset
+    from repro.opt import BudgetExhausted
+    from repro.opt.variation import mutate
+    from repro.prefix import STRUCTURES
+
+    dataset = dataset or CircuitDataset(k=k)
+    n = simulator.task.n
+    seeds = [builder(n) for builder in STRUCTURES.values()]
+    seeds += random_population_per_member(n, max(size // 4, 4), rng)
+    try:
+        for graph in seeds:
+            dataset.add_evaluations([simulator.query(graph)])
+            if len(dataset) >= size:
+                break
+        while len(dataset) < size:
+            idx = rng.choice(len(dataset), p=dataset.weights())
+            child = mutate(dataset.graphs[idx], rng, rate=0.03)
+            dataset.add_evaluations([simulator.query(child)])
+    except BudgetExhausted:
+        pass
+    return dataset
+
+
 def numerical_grad(f, x, eps=1e-6):
     """Central-difference gradient of scalar f() w.r.t. array x (in place)."""
     grad = np.zeros_like(x)

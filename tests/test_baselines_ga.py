@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import per_child_ga
+
 from repro.baselines import GAConfig, GeneticAlgorithm
 from repro.circuits import adder_task
 from repro.opt import CircuitSimulator
@@ -52,3 +54,39 @@ class TestRun:
             return [e.cost for e in sim.history]
 
         assert run(5) == run(5)
+
+
+class RecordingSimulator(CircuitSimulator):
+    """Plain simulator that keeps every submitted batch's design keys."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.batches = []
+
+    def query_plan(self, designs):
+        designs = list(designs)
+        self.batches.append([design.key() for design in designs])
+        return super().query_plan(designs)
+
+
+class TestPopulationLevelVariation:
+    @pytest.mark.parametrize(
+        "n,budget,config",
+        [
+            (8, 80, GAConfig(population_size=12)),
+            (16, 80, GAConfig()),
+            (16, 50, GAConfig(population_size=10, crossover_prob=1.0, seed_with_classics=False)),
+            (32, 40, GAConfig(population_size=12, crossover_prob=0.0)),
+        ],
+    )
+    def test_children_match_per_child_loop(self, n, budget, config):
+        """Every generation submits the same designs, in the same order,
+        as the child-by-child crossover/mutate loop."""
+        for seed in range(3):
+            runs = []
+            for ga in (GeneticAlgorithm(config), per_child_ga(config)):
+                sim = RecordingSimulator(adder_task(n, 0.66), budget=budget)
+                ga.run(sim, np.random.default_rng(seed))
+                runs.append(sim.batches)
+            assert len(runs[0]) > 2
+            assert runs[0] == runs[1], seed

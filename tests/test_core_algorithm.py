@@ -13,6 +13,8 @@ from repro.core import (
 )
 from repro.opt import CircuitSimulator
 
+from helpers import build_initial_dataset_serial
+
 
 def small_config(**overrides):
     base = dict(
@@ -42,6 +44,51 @@ class TestInitialDataset:
         ds = build_initial_dataset(sim, 50, np.random.default_rng(1))
         assert len(ds) == 10
         assert sim.exhausted()
+
+
+class TestInitialDatasetSeedBatch:
+    """The batched seed phase gives what one query per seed gives: the same
+    dataset, history, rng state, and stopping point."""
+
+    @staticmethod
+    def _build(builder, n, budget, size, seed, prefill=0):
+        sim = CircuitSimulator(adder_task(n, 0.66), budget=budget)
+        rng = np.random.default_rng(seed)
+        dataset = None
+        if prefill:
+            from repro.core import CircuitDataset
+            from repro.opt.variation import random_population
+
+            dataset = CircuitDataset()
+            pre = random_population(n, prefill, np.random.default_rng(seed + 99))
+            dataset.add_evaluations(sim.query_many(pre))
+        dataset = builder(sim, size, rng, dataset=dataset)
+        return (
+            [g.key() for g in dataset.graphs],
+            dataset.costs_list,
+            [(e.graph.key(), e.sim_index) for e in sim.history],
+            rng.random(),
+        )
+
+    @pytest.mark.parametrize(
+        "n,budget,size,prefill",
+        [
+            (8, 100, 30, 0),  # seeds run out before size: mutation phase
+            (8, 100, 3, 0),  # size < #seeds: break inside the seeds
+            (8, 4, 30, 0),  # budget < #seeds: refusal ends the build
+            (8, 0, 10, 0),  # no budget at all
+            (4, 40, 5, 0),  # n=4: classical seeds coincide (duplicates)
+            (4, 40, 3, 0),
+            (8, 100, 6, 6),  # pre-populated dataset already holds size
+            (8, 100, 10, 5),  # pre-populated, a few seeds still needed
+            (8, 7, 20, 5),  # pre-populated, budget runs out in the seeds
+        ],
+    )
+    def test_matches_serial_reference(self, n, budget, size, prefill):
+        for seed in range(3):
+            ours = self._build(build_initial_dataset, n, budget, size, seed, prefill)
+            ref = self._build(build_initial_dataset_serial, n, budget, size, seed, prefill)
+            assert ours == ref, seed
 
 
 class TestOptimizer:

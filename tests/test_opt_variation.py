@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.opt.variation import crossover, mutate, random_population
+from helpers import random_population_per_member
+from repro.opt.variation import breed, crossover, mutate, random_population
 from repro.prefix import check_adder, random_graph, sklansky
 
 
@@ -61,3 +62,54 @@ class TestRandomPopulation:
         pop = random_population(12, 30, rng, density_range=(0.0, 0.8))
         counts = {g.node_count() for g in pop}
         assert len(counts) > 5
+
+
+class TestPopulationLevel:
+    """breed and random_population equal their per-design loops."""
+
+    @pytest.mark.parametrize("n,size", [(1, 3), (2, 0), (3, 4), (8, 9), (32, 6), (64, 3)])
+    def test_random_population_matches_per_member(self, n, size):
+        for seed in range(3):
+            ours = random_population(n, size, np.random.default_rng(seed))
+            ref = random_population_per_member(n, size, np.random.default_rng(seed))
+            assert [g.key() for g in ours] == [g.key() for g in ref]
+
+    def test_random_population_leaves_rng_in_same_state(self):
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        random_population(16, 5, rng_a)
+        random_population_per_member(16, 5, rng_b)
+        assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("n", [3, 8, 16, 64])
+    @pytest.mark.parametrize("crossover_prob", [0.0, 0.7, 1.0])
+    def test_breed_matches_per_child_operators(self, n, crossover_prob):
+        for seed in range(3):
+            parents = random_population(n, 6, np.random.default_rng(seed))
+            fitness = np.arange(len(parents))[::-1].astype(float)
+
+            def selector(rng):
+                def select():
+                    contenders = rng.integers(0, len(parents), size=2)
+                    return int(min(contenders, key=lambda i: fitness[i]))
+
+                return select
+
+            rng = np.random.default_rng(seed + 50)
+            ours = breed(
+                parents, 10, selector(rng), rng,
+                crossover_prob=crossover_prob, mutation_rate=0.05,
+            )
+            ref_rng = np.random.default_rng(seed + 50)
+            pick = selector(ref_rng)
+            ref = []
+            for _ in range(10):
+                child = parents[pick()]
+                if ref_rng.random() < crossover_prob:
+                    child = crossover(child, parents[pick()], ref_rng)
+                ref.append(mutate(child, ref_rng, rate=0.05))
+            assert [g.key() for g in ours] == [g.key() for g in ref]
+            assert rng.random() == ref_rng.random()
+
+    def test_breed_zero_children(self):
+        rng = np.random.default_rng(0)
+        assert breed([sklansky(8)], 0, lambda: 0, rng, 0.5, 0.02) == []

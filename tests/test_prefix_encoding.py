@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from repro.prefix import (
     bits_to_graph,
+    bits_to_graphs,
     free_cells,
     graph_to_bits,
     graph_to_grid,
     grid_to_graph,
     legalize,
+    legalize_bits,
     num_free_cells,
     random_graph,
     sklansky,
@@ -51,6 +53,23 @@ class TestRoundtrips:
     def test_bits_length_validated(self):
         with pytest.raises(ValueError):
             bits_to_graph(np.zeros(5, dtype=bool), 16)
+        with pytest.raises(ValueError):
+            bits_to_graphs(np.zeros((2, 5), dtype=bool), 16)
+        with pytest.raises(ValueError):
+            bits_to_graphs(np.zeros(num_free_cells(16), dtype=bool), 16)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64])
+    @pytest.mark.parametrize("batch", [0, 1, 5])
+    def test_batched_forms_match_bits_to_graph(self, n, batch):
+        rng = np.random.default_rng(10 * n + batch)
+        bits = rng.random((batch, num_free_cells(n))) < rng.uniform(0, 0.6, (batch, 1))
+        graphs = bits_to_graphs(bits, n)
+        assert graphs == [bits_to_graph(row, n) for row in bits]
+        legal = legalize_bits(bits, n)
+        assert legal.shape == bits.shape and legal.dtype == bool
+        for graph, row in zip(graphs, legal):
+            np.testing.assert_array_equal(graph_to_bits(graph), row)
+        assert bits_to_graphs(legal, n) == graphs
 
     def test_grid_roundtrip(self):
         g = sklansky(8)

@@ -26,6 +26,20 @@ class TestDictRoundtrip:
             g = random_graph(12, rng, rng.random() * 0.6)
             assert graph_from_dict(graph_to_dict(g)) == g
 
+    def test_output_is_byte_identical_to_per_node_listing(self):
+        from repro.prefix import kogge_stone, ripple_carry
+
+        def per_node(graph):
+            nodes = [[int(i), int(j)] for i, j in graph.internal_nodes() if j != 0]
+            return {"version": 1, "n": graph.n, "nodes": nodes}
+
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 8, 33, 64):
+            graphs = [random_graph(n, rng, d) for d in (0.0, 0.1, 0.5, 1.0)]
+            graphs += [sklansky(n), kogge_stone(n), ripple_carry(n)]
+            for g in graphs:
+                assert json.dumps(graph_to_dict(g)) == json.dumps(per_node(g))
+
     def test_compact_representation(self):
         # Ripple has no free nodes beyond the forced cells.
         from repro.prefix import ripple_carry

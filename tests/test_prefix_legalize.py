@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import legalize_grid_per_pair
 from repro.prefix import (
     PrefixGraph,
     check_adder,
     kogge_stone,
     legalize,
     legalize_grid,
+    legalize_grids,
     prune_redundant,
     sklansky,
 )
@@ -63,6 +65,61 @@ class TestLegalize:
         g = legalize(random_raw_grid(n, rng, density))
         assert g.is_legal()
         assert check_adder(g, rng, trials=16)
+
+
+class TestLegalizeGrids:
+    """The batched row sweep equals the per-pair sweep design by design."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32, 64])
+    @pytest.mark.parametrize("batch", [0, 1, 7])
+    def test_matches_per_pair_sweep(self, n, batch):
+        rng = np.random.default_rng(100 * n + batch)
+        densities = rng.uniform(0.0, 0.6, size=(batch, 1, 1))
+        grids = rng.random((batch, n, n)) < densities
+        out = legalize_grids(grids)
+        assert out.shape == (batch, n, n) and out.dtype == bool
+        for raw, legal in zip(grids, out):
+            np.testing.assert_array_equal(legal, legalize_grid_per_pair(raw))
+            assert PrefixGraph(legal, validate=False).is_legal()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32, 64])
+    def test_empty_full_and_float_grids(self, n):
+        rng = np.random.default_rng(n)
+        grids = np.stack(
+            [
+                np.zeros((n, n)),
+                np.ones((n, n)),
+                # Any nonzero float is a present cell, negative ones too;
+                # entries above the diagonal are ignored.
+                rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.2),
+            ]
+        )
+        out = legalize_grids(grids)
+        for raw, legal in zip(grids, out):
+            np.testing.assert_array_equal(legal, legalize_grid_per_pair(raw))
+        np.testing.assert_array_equal(out[1], np.tril(np.ones((n, n), dtype=bool)))
+
+    def test_single_grid_form_agrees(self):
+        rng = np.random.default_rng(5)
+        for n in (4, 17, 40):
+            raw = rng.random((n, n)) < 0.3
+            np.testing.assert_array_equal(legalize_grid(raw), legalize_grids(raw[None])[0])
+            np.testing.assert_array_equal(legalize_grid(raw), legalize_grid_per_pair(raw))
+
+    def test_legal_designs_are_fixed_points(self):
+        stack = np.stack([sklansky(16).grid, kogge_stone(16).grid])
+        np.testing.assert_array_equal(legalize_grids(stack), stack)
+
+    def test_input_is_not_modified(self):
+        raw = np.random.default_rng(6).random((3, 12, 12)) < 0.3
+        before = raw.copy()
+        legalize_grids(raw)
+        np.testing.assert_array_equal(raw, before)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5), (3, 5), (5,), (1, 2, 3, 3)])
+    def test_rejects_non_square_stacks(self, shape):
+        with pytest.raises(ValueError):
+            legalize_grids(np.zeros(shape))
 
 
 class TestPrune:
