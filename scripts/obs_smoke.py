@@ -33,7 +33,15 @@ from repro.obs.sink import export_perfetto, read_trace, validate_spans
 
 
 def main() -> int:
-    base = sys.argv[1] if len(sys.argv) > 1 else tempfile.mkdtemp(prefix="obs_smoke_")
+    if len(sys.argv) > 1:
+        return smoke(sys.argv[1])
+    # Without an output directory, everything the smoke writes lives in
+    # one temporary directory removed on every exit.
+    with tempfile.TemporaryDirectory(prefix="obs_smoke_") as base:
+        return smoke(base)
+
+
+def smoke(base) -> int:
     spec = bench_presets()["tiny"]
     traced_dir = os.path.join(base, "traced")
     untraced_dir = os.path.join(base, "untraced")

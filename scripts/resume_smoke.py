@@ -13,9 +13,12 @@ This script proves it end to end through the real CLI:
 3. ``python -m repro run --resume killed/`` in a fresh process;
 4. assert the resumed ``records.json`` is bit-identical to the
    uninterrupted reference (costs/areas/delays/graphs — telemetry is
-   attribution, not paper semantics, and legitimately differs), and
-   that the resumed CircuitVAE cell restored training epochs from the
-   checkpoint instead of re-training them.
+   attribution, not paper semantics, and legitimately differs), that
+   every cell's ``history.jsonl`` equals the reference's byte for byte
+   (the trail is append-only: a resume appends past the recorded prefix
+   and leaves no second trail file behind), and that the resumed
+   CircuitVAE cell restored training epochs from the checkpoint instead
+   of re-training them.
 
 Exit code 0 = the crash lost nothing.  Used by the CI ``resume-smoke``
 job; run locally with ``PYTHONPATH=src python scripts/resume_smoke.py``.
@@ -76,6 +79,15 @@ def train_checkpoints(run_dir):
     return glob.glob(os.path.join(run_dir, "cells", "*", "train", "*.json"))
 
 
+def history_trails(run_dir):
+    """{cell directory name: history.jsonl bytes} across the run's cells."""
+    trails = {}
+    for path in glob.glob(os.path.join(run_dir, "cells", "*", "history.jsonl")):
+        with open(path, "rb") as handle:
+            trails[os.path.basename(os.path.dirname(path))] = handle.read()
+    return trails
+
+
 def load_records(records_path):
     with open(records_path) as handle:
         return json.load(handle)["records"]
@@ -134,13 +146,22 @@ def smoke(base) -> int:
     if essentials(reference) != essentials(resumed):
         print("FAIL: resumed records differ from the uninterrupted reference")
         return 1
+    trails = history_trails(killed_dir)
+    if not trails or trails != history_trails(ref_dir):
+        print("FAIL: resumed history trails differ from the reference's")
+        return 1
+    leftover = glob.glob(os.path.join(killed_dir, "cells", "*", "history.resume.jsonl"))
+    if leftover:
+        print(f"FAIL: a second trail file was left behind: {leftover}")
+        return 1
     (vae,) = [r for r in resumed if r["method"] == "CircuitVAE"]
     skipped = vae["telemetry"]["train_epochs_skipped"]
     if killed and skipped == 0:
         print("FAIL: the resumed CircuitVAE cell re-trained instead of restoring")
         return 1
     print(
-        f"OK: {len(resumed)} resumed records bit-identical to the reference; "
+        f"OK: {len(resumed)} resumed records and {len(trails)} history trails "
+        "bit-identical to the reference; "
         f"CircuitVAE restored {skipped} training epoch(s) from checkpoints"
     )
     return 0

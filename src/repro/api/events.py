@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
-if TYPE_CHECKING:  # imports would cycle: spec/session import the runner
+if TYPE_CHECKING:  # annotations only: events stay plain data at runtime
     from ..opt.results import RunRecord
     from .spec import ExperimentSpec
 

@@ -8,16 +8,24 @@ boundaries.  :meth:`Session.run` is a thin wrapper that submits and
 drains.
 
 Interruption is cooperative and loss-free: :meth:`RunHandle.interrupt`
-raises :class:`~repro.opt.runner.RunInterrupted` inside every in-flight
-seed at its next query boundary — *after* that query's evaluation has
-been recorded (and, with a run directory, checkpointed to disk) — so an
-interrupted run directory always resumes bit-identically.
+raises :class:`~repro.opt.simulator.RunInterrupted` inside every
+in-flight seed at its next query boundary — *after* that query's
+evaluation has been recorded (and, with a run directory, checkpointed to
+disk) — so an interrupted run directory always resumes bit-identically.
 
-The bridge between the generic grid runner and this streaming layer is
-:class:`_StreamingGridObserver`, a
-:class:`~repro.opt.runner.GridObserver` that forwards each hook into the
-event queue, the run directory's incremental writers, and the
-interrupt flag.  No method implementation knows any of this exists.
+The handle also runs the grid itself: one cell function per (method,
+seed) wires a fresh simulator's query-boundary hooks to the event queue,
+the cell's :class:`~repro.api.rundir.RunCellWriter` and the interrupt
+flag.  No method implementation knows any of this exists.
+
+Seeds are independent: each owns its simulator, budget accounting, rng
+and model, so ``parallel_seeds > 1`` (one thread per seed) keeps records
+bit-identical to serial execution.  Cores are a budget: while a parallel
+grid runs, every OpenBLAS build is capped at ``cores // seed threads``
+threads (:func:`repro.utils.threads.blas_budget`), so seed threads ×
+BLAS threads ≤ cores.  The cap is process-wide: a serial grid running
+while another grid's budget is active runs under it too.  Records do not
+depend on either count.
 """
 
 from __future__ import annotations
@@ -26,14 +34,18 @@ import os
 import queue
 import threading
 import uuid
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from ..engine.cache import task_fingerprint
 from ..obs import trace
 from ..obs.sink import TraceSink
 from ..obs.trace import Tracer
 from ..opt.results import RunRecord
-from ..opt.runner import GridObserver, RunInterrupted, _run_seed_grid
+from ..opt.simulator import BudgetExhausted, RunInterrupted
+from ..utils.threads import blas_budget, blas_thread_counts, usable_cores
 from .events import (
     Checkpointed,
     EvaluationDone,
@@ -43,7 +55,7 @@ from .events import (
     SeedFinished,
     SeedStarted,
 )
-from .rundir import RunDirectory
+from .rundir import RunCellWriter, RunDirectory
 
 __all__ = ["RunHandle"]
 
@@ -62,116 +74,6 @@ def _tracing_enabled() -> bool:
     (no run directory) never trace: there is nowhere durable to stream.
     """
     return os.environ.get(_ENV_TRACE, "").strip() != "0"
-
-
-class _StreamingGridObserver(GridObserver):
-    """Forwards grid hooks to a handle's event queue and run directory.
-
-    Thread-safe across cells: with ``parallel_seeds > 1`` several seeds
-    call in concurrently, but per-cell state (writer, best-so-far) is
-    only ever touched by the one thread driving that cell.
-    """
-
-    def __init__(self, handle: "RunHandle") -> None:
-        self._handle = handle
-        self._lock = threading.Lock()
-        self._cells: Dict[Tuple[str, int], Dict] = {}
-
-    def _cell(self, method: str, seed: int) -> Dict:
-        with self._lock:
-            return self._cells.setdefault((method, seed), {})
-
-    # -- GridObserver hooks -------------------------------------------
-    def check_interrupt(self) -> None:
-        if self._handle._interrupt.is_set():
-            raise RunInterrupted(
-                f"run {self._handle.run_id} interrupted at a query boundary"
-            )
-
-    def completed_record(self, method: str, seed: int) -> Optional[RunRecord]:
-        run_dir = self._handle.run_dir
-        if run_dir is None:
-            return None
-        return run_dir.completed_record(method, seed)
-
-    def before_seed(self, method: str, seed: int, simulator) -> int:
-        cell = self._cell(method, seed)
-        cell["best"] = float("inf")
-        run_dir = self._handle.run_dir
-        if run_dir is None:
-            return 0
-        # Model-based methods checkpoint training epochs here, so a
-        # resume can restore them instead of re-training (train_model's
-        # checkpoint files live next to the cell's evaluation history).
-        simulator.train_checkpoint_dir = os.path.join(
-            run_dir.cell_dir(method, seed), "train"
-        )
-        # Warm-cache replay priming: feed the cell's recorded history
-        # into the engine's cache *before* the algorithm reruns, so the
-        # deterministic replay charges budget through cache hits and
-        # performs zero new synthesis for anything already recorded.
-        replayed = 0
-        history = run_dir.load_history(method, seed)
-        engine = getattr(simulator, "engine", None)
-        if history and engine is not None:
-            fingerprint = task_fingerprint(simulator.task)
-            for evaluation in history:
-                key = evaluation.graph.key()
-                # put() appends to the persistent shard; the original run
-                # already stored these, so only fill genuine gaps (e.g. a
-                # memory-only cache in a fresh process) to keep repeated
-                # resumes from growing the shard with duplicates.
-                if engine.cache.get(fingerprint, key) is None:
-                    engine.cache.put(
-                        fingerprint,
-                        key,
-                        (evaluation.area_um2, evaluation.delay_ns),
-                    )
-            replayed = len(history)
-        cell["writer"] = run_dir.cell_writer(method, seed, history=history)
-        return replayed
-
-    def on_seed_started(self, method: str, seed: int, replayed: int) -> None:
-        self._handle._emit(SeedStarted(method=method, seed=seed, replayed=replayed))
-
-    def on_evaluation(self, method, seed, evaluation) -> None:
-        cell = self._cell(method, seed)
-        # Persist before announcing: once the Checkpointed event is
-        # visible, the evaluation it covers must already be durable.
-        writer = cell.get("writer")
-        count = writer.append(evaluation) if writer is not None else 0
-        best = min(cell.get("best", float("inf")), evaluation.cost)
-        cell["best"] = best
-        self._handle._emit(
-            EvaluationDone(
-                method=method,
-                seed=seed,
-                sim_index=evaluation.sim_index,
-                cost=evaluation.cost,
-                area_um2=evaluation.area_um2,
-                delay_ns=evaluation.delay_ns,
-                best_cost=best,
-            )
-        )
-        if writer is not None:
-            self._handle._emit(
-                Checkpointed(
-                    method=method,
-                    seed=seed,
-                    path=writer.history_path,
-                    evaluations=count,
-                )
-            )
-        self.check_interrupt()
-
-    def on_seed_finished(self, method, seed, record, resumed) -> None:
-        cell = self._cell(method, seed)
-        writer = cell.get("writer")
-        if writer is not None and not resumed:
-            writer.finish(record)
-        self._handle._emit(
-            SeedFinished(method=method, seed=seed, record=record, resumed=resumed)
-        )
 
 
 class RunHandle:
@@ -281,7 +183,7 @@ class RunHandle:
 
         Raises ``TimeoutError`` if the run has not settled within
         ``timeout`` seconds, the run's error if it failed, and
-        :class:`~repro.opt.runner.RunInterrupted` if it was interrupted
+        :class:`~repro.opt.simulator.RunInterrupted` if it was interrupted
         (the run directory named in the message resumes it).
         """
         # Join first so the timeout is honored: the terminal sentinel is
@@ -323,6 +225,136 @@ class RunHandle:
         self._queue.put(event)
         if error is not None and not guard:
             raise error
+
+    def _check_interrupt(self) -> None:
+        if self._interrupt.is_set():
+            raise RunInterrupted(f"run {self.run_id} interrupted at a query boundary")
+
+    def _run_grid(self, method: str, make_algorithm) -> List[RunRecord]:
+        """One method across every seed, a seed thread each when
+        ``parallel_seeds > 1``."""
+        workers = max(1, min(self._session.parallel_seeds, len(self._seeds)))
+
+        def run_seed(seed: int) -> RunRecord:
+            # The span context-manager form guarantees the seed span closes
+            # even when RunInterrupted (or anything else) unwinds the seed
+            # thread mid-run; fresh threads parent to the tracer's default
+            # context (the experiment root span).
+            with trace.span("seed") as span:
+                span.set_attr("method", method)
+                span.set_attr("seed", seed)
+                span.set_attr("seed_threads", workers)
+                try:
+                    return self._run_cell(method, seed, make_algorithm)
+                finally:
+                    if trace.active():
+                        # The live count at seed end, not the grid's
+                        # request: the cap is process-wide.
+                        counts = blas_thread_counts().values()
+                        span.set_attr("blas_threads", max(counts, default=0))
+
+        if workers == 1:
+            return [run_seed(seed) for seed in self._seeds]
+        # Cores are a budget: each seed thread gets its share of BLAS threads.
+        # The pool joins its threads before the budget restores the counts.
+        with blas_budget(max(1, usable_cores() // workers)):
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(run_seed, self._seeds))
+
+    def _run_cell(self, method: str, seed: int, make_algorithm) -> RunRecord:
+        """One (method, seed) cell: served from the ledger, or run on a
+        fresh simulator whose every new evaluation is checkpointed and
+        announced.  Only the thread driving the cell touches its locals.
+        """
+        self._check_interrupt()
+        run_dir = self.run_dir
+        if run_dir is not None:
+            done = run_dir.completed_record(method, seed)
+            if done is not None:
+                self._emit(
+                    SeedFinished(method=method, seed=seed, record=done, resumed=True)
+                )
+                return done
+        algorithm = make_algorithm()
+        simulator = self._session.engine.simulator(self._task, budget=self.spec.budget)
+        writer: Optional[RunCellWriter] = None
+        if run_dir is not None:
+            # Model-based methods checkpoint training epochs here, so a
+            # resume can restore them instead of re-training (train_model's
+            # checkpoint files live next to the cell's evaluation history).
+            simulator.train_checkpoint_dir = os.path.join(
+                run_dir.cell_dir(method, seed), "train"
+            )
+            writer = RunCellWriter(run_dir, method, seed)
+        try:
+            replayed = self._prime_replay(writer.recorded if writer else [])
+            self._emit(SeedStarted(method=method, seed=seed, replayed=replayed))
+            best = float("inf")
+
+            def on_evaluation(evaluation) -> None:
+                nonlocal best
+                # Persist before announcing: once the Checkpointed event is
+                # visible, the evaluation it covers must already be durable.
+                count = writer.append(evaluation) if writer is not None else 0
+                best = min(best, evaluation.cost)
+                self._emit(
+                    EvaluationDone(
+                        method=method,
+                        seed=seed,
+                        sim_index=evaluation.sim_index,
+                        cost=evaluation.cost,
+                        area_um2=evaluation.area_um2,
+                        delay_ns=evaluation.delay_ns,
+                        best_cost=best,
+                    )
+                )
+                if writer is not None:
+                    self._emit(
+                        Checkpointed(
+                            method=method,
+                            seed=seed,
+                            path=writer.history_path,
+                            evaluations=count,
+                        )
+                    )
+                self._check_interrupt()
+
+            simulator.on_evaluation = on_evaluation
+            # Checked at the start of *every* query (cache hits too), so
+            # an interrupt cannot stall behind a hit-only stretch.
+            simulator.check_abort = self._check_interrupt
+            try:
+                algorithm.run(simulator, np.random.default_rng(seed))
+            except BudgetExhausted:
+                pass  # normal termination for budget-driven algorithms
+            record = RunRecord.from_simulator(method, seed, simulator)
+            if writer is not None:
+                writer.finish(record)
+        finally:
+            if writer is not None:
+                writer.close()
+        self._emit(SeedFinished(method=method, seed=seed, record=record, resumed=False))
+        return record
+
+    def _prime_replay(self, recorded) -> int:
+        """Warm-cache replay priming: feed a cell's recorded history into
+        the engine's cache *before* the algorithm reruns, so the
+        deterministic replay charges budget through cache hits and
+        performs zero new synthesis for anything already recorded.
+        Returns how many evaluations were primed."""
+        if not recorded:
+            return 0
+        cache = self._session.engine.cache
+        fingerprint = task_fingerprint(self._task)
+        for evaluation in recorded:
+            key = evaluation.graph.key()
+            # put() appends to the persistent shard; the original run
+            # already stored these, so only fill genuine gaps (e.g. a
+            # memory-only cache in a fresh process) to keep repeated
+            # resumes from growing the shard with duplicates.
+            if cache.get(fingerprint, key) is None:
+                cache.put(fingerprint, key, (evaluation.area_um2, evaluation.delay_ns))
+        return len(recorded)
 
     def _execute(self) -> None:
         from .session import ExperimentResult, _sum_telemetry
@@ -374,21 +406,11 @@ class RunHandle:
                     ),
                 )
             )
-            observer = _StreamingGridObserver(self)
             records: Dict[str, List[RunRecord]] = {}
             for method_spec, entry, config in self._resolved:
-                observer.check_interrupt()
-                records[method_spec.display_name] = _run_seed_grid(
-                    lambda seed, _factory=entry.factory, _config=config: _factory(
-                        _config
-                    ),
-                    self._task,
-                    self.spec.budget,
-                    self._seeds,
-                    method_name=method_spec.display_name,
-                    engine=self._session.engine,
-                    parallel_seeds=self._session.parallel_seeds,
-                    observer=observer,
+                self._check_interrupt()
+                records[method_spec.display_name] = self._run_grid(
+                    method_spec.display_name, lambda: entry.factory(config)
                 )
             # Assembling and writing the final records is the root's
             # last piece of real work; its own span keeps it out of the

@@ -13,15 +13,14 @@ resumable.  Layout::
             meta.json                 {method, seed} (human-readable)
             history.jsonl             evaluation trail, appended + flushed
                                       after every simulator query
-            history.resume.jsonl      a previous attempt's trail, kept
-                                      until the cell finishes
             record.json               final RunRecord = completion ledger
 
 Design notes
 ------------
 * **Everything single-shot is atomic** (temp + rename via
   :mod:`repro.utils.io`); the only incrementally-written files are the
-  history JSONLs, whose readers tolerate a truncated final line.
+  history JSONLs, whose readers tolerate a truncated final line.  A
+  running cell keeps its trail open in one handle, flushed per line.
 * **The history is the whole checkpoint.**  No rng or optimizer state is
   serialized: every registered method is deterministic given (seed,
   evaluation history), so resume re-runs the algorithm from its seed
@@ -33,12 +32,13 @@ Design notes
   finished; resume serves such cells straight from disk.  An interrupted
   cell has history lines but no record, and is the only kind of cell a
   resume actually re-runs.
-* **Resume rotation.**  When a cell restarts, its partial
-  ``history.jsonl`` is folded into ``history.resume.jsonl`` and the main
-  file starts fresh; the replay rewrites it identically.  If the resume
-  itself dies mid-replay, both files survive and the next attempt primes
-  from their union (deduplicated by ``sim_index``), so repeated crashes
-  never lose recorded synthesis work.
+* **The trail is append-only.**  When a cell restarts, its
+  ``history.jsonl`` is atomically rewritten to its contiguous recorded
+  prefix (``sim_index`` 1..k, dropping a truncated tail) and the replay
+  appends past it: re-derived evaluations with ``sim_index <= k`` are
+  already on disk and are not written again.  The file never shrinks
+  below what was recorded, so a resume that itself dies mid-replay
+  loses nothing, however often it happens.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ import uuid
 from typing import Dict, List, Optional
 
 from ..opt.records_io import (
-    append_evaluations,
     evaluation_to_dict,
     load_evaluations,
     load_records,
@@ -233,9 +232,6 @@ class RunDirectory:
     def _history_path(self, method: str, seed: int) -> str:
         return os.path.join(self.cell_dir(method, seed), "history.jsonl")
 
-    def _resume_history_path(self, method: str, seed: int) -> str:
-        return os.path.join(self.cell_dir(method, seed), "history.resume.jsonl")
-
     def _record_path(self, method: str, seed: int) -> str:
         return os.path.join(self.cell_dir(method, seed), "record.json")
 
@@ -250,35 +246,9 @@ class RunDirectory:
         return records[0]
 
     def load_history(self, method: str, seed: int) -> List[Evaluation]:
-        """Every recorded evaluation for a cell, across crash generations.
-
-        Merges the current trail with a rotated previous-attempt trail,
-        deduplicated by ``sim_index`` (both are prefixes of the same
-        deterministic sequence), ordered by ``sim_index``.
-        """
-        merged: Dict[int, Evaluation] = {}
-        for path in (
-            self._resume_history_path(method, seed),
-            self._history_path(method, seed),
-        ):
-            if os.path.exists(path):
-                for evaluation in load_evaluations(path):
-                    merged[evaluation.sim_index] = evaluation
-        return [merged[index] for index in sorted(merged)]
-
-    def cell_writer(
-        self,
-        method: str,
-        seed: int,
-        history: Optional[List[Evaluation]] = None,
-    ) -> "RunCellWriter":
-        """Open a cell for (re)execution; rotates any partial history.
-
-        ``history`` lets a caller that already loaded the cell's merged
-        trail (resume priming does) hand it over instead of having the
-        rotation re-parse the same files.
-        """
-        return RunCellWriter(self, method, seed, history=history)
+        """Every evaluation recorded in a cell's trail (empty if none)."""
+        path = self._history_path(method, seed)
+        return load_evaluations(path) if os.path.exists(path) else []
 
     # ------------------------------------------------------------------
     # Final records
@@ -330,66 +300,60 @@ class RunDirectory:
         return f"RunDirectory({self.path!r})"
 
 
-class RunCellWriter:
-    """Incremental persistence for one (method, seed) cell.
+def _history_line(evaluation: Evaluation) -> str:
+    return json.dumps(evaluation_to_dict(evaluation)) + "\n"
 
-    Created when the cell starts (or restarts) running.  Rotation,
-    appending and the final ledger write all live here so the execution
-    layer only ever says "this evaluation happened" / "this cell is
-    done".
+
+class RunCellWriter:
+    """Incremental persistence for one running (method, seed) cell.
+
+    Created when the cell starts (or restarts) running; holds the cell's
+    one history handle until :meth:`finish` or :meth:`close`.  A restart
+    keeps the trail's contiguous recorded prefix (:attr:`recorded`) and
+    the replay appends past it, so the execution layer only ever says
+    "this evaluation happened" / "this cell is done".
     """
 
-    def __init__(
-        self,
-        run_dir: RunDirectory,
-        method: str,
-        seed: int,
-        history: Optional[List[Evaluation]] = None,
-    ) -> None:
+    def __init__(self, run_dir: RunDirectory, method: str, seed: int) -> None:
         self.run_dir = run_dir
         self.method = method
         self.seed = seed
         self.history_path = run_dir._history_path(method, seed)
-        self._resume_path = run_dir._resume_history_path(method, seed)
-        self.evaluations = 0
         cell = run_dir.cell_dir(method, seed)
         os.makedirs(cell, exist_ok=True)
         meta_path = os.path.join(cell, "meta.json")
         if not os.path.exists(meta_path):
             atomic_write_json(meta_path, {"method": method, "seed": seed}, indent=2)
-        self._rotate_partial_history(history)
-
-    def _rotate_partial_history(
-        self, history: Optional[List[Evaluation]] = None
-    ) -> None:
-        """Fold a previous attempt's trail aside before replay rewrites it.
-
-        The union of both files (the durable superset of recorded work)
-        is written atomically to the resume trail, then the main trail
-        starts empty.  Replay regenerates it line-for-line; the resume
-        trail is deleted only once the cell's record is ledgered.
-        ``history`` is that union when the caller already loaded it.
-        """
-        if not os.path.exists(self.history_path):
-            return
-        combined = (
-            history
-            if history is not None
-            else self.run_dir.load_history(self.method, self.seed)
-        )
-        lines = "".join(
-            json.dumps(evaluation_to_dict(e)) + "\n" for e in combined
-        )
-        atomic_write_text(self._resume_path, lines)
-        os.unlink(self.history_path)
+        #: the evaluations a previous attempt recorded, ``sim_index``
+        #: 1..k in order (empty on a first run) — what a resume replays.
+        self.recorded: List[Evaluation] = []
+        if os.path.exists(self.history_path):
+            for evaluation in load_evaluations(self.history_path):
+                if evaluation.sim_index != len(self.recorded) + 1:
+                    break
+                self.recorded.append(evaluation)
+            atomic_write_text(
+                self.history_path, "".join(map(_history_line, self.recorded))
+            )
+        self.evaluations = 0
+        self._handle = open(self.history_path, "a")
 
     def append(self, evaluation: Evaluation) -> int:
-        """Durably record one evaluation; returns the cell's line count."""
-        self.evaluations += append_evaluations(self.history_path, [evaluation])
+        """Durably record one evaluation; returns the cell's line count.
+
+        A replayed evaluation (``sim_index`` within :attr:`recorded`) is
+        already on disk and is not written again.
+        """
+        self.evaluations += 1
+        if evaluation.sim_index > len(self.recorded):
+            self._handle.write(_history_line(evaluation))
+            self._handle.flush()
         return self.evaluations
 
     def finish(self, record: RunRecord) -> None:
-        """Ledger the cell as complete and drop the resume trail."""
+        """Ledger the cell as complete and close its trail."""
         save_records(self.run_dir._record_path(self.method, self.seed), [record])
-        if os.path.exists(self._resume_path):
-            os.unlink(self._resume_path)
+        self.close()
+
+    def close(self) -> None:
+        self._handle.close()

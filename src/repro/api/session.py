@@ -203,7 +203,7 @@ class Session:
         that produced each event before it is queued (with
         ``parallel_seeds > 1`` that is several seed threads at once, so
         the callback must be thread-safe): raising
-        :class:`~repro.opt.runner.RunInterrupted` from it stops the
+        :class:`~repro.opt.simulator.RunInterrupted` from it stops the
         raising seed deterministically at that exact boundary (and the
         rest of the run at their next ones) — e.g. an early-stop policy
         after a particular ``Checkpointed`` — which the asynchronous

@@ -7,7 +7,7 @@
 
 :class:`EngineSimulator` subclasses the plain
 :class:`~repro.opt.simulator.CircuitSimulator`, so every existing caller
-(Algorithm 1, all baselines, the runner, the benches) works unchanged.
+(Algorithm 1, all baselines, the run handle, the benches) works unchanged.
 Only the execution backend differs: the planner in
 :meth:`CircuitSimulator.query_plan` hands the unique new graphs of each
 query or batch to :meth:`EngineSimulator._synthesize_many`, which serves

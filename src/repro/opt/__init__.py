@@ -1,4 +1,4 @@
-"""``repro.opt`` — simulator facade, budgets, run records, experiment harness."""
+"""``repro.opt`` — simulator facade, budgets, run records and their persistence."""
 
 from .optimizer import SearchAlgorithm
 from .pareto import dominates, hypervolume_2d, pareto_evaluations, pareto_front
@@ -10,14 +10,8 @@ from .results import (
     sims_to_reach,
     vae_speedup,
 )
-from .records_io import (
-    append_evaluations,
-    load_evaluations,
-    load_records,
-    save_records,
-)
-from .runner import GridObserver, RunInterrupted
-from .simulator import BudgetExhausted, CircuitSimulator, Evaluation
+from .records_io import load_evaluations, load_records, save_records
+from .simulator import BudgetExhausted, CircuitSimulator, Evaluation, RunInterrupted
 
 __all__ = [
     "SearchAlgorithm",
@@ -34,10 +28,8 @@ __all__ = [
     "aggregate_curves",
     "median_iqr",
     "vae_speedup",
-    "GridObserver",
     "RunInterrupted",
     "save_records",
     "load_records",
-    "append_evaluations",
     "load_evaluations",
 ]

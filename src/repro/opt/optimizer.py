@@ -3,8 +3,8 @@
 CircuitVAE and every baseline implement :class:`SearchAlgorithm`: given a
 budgeted :class:`~repro.opt.simulator.CircuitSimulator`, run until the
 budget is exhausted (or the algorithm converges) and leave the evaluation
-trace in the simulator.  The harness in :mod:`repro.opt.runner` turns that
-trace into :class:`~repro.opt.results.RunRecord` rows.
+trace in the simulator.  The run handle (:mod:`repro.api.handle`) turns
+that trace into :class:`~repro.opt.results.RunRecord` rows.
 """
 
 from __future__ import annotations

@@ -11,11 +11,12 @@ Two granularities live here:
 * **record files** (:func:`save_records` / :func:`load_records`) — whole
   finished runs, written atomically (temp file + rename, parents
   created) so a crash mid-save can never corrupt an existing file;
-* **evaluation history JSONL** (:func:`append_evaluations` /
+* **evaluation history JSONL** (:func:`evaluation_to_dict` /
   :func:`load_evaluations`) — one line per unique simulation, appended
-  and flushed *incrementally while a run is still going*.  This is the
-  durable trail run directories checkpoint after every simulator query;
-  a truncated final line (writer killed mid-append) is skipped with a
+  and flushed *incrementally while a run is still going* by
+  :class:`repro.api.rundir.RunCellWriter`.  This is the durable trail
+  run directories checkpoint after every simulator query; a truncated
+  final line (writer killed mid-append) is skipped with a
   ``RuntimeWarning`` on load, exactly like the evaluation cache's
   shards.
 """
@@ -24,12 +25,12 @@ from __future__ import annotations
 
 import json
 import warnings
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from ..prefix.io import graph_from_dict, graph_to_dict
-from ..utils.io import atomic_write_json, ensure_parent_dir
+from ..utils.io import atomic_write_json
 from .results import RunRecord
 from .simulator import Evaluation
 
@@ -38,7 +39,6 @@ __all__ = [
     "load_records",
     "evaluation_to_dict",
     "evaluation_from_dict",
-    "append_evaluations",
     "load_evaluations",
 ]
 
@@ -130,23 +130,6 @@ def evaluation_from_dict(payload: Dict) -> Evaluation:
         delay_ns=float(payload["delay_ns"]),
         sim_index=int(payload["sim_index"]),
     )
-
-
-def append_evaluations(path: str, evaluations: Iterable[Evaluation]) -> int:
-    """Append history lines to ``path`` (created with parents) and flush.
-
-    Returns the number of lines written.  Each call is flushed to the
-    OS, so a killed process loses at most the line it was mid-writing —
-    which :func:`load_evaluations` then skips.
-    """
-    ensure_parent_dir(path)
-    count = 0
-    with open(path, "a") as handle:
-        for evaluation in evaluations:
-            handle.write(json.dumps(evaluation_to_dict(evaluation)) + "\n")
-            count += 1
-        handle.flush()
-    return count
 
 
 def load_evaluations(path: str) -> List[Evaluation]:

@@ -24,7 +24,7 @@ from ..circuits.task import CircuitTask
 from ..prefix.graph import PrefixGraph
 from ..prefix.legalize import legalize
 
-__all__ = ["Evaluation", "BudgetExhausted", "CircuitSimulator"]
+__all__ = ["Evaluation", "BudgetExhausted", "RunInterrupted", "CircuitSimulator"]
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,19 @@ class Evaluation:
 
 class BudgetExhausted(RuntimeError):
     """Raised when a query would exceed the simulation budget."""
+
+
+class RunInterrupted(RuntimeError):
+    """A run was asked to stop at a simulator query boundary.
+
+    Raised from the simulator hooks (:attr:`CircuitSimulator.check_abort`,
+    :attr:`CircuitSimulator.on_evaluation`), e.g. after
+    :meth:`repro.api.RunHandle.interrupt`; never caught by the algorithms
+    themselves — they only handle :class:`BudgetExhausted` — so it
+    unwinds the whole seed cleanly.  Everything evaluated before the
+    interrupt is already recorded (the history append happens before
+    the hook runs), which is what makes interrupted runs resumable.
+    """
 
 
 class CircuitSimulator:
@@ -61,7 +74,7 @@ class CircuitSimulator:
         #: the streaming run API (:meth:`repro.api.Session.submit`)
         #: observes, checkpoints and interrupts every method without
         #: per-method changes — the hook may raise (e.g.
-        #: :class:`repro.opt.runner.RunInterrupted`) to abort the run at
+        #: :class:`RunInterrupted`) to abort the run at
         #: a query boundary; the evaluation it was called with is already
         #: durable in ``history`` at that point.
         self.on_evaluation: Optional[Callable[[Evaluation], None]] = None
@@ -69,7 +82,8 @@ class CircuitSimulator:
         #: cache hits included, so an interrupt lands at the very next query
         #: boundary even when a method is cycling through already
         #: -evaluated designs and ``on_evaluation`` would never fire.
-        #: Raises (e.g. RunInterrupted) to abort; must not mutate state.
+        #: Raises (e.g. :class:`RunInterrupted`) to abort; must not
+        #: mutate state.
         self.check_abort: Optional[Callable[[], None]] = None
         #: durable home for training checkpoints: the run-directory
         #: layer points this at the executing (method, seed) cell so

@@ -339,6 +339,105 @@ class TestInterruptResume:
                 assert_bit_identical(b, a)
 
 
+def _single_cell_spec(name):
+    method_spec, task_spec, budget, stop_at = RESUME_CASES[name]
+    spec = ExperimentSpec(
+        name=f"resume-{name}",
+        task=task_spec,
+        methods=(method_spec,),
+        budget=budget,
+        seeds=(0,),
+        curve_points=1,
+    )
+    return spec, stop_at
+
+
+def _trail_bytes(out, name):
+    path = os.path.join(RunDirectory.open(out).cell_dir(name, 0), "history.jsonl")
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _interrupted_run(spec, out, stop_at):
+    with Session() as session:
+        handle = session.submit(
+            spec, out_dir=out, on_event=stop_after_checkpoints(stop_at)
+        )
+        with pytest.raises(RunInterrupted):
+            handle.result()
+
+
+class TestAppendOnlyTrail:
+    """A restarting cell keeps its recorded prefix on disk and appends
+    past it, so crashes during a resume and torn final lines lose
+    nothing and leave the trail byte-identical to an uninterrupted one."""
+
+    @pytest.mark.parametrize("name", ["CircuitVAE", "GA"])
+    def test_interrupting_the_replay_loses_nothing(self, name, tmp_path):
+        spec, stop_at = _single_cell_spec(name)
+        ref_out = str(tmp_path / "ref")
+        with Session() as session:
+            reference = session.run(spec, out_dir=ref_out).records[name][0]
+
+        out = str(tmp_path / "run")
+        _interrupted_run(spec, out, stop_at)
+        run_dir = RunDirectory.open(out)
+        assert len(run_dir.load_history(name, 0)) == stop_at
+
+        # Interrupt the resume itself while it is still replaying the
+        # recorded prefix: the trail must not shrink below it.
+        with Session() as session:
+            handle = session.resume(
+                out, on_event=stop_after_checkpoints(stop_at // 2)
+            )
+            with pytest.raises(RunInterrupted):
+                handle.result()
+        assert len(run_dir.load_history(name, 0)) == stop_at
+        assert run_dir.completed_record(name, 0) is None
+
+        with Session() as session:
+            handle = session.resume(out)
+            replayed = [
+                e.replayed for e in handle.events() if isinstance(e, SeedStarted)
+            ]
+            record = handle.result().records[name][0]
+
+        assert replayed == [stop_at]
+        assert_bit_identical(record, reference)
+        telemetry = record.telemetry
+        assert telemetry["synth_calls"] == record.num_simulations - stop_at
+        assert telemetry["memory_hits"] + telemetry["disk_hits"] >= stop_at
+        assert _trail_bytes(out, name) == _trail_bytes(ref_out, name)
+        assert not os.path.exists(
+            os.path.join(run_dir.cell_dir(name, 0), "history.resume.jsonl")
+        )
+
+    @pytest.mark.parametrize("name", ["CircuitVAE", "GA"])
+    def test_truncated_last_line_is_dropped_on_resume(self, name, tmp_path):
+        import warnings
+
+        spec, stop_at = _single_cell_spec(name)
+        ref_out = str(tmp_path / "ref")
+        with Session() as session:
+            reference = session.run(spec, out_dir=ref_out).records[name][0]
+
+        out = str(tmp_path / "run")
+        _interrupted_run(spec, out, stop_at)
+        run_dir = RunDirectory.open(out)
+        path = os.path.join(run_dir.cell_dir(name, 0), "history.jsonl")
+        with open(path, "a") as handle:
+            handle.write('{"graph": {"version": 1, "n"')  # torn mid-append
+
+        with pytest.warns(RuntimeWarning, match="corrupt evaluation-history"):
+            with Session() as session:
+                record = session.resume(out).result().records[name][0]
+        assert_bit_identical(record, reference)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # parses cleanly: no torn line
+            assert len(run_dir.load_history(name, 0)) == record.num_simulations
+        assert _trail_bytes(out, name) == _trail_bytes(ref_out, name)
+
+
 class TestInterruptBoundaries:
     def test_interrupt_lands_on_cache_hit_queries(self):
         # A method cycling through already-evaluated designs fires no

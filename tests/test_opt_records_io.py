@@ -1,4 +1,6 @@
-"""Tests for run-record persistence (repro.opt.records_io)."""
+"""Tests for run-record persistence (repro.opt.records_io) and the
+run-directory history writer that appends to it
+(repro.api.rundir.RunCellWriter)."""
 
 import json
 import os
@@ -6,10 +8,11 @@ import os
 import numpy as np
 import pytest
 
+from repro.api import RunDirectory
+from repro.api.rundir import RunCellWriter
 from repro.opt import (
     Evaluation,
     RunRecord,
-    append_evaluations,
     load_evaluations,
     load_records,
     save_records,
@@ -87,13 +90,28 @@ def make_evaluations(n=4):
     ]
 
 
+def cell_writer(tmp_path, method="GA", seed=0):
+    return RunCellWriter(RunDirectory(str(tmp_path / "run")), method, seed)
+
+
+def write_history(tmp_path, evaluations):
+    """A cell trail holding ``evaluations``, written and closed."""
+    writer = cell_writer(tmp_path)
+    for evaluation in evaluations:
+        writer.append(evaluation)
+    writer.close()
+    return writer.history_path
+
+
 class TestEvaluationHistory:
     def test_append_and_load_roundtrip(self, tmp_path):
-        path = str(tmp_path / "cell" / "history.jsonl")
         evaluations = make_evaluations()
-        assert append_evaluations(path, evaluations[:1]) == 1
-        assert append_evaluations(path, evaluations[1:]) == 1  # incremental
-        loaded = load_evaluations(path)
+        writer = cell_writer(tmp_path)
+        assert writer.recorded == []  # a first run replays nothing
+        assert writer.append(evaluations[0]) == 1
+        assert writer.append(evaluations[1]) == 2  # the cell's line count
+        writer.close()
+        loaded = load_evaluations(writer.history_path)
         assert len(loaded) == 2
         for original, restored in zip(evaluations, loaded):
             assert restored.graph == original.graph
@@ -102,19 +120,88 @@ class TestEvaluationHistory:
             assert restored.delay_ns == original.delay_ns
             assert restored.sim_index == original.sim_index
 
+    def test_each_line_is_visible_before_the_writer_closes(self, tmp_path):
+        # One handle per cell, flushed per line: a reader (a resume after
+        # a SIGKILL, `repro status`) sees every appended evaluation.
+        writer = cell_writer(tmp_path)
+        for count, evaluation in enumerate(make_evaluations(), start=1):
+            writer.append(evaluation)
+            assert len(load_evaluations(writer.history_path)) == count
+        writer.close()
+
+    def test_handle_is_closed_after_finish(self, tmp_path):
+        writer = cell_writer(tmp_path)
+        writer.append(make_evaluations()[0])
+        writer.finish(make_record())
+        assert writer._handle.closed
+        run_dir = RunDirectory(str(tmp_path / "run"))
+        assert run_dir.completed_record("GA", 0).method == "VAE"
+
+    def test_handle_is_closed_after_an_interrupted_cell(self, tmp_path, monkeypatch):
+        from repro.api import (
+            Checkpointed,
+            ExperimentSpec,
+            MethodSpec,
+            Session,
+            TaskSpec,
+        )
+        from repro.opt import RunInterrupted
+
+        writers = []
+        real_init = RunCellWriter.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            writers.append(self)
+
+        monkeypatch.setattr(RunCellWriter, "__init__", tracking_init)
+
+        def stop(event):
+            if isinstance(event, Checkpointed) and event.evaluations == 2:
+                raise RunInterrupted("test stop")
+
+        spec = ExperimentSpec(
+            name="writer-close",
+            task=TaskSpec(circuit_type="adder", n=4),
+            methods=(MethodSpec("Random"),),
+            budget=6,
+            seeds=(0,),
+            curve_points=3,
+        )
+        with Session() as session:
+            handle = session.submit(spec, out_dir=str(tmp_path / "run"), on_event=stop)
+            with pytest.raises(RunInterrupted):
+                handle.result()
+        assert len(writers) == 1
+        assert writers[0]._handle.closed
+
+    def test_restart_keeps_the_recorded_prefix_and_appends_past_it(self, tmp_path):
+        first, second = make_evaluations()
+        path = write_history(tmp_path, [first])
+        before = open(path).read()
+        writer = cell_writer(tmp_path)
+        assert [e.sim_index for e in writer.recorded] == [1]
+        assert writer.append(first) == 1  # replayed: already on disk
+        assert open(path).read() == before
+        assert writer.append(second) == 2
+        writer.close()
+        assert [e.sim_index for e in load_evaluations(path)] == [1, 2]
+
     def test_truncated_final_line_is_skipped_with_warning(self, tmp_path):
         # the signature of a writer SIGKILLed mid-append
-        path = str(tmp_path / "history.jsonl")
-        append_evaluations(path, make_evaluations())
+        path = write_history(tmp_path, make_evaluations())
         with open(path, "a") as handle:
             handle.write('{"graph": {"version": 1, "n"')  # no newline, cut off
         with pytest.warns(RuntimeWarning, match="corrupt evaluation-history"):
             loaded = load_evaluations(path)
         assert len(loaded) == 2
+        # a restarting writer drops the torn tail from the file itself
+        with pytest.warns(RuntimeWarning, match="corrupt evaluation-history"):
+            cell_writer(tmp_path).close()
+        assert len(load_evaluations(path)) == 2
 
     def test_blank_lines_ignored(self, tmp_path):
-        path = str(tmp_path / "history.jsonl")
-        append_evaluations(path, make_evaluations()[:1])
+        path = write_history(tmp_path, make_evaluations()[:1])
         with open(path, "a") as handle:
             handle.write("\n\n")
         assert len(load_evaluations(path)) == 1
