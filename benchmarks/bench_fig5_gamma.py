@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 from repro.circuits import adder_task
-from repro.core import CircuitVAEOptimizer, SearchConfig, build_initial_dataset, train_model
+from repro.core import (
+    CircuitVAEModel,
+    SearchConfig,
+    VAEConfig,
+    build_initial_dataset,
+    train_model,
+)
 from repro.core.search import initialize_latents, latent_gradient_search
 from repro.opt import CircuitSimulator
 from repro.utils.tables import format_table
@@ -31,8 +37,15 @@ def run_gamma_sweep():
     rng = np.random.default_rng(0)
     sim = CircuitSimulator(task, budget=None)
     cfg = vae_config()
-    optimizer = CircuitVAEOptimizer(cfg)
-    model = optimizer._ensure_model(n, rng)
+    model = CircuitVAEModel(
+        VAEConfig(
+            n=n,
+            latent_dim=cfg.latent_dim,
+            base_channels=cfg.base_channels,
+            hidden_dim=cfg.hidden_dim,
+        ),
+        rng,
+    )
     dataset = build_initial_dataset(sim, INITIAL, rng, k=cfg.k)
     from dataclasses import replace
 

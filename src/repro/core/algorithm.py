@@ -1,16 +1,21 @@
 """The CircuitVAE outer loop (paper Algorithm 1).
 
 Each acquisition round: recompute Eq.-2 sample weights, (re)fit the VAE +
-cost predictor on the weighted dataset, launch ``m`` parallel
-prior-regularized gradient-descent trajectories from cost-weighted
-starting latents, decode the latents captured along the trajectories, and
+cost predictor on the weighted dataset, propose latents, decode them, and
 query the synthesis oracle on the decoded designs.  The loop runs until
 the simulation budget is exhausted and returns the lowest-cost circuit
 found.
+
+:class:`LatentLoop` is that loop, written once.  CircuitVAE proposes by
+launching ``m`` parallel prior-regularized gradient-descent trajectories
+from cost-weighted starting latents and decoding the latents captured
+along them; latent BO (:class:`repro.baselines.bo.LatentBO`) runs the
+same loop with a GP/EI proposal.
 """
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
@@ -22,7 +27,6 @@ from ..opt.optimizer import SearchAlgorithm
 from ..opt.simulator import BudgetExhausted, CircuitSimulator, Evaluation
 from ..opt.variation import mutate, random_population
 from ..prefix.graph import PrefixGraph
-from ..prefix.structures import sklansky
 from .dataset import CircuitDataset
 from .search import (
     SearchConfig,
@@ -108,38 +112,46 @@ def build_initial_dataset(
     return dataset
 
 
-class CircuitVAEOptimizer(SearchAlgorithm):
-    """Latent circuit optimization: the paper's primary contribution."""
+class LatentLoop(SearchAlgorithm):
+    """Algorithm 1's outer loop; a subclass supplies only its proposal.
 
-    method_name = "CircuitVAE"
+    Each round retrains the model on the weighted dataset, asks
+    :meth:`_propose` for latents, decodes them into one batched query
+    and grows the dataset.  CircuitVAE proposes by prior-regularized
+    gradient search, latent BO (:mod:`repro.baselines.bo`) by GP/EI
+    acquisition; everything else — model, D_0, Adam, retraining,
+    decode, the stall fallback and their rng order — is this one loop.
+    """
 
-    def __init__(self, config: Optional[CircuitVAEConfig] = None):
-        self.config = config or CircuitVAEConfig()
+    def __init__(self) -> None:
         self.model: Optional[CircuitVAEModel] = None
         self.dataset: Optional[CircuitDataset] = None
-        self.traces: List[SearchTrace] = []
-        self.round_best: List[float] = []
 
-    # ------------------------------------------------------------------
-    def _ensure_model(self, n: int, rng: np.random.Generator) -> CircuitVAEModel:
-        if self.model is None:
-            vae_config = VAEConfig(
-                n=n,
-                latent_dim=self.config.latent_dim,
-                base_channels=self.config.base_channels,
-                hidden_dim=self.config.hidden_dim,
-            )
-            self.model = CircuitVAEModel(vae_config, rng)
-        return self.model
+    @abc.abstractmethod
+    def _propose(self, rng: np.random.Generator, telemetry) -> np.ndarray:
+        """Latents to decode this round (``self.model`` is trained)."""
 
-    def run(self, simulator: CircuitSimulator, rng: np.random.Generator) -> Evaluation:
-        config = self.config
+    def _run_loop(
+        self,
+        config: CircuitVAEConfig,
+        simulator: CircuitSimulator,
+        rng: np.random.Generator,
+        explore_size: int,
+    ) -> Evaluation:
         # Per-run engine telemetry (None against a plain serial simulator):
         # training/search/decode stages land next to the engine's own
         # synthesis/cache counters in the RunRecord.
         telemetry = simulator.telemetry
-        model = self._ensure_model(simulator.task.n, rng)
-        self.dataset = build_initial_dataset(
+        self.model = model = CircuitVAEModel(
+            VAEConfig(
+                n=simulator.task.n,
+                latent_dim=config.latent_dim,
+                base_channels=config.base_channels,
+                hidden_dim=config.hidden_dim,
+            ),
+            rng,
+        )
+        self.dataset = dataset = build_initial_dataset(
             simulator, config.initial_samples, rng, k=config.k
         )
         optimizer = nn.Adam(model.parameters(), lr=config.train.lr)
@@ -148,15 +160,14 @@ class CircuitVAEOptimizer(SearchAlgorithm):
         # layer); each acquisition round gets its own tag so resume can
         # skip exactly the epochs the interrupted attempt completed.
         checkpoint_dir = getattr(simulator, "train_checkpoint_dir", None)
-        first_round = True
         round_index = 0
         while not simulator.exhausted():
             # Lines 4-5: reweight and refit on the grown dataset.
-            epochs = config.first_round_epochs if first_round else config.train.epochs
+            epochs = config.first_round_epochs if round_index == 0 else config.train.epochs
             with stage(telemetry, "train"):
                 stats = train_model(
                     model,
-                    self.dataset,
+                    dataset,
                     rng,
                     config=replace(config.train, epochs=epochs),
                     optimizer=optimizer,
@@ -164,47 +175,50 @@ class CircuitVAEOptimizer(SearchAlgorithm):
                     checkpoint_tag=f"round{round_index:03d}",
                 )
             report_training_round(simulator, stats, round_index)
-            first_round = False
             round_index += 1
 
-            # Lines 6-8: initialize and run prior-regularized search.
-            z0 = initialize_latents(
-                model,
-                self.dataset,
-                config.search.num_parallel,
-                rng,
-                mode=config.search.init_mode,
-                fixed_graph=config.fixed_init_graph,
-            )
-            trace = latent_gradient_search(
-                model, z0, rng, config.search, telemetry=telemetry
-            )
-            self.traces.append(trace)
-
-            # Lines 9-11: decode, batch-query, extend the dataset.  The
-            # whole captured population goes through one ``query_many``,
-            # which an engine-backed simulator vectorizes.
+            # Lines 6-11: propose latents, decode them, batch-query the
+            # designs (one ``query_many``, vectorized on an engine-backed
+            # simulator) and extend the dataset.
             _designs, evaluations = decode_and_query(
-                model,
-                trace.captured_latents,
-                simulator,
-                rng,
-                telemetry,
+                model, self._propose(rng, telemetry), simulator, rng, telemetry
             )
-            new_points = self.dataset.add_evaluations(evaluations)
-            if simulator.history:
-                self.round_best.append(simulator.best().cost)
-            if new_points == 0 and not simulator.exhausted():
-                # Decoder collapsed onto known designs: inject mutation
-                # noise so the loop keeps acquiring (rare at small n).
+            if dataset.add_evaluations(evaluations) == 0 and not simulator.exhausted():
+                # Every proposal decoded to a known design: inject
+                # mutation noise so the loop keeps acquiring.
                 parents = [
-                    self.dataset.graphs[i]
-                    for i in self.dataset.sample_indices(
-                        config.search.num_parallel, rng
-                    )
+                    dataset.graphs[i] for i in dataset.sample_indices(explore_size, rng)
                 ]
                 explore = [mutate(g, rng, rate=0.05) for g in parents]
-                self.dataset.add_evaluations(
-                    simulator.query_many(explore)
-                )
+                dataset.add_evaluations(simulator.query_many(explore))
         return simulator.best()
+
+
+class CircuitVAEOptimizer(LatentLoop):
+    """Latent circuit optimization: the paper's primary contribution."""
+
+    method_name = "CircuitVAE"
+
+    def __init__(self, config: Optional[CircuitVAEConfig] = None):
+        super().__init__()
+        self.config = config or CircuitVAEConfig()
+        self.traces: List[SearchTrace] = []
+
+    def run(self, simulator: CircuitSimulator, rng: np.random.Generator) -> Evaluation:
+        return self._run_loop(self.config, simulator, rng, self.config.search.num_parallel)
+
+    def _propose(self, rng: np.random.Generator, telemetry) -> np.ndarray:
+        # Lines 6-8: initialize and run prior-regularized search; decode
+        # the latents captured along every trajectory.
+        search = self.config.search
+        z0 = initialize_latents(
+            self.model,
+            self.dataset,
+            search.num_parallel,
+            rng,
+            mode=search.init_mode,
+            fixed_graph=self.config.fixed_init_graph,
+        )
+        trace = latent_gradient_search(self.model, z0, rng, search, telemetry=telemetry)
+        self.traces.append(trace)
+        return trace.captured_latents

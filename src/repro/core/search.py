@@ -112,8 +112,9 @@ def decode_and_query(
 ) -> Tuple[List[PrefixGraph], List[Evaluation]]:
     """Decode a latent population and evaluate it as one batch.
 
-    The shared tail of Algorithm 1 and latent BO (lines 9-10): sample
-    designs from the decoder, then submit the whole population in one
+    Lines 9-10 of Algorithm 1, called once per round by
+    :class:`repro.core.algorithm.LatentLoop` (so for CircuitVAE and
+    latent BO alike): sample designs from the decoder, then submit the whole population in one
     ``query_many`` round-trip, which an engine-backed simulator serves
     with one vectorized synthesis pass (:mod:`repro.synth.batched`).
     Semantics (budget accounting, history order, refusals) are identical

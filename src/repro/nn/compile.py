@@ -76,22 +76,9 @@ __all__ = [
     "CompiledTrainStep",
     "ShardMean",
     "compile_train_step",
-    "ir_verify_enabled",
     "profile_enabled",
     "shard_slices",
 ]
-
-
-def ir_verify_enabled() -> bool:
-    """``REPRO_IR_VERIFY=1``: run the IR verifier on every compile.
-
-    Like :func:`profile_enabled`, this is consulted at *compile* time
-    only — steady-state replay never pays for verification.  Findings
-    reject the program (``CompileUnsupported``), so training falls back
-    to the always-correct eager tape instead of replaying a program the
-    verifier could not prove safe.
-    """
-    return os.environ.get("REPRO_IR_VERIFY", "0").strip() not in ("", "0")
 
 
 def profile_enabled() -> bool:
@@ -1099,16 +1086,15 @@ class CompiledTrainStep:
             stats=self.stats,
         )
         program.verify(arrays, outputs)
-        if ir_verify_enabled():
-            # Optional static pass (REPRO_IR_VERIFY=1): prove the plan
-            # sound before caching it for replay.
-            ir_findings = ir_verify.verify_program(program)
-            if ir_findings:
-                first = ir_findings[0]
-                raise CompileUnsupported(
-                    f"IR verifier rejected the program: {len(ir_findings)} "
-                    f"finding(s), first [{first.rule}] {first.message}"
-                )
+        # Static pass: prove the plan sound before caching it for replay
+        # (compile time only; a rejected program falls back to eager).
+        ir_findings = ir_verify.verify_program(program)
+        if ir_findings:
+            first = ir_findings[0]
+            raise CompileUnsupported(
+                f"IR verifier rejected the program: {len(ir_findings)} "
+                f"finding(s), first [{first.rule}] {first.message}"
+            )
         trace.release()  # drop the tensor pins; run() needs only the tables
         self.stats.traces += 1
         return program

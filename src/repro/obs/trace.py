@@ -210,9 +210,9 @@ class Tracer:
     ----------
     sink:
         Anything with a ``write(span_dict)`` method (a
-        :class:`repro.obs.sink.TraceSink`) or a plain callable; spans
-        are delivered as dicts, children strictly before their parents
-        close (spans are emitted on *finish*).
+        :class:`repro.obs.sink.TraceSink`); spans are delivered as dicts,
+        children strictly before their parents close (spans are emitted
+        on *finish*).
     collect:
         Record spans into an internal list instead (pool workers use
         this and ship :meth:`drain`'s result back with their results).
@@ -227,8 +227,8 @@ class Tracer:
         trace_id: Optional[str] = None,
         id_prefix: str = "s",
     ) -> None:
-        if sink is not None and not callable(sink) and not hasattr(sink, "write"):
-            raise TypeError("sink must be callable or expose .write(span_dict)")
+        if sink is not None and not hasattr(sink, "write"):
+            raise TypeError("sink must expose .write(span_dict)")
         self._sink = sink
         self._collected: Optional[List[Dict]] = [] if collect else None
         self.trace_id = (
@@ -303,16 +303,13 @@ class Tracer:
         return span
 
     def _emit(self, span: Span) -> None:
+        self._write(span.to_dict())
+
+    def _write(self, payload: Dict) -> None:
         if self._collected is not None:
-            self._collected.append(span.to_dict())
-            return
-        sink = self._sink
-        if sink is None:
-            return
-        if hasattr(sink, "write"):
-            sink.write(span.to_dict())
-        else:
-            sink(span.to_dict())
+            self._collected.append(payload)
+        elif self._sink is not None:
+            self._sink.write(payload)
 
     def emit_raw(self, span_dicts: List[Dict]) -> None:
         """Forward already-finished span dicts (from a pool worker's
@@ -320,13 +317,7 @@ class Tracer:
         parent ids were assigned from the shipped context, so they slot
         into the tree directly."""
         for payload in span_dicts:
-            if self._collected is not None:
-                self._collected.append(payload)
-            elif self._sink is not None:
-                if hasattr(self._sink, "write"):
-                    self._sink.write(payload)
-                else:
-                    self._sink(payload)
+            self._write(payload)
 
     def drain(self) -> List[Dict]:
         """Collected span dicts (collect mode); resets the buffer."""

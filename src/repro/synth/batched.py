@@ -169,9 +169,11 @@ class _FlatPopulation:
     """A population's structure as flat arrays, one step before packing.
 
     ``flat_pins`` holds *graph-local* net ids (gate ``i`` of a graph
-    drives net ``num_pis + i``); ``gate_col`` uses NaN where a column
-    hint is missing (the reference flow's ``None``).  :func:`_build_flat`
-    emits it and :class:`_PackedBatch` consumes it.
+    drives net ``num_pis + i``); ``gate_col`` is every gate's column
+    (the builders give each mapped gate one, and a buffer takes its
+    members' mean), so the packed placer needs no fanin-centroid
+    fallback.  :func:`_build_flat` emits it and :class:`_PackedBatch`
+    consumes it.
     """
 
     __slots__ = (
@@ -491,15 +493,12 @@ def _buffer_flat(m, gate_cell, pin_counts, flat_pins, gate_col, po_net,
         # First-fit over the BUF variants in library order, else the last.
         fits = buf_limits >= load[:, None]
         choice = np.where(fits.any(axis=1), fits.argmax(axis=1), len(buf_ids) - 1)
-        # NaN columns are skipped, not zeroed: c + 0.0 == c exactly, so
-        # substituting 0.0 reproduces the skip-sum bit for bit.
-        colok = valid & ~np.isnan(cols)
-        csum = np.add.accumulate(np.where(colok, cols, 0.0), axis=1)[:, -1]
-        ccount = colok.sum(axis=1)
+        # Column: the members' mean (every group has at least one member).
+        csum = np.add.accumulate(np.where(valid, cols, 0.0), axis=1)[:, -1]
         q = wave_start[gnet, w] + gidx
         gb = over_graph[gnet]
         buf_cell[q] = buf_ids[choice]
-        buf_col[q] = np.where(ccount > 0, csum / np.maximum(ccount, 1), np.nan)
+        buf_col[q] = csum / valid.sum(axis=1)
         buf_in[q] = over_local[gnet]
         out_net = np.broadcast_to(
             (npi + m[gb] + q - buf_start[gb])[:, None], valid.shape
@@ -653,13 +652,8 @@ class _PackedBatch:
 
         # --- placement (x, y) and static wirelengths -------------------
         pitch, row_height = library.bit_pitch_um, library.row_height_um
-        nan_cols = np.isnan(flat.gate_col) if G else np.zeros(0, dtype=bool)
-        x = np.where(nan_cols, 0.0, flat.gate_col) * pitch if G else np.empty(0)
+        x = flat.gate_col * pitch  # every gate has a column
         y = self.gate_level * row_height
-        if nan_cols.any():
-            self._resolve_fallback_columns(
-                flat, gate_in, np.flatnonzero(nan_cols), template, pitch, x
-            )
         x_ext = np.append(x, 0.0)
         y_ext = np.append(y, 0.0)
 
@@ -728,40 +722,6 @@ class _PackedBatch:
             np.where(net_po_count > repeat, PO_LOAD_FF, 0.0)
             for repeat in range(self.max_po_mult)
         ]
-
-    # ------------------------------------------------------------------
-    def _resolve_fallback_columns(self, flat, gate_in, fallback, template, pitch, x):
-        """placement._resolve_column's fanin-centroid fallback.
-
-        Only reachable for gates without a mapping/centroid column hint
-        (NaN in the flat form), which the builders never produce in
-        practice — kept for strict parity with the reference placer.
-        """
-        npi = template.num_pis
-        N = self.N
-        memo: Dict[int, float] = {}
-
-        def resolve(flat_gate: int) -> float:
-            if flat_gate in memo:
-                return memo[flat_gate]
-            column = flat.gate_col[flat_gate]
-            if not np.isnan(column):
-                memo[flat_gate] = float(column)
-                return memo[flat_gate]
-            memo[flat_gate] = 0.0
-            b = int(self.gate_graph[flat_gate])
-            goff, noff = int(self.gate_off[b]), int(self.net_off[b])
-            cols = [
-                resolve(goff + (net - noff - npi)) if net - noff >= npi
-                else float(template.pi_col[net - noff])
-                for net in gate_in[flat_gate].tolist()
-                if net != N  # pad slots, not real pins
-            ]
-            memo[flat_gate] = sum(cols) / len(cols) if cols else 0.0
-            return memo[flat_gate]
-
-        for flat_gate in fallback.tolist():
-            x[flat_gate] = resolve(flat_gate) * pitch
 
     # ------------------------------------------------------------------
     def net_loads(self, nets: np.ndarray) -> np.ndarray:

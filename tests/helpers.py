@@ -186,6 +186,89 @@ def build_initial_dataset_serial(simulator, size, rng, dataset=None, k=1e-3):
     return dataset
 
 
+def latent_bo_reference(config=None):
+    """Latent BO with its own copy of the Algorithm-1 loop — model,
+    D_0, Adam, retraining rounds, GP/EI acquisition, decode, stall
+    fallback — written out in full: the reference the shared loop of
+    :mod:`repro.core.algorithm` must reproduce design for design."""
+    from dataclasses import replace
+
+    from repro import nn
+    from repro.baselines import LatentBO
+    from repro.baselines.gp import GaussianProcess, expected_improvement, median_lengthscale
+    from repro.core import CircuitVAEModel, VAEConfig, build_initial_dataset
+    from repro.core.search import decode_and_query
+    from repro.core.training import report_training_round, train_model
+    from repro.engine.telemetry import stage
+    from repro.opt.variation import mutate
+
+    class ReferenceLatentBO(LatentBO):
+        def run(self, simulator, rng):
+            config = self.config
+            vae_cfg = config.vae
+            model_config = VAEConfig(
+                n=simulator.task.n,
+                latent_dim=vae_cfg.latent_dim,
+                base_channels=vae_cfg.base_channels,
+                hidden_dim=vae_cfg.hidden_dim,
+            )
+            self.model = CircuitVAEModel(model_config, rng)
+            self.dataset = build_initial_dataset(
+                simulator, vae_cfg.initial_samples, rng, k=vae_cfg.k
+            )
+            optimizer = nn.Adam(self.model.parameters(), lr=vae_cfg.train.lr)
+
+            telemetry = simulator.telemetry
+            checkpoint_dir = getattr(simulator, "train_checkpoint_dir", None)
+            first_round = True
+            round_index = 0
+            while not simulator.exhausted():
+                epochs = vae_cfg.first_round_epochs if first_round else vae_cfg.train.epochs
+                with stage(telemetry, "train"):
+                    stats = train_model(
+                        self.model,
+                        self.dataset,
+                        rng,
+                        config=replace(vae_cfg.train, epochs=epochs),
+                        optimizer=optimizer,
+                        checkpoint_dir=checkpoint_dir,
+                        checkpoint_tag=f"round{round_index:03d}",
+                    )
+                report_training_round(simulator, stats, round_index)
+                first_round = False
+                round_index += 1
+
+                with stage(telemetry, "acquisition"):
+                    latents = self._latents_of_dataset()
+                    costs = self.dataset.costs
+                    if len(costs) > config.gp_max_points:
+                        keep = np.argsort(costs)[: config.gp_max_points]
+                        latents, costs = latents[keep], costs[keep]
+                    gp = GaussianProcess(
+                        lengthscale=median_lengthscale(latents, rng),
+                        variance=1.0,
+                        noise=config.gp_noise,
+                    ).fit(latents, costs)
+                    candidates = self._candidate_pool(rng)
+                    mean, std = gp.predict(candidates)
+                    ei = expected_improvement(mean, std, best=float(costs.min()))
+                    top = np.argsort(-ei)[: config.batch_per_round]
+                _designs, evaluations = decode_and_query(
+                    self.model, candidates[top], simulator, rng, telemetry
+                )
+                new_points = self.dataset.add_evaluations(evaluations)
+                if new_points == 0 and not simulator.exhausted():
+                    parents = [
+                        self.dataset.graphs[i]
+                        for i in self.dataset.sample_indices(config.batch_per_round, rng)
+                    ]
+                    explore = [mutate(g, rng, rate=0.05) for g in parents]
+                    self.dataset.add_evaluations(simulator.query_many(explore))
+            return simulator.best()
+
+    return ReferenceLatentBO(config)
+
+
 def numerical_grad(f, x, eps=1e-6):
     """Central-difference gradient of scalar f() w.r.t. array x (in place)."""
     grad = np.zeros_like(x)

@@ -518,9 +518,10 @@ class TestReadmeEnvTable:
         problems = env_problems(str(tmp_path), [])
         assert len(problems) == 1 and "header" in problems[0]
 
-    def test_table_has_ir_verify_row(self):
+    def test_table_has_compiled_train_row(self):
         with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
-            assert "REPRO_IR_VERIFY" in readme_env_names(handle.read())
+            names = readme_env_names(handle.read())
+        assert "REPRO_COMPILED_TRAIN" in names and "REPRO_IR_VERIFY" not in names
 
 
 class TestTelemetryNames:

@@ -5,8 +5,8 @@ CNN-VAE training step) and asserts zero findings.  The dirty direction
 hand-injects each bug class into a copied :class:`ProgramPlan` —
 use-before-def schedules, backward disorder, aliasing writes over live
 values — and asserts the verifier names the specific
-``ir-*`` rule.  A wiring test proves ``REPRO_IR_VERIFY=1`` runs the
-pass inside ``compile_train_step`` at compile time only.
+``ir-*`` rule.  A wiring test proves every ``compile_train_step`` runs
+the pass at compile time only.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ import pytest
 
 from repro import nn
 from repro.nn.verify import IR_RULES, verify_program
-from repro.nn.compile import ir_verify_enabled
 
 
 def _rules(findings):
@@ -191,16 +190,7 @@ class TestInjectedBugs:
 
 
 class TestCompileWiring:
-    def test_env_knob_toggles(self, monkeypatch):
-        monkeypatch.delenv("REPRO_IR_VERIFY", raising=False)
-        assert not ir_verify_enabled()
-        monkeypatch.setenv("REPRO_IR_VERIFY", "1")
-        assert ir_verify_enabled()
-        monkeypatch.setenv("REPRO_IR_VERIFY", "0")
-        assert not ir_verify_enabled()
-
     def test_verify_runs_at_compile_time_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_IR_VERIFY", "1")
         calls = []
         import repro.nn.verify as ir_mod
 
@@ -229,7 +219,6 @@ class TestCompileWiring:
         assert step.stats.traces == 1 and step.stats.replays == 4
 
     def test_rejected_program_raises_compile_unsupported(self, monkeypatch):
-        monkeypatch.setenv("REPRO_IR_VERIFY", "1")
         import repro.nn.verify as ir_mod
         from repro.nn.verify import Finding
 

@@ -181,6 +181,36 @@ class TestMutantPopulations:
         assert_results_identical(task, mutant_population(8, 6))
 
 
+class TestFlatColumns:
+    """Every gate the structural builder emits has a finite column, so
+    the packed placer needs no fanin-centroid fallback (the scalar
+    placer keeps one for hand-built netlists without column hints)."""
+
+    @pytest.mark.parametrize("build", [adder_task, gray_to_binary_task, lzd_task])
+    @pytest.mark.parametrize("node", [None, "8nm"])
+    def test_every_gate_column_is_finite(self, build, node):
+        from repro.synth.batched import _IOTemplate, _build_flat, _tables_for
+
+        library = scaled_library(node) if node else None
+        buffers = 0
+        for n in (2, 5, 16, 33):
+            task = build(n, 0.66, library=library)
+            graphs = [sklansky(n)] + mutant_population(n, 6 if n > 2 else 1)[1:]
+            for max_fanout in (2, 3, 4, 8):
+                options = replace(task.options, max_fanout=max_fanout)
+                flat = _build_flat(
+                    graphs,
+                    _tables_for(task.library),
+                    _IOTemplate(n, task.circuit_type, task.io_timing),
+                    task.circuit_type,
+                    options,
+                )
+                assert len(flat.gate_col) == flat.gate_counts.sum() > 0
+                assert np.isfinite(flat.gate_col).all(), (n, max_fanout)
+                buffers += int(flat.num_buffers.sum())
+        assert buffers > 0  # buffer columns (members' means) are covered
+
+
 class TestTaskValidation:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="width"):
