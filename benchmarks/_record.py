@@ -6,7 +6,7 @@ do it:
 
 * records land at the **repo root** regardless of the pytest invocation
   directory (CI globs ``BENCH_*.json`` from the workspace root);
-* ``REPRO_BENCH_OUT`` still overrides the destination, as before;
+* ``REPRO_BENCH_OUT`` names another directory to write them into;
 * the write is atomic (temp file + ``os.replace`` in the destination
   directory), so a record is never observed half-written — benches run
   under ``REPRO_CACHE_DIR`` sharing may be re-invoked while a previous
@@ -26,13 +26,11 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def record_path(name: str) -> str:
     """Destination for the ``BENCH_<name>.json`` record.
 
-    ``REPRO_BENCH_OUT`` overrides it verbatim (one bench per process, as
-    CI runs them); otherwise the record is anchored at the repo root.
+    The record goes into the directory ``REPRO_BENCH_OUT`` names, else
+    into the repo root.
     """
-    override = os.environ.get("REPRO_BENCH_OUT")
-    if override:
-        return override
-    return os.path.join(REPO_ROOT, f"BENCH_{name}.json")
+    directory = os.environ.get("REPRO_BENCH_OUT") or REPO_ROOT
+    return os.path.join(directory, f"BENCH_{name}.json")
 
 
 def write_record(name: str, stats: dict) -> str:

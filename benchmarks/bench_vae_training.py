@@ -4,14 +4,15 @@ Measures ``repro.core.training.train_model`` on the paper's CNN-VAE
 configuration at the size the ``vae_adder32`` workload trains (n=32, the
 default ``VAEConfig`` — the architecture of Sec. 5.1 at this repo's CPU
 scale — and the paper training hyperparameters: beta=0.01, lambda=10,
-Adam 1e-3, batch 64) under both execution engines:
+Adam 1e-3, batch 64) on two engines:
 
-* **eager** — the define-by-run tape, the numerical reference
-  (``REPRO_COMPILED_TRAIN=0``);
-* **compiled** — the traced graph executor (:mod:`repro.nn.compile`):
-  matmul-based conv kernels, liveness-arena buffer reuse, shape-guarded
-  replay, and the two half-batch shards on two threads when the core
-  budget allows.
+* **compiled** — the traced graph executor (:mod:`repro.nn.compile`),
+  the only engine ``train_model`` runs: matmul-based conv kernels,
+  liveness-arena buffer reuse, shape-guarded replay, and the two
+  half-batch shards on two threads when the core budget allows;
+* **eager** — the define-by-run tape, the numerical reference, swapped
+  in for the compiled step by ``eager_training`` from the test suite's
+  ``tests/helpers.py``.
 
 Both engines run the same two-shard step, so the loss curves compare
 like for like.
@@ -31,7 +32,7 @@ Environment knobs:
   record is still written; equivalence is always asserted).
 """
 
-import json
+import contextlib
 import os
 import time
 
@@ -44,6 +45,7 @@ from repro.prefix import random_graph
 
 from _record import record_path, write_record
 from common import once
+from helpers import eager_training
 
 EPOCHS = int(os.environ.get("REPRO_BENCH_TRAIN_EPOCHS", "8"))
 OUT_PATH = record_path("vae_training")
@@ -63,18 +65,19 @@ def _dataset():
     return ds
 
 
+def _engine(compiled):
+    """The context a train_model call runs in for the chosen engine."""
+    return contextlib.nullcontext() if compiled else eager_training()
+
+
 def _fit(ds, compiled, epochs):
     """One fresh train_model call under the chosen engine."""
-    os.environ["REPRO_COMPILED_TRAIN"] = "1" if compiled else "0"
-    try:
+    with _engine(compiled):
         model = CircuitVAEModel(VAEConfig(n=N), np.random.default_rng(1))
-        stats = train_model(
+        return train_model(
             model, ds, np.random.default_rng(2),
             TrainConfig(epochs=epochs, batch_size=BATCH),
         )
-    finally:
-        os.environ.pop("REPRO_COMPILED_TRAIN", None)
-    return stats
 
 
 class _SteadyTrainer:
@@ -89,7 +92,7 @@ class _SteadyTrainer:
         from repro import nn
 
         self.ds = ds
-        self.env = "1" if compiled else "0"
+        self.compiled = compiled
         self.model = CircuitVAEModel(VAEConfig(n=N), np.random.default_rng(1))
         self.optimizer = nn.Adam(self.model.parameters(), lr=1e-3)
         self.rng = np.random.default_rng(2)
@@ -97,15 +100,12 @@ class _SteadyTrainer:
         self()  # warm-up (compiles when compiled)
 
     def __call__(self):
-        os.environ["REPRO_COMPILED_TRAIN"] = self.env
-        try:
+        with _engine(self.compiled):
             start = time.perf_counter()
             train_model(
                 self.model, self.ds, self.rng, self.config, optimizer=self.optimizer
             )
             return time.perf_counter() - start
-        finally:
-            os.environ.pop("REPRO_COMPILED_TRAIN", None)
 
 
 def run_vae_training():
@@ -114,7 +114,8 @@ def run_vae_training():
     # -- equivalence contract: identical loss curves to 1e-10 ----------
     eager_ref = _fit(ds, compiled=False, epochs=EQUIV_EPOCHS)
     compiled_ref = _fit(ds, compiled=True, epochs=EQUIV_EPOCHS)
-    assert compiled_ref.compiled and not eager_ref.compiled
+    assert compiled_ref.compile_counters["replays"] > 0
+    assert not eager_ref.compile_counters
     curve_dev = 0.0
     for name in ("total", "reconstruction", "kl", "cost"):
         a = np.asarray(getattr(eager_ref, name))

@@ -1,6 +1,9 @@
-"""Make the benchmarks directory importable as plain modules."""
+"""Make the benchmarks directory, and the test suite's shared helpers
+(the eager training reference lives there), importable as plain modules."""
 
 import os
 import sys
 
-sys.path.insert(0, os.path.dirname(__file__))
+HERE = os.path.dirname(__file__)
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "tests"))
+sys.path.insert(0, HERE)

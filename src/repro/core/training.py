@@ -14,21 +14,20 @@ lambda's scale is task-independent.
 
 Execution engine
 ----------------
-The step graph never changes shape within a call, so by default the
+The step graph never changes shape within a call, so every
 forward+backward+optimizer step runs through the traced graph executor
 (:mod:`repro.nn.compile`): one eager trace, then buffer-reusing replay
-with matmul-based convolution kernels — numerically equivalent to the eager tape (which remains the
-reference; per-epoch losses agree to well below 1e-10) and >= 2x faster
-on the CNN-VAE configuration (gated by
-``benchmarks/bench_vae_training.py``).  Set ``REPRO_COMPILED_TRAIN=0``
-to force the eager tape; anything the compiler cannot trace also falls
-back to eager automatically.  Both engines consume the *same* rng
-stream (minibatch indices, then reparameterization noise), so switching
-engines never desynchronizes an algorithm's randomness.
+with matmul-based convolution kernels, gated by
+``benchmarks/bench_vae_training.py`` at >= 2x the eager tape on the
+CNN-VAE configuration.  The eager tape stays the numerical reference
+(per-epoch losses agree to well below 1e-10) but is not a runtime
+alternative: a step the compiler rejects raises
+:class:`repro.nn.CompileUnsupported` instead of training on another
+engine, so records never depend on whether a trace compiled.
 
-Both engines also run every step as the size-weighted mean of
-:data:`TRAIN_SHARDS` half-batch passes.  The compiled step overlaps the
-halves on two threads while the core budget
+Every step is the size-weighted mean of :data:`TRAIN_SHARDS`
+half-batch passes.  The compiled step overlaps the halves on two
+threads while the core budget
 (:func:`repro.utils.threads.core_budget`) allows, and replays them back
 to back otherwise; the count is fixed so that records never depend on
 the machine.
@@ -85,12 +84,10 @@ class TrainStats:
     reconstruction: List[float] = field(default_factory=list)
     kl: List[float] = field(default_factory=list)
     cost: List[float] = field(default_factory=list)
-    #: True when the compiled graph executor ran the steps.
-    compiled: bool = False
     #: epochs restored from a checkpoint instead of re-trained.
     epochs_skipped: int = 0
     #: compile/replay/arena counter *deltas* from this call
-    #: (:class:`repro.nn.CompileStats` keys), empty when eager.
+    #: (:class:`repro.nn.CompileStats` keys).
     compile_counters: Dict[str, int] = field(default_factory=dict)
     #: per-kernel replay-second *deltas* (``fwd:<op>`` / ``bwd:<op>``)
     #: from this call, summed over every shard's program; populated only
@@ -117,16 +114,6 @@ class TrainStats:
 #: numerics, not placement: fixed, so records do not depend on the
 #: machine's cores, which only decide whether the shards overlap.
 TRAIN_SHARDS = 2
-
-
-# The compiled-train fast path's contract, held by
-# tests/test_invariants.py: this reads the kill switch, the eager
-# reference is ``model.training_losses`` (the define-by-run tape every
-# fallback — and the compiler's own verify pass — runs), and
-# ``benchmarks/bench_vae_training.py`` gates the speedup while
-# asserting loss-curve equivalence against that tape.
-def _use_compiled_train() -> bool:
-    return os.environ.get("REPRO_COMPILED_TRAIN", "1") != "0"
 
 
 def _compiled_step_for(
@@ -173,41 +160,6 @@ def _compiled_step_for(
         )
         per_model[key] = step
     return step
-
-
-def _eager_step(
-    model: CircuitVAEModel,
-    optimizer: nn.Optimizer,
-    config: TrainConfig,
-    arrays,
-) -> Dict[str, float]:
-    """One training step on the eager tape: the compiled step's reference.
-
-    Runs the same :data:`TRAIN_SHARDS` shards back to back and combines
-    them through the same :class:`repro.nn.ShardMean`, so
-    ``REPRO_COMPILED_TRAIN=0`` computes the same math.
-    """
-    params = model.parameters()
-    parts = nn.shard_slices(len(arrays[0]), TRAIN_SHARDS)
-    combined = nn.ShardMean()
-    for rows in parts:
-        outs = model.training_losses(
-            *(nn.Tensor(a[rows]) for a in arrays), beta=config.beta, lam=config.lam
-        )
-        optimizer.zero_grad()
-        outs["loss"].backward()
-        names = list(outs)
-        values = [outs[name].item() for name in names]
-        if len(parts) > 1:
-            combined.add(values + [p.grad for p in params], rows.stop - rows.start)
-    if len(parts) > 1:
-        means = combined.mean()
-        values = [float(mean) for mean in means[: len(names)]]
-        for p, grad in zip(params, means[len(names):]):
-            p.grad = grad
-    nn.clip_grad_norm(params, config.grad_clip)
-    optimizer.step()
-    return dict(zip(names, values))
 
 
 # ----------------------------------------------------------------------
@@ -399,13 +351,9 @@ def train_model(
             checkpoint_dir, checkpoint_tag, model, optimizer, rng, stats, fingerprint
         )
 
-    compiled_step = step_obj = None
-    counters_before: Dict[str, int] = {}
-    kernels_before: Dict[str, float] = {}
-    if _use_compiled_train():
-        step_obj = compiled_step = _compiled_step_for(model, optimizer, config)
-        counters_before = step_obj.stats.as_dict()
-        kernels_before = step_obj.kernel_seconds()
+    step = _compiled_step_for(model, optimizer, config)
+    counters_before = step.stats.as_dict()
+    kernels_before = step.kernel_seconds()
 
     latent_dim = model.config.latent_dim
     batch = min(config.batch_size, len(dataset))
@@ -427,21 +375,7 @@ def train_model(
             batch_targets = targets[idx]
             x_pad = model._pad_grids(grids)
             eps = rng.standard_normal((grids.shape[0], latent_dim))
-
-            values = None
-            if compiled_step is not None:
-                try:
-                    values = compiled_step(x_pad, grids, eps, batch_targets)
-                except nn.CompileUnsupported:
-                    # Permanent fallback for this call: the eager tape is
-                    # always correct, and retrying the trace every step
-                    # would only burn time.
-                    compiled_step = None
-            if values is None:
-                values = _eager_step(
-                    model, optimizer, config, (x_pad, grids, eps, batch_targets)
-                )
-
+            values = step(x_pad, grids, eps, batch_targets)
             epoch_total += values["loss"]
             epoch_rec += values["reconstruction"]
             epoch_kl += values["kl"]
@@ -460,22 +394,18 @@ def train_model(
                 )
     model.eval()
 
-    if step_obj is not None:
-        # Counters are reported even after a fallback — that is how the
-        # train_fallbacks telemetry can ever show one.
-        stats.compiled = compiled_step is not None
-        after = step_obj.stats.as_dict()
-        stats.compile_counters = {
-            name: after[name] - counters_before.get(name, 0)
-            for name in after
-            if after[name] - counters_before.get(name, 0) != 0
-        }
-        kernels_after = step_obj.kernel_seconds()
-        stats.kernel_seconds = {
-            label: kernels_after[label] - kernels_before.get(label, 0.0)
-            for label in kernels_after
-            if kernels_after[label] - kernels_before.get(label, 0.0) > 0.0
-        }
+    after = step.stats.as_dict()
+    stats.compile_counters = {
+        name: after[name] - counters_before.get(name, 0)
+        for name in after
+        if after[name] - counters_before.get(name, 0) != 0
+    }
+    kernels_after = step.kernel_seconds()
+    stats.kernel_seconds = {
+        label: kernels_after[label] - kernels_before.get(label, 0.0)
+        for label in kernels_after
+        if kernels_after[label] - kernels_before.get(label, 0.0) > 0.0
+    }
     return stats
 
 
@@ -494,7 +424,6 @@ def report_training_round(simulator, stats: TrainStats, round_index: int) -> Non
     counters = stats.compile_counters
     telemetry.add("train_compiles", counters.get("traces", 0))
     telemetry.add("train_replays", counters.get("replays", 0))
-    telemetry.add("train_fallbacks", counters.get("fallbacks", 0))
     # REPRO_PROFILE=1 only: fold the round's per-kernel replay seconds
     # into the stage timers and emit matching imposed-duration spans, so
     # trace-derived stage totals keep reproducing ``stage_seconds`` even

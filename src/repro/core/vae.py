@@ -162,11 +162,12 @@ class CircuitVAEModel(nn.Module):
     ) -> dict:
         """One training step's loss assembly (paper Eq. 3), tensor-in.
 
-        Shared verbatim by the eager loop and the compiled trace in
-        :func:`repro.core.training.train_model`: all per-step data
-        (padded grids, reconstruction target, reparameterization noise,
-        standardized cost targets) enters as tensors, so the compiled
-        replay stays numerically equivalent to eager by construction.
+        Traced by the compiled step of
+        :func:`repro.core.training.train_model` and run as-is by the
+        eager reference: all per-step data (padded grids, reconstruction
+        target, reparameterization noise, standardized cost targets)
+        enters as tensors, so the compiled replay stays numerically
+        equivalent to eager by construction.
         Returns ``{"loss", "reconstruction", "kl", "cost"}``.
         """
         from ..nn import losses as L

@@ -126,8 +126,7 @@ class EngineTelemetry:
     ``train_*``
         Neural-training engine counters (CircuitVAE / latent-BO rounds):
         epochs trained vs restored from checkpoints, and the
-        compiled-step compile/replay/fallback counts from
-        :mod:`repro.nn.compile`.
+        compiled-step compile/replay counts from :mod:`repro.nn.compile`.
     """
 
     _COUNTERS = (
@@ -144,7 +143,6 @@ class EngineTelemetry:
         "train_epochs_skipped",
         "train_compiles",
         "train_replays",
-        "train_fallbacks",
     )
 
     def __init__(self) -> None:

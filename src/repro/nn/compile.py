@@ -40,14 +40,21 @@ compiles it into a :class:`GraphProgram`:
 equivalent* to the eager step.  The compiler enforces this mechanically:
 at compile time the program runs once on the traced arrays and its
 outputs and parameter gradients are compared against the eager engine's
-(`verify`); any mismatch raises :class:`CompileUnsupported` and the
-caller falls back to eager.  Traces that use closure-based ops
-(``Tensor._make``) or mixed dtypes are likewise rejected up front.
+(`verify`), and the IR verifier (:mod:`repro.nn.verify`) checks the
+buffer plan.  A mismatch, a finding, a non-float64 graph or an
+unrepresentable op raises :class:`CompileUnsupported`, and any other
+error during trace/build/verify propagates with its own type: a step
+that cannot be compiled stops training loudly rather than running on
+another engine, so a run's numbers never depend on whether a trace
+compiled.
 
 The traced function must route **all per-step data through its declared
 inputs** — any tensor it creates internally is captured as a trace-time
 constant (that is what makes replay cheap, and the verify pass will not
-catch a violation that only manifests on later batches).
+catch a violation that only manifests on later batches).  Array
+indices are the one such capture the trace refuses outright
+(:class:`~repro.nn.graph.Trace`): a batch-dependent gather would
+otherwise replay the traced batch's rows forever.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..utils.threads import blas_budget, core_budget
 from . import verify as ir_verify
-from .graph import OPS, Node, Trace
+from .graph import OPS, CompileUnsupported, Node, Trace
 from .optim import Optimizer, clip_grad_norm
 from .tensor import Tensor, _unbroadcast
 
@@ -101,10 +108,6 @@ def _profiled(instr: Callable, label: str, totals: Dict[str, float]) -> Callable
     return run_profiled
 
 
-class CompileUnsupported(RuntimeError):
-    """The traced step cannot be compiled (caller should run eager)."""
-
-
 @dataclass
 class CompileStats:
     """Counters one :class:`CompiledTrainStep` accumulates.
@@ -115,19 +118,16 @@ class CompileStats:
     twice when they run on two threads (``nn.train_compiles`` in the
     benchmark's per-layer metrics).  ``replays`` counts steps served by
     cached programs, one per step however many shards it replays
-    (``nn.train_replays``); ``fallbacks``
-    counts steps that ran eager because compilation was rejected.  The
-    rest sum over every program built: scheduled ops (``nodes``),
-    dedicated buffers for outputs and backward-needed values
-    (``buffers``), arena buffers allocated (``arena_slots``) and arena
-    buffers handed to a later intermediate (``arena_reused``), and conv
-    replay kernels (``fast_kernels``).  Every counter is cumulative, so
+    (``nn.train_replays``).  The rest sum over every program built:
+    scheduled ops (``nodes``), dedicated buffers for outputs and
+    backward-needed values (``buffers``), arena buffers allocated
+    (``arena_slots``) and arena buffers handed to a later intermediate
+    (``arena_reused``), and conv replay kernels (``fast_kernels``).  Every counter is cumulative, so
     callers can take deltas of any of them.
     """
 
     traces: int = 0
     replays: int = 0
-    fallbacks: int = 0
     buffers: int = 0
     arena_slots: int = 0
     arena_reused: int = 0
@@ -855,13 +855,13 @@ class ShardMean:
     """The full-batch mean ``(n0*v0 + n1*v1 + ...) / n`` of per-shard
     means, folded shard by shard in shard order.
 
-    The compiled step and the eager fallback both combine through this
-    class, so they evaluate the same float expressions.  ``values`` are
-    floats or float64 arrays; :meth:`add` copies them into sums it owns
-    (so a program may overwrite its buffers for the next shard), and
-    :meth:`mean` divides those sums in place and returns them, ready for
-    the next step's :meth:`add` calls to reuse — no steady-state
-    allocations.  Only meant for two or more shards: a one-shard step
+    The compiled step and its eager reference (``tests/helpers.py``)
+    both combine through this class, so they evaluate the same float
+    expressions.  ``values`` are floats or float64 arrays; :meth:`add`
+    copies them into sums it owns (so a program may overwrite its
+    buffers for the next shard), and :meth:`mean` divides those sums in
+    place and returns them, ready for the next step's :meth:`add` calls
+    to reuse — no steady-state allocations.  Only meant for two or more shards: a one-shard step
     uses its values as they are (``(n*v)/n`` need not round back to
     ``v``).
     """
@@ -917,9 +917,9 @@ class CompiledTrainStep:
     whole batch and is bitwise eager on graphs without convolutions.
 
     Programs are cached per input-shape signature (shape-guarded
-    replay); if a trace cannot be compiled, :class:`CompileUnsupported`
-    propagates and the caller is expected to fall back to eager (and may
-    keep calling — the failure is cached so the trace is not retried).
+    replay).  A trace that cannot be compiled raises
+    :class:`CompileUnsupported` (or the compiler's own error) out of the
+    call; nothing is cached for it.
     """
 
     def __init__(
@@ -937,9 +937,9 @@ class CompiledTrainStep:
         self.shards = max(1, int(shards))
         self.stats = CompileStats()
         #: the calling thread's programs, by signature
-        self._programs: Dict[Tuple, Optional[GraphProgram]] = {}
+        self._programs: Dict[Tuple, GraphProgram] = {}
         #: worker-thread instances, by (shard index, signature)
-        self._worker_programs: Dict[Tuple, Optional[GraphProgram]] = {}
+        self._worker_programs: Dict[Tuple, GraphProgram] = {}
         self._pool: Optional[ThreadPoolExecutor] = None
         self._combined = ShardMean()
 
@@ -957,8 +957,6 @@ class CompiledTrainStep:
         """
         totals: Dict[str, float] = {}
         for program in (*self._programs.values(), *self._worker_programs.values()):
-            if program is None:
-                continue
             for label, seconds in program.kernel_seconds.items():
                 totals[label] = totals.get(label, 0.0) + seconds
         return totals
@@ -1037,26 +1035,9 @@ class CompiledTrainStep:
 
     def _program(self, cache: Dict, key: Tuple, arrays) -> GraphProgram:
         """The cached program for ``key``, compiling it on first use."""
-        if key not in cache:
-            try:
-                cache[key] = self._compile(arrays)
-            except CompileUnsupported:
-                cache[key] = None
-                self.stats.fallbacks += 1
-                raise
-            except Exception as error:
-                # Anything unexpected during trace/build/verify must not
-                # take training down — the eager tape is always correct.
-                cache[key] = None
-                self.stats.fallbacks += 1
-                raise CompileUnsupported(
-                    f"compiler error ({type(error).__name__}: {error}); "
-                    "falling back to eager"
-                ) from error
-        program = cache[key]
+        program = cache.get(key)
         if program is None:
-            self.stats.fallbacks += 1
-            raise CompileUnsupported("trace previously rejected for this signature")
+            program = cache[key] = self._compile(arrays)
         return program
 
     def _compile(self, arrays: Tuple[np.ndarray, ...]) -> GraphProgram:
@@ -1065,10 +1046,6 @@ class CompiledTrainStep:
             outputs = self.step_fn(*input_tensors)
         if not isinstance(outputs, dict) or "loss" not in outputs:
             raise CompileUnsupported("step_fn must return a dict with a 'loss' key")
-        if trace.unsupported:
-            raise CompileUnsupported(
-                f"trace used non-IR ops: {trace.unsupported[:3]}"
-            )
         for name, tensor in outputs.items():
             if not isinstance(tensor, Tensor) or tensor.data.size != 1:
                 raise CompileUnsupported(f"output {name!r} is not a scalar tensor")
@@ -1087,7 +1064,7 @@ class CompiledTrainStep:
         )
         program.verify(arrays, outputs)
         # Static pass: prove the plan sound before caching it for replay
-        # (compile time only; a rejected program falls back to eager).
+        # (compile time only; a rejected program stops the step).
         ir_findings = ir_verify.verify_program(program)
         if ir_findings:
             first = ir_findings[0]

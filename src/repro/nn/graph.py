@@ -42,6 +42,7 @@ from .conv import (
 )
 
 __all__ = [
+    "CompileUnsupported",
     "OpDef",
     "OPS",
     "register_op",
@@ -423,6 +424,21 @@ class Node:
 _ACTIVE = threading.local()
 
 
+class CompileUnsupported(RuntimeError):
+    """A traced step cannot be compiled into a replayable program."""
+
+
+#: index parts that are fixed at trace time and so replay correctly.
+_STATIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
+
+
+def _static_index(idx) -> bool:
+    """True when a ``getitem`` index holds only ints, slices, ``None``
+    and ``Ellipsis`` (no array or list of positions)."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(isinstance(part, _STATIC_INDEX) for part in parts)
+
+
 def active_trace() -> Optional["Trace"]:
     """The trace currently recording on this thread, if any."""
     return getattr(_ACTIVE, "trace", None)
@@ -441,14 +457,14 @@ class Trace:
     A traced function must therefore route all per-step data through
     declared inputs; that contract is what makes replay valid.
 
-    Ops that bypass the registry (legacy closure tape via
-    ``Tensor._make``) cannot be represented; they land in
-    :attr:`unsupported` and the compiler falls back to eager.
+    Op attributes are captured the same way, so a ``getitem`` whose
+    index holds an array (or list) of positions raises
+    :class:`CompileUnsupported` at trace time: replay would gather the
+    traced step's positions on every later step, whatever its data.
     """
 
     def __init__(self, params: Sequence = (), inputs: Sequence = ()):
         self.nodes: List[Node] = []
-        self.unsupported: List[str] = []
         self._ids: Dict[int, int] = {}
         self._pins: List[object] = []  # keep tensors alive: id() stays unique
         self._param_tensors = {id(p): p for p in params}
@@ -509,6 +525,11 @@ class Trace:
 
     def record(self, op_name: str, inputs: Sequence, attrs: Dict, out) -> int:
         """Record one registry application; returns the new node id."""
+        if op_name == "getitem" and not _static_index(attrs["idx"]):
+            raise CompileUnsupported(
+                "array index under a trace would replay the traced "
+                "positions as a constant; index with ints and slices only"
+            )
         parents = tuple(self.node_of(p) for p in inputs)
         node = self._new_node(
             kind="op",
@@ -523,10 +544,6 @@ class Trace:
         self._ids[id(out)] = node.id
         self.tensor_nodes[id(out)] = node.id
         return node.id
-
-    def record_unsupported(self, reason: str) -> None:
-        """A closure-based (non-registry) op ran under this trace."""
-        self.unsupported.append(reason)
 
     def release(self) -> None:
         """Drop the tensor pins after compilation.

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 import warnings
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -175,7 +175,6 @@ class Tensor:
         "data",
         "grad",
         "requires_grad",
-        "_backward",
         "_parents",
         "_op",
         "_attrs",
@@ -191,7 +190,6 @@ class Tensor:
         self.data: np.ndarray = np.asarray(arr, dtype=dtype)
         self.requires_grad: bool = bool(requires_grad) and _grad_mode.enabled
         self.grad: Optional[np.ndarray] = None
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
         self._op: Optional[str] = None
         self._attrs: dict = {}
@@ -241,31 +239,8 @@ class Tensor:
         self.grad = None
 
     # ------------------------------------------------------------------
-    # Graph construction helpers
+    # Backward pass
     # ------------------------------------------------------------------
-    @staticmethod
-    def _make(
-        data: np.ndarray,
-        parents: Sequence["Tensor"],
-        backward: Callable[[np.ndarray], None],
-    ) -> "Tensor":
-        """Build a tensor from a custom backward closure.
-
-        Escape hatch for ops outside the registry: still fully supported
-        in eager mode, but invisible to the IR — a closure op under an
-        active trace marks the trace unsupported and the compiler falls
-        back to eager execution.
-        """
-        out = Tensor(data)
-        if _grad_mode.enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
-        trace = active_trace()
-        if trace is not None:
-            trace.record_unsupported("closure-based op via Tensor._make")
-        return out
-
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
         if self.grad is None:
@@ -274,9 +249,7 @@ class Tensor:
             self.grad += grad
 
     def _vjps(self, grad: np.ndarray):
-        """Per-parent gradients of this node (registry rule or closure)."""
-        if self._backward is not None:
-            return self._backward(grad)
+        """Per-parent gradients of this node (its registry VJP rule)."""
         op = OPS[self._op]
         return op.vjp(
             grad,
@@ -318,11 +291,11 @@ class Tensor:
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
-            if node.requires_grad and node._backward is None and node._op is None:
+            if node._op is not None:
+                node._push_parent_grads(node_grad, grads)
+            elif node.requires_grad:
                 # Leaf tensor: accumulate into .grad.
                 node._accumulate(node_grad)
-            elif node._backward is not None or node._op is not None:
-                node._push_parent_grads(node_grad, grads)
 
     def _push_parent_grads(self, grad: np.ndarray, grads: dict) -> None:
         parent_grads = self._vjps(grad)

@@ -6,6 +6,8 @@ what lets ``pytest -x -q`` collect every module without ``__init__.py``
 files or relative imports.
 """
 
+import contextlib
+
 import numpy as np
 
 #: A tiny CircuitVAE (``MethodSpec`` params) that trains in well under a
@@ -267,6 +269,75 @@ def latent_bo_reference(config=None):
             return simulator.best()
 
     return ReferenceLatentBO(config)
+
+
+def eager_train_step(model, optimizer, config, arrays):
+    """One training step on the eager tape: the compiled step's reference.
+
+    Runs the same :data:`~repro.core.training.TRAIN_SHARDS` shards back
+    to back and combines them through the same
+    :class:`repro.nn.ShardMean`, so it computes the compiled step's math
+    (up to the conv kernels' summation order).
+    """
+    from repro import nn
+    from repro.core.training import TRAIN_SHARDS
+
+    params = model.parameters()
+    parts = nn.shard_slices(len(arrays[0]), TRAIN_SHARDS)
+    combined = nn.ShardMean()
+    for rows in parts:
+        outs = model.training_losses(
+            *(nn.Tensor(a[rows]) for a in arrays), beta=config.beta, lam=config.lam
+        )
+        optimizer.zero_grad()
+        outs["loss"].backward()
+        names = list(outs)
+        values = [outs[name].item() for name in names]
+        if len(parts) > 1:
+            combined.add(values + [p.grad for p in params], rows.stop - rows.start)
+    if len(parts) > 1:
+        means = combined.mean()
+        values = [float(mean) for mean in means[: len(names)]]
+        for p, grad in zip(params, means[len(names):]):
+            p.grad = grad
+    nn.clip_grad_norm(params, config.grad_clip)
+    optimizer.step()
+    return dict(zip(names, values))
+
+
+class EagerTrainStep:
+    """Stands in for the compiled step ``train_model`` builds: the same
+    call signature and counters, but every step on the eager tape."""
+
+    def __init__(self, model, optimizer, config):
+        from repro import nn
+
+        self.model, self.optimizer, self.config = model, optimizer, config
+        self.stats = nn.CompileStats()
+
+    def kernel_seconds(self):
+        return {}
+
+    def __call__(self, *arrays):
+        return eager_train_step(self.model, self.optimizer, self.config, arrays)
+
+
+@contextlib.contextmanager
+def eager_training():
+    """Run every ``train_model`` call inside on the eager reference tape.
+
+    Patches ``repro.core.training._compiled_step_for`` (the one place
+    ``train_model`` gets its step) for the duration; the compiled step
+    stays the only engine the library itself runs.
+    """
+    from repro.core import training
+
+    compiled_step_for = training._compiled_step_for
+    training._compiled_step_for = EagerTrainStep
+    try:
+        yield
+    finally:
+        training._compiled_step_for = compiled_step_for
 
 
 def numerical_grad(f, x, eps=1e-6):

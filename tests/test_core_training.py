@@ -1,5 +1,6 @@
 """Tests for VAE + cost-head training (repro.core.training)."""
 
+import contextlib
 import gc
 import os
 import weakref
@@ -18,6 +19,8 @@ from repro.core.training import (
 from repro.core.vae import CircuitVAEModel, VAEConfig
 from repro.prefix import random_graph
 from repro.utils.threads import blas_budget, core_budget
+
+from helpers import eager_training
 
 
 def small_dataset(seed=0, size=40, n=8):
@@ -131,58 +134,72 @@ class TestTraining:
 class TestCompiledTraining:
     """The compiled graph executor vs the eager reference engine."""
 
-    def _fit(self, monkeypatch, compiled, epochs=6):
-        monkeypatch.setenv("REPRO_COMPILED_TRAIN", "1" if compiled else "0")
+    def _fit(self, compiled, epochs=6):
         ds = small_dataset(seed=7)
         model = small_model(seed=8)
-        stats = train_model(
-            model, ds, np.random.default_rng(9),
-            TrainConfig(epochs=epochs, batch_size=16),
-        )
+        with contextlib.nullcontext() if compiled else eager_training():
+            stats = train_model(
+                model, ds, np.random.default_rng(9),
+                TrainConfig(epochs=epochs, batch_size=16),
+            )
         return model, stats
 
-    def test_compiled_matches_eager_losses_to_1e10(self, monkeypatch):
+    def test_compiled_matches_eager_losses_to_1e10(self):
         """The acceptance-criterion equivalence contract."""
-        _, eager = self._fit(monkeypatch, compiled=False)
-        _, compiled = self._fit(monkeypatch, compiled=True)
-        assert not eager.compiled and compiled.compiled
+        _, eager = self._fit(compiled=False)
+        _, compiled = self._fit(compiled=True)
+        assert not eager.compile_counters and compiled.compile_counters["replays"]
         for name in ("total", "reconstruction", "kl", "cost"):
             np.testing.assert_allclose(
                 getattr(compiled, name), getattr(eager, name), rtol=1e-10, atol=1e-12
             )
 
-    def test_compiled_matches_eager_parameters(self, monkeypatch):
-        m_eager, _ = self._fit(monkeypatch, compiled=False)
-        m_comp, _ = self._fit(monkeypatch, compiled=True)
+    def test_compiled_matches_eager_parameters(self):
+        m_eager, _ = self._fit(compiled=False)
+        m_comp, _ = self._fit(compiled=True)
         for (name, p1), (_, p2) in zip(
             m_eager.named_parameters(), m_comp.named_parameters()
         ):
             np.testing.assert_allclose(p2.data, p1.data, rtol=1e-9, atol=1e-11), name
 
-    def test_compile_counters_surface_in_stats(self, monkeypatch):
-        _, stats = self._fit(monkeypatch, compiled=True)
+    def test_compile_counters_surface_in_stats(self):
+        _, stats = self._fit(compiled=True)
         assert stats.compile_counters.get("traces", 0) == _expected_traces()
         assert stats.compile_counters.get("replays", 0) == stats.epochs_run * 2
         assert stats.epochs_skipped == 0
 
-    def test_env_optout_forces_eager(self, monkeypatch):
-        _, stats = self._fit(monkeypatch, compiled=False, epochs=2)
-        assert stats.compiled is False
-        assert stats.compile_counters == {}
+    def test_failing_compile_raises_instead_of_training_eager(self, monkeypatch):
+        """A rejected trace and a compiler crash both stop train_model
+        with their own error; no step runs on another engine."""
 
-    def test_step_timings_carry_engine_labels(self, monkeypatch):
-        """Compiled and eager rounds are told apart by ``compiled`` and
-        the compiled step's replay count (one per step)."""
-        _, compiled = self._fit(monkeypatch, compiled=True, epochs=2)
-        assert compiled.compiled is True
+        def reject(self, inputs, traced):
+            raise nn.CompileUnsupported("compiled output 'loss' diverges from eager")
+
+        def crash(self, inputs, traced):
+            raise IndexError("kernel workspace out of range")
+
+        for verify, error in ((reject, nn.CompileUnsupported), (crash, IndexError)):
+            monkeypatch.setattr(nn.compile.GraphProgram, "verify", verify)
+            model = small_model(seed=8)
+            before = model.state_dict()
+            with pytest.raises(error):
+                train_model(
+                    model, small_dataset(seed=7), np.random.default_rng(9),
+                    TrainConfig(epochs=2, batch_size=16),
+                )
+            for name, value in model.state_dict().items():
+                np.testing.assert_array_equal(value, before[name], err_msg=name)
+
+    def test_step_timings_carry_engine_labels(self):
+        """Compiled rounds carry the compiled step's replay count (one
+        per step); the eager reference reports no engine counters."""
+        _, compiled = self._fit(compiled=True, epochs=2)
         assert compiled.compile_counters["replays"] == 2 * 2  # epochs * batches
-        _, eager = self._fit(monkeypatch, compiled=False, epochs=2)
-        assert eager.compiled is False
-        assert "replays" not in eager.compile_counters
+        _, eager = self._fit(compiled=False, epochs=2)
+        assert eager.compile_counters == {}
 
-    def test_compiled_step_reused_across_rounds(self, monkeypatch):
+    def test_compiled_step_reused_across_rounds(self):
         """One optimizer carried across train_model calls retraces nothing."""
-        monkeypatch.setenv("REPRO_COMPILED_TRAIN", "1")
         ds = small_dataset(seed=10)
         model = small_model(seed=11)
         optimizer = nn.Adam(model.parameters(), lr=1e-3)
@@ -200,7 +217,6 @@ class TestShardedTraining:
 
     @pytest.mark.parametrize("batch_size", [16, 15])
     def test_parallel_and_serial_shards_bitwise(self, monkeypatch, batch_size):
-        monkeypatch.setenv("REPRO_COMPILED_TRAIN", "1")
         ds = small_dataset(seed=13)
         cfg = TrainConfig(epochs=3, batch_size=batch_size)
 
@@ -215,10 +231,8 @@ class TestShardedTraining:
         monkeypatch.setattr(nn.compile, "core_budget", lambda: TRAIN_SHARDS)
         m_par, s_par, rng_par = fit()
         monkeypatch.undo()
-        monkeypatch.setenv("REPRO_COMPILED_TRAIN", "1")
         with blas_budget(1):
             m_ser, s_ser, rng_ser = fit()
-        assert s_par.compiled and s_ser.compiled
         odd = batch_size % 2
         assert s_par.compile_counters["traces"] == 2
         assert s_ser.compile_counters["traces"] == 1 + odd
@@ -383,19 +397,18 @@ class TestCompiledStepCache:
             _compiled_step_for(model_b, opt_b, self.CFG)
         )
 
-    def test_entry_dies_with_model(self, monkeypatch):
+    def test_entry_dies_with_model(self):
         """Regression: the cached step must not strongly reference the
         model (a WeakKeyDictionary entry whose value holds its key is
         immortal), so dropping the model drops the whole entry — even
         after a full compiled training round."""
-        monkeypatch.setenv("REPRO_COMPILED_TRAIN", "1")
         model = small_model()
         optimizer = nn.Adam(model.parameters(), lr=1e-3)
         stats = train_model(
             model, small_dataset(), np.random.default_rng(5), self.CFG,
             optimizer=optimizer,
         )
-        assert stats.compiled
+        assert stats.compile_counters["replays"] > 0
         cache = optimizer._compiled_train_steps
         assert len(cache) == 1
         model_ref = weakref.ref(model)

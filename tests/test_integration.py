@@ -16,7 +16,7 @@ from repro.core import CircuitVAEConfig, CircuitVAEOptimizer, SearchConfig, Trai
 from repro.opt import CircuitSimulator, aggregate_curves, vae_speedup
 from repro.synth import CommercialTool, scaled_library
 
-from helpers import VAE_PARAMS, run_serial_grid
+from helpers import VAE_PARAMS, eager_training, run_serial_grid
 
 
 def vae_factory(_seed):
@@ -129,10 +129,10 @@ class TestSeedIndependence:
 
 
 class TestKillSwitchParity:
-    """Records are a pure function of (spec, seed): neither the compiled
-    training kill switch nor the synthesis backend may change them.
-    CircuitVAE and latent BO exercise compiled training and vectorized
-    population synthesis."""
+    """Records are a pure function of (spec, seed): neither the training
+    engine (compiled step vs its eager reference) nor the synthesis
+    backend may change them.  CircuitVAE and latent BO exercise compiled
+    training and vectorized population synthesis."""
 
     SPEC = ExperimentSpec(
         name="kill-switch-parity",
@@ -173,15 +173,11 @@ class TestKillSwitchParity:
         # population batches reach synthesis as one submission each
         assert default_result.telemetry["batches"] < default_result.telemetry["synth_calls"]
 
-    @pytest.mark.parametrize(
-        "switch, fast_counter", [("REPRO_COMPILED_TRAIN", "train_replays")]
-    )
-    def test_switching_off_keeps_records(
-        self, default_result, monkeypatch, switch, fast_counter
-    ):
-        monkeypatch.setenv(switch, "0")
-        result = run_spec(self.SPEC)
-        assert result.telemetry[fast_counter] == 0
+    def test_eager_reference_keeps_records(self, default_result):
+        # The same grid with every training step on the eager tape.
+        with eager_training():
+            result = run_spec(self.SPEC)
+        assert result.telemetry["train_replays"] == 0
         self.assert_same_records(result.records, default_result.records)
 
     def test_plain_scalar_simulators_keep_records(self, default_result):

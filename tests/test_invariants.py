@@ -10,8 +10,6 @@ Plain :mod:`ast` scans of ``src/repro``, ``scripts/`` and ``benchmarks/``:
   :mod:`repro.engine.telemetry` registers — a typo'd counter raises at
   runtime, but a typo'd stage or span silently opens a new series — and
   every registered span name keeps at least one call site;
-* each kill switch's module reads the switch and calls its reference
-  path, and the bench gating it imports the module (:data:`FAST_PATHS`);
 * mutable module/class state in code reached from more than one thread
   carries a lock or ``thread-safe`` annotation comment.
 
@@ -32,17 +30,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: directories scanned, relative to the repo root; code outside ``src/``
 #: carries the same env-knob and telemetry-name invariants.
 SCANNED = ("src/repro", "scripts", "benchmarks")
-
-#: (kill switch, module reading it, reference it falls back to, bench
-#: gating the fast path, which must import the module).
-FAST_PATHS = (
-    (
-        "REPRO_COMPILED_TRAIN",
-        "src/repro/core/training.py",
-        "training_losses",
-        "benchmarks/bench_vae_training.py",
-    ),
-)
 
 #: path prefixes of code reached from more than one thread (parallel
 #: seeds share one in-process engine).
@@ -266,60 +253,6 @@ def unused_span_problems(
 
 
 # ----------------------------------------------------------------------
-# fast-path contracts
-# ----------------------------------------------------------------------
-def _calls(tree: ast.Module, name: str) -> bool:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (isinstance(func, ast.Name) and func.id == name) or (
-                isinstance(func, ast.Attribute) and func.attr == name
-            ):
-                return True
-    return False
-
-
-def _imports(tree: ast.Module, dotted: str) -> bool:
-    parent, _, leaf = dotted.rpartition(".")
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            if any(alias.name == dotted for alias in node.names):
-                return True
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == dotted or (
-                node.module == parent
-                and any(alias.name == leaf for alias in node.names)
-            ):
-                return True
-    return False
-
-
-def fast_path_problems(
-    sources: Sequence[Source], fast_paths: Sequence[Tuple[str, str, str, str]]
-) -> List[str]:
-    """Each kill switch's module reads it and calls its reference; its
-    bench imports the module."""
-    by_rel = {source.rel: source for source in sources}
-    problems = []
-    for switch, module, reference, bench in fast_paths:
-        source = by_rel.get(module)
-        if source is None or source.tree is None:
-            problems.append(f"{module}: missing (the module of {switch})")
-            continue
-        if switch not in {name for name, _ in env_reads(source.tree)}:
-            problems.append(f"{module}: never reads its kill switch {switch}")
-        if not _calls(source.tree, reference):
-            problems.append(f"{module}: never calls its reference {reference}()")
-        dotted = module[len("src/"):-len(".py")].replace("/", ".")
-        bench_source = by_rel.get(bench)
-        if bench_source is None or bench_source.tree is None:
-            problems.append(f"{bench}: missing (the bench of {switch})")
-        elif not _imports(bench_source.tree, dotted):
-            problems.append(f"{bench}: does not import {dotted}")
-    return problems
-
-
-# ----------------------------------------------------------------------
 # thread-shared state
 # ----------------------------------------------------------------------
 #: ``lock`` must not follow a letter, so ``_LOCK``, ``lock-guarded`` and
@@ -414,9 +347,6 @@ class TestTree:
 
     def test_every_known_span_has_a_call_site(self, tree):
         assert unused_span_problems(tree) == []
-
-    def test_fast_path_contracts_hold(self, tree):
-        assert fast_path_problems(tree, FAST_PATHS) == []
 
     def test_shared_state_is_annotated(self, tree):
         assert shared_state_problems(tree) == []
@@ -518,10 +448,10 @@ class TestReadmeEnvTable:
         problems = env_problems(str(tmp_path), [])
         assert len(problems) == 1 and "header" in problems[0]
 
-    def test_table_has_compiled_train_row(self):
+    def test_table_lists_no_removed_switch(self):
         with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
             names = readme_env_names(handle.read())
-        assert "REPRO_COMPILED_TRAIN" in names and "REPRO_IR_VERIFY" not in names
+        assert "REPRO_COMPILED_TRAIN" not in names and "REPRO_IR_VERIFY" not in names
 
 
 class TestTelemetryNames:
@@ -619,48 +549,6 @@ class TestTelemetryNames:
         known = set(KNOWN_SPANS) | {"gather"}
         assert unused_span_problems(tree, known) == [
             "KNOWN_SPANS: 'gather' has no span(...)/start_span(...) call site"
-        ]
-
-
-#: one fast path, as the fixtures below declare it.
-_FIXTURE_PATH = (
-    ("REPRO_COMPILED_TRAIN", "src/repro/fastmod.py", "reference_fn", "benchmarks/bench_fast.py"),
-)
-
-_FAST_MODULE = """
-import os
-
-def fast(x):
-    if os.environ.get("REPRO_COMPILED_TRAIN", "1") == "0":
-        return reference_fn(x)
-    return x
-"""
-
-
-class TestFastPathContract:
-    def test_incomplete_contract_fires_every_leg(self, tmp_path):
-        _write(tmp_path, "src/repro/fastmod.py", "def fast(x):\n    return x\n")
-        assert fast_path_problems(_sources(tmp_path), _FIXTURE_PATH) == [
-            "src/repro/fastmod.py: never reads its kill switch REPRO_COMPILED_TRAIN",
-            "src/repro/fastmod.py: never calls its reference reference_fn()",
-            "benchmarks/bench_fast.py: missing (the bench of REPRO_COMPILED_TRAIN)",
-        ]
-
-    def test_complete_contract_is_silent(self, tmp_path):
-        _write(tmp_path, "src/repro/fastmod.py", _FAST_MODULE)
-        _write(tmp_path, "benchmarks/bench_fast.py", "from repro.fastmod import fast\n")
-        assert fast_path_problems(_sources(tmp_path), _FIXTURE_PATH) == []
-
-    def test_bench_not_importing_module_fires(self, tmp_path):
-        _write(tmp_path, "src/repro/fastmod.py", _FAST_MODULE)
-        _write(tmp_path, "benchmarks/bench_fast.py", "import os\n")
-        assert fast_path_problems(_sources(tmp_path), _FIXTURE_PATH) == [
-            "benchmarks/bench_fast.py: does not import repro.fastmod"
-        ]
-
-    def test_missing_module_fires(self, tmp_path):
-        assert fast_path_problems([], _FIXTURE_PATH) == [
-            "src/repro/fastmod.py: missing (the module of REPRO_COMPILED_TRAIN)"
         ]
 
 

@@ -394,14 +394,12 @@ class TestKernelProfiling:
     def test_profile_off_is_empty(self, monkeypatch):
         monkeypatch.delenv("REPRO_PROFILE", raising=False)
         stats = self._train()
-        assert stats.compiled
         assert stats.kernel_seconds == {}
         assert stats.compile_counters["replays"] > 0
 
     def test_profile_on_collects_kernel_seconds(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "1")
         stats = self._train()
-        assert stats.compiled
         assert stats.kernel_seconds
         labels = set(stats.kernel_seconds)
         assert any(label.startswith("fwd:") for label in labels)
