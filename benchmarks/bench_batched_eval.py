@@ -5,7 +5,11 @@ Measures the PR-3 fast path (:mod:`repro.synth.batched`, surfaced as
 ``task.synthesize`` loop on one population of unique legalized designs,
 asserts the two are **bit-identical** on every ``PhysicalResult`` field,
 and writes a ``BENCH_batched_eval.json`` throughput record (consumed by
-the CI perf-smoke job, which uploads it as an artifact).
+the CI perf-smoke job, which uploads it as an artifact).  The record also
+carries batch-of-one costs (``b1_scalar_ms`` / ``b1_batched_ms``: one
+design per call through each flow, on the same graphs, bit-identity
+asserted) — the number that decides whether single queries can take the
+batched flow too.
 
 Environment knobs:
 
@@ -75,6 +79,15 @@ def run_batched_eval():
 
     _assert_identical(scalar, batched)
 
+    # Batch of one: the same graphs, one design per synthesize_many call
+    # (the scalar loop above is already one design per call).
+    b1_batched_s = float("inf")
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        single = [task.evaluate_many([graph])[0] for graph in graphs]
+        b1_batched_s = min(b1_batched_s, time.perf_counter() - start)
+    _assert_identical(scalar, single)
+
     stats = {
         "n": n,
         "population": POPULATION,
@@ -83,6 +96,8 @@ def run_batched_eval():
         "speedup": scalar_s / batched_s,
         "scalar_graphs_per_s": POPULATION / scalar_s,
         "batched_graphs_per_s": POPULATION / batched_s,
+        "b1_scalar_ms": scalar_s * 1000 / POPULATION,
+        "b1_batched_ms": b1_batched_s * 1000 / POPULATION,
         "bit_identical": True,
         "cpus": os.cpu_count() or 1,
     }
@@ -104,6 +119,10 @@ def test_batched_eval(benchmark):
     print(
         f"  vectorized    {stats['batched_s'] * 1000:8.1f} ms "
         f"({stats['batched_graphs_per_s']:.0f} graphs/s, {stats['speedup']:.2f}x)"
+    )
+    print(
+        f"  batch of one  {stats['b1_batched_ms']:8.1f} ms/design "
+        f"(scalar {stats['b1_scalar_ms']:.1f} ms/design)"
     )
     print(f"  record -> {OUT_PATH}")
     # Bit-identity always holds (asserted inside run_batched_eval); the

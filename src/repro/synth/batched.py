@@ -26,12 +26,14 @@ The flow has two halves with very different batching structure:
 
 2. **Geometry + timing half** (place → STA → sizing) runs fully packed:
    all netlists are flattened into batch-wide index arrays (gates,
-   nets, sink CSR, per-level schedule); logic depth is solved by
-   vectorized longest-path relaxation, placement and wirelength by
-   array arithmetic, and each sizing pass walks every graph's critical
-   path simultaneously, one path position per vectorized step.  After
-   the initial full STA, each pass re-times only the cone of the gates
-   it swapped (:meth:`_PackedBatch.resta`, the batch analogue of
+   nets, sink CSR, per-level schedule); logic depth is Kahn layering
+   (each gate visited once, the layers are the level schedule),
+   placement and wirelength are array arithmetic, and each sizing pass
+   walks every graph's critical path simultaneously, one path position
+   per vectorized step.  After the initial full STA, each pass
+   recomputes the delays of the gates it swapped and their fanin
+   drivers once, then propagates arrivals through their cone only
+   (:meth:`_PackedBatch.resta`, the batch analogue of
    :func:`repro.synth.timing.retime`).
 
 Bit-identity discipline — the reference flow accumulates floats in
@@ -627,28 +629,26 @@ class _PackedBatch:
         net_sink_gate = np.full((N, max_sinks), G, dtype=np.int64)  # pad = dummy
         net_sink_gate[sink_net, sink_slot] = pin_gate[sink_order]
 
-        # --- logic depth by longest-path relaxation --------------------
-        # place_datapath's level: max over driven fanins of depth+1.
-        # Iterating to fixpoint converges in max-depth steps and matches
-        # the topological computation exactly (integer max/add).  The
-        # dummy slot holds -1 so undriven pins contribute max(-1)+1 = 0
-        # without masking.
-        pin_driver = net_driver[gate_in]  # (G, 3); -1 for PI / pad
-        driver0 = np.where(pin_driver[:, 0] >= 0, pin_driver[:, 0], G)
-        driver1 = np.where(pin_driver[:, 1] >= 0, pin_driver[:, 1], G)
-        driver2 = np.where(pin_driver[:, 2] >= 0, pin_driver[:, 2], G)
-        depth = np.empty(G + 1, dtype=np.int64)
-        depth[:G] = 0
-        depth[G] = -1
-        while True:
-            cand = np.maximum(
-                np.maximum(depth[driver0], depth[driver1]), depth[driver2]
-            )
-            cand += 1
-            if np.array_equal(cand, depth[:G]):
-                break
-            depth[:G] = cand
-        self.gate_level = depth[:G]
+        # --- logic depth by Kahn layering ------------------------------
+        # place_datapath's level: max over driven fanins of depth+1.  A
+        # gate joins layer L once all its driven pins are resolved, so
+        # every gate is visited once and its layer is exactly that level.
+        # np.unique yields each layer in ascending gate ids: the layers
+        # are the level-synchronous schedule too.
+        pending = (net_driver[gate_in] >= 0).sum(axis=1)
+        frontier = np.flatnonzero(pending == 0)
+        gate_level = np.empty(G, dtype=np.int64)
+        self.level_idx: List[np.ndarray] = []
+        while len(frontier):
+            gate_level[frontier] = len(self.level_idx)
+            self.level_idx.append(frontier)
+            sinks = net_sink_gate[gate_out[frontier]].ravel()
+            sinks, counts = np.unique(sinks[sinks < G], return_counts=True)
+            pending[sinks] -= counts
+            frontier = sinks[pending[sinks] == 0]
+        if pending.any():  # gates on a cycle never reach zero
+            raise ValueError("netlist has a combinational cycle")
+        self.gate_level = gate_level
 
         # --- placement (x, y) and static wirelengths -------------------
         pitch, row_height = library.bit_pitch_um, library.row_height_um
@@ -657,12 +657,12 @@ class _PackedBatch:
         x_ext = np.append(x, 0.0)
         y_ext = np.append(y, 0.0)
 
+        # Every graph's PI nets (its first npi nets), batch-wide.
+        pi_nets = (self.net_off[:B, None] + np.arange(npi)).ravel()
         pi_col = np.asarray(template.pi_col, dtype=np.float64)
         x0 = np.empty(N)
         y0 = np.zeros(N)
-        for b in range(B):
-            noff = int(self.net_off[b])
-            x0[noff : noff + npi] = pi_col * pitch
+        x0[pi_nets] = np.tile(pi_col * pitch, B)
         driven = net_driver[:N] >= 0
         drv = np.where(driven, net_driver[:N], 0)
         x0 = np.where(driven, x[drv], x0)
@@ -683,9 +683,7 @@ class _PackedBatch:
         pi_arr = np.asarray(template.pi_arrival)
         po_count = len(template.po_names)
         net_po_count = np.zeros(N, dtype=np.int64)
-        for b in range(B):
-            noff = int(self.net_off[b])
-            net_pi_arrival[noff : noff + npi] = pi_arr
+        net_pi_arrival[pi_nets] = np.tile(pi_arr, B)
         po_net = flat.po_net + np.repeat(self.net_off[:B], po_count)
         np.add.at(net_po_count, po_net, 1)
         self.net_pi_arrival = net_pi_arrival
@@ -705,17 +703,7 @@ class _PackedBatch:
         self.net_sink_gate = net_sink_gate
         self.net_driver = net_driver
         self.max_sinks = max_sinks
-        self._all_nets = np.arange(N)
 
-        # Level-synchronous schedule: gates grouped by logic level.
-        self.level_order = np.argsort(self.gate_level, kind="stable")
-        sorted_levels = self.gate_level[self.level_order]
-        max_level = int(self.gate_level.max()) if G else -1
-        level_bounds = np.searchsorted(sorted_levels, np.arange(max_level + 2))
-        self.level_idx = [
-            self.level_order[level_bounds[level] : level_bounds[level + 1]]
-            for level in range(max_level + 1)
-        ]
         # PO load contributions, one layer per multiplicity step (net_load
         # adds PO_LOAD_FF once per primary output on the net).
         self.po_add = [
@@ -736,6 +724,23 @@ class _PackedBatch:
             load = load + layer[nets]
         return load
 
+    def gate_delays(self, gates: np.ndarray) -> np.ndarray:
+        """Mirror of Cell.delay at each gate's current cell and output
+        load: ``tau * (p + g * (load / cap))``."""
+        cells = self.gate_cell[gates]
+        load = self.net_loads(self.gate_out[gates])
+        return self.tau * (
+            self.tables.p[cells] + self.tables.g[cells] * (load / self.cap_gate[gates])
+        )
+
+    def critical(self, arrival: np.ndarray):
+        """Per-graph ``(delay_ns, crit_po)`` from propagated arrivals."""
+        endpoints = arrival[self.po_net] + self.po_margin
+        # Per-graph argmax == the scalar strict-`>` scan (first max wins).
+        crit_local = np.argmax(endpoints.reshape(self.B, self.po_count), axis=1)
+        crit_po = np.arange(self.B) * self.po_count + crit_local
+        return endpoints[crit_po], crit_po
+
     def sta(self):
         """Batched mirror of ``timing.analyze_timing``.
 
@@ -743,43 +748,35 @@ class _PackedBatch:
         ``arrival`` is flat over nets (+1 dummy slot) and ``delay_ns`` /
         ``crit_po`` are per graph.
         """
-        tables = self.tables
-        cells = self.gate_cell[: self.G]
-        loads = self.net_loads(self._all_nets)
-        gate_load = loads[self.gate_out]
-        caps = self.cap_gate[: self.G]
-        # Mirror of Cell.delay: tau * (p + g * (load / cap)).
-        gate_delay = self.tau * (
-            tables.p[cells] + tables.g[cells] * (gate_load / caps)
-        )
+        gate_delay = self.gate_delays(np.arange(self.G))
         arrival = np.append(self.net_pi_arrival, 0.0)
         for idx in self.level_idx:
             worst = arrival[self.gate_in[idx]].max(axis=1)
             # analyze_timing starts its fanin scan at worst = 0.0.
             np.maximum(worst, 0.0, out=worst)
             arrival[self.gate_out[idx]] = worst + gate_delay[idx]
-        endpoints = arrival[self.po_net] + self.po_margin
-        # Per-graph argmax == the scalar strict-`>` scan (first max wins).
-        crit_local = np.argmax(endpoints.reshape(self.B, self.po_count), axis=1)
-        crit_po = np.arange(self.B) * self.po_count + crit_local
-        delay_ns = endpoints[crit_po]
-        return arrival, gate_delay, delay_ns, crit_po
+        return (arrival, gate_delay) + self.critical(arrival)
 
     def resta(self, arrival: np.ndarray, gate_delay: np.ndarray,
               dirty_gates: np.ndarray):
         """Batched mirror of ``timing.retime``: cone-limited delta STA.
 
         Starting from a propagated ``(arrival, gate_delay)`` state (not
-        modified), re-evaluates only the ``dirty_gates`` frontier and
-        whatever their arrival changes reach, cutting propagation where
-        a recomputed arrival is bitwise equal to the stored one.  Each
-        re-evaluated gate performs exactly :meth:`sta`'s float
-        operations, so the returned state matches a full pass bit for
-        bit — the batch analogue of the scalar worklist STA.
+        modified), re-evaluates the delays of the ``dirty_gates``
+        frontier once, then propagates arrivals from it, cutting where a
+        recomputed arrival is bitwise equal to the stored one.
+
+        Precondition (the scalar ``retime`` dirty-frontier contract):
+        ``dirty_gates`` holds every gate whose cell or output load
+        changed since ``gate_delay`` was computed — the swapped gates
+        plus their fanin drivers.  A gate reached only by propagation
+        then has an unchanged cell and load, so its stored delay is what
+        a recompute would give, and the returned state matches a full
+        :meth:`sta` bit for bit.
         """
-        tables = self.tables
         arrival = arrival.copy()
         gate_delay = gate_delay.copy()
+        gate_delay[dirty_gates] = self.gate_delays(dirty_gates)
         G = self.G
         levels = self.gate_level
         num_levels = len(self.level_idx)
@@ -794,15 +791,9 @@ class _PackedBatch:
             if not level_count[level]:
                 continue
             sel = idx[pending[idx]]
-            cells = self.gate_cell[sel]
-            load = self.net_loads(self.gate_out[sel])
-            delay = self.tau * (
-                tables.p[cells] + tables.g[cells] * (load / self.cap_gate[sel])
-            )
-            gate_delay[sel] = delay
             worst = arrival[self.gate_in[sel]].max(axis=1)
             np.maximum(worst, 0.0, out=worst)
-            new_arrival = worst + delay
+            new_arrival = worst + gate_delay[sel]
             out = self.gate_out[sel]
             changed = new_arrival != arrival[out]
             arrival[out] = new_arrival
@@ -818,11 +809,7 @@ class _PackedBatch:
                     level_count += np.bincount(
                         levels[fresh], minlength=num_levels
                     )
-        endpoints = arrival[self.po_net] + self.po_margin
-        crit_local = np.argmax(endpoints.reshape(self.B, self.po_count), axis=1)
-        crit_po = np.arange(self.B) * self.po_count + crit_local
-        delay_ns = endpoints[crit_po]
-        return arrival, gate_delay, delay_ns, crit_po
+        return (arrival, gate_delay) + self.critical(arrival)
 
     def trace_paths(self, crit_po: np.ndarray, arrival: np.ndarray) -> np.ndarray:
         """analyze_timing's backwards critical-path walk, several graphs

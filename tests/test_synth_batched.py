@@ -211,6 +211,111 @@ class TestFlatColumns:
         assert buffers > 0  # buffer columns (members' means) are covered
 
 
+def packed_batch(task, graphs, max_fanout=None):
+    """``_PackedBatch`` of ``graphs`` under ``task`` (optionally at a
+    different ``max_fanout``), plus the options it was built with."""
+    from repro.synth.batched import _IOTemplate, _PackedBatch, _build_flat, _tables_for
+
+    options = task.options
+    if max_fanout is not None:
+        options = replace(options, max_fanout=max_fanout)
+    tables = _tables_for(task.library)
+    template = _IOTemplate(task.n, task.circuit_type, task.io_timing)
+    flat = _build_flat(graphs, tables, template, task.circuit_type, options)
+    return _PackedBatch(flat, tables, task.library, template), options
+
+
+class TestPackedTiming:
+    """The packed timing half against its scalar definitions: logic
+    levels against ``place_datapath``, and the cone re-time against a
+    full batched STA."""
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("max_fanout", [2, 4])
+    def test_gate_levels_match_scalar_placement(self, n, max_fanout):
+        from repro.synth.mapping import map_prefix_graph
+        from repro.synth.physical import buffer_fanout
+        from repro.synth.placement import place_datapath
+
+        task = adder_task(n, 0.66)
+        graphs = mutant_population(n, 4) + unique_graphs(n, 4, seed=n)
+        pb, options = packed_batch(task, graphs, max_fanout)
+        # Buffers are appended after the gates they feed: some gate has
+        # a fanin driver with a larger id, so id order is not topological.
+        drivers = pb.net_driver[pb.gate_in]
+        assert (drivers > np.arange(pb.G)[:, None]).any()
+        row_height = task.library.row_height_um
+        for b, graph in enumerate(graphs):
+            netlist = map_prefix_graph(
+                graph, task.library, task.circuit_type, style=options.mapping_style
+            )
+            place_datapath(netlist)
+            buffer_fanout(netlist, max_fanout)
+            place_datapath(netlist)
+            levels = pb.gate_level[pb.gate_off[b] : pb.gate_off[b + 1]]
+            assert np.array_equal(
+                levels * row_height, [gate.y for gate in netlist.gates]
+            ), b
+        assert len(pb.level_idx) == pb.gate_level.max() + 1
+        for level, idx in enumerate(pb.level_idx):
+            assert np.array_equal(idx, np.flatnonzero(pb.gate_level == level))
+
+    @pytest.mark.parametrize("per_graph", [1, 12])
+    def test_resta_matches_full_sta(self, per_graph):
+        task = adder_task(64, 0.66)
+        pb, _ = packed_batch(task, mutant_population(64, 6))
+        tables = pb.tables
+        arrival, gate_delay, _, _ = pb.sta()
+        before = arrival.copy(), gate_delay.copy()
+        rng = np.random.default_rng(per_graph)
+        swapped = []
+        for b in range(pb.B):
+            local = np.arange(pb.gate_off[b], pb.gate_off[b + 1])
+            local = local[tables.up[pb.gate_cell[local]] >= 0]
+            swapped.append(rng.choice(local, per_graph, replace=False))
+        swapped = np.concatenate(swapped)
+        pb.gate_cell[swapped] = tables.up[pb.gate_cell[swapped]]
+        pb.cap_gate[swapped] = tables.cap[pb.gate_cell[swapped]]
+        fanin = pb.net_driver[pb.gate_in[swapped].ravel()]
+        dirty = np.unique(np.concatenate([swapped, fanin[fanin >= 0]]))
+
+        got = pb.resta(arrival, gate_delay, dirty)
+        want = pb.sta()
+        for name, a, b in zip(("arrival", "gate_delay", "delay_ns", "crit_po"), got, want):
+            assert np.array_equal(a, b), name
+        # The input state is not modified ...
+        assert np.array_equal(arrival, before[0])
+        assert np.array_equal(gate_delay, before[1])
+        # ... and propagation re-timed gates outside the frontier.
+        outside = np.setdiff1d(np.arange(pb.G), dirty)
+        out = pb.gate_out[outside]
+        assert (got[0][out] != arrival[out]).any()
+
+    def test_cyclic_netlist_raises(self):
+        from repro.synth.batched import (
+            _FlatPopulation, _IOTemplate, _PackedBatch, _tables_for,
+        )
+        from repro.synth.timing import IOTiming
+
+        library = adder_task(2, 0.66).library
+        tables = _tables_for(library)
+        template = _IOTemplate(2, "gray", IOTiming())
+        xor2 = tables.smallest["XOR2"]
+        # Graph 0 is acyclic; in graph 1 the two gates (nets 2 and 3)
+        # feed each other.
+        flat = _FlatPopulation(
+            gate_counts=np.array([2, 2]),
+            gate_cell=np.full(4, xor2),
+            pin_counts=np.full(4, 2),
+            flat_pins=np.array([0, 1, 2, 1, 0, 3, 1, 2]),
+            gate_col=np.array([0.0, 1.0, 0.0, 1.0]),
+            po_net=np.array([2, 3, 2, 3]),
+            num_buffers=np.zeros(2, dtype=np.int64),
+        )
+        with pytest.raises(ValueError, match="cycle"):
+            _PackedBatch(flat, tables, library, template)
+
+
 class TestTaskValidation:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="width"):
