@@ -43,6 +43,7 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..engine.pool import default_worker_count
 from ..utils.tables import format_median_iqr, format_table
 from . import registry
 from .events import (
@@ -441,10 +442,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _effective_engine(spec: ExperimentSpec, args: argparse.Namespace) -> EngineSpec:
     """The spec's engine block with CLI flags applied — building an
     EngineSpec runs the same validation a spec-file value gets, so a bad
-    ``--workers 0`` fails in the friendly-error zone, not mid-run."""
+    ``--workers 0`` (or ``$REPRO_ENGINE_WORKERS``) fails in the
+    friendly-error zone, not mid-run."""
+    workers = args.workers if args.workers is not None else spec.engine.workers
     return EngineSpec(
         cache_dir=args.cache_dir if args.cache_dir is not None else spec.engine.cache_dir,
-        workers=args.workers if args.workers is not None else spec.engine.workers,
+        workers=workers if workers is not None else default_worker_count(),
         parallel_seeds=(
             args.parallel_seeds
             if args.parallel_seeds is not None

@@ -258,9 +258,6 @@ class RunDirectory:
         save_records(path, records)
         return path
 
-    def load_final_records(self) -> List[RunRecord]:
-        return load_records(self.records_path())
-
     # ------------------------------------------------------------------
     # Introspection (the CLI `status` subcommand)
     # ------------------------------------------------------------------

@@ -147,27 +147,14 @@ class Session:
         self.parallel_seeds = parallel_seeds
 
     @classmethod
-    def from_spec(
-        cls,
-        engine_spec: Optional[EngineSpec] = None,
-        cache_dir: Optional[str] = None,
-        workers: Optional[int] = None,
-        parallel_seeds: Optional[int] = None,
-    ) -> "Session":
-        """Build a session from an :class:`EngineSpec`, with overrides.
-
-        Explicit keyword arguments (e.g. the CLI's ``--workers``) win
-        over the spec's advisory values.
-        """
-        engine_spec = engine_spec if engine_spec is not None else EngineSpec()
+    def from_spec(cls, engine_spec: EngineSpec) -> "Session":
+        """Build a session from an :class:`EngineSpec` (the CLI merges
+        its ``--cache-dir``/``--workers``/``--parallel-seeds`` flags into
+        the spec first)."""
         return cls(
-            cache_dir=cache_dir if cache_dir is not None else engine_spec.cache_dir,
-            workers=workers if workers is not None else engine_spec.workers,
-            parallel_seeds=(
-                parallel_seeds
-                if parallel_seeds is not None
-                else engine_spec.parallel_seeds
-            ),
+            cache_dir=engine_spec.cache_dir,
+            workers=engine_spec.workers,
+            parallel_seeds=engine_spec.parallel_seeds,
         )
 
     # ------------------------------------------------------------------

@@ -83,21 +83,6 @@ class GaussianProcess:
         var = np.maximum(var, 1e-12)
         return mean * self._y_std + self._y_mean, np.sqrt(var) * self._y_std
 
-    def log_marginal_likelihood(self) -> float:
-        """Model evidence of the fitted data (for lengthscale selection)."""
-        if self._x is None:
-            raise RuntimeError("fit() the GP first")
-        n = len(self._x)
-        y_normalized = cho_solve(self._chol, self._alpha * 0.0)  # placeholder shape
-        # Recover the normalized targets from alpha: y = K alpha.
-        k = rbf_kernel(self._x, self._x, self.lengthscale, self.variance)
-        k[np.diag_indices_from(k)] += self.noise
-        y_normalized = k @ self._alpha
-        log_det = 2.0 * np.sum(np.log(np.diag(self._chol[0])))
-        return float(
-            -0.5 * y_normalized @ self._alpha - 0.5 * log_det - 0.5 * n * np.log(2 * np.pi)
-        )
-
 
 def _norm_cdf(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf(x / np.sqrt(2.0)))

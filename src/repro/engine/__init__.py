@@ -6,9 +6,10 @@ stays exactly as the paper's accounting needs it; underneath, the engine
 adds the production machinery the ROADMAP's north star calls for:
 
 ``cache``
-    :class:`EvaluationCache` — persistent canonical-key result store: an
-    in-memory LRU front over append-only JSONL shards shared across runs,
-    seeds, methods and benchmark invocations.  Keys combine the legalized
+    :class:`EvaluationCache` — persistent canonical-key result store: one
+    in-memory dict per task fingerprint, read on first use from that
+    fingerprint's append-only JSONL shard, shared across runs, seeds,
+    methods and benchmark invocations.  Keys combine the legalized
     graph's packed-bit identity with a SHA-256 *task fingerprint* of the
     synthesis-relevant configuration (``omega`` excluded, so delay-weight
     sweeps share synthesis results and cost is recomputed at serve time).

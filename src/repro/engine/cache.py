@@ -14,10 +14,10 @@ has already measured.  This module provides that store:
   deliberately **excluded** — cost is recomputed from the stored
   area/delay at serve time, so omega sweeps reuse each other's synthesis
   results.
-* **Two tiers** — an in-memory LRU front (bounded by ``memory_limit``)
-  over an append-only JSONL file per fingerprint under ``cache_dir``
-  (default: the ``REPRO_CACHE_DIR`` environment variable; unset means
-  memory-only).
+* **One dict per fingerprint** — ``{key: (metrics, loaded_from_disk)}``
+  in memory, read on first use from an append-only JSONL shard per
+  fingerprint under ``cache_dir`` (default: the ``REPRO_CACHE_DIR``
+  environment variable; unset means memory-only).
 
 Disk format: ``<cache_dir>/<fingerprint>.jsonl``, one record per line::
 
@@ -35,8 +35,8 @@ garbage collection it needs.
 Sharing with other processes is incremental: each instance remembers
 how far into every shard it has parsed, so a miss against a shard that
 a concurrent run has since appended to only parses the *new* tail.  A
-shard that *shrank* (truncated or recreated from outside) is detected
-the same way and triggers one full reload.
+shard that *shrank* (truncated or recreated from outside) is read again
+from byte 0.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ import json
 import os
 import threading
 import warnings
-from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from ..obs import trace
@@ -117,35 +116,21 @@ def task_fingerprint(task) -> str:
 
 
 class EvaluationCache:
-    """Two-tier (LRU memory / JSONL disk) store of synthesis metrics.
+    """Store of synthesis metrics: one dict per fingerprint over its shard.
 
     Thread-safe; one instance is shared by every simulator an engine
     backs, including thread-parallel per-seed runs.
     """
 
-    def __init__(
-        self,
-        cache_dir: Optional[str] = None,
-        memory_limit: int = 200_000,
-    ) -> None:
-        if memory_limit < 1:
-            raise ValueError("memory_limit must be positive")
+    def __init__(self, cache_dir: Optional[str] = None) -> None:
         self.cache_dir = cache_dir
-        self.memory_limit = memory_limit
         self._lock = threading.RLock()
-        # (fingerprint, key) -> (metrics, loaded_from_disk)
-        self._memory: "OrderedDict[Tuple[str, bytes], Tuple[Metrics, bool]]" = (
-            OrderedDict()
-        )
-        self._loaded_fingerprints: set = set()
-        # Byte offset of each key's latest record in its disk shard.
-        # Entries evicted from the LRU front stay findable here, so a
-        # memory miss seeks straight to the one record instead of
-        # becoming a silent re-synthesis (or a full-shard rescan).
-        self._disk_offsets: Dict[str, Dict[bytes, int]] = {}
+        # fingerprint -> {key: (metrics, loaded_from_disk)}; a fingerprint
+        # is present once its shard has been read.
+        self._shards: Dict[str, Dict[bytes, Tuple[Metrics, bool]]] = {}
         # How far into each shard this instance has parsed; external
-        # appends beyond this point are picked up incrementally by
-        # _refresh_fingerprint, never by re-reading the whole file.
+        # appends beyond this point are picked up incrementally, never
+        # by re-reading the whole file.
         self._read_positions: Dict[str, int] = {}
         # Lines parsed so far per shard, so corrupt-line warnings from
         # incremental refreshes still report absolute line numbers.
@@ -158,35 +143,61 @@ class EvaluationCache:
         assert self.cache_dir is not None
         return os.path.join(self.cache_dir, f"{fingerprint}.jsonl")
 
-    def _load_fingerprint(self, fingerprint: str) -> None:
-        """Pull one fingerprint's disk shard into the memory front."""
-        self._loaded_fingerprints.add(fingerprint)
+    def _shard(self, fingerprint: str) -> Dict[bytes, Tuple[Metrics, bool]]:
+        """One fingerprint's entries, reading its disk shard on first use."""
+        shard = self._shards.get(fingerprint)
+        if shard is None:
+            shard = self._shards[fingerprint] = {}
+            self._read_shard(fingerprint, refresh=False)
+        return shard
+
+    def _read_shard(self, fingerprint: str, refresh: bool) -> bool:
+        """Parse one shard from this instance's read position to its end.
+
+        On the first read a trailing line with no newline is parsed (and
+        warned about if corrupt) like any other; a refresh leaves it for
+        later, as a concurrent writer's half-appended tail.  A shard that
+        shrank — truncated or recreated from outside — is read again from
+        byte 0.  Returns True when the shard had unread bytes.
+        """
         if not self.cache_dir:
-            return
+            return False
         path = self._path(fingerprint)
-        if not os.path.exists(path):
-            return
-        # Disk-shard loads are the engine's only bulk cache I/O — worth a
-        # span of their own when a run is traced (near-free otherwise).
-        with trace.span("cache_load") as span:
+        position = self._read_positions.get(fingerprint, 0)
+        lineno = self._line_counts.get(fingerprint, 0)
+        try:
+            size = os.path.getsize(path)
+        except OSError:
+            return False
+        if size < position:
+            position = lineno = 0
+        if size == position:
+            return False
+        shard = self._shards[fingerprint]
+        loaded = 0
+        # Shard reads are the engine's only bulk cache I/O — worth a span
+        # of their own when a run is traced (near-free otherwise).
+        with (
+            trace.span("cache_refresh") if refresh else trace.span("cache_load")
+        ) as span:
             span.set_attr("fingerprint", fingerprint[:16])
-            offsets = self._disk_offsets.setdefault(fingerprint, {})
-            position = 0
-            loaded = 0
-            lineno = 0
             with open(path, "rb") as handle:
+                handle.seek(position)
                 for raw in handle:
+                    if refresh and not raw.endswith(b"\n"):
+                        # A concurrent writer's half-appended tail: not
+                        # corruption, just early — re-read next refresh.
+                        break
                     lineno += 1
                     parsed = self._parse_line(raw, f"{path}:{lineno}")
-                    if parsed is not None:  # skip crashed-writer truncation
-                        key, metrics = parsed
-                        offsets[key] = position  # last record wins
-                        self._insert(fingerprint, key, metrics, from_disk=True)
+                    if parsed is not None:  # last record wins
+                        shard[parsed[0]] = (parsed[1], True)
                         loaded += 1
                     position += len(raw)
-            self._read_positions[fingerprint] = position
-            self._line_counts[fingerprint] = lineno
             span.set_attr("entries", loaded)
+        self._read_positions[fingerprint] = position
+        self._line_counts[fingerprint] = lineno
+        return True
 
     @staticmethod
     def _parse_line(raw: bytes, where: str = "unknown location"):
@@ -195,8 +206,8 @@ class EvaluationCache:
         Corrupt lines — a crashed writer's truncated tail, bit rot, a
         hand-edited shard — must never take the engine down: the record
         is skipped and synthesis regenerates it on demand.  ``where``
-        names the shard path and line (or byte offset) so the warning
-        points at the exact record even with many shards on disk.
+        names the shard path and line so the warning points at the
+        exact record even with many shards on disk.
         """
         line = raw.strip()
         if not line:
@@ -217,108 +228,6 @@ class EvaluationCache:
             )
             return None
 
-    def _read_at(
-        self, fingerprint: str, key: bytes, offset: int
-    ) -> Optional[Metrics]:
-        """One record by byte offset; None if absent or the offset is stale."""
-        path = self._path(fingerprint)
-        if not os.path.exists(path):
-            return None
-        with open(path, "rb") as handle:
-            handle.seek(offset)
-            parsed = self._parse_line(
-                handle.readline(), f"{path} (byte offset {offset})"
-            )
-        if parsed is not None and parsed[0] == key:
-            return parsed[1]
-        return None
-
-    def _reload_entry(self, fingerprint: str, key: bytes) -> Optional[Metrics]:
-        """Re-read one LRU-evicted record from its shard by byte offset."""
-        offset = self._disk_offsets.get(fingerprint, {}).get(key)
-        if self.cache_dir is None or offset is None:
-            return None
-        metrics = self._read_at(fingerprint, key, offset)
-        if metrics is not None:
-            return metrics
-        # Offset went stale (the shard was rewritten from outside): fall
-        # back to one full rescan, rebuilding the index.
-        self._disk_offsets.pop(fingerprint, None)
-        self._read_positions.pop(fingerprint, None)
-        self._line_counts.pop(fingerprint, None)
-        self._loaded_fingerprints.discard(fingerprint)
-        self._load_fingerprint(fingerprint)
-        entry = self._memory.get((fingerprint, key))
-        if entry is not None:
-            return entry[0]
-        # Rescanned but LRU-bounded out of memory again: the rebuilt
-        # offset index is fresh, so one more seek settles it.
-        offset = self._disk_offsets.get(fingerprint, {}).get(key)
-        if offset is None:
-            return None
-        return self._read_at(fingerprint, key, offset)
-
-    def _refresh_fingerprint(self, fingerprint: str) -> bool:
-        """Catch up with external writers on an already-loaded shard.
-
-        Parses only the bytes appended since this instance last read the
-        shard; a shard that shrank — truncated or recreated from outside
-        — triggers one full reload instead.  Returns True when anything
-        changed.
-        """
-        if not self.cache_dir:
-            return False
-        path = self._path(fingerprint)
-        position = self._read_positions.get(fingerprint, 0)
-        try:
-            size = os.path.getsize(path)
-        except OSError:
-            size = 0
-        if size < position:
-            # Shrunk underneath us: the shard was rewritten, every
-            # remembered offset is void — rescan from byte 0.
-            self._disk_offsets.pop(fingerprint, None)
-            self._read_positions.pop(fingerprint, None)
-            self._line_counts.pop(fingerprint, None)
-            self._loaded_fingerprints.discard(fingerprint)
-            self._load_fingerprint(fingerprint)
-            return True
-        if size == position:
-            return False
-        offsets = self._disk_offsets.setdefault(fingerprint, {})
-        loaded = 0
-        lineno = self._line_counts.get(fingerprint, 0)
-        with trace.span("cache_refresh") as span:
-            span.set_attr("fingerprint", fingerprint[:16])
-            with open(path, "rb") as handle:
-                handle.seek(position)
-                for raw in handle:
-                    if not raw.endswith(b"\n"):
-                        # A concurrent writer's half-appended tail: not
-                        # corruption, just early — re-read next refresh.
-                        break
-                    lineno += 1
-                    parsed = self._parse_line(raw, f"{path}:{lineno}")
-                    if parsed is not None:
-                        key, metrics = parsed
-                        offsets[key] = position
-                        self._insert(fingerprint, key, metrics, from_disk=True)
-                        loaded += 1
-                    position += len(raw)
-            span.set_attr("entries", loaded)
-        self._read_positions[fingerprint] = position
-        self._line_counts[fingerprint] = lineno
-        return True
-
-    def _insert(
-        self, fingerprint: str, key: bytes, metrics: Metrics, from_disk: bool
-    ) -> None:
-        memory_key = (fingerprint, key)
-        self._memory[memory_key] = (metrics, from_disk)
-        self._memory.move_to_end(memory_key)
-        while len(self._memory) > self.memory_limit:
-            self._memory.popitem(last=False)
-
     # ------------------------------------------------------------------
     def get(self, fingerprint: str, key: bytes) -> Optional[Metrics]:
         """Look up metrics; None on miss.  See :meth:`get_with_origin`."""
@@ -332,40 +241,27 @@ class EvaluationCache:
 
         The first hit on an entry loaded from disk reports ``'disk'``;
         subsequent hits report ``'memory'`` (telemetry uses this to
-        distinguish warm-RAM from warm-disk behaviour).
+        distinguish warm-RAM from warm-disk behaviour).  A miss first
+        reads whatever an external writer appended to the shard since
+        this instance last read it.
         """
         with self._lock:
-            if fingerprint not in self._loaded_fingerprints:
-                self._load_fingerprint(fingerprint)
-            entry = self._memory.get((fingerprint, key))
+            shard = self._shard(fingerprint)
+            entry = shard.get(key)
+            if entry is None and self._read_shard(fingerprint, refresh=True):
+                entry = shard.get(key)
             if entry is None:
-                # Evicted from the LRU front but still on disk: re-read it
-                # rather than letting the miss trigger a re-synthesis.
-                metrics = self._reload_entry(fingerprint, key)
-                if metrics is None and self._refresh_fingerprint(fingerprint):
-                    # An external writer grew (or rewrote) the shard
-                    # since our last read; the refresh may have brought
-                    # the key in.
-                    entry = self._memory.get((fingerprint, key))
-                    if entry is None:
-                        metrics = self._reload_entry(fingerprint, key)
-                if entry is None:
-                    if metrics is None:
-                        return None
-                    self._insert(fingerprint, key, metrics, from_disk=True)
-                    entry = self._memory[(fingerprint, key)]
+                return None
             metrics, from_disk = entry
-            self._memory[(fingerprint, key)] = (metrics, False)
-            self._memory.move_to_end((fingerprint, key))
+            shard[key] = (metrics, False)
             return metrics, ("disk" if from_disk else "memory")
 
     def put(self, fingerprint: str, key: bytes, metrics: Metrics) -> None:
         """Store metrics in memory and append them to the disk shard."""
         metrics = (float(metrics[0]), float(metrics[1]))
         with self._lock:
-            self._insert(fingerprint, key, metrics, from_disk=False)
+            self._shard(fingerprint)[key] = (metrics, False)
             if self.cache_dir:
-                path = self._path(fingerprint)
                 record = (
                     json.dumps({"k": key.hex(), "a": metrics[0], "d": metrics[1]})
                     + "\n"
@@ -374,23 +270,15 @@ class EvaluationCache:
                 # *at write time*, so only the position after our own
                 # write says where the record landed — a size read before
                 # it is stale as soon as another process appends.
-                with open(path, "ab") as handle:
+                with open(self._path(fingerprint), "ab") as handle:
                     handle.write(record)
                     handle.flush()
                     offset = handle.tell() - len(record)
-                self._disk_offsets.setdefault(fingerprint, {})[key] = offset
-                if offset == 0:
-                    # We created the shard, so we know its entire content:
-                    # nothing on disk predates us that a load could find.
-                    self._loaded_fingerprints.add(fingerprint)
                 # Our own append needs no future re-parse: advance the
                 # incremental-read position over it iff it starts exactly
                 # where we stopped reading (if external appends sit in
                 # between, leave it so the next refresh picks them up).
-                if (
-                    fingerprint in self._loaded_fingerprints
-                    and self._read_positions.get(fingerprint, 0) == offset
-                ):
+                if self._read_positions.get(fingerprint, 0) == offset:
                     self._read_positions[fingerprint] = offset + len(record)
                     self._line_counts[fingerprint] = (
                         self._line_counts.get(fingerprint, 0) + 1
@@ -399,19 +287,7 @@ class EvaluationCache:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         with self._lock:
-            return len(self._memory)
-
-    def __contains__(self, fingerprint_key: Tuple[str, bytes]) -> bool:
-        return self.get(*fingerprint_key) is not None
-
-    def stats(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "entries_in_memory": len(self._memory),
-                "fingerprints_loaded": len(self._loaded_fingerprints),
-                "cache_dir": self.cache_dir,
-                "memory_limit": self.memory_limit,
-            }
+            return sum(len(shard) for shard in self._shards.values())
 
     def __repr__(self) -> str:
         where = self.cache_dir or "memory-only"

@@ -40,12 +40,24 @@ Metrics = Tuple[float, float]
 
 
 def default_worker_count() -> int:
-    """Worker count from ``$REPRO_ENGINE_WORKERS`` (default 1 = serial)."""
+    """Worker count from ``$REPRO_ENGINE_WORKERS`` (unset or empty = 1,
+    serial).
+
+    A value that is not a positive integer raises ``ValueError``, the
+    same way ``--workers 0`` and ``EngineSpec(workers=0)`` are rejected.
+    """
     value = os.environ.get(_ENV_WORKERS, "").strip()
-    try:
-        return max(int(value), 1) if value else 1
-    except ValueError:
+    if not value:
         return 1
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(
+            f"{_ENV_WORKERS}={value!r}: expected a positive integer"
+        )
+    return workers
 
 
 def _synth_job(task: CircuitTask, graph: PrefixGraph) -> Metrics:

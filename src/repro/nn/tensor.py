@@ -34,7 +34,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .graph import OPS, active_trace, stable_sigmoid
+from .graph import OPS, active_trace
 
 Arrayish = Union["Tensor", np.ndarray, float, int]
 
@@ -437,9 +437,6 @@ class Tensor:
             shape = tuple(shape[0])
         return apply("reshape", (self,), {"shape": shape})
 
-    def flatten(self) -> "Tensor":
-        return self.reshape(-1)
-
     def transpose(self, *axes) -> "Tensor":
         if not axes:
             axes = tuple(reversed(range(self.data.ndim)))
@@ -475,11 +472,6 @@ def _ensure_tensor(value: Arrayish, like: Optional[Tensor] = None) -> Tensor:
     if like is not None:
         return Tensor(np.asarray(value, dtype=like.data.dtype))
     return Tensor(value)
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # Back-compat alias; the kernel lives in repro.nn.graph now.
-    return stable_sigmoid(x)
 
 
 # ----------------------------------------------------------------------

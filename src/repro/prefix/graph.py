@@ -93,11 +93,6 @@ class PrefixGraph:
                 return (i, k)
         raise AssertionError("diagonal is always present; unreachable")
 
-    def lower_parent(self, i: int, j: int) -> Span:
-        """The span (k-1, j) completing the decomposition of (i, j)."""
-        _, k = self.upper_parent(i, j)
-        return (k - 1, j)
-
     def parents(self, i: int, j: int) -> Tuple[Span, Span]:
         """(upper, lower) parents of a non-diagonal node."""
         upper = self.upper_parent(i, j)

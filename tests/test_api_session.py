@@ -249,9 +249,13 @@ class TestCLI:
         # two describe the same experiment — keep them pinned together.
         assert load_spec(TINY_SPEC_PATH) == bench_presets()["tiny"]
 
-    def test_invalid_flag_values_get_friendly_errors(self, capsys):
+    def test_invalid_flag_values_get_friendly_errors(self, capsys, monkeypatch):
         assert main(["run", TINY_SPEC_PATH, "--workers", "0"]) == 2
         assert "workers" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_ENGINE_WORKERS", "two")
+        assert main(["run", TINY_SPEC_PATH]) == 2
+        assert "REPRO_ENGINE_WORKERS='two'" in capsys.readouterr().err
+        monkeypatch.delenv("REPRO_ENGINE_WORKERS")
         assert main(["bench", "tiny", "--parallel-seeds", "0"]) == 2
         assert "parallel_seeds" in capsys.readouterr().err
 

@@ -17,6 +17,7 @@ from repro.engine import (
     EvaluationEngine,
     EngineSimulator,
     SynthesisPool,
+    default_worker_count,
     task_fingerprint,
 )
 from repro.opt import BudgetExhausted, CircuitSimulator
@@ -153,7 +154,8 @@ class TestEvaluationCache:
 
     def test_duplicate_keys_keep_latest_record(self, task, tmp_path):
         # Append-only shards are last-writer-wins; a reload must resolve
-        # duplicates to the newest record (both served and re-persisted).
+        # duplicates to the newest record, and so must a refresh that
+        # reads an external writer's newer duplicate.
         fp = task_fingerprint(task)
         key = sklansky(16).key()
         cache = EvaluationCache(cache_dir=str(tmp_path))
@@ -162,11 +164,11 @@ class TestEvaluationCache:
         cache.put(fp, key, (9.0, 10.0))
         fresh = EvaluationCache(cache_dir=str(tmp_path))
         assert fresh.get(fp, key) == (9.0, 10.0)
-        # The LRU-evicted reload path must also resolve to the latest.
-        evicting = EvaluationCache(cache_dir=str(tmp_path), memory_limit=1)
-        other = unique_graphs(16, 1)[0]
-        evicting.put(fp, other.key(), (0.0, 0.0))  # evicts the loaded entry
-        assert evicting.get(fp, key) == (9.0, 10.0)
+        other = unique_graphs(16, 1)[0].key()
+        cache.put(fp, key, (11.0, 12.0))
+        cache.put(fp, other, (0.0, 0.0))
+        assert fresh.get(fp, other) == (0.0, 0.0)  # miss -> refresh
+        assert fresh.get(fp, key) == (11.0, 12.0)
 
     def test_external_append_is_read_incrementally(self, task, tmp_path, monkeypatch):
         # A long-lived reader (a run sharing --cache-dir) must not
@@ -284,26 +286,26 @@ class TestEvaluationCache:
         )
         assert reader.get(fp, new) == (7.0, 8.0)
 
-    def test_lru_eviction_bounds_memory(self, task):
-        cache = EvaluationCache(memory_limit=3)
+    def test_refresh_defers_a_half_appended_tail(self, task, tmp_path):
+        # A concurrent writer's record can be caught mid-append: a final
+        # line with no newline yet.  A refresh must neither warn about it
+        # nor read past it, and must serve the record once it is whole.
         fp = task_fingerprint(task)
-        for i, g in enumerate(unique_graphs(16, 5)):
-            cache.put(fp, g.key(), (float(i), 1.0))
-        assert len(cache) == 3
-
-    def test_evicted_entry_is_reread_from_disk(self, task, tmp_path):
-        # Eviction from the LRU front must not orphan disk records — a
-        # warm rerun has to stay at zero synthesis even past the limit.
-        cache = EvaluationCache(cache_dir=str(tmp_path), memory_limit=2)
-        fp = task_fingerprint(task)
-        graphs = unique_graphs(16, 4)
-        for i, g in enumerate(graphs):
-            cache.put(fp, g.key(), (float(i), 1.0))
-        assert len(cache) == 2  # first two evicted from memory...
-        metrics, origin = cache.get_with_origin(fp, graphs[0].key())
-        assert metrics == (0.0, 1.0)  # ...but still served
-        assert origin == "disk"
-
+        first, late = (g.key() for g in unique_graphs(16, 2))
+        reader = EvaluationCache(cache_dir=str(tmp_path))
+        reader.put(fp, first, (1.0, 1.0))
+        record = json.dumps({"k": late.hex(), "a": 7.0, "d": 8.0}) + "\n"
+        path = tmp_path / f"{fp}.jsonl"
+        with open(path, "a") as handle:
+            handle.write(record[:20])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reader.get(fp, late) is None
+            assert reader.get(fp, late) is None
+            with open(path, "a") as handle:
+                handle.write(record[20:])
+            assert reader.get_with_origin(fp, late) == ((7.0, 8.0), "disk")
+            assert reader.get(fp, first) == (1.0, 1.0)
 
 class TestPool:
     def test_matches_serial_synthesis(self, task):
@@ -318,6 +320,24 @@ class TestPool:
         graphs = unique_graphs(16, 2)
         assert len(pool.synthesize_batch(task, graphs)) == 2
         assert not pool.parallel
+
+    @pytest.mark.parametrize("value, expected", [(None, 1), ("", 1), (" 3 ", 3)])
+    def test_env_worker_count(self, monkeypatch, value, expected):
+        if value is None:
+            monkeypatch.delenv("REPRO_ENGINE_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_ENGINE_WORKERS", value)
+        assert default_worker_count() == expected
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_bad_env_worker_count_raises(self, monkeypatch, value):
+        # --workers 0 and EngineSpec(workers=0) are rejected; the env
+        # var must not quietly fall back to serial instead.
+        monkeypatch.setenv("REPRO_ENGINE_WORKERS", value)
+        with pytest.raises(ValueError, match=f"REPRO_ENGINE_WORKERS='{value}'"):
+            default_worker_count()
+        with pytest.raises(ValueError, match="REPRO_ENGINE_WORKERS"):
+            SynthesisPool()
 
 
 def refusals_counted(sim, expected):
