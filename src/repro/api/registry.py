@@ -20,6 +20,7 @@ the paper's ablations.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import typing
 import warnings
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
@@ -43,6 +44,7 @@ __all__ = [
     "MethodEntry",
     "available_methods",
     "get_method",
+    "check_type",
     "validate_params",
     "build_config",
 ]
@@ -116,10 +118,50 @@ def _concrete_type(tp: Any) -> Any:
     return tp
 
 
+#: scalar annotation -> the value types that fill it; ``check_type``
+#: additionally refuses ``bool`` (an ``Integral``) for ``int`` and ``float``.
+_SCALARS = {
+    bool: (bool,),
+    int: (numbers.Integral,),
+    float: (numbers.Real,),
+    str: (str,),
+}
+
+
+def check_type(where: str, value: Any, annotation: Any) -> None:
+    """Raise ``ValueError`` naming ``where`` when ``value`` does not fit
+    a scalar ``annotation``.
+
+    ``bool`` is never an ``int``, an ``int`` may fill a ``float``, and
+    ``Optional`` takes ``None``; ``Tuple[T, ...]`` checks each element.
+    Other annotations pass (their fields validate themselves).
+    """
+    concrete = _concrete_type(annotation)
+    if value is None and concrete is not annotation:
+        return
+    if typing.get_origin(concrete) is tuple and isinstance(value, tuple):
+        args = typing.get_args(concrete)
+        if len(args) == 2 and args[1] is Ellipsis:
+            for i, item in enumerate(value):
+                check_type(f"{where}[{i}]", item, args[0])
+        return
+    accepted = _SCALARS.get(concrete)
+    if accepted is None:
+        return
+    if not isinstance(value, accepted) or (
+        concrete is not bool and isinstance(value, bool)
+    ):
+        raise ValueError(
+            f"{where} must be {concrete.__name__}, "
+            f"got {type(value).__name__} {value!r}"
+        )
+
+
 def validate_params(
     config_cls: type, params: Mapping[str, Any], context: str = ""
 ) -> None:
-    """Reject parameter names that are not fields of ``config_cls``.
+    """Reject parameter names that are not fields of ``config_cls``, and
+    scalar values of the wrong type (see :func:`check_type`).
 
     Recurses into nested config dataclasses, so a typo anywhere in a spec
     fails at validation time with its dotted path, not at run time.
@@ -144,6 +186,8 @@ def validate_params(
                     f"{where}={value!r} is not a known classical structure; "
                     f"choose from {sorted(STRUCTURES)}"
                 )
+        else:
+            check_type(where, value, types.get(key))
 
 
 def _materialize(

@@ -31,6 +31,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -51,6 +52,15 @@ __all__ = [
     "load_spec",
     "save_spec",
 ]
+
+
+def _check_field_types(spec, context: str) -> None:
+    """Scalar fields of the wrong JSON type fail here, naming the dotted
+    field, instead of as a ``TypeError`` deep inside a run."""
+    for name, annotation in typing.get_type_hints(type(spec)).items():
+        where = f"{context}.{name}" if context else name
+        registry.check_type(where, getattr(spec, name), annotation)
+
 
 def _reject_unknown_keys(payload: Mapping[str, Any], cls, context: str) -> None:
     unknown = sorted(set(payload) - {f.name for f in fields(cls)})
@@ -79,6 +89,7 @@ class TaskSpec:
     name: Optional[str] = None
 
     def __post_init__(self):
+        _check_field_types(self, "task")
         if self.circuit_type not in CircuitTask.circuit_types():
             raise ValueError(
                 f"unknown circuit_type {self.circuit_type!r}; "
@@ -151,6 +162,7 @@ class MethodSpec:
                 f"method {self.method!r}: params must be an object, "
                 f"got {type(self.params).__name__}"
             )
+        _check_field_types(self, "methods")
         # Snapshot the caller's dict: what was validated here is exactly
         # what runs and serializes later, even if the caller mutates.
         object.__setattr__(self, "params", copy.deepcopy(dict(self.params)))
@@ -187,6 +199,7 @@ class EngineSpec:
     parallel_seeds: int = 1
 
     def __post_init__(self):
+        _check_field_types(self, "engine")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1 (or None for the default)")
         if self.parallel_seeds < 1:
@@ -226,6 +239,7 @@ class ExperimentSpec:
             object.__setattr__(self, "methods", tuple(self.methods))
         if isinstance(self.seeds, list):
             object.__setattr__(self, "seeds", tuple(self.seeds))
+        _check_field_types(self, "")
         if not self.name:
             raise ValueError("experiments need a name")
         if not self.methods:

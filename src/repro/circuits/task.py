@@ -9,7 +9,7 @@ turns a task into a black-box cost oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from ..prefix.graph import PrefixGraph
@@ -95,9 +95,3 @@ class CircuitTask:
     def cost(self, result: PhysicalResult) -> float:
         """Scalar cost of a synthesis result under this task's omega."""
         return cost_from_metrics(result.area_um2, result.delay_ns, self.delay_weight)
-
-    def with_delay_weight(self, delay_weight: float) -> "CircuitTask":
-        """Same task at a different omega (used by the omega sweeps)."""
-        return replace(
-            self, delay_weight=delay_weight, name=f"{self.name.split('@')[0]}@w{delay_weight}"
-        )

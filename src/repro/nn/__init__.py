@@ -1,10 +1,13 @@
 """``repro.nn`` — a from-scratch neural-network framework on numpy.
 
 The CircuitVAE paper builds its model in PyTorch; this subpackage provides
-the equivalent substrate offline: reverse-mode autograd
-(:mod:`repro.nn.tensor`), layers (:mod:`repro.nn.layers`), optimizers
-(:mod:`repro.nn.optim`), losses (:mod:`repro.nn.losses`) and serialization
-(:mod:`repro.nn.serialize`).
+the equivalent substrate offline, and only as much of it as the
+reproduction's learners run (the CNN β-VAE with its MLP cost head, and
+PrefixRL's CNN DQN): reverse-mode autograd over a registry of 15 ops
+(:mod:`repro.nn.tensor`, :mod:`repro.nn.graph`), layers
+(:mod:`repro.nn.layers`), Adam (:mod:`repro.nn.optim`), losses
+(:mod:`repro.nn.losses`), parameter checkpoints (:mod:`repro.nn.serialize`)
+and the traced training-step compiler (:mod:`repro.nn.compile`).
 """
 
 from . import functional, graph, init, losses
@@ -21,53 +24,28 @@ from .layers import (
     MLP,
     Conv2d,
     ConvTranspose2d,
-    Dropout,
-    Flatten,
-    LayerNorm,
-    LeakyReLU,
     Linear,
     Module,
     ReLU,
     Sequential,
-    Sigmoid,
-    Tanh,
 )
-from .optim import Adam, CosineSchedule, Optimizer, SGD, StepSchedule, clip_grad_norm
-from .serialize import load_module, load_state, save_module, save_state
-from .tensor import Tensor, concatenate, is_grad_enabled, no_grad, ones, randn, stack, tensor, where, zeros
+from .optim import Adam, Optimizer, clip_grad_norm
+from .serialize import load_state, save_state
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "Tensor",
-    "tensor",
-    "zeros",
-    "ones",
-    "randn",
-    "stack",
-    "concatenate",
-    "where",
     "no_grad",
-    "is_grad_enabled",
     "Module",
     "Linear",
     "Conv2d",
     "ConvTranspose2d",
     "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
-    "Flatten",
-    "Dropout",
-    "LayerNorm",
     "Sequential",
     "MLP",
     "Optimizer",
-    "SGD",
     "Adam",
-    "CosineSchedule",
-    "StepSchedule",
     "clip_grad_norm",
-    "save_module",
-    "load_module",
     "save_state",
     "load_state",
     "functional",

@@ -21,13 +21,7 @@ __all__ = [
     "conv2d_backward",
     "conv_transpose2d_forward",
     "conv_transpose2d_backward",
-    "conv_output_size",
 ]
-
-
-def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
-    """Spatial output size of a convolution along one axis."""
-    return (size + 2 * padding - kernel) // stride + 1
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:

@@ -1,15 +1,13 @@
 """Stateless differentiable operations built on :class:`repro.nn.Tensor`.
 
-These mirror ``torch.nn.functional``: convolutions, activations expressed as
-free functions, and the composite numerical kernels (softmax families,
-stable binary cross-entropy) that the CircuitVAE model needs.
+These mirror ``torch.nn.functional``: the affine map, convolutions, ReLU,
+and the composite losses the learners train on (stable binary
+cross-entropy, Gaussian KL, mean squared error).
 """
 
 from __future__ import annotations
 
 from typing import Optional
-
-import numpy as np
 
 from .tensor import Tensor, _ensure_tensor, apply
 
@@ -18,11 +16,6 @@ __all__ = [
     "conv2d",
     "conv_transpose2d",
     "relu",
-    "sigmoid",
-    "tanh",
-    "softmax",
-    "log_softmax",
-    "dropout",
     "binary_cross_entropy_with_logits",
     "mse_loss",
     "gaussian_kl",
@@ -63,71 +56,25 @@ def relu(x: Tensor) -> Tensor:
     return _ensure_tensor(x).relu()
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    return _ensure_tensor(x).sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return _ensure_tensor(x).tanh()
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x = _ensure_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    e = shifted.exp()
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x = _ensure_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout: at train time zero activations w.p. ``p`` and rescale."""
-    if not training or p <= 0.0:
-        return _ensure_tensor(x)
-    x = _ensure_tensor(x)
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask)
-
-
-def binary_cross_entropy_with_logits(
-    logits: Tensor, targets: Tensor, reduction: str = "mean"
-) -> Tensor:
-    """Numerically-stable BCE: ``max(z,0) - z*y + log(1 + exp(-|z|))``."""
+def binary_cross_entropy_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
+    """Per-element numerically-stable BCE:
+    ``max(z,0) - z*y + log(1 + exp(-|z|))``."""
     logits = _ensure_tensor(logits)
     targets = _ensure_tensor(targets)
     relu_part = logits.relu()
-    loss = relu_part - logits * targets + (-logits.abs()).softplus()
-    return _reduce(loss, reduction)
+    return relu_part - logits * targets + (-logits.abs()).softplus()
 
 
-def mse_loss(pred: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
+def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
+    """Mean squared error over all elements."""
     pred, target = _ensure_tensor(pred), _ensure_tensor(target)
     diff = pred - target
-    return _reduce(diff * diff, reduction)
+    return (diff * diff).mean()
 
 
-def gaussian_kl(mu: Tensor, logvar: Tensor, reduction: str = "mean") -> Tensor:
-    """KL(q || N(0, I)) for a diagonal Gaussian, summed over latent dims.
-
-    Returns per-sample KL summed over the latent axis, then reduced over the
-    batch axis according to ``reduction``.  This is the VAE regularizer in
-    Eq. 1 of the paper.
-    """
+def gaussian_kl(mu: Tensor, logvar: Tensor) -> Tensor:
+    """Per-sample KL(q || N(0, I)) for a diagonal Gaussian, summed over
+    the latent axis (the VAE regularizer in Eq. 1 of the paper)."""
     mu, logvar = _ensure_tensor(mu), _ensure_tensor(logvar)
     per_dim = 0.5 * (mu * mu + logvar.exp() - logvar - 1.0)
-    per_sample = per_dim.sum(axis=-1)
-    return _reduce(per_sample, reduction)
-
-
-def _reduce(value: Tensor, reduction: str) -> Tensor:
-    if reduction == "mean":
-        return value.mean()
-    if reduction == "sum":
-        return value.sum()
-    if reduction == "none":
-        return value
-    raise ValueError(f"unknown reduction {reduction!r}")
+    return per_dim.sum(axis=-1)

@@ -53,9 +53,9 @@ __all__ = [
 ]
 
 
-def stable_sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Numerically-stable logistic function (optionally into ``out``)."""
-    out = np.empty_like(x, dtype=x.dtype) if out is None else out
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Numerically-stable logistic function."""
+    out = np.empty_like(x, dtype=x.dtype)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
@@ -130,26 +130,10 @@ _op(
     needs_inputs=True,
 )
 _op(
-    "div",
-    lambda x, a: x[0] / x[1],
-    lambda g, out, x, a, need: (g / x[1], -g * x[0] / (x[1] * x[1])),
-    kernel=lambda x, a, out: np.divide(x[0], x[1], out=out),
-    needs_inputs=True,
-)
-_op(
     "neg",
     lambda x, a: -x[0],
     lambda g, out, x, a, need: (-g,),
     kernel=lambda x, a, out: np.negative(x[0], out=out),
-)
-_op(
-    "pow",
-    lambda x, a: x[0] ** a["exponent"],
-    lambda g, out, x, a, need: (
-        g * a["exponent"] * x[0] ** (a["exponent"] - 1),
-    ),
-    kernel=lambda x, a, out: np.power(x[0], a["exponent"], out=out),
-    needs_inputs=True,
 )
 
 # -- elementwise functions ---------------------------------------------
@@ -161,20 +145,6 @@ _op(
     needs_out=True,
 )
 _op(
-    "log",
-    lambda x, a: np.log(x[0]),
-    lambda g, out, x, a, need: (g / x[0],),
-    kernel=lambda x, a, out: np.log(x[0], out=out),
-    needs_inputs=True,
-)
-_op(
-    "sqrt",
-    lambda x, a: np.sqrt(x[0]),
-    lambda g, out, x, a, need: (g * 0.5 / out,),
-    kernel=lambda x, a, out: np.sqrt(x[0], out=out),
-    needs_out=True,
-)
-_op(
     "abs",
     lambda x, a: np.abs(x[0]),
     lambda g, out, x, a, need: (g * np.sign(x[0]),),
@@ -182,39 +152,10 @@ _op(
     needs_inputs=True,
 )
 _op(
-    "tanh",
-    lambda x, a: np.tanh(x[0]),
-    lambda g, out, x, a, need: (g * (1.0 - out * out),),
-    kernel=lambda x, a, out: np.tanh(x[0], out=out),
-    needs_out=True,
-)
-_op(
-    "sigmoid",
-    lambda x, a: stable_sigmoid(x[0]),
-    lambda g, out, x, a, need: (g * out * (1.0 - out),),
-    kernel=lambda x, a, out: stable_sigmoid(x[0], out=out),
-    needs_out=True,
-)
-_op(
     "relu",
     lambda x, a: x[0] * (x[0] > 0),
     lambda g, out, x, a, need: (g * (x[0] > 0),),
     kernel=lambda x, a, out: np.multiply(x[0], x[0] > 0, out=out),
-    needs_inputs=True,
-)
-
-
-def _leaky_mask(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x > 0, 1.0, slope)
-
-
-_op(
-    "leaky_relu",
-    lambda x, a: x[0] * _leaky_mask(x[0], a["negative_slope"]),
-    lambda g, out, x, a, need: (g * _leaky_mask(x[0], a["negative_slope"]),),
-    kernel=lambda x, a, out: np.multiply(
-        x[0], _leaky_mask(x[0], a["negative_slope"]), out=out
-    ),
     needs_inputs=True,
 )
 _op(
@@ -224,27 +165,6 @@ _op(
     kernel=lambda x, a, out: np.logaddexp(0.0, x[0], out=out),
     needs_inputs=True,
 )
-_op(
-    "clip",
-    lambda x, a: np.clip(x[0], a["low"], a["high"]),
-    lambda g, out, x, a, need: (
-        g * ((x[0] >= a["low"]) & (x[0] <= a["high"])),
-    ),
-    kernel=lambda x, a, out: np.clip(x[0], a["low"], a["high"], out=out),
-    needs_inputs=True,
-)
-
-
-def _where_fw(x, a):
-    return np.where(a["condition"], x[0], x[1])
-
-
-def _where_vjp(g, out, x, a, need):
-    cond = a["condition"]
-    return (g * cond, g * (~cond))
-
-
-_op("where", _where_fw, _where_vjp)
 
 
 # -- reductions --------------------------------------------------------
@@ -265,25 +185,6 @@ def _sum_vjp(g, out, x, a, need):
 
 
 _op("sum", _sum_fw, _sum_vjp, kernel=_sum_kernel)
-
-
-def _max_fw(x, a):
-    return x[0].max(axis=a["axis"], keepdims=a["keepdims"])
-
-
-def _max_vjp(g, out, x, a, need):
-    axis, keepdims = a["axis"], a["keepdims"]
-    data = x[0]
-    grad, full = g, out
-    if axis is not None and not keepdims:
-        grad = np.expand_dims(grad, axis=axis)
-        full = np.expand_dims(out, axis=axis)
-    mask = (data == full).astype(np.float64)
-    counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-    return ((mask / counts) * grad * np.ones(data.shape),)
-
-
-_op("max", _max_fw, _max_vjp, needs_out=True, needs_inputs=True)
 
 
 # -- linear algebra ----------------------------------------------------
@@ -327,50 +228,6 @@ def _getitem_vjp(g, out, x, a, need):
 
 
 _op("getitem", lambda x, a: x[0][a["idx"]], _getitem_vjp, view=True)
-
-
-def _pad2d_fw(x, a):
-    pad = a["pad"]
-    widths = [(0, 0)] * (x[0].ndim - 2) + [(pad, pad), (pad, pad)]
-    return np.pad(x[0], widths)
-
-
-def _pad2d_vjp(g, out, x, a, need):
-    pad = a["pad"]
-    slicer = tuple(
-        [slice(None)] * (x[0].ndim - 2) + [slice(pad, -pad), slice(pad, -pad)]
-    )
-    return (g[slicer],)
-
-
-_op("pad2d", _pad2d_fw, _pad2d_vjp)
-
-
-def _concat_vjp(g, out, x, a, need):
-    axis = a["axis"]
-    offsets = np.cumsum([0] + [arr.shape[axis] for arr in x])
-    grads = []
-    for start, stop in zip(offsets[:-1], offsets[1:]):
-        slicer = [slice(None)] * g.ndim
-        slicer[axis] = slice(int(start), int(stop))
-        grads.append(g[tuple(slicer)])
-    return tuple(grads)
-
-
-_op(
-    "concatenate",
-    lambda x, a: np.concatenate(x, axis=a["axis"]),
-    _concat_vjp,
-    kernel=lambda x, a, out: np.concatenate(x, axis=a["axis"], out=out),
-)
-_op(
-    "stack",
-    lambda x, a: np.stack(x, axis=a["axis"]),
-    lambda g, out, x, a, need: tuple(
-        np.take(g, i, axis=a["axis"]) for i in range(len(x))
-    ),
-    kernel=lambda x, a, out: np.stack(x, axis=a["axis"], out=out),
-)
 
 
 # -- convolutions ------------------------------------------------------

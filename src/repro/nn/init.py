@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kaiming_uniform", "xavier_uniform", "zeros_", "fan_in_and_out"]
+__all__ = ["kaiming_uniform", "fan_in_and_out"]
 
 
 def fan_in_and_out(shape) -> tuple:
@@ -22,14 +22,3 @@ def kaiming_uniform(shape, rng: np.random.Generator, gain: float = np.sqrt(2.0))
     fan_in, _ = fan_in_and_out(shape)
     bound = gain * np.sqrt(3.0 / max(fan_in, 1))
     return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot-uniform init: U(-b, b) with b = gain * sqrt(6 / (fan_in + fan_out))."""
-    fan_in, fan_out = fan_in_and_out(shape)
-    bound = gain * np.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def zeros_(shape) -> np.ndarray:
-    return np.zeros(shape)

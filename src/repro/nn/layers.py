@@ -22,12 +22,6 @@ __all__ = [
     "Conv2d",
     "ConvTranspose2d",
     "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
-    "Flatten",
-    "Dropout",
-    "LayerNorm",
     "Sequential",
     "MLP",
 ]
@@ -185,58 +179,6 @@ class ConvTranspose2d(Module):
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Flatten(Module):
-    """Flatten all but the batch dimension."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)
-
-
-class Dropout(Module):
-    def __init__(self, p: float, rng: np.random.Generator):
-        super().__init__()
-        self.p = p
-        self.rng = rng
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self.rng, training=self.training)
-
-
-class LayerNorm(Module):
-    """Layer normalization over the last axis."""
-
-    def __init__(self, normalized_shape: int, eps: float = 1e-5):
-        super().__init__()
-        self.eps = eps
-        self.weight = Tensor(np.ones(normalized_shape), requires_grad=True)
-        self.bias = Tensor(np.zeros(normalized_shape), requires_grad=True)
-
-    def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        normed = (x - mu) / (var + self.eps).sqrt()
-        return normed * self.weight + self.bias
 
 
 class Sequential(Module):

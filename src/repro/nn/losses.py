@@ -8,71 +8,41 @@ implemented here on top of :mod:`repro.nn.functional`:
 * the beta-weighted KL to the unit-Gaussian prior (:func:`kl_loss`),
 * squared error of the cost predictor (:func:`cost_prediction_loss`).
 
-Each supports per-sample weights so the weighted-retraining scheme of
-Tripp et al. (Eq. 2) plugs in directly.
+Each is a plain batch mean: weighted retraining (Eq. 2) enters through
+the minibatch sampler in :mod:`repro.core.training`, which draws rows
+by weight, not through the losses.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from . import functional as F
 from .tensor import Tensor
 
-__all__ = ["reconstruction_loss", "kl_loss", "cost_prediction_loss", "weighted_mean"]
+__all__ = ["reconstruction_loss", "kl_loss", "cost_prediction_loss"]
 
 
-def weighted_mean(per_sample: Tensor, weights: Optional[np.ndarray]) -> Tensor:
-    """Average per-sample losses under normalized ``weights``.
-
-    With ``weights=None`` this is a plain mean.  Weights are normalized to
-    sum to 1, so the loss scale is independent of batch size — important
-    because the rank weights of Eq. 2 vary over retraining rounds.
-    """
-    if weights is None:
-        return per_sample.mean()
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape[0] != per_sample.shape[0]:
-        raise ValueError(f"weights length {w.shape[0]} != batch {per_sample.shape[0]}")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weights must have positive sum")
-    return (per_sample * Tensor(w / total)).sum()
-
-
-def reconstruction_loss(
-    logits: Tensor, target_grid: Tensor, weights: Optional[np.ndarray] = None
-) -> Tensor:
+def reconstruction_loss(logits: Tensor, target_grid: Tensor) -> Tensor:
     """Negative Bernoulli log-likelihood of the decoded grid, per sample.
 
     ``logits`` and ``target_grid`` have shape (B, N, N) (or (B, ...)); the
     log-likelihood is summed over grid cells, matching the ELBO's
-    ``log p(x|z)`` term, then weighted-averaged over the batch.
+    ``log p(x|z)`` term, then averaged over the batch.
     """
-    per_cell = F.binary_cross_entropy_with_logits(logits, target_grid, reduction="none")
+    per_cell = F.binary_cross_entropy_with_logits(logits, target_grid)
     per_sample = per_cell.reshape(per_cell.shape[0], -1).sum(axis=1)
-    return weighted_mean(per_sample, weights)
+    return per_sample.mean()
 
 
-def kl_loss(mu: Tensor, logvar: Tensor, weights: Optional[np.ndarray] = None) -> Tensor:
-    """KL(q(z|x) || N(0,I)) summed over latent dims, weighted over batch."""
-    per_sample = F.gaussian_kl(mu, logvar, reduction="none")
-    return weighted_mean(per_sample, weights)
+def kl_loss(mu: Tensor, logvar: Tensor) -> Tensor:
+    """KL(q(z|x) || N(0,I)) summed over latent dims, averaged over batch."""
+    return F.gaussian_kl(mu, logvar).mean()
 
 
-def cost_prediction_loss(
-    predicted: Tensor, actual, weights: Optional[np.ndarray] = None
-) -> Tensor:
+def cost_prediction_loss(predicted: Tensor, actual: Tensor) -> Tensor:
     """Squared-error loss of the cost head, L_pi = (f_pi(z) - c)^2.
 
-    ``actual`` may be a numpy array or a :class:`Tensor` — the compiled
-    training step passes targets as tensors so they trace as inputs.
+    ``actual`` is a :class:`Tensor` so the compiled training step traces
+    the targets as an input.
     """
-    if isinstance(actual, Tensor):
-        target = actual.reshape(-1)
-    else:
-        target = Tensor(np.asarray(actual, dtype=np.float64).reshape(-1))
-    diff = predicted.reshape(-1) - target
-    return weighted_mean(diff * diff, weights)
+    diff = predicted.reshape(-1) - actual.reshape(-1)
+    return (diff * diff).mean()

@@ -1,31 +1,31 @@
-"""First-order optimizers and learning-rate schedules.
+"""The Adam optimizer and global gradient-norm clipping.
 
-The paper trains CircuitVAE with Adam (Sec. 4.1); :class:`Adam` here is a
-faithful numpy implementation, and :class:`SGD` is kept for tests and
-ablations.  Both operate in-place on the ``.data`` buffers of parameter
-tensors, reading gradients from ``.grad``.
+The paper trains CircuitVAE with Adam (Sec. 4.1), and the PrefixRL DQN
+uses it too; :class:`Adam` here is a faithful numpy implementation.  It
+updates the ``.data`` buffers of parameter tensors in place, reading
+gradients from ``.grad``.
 
-Updates are **arena-aware**: each optimizer keeps per-parameter scratch
-buffers and performs its whole update through ``out=`` ufuncs, so a
+Updates are **arena-aware**: Adam keeps per-parameter scratch buffers
+and performs its whole update through ``out=`` ufuncs, so a
 steady-state training step allocates nothing.  The scratch forms compute
 the exact same floating-point expressions (same association, only
 commuted multiplications) as the naive formulas, so results are
 bit-identical to the textbook implementation — this is load-bearing for
 the compiled-vs-eager training equivalence contract.
 
-Both optimizers expose ``state_dict()`` / ``load_state_dict()`` so
+Adam exposes ``state_dict()`` / ``load_state_dict()`` so
 training checkpoints can persist moments across process restarts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm", "CosineSchedule", "StepSchedule"]
+__all__ = ["Optimizer", "Adam", "clip_grad_norm"]
 
 
 class Optimizer:
@@ -61,50 +61,6 @@ class Optimizer:
                     f"parameter shape {buf.shape}"
                 )
             buf[...] = value
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        params: Iterable[Tensor],
-        lr: float = 1e-2,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = [np.empty_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, vel, scratch in zip(self.params, self._velocity, self._scratch):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                # grad + wd * p  (wd * p commuted: bit-identical)
-                np.multiply(p.data, self.weight_decay, out=scratch)
-                np.add(grad, scratch, out=scratch)
-                grad = scratch
-            if self.momentum:
-                vel *= self.momentum
-                vel += grad
-                grad = vel
-            np.multiply(grad, self.lr, out=scratch)
-            p.data -= scratch
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        state: Dict[str, np.ndarray] = {}
-        for i, vel in enumerate(self._velocity):
-            state[f"velocity{i}"] = vel.copy()
-        return state
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        self._load_arrays(self._velocity, state, "velocity")
 
 
 class Adam(Optimizer):
@@ -190,37 +146,3 @@ def clip_grad_norm(params: Iterable[Tensor], max_norm: float) -> float:
         for p in params:
             p.grad *= scale
     return total
-
-
-class CosineSchedule:
-    """Cosine-annealed learning rate from ``lr_max`` down to ``lr_min``."""
-
-    def __init__(self, optimizer: Optimizer, total_steps: int, lr_min: float = 0.0):
-        self.optimizer = optimizer
-        self.lr_max = optimizer.lr
-        self.lr_min = lr_min
-        self.total_steps = max(total_steps, 1)
-        self._t = 0
-
-    def step(self) -> float:
-        self._t = min(self._t + 1, self.total_steps)
-        frac = self._t / self.total_steps
-        lr = self.lr_min + 0.5 * (self.lr_max - self.lr_min) * (1 + np.cos(np.pi * frac))
-        self.optimizer.lr = lr
-        return lr
-
-
-class StepSchedule:
-    """Multiply the learning rate by ``gamma`` every ``step_size`` steps."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5):
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._t = 0
-
-    def step(self) -> float:
-        self._t += 1
-        if self._t % self.step_size == 0:
-            self.optimizer.lr *= self.gamma
-        return self.optimizer.lr

@@ -14,9 +14,8 @@ from typing import Dict
 import numpy as np
 
 from ..utils.io import atomic_write_bytes
-from .layers import Module
 
-__all__ = ["save_module", "load_module", "save_state", "load_state"]
+__all__ = ["save_state", "load_state"]
 
 
 def save_state(state: Dict[str, np.ndarray], path: str) -> None:
@@ -35,14 +34,3 @@ def save_state(state: Dict[str, np.ndarray], path: str) -> None:
 def load_state(path: str) -> Dict[str, np.ndarray]:
     with np.load(path) as archive:
         return {key: archive[key] for key in archive.files}
-
-
-def save_module(module: Module, path: str) -> None:
-    """Persist a module's parameters (atomic; see :func:`save_state`)."""
-    save_state(module.state_dict(), path)
-
-
-def load_module(module: Module, path: str) -> Module:
-    """Load parameters into ``module`` in place and return it."""
-    module.load_state_dict(load_state(path))
-    return module

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 import warnings
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,16 +38,7 @@ from .graph import OPS, active_trace
 
 Arrayish = Union["Tensor", np.ndarray, float, int]
 
-__all__ = [
-    "Tensor",
-    "tensor",
-    "zeros",
-    "ones",
-    "randn",
-    "no_grad",
-    "is_grad_enabled",
-    "apply",
-]
+__all__ = ["Tensor", "no_grad", "apply"]
 
 
 class _GradMode(threading.local):
@@ -78,11 +69,6 @@ class no_grad:
 
     def __exit__(self, *exc) -> None:
         _grad_mode.enabled = self._prev
-
-
-def is_grad_enabled() -> bool:
-    """Return whether operations currently record gradients."""
-    return _grad_mode.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -228,10 +214,6 @@ class Tensor:
         """Return the underlying array (no copy)."""
         return self.data
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
@@ -332,19 +314,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Arrayish) -> "Tensor":
-        return apply("div", (self, _ensure_tensor(other, self)))
-
-    def __rtruediv__(self, other: Arrayish) -> "Tensor":
-        return _ensure_tensor(other, self).__truediv__(self)
-
     def __neg__(self) -> "Tensor":
         return apply("neg", (self,))
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents are supported")
-        return apply("pow", (self,), {"exponent": exponent})
 
     # Comparison operators return plain boolean arrays (no gradient).
     def __gt__(self, other: Arrayish) -> np.ndarray:
@@ -365,32 +336,14 @@ class Tensor:
     def exp(self) -> "Tensor":
         return apply("exp", (self,))
 
-    def log(self) -> "Tensor":
-        return apply("log", (self,))
-
-    def sqrt(self) -> "Tensor":
-        return apply("sqrt", (self,))
-
     def abs(self) -> "Tensor":
         return apply("abs", (self,))
-
-    def tanh(self) -> "Tensor":
-        return apply("tanh", (self,))
-
-    def sigmoid(self) -> "Tensor":
-        return apply("sigmoid", (self,))
 
     def relu(self) -> "Tensor":
         return apply("relu", (self,))
 
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        return apply("leaky_relu", (self,), {"negative_slope": negative_slope})
-
     def softplus(self) -> "Tensor":
         return apply("softplus", (self,))
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        return apply("clip", (self,), {"low": low, "high": high})
 
     # ------------------------------------------------------------------
     # Reductions
@@ -405,21 +358,6 @@ class Tensor:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
             count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return apply("max", (self,), {"axis": axis, "keepdims": keepdims})
-
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
-        mu = self.mean(axis=axis, keepdims=True)
-        centered = self - mu
-        return (centered * centered).mean(axis=axis, keepdims=keepdims)
-
-    def logsumexp(self, axis: int = -1, keepdims: bool = False) -> "Tensor":
-        m = self.data.max(axis=axis, keepdims=True)
-        shifted = self - Tensor(m)
-        return shifted.exp().sum(axis=axis, keepdims=keepdims).log() + Tensor(
-            m if keepdims else np.squeeze(m, axis=axis)
-        )
 
     # ------------------------------------------------------------------
     # Linear algebra
@@ -452,12 +390,6 @@ class Tensor:
     def __getitem__(self, idx) -> "Tensor":
         return apply("getitem", (self,), {"idx": idx})
 
-    def pad2d(self, pad: int) -> "Tensor":
-        """Zero-pad the last two axes symmetrically by ``pad``."""
-        if pad == 0:
-            return self
-        return apply("pad2d", (self,), {"pad": pad})
-
 
 def _ensure_tensor(value: Arrayish, like: Optional[Tensor] = None) -> Tensor:
     """Coerce ``value`` into a Tensor.
@@ -472,58 +404,3 @@ def _ensure_tensor(value: Arrayish, like: Optional[Tensor] = None) -> Tensor:
     if like is not None:
         return Tensor(np.asarray(value, dtype=like.data.dtype))
     return Tensor(value)
-
-
-# ----------------------------------------------------------------------
-# Free functions (graph-aware)
-# ----------------------------------------------------------------------
-def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
-    """Create a :class:`Tensor` (convenience mirror of ``torch.tensor``)."""
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
-def zeros(*shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(*shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
-def randn(*shape, rng: Optional[np.random.Generator] = None, requires_grad: bool = False) -> Tensor:
-    rng = rng or np.random.default_rng()
-    return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
-
-
-def _first_tensor(values) -> Optional[Tensor]:
-    """The dtype anchor among mixed tensor/raw operands (see
-    :func:`_ensure_tensor`): the first actual Tensor, if any."""
-    for value in values:
-        if isinstance(value, Tensor):
-            return value
-    return None
-
-
-def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient support."""
-    tensors = list(tensors)
-    like = _first_tensor(tensors)
-    tensors = [_ensure_tensor(t, like) for t in tensors]
-    return apply("concatenate", tuple(tensors), {"axis": axis})
-
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient support."""
-    tensors = list(tensors)
-    like = _first_tensor(tensors)
-    tensors = [_ensure_tensor(t, like) for t in tensors]
-    return apply("stack", tuple(tensors), {"axis": axis})
-
-
-def where(condition: np.ndarray, a: Arrayish, b: Arrayish) -> Tensor:
-    """Differentiable ``np.where`` (condition is a plain boolean array)."""
-    like = _first_tensor((a, b))
-    a_t = _ensure_tensor(a, like)
-    b_t = _ensure_tensor(b, like)
-    cond = np.asarray(condition, dtype=bool)
-    return apply("where", (a_t, b_t), {"condition": cond})

@@ -34,7 +34,6 @@ from .report import (
     SpanNode,
     aggregate,
     build_tree,
-    counter_totals,
     coverage,
     follow_trace,
     render_hot_stages,
@@ -61,7 +60,6 @@ __all__ = [
     "SpanNode",
     "aggregate",
     "build_tree",
-    "counter_totals",
     "coverage",
     "follow_trace",
     "render_hot_stages",

@@ -34,7 +34,6 @@ __all__ = [
     "build_tree",
     "aggregate",
     "stage_totals",
-    "counter_totals",
     "coverage",
     "render_tree",
     "render_hot_stages",
@@ -138,15 +137,6 @@ def stage_totals(spans: List[Dict]) -> Dict[str, float]:
             continue
         name = span_dict["name"]
         totals[name] = totals.get(name, 0.0) + max(t1 - t0, 0.0)
-    return totals
-
-
-def counter_totals(spans: List[Dict]) -> Dict[str, float]:
-    """Sum every span-attached counter delta across the trace."""
-    totals: Dict[str, float] = {}
-    for span_dict in spans:
-        for name, amount in (span_dict.get("counters") or {}).items():
-            totals[name] = totals.get(name, 0.0) + amount
     return totals
 
 

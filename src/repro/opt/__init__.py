@@ -1,7 +1,7 @@
 """``repro.opt`` — simulator facade, budgets, run records and their persistence."""
 
 from .optimizer import SearchAlgorithm
-from .pareto import dominates, hypervolume_2d, pareto_evaluations, pareto_front
+from .pareto import dominates, pareto_front
 from .results import (
     RunRecord,
     aggregate_curves,
@@ -17,8 +17,6 @@ __all__ = [
     "SearchAlgorithm",
     "dominates",
     "pareto_front",
-    "pareto_evaluations",
-    "hypervolume_2d",
     "CircuitSimulator",
     "Evaluation",
     "BudgetExhausted",

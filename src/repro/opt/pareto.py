@@ -8,13 +8,9 @@ sweep of delay weights trace a Pareto frontier in (area, delay).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
-import numpy as np
-
-from .simulator import Evaluation
-
-__all__ = ["dominates", "pareto_front", "pareto_evaluations", "hypervolume_2d"]
+__all__ = ["dominates", "pareto_front"]
 
 Point = Tuple[float, float]
 
@@ -44,44 +40,3 @@ def pareto_front(points: Iterable[Point]) -> List[Point]:
             front.append((x, y))
             best_y = y
     return front
-
-
-def pareto_evaluations(evaluations: Sequence[Evaluation]) -> List[Evaluation]:
-    """Non-dominated evaluations by (area, delay), sorted by area."""
-    chosen: List[Evaluation] = []
-    for e in evaluations:
-        point = (e.area_um2, e.delay_ns)
-        if not any(
-            dominates((o.area_um2, o.delay_ns), point) for o in evaluations
-        ):
-            chosen.append(e)
-    # Deduplicate identical metric pairs, keep area order.
-    seen = set()
-    out = []
-    for e in sorted(chosen, key=lambda e: (e.area_um2, e.delay_ns)):
-        key = (round(e.area_um2, 9), round(e.delay_ns, 9))
-        if key not in seen:
-            seen.add(key)
-            out.append(e)
-    return out
-
-
-def hypervolume_2d(front: Sequence[Point], reference: Point) -> float:
-    """Dominated hypervolume (area between the front and a reference point).
-
-    The reference must be worse than every front point in both objectives;
-    larger hypervolume = better frontier.  Standard 2-D sweep.
-    """
-    front = pareto_front(front)
-    if not front:
-        return 0.0
-    rx, ry = reference
-    for x, y in front:
-        if x > rx + 1e-12 or y > ry + 1e-12:
-            raise ValueError("reference point must dominate no front point")
-    volume = 0.0
-    prev_y = ry
-    for x, y in front:
-        volume += (rx - x) * (prev_y - y)
-        prev_y = y
-    return volume

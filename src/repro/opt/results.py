@@ -71,10 +71,6 @@ class RunRecord:
     def num_simulations(self) -> int:
         return len(self.costs)
 
-    def best_curve(self) -> np.ndarray:
-        """Running minimum cost after each simulation."""
-        return np.minimum.accumulate(self.costs)
-
     def best_index(self) -> int:
         return int(np.argmin(self.costs))
 

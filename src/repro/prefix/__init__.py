@@ -10,8 +10,6 @@ from .encoding import (
     bits_to_graphs,
     free_cells,
     graph_to_bits,
-    graph_to_grid,
-    grid_to_graph,
     legalize_bits,
     num_free_cells,
     random_graph,
@@ -21,11 +19,8 @@ from .graph import PrefixGraph, Span
 from .io import graph_from_dict, graph_to_dict, load_designs, save_designs
 from .legalize import legalize, legalize_grid, legalize_grids, prune_redundant
 from .metrics import (
-    batch_depths,
     batch_levels,
-    batch_node_counts,
     depth,
-    fanout_histogram,
     hamming_distance,
     max_fanout,
     node_count,
@@ -84,18 +79,13 @@ __all__ = [
     "bits_to_graph",
     "bits_to_graphs",
     "legalize_bits",
-    "graph_to_grid",
-    "grid_to_graph",
     "random_graph",
     "unique_random_graphs",
     "node_count",
     "depth",
     "max_fanout",
-    "fanout_histogram",
     "hamming_distance",
     "structure_summary",
     "stacked_grids",
     "batch_levels",
-    "batch_depths",
-    "batch_node_counts",
 ]

@@ -29,8 +29,6 @@ __all__ = [
     "bits_to_graph",
     "bits_to_graphs",
     "legalize_bits",
-    "graph_to_grid",
-    "grid_to_graph",
     "random_graph",
     "unique_random_graphs",
 ]
@@ -105,16 +103,6 @@ def legalize_bits(bits: np.ndarray, n: int) -> np.ndarray:
     """
     rows, cols = _free_index(n)
     return _legal_grids(bits, n)[:, rows, cols]
-
-
-def graph_to_grid(graph: PrefixGraph) -> np.ndarray:
-    """Full N x N float32-compatible (0/1) matrix for the VAE."""
-    return graph.grid.astype(np.float64)
-
-
-def grid_to_graph(grid: np.ndarray, threshold: float = 0.5) -> PrefixGraph:
-    """Threshold a real-valued decoder grid and legalize it."""
-    return legalize(np.asarray(grid) > threshold)
 
 
 def random_graph(n: int, rng: np.random.Generator, density: float = 0.2) -> PrefixGraph:

@@ -5,9 +5,9 @@ converter), by the analytics in the benchmark harnesses, and as features in
 tests' sanity assertions (e.g. Kogge-Stone has unit fanout, Sklansky has
 fanout ~ n/2).
 
-The ``stacked_grids`` / ``batch_*`` helpers lift the per-graph metrics to
-whole populations: one ``(B, n, n)`` boolean array, iterated cell-by-cell
-with numpy doing the batch dimension.  :mod:`repro.synth.batched` builds
+``stacked_grids`` / ``batch_levels`` lift the per-graph level computation
+to whole populations: one ``(B, n, n)`` boolean array, iterated
+cell-by-cell with numpy doing the batch dimension.  :mod:`repro.synth.batched` builds
 its per-population topological orders from ``batch_levels`` instead of B
 separate ``PrefixGraph.levels()`` dictionaries.
 """
@@ -24,13 +24,10 @@ __all__ = [
     "node_count",
     "depth",
     "max_fanout",
-    "fanout_histogram",
     "hamming_distance",
     "structure_summary",
     "stacked_grids",
     "batch_levels",
-    "batch_depths",
-    "batch_node_counts",
 ]
 
 
@@ -47,14 +44,6 @@ def depth(graph: PrefixGraph) -> int:
 def max_fanout(graph: PrefixGraph) -> int:
     """Largest number of children any span feeds."""
     return max(graph.fanouts().values())
-
-
-def fanout_histogram(graph: PrefixGraph) -> Dict[int, int]:
-    """Histogram {fanout: count} over spans."""
-    hist: Dict[int, int] = {}
-    for fo in graph.fanouts().values():
-        hist[fo] = hist.get(fo, 0) + 1
-    return dict(sorted(hist.items()))
 
 
 def hamming_distance(a: PrefixGraph, b: PrefixGraph) -> int:
@@ -105,17 +94,6 @@ def batch_levels(grids: np.ndarray) -> np.ndarray:
         lower = levels[rows, k - 1, j]
         levels[:, i, j] = np.where(grids[:, i, j], np.maximum(upper, lower) + 1, 0)
     return levels
-
-
-def batch_depths(grids: np.ndarray) -> np.ndarray:
-    """Critical logical depth per graph in a stack (``(B,)`` int64)."""
-    return batch_levels(grids).max(axis=(1, 2))
-
-
-def batch_node_counts(grids: np.ndarray) -> np.ndarray:
-    """Prefix-operator count per graph in a stack (``(B,)`` int64)."""
-    grids = np.asarray(grids, dtype=bool)
-    return grids.sum(axis=(1, 2)) - grids.shape[1]
 
 
 def structure_summary(graph: PrefixGraph) -> Dict[str, float]:

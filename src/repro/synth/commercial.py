@@ -25,11 +25,10 @@ means in Fig. 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..prefix.graph import PrefixGraph
 from ..prefix.structures import STRUCTURES
-from .cost import cost_from_metrics
 from .library import Cell, CellLibrary
 from .physical import PhysicalResult, SynthesisOptions, synthesize
 from .timing import IOTiming
@@ -90,14 +89,3 @@ class CommercialTool:
             name: self.evaluate(builder(n), circuit_type="adder")
             for name, builder in STRUCTURES.items()
         }
-
-    def best_provided(self, n: int, delay_weight: float) -> Tuple[str, PhysicalResult]:
-        """The provided adder minimizing the scalar cost at ``delay_weight``."""
-        offerings = self.provided_adders(n)
-        name = min(
-            offerings,
-            key=lambda k: cost_from_metrics(
-                offerings[k].area_um2, offerings[k].delay_ns, delay_weight
-            ),
-        )
-        return name, offerings[name]

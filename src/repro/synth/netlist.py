@@ -213,26 +213,6 @@ class Netlist:
             values[gate.output] = _eval_function(gate.cell.function, pins)
         return {name: bool(values[net]) for name, net in self.primary_outputs.items()}
 
-    # ------------------------------------------------------------------
-    # Debug output
-    # ------------------------------------------------------------------
-    def to_verilog(self, module_name: str = "circuit") -> str:
-        """Emit a structural-Verilog-style dump (for inspection, not EDA)."""
-        lines = [f"module {module_name} ("]
-        ports = [f"  input {name}" for name in self.primary_inputs]
-        ports += [f"  output {name}" for name in self.primary_outputs]
-        lines.append(",\n".join(ports))
-        lines.append(");")
-        for gate in self.gates:
-            ins = ", ".join(f".{chr(ord('A') + p)}({self.net_names[n]})" for p, n in enumerate(gate.inputs))
-            lines.append(
-                f"  {gate.cell.name} g{gate.index} ({ins}, .Z({self.net_names[gate.output]}));"
-            )
-        for name, net in self.primary_outputs.items():
-            lines.append(f"  assign {name} = {self.net_names[net]};")
-        lines.append("endmodule")
-        return "\n".join(lines)
-
     def __repr__(self) -> str:
         return (
             f"Netlist({len(self.gates)} gates, {len(self.net_names)} nets, "

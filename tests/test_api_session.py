@@ -1,5 +1,6 @@
 """End-to-end tests for Session.run and the python -m repro CLI."""
 
+import json
 import os
 
 import numpy as np
@@ -249,7 +250,7 @@ class TestCLI:
         # two describe the same experiment — keep them pinned together.
         assert load_spec(TINY_SPEC_PATH) == bench_presets()["tiny"]
 
-    def test_invalid_flag_values_get_friendly_errors(self, capsys, monkeypatch):
+    def test_invalid_flag_values_get_friendly_errors(self, capsys, monkeypatch, tmp_path):
         assert main(["run", TINY_SPEC_PATH, "--workers", "0"]) == 2
         assert "workers" in capsys.readouterr().err
         monkeypatch.setenv("REPRO_ENGINE_WORKERS", "two")
@@ -258,6 +259,15 @@ class TestCLI:
         monkeypatch.delenv("REPRO_ENGINE_WORKERS")
         assert main(["bench", "tiny", "--parallel-seeds", "0"]) == 2
         assert "parallel_seeds" in capsys.readouterr().err
+        with open(TINY_SPEC_PATH) as handle:
+            payload = json.load(handle)
+        payload["budget"] = str(payload["budget"])
+        bad = tmp_path / "bad_type.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: budget must be int, got str")
+        assert len(err.strip().splitlines()) == 1
 
     def test_bad_inputs_exit_nonzero(self, tmp_path, capsys):
         assert main(["bench", "no-such-preset"]) == 2

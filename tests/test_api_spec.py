@@ -172,6 +172,81 @@ class TestValidation:
             EngineSpec(parallel_seeds=0)
 
 
+class TestFieldTypes:
+    """A JSON value of the wrong scalar type fails at spec time with the
+    dotted field, not as a TypeError inside the run."""
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            pytest.param(
+                {"budget": "10"}, "budget must be int, got str '10'", id="budget-str"
+            ),
+            pytest.param(
+                {"budget": True}, "budget must be int, got bool True", id="budget-bool"
+            ),
+            pytest.param(
+                {"task": {"n": "8"}}, "task.n must be int, got str '8'", id="task-n"
+            ),
+            pytest.param(
+                {"task": {"delay_weight": "0.5"}},
+                "task.delay_weight must be float",
+                id="task-delay-weight",
+            ),
+            pytest.param(
+                {"task": {"library": 45}},
+                "task.library must be str, got int 45",
+                id="task-library",
+            ),
+            pytest.param(
+                {"engine": {"workers": 1.5}},
+                "engine.workers must be int, got float 1.5",
+                id="engine-workers",
+            ),
+            pytest.param(
+                {"engine": {"parallel_seeds": False}},
+                "engine.parallel_seeds must be int",
+                id="engine-parallel-seeds",
+            ),
+            pytest.param(
+                {"seeds": [1, "2"]}, "seeds[1] must be int, got str '2'", id="seeds"
+            ),
+            pytest.param(
+                {"methods": [{"method": "GA", "params": {"population_size": "8"}}]},
+                "GA.population_size must be int, got str '8'",
+                id="ga-param",
+            ),
+            pytest.param(
+                {"methods": [{"method": "CircuitVAE", "params": {"train": {"epochs": 2.0}}}]},
+                "CircuitVAE.train.epochs must be int, got float 2.0",
+                id="nested-param",
+            ),
+            pytest.param(
+                {"methods": [{"method": "GA", "label": 3}]},
+                "methods.label must be str, got int 3",
+                id="method-label",
+            ),
+        ],
+    )
+    def test_wrong_scalar_type_names_the_field(self, payload, message):
+        with pytest.raises(ValueError) as info:
+            ExperimentSpec.from_dict({"name": "t", **payload})
+        assert str(info.value).startswith(message)
+
+    def test_int_fills_float_and_optional_takes_none(self):
+        spec = ExperimentSpec.from_dict(
+            {
+                "name": "t",
+                "task": {"n": 8, "delay_weight": 1, "io_profile": None},
+                "engine": {"workers": None},
+                "seeds": None,
+                "methods": [{"method": "GA", "params": {"mutation_rate": 0}}],
+            }
+        )
+        assert spec.task.delay_weight == 1
+        assert spec.engine.workers is None
+
+
 class TestTaskBuilding:
     def test_standard_adder_matches_builder(self):
         task = TaskSpec(circuit_type="adder", n=8, delay_weight=0.66).to_task()

@@ -32,13 +32,6 @@ class TestAdderTask:
         with pytest.raises(ValueError):
             CircuitTask("bad", n=8, delay_weight=0.5, circuit_type="multiplier")
 
-    def test_with_delay_weight(self):
-        task = adder_task(8, 0.33)
-        shifted = task.with_delay_weight(0.95)
-        assert shifted.delay_weight == 0.95
-        assert shifted.n == task.n
-        assert "w0.95" in shifted.name
-
     def test_cost_scales_with_omega(self):
         result = adder_task(8, 0.5).synthesize(sklansky(8))
         low = adder_task(8, 0.05).cost(result)

@@ -108,8 +108,8 @@ class TestPersistence:
     def test_state_dict_roundtrip(self, model, tmp_path):
         clone = CircuitVAEModel(model.config, np.random.default_rng(99))
         path = str(tmp_path / "vae.npz")
-        nn.save_module(model, path)
-        nn.load_module(clone, path)
+        nn.save_state(model.state_dict(), path)
+        clone.load_state_dict(nn.load_state(path))
         x = grids(8, 2)
         a_mu, _ = model.encode(x)
         b_mu, _ = clone.encode(x)

@@ -11,7 +11,9 @@ Plain :mod:`ast` scans of ``src/repro``, ``scripts/`` and ``benchmarks/``:
   runtime, but a typo'd stage or span silently opens a new series — and
   every registered span name keeps at least one call site;
 * mutable module/class state in code reached from more than one thread
-  carries a lock or ``thread-safe`` annotation comment.
+  carries a lock or ``thread-safe`` annotation comment;
+* (run, not scanned) every op in ``repro.nn.graph.OPS`` is applied by a
+  learner step.
 
 Each check is a function returning problem strings (``path:line: what``),
 so the seeded-violation fixtures exercise the same code the tree tests run.
@@ -622,3 +624,66 @@ class TestLoadSources:
         _write(tmp_path, "pkg/.hidden/junk.py", "x = (\n")
         _write(tmp_path, "pkg/ok.py", "x = 1\n")
         assert [s.rel for s in load_sources(str(tmp_path), ["pkg"])] == ["pkg/ok.py"]
+
+
+class TestOpRegistry:
+    def test_learners_apply_every_registered_op(self, monkeypatch):
+        """Every op in ``repro.nn.graph.OPS`` is applied by a learner.
+
+        Records :func:`repro.nn.tensor.apply` over one VAE training step,
+        one latent-search step, one decode and one PrefixRL Q-network MSE
+        step, then checks the recorded names against the registry: an op
+        no learner reaches has no reader and is deleted, like a
+        ``KNOWN_SPANS`` name without a call site.
+        ``test_nn_graph_compile.py::test_one_op_steps_cover_the_registry``
+        checks the other direction (every op has a one-op test step).
+        """
+        from collections import deque
+
+        import numpy as np
+
+        from repro import nn
+        from repro.baselines.rl import PrefixRL, QNetwork, RLConfig
+        from repro.core.dataset import CircuitDataset
+        from repro.core.search import SearchConfig, latent_gradient_search
+        from repro.core.training import TrainConfig, train_model
+        from repro.core.vae import CircuitVAEModel, VAEConfig
+        from repro.nn import functional, tensor
+        from repro.nn.graph import OPS
+        from repro.prefix import random_graph
+
+        applied = set()
+        apply = tensor.apply
+
+        def recording_apply(op_name, inputs, attrs=None):
+            applied.add(op_name)
+            return apply(op_name, inputs, attrs)
+
+        # functional imports ``apply`` by name, so patch both bindings.
+        monkeypatch.setattr(tensor, "apply", recording_apply)
+        monkeypatch.setattr(functional, "apply", recording_apply)
+
+        rng = np.random.default_rng(0)
+        n, latent_dim = 8, 4
+        dataset = CircuitDataset()
+        while len(dataset) < 8:
+            graph = random_graph(n, rng, rng.random() * 0.6)
+            dataset.add(graph, float(graph.node_count()))
+        model = CircuitVAEModel(
+            VAEConfig(n=n, latent_dim=latent_dim, base_channels=2, hidden_dim=8), rng
+        )
+        train_model(model, dataset, rng, TrainConfig(epochs=1, batch_size=8))
+        z = rng.standard_normal((2, latent_dim))
+        latent_gradient_search(model, z, rng, SearchConfig(num_steps=1, capture_every=1))
+        model.sample_designs(z, rng)
+
+        config = RLConfig(batch_size=2, base_channels=2, hidden_dim=8)
+        rl = PrefixRL(config)
+        num_actions = 4
+        rl.q_net = QNetwork(n, num_actions, config, rng)
+        rl.target_net = QNetwork(n, num_actions, config, rng)
+        grid = random_graph(n, rng).grid.astype(np.float64)
+        replay = deque([(grid, 1, 0.5, grid), (grid, 3, -0.5, grid)])
+        rl._train_step(replay, nn.Adam(rl.q_net.parameters()), rng)
+
+        assert applied == set(OPS)

@@ -70,8 +70,8 @@ class TestTrace:
         q = nn.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
 
         def step(actions, targets):
-            picked = q[np.arange(4), actions.data.astype(int)]
-            return {"loss": ((picked - targets) ** 2).sum()}
+            diff = q[np.arange(4), actions.data.astype(int)] - targets
+            return {"loss": (diff * diff).sum()}
 
         actions, targets = np.array([0.0, 1.0, 2.0, 0.0]), rng.standard_normal(4)
         eager = step(nn.Tensor(actions), nn.Tensor(targets))["loss"].item()
@@ -280,15 +280,9 @@ class TestShardedStep:
         assert nn.shard_slices(5, 1) == [slice(0, 5)]
 
 
-def _positive(shape):
-    return lambda rng: rng.random(shape) + 0.5
-
-
 def _normal(shape):
     return lambda rng: rng.standard_normal(shape)
 
-
-_COND = np.array([[True, False, True, False]] * 3)
 
 #: op name -> (parameter initializers, forward over the parameters).
 #: Broadcast operands exercise the unbroadcast path of the generic VJP.
@@ -296,38 +290,16 @@ _ONE_OP_STEPS = {
     "add": ((_normal((3, 4)), _normal((4,))), lambda a, b: a + b),
     "sub": ((_normal((3, 4)), _normal((3, 1))), lambda a, b: a - b),
     "mul": ((_normal((3, 4)), _normal((1, 4))), lambda a, b: a * b),
-    "div": ((_normal((3, 4)), _positive((3, 4))), lambda a, b: a / b),
     "neg": ((_normal((3, 4)),), lambda a: -a),
-    "pow": ((_positive((3, 4)),), lambda a: a ** 1.5),
     "exp": ((_normal((3, 4)),), lambda a: a.exp()),
-    "log": ((_positive((3, 4)),), lambda a: a.log()),
-    "sqrt": ((_positive((3, 4)),), lambda a: a.sqrt()),
     "abs": ((_normal((3, 4)),), lambda a: a.abs()),
-    "tanh": ((_normal((3, 4)),), lambda a: a.tanh()),
-    "sigmoid": ((_normal((3, 4)),), lambda a: a.sigmoid()),
     "relu": ((_normal((3, 4)),), lambda a: a.relu()),
-    "leaky_relu": ((_normal((3, 4)),), lambda a: a.leaky_relu(0.1)),
     "softplus": ((_normal((3, 4)),), lambda a: a.softplus()),
-    "clip": ((_normal((3, 4)),), lambda a: a.clip(-0.5, 0.5)),
-    "where": (
-        (_normal((3, 4)), _normal((3, 4))),
-        lambda a, b: nn.where(_COND, a, b),
-    ),
     "sum": ((_normal((3, 4)),), lambda a: a.sum(axis=1)),
-    "max": ((_normal((3, 4)),), lambda a: a.max(axis=0)),
     "matmul": ((_normal((3, 4)), _normal((4, 5))), lambda a, b: a @ b),
     "reshape": ((_normal((3, 4)),), lambda a: a.reshape(4, 3)),
     "transpose": ((_normal((3, 4)),), lambda a: a.transpose(1, 0)),
     "getitem": ((_normal((3, 4)),), lambda a: a[1:, ::2]),
-    "pad2d": ((_normal((2, 2, 3, 3)),), lambda a: a.pad2d(1)),
-    "concatenate": (
-        (_normal((3, 4)), _normal((3, 2))),
-        lambda a, b: nn.concatenate([a, b], axis=1),
-    ),
-    "stack": (
-        (_normal((3, 4)), _normal((3, 4))),
-        lambda a, b: nn.stack([a, b], axis=0),
-    ),
     "conv2d": (
         (_normal((2, 3, 6, 6)), _normal((4, 3, 3, 3))),
         lambda x, w: nn.functional.conv2d(x, w, stride=2, padding=1),
@@ -434,7 +406,8 @@ class TestCompilerRobustness:
 
         def fn():
             inner = F.conv2d(x, w, stride=1, padding=1)
-            return {"loss": (F.conv2d(inner, w, stride=1, padding=4) ** 2).sum()}
+            out = F.conv2d(inner, w, stride=1, padding=4)
+            return {"loss": (out * out).sum()}
 
         loss = fn()["loss"]
         loss.backward()
@@ -447,18 +420,3 @@ class TestCompilerRobustness:
             for tensor, eager in zip((x, w), eager_grads):
                 np.testing.assert_allclose(tensor.grad, eager, rtol=1e-10, atol=1e-12)
         assert step.stats.traces == 1 and step.stats.replays == 2
-
-    def test_scalar_branches_adopt_tensor_dtype_in_free_functions(self):
-        """where/concatenate/stack: raw operands adopt the tensor dtype."""
-        _promotion_warned[1][0] = False
-        import warnings
-
-        from repro.nn.tensor import concatenate, stack, where
-
-        f32 = nn.Tensor(np.ones(3, dtype=np.float32))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert where(np.array([True, False, True]), 0.0, f32).dtype == np.float32
-            assert where(np.array([True, False, True]), f32, 0.0).dtype == np.float32
-            assert concatenate([f32, [1.0, 2.0]]).dtype == np.float32
-            assert stack([[1.0, 1.0, 1.0], f32]).dtype == np.float32

@@ -14,7 +14,7 @@ class TestBCEWithLogits:
         logits = rng.standard_normal((4, 5))
         targets = (rng.random((4, 5)) > 0.5).astype(float)
         out = F.binary_cross_entropy_with_logits(
-            nn.Tensor(logits), nn.Tensor(targets), reduction="none"
+            nn.Tensor(logits), nn.Tensor(targets)
         ).numpy()
         p = 1 / (1 + np.exp(-logits))
         ref = -(targets * np.log(p) + (1 - targets) * np.log(1 - p))
@@ -23,29 +23,20 @@ class TestBCEWithLogits:
     def test_stable_at_extreme_logits(self):
         logits = nn.Tensor(np.array([1000.0, -1000.0]))
         targets = nn.Tensor(np.array([1.0, 0.0]))
-        out = F.binary_cross_entropy_with_logits(logits, targets, reduction="none").numpy()
+        out = F.binary_cross_entropy_with_logits(logits, targets).numpy()
         np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-12)
-
-    def test_reductions(self):
-        logits = nn.Tensor(np.zeros((2, 2)))
-        targets = nn.Tensor(np.ones((2, 2)))
-        mean = F.binary_cross_entropy_with_logits(logits, targets, "mean").item()
-        total = F.binary_cross_entropy_with_logits(logits, targets, "sum").item()
-        assert total == pytest.approx(mean * 4)
-        with pytest.raises(ValueError):
-            F.binary_cross_entropy_with_logits(logits, targets, "bogus")
 
 
 class TestGaussianKL:
     def test_zero_at_standard_normal(self):
         mu = nn.Tensor(np.zeros((3, 8)))
         logvar = nn.Tensor(np.zeros((3, 8)))
-        assert F.gaussian_kl(mu, logvar).item() == pytest.approx(0.0)
+        np.testing.assert_allclose(F.gaussian_kl(mu, logvar).numpy(), 0.0)
 
     def test_positive_elsewhere(self):
         mu = nn.Tensor(np.ones((2, 4)))
         logvar = nn.Tensor(np.full((2, 4), -1.0))
-        assert F.gaussian_kl(mu, logvar).item() > 0
+        assert (F.gaussian_kl(mu, logvar).numpy() > 0).all()
 
     def test_closed_form_value(self):
         # KL(N(1, e^0) || N(0,1)) per dim = 0.5 * (1 + 1 - 0 - 1) = 0.5
@@ -54,38 +45,7 @@ class TestGaussianKL:
         assert F.gaussian_kl(mu, logvar).item() == pytest.approx(2.0)
 
 
-class TestSoftmaxFamily:
-    def test_softmax_sums_to_one(self):
-        rng = np.random.default_rng(1)
-        out = F.softmax(nn.Tensor(rng.standard_normal((5, 7)))).numpy()
-        np.testing.assert_allclose(out.sum(axis=-1), 1.0)
-
-    def test_log_softmax_consistent(self):
-        rng = np.random.default_rng(2)
-        x = nn.Tensor(rng.standard_normal((3, 4)))
-        np.testing.assert_allclose(
-            F.log_softmax(x).numpy(), np.log(F.softmax(x).numpy()), rtol=1e-10
-        )
-
-
 class TestWeightedLosses:
-    def test_weighted_mean_uniform_equals_mean(self):
-        vals = nn.Tensor(np.array([1.0, 2.0, 3.0]))
-        out = losses.weighted_mean(vals, np.ones(3))
-        assert out.item() == pytest.approx(2.0)
-
-    def test_weighted_mean_respects_weights(self):
-        vals = nn.Tensor(np.array([1.0, 100.0]))
-        out = losses.weighted_mean(vals, np.array([1.0, 0.0]))
-        assert out.item() == pytest.approx(1.0)
-
-    def test_weighted_mean_validates(self):
-        vals = nn.Tensor(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            losses.weighted_mean(vals, np.ones(3))
-        with pytest.raises(ValueError):
-            losses.weighted_mean(vals, np.zeros(2))
-
     def test_reconstruction_loss_sums_cells(self):
         logits = nn.Tensor(np.zeros((2, 3, 3)))
         target = nn.Tensor(np.ones((2, 3, 3)))
@@ -95,7 +55,7 @@ class TestWeightedLosses:
 
     def test_cost_prediction_loss(self):
         pred = nn.Tensor(np.array([1.0, 2.0]))
-        out = losses.cost_prediction_loss(pred, np.array([0.0, 0.0]))
+        out = losses.cost_prediction_loss(pred, nn.Tensor(np.array([0.0, 0.0])))
         assert out.item() == pytest.approx((1.0 + 4.0) / 2)
 
     def test_mse_loss(self):

@@ -1,10 +1,10 @@
-"""Tests for optimizers and schedules (repro.nn.optim)."""
+"""Tests for Adam and gradient clipping (repro.nn.optim)."""
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.optim import Adam, CosineSchedule, SGD, StepSchedule, clip_grad_norm
+from repro.nn.optim import Adam, clip_grad_norm
 
 
 def quadratic_param():
@@ -20,29 +20,6 @@ def minimize(opt, param, steps=300):
     return np.abs(param.numpy()).max()
 
 
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        p = quadratic_param()
-        assert minimize(SGD([p], lr=0.1), p) < 1e-6
-
-    def test_momentum_accelerates(self):
-        p1, p2 = quadratic_param(), quadratic_param()
-        plain = minimize(SGD([p1], lr=0.01), p1, steps=50)
-        momentum = minimize(SGD([p2], lr=0.01, momentum=0.9), p2, steps=50)
-        assert momentum < plain
-
-    def test_weight_decay_shrinks(self):
-        p = nn.Tensor(np.array([1.0]), requires_grad=True)
-        opt = SGD([p], lr=0.1, weight_decay=1.0)
-        p.grad = np.zeros(1)
-        opt.step()
-        assert p.numpy()[0] == pytest.approx(0.9)
-
-    def test_empty_params_raises(self):
-        with pytest.raises(ValueError):
-            SGD([])
-
-
 class TestAdam:
     def test_converges_on_quadratic(self):
         p = quadratic_param()
@@ -55,6 +32,10 @@ class TestAdam:
         p.grad = np.array([123.0])
         opt.step()
         assert p.numpy()[0] == pytest.approx(1.0 - 0.05, abs=1e-6)
+
+    def test_empty_params_raises(self):
+        with pytest.raises(ValueError):
+            Adam([])
 
     def test_skips_none_grads(self):
         p = nn.Tensor(np.array([1.0]), requires_grad=True)
@@ -76,23 +57,3 @@ class TestClipping:
         p.grad = np.array([0.1, 0.1])
         clip_grad_norm([p], max_norm=10.0)
         np.testing.assert_allclose(p.grad, [0.1, 0.1])
-
-
-class TestSchedules:
-    def test_cosine_endpoints(self):
-        p = quadratic_param()
-        opt = SGD([p], lr=1.0)
-        sched = CosineSchedule(opt, total_steps=10, lr_min=0.0)
-        lrs = [sched.step() for _ in range(10)]
-        assert lrs[0] < 1.0
-        assert lrs[-1] == pytest.approx(0.0, abs=1e-12)
-        assert all(a >= b for a, b in zip(lrs[:-1], lrs[1:]))
-
-    def test_step_schedule_halves(self):
-        p = quadratic_param()
-        opt = SGD([p], lr=1.0)
-        sched = StepSchedule(opt, step_size=2, gamma=0.5)
-        sched.step()
-        assert opt.lr == 1.0
-        sched.step()
-        assert opt.lr == 0.5

@@ -30,12 +30,12 @@ class TestRoundTrip:
     def test_trained_vae_roundtrip_values_shapes_dtypes(self, tmp_path):
         model = trained_vae()
         path = str(tmp_path / "vae.npz")
-        nn.save_module(model, path)
+        nn.save_state(model.state_dict(), path)
         clone = CircuitVAEModel(
             VAEConfig(n=8, latent_dim=4, base_channels=4, hidden_dim=16),
             np.random.default_rng(99),
         )
-        nn.load_module(clone, path)
+        clone.load_state_dict(nn.load_state(path))
         for (name_a, p_a), (name_b, p_b) in zip(
             model.named_parameters(), clone.named_parameters()
         ):
@@ -47,7 +47,7 @@ class TestRoundTrip:
     def test_parameter_order_preserved(self, tmp_path):
         model = trained_vae()
         path = str(tmp_path / "vae.npz")
-        nn.save_module(model, path)
+        nn.save_state(model.state_dict(), path)
         loaded = nn.load_state(path)
         assert list(loaded) == [name for name, _ in model.named_parameters()]
 

@@ -16,7 +16,6 @@ from repro.obs import trace
 from repro.obs.report import (
     aggregate,
     build_tree,
-    counter_totals,
     coverage,
     follow_trace,
     render_hot_stages,
@@ -276,7 +275,8 @@ class TestReport:
         plain.finish(elapsed=4.0)
         spans = tracer.drain()
         assert stage_totals(spans) == {"synthesis": pytest.approx(3.0)}
-        assert counter_totals(spans) == {"queries": 3}
+        (counted,) = [s for s in spans if s["name"] == "not_a_stage"]
+        assert counted["counters"] == {"queries": 3}
 
     def test_render_tree_collapses_repeats(self):
         tracer = collect_tracer()

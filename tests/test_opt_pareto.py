@@ -1,13 +1,10 @@
 """Tests for Pareto utilities (repro.opt.pareto)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.opt.pareto import dominates, hypervolume_2d, pareto_evaluations, pareto_front
-from repro.opt.simulator import Evaluation
-from repro.prefix import sklansky
+from repro.opt.pareto import dominates, pareto_front
 
 
 class TestDominates:
@@ -49,40 +46,3 @@ class TestParetoFront:
         # Every input point is dominated-or-tied by some front member.
         for p in points:
             assert any(dominates(f, p, strict=False) for f in front)
-
-
-class TestParetoEvaluations:
-    def _ev(self, area, delay, cost=0.0):
-        return Evaluation(
-            graph=sklansky(8), cost=cost, area_um2=area, delay_ns=delay, sim_index=0
-        )
-
-    def test_filters_dominated(self):
-        evals = [self._ev(1, 5), self._ev(2, 2), self._ev(3, 3)]
-        front = pareto_evaluations(evals)
-        assert [(e.area_um2, e.delay_ns) for e in front] == [(1, 5), (2, 2)]
-
-    def test_deduplicates(self):
-        evals = [self._ev(1, 1), self._ev(1, 1)]
-        assert len(pareto_evaluations(evals)) == 1
-
-
-class TestHypervolume:
-    def test_single_point(self):
-        assert hypervolume_2d([(1, 1)], reference=(3, 3)) == pytest.approx(4.0)
-
-    def test_two_points(self):
-        # (1,2) and (2,1) vs ref (3,3): 2*1 + 1*1 + 1*1 = strips: (3-1)*(3-2)=2, (3-2)*(2-1)=1 -> 3
-        assert hypervolume_2d([(1, 2), (2, 1)], reference=(3, 3)) == pytest.approx(3.0)
-
-    def test_better_front_has_larger_volume(self):
-        good = hypervolume_2d([(1, 1)], reference=(4, 4))
-        bad = hypervolume_2d([(3, 3)], reference=(4, 4))
-        assert good > bad
-
-    def test_invalid_reference_raises(self):
-        with pytest.raises(ValueError):
-            hypervolume_2d([(5, 5)], reference=(3, 3))
-
-    def test_empty_front(self):
-        assert hypervolume_2d([], reference=(1, 1)) == 0.0

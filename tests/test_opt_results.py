@@ -26,10 +26,6 @@ def record(costs, method="X", seed=0):
 
 
 class TestRunRecord:
-    def test_best_curve_monotone(self):
-        r = record([5, 3, 4, 2, 6])
-        np.testing.assert_array_equal(r.best_curve(), [5, 3, 3, 2, 2])
-
     def test_best_metrics(self):
         r = record([5, 3, 4])
         cost, area, delay = r.best_metrics()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.circuits import adder_task
 from repro.opt import BudgetExhausted, CircuitSimulator
-from repro.prefix import brent_kung, graph_to_grid, ripple_carry, sklansky
+from repro.prefix import brent_kung, ripple_carry, sklansky
 
 
 @pytest.fixture
@@ -23,7 +23,7 @@ class TestCaching:
     def test_equivalent_encodings_share_entry(self, sim):
         sim.query(sklansky(8))
         # Same circuit arriving as a raw grid.
-        sim.query(graph_to_grid(sklansky(8)))
+        sim.query(sklansky(8).grid.astype(np.float64))
         assert sim.num_simulations == 1
 
     def test_legalization_applied_to_raw_grids(self, sim):

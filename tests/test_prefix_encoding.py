@@ -10,8 +10,6 @@ from repro.prefix import (
     bits_to_graphs,
     free_cells,
     graph_to_bits,
-    graph_to_grid,
-    grid_to_graph,
     legalize,
     legalize_bits,
     num_free_cells,
@@ -70,17 +68,6 @@ class TestRoundtrips:
         for graph, row in zip(graphs, legal):
             np.testing.assert_array_equal(graph_to_bits(graph), row)
         assert bits_to_graphs(legal, n) == graphs
-
-    def test_grid_roundtrip(self):
-        g = sklansky(8)
-        grid = graph_to_grid(g)
-        assert grid.dtype == np.float64
-        assert grid_to_graph(grid) == g
-
-    def test_grid_thresholding(self):
-        g = sklansky(8)
-        noisy = graph_to_grid(g) * 0.8 + 0.1  # 1 -> 0.9, 0 -> 0.1
-        assert grid_to_graph(noisy, threshold=0.5) == g
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(3, 16), density=st.floats(0, 1))

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.prefix import (
-    batch_depths,
     batch_levels,
-    batch_node_counts,
     brent_kung,
     depth,
-    fanout_histogram,
     hamming_distance,
     kogge_stone,
     max_fanout,
@@ -31,12 +28,6 @@ def test_node_count_and_depth_delegate():
 def test_kogge_stone_unit_span_fanout():
     # In KS every span feeds at most a few children; Sklansky roots feed many.
     assert max_fanout(kogge_stone(32)) < max_fanout(sklansky(32))
-
-
-def test_fanout_histogram_totals():
-    g = brent_kung(16)
-    hist = fanout_histogram(g)
-    assert sum(hist.values()) == len(g.nodes())
 
 
 def test_hamming_distance_zero_iff_equal():
@@ -99,14 +90,6 @@ class TestBatchMetrics:
             for (i, j), level in graph.levels().items():
                 expected[i, j] = level
             assert np.array_equal(levels[b], expected), b
-
-    def test_batch_depths_and_node_counts_match_scalar(self):
-        graphs = self.graphs()
-        stack = stacked_grids(graphs)
-        assert batch_depths(stack).tolist() == [g.depth() for g in graphs]
-        assert batch_node_counts(stack).tolist() == [
-            g.node_count() for g in graphs
-        ]
 
     def test_batch_levels_rejects_bad_shape(self):
         with pytest.raises(ValueError):

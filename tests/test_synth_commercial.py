@@ -37,12 +37,6 @@ def test_provided_adders_cover_classics(tool):
     assert all(r.area_um2 > 0 for r in offerings.values())
 
 
-def test_best_provided_depends_on_omega(tool):
-    name_area, _ = tool.best_provided(16, delay_weight=0.05)
-    name_delay, _ = tool.best_provided(16, delay_weight=0.95)
-    assert name_area != name_delay
-
-
 def test_deterministic(tool):
     a = tool.evaluate(sklansky(8))
     b = tool.evaluate(sklansky(8))

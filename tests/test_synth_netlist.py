@@ -110,14 +110,7 @@ class TestEvaluate:
             nl.evaluate({"a": 1})
 
 
-class TestVerilogDump:
-    def test_contains_ports_and_cells(self, lib):
-        nl, _ = small_netlist(lib)
-        text = nl.to_verilog("adder")
-        assert "module adder" in text
-        assert "AND2_X1" in text
-        assert "endmodule" in text
-
+class TestRepr:
     def test_repr(self, lib):
         nl, _ = small_netlist(lib)
         assert "2 gates" in repr(nl)
