@@ -6,7 +6,8 @@ do it:
 
 * records land at the **repo root** regardless of the pytest invocation
   directory (CI globs ``BENCH_*.json`` from the workspace root);
-* ``REPRO_BENCH_OUT`` names another directory to write them into;
+* ``REPRO_BENCH_OUT`` names another directory to write them into
+  (created if missing);
 * the write is atomic (temp file + ``os.replace`` in the destination
   directory), so a record is never observed half-written — benches run
   under ``REPRO_CACHE_DIR`` sharing may be re-invoked while a previous
@@ -36,7 +37,8 @@ def record_path(name: str) -> str:
 def write_record(name: str, stats: dict) -> str:
     """Atomically publish ``stats`` as ``BENCH_<name>.json``; returns the path."""
     path = record_path(name)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(
         prefix=f".BENCH_{name}.", suffix=".tmp", dir=directory
     )

@@ -26,12 +26,11 @@ import shutil
 import tempfile
 import time
 
-from repro.api import Session
-from repro.api.cli import bench_presets
+from repro.api import Session, load_spec
 from repro.obs import trace
 from repro.obs.sink import read_trace
 
-from _record import read_record, record_path, write_record
+from _record import REPO_ROOT, read_record, record_path, write_record
 from common import once
 
 OUT_PATH = record_path("obs_overhead")
@@ -58,7 +57,7 @@ def _null_span_seconds() -> float:
 
 
 def run_obs_overhead():
-    spec = bench_presets()["tiny"]
+    spec = load_spec(os.path.join(REPO_ROOT, "examples", "specs", "tiny.json"))
     saved_env = os.environ.get("REPRO_TRACE")
     tmp = tempfile.mkdtemp(prefix="bench_obs_")
     try:

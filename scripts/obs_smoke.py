@@ -2,7 +2,7 @@
 
 Proves the whole :mod:`repro.obs` pipeline through the real API:
 
-1. run the ``tiny`` preset durably (tracing is on by default for
+1. run ``examples/specs/tiny.json`` durably (tracing is on by default for
    durable runs), collecting the ``ExperimentStarted.trace_path`` from
    the event stream;
 2. read ``trace.jsonl`` back and run :func:`repro.obs.sink.validate_spans`
@@ -25,11 +25,16 @@ import os
 import sys
 import tempfile
 
-from repro.api import Session
-from repro.api.cli import bench_presets
+from repro.api import Session, load_spec
 from repro.api.events import ExperimentStarted
 from repro.obs.report import build_tree, coverage, stage_totals
 from repro.obs.sink import export_perfetto, read_trace, validate_spans
+
+
+TINY_SPEC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "examples", "specs", "tiny.json",
+)
 
 
 def main() -> int:
@@ -42,7 +47,7 @@ def main() -> int:
 
 
 def smoke(base) -> int:
-    spec = bench_presets()["tiny"]
+    spec = load_spec(TINY_SPEC)
     traced_dir = os.path.join(base, "traced")
     untraced_dir = os.path.join(base, "untraced")
 

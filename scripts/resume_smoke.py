@@ -33,9 +33,11 @@ import sys
 import tempfile
 import time
 
-from repro.api.cli import _tiny_vae_params
-
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+with open(os.path.join(REPO, "examples", "specs", "fig3-panel.json")) as _handle:
+    #: the reduced-scale CircuitVAE params of the checked-in fig3 panel.
+    TINY_VAE_PARAMS = json.load(_handle)["methods"][0]["params"]
 
 SPEC = {
     "name": "resume-smoke",
@@ -43,7 +45,7 @@ SPEC = {
     "methods": [
         {"method": "GA", "label": None, "params": {"population_size": 16}},
         {"method": "Random", "label": None, "params": {}},
-        {"method": "CircuitVAE", "label": None, "params": _tiny_vae_params()},
+        {"method": "CircuitVAE", "label": None, "params": TINY_VAE_PARAMS},
     ],
     "budget": 40,
     "num_seeds": 1,

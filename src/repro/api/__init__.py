@@ -35,9 +35,10 @@ same serializable description and get identical records back:
     and :class:`RunDirectory` (durable spec + incremental per-seed
     evaluation history + completion ledger + final records).
 ``cli``
-    ``python -m repro run spec.json`` / ``methods`` / ``bench <name>`` /
-    ``status <run_dir>`` with ``--workers/--cache-dir/--out/--out-dir/
-    --resume/--progress`` flags.
+    ``python -m repro run spec.json`` / ``methods`` / ``status <run_dir>``
+    / ``report`` with ``--workers/--cache-dir/--out/--out-dir/
+    --resume/--progress`` flags; the checked-in specs live under
+    ``examples/specs/``.
 
 Guarantees
 ----------
@@ -62,7 +63,6 @@ Quickstart
 """
 
 from .events import (
-    Checkpointed,
     EvaluationDone,
     ExperimentFinished,
     ExperimentStarted,
@@ -109,7 +109,6 @@ __all__ = [
     "ExperimentStarted",
     "SeedStarted",
     "EvaluationDone",
-    "Checkpointed",
     "SeedFinished",
     "ExperimentFinished",
 ]

@@ -1,6 +1,6 @@
 """``python -m repro`` — the command-line frontend over specs + sessions.
 
-Five subcommands:
+Four subcommands:
 
 ``run <spec.json>`` / ``run --resume <run_dir>``
     Load, validate and execute a declarative experiment spec; print the
@@ -23,11 +23,9 @@ Five subcommands:
 ``methods``
     List every registered method with its config fields and defaults
     (the vocabulary a spec's ``params`` may use).
-``bench <name>``
-    Run one of the built-in preset experiments (reduced-scale versions
-    of the paper's grid) without writing a spec file first; ``--list``
-    shows them, ``--dump-spec`` prints a preset as JSON to copy and
-    edit.
+
+Reduced-scale versions of the paper's grid are spec files under
+``examples/specs/`` and run with ``run``.
 
 ``--workers``, ``--cache-dir`` and ``--parallel-seeds`` override the
 spec's advisory :class:`~repro.api.spec.EngineSpec`; ``--out`` writes
@@ -41,7 +39,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..engine.pool import default_worker_count
 from ..utils.tables import format_median_iqr, format_table
@@ -55,81 +53,9 @@ from .events import (
 )
 from .rundir import RunDirectory
 from .session import Session
-from .spec import EngineSpec, ExperimentSpec, MethodSpec, TaskSpec, load_spec
+from .spec import EngineSpec, ExperimentSpec, load_spec
 
-__all__ = ["main", "bench_presets"]
-
-
-# ----------------------------------------------------------------------
-# Built-in preset experiments (reduced scale: seconds-to-minutes on CPU).
-# ----------------------------------------------------------------------
-def _tiny_vae_params() -> Dict[str, Any]:
-    return dict(
-        latent_dim=8,
-        base_channels=4,
-        hidden_dim=32,
-        initial_samples=16,
-        first_round_epochs=6,
-        train=dict(epochs=4, batch_size=16),
-        search=dict(num_parallel=6, num_steps=12, capture_every=6),
-    )
-
-
-def bench_presets() -> Dict[str, ExperimentSpec]:
-    """Named ready-to-run experiments for ``python -m repro bench``."""
-    vae = _tiny_vae_params()
-    return {
-        # The 4-bit design space holds only 7 unique legal graphs, so the
-        # budget must stay below that for budget-driven methods to exhaust.
-        "tiny": ExperimentSpec(
-            name="tiny",
-            task=TaskSpec(circuit_type="adder", n=4, delay_weight=0.66),
-            methods=(
-                MethodSpec("GA", params=dict(population_size=8)),
-                MethodSpec("Random"),
-            ),
-            budget=6,
-            num_seeds=2,
-            curve_points=3,
-        ),
-        "fig3-panel": ExperimentSpec(
-            name="fig3-panel",
-            task=TaskSpec(circuit_type="adder", n=8, delay_weight=0.33),
-            methods=(
-                MethodSpec("CircuitVAE", params=vae),
-                MethodSpec("GA", params=dict(population_size=16)),
-                MethodSpec("RL", params=dict(episode_length=12)),
-                MethodSpec(
-                    "BO",
-                    params=dict(
-                        vae=vae, batch_per_round=8, candidate_pool=64, gp_max_points=48
-                    ),
-                ),
-            ),
-            budget=60,
-            num_seeds=2,
-        ),
-        "fig7-gray": ExperimentSpec(
-            name="fig7-gray",
-            task=TaskSpec(circuit_type="gray", n=8, delay_weight=0.6),
-            methods=(
-                MethodSpec("CircuitVAE", params=vae),
-                MethodSpec("GA", params=dict(population_size=16)),
-            ),
-            budget=60,
-            num_seeds=2,
-        ),
-        "lzd": ExperimentSpec(
-            name="lzd",
-            task=TaskSpec(circuit_type="lzd", n=8, delay_weight=0.6),
-            methods=(
-                MethodSpec("GA", params=dict(population_size=16)),
-                MethodSpec("Random"),
-            ),
-            budget=40,
-            num_seeds=2,
-        ),
-    }
+__all__ = ["main"]
 
 
 # ----------------------------------------------------------------------
@@ -316,20 +242,7 @@ def _default_repr(field: dataclasses.Field) -> str:
     return "<required>"
 
 
-def _print_methods(as_json: bool) -> None:
-    if as_json:
-        payload = {}
-        for name in registry.available_methods():
-            entry = registry.get_method(name)
-            payload[name] = {
-                "config": entry.config_cls.__name__,
-                "params": {
-                    f.name: _default_repr(f)
-                    for f in dataclasses.fields(entry.config_cls)
-                },
-            }
-        print(json.dumps(payload, indent=2))
-        return
+def _print_methods() -> None:
     for name in registry.available_methods():
         entry = registry.get_method(name)
         print(f"{name}  ({entry.config_cls.__name__})")
@@ -424,17 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: <trace>.perfetto.json next to the trace)",
     )
 
-    methods_p = sub.add_parser("methods", help="list registered methods")
-    methods_p.add_argument("--json", action="store_true", help="machine-readable")
-
-    bench_p = sub.add_parser("bench", help="run a built-in preset experiment")
-    bench_p.add_argument("name", nargs="?", help="preset name (see --list)")
-    bench_p.add_argument("--list", action="store_true", help="list presets")
-    bench_p.add_argument(
-        "--dump-spec", action="store_true",
-        help="print the preset's JSON spec instead of running it",
-    )
-    _add_execution_flags(bench_p)
+    sub.add_parser("methods", help="list registered methods")
 
     return parser
 
@@ -471,7 +374,11 @@ def _execute(
     and the resume command is printed.  Returns a shell exit code.
     """
     printer = _ProgressPrinter() if progress else None
-    with Session.from_spec(engine) as session:
+    with Session(
+        cache_dir=engine.cache_dir,
+        workers=engine.workers,
+        parallel_seeds=engine.parallel_seeds,
+    ) as session:
         try:
             handle = (
                 session.resume(resume) if resume is not None
@@ -513,7 +420,7 @@ def _execute(
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "methods":
-        _print_methods(args.json)
+        _print_methods()
         return 0
 
     # Only spec/run-dir loading and validation get the friendly one-line
@@ -530,44 +437,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "report":
             _print_report(args)
             return 0
-        if args.command == "run":
-            if resume is not None:
-                if args.spec is not None:
-                    raise ValueError(
-                        "--resume takes its spec from the run directory; "
-                        "drop the spec argument"
-                    )
-                if args.out_dir is not None:
-                    raise ValueError(
-                        "--resume continues its own run directory; "
-                        "--out-dir cannot redirect it"
-                    )
-                # opened once; _execute resumes this same instance
-                resume = RunDirectory.open(resume)
-                spec = resume.spec()
-            elif args.spec is None:
-                raise ValueError("run needs a spec file (or --resume <run_dir>)")
-            else:
-                spec = load_spec(args.spec)
-        else:  # bench
-            presets = bench_presets()
-            if args.list or args.name is None:
-                for name, preset in sorted(presets.items()):
-                    task = preset.task
-                    print(
-                        f"{name}: {task.circuit_type}{task.n} @ w{task.delay_weight}, "
-                        f"{len(preset.methods)} methods, budget {preset.budget}"
-                    )
-                return 0
-            if args.name not in presets:
+        # run
+        if resume is not None:
+            if args.spec is not None:
                 raise ValueError(
-                    f"unknown preset {args.name!r}; "
-                    f"available: {', '.join(sorted(presets))}"
+                    "--resume takes its spec from the run directory; "
+                    "drop the spec argument"
                 )
-            spec = presets[args.name]
-            if args.dump_spec:
-                print(spec.to_json())
-                return 0
+            if args.out_dir is not None:
+                raise ValueError(
+                    "--resume continues its own run directory; "
+                    "--out-dir cannot redirect it"
+                )
+            # opened once; _execute resumes this same instance
+            resume = RunDirectory.open(resume)
+            spec = resume.spec()
+        elif args.spec is None:
+            raise ValueError("run needs a spec file (or --resume <run_dir>)")
+        else:
+            spec = load_spec(args.spec)
         engine = _effective_engine(spec, args)
     except (ValueError, OSError, json.JSONDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)

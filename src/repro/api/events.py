@@ -12,8 +12,8 @@ The stream of one run is always shaped::
     ExperimentStarted
       SeedStarted            (per unfinished cell)
         EvaluationDone       (per unique simulation, at the simulator
-        Checkpointed          query boundary; Checkpointed only when the
-                              run persists to a run directory)
+                              query boundary; in a durable run the
+                              cell's history line is already on disk)
       SeedFinished           (per cell — also for ledger-served cells,
                               with resumed=True and no SeedStarted)
     ExperimentFinished       (status: finished | interrupted | failed)
@@ -33,7 +33,6 @@ __all__ = [
     "ExperimentStarted",
     "SeedStarted",
     "EvaluationDone",
-    "Checkpointed",
     "SeedFinished",
     "ExperimentFinished",
 ]
@@ -75,7 +74,13 @@ class SeedStarted(RunEvent):
 
 @dataclass(frozen=True)
 class EvaluationDone(RunEvent):
-    """One unique simulation finished (the paper's unit of budget)."""
+    """One unique simulation finished (the paper's unit of budget).
+
+    With a run directory, the cell's history line for this evaluation
+    is durable before the event is emitted: interrupting (or killing)
+    the run after it loses nothing up to and including this evaluation,
+    and resume replays it without new synthesis.
+    """
 
     method: str
     seed: int
@@ -86,23 +91,6 @@ class EvaluationDone(RunEvent):
     delay_ns: float
     #: running minimum cost for this cell, this evaluation included.
     best_cost: float
-
-
-@dataclass(frozen=True)
-class Checkpointed(RunEvent):
-    """The cell's history line for the last evaluation is durable on disk.
-
-    Interrupting (or killing) the run after this event loses nothing up
-    to and including that evaluation: resume replays it from the run
-    directory without new synthesis.
-    """
-
-    method: str
-    seed: int
-    #: the cell's history JSONL file.
-    path: str
-    #: total evaluations durable for this cell in the current attempt.
-    evaluations: int = 0
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ drains.
 Interruption is cooperative and loss-free: :meth:`RunHandle.interrupt`
 raises :class:`~repro.opt.simulator.RunInterrupted` inside every
 in-flight seed at its next query boundary — *after* that query's
-evaluation has been recorded (and, with a run directory, checkpointed to
-disk) — so an interrupted run directory always resumes bit-identically.
+evaluation has been recorded (and, with a run directory, appended to the
+cell's history on disk) — so an interrupted run directory always resumes
+bit-identically.
 
 The handle also runs the grid itself: one cell function per (method,
 seed) wires a fresh simulator's query-boundary hooks to the event queue,
@@ -47,7 +48,6 @@ from ..opt.results import RunRecord
 from ..opt.simulator import BudgetExhausted, RunInterrupted
 from ..utils.threads import blas_budget, blas_thread_counts, usable_cores
 from .events import (
-    Checkpointed,
     EvaluationDone,
     ExperimentFinished,
     ExperimentStarted,
@@ -169,7 +169,7 @@ class RunHandle:
 
         Iterating drives nothing — the run progresses regardless — but
         is how a caller observes progress and reacts (e.g. calling
-        :meth:`interrupt` after a particular ``Checkpointed`` event).
+        :meth:`interrupt` after a particular ``EvaluationDone`` event).
         """
         while not self._stream_closed:
             event = self._queue.get()
@@ -263,7 +263,7 @@ class RunHandle:
 
     def _run_cell(self, method: str, seed: int, make_algorithm) -> RunRecord:
         """One (method, seed) cell: served from the ledger, or run on a
-        fresh simulator whose every new evaluation is checkpointed and
+        fresh simulator whose every new evaluation is persisted, then
         announced.  Only the thread driving the cell touches its locals.
         """
         self._check_interrupt()
@@ -293,9 +293,10 @@ class RunHandle:
 
             def on_evaluation(evaluation) -> None:
                 nonlocal best
-                # Persist before announcing: once the Checkpointed event is
-                # visible, the evaluation it covers must already be durable.
-                count = writer.append(evaluation) if writer is not None else 0
+                # Persist before announcing: once EvaluationDone is
+                # visible, the evaluation it covers is already durable.
+                if writer is not None:
+                    writer.append(evaluation)
                 best = min(best, evaluation.cost)
                 self._emit(
                     EvaluationDone(
@@ -308,15 +309,6 @@ class RunHandle:
                         best_cost=best,
                     )
                 )
-                if writer is not None:
-                    self._emit(
-                        Checkpointed(
-                            method=method,
-                            seed=seed,
-                            path=writer.history_path,
-                            evaluations=count,
-                        )
-                    )
                 self._check_interrupt()
 
             simulator.on_evaluation = on_evaluation

@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import numbers
 import typing
-import warnings
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 from ..baselines import (
@@ -91,24 +90,6 @@ def get_method(name: str) -> MethodEntry:
 # ----------------------------------------------------------------------
 # Params <-> config dataclasses
 # ----------------------------------------------------------------------
-def _field_types(config_cls: type) -> Dict[str, Any]:
-    """Resolved field annotations (configs use ``from __future__ import
-    annotations``, so raw ``field.type`` is a string)."""
-    try:
-        return typing.get_type_hints(config_cls)
-    except (NameError, TypeError) as error:
-        # Unresolvable forward refs (e.g. TYPE_CHECKING-only names in a
-        # config) degrade nested validation/materialization to
-        # pass-through — say so instead of failing silently.
-        warnings.warn(
-            f"cannot resolve field annotations of {config_cls.__name__} "
-            f"({error}); nested parameter validation is degraded",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return {}
-
-
 def _concrete_type(tp: Any) -> Any:
     """Strip ``Optional[...]`` so dataclass/graph fields are recognizable."""
     if typing.get_origin(tp) is Union:
@@ -167,7 +148,9 @@ def validate_params(
     fails at validation time with its dotted path, not at run time.
     """
     names = {f.name for f in dataclasses.fields(config_cls)}
-    types = _field_types(config_cls)
+    # Resolved annotations: configs use ``from __future__ import
+    # annotations``, so raw ``field.type`` is a string.
+    types = typing.get_type_hints(config_cls)
     for key, value in params.items():
         where = f"{context}.{key}" if context else key
         if key not in names:
@@ -193,7 +176,7 @@ def validate_params(
 def _materialize(
     config_cls: type, params: Mapping[str, Any], n: Optional[int], context: str
 ) -> Any:
-    types = _field_types(config_cls)
+    types = typing.get_type_hints(config_cls)
     kwargs: Dict[str, Any] = {}
     for key, value in params.items():
         where = f"{context}.{key}"

@@ -332,20 +332,17 @@ class RunCellWriter:
             atomic_write_text(
                 self.history_path, "".join(map(_history_line, self.recorded))
             )
-        self.evaluations = 0
         self._handle = open(self.history_path, "a")
 
-    def append(self, evaluation: Evaluation) -> int:
-        """Durably record one evaluation; returns the cell's line count.
+    def append(self, evaluation: Evaluation) -> None:
+        """Durably record one evaluation.
 
         A replayed evaluation (``sim_index`` within :attr:`recorded`) is
         already on disk and is not written again.
         """
-        self.evaluations += 1
         if evaluation.sim_index > len(self.recorded):
             self._handle.write(_history_line(evaluation))
             self._handle.flush()
-        return self.evaluations
 
     def finish(self, record: RunRecord) -> None:
         """Ledger the cell as complete and close its trail."""

@@ -40,7 +40,7 @@ from ..opt.results import RunRecord, aggregate_curves, median_iqr
 from .events import RunEvent
 from .registry import build_config, get_method
 from .rundir import RunDirectory
-from .spec import EngineSpec, ExperimentSpec
+from .spec import ExperimentSpec
 
 __all__ = ["Session", "ExperimentResult"]
 
@@ -146,17 +146,6 @@ class Session:
         )
         self.parallel_seeds = parallel_seeds
 
-    @classmethod
-    def from_spec(cls, engine_spec: EngineSpec) -> "Session":
-        """Build a session from an :class:`EngineSpec` (the CLI merges
-        its ``--cache-dir``/``--workers``/``--parallel-seeds`` flags into
-        the spec first)."""
-        return cls(
-            cache_dir=engine_spec.cache_dir,
-            workers=engine_spec.workers,
-            parallel_seeds=engine_spec.parallel_seeds,
-        )
-
     # ------------------------------------------------------------------
     @staticmethod
     def _resolve(spec: ExperimentSpec):
@@ -180,7 +169,8 @@ class Session:
         """Start one experiment in the background; returns its handle.
 
         With ``out_dir`` the run is durable: the spec, every seed's
-        evaluation history (checkpointed after each simulator query) and
+        evaluation history (each line written before its
+        ``EvaluationDone`` is emitted) and
         each finished cell's record land under that directory, so an
         interrupt — :meth:`RunHandle.interrupt`, Ctrl-C, or a kill —
         loses nothing and :meth:`resume` continues the run
@@ -193,7 +183,7 @@ class Session:
         :class:`~repro.opt.simulator.RunInterrupted` from it stops the
         raising seed deterministically at that exact boundary (and the
         rest of the run at their next ones) — e.g. an early-stop policy
-        after a particular ``Checkpointed`` — which the asynchronous
+        after a particular ``EvaluationDone`` — which the asynchronous
         :meth:`RunHandle.events` stream cannot guarantee.
         """
         from .handle import RunHandle

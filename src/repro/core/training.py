@@ -431,6 +431,6 @@ def report_training_round(simulator, stats: TrainStats, round_index: int) -> Non
     for label, seconds in sorted(stats.kernel_seconds.items()):
         name = "train_kernel:" + label
         telemetry.add_stage_time(name, seconds)
-        span = trace.start_span(name, attrs={"stage": True})
+        span = trace.span(name, attrs={"stage": True})
         span.set_attr("round", round_index)
         span.finish(elapsed=seconds)

@@ -20,9 +20,10 @@ adds the production machinery the ROADMAP's north star calls for:
     across multiprocessing workers when the batch is large enough.  Only
     metrics cross the process boundary; accounting stays in the parent.
 ``service``
-    :class:`EvaluationEngine` (shared cache + pool + in-flight claim
-    registry) and :class:`EngineSimulator`, the drop-in
-    ``CircuitSimulator`` facade that overrides only its synthesis hook.
+    :class:`EvaluationEngine` (shared cache + pool; one pass per batch:
+    cache lookup, one synthesis submission of the misses, cache put) and
+    :class:`EngineSimulator`, the drop-in ``CircuitSimulator`` facade
+    that overrides only its synthesis hook.
 ``telemetry``
     :class:`EngineTelemetry` — cache hit-rate, synthesis throughput and
     per-stage timers of one run, snapshotted into its ``RunRecord``.

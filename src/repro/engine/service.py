@@ -23,12 +23,17 @@ before any parallel work starts, so ``history``, ``num_simulations`` and
 workers, cold or against a warm disk cache.  A persistent-cache hit
 still charges the run's budget — the cache eliminates physical synthesis
 work, never paper-semantics accounting.
+
+:meth:`EvaluationEngine.evaluate` is one pass per batch: cache lookup,
+one ``pool.synthesize_batch`` of the misses, ``cache.put``.  Parallel
+seed threads that miss on the same design each synthesize it; the cache
+settles the duplicate put as last-writer-wins, exactly as it does for
+processes that share a cache directory, and both results are identical.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..circuits.task import CircuitTask
 from ..obs import trace
@@ -70,11 +75,6 @@ class EvaluationEngine:
             )
         self.cache = cache
         self.pool = pool if pool is not None else SynthesisPool(workers)
-        # In-flight synthesis registry: parallel seed threads that miss
-        # the cache on the same design wait for the first thread's result
-        # instead of synthesizing it again.
-        self._inflight_lock = threading.Lock()
-        self._inflight: Dict[Tuple[str, bytes], threading.Event] = {}
 
     # ------------------------------------------------------------------
     def simulator(
@@ -104,113 +104,43 @@ class EvaluationEngine:
         if fingerprint is None:
             fingerprint = task_fingerprint(task)
 
-        with trace.span("engine_evaluate") as span:
-            span.set_attr("batch", len(graphs))
-            return self._evaluate(task, graphs, telemetry, fingerprint, span)
-
-    def _evaluate(
-        self,
-        task: CircuitTask,
-        graphs: Sequence[PrefixGraph],
-        telemetry: EngineTelemetry,
-        fingerprint: str,
-        span,
-    ) -> List[Tuple[float, float, float]]:
-        """:meth:`evaluate`'s body, under an ``engine_evaluate`` span
-        (the shared no-op span when tracing is off)."""
         metrics: List[Optional[Metrics]] = [None] * len(graphs)
         missing: List[int] = []
-        for i, graph in enumerate(graphs):
-            hit = self.cache.get_with_origin(fingerprint, graph.key())
-            if hit is not None:
-                metrics[i], origin = hit
-                counter = "memory_hits" if origin == "memory" else "disk_hits"
-                span.add_counter(counter)
-                telemetry.add(counter)
-            else:
-                missing.append(i)
-        span.set_attr(
-            "outcome",
-            "hit" if not missing
-            else ("miss" if len(missing) == len(graphs) else "partial"),
-        )
-
-        # The claim loop: claim each missing key or find the thread
-        # already working on it, synthesize the claimed ones, wait for
-        # the rest, then rescan.  A key still missing after its owner
-        # finished (the owner's synthesis raised, or a memory-only cache
-        # evicted the entry) goes round again, so exactly one waiter
-        # reclaims it and the others wait on the new claimant.
-        while missing:
-            owned: List[int] = []
-            waited: List[Tuple[int, threading.Event]] = []
-            with self._inflight_lock:
-                for i in missing:
-                    flight_key = (fingerprint, graphs[i].key())
-                    event = self._inflight.get(flight_key)
-                    if event is None:
-                        self._inflight[flight_key] = threading.Event()
-                        owned.append(i)
-                    else:
-                        waited.append((i, event))
-
-            if owned:
-                try:
-                    # Re-check the cache under our claim: another thread
-                    # may have finished a design between our scan and the
-                    # claim (TOCTOU) — don't synthesize it twice.
-                    todo: List[int] = []
-                    for i in owned:
-                        hit = self.cache.get(fingerprint, graphs[i].key())
-                        if hit is not None:
-                            metrics[i] = hit
-                            span.add_counter("inflight_hits")
-                            telemetry.add("inflight_hits")
-                        else:
-                            todo.append(i)
-                    if todo:
-                        with stage(telemetry, "synthesis"):
-                            fresh = self.pool.synthesize_batch(
-                                task, [graphs[i] for i in todo]
-                            )
-                        # Counted after the batch returns, so a raised
-                        # synthesis doesn't skew hit-rate/throughput.
-                        span.add_counter("synth_calls", len(todo))
-                        telemetry.add("synth_calls", len(todo))
-                        telemetry.add("batches")
-                        telemetry.add("batch_designs", len(todo))
-                        for i, measured in zip(todo, fresh):
-                            self.cache.put(fingerprint, graphs[i].key(), measured)
-                            metrics[i] = measured
-                finally:
-                    # Release waiters even if synthesis raised; they retry.
-                    with self._inflight_lock:
-                        for i in owned:
-                            event = self._inflight.pop(
-                                (fingerprint, graphs[i].key()), None
-                            )
-                            if event is not None:
-                                event.set()
-
-            missing = []
-            for i, event in waited:
-                event.wait()
-                hit = self.cache.get(fingerprint, graphs[i].key())
+        # ``span`` is the shared no-op span when tracing is off.
+        with trace.span("engine_evaluate") as span:
+            span.set_attr("batch", len(graphs))
+            for i, graph in enumerate(graphs):
+                hit = self.cache.get_with_origin(fingerprint, graph.key())
                 if hit is not None:
-                    metrics[i] = hit
-                    span.add_counter("inflight_hits")
-                    telemetry.add("inflight_hits")
+                    metrics[i], origin = hit
+                    counter = "memory_hits" if origin == "memory" else "disk_hits"
+                    span.add_counter(counter)
+                    telemetry.add(counter)
                 else:
                     missing.append(i)
-
-        out: List[Tuple[float, float, float]] = []
-        for m in metrics:
-            assert m is not None
-            area_um2, delay_ns = m
-            out.append(
-                (cost_from_metrics(area_um2, delay_ns, task.delay_weight), area_um2, delay_ns)
+            span.set_attr(
+                "outcome",
+                "hit" if not missing
+                else ("miss" if len(missing) == len(graphs) else "partial"),
             )
-        return out
+            if missing:
+                with stage(telemetry, "synthesis"):
+                    fresh = self.pool.synthesize_batch(
+                        task, [graphs[i] for i in missing]
+                    )
+                # Counted after the batch returns, so a raised synthesis
+                # caches nothing and doesn't skew hit-rate/throughput.
+                span.add_counter("synth_calls", len(missing))
+                telemetry.add("synth_calls", len(missing))
+                telemetry.add("batches")
+                telemetry.add("batch_designs", len(missing))
+                for i, measured in zip(missing, fresh):
+                    self.cache.put(fingerprint, graphs[i].key(), measured)
+                    metrics[i] = measured
+            return [
+                (cost_from_metrics(area_um2, delay_ns, task.delay_weight), area_um2, delay_ns)
+                for area_um2, delay_ns in metrics
+            ]
 
     # ------------------------------------------------------------------
     def close(self) -> None:

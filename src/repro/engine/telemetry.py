@@ -111,10 +111,6 @@ class EngineTelemetry:
         Served from the shared persistent cache (RAM front / loaded from
         the on-disk store).  Both still charge the run's budget — the
         cache removes *physical synthesis work*, never accounting.
-    ``inflight_hits``
-        Served by waiting on another thread's concurrent synthesis of the
-        same design (parallel seeds).  Not a cache hit: the work happened,
-        just once, elsewhere.
     ``synth_calls``
         Designs that actually went through the physical-synthesis flow.
     ``budget_refusals``
@@ -134,7 +130,6 @@ class EngineTelemetry:
         "run_hits",
         "memory_hits",
         "disk_hits",
-        "inflight_hits",
         "synth_calls",
         "budget_refusals",
         "batches",

@@ -28,7 +28,6 @@ from .trace import (
     current_tracer,
     reset_in_child,
     span,
-    start_span,
 )
 from .report import (
     SpanNode,
@@ -56,7 +55,6 @@ __all__ = [
     "current_tracer",
     "reset_in_child",
     "span",
-    "start_span",
     "SpanNode",
     "aggregate",
     "build_tree",

@@ -54,7 +54,6 @@ __all__ = [
     "active",
     "current_tracer",
     "span",
-    "start_span",
     "reset_in_child",
 ]
 
@@ -373,13 +372,3 @@ def span(name: str, attrs: Optional[Dict] = None):
         return NULL_SPAN
     return tracer.span(name, attrs)
 
-
-def start_span(name: str, attrs: Optional[Dict] = None):
-    """Like :func:`span` but for manual :meth:`Span.finish` callers that
-    do not want the span on the thread stack (stage helpers impose their
-    own measured duration and never nest other work under themselves
-    after the fact)."""
-    tracer = _AMBIENT
-    if tracer is None:
-        return NULL_SPAN
-    return tracer.span(name, attrs)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.api import (
-    Checkpointed,
     EvaluationDone,
     ExperimentFinished,
     ExperimentStarted,
@@ -56,16 +55,16 @@ def tiny_spec(name="lifecycle", **overrides):
     return ExperimentSpec(**base)
 
 
-def stop_after_checkpoints(count):
+def stop_after_evaluations(count):
     """A synchronous on_event observer that interrupts deterministically
-    after the ``count``-th Checkpointed event."""
+    after the ``count``-th EvaluationDone event."""
     seen = {"n": 0}
 
     def observer(event):
-        if isinstance(event, Checkpointed):
+        if isinstance(event, EvaluationDone):
             seen["n"] += 1
             if seen["n"] >= count:
-                raise RunInterrupted(f"test stop after checkpoint {count}")
+                raise RunInterrupted(f"test stop after evaluation {count}")
 
     return observer
 
@@ -103,8 +102,6 @@ class TestEventStream:
             assert [e.sim_index for e in cell] == list(range(1, len(cell) + 1))
             running = np.minimum.accumulate([e.cost for e in cell])
             np.testing.assert_array_equal([e.best_cost for e in cell], running)
-        # in-memory run: no checkpoints
-        assert not any(isinstance(e, Checkpointed) for e in events)
 
     def test_streamed_records_match_blocking_run(self):
         spec = tiny_spec()
@@ -121,20 +118,28 @@ class TestRunDirectory:
     def test_layout_and_durability(self, tmp_path):
         spec = tiny_spec()
         out = str(tmp_path / "run")
+        durable_lines = []
+
+        def observer(event):
+            # Runs before the event is queued: the evaluation it
+            # announces must already be in the cell's history on disk.
+            if isinstance(event, EvaluationDone):
+                history = RunDirectory.open(out).load_history(event.method, event.seed)
+                durable_lines.append((len(history), event.sim_index))
+
         with Session() as session:
-            handle = session.submit(spec, out_dir=out)
-            events = list(handle.events())
-            result = handle.result()
+            result = session.submit(spec, out_dir=out, on_event=observer).result()
 
         run_dir = RunDirectory.open(out)
         assert run_dir.status == "finished"
         assert run_dir.spec() == spec
         assert result.run_dir == run_dir.path
 
-        # one Checkpointed per evaluation, each after its line is durable
-        checkpoints = [e for e in events if isinstance(e, Checkpointed)]
-        evaluations = [e for e in events if isinstance(e, EvaluationDone)]
-        assert len(checkpoints) == len(evaluations)
+        # each EvaluationDone is emitted after its history line is durable
+        assert len(durable_lines) == sum(
+            r.num_simulations for r in result.all_records()
+        )
+        assert all(lines == sim for lines, sim in durable_lines)
 
         for method_spec in spec.methods:
             name = method_spec.display_name
@@ -163,7 +168,7 @@ class TestRunDirectory:
         out = str(tmp_path / "run")
         with Session() as session:
             handle = session.submit(
-                tiny_spec(), out_dir=out, on_event=stop_after_checkpoints(3)
+                tiny_spec(), out_dir=out, on_event=stop_after_evaluations(3)
             )
             with pytest.raises(RunInterrupted):
                 handle.result()
@@ -191,7 +196,7 @@ def _tiny_vae_params(initial_samples=12):
     )
 
 
-# method name -> (MethodSpec, TaskSpec, budget, checkpoints before stop)
+# method name -> (MethodSpec, TaskSpec, budget, evaluations before stop)
 RESUME_CASES = {
     "GA": (
         MethodSpec("GA", params=dict(population_size=8)),
@@ -251,7 +256,7 @@ class TestInterruptResume:
         out = str(tmp_path / "run")
         with Session() as session:
             handle = session.submit(
-                spec, out_dir=out, on_event=stop_after_checkpoints(stop_at)
+                spec, out_dir=out, on_event=stop_after_evaluations(stop_at)
             )
             with pytest.raises(RunInterrupted, match="resume"):
                 handle.result()
@@ -298,7 +303,7 @@ class TestInterruptResume:
         out = str(tmp_path / "run")
         with Session() as session:
             handle = session.submit(
-                spec, out_dir=out, on_event=stop_after_checkpoints(8)
+                spec, out_dir=out, on_event=stop_after_evaluations(8)
             )
             with pytest.raises(RunInterrupted):
                 handle.result()
@@ -361,7 +366,7 @@ def _trail_bytes(out, name):
 def _interrupted_run(spec, out, stop_at):
     with Session() as session:
         handle = session.submit(
-            spec, out_dir=out, on_event=stop_after_checkpoints(stop_at)
+            spec, out_dir=out, on_event=stop_after_evaluations(stop_at)
         )
         with pytest.raises(RunInterrupted):
             handle.result()
@@ -388,7 +393,7 @@ class TestAppendOnlyTrail:
         # recorded prefix: the trail must not shrink below it.
         with Session() as session:
             handle = session.resume(
-                out, on_event=stop_after_checkpoints(stop_at // 2)
+                out, on_event=stop_after_evaluations(stop_at // 2)
             )
             with pytest.raises(RunInterrupted):
                 handle.result()
@@ -465,14 +470,14 @@ class TestInterruptBoundaries:
         with Session() as session:
             handle = session.submit(
                 tiny_spec(name="flag"), out_dir=out,
-                on_event=stop_after_checkpoints(2),
+                on_event=stop_after_evaluations(2),
             )
             events = list(handle.events())
             with pytest.raises(RunInterrupted):
                 handle.result()
             assert handle._interrupt.is_set()
-        checkpoints = [e for e in events if isinstance(e, Checkpointed)]
-        assert len(checkpoints) == 2  # the stopping checkpoint included
+        evaluations = [e for e in events if isinstance(e, EvaluationDone)]
+        assert len(evaluations) == 2  # the stopping evaluation included
         assert isinstance(events[-1], ExperimentFinished)
         assert events[-1].status == "interrupted"
 
@@ -582,7 +587,7 @@ class TestTrainingCheckpointsInRunDir:
         )
         files = sorted(os.listdir(train_dir))
         assert "round000.npz" in files and "round000.json" in files
-        assert any(isinstance(e, Checkpointed) for e in events)
+        assert any(isinstance(e, EvaluationDone) for e in events)
         # the training rounds are accounted in the record's telemetry
         assert record.telemetry["train_epochs"] > 0
         assert record.telemetry["train_epochs_skipped"] == 0
@@ -598,7 +603,7 @@ class TestTrainingCheckpointsInRunDir:
         out = str(tmp_path / "run")
         with Session() as session:
             handle = session.submit(
-                spec, out_dir=out, on_event=stop_after_checkpoints(16)
+                spec, out_dir=out, on_event=stop_after_evaluations(16)
             )
             with pytest.raises(RunInterrupted):
                 handle.result()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.api import ExperimentSpec, MethodSpec, Session, TaskSpec, load_spec
-from repro.api.cli import bench_presets, main
+from repro.api.cli import main
 from repro.api.events import EvaluationDone
 from repro.baselines import GAConfig, GeneticAlgorithm, RandomSearch
 from repro.circuits import adder_task
@@ -17,10 +17,11 @@ from repro.utils.threads import blas_thread_counts, usable_cores
 
 from helpers import VAE_PARAMS, run_serial_grid
 
-TINY_SPEC_PATH = os.path.join(
+SPECS_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "examples", "specs", "tiny.json",
+    "examples", "specs",
 )
+TINY_SPEC_PATH = os.path.join(SPECS_DIR, "tiny.json")
 
 
 def assert_bit_identical(record, reference):
@@ -225,30 +226,13 @@ class TestCLI:
             assert name in output
         assert "population_size" in output
 
-    def test_methods_json(self, capsys):
-        import json
-
-        assert main(["methods", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["GA"]["config"] == "GAConfig"
-
-    def test_bench_list_and_tiny(self, tmp_path, capsys):
-        assert main(["bench", "--list"]) == 0
-        assert "tiny" in capsys.readouterr().out
-        out = str(tmp_path / "bench.json")
-        assert main(["bench", "tiny", "--out", out]) == 0
-        capsys.readouterr()
-        assert len(load_records(out)) == 4  # 2 methods x 2 seeds
-
-    def test_bench_presets_validate(self):
-        for name, spec in bench_presets().items():
+    def test_checked_in_specs_load_and_round_trip(self):
+        names = sorted(os.listdir(SPECS_DIR))
+        assert "tiny.json" in names and "lzd.json" in names
+        for name in names:
+            spec = load_spec(os.path.join(SPECS_DIR, name))
             assert isinstance(spec, ExperimentSpec)
             assert ExperimentSpec.from_json(spec.to_json()) == spec
-
-    def test_checked_in_tiny_json_matches_tiny_preset(self):
-        # CI smoke, SKILL.md and the bit-identity tests all assume these
-        # two describe the same experiment — keep them pinned together.
-        assert load_spec(TINY_SPEC_PATH) == bench_presets()["tiny"]
 
     def test_invalid_flag_values_get_friendly_errors(self, capsys, monkeypatch, tmp_path):
         assert main(["run", TINY_SPEC_PATH, "--workers", "0"]) == 2
@@ -257,7 +241,7 @@ class TestCLI:
         assert main(["run", TINY_SPEC_PATH]) == 2
         assert "REPRO_ENGINE_WORKERS='two'" in capsys.readouterr().err
         monkeypatch.delenv("REPRO_ENGINE_WORKERS")
-        assert main(["bench", "tiny", "--parallel-seeds", "0"]) == 2
+        assert main(["run", TINY_SPEC_PATH, "--parallel-seeds", "0"]) == 2
         assert "parallel_seeds" in capsys.readouterr().err
         with open(TINY_SPEC_PATH) as handle:
             payload = json.load(handle)
@@ -270,8 +254,10 @@ class TestCLI:
         assert len(err.strip().splitlines()) == 1
 
     def test_bad_inputs_exit_nonzero(self, tmp_path, capsys):
-        assert main(["bench", "no-such-preset"]) == 2
-        assert "unknown preset" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "tiny"])  # no such subcommand
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
         bad = tmp_path / "bad.json"
         bad.write_text('{"name": "x", "unknown_key": 1}')
         assert main(["run", str(bad)]) == 2

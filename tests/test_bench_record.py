@@ -26,6 +26,14 @@ def test_bench_out_is_the_directory_records_land_in(tmp_path, monkeypatch):
     assert record.read_record("demo") == {"speedup": 2.5}
 
 
+def test_bench_out_directory_is_created_when_missing(tmp_path, monkeypatch):
+    out = tmp_path / "new" / "records"
+    monkeypatch.setenv("REPRO_BENCH_OUT", str(out))
+    path = _record_module().write_record("demo", {"speedup": 2.5})
+    assert path == str(out / "BENCH_demo.json")
+    assert os.listdir(out) == ["BENCH_demo.json"]
+
+
 def test_records_default_to_the_repo_root(monkeypatch):
     monkeypatch.delenv("REPRO_BENCH_OUT", raising=False)
     assert _record_module().record_path("demo") == os.path.join(ROOT, "BENCH_demo.json")

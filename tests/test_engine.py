@@ -500,68 +500,36 @@ class TestSerialEquivalence:
                     np.minimum.accumulate(record_e.costs),
                 )
 
-    def test_concurrent_threads_synthesize_each_design_once(self, task):
-        # In-flight dedup: threads that miss the cache on the same designs
-        # must share one synthesis, not race to duplicate it.
-        import threading
-
-        graphs = unique_graphs(16, 4)
+    def test_failed_synthesis_caches_nothing(self, task):
+        # A synthesis that raises leaves no cache entry and counts no
+        # synth_calls; the next evaluate of the same graphs synthesizes
+        # them.
+        graphs = unique_graphs(16, 2)
         telemetry = EngineTelemetry()
         with EvaluationEngine(workers=1) as engine:
-            barrier = threading.Barrier(2)
+            real_batch = engine.pool.synthesize_batch
+            calls = []
 
-            def worker():
-                barrier.wait()
+            def flaky_batch(task_, graphs_):
+                calls.append(len(graphs_))
+                if len(calls) == 1:
+                    raise RuntimeError("injected synthesis failure")
+                return real_batch(task_, graphs_)
+
+            engine.pool.synthesize_batch = flaky_batch
+            with pytest.raises(RuntimeError, match="injected"):
                 engine.evaluate(task, graphs, telemetry)
+            assert telemetry.synth_calls == 0
+            assert all(engine.cache.get_with_origin(
+                task_fingerprint(task), g.key()) is None for g in graphs)
 
-            threads = [threading.Thread(target=worker) for _ in range(2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            results = engine.evaluate(task, graphs, telemetry)
+        assert calls == [2, 2]  # the failed batch, then the retry
         assert telemetry.synth_calls == len(graphs)
-
-    def test_waiter_recovers_when_owner_synthesis_fails(self, task):
-        # The first synthesis raises while two other threads wait on its
-        # in-flight slot: exactly one of them reclaims the slot and
-        # synthesizes, the other is served its result.
-        import threading
-        import time
-
-        graphs = unique_graphs(16, 1)
-        engine = EvaluationEngine(workers=1)
-        real_batch = engine.pool.synthesize_batch
-        calls = []
-
-        def flaky_batch(task_, graphs_):
-            calls.append(len(graphs_))
-            if len(calls) == 1:
-                time.sleep(0.2)  # let the other threads queue behind us
-                raise RuntimeError("injected synthesis failure")
-            return real_batch(task_, graphs_)
-
-        engine.pool.synthesize_batch = flaky_batch
-        barrier = threading.Barrier(3)
-        outcomes = []
-
-        def worker():
-            barrier.wait()
-            try:
-                outcomes.append(engine.evaluate(task, graphs, EngineTelemetry())[0])
-            except RuntimeError:
-                outcomes.append("failed")
-
-        threads = [threading.Thread(target=worker) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive()  # no waiter left blocked
-        assert calls == [1, 1]  # the failed owner, then one reclaim
-        assert outcomes.count("failed") == 1, outcomes
-        served = [o for o in outcomes if o != "failed"]
-        assert len(served) == 2 and served[0] == served[1]
-        assert engine._inflight == {}  # registry fully drained
+        for (cost, area, delay), graph in zip(results, graphs):
+            reference = task.synthesize(graph)
+            assert (area, delay) == (reference.area_um2, reference.delay_ns)
+            assert cost == task.cost(reference)
 
     def test_unique_random_graphs_rejects_impossible_count(self):
         from repro.prefix import unique_random_graphs

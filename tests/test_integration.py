@@ -5,11 +5,12 @@ The runner-pipeline tests describe their grids as declarative
 :class:`repro.api.Session`.
 """
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.api import ExperimentSpec, MethodSpec, Session, TaskSpec
-from repro.api.cli import _tiny_vae_params
+from repro.api import ExperimentSpec, MethodSpec, Session, TaskSpec, load_spec
 from repro.api.registry import build_config, get_method
 from repro.circuits import gray_to_binary_task, realistic_adder_task
 from repro.core import CircuitVAEConfig, CircuitVAEOptimizer, SearchConfig, TrainConfig
@@ -17,6 +18,14 @@ from repro.opt import CircuitSimulator, aggregate_curves, vae_speedup
 from repro.synth import CommercialTool, scaled_library
 
 from helpers import VAE_PARAMS, eager_training, run_serial_grid
+
+#: the reduced-scale CircuitVAE params of examples/specs/fig3-panel.json.
+FIG3_VAE_PARAMS = load_spec(
+    os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "examples", "specs", "fig3-panel.json",
+    )
+).methods[0].params
 
 
 def vae_factory(_seed):
@@ -138,11 +147,11 @@ class TestKillSwitchParity:
         name="kill-switch-parity",
         task=TaskSpec(circuit_type="adder", n=8, delay_weight=0.33),
         methods=(
-            MethodSpec("CircuitVAE", params=_tiny_vae_params()),
+            MethodSpec("CircuitVAE", params=FIG3_VAE_PARAMS),
             MethodSpec(
                 "BO",
                 params=dict(
-                    vae=_tiny_vae_params(),
+                    vae=FIG3_VAE_PARAMS,
                     batch_per_round=8,
                     candidate_pool=64,
                     gp_max_points=48,

@@ -177,7 +177,7 @@ _TELEMETRY_METHODS = {
     "add": "counter",
     "add_stage_time": "stage",
 }
-_SPAN_CALLS = ("span", "start_span")
+_SPAN_CALLS = ("span",)
 
 
 def _telemetry_name(call: ast.Call) -> Optional[Tuple[str, str]]:
@@ -249,7 +249,7 @@ def unused_span_problems(
                 if found is not None and found[0] == "span":
                     used.add(found[1])
     return [
-        f"KNOWN_SPANS: {name!r} has no span(...)/start_span(...) call site"
+        f"KNOWN_SPANS: {name!r} has no span(...) call site"
         for name in sorted(set(known) - used)
     ]
 
@@ -486,7 +486,7 @@ class TestTelemetryNames:
                 telemetry.add_stage_time("train_kernel:matmul", 0.1)
                 with tracer.span("synthesize_chunk"):
                     pass
-                trace.start_span("seed")
+                trace.span("seed")
                 queue.add("anything")  # not a telemetry receiver
             """,
         )
@@ -508,7 +508,7 @@ class TestTelemetryNames:
             "s.py:3: unknown stage 'not_a_stage'"
         ]
 
-    def test_start_span_literal_fires(self, tmp_path):
+    def test_span_literal_fires(self, tmp_path):
         _write(
             tmp_path,
             "sp.py",
@@ -516,7 +516,7 @@ class TestTelemetryNames:
             from repro.obs import trace
             from repro.obs.trace import span
 
-            span_ = trace.start_span("typo")
+            span_ = trace.span("typo")
             with span("also_typo"):
                 pass
             """,
@@ -535,14 +535,14 @@ class TestTelemetryNames:
 
             with trace.span("seed"):
                 pass
-            tracer.start_span("synthesize").finish()
+            tracer.span("synthesize").finish()
             span_name = "gather"  # a bare string is not a call site
             """,
         )
         sources = _sources(tmp_path)
         assert unused_span_problems(sources, ["seed", "synthesize"]) == []
         assert unused_span_problems(sources, ["seed", "synthesize", "gather"]) == [
-            "KNOWN_SPANS: 'gather' has no span(...)/start_span(...) call site"
+            "KNOWN_SPANS: 'gather' has no span(...) call site"
         ]
 
     def test_registering_gather_again_fires_on_the_tree(self, tree):
@@ -550,7 +550,7 @@ class TestTelemetryNames:
 
         known = set(KNOWN_SPANS) | {"gather"}
         assert unused_span_problems(tree, known) == [
-            "KNOWN_SPANS: 'gather' has no span(...)/start_span(...) call site"
+            "KNOWN_SPANS: 'gather' has no span(...) call site"
         ]
 
 

@@ -108,8 +108,8 @@ class TestEvaluationHistory:
         evaluations = make_evaluations()
         writer = cell_writer(tmp_path)
         assert writer.recorded == []  # a first run replays nothing
-        assert writer.append(evaluations[0]) == 1
-        assert writer.append(evaluations[1]) == 2  # the cell's line count
+        writer.append(evaluations[0])
+        writer.append(evaluations[1])
         writer.close()
         loaded = load_evaluations(writer.history_path)
         assert len(loaded) == 2
@@ -139,7 +139,7 @@ class TestEvaluationHistory:
 
     def test_handle_is_closed_after_an_interrupted_cell(self, tmp_path, monkeypatch):
         from repro.api import (
-            Checkpointed,
+            EvaluationDone,
             ExperimentSpec,
             MethodSpec,
             Session,
@@ -157,7 +157,7 @@ class TestEvaluationHistory:
         monkeypatch.setattr(RunCellWriter, "__init__", tracking_init)
 
         def stop(event):
-            if isinstance(event, Checkpointed) and event.evaluations == 2:
+            if isinstance(event, EvaluationDone) and event.sim_index == 2:
                 raise RunInterrupted("test stop")
 
         spec = ExperimentSpec(
@@ -181,9 +181,9 @@ class TestEvaluationHistory:
         before = open(path).read()
         writer = cell_writer(tmp_path)
         assert [e.sim_index for e in writer.recorded] == [1]
-        assert writer.append(first) == 1  # replayed: already on disk
+        writer.append(first)  # replayed: already on disk
         assert open(path).read() == before
-        assert writer.append(second) == 2
+        writer.append(second)
         writer.close()
         assert [e.sim_index for e in load_evaluations(path)] == [1, 2]
 
