@@ -57,7 +57,7 @@ def run_table():
 def test_table1(benchmark):
     n, rows, checks = once(benchmark, run_table)
     print()
-    print(f"Table 1 (reproduced at {n}-bit, budget-limited; see EXPERIMENTS.md)")
+    print(f"Table 1 (reproduced at {n}-bit, budget-limited)")
     print(format_table(
         ["omega", "Alg.", "Cost", "Area (um2)", "Delay (ns)", "VAE speedup"], rows
     ))

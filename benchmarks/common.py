@@ -7,7 +7,7 @@ a 24-core simulation farm per run).  Set ``REPRO_SCALE=paper`` to run the
 full-size grid — identical code, larger constants.
 
 The qualitative comparisons (who wins at a budget, by what factor) are
-scale-stable; EXPERIMENTS.md records measured-vs-paper numbers.
+scale-stable.
 
 Benches describe their grids as :class:`repro.api.ExperimentSpec` values
 and run them through one process-wide :class:`repro.api.Session` — one

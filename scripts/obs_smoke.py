@@ -56,7 +56,7 @@ def smoke(base) -> int:
         result = session.run(
             spec,
             out_dir=traced_dir,
-            progress=lambda e: started.append(e)
+            on_event=lambda e: started.append(e)
             if isinstance(e, ExperimentStarted)
             else None,
         )

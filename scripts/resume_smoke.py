@@ -1,7 +1,7 @@
 """Resume smoke: SIGKILL a live run mid-checkpoint, resume, compare.
 
 The hardest crash the run-directory design must survive is not a polite
-``RunHandle.interrupt()`` but a ``kill -9`` while a seed is mid-write.
+``RunInterrupted`` or Ctrl-C but a ``kill -9`` while a seed is mid-write.
 This script proves it end to end through the real CLI:
 
 1. run the reference spec to completion in one process (``ref/``);

@@ -21,17 +21,15 @@ same serializable description and get identical records back:
 ``session``
     :class:`Session` owns one :class:`~repro.engine.EvaluationEngine`
     (persistent cache, worker pool, telemetry) so callers never pass raw
-    ``engine=`` handles; :meth:`Session.run` executes a spec and returns
-    an :class:`ExperimentResult` (records + aggregated curves +
-    telemetry snapshot).  :meth:`Session.submit` is the streaming form:
-    it returns a :class:`RunHandle` whose :meth:`~RunHandle.events`
-    stream typed :mod:`~repro.api.events` at simulator query boundaries
-    and which can be interrupted losslessly;
-    :meth:`Session.resume` continues an interrupted run directory
-    bit-identically.
+    ``engine=`` handles; :meth:`Session.run` executes a spec on the
+    calling thread and returns an :class:`ExperimentResult` (records +
+    aggregated curves + telemetry snapshot).  Its ``on_event`` observer
+    sees typed :mod:`~repro.api.events` at simulator query boundaries
+    and can stop the run losslessly; :meth:`Session.resume` continues an
+    interrupted run directory bit-identically.
 ``handle`` / ``events`` / ``rundir``
-    The job system under the session: :class:`RunHandle` (background
-    execution, event stream, interrupt), the typed event dataclasses,
+    The execution under the session: the grid executor (cells, seed
+    threads, interrupt flag, trace root), the typed event dataclasses,
     and :class:`RunDirectory` (durable spec + incremental per-seed
     evaluation history + completion ledger + final records).
 ``cli``
@@ -64,13 +62,11 @@ Quickstart
 
 from .events import (
     EvaluationDone,
-    ExperimentFinished,
     ExperimentStarted,
     RunEvent,
     SeedFinished,
     SeedStarted,
 )
-from .handle import RunHandle
 from .registry import (
     MethodEntry,
     available_methods,
@@ -103,12 +99,10 @@ __all__ = [
     "build_config",
     "Session",
     "ExperimentResult",
-    "RunHandle",
     "RunDirectory",
     "RunEvent",
     "ExperimentStarted",
     "SeedStarted",
     "EvaluationDone",
     "SeedFinished",
-    "ExperimentFinished",
 ]

@@ -62,29 +62,39 @@ __all__ = ["main"]
 # Output helpers
 # ----------------------------------------------------------------------
 class _ProgressPrinter:
-    """Folds the event stream into per-seed best-cost lines.
+    """Folds the run's events into per-seed best-cost lines.
 
     Prints a line when a seed starts/finishes and whenever its running
     best improves — enough to watch a long run converge without echoing
-    every checkpoint.
+    every checkpoint.  With ``echo=False`` it prints nothing and only
+    notes that the run started.  Seed threads call it concurrently, so
+    each line is written in one call and each seed keeps its own entry.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, echo: bool) -> None:
+        self._echo = echo
+        #: whether the run got past setup (spec, run directory, lock).
+        self.started = False
         self._best: Dict[Tuple[str, int], float] = {}
+
+    def _say(self, line: str) -> None:
+        if self._echo:
+            sys.stdout.write(line + "\n")
 
     def __call__(self, event: RunEvent) -> None:
         if isinstance(event, ExperimentStarted):
+            self.started = True
             where = f" -> {event.run_dir}" if event.run_dir else ""
             verb = "resuming" if event.resumed else "running"
-            print(f"{verb} {event.run_id}{where}")
+            self._say(f"{verb} {event.run_id}{where}")
         elif isinstance(event, SeedStarted):
             note = f" (replaying {event.replayed} recorded evals)" if event.replayed else ""
-            print(f"[{event.method} seed {event.seed}] started{note}")
+            self._say(f"[{event.method} seed {event.seed}] started{note}")
         elif isinstance(event, EvaluationDone):
             key = (event.method, event.seed)
             if event.best_cost < self._best.get(key, float("inf")):
                 self._best[key] = event.best_cost
-                print(
+                self._say(
                     f"[{event.method} seed {event.seed}] "
                     f"sim {event.sim_index}: best {event.best_cost:.4f}"
                 )
@@ -92,7 +102,7 @@ class _ProgressPrinter:
             record = event.record
             source = "ledger" if event.resumed else f"{record.num_simulations} sims"
             best = record.best_cost() if record.num_simulations else float("nan")
-            print(
+            self._say(
                 f"[{event.method} seed {event.seed}] finished "
                 f"({source}), best {best:.4f}"
             )
@@ -369,50 +379,42 @@ def _execute(
 ) -> int:
     """Run (or resume) one experiment and print the outcome.
 
-    Ctrl-C is first-class: the run is asked to stop at its next query
-    boundary, allowed to settle (so the run directory stays consistent),
-    and the resume command is printed.  Returns a shell exit code.
+    Ctrl-C is first-class: the run settles as ``interrupted`` (so the
+    run directory stays consistent) and the resume command is printed.
+    Returns a shell exit code.
     """
-    printer = _ProgressPrinter() if progress else None
+    printer = _ProgressPrinter(echo=progress)
     with Session(
         cache_dir=engine.cache_dir,
         workers=engine.workers,
         parallel_seeds=engine.parallel_seeds,
     ) as session:
         try:
-            handle = (
-                session.resume(resume) if resume is not None
-                else session.submit(spec, out_dir=out_dir)
+            result = (
+                session.resume(resume, on_event=printer)
+                if resume is not None
+                else session.run(spec, out_dir=out_dir, on_event=printer)
             )
         except ValueError as error:
+            if printer.started:
+                raise  # a failure during execution keeps its traceback
             # e.g. --out-dir pointing at a directory that already holds
             # a run: validation, so it gets the friendly one-liner.
             print(f"error: {error}", file=sys.stderr)
             return 2
-        try:
-            for event in handle.events():
-                if printer is not None:
-                    printer(event)
         except KeyboardInterrupt:
-            handle.interrupt()
-            handle.wait()
-            # The run may have settled (finished or failed) before the
-            # interrupt landed; only a genuinely interrupted run gets
-            # the resume hint — otherwise report the real outcome below.
-            if handle.status == "interrupted":
-                if handle.run_dir_path:
-                    print(
-                        f"\ninterrupted — continue with:\n"
-                        f"  python -m repro run --resume {handle.run_dir_path}",
-                        file=sys.stderr,
-                    )
-                else:
-                    print(
-                        "\ninterrupted (no run directory; nothing kept)",
-                        file=sys.stderr,
-                    )
-                return 130
-        result = handle.result()
+            if not printer.started:
+                raise
+            where = resume.path if resume is not None else out_dir
+            if where is not None:
+                print(
+                    f"\ninterrupted — continue with:\n"
+                    f"  python -m repro run --resume {os.path.abspath(where)}",
+                    file=sys.stderr,
+                )
+            else:
+                print("\ninterrupted (no run directory; nothing kept)", file=sys.stderr)
+            return 130
     _print_result(result, out)
     return 0
 

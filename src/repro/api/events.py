@@ -1,13 +1,13 @@
-"""Typed events streamed by a :class:`~repro.api.handle.RunHandle`.
+"""Typed events a running experiment emits to its ``on_event`` observer.
 
-A submitted experiment is observable while it runs: every event below is
-emitted at a well-defined boundary and carries plain data, so a reader —
-the CLI's ``--progress`` printer, an ``on_event`` callback, a test — can
-fold the stream however it likes.  Events arrive in
-causal order per (method, seed) cell; with ``parallel_seeds > 1`` the
-cells interleave.
+An experiment is observable while it runs: every event below is
+emitted at a well-defined boundary and carries plain data, so an
+observer — the CLI's ``--progress`` printer, an early-stop policy, a
+test — can fold the events however it likes.  Events arrive in causal
+order per (method, seed) cell; with ``parallel_seeds > 1`` the cells
+interleave.
 
-The stream of one run is always shaped::
+The events of one run are always shaped::
 
     ExperimentStarted
       SeedStarted            (per unfinished cell)
@@ -16,7 +16,9 @@ The stream of one run is always shaped::
                               cell's history line is already on disk)
       SeedFinished           (per cell — also for ledger-served cells,
                               with resumed=True and no SeedStarted)
-    ExperimentFinished       (status: finished | interrupted | failed)
+
+The outcome is what :meth:`repro.api.Session.run` returns or raises; a
+durable run also records it in ``run.json``.
 """
 
 from __future__ import annotations
@@ -34,18 +36,17 @@ __all__ = [
     "SeedStarted",
     "EvaluationDone",
     "SeedFinished",
-    "ExperimentFinished",
 ]
 
 
 @dataclass(frozen=True)
 class RunEvent:
-    """Base class of everything a run stream yields."""
+    """Base class of everything a run emits."""
 
 
 @dataclass(frozen=True)
 class ExperimentStarted(RunEvent):
-    """The run thread is up; the grid is about to execute."""
+    """The run is set up; the grid is about to execute."""
 
     run_id: str
     #: the durable run directory, or None for an in-memory run.
@@ -104,12 +105,3 @@ class SeedFinished(RunEvent):
     #: completion ledger (the cell finished in a previous attempt).
     resumed: bool = False
 
-
-@dataclass(frozen=True)
-class ExperimentFinished(RunEvent):
-    """Terminal event: exactly one per stream, always the last."""
-
-    run_id: str
-    #: ``finished`` | ``interrupted`` | ``failed``.
-    status: str
-    run_dir: Optional[str] = None

@@ -1,4 +1,4 @@
-"""Durable run directories: the on-disk form of a submitted experiment.
+"""Durable run directories: the on-disk form of a running experiment.
 
 A run directory makes a long (method x seed) grid crash-safe and
 resumable.  Layout::
@@ -6,6 +6,8 @@ resumable.  Layout::
     <run_dir>/
         spec.json                     the ExperimentSpec (atomic)
         run.json                      {format, run_id, status} (atomic)
+        lock.json                     {pid} of the executing process
+                                      (atomic; removed when the run settles)
         records.json                  final combined records (atomic)
         trace.jsonl                   span stream (appended + flushed per
                                       span; absent with REPRO_TRACE=0)
@@ -14,6 +16,8 @@ resumable.  Layout::
             history.jsonl             evaluation trail, appended + flushed
                                       after every simulator query
             record.json               final RunRecord = completion ledger
+            train/                    per-round training checkpoints of
+                                      model-based methods (atomic pairs)
 
 Design notes
 ------------
@@ -21,13 +25,15 @@ Design notes
   :mod:`repro.utils.io`); the only incrementally-written files are the
   history JSONLs, whose readers tolerate a truncated final line.  A
   running cell keeps its trail open in one handle, flushed per line.
-* **The history is the whole checkpoint.**  No rng or optimizer state is
-  serialized: every registered method is deterministic given (seed,
-  evaluation history), so resume re-runs the algorithm from its seed
-  while the recorded evaluations are served from a warm cache —
-  bit-identical, with zero new synthesis for anything already recorded.
-  The budget state is likewise implied: evaluations recorded = budget
-  consumed.
+* **The history is the whole correctness checkpoint.**  Every registered
+  method is deterministic given (seed, evaluation history), so resume
+  re-runs the algorithm from its seed while the recorded evaluations are
+  served from a warm cache — bit-identical, with zero new synthesis for
+  anything already recorded.  The budget state is likewise implied:
+  evaluations recorded = budget consumed.  ``train/`` holds model,
+  optimizer and rng state (:mod:`repro.core.training`), but only so a
+  resume can skip re-training: deleting it changes wall-clock, never
+  records.
 * **record.json is the completion ledger.**  Its presence marks a cell
   finished; resume serves such cells straight from disk.  An interrupted
   cell has history lines but no record, and is the only kind of cell a
@@ -99,9 +105,7 @@ class RunDirectory:
     # Creation / opening
     # ------------------------------------------------------------------
     @classmethod
-    def create(
-        cls, path: str, spec: ExperimentSpec, run_id: Optional[str] = None
-    ) -> "RunDirectory":
+    def create(cls, path: str, spec: ExperimentSpec) -> "RunDirectory":
         """Initialize a fresh run directory for ``spec``.
 
         Refuses a directory that already holds a run (resume it
@@ -120,7 +124,7 @@ class RunDirectory:
             run_dir._run_path(),
             {
                 "format": _RUN_FORMAT,
-                "run_id": run_id if run_id is not None else f"run-{uuid.uuid4().hex[:12]}",
+                "run_id": f"run-{uuid.uuid4().hex[:12]}",
                 "status": "created",
             },
             indent=2,
@@ -168,7 +172,7 @@ class RunDirectory:
         """Advisory single-writer guard for the execution lifetime.
 
         Two live processes appending to the same cell trails would
-        silently lose each other's evaluations, so submit/resume refuse
+        silently lose each other's evaluations, so run/resume refuse
         a directory whose lock names a still-running process.  A stale
         lock (dead pid — e.g. the SIGKILLed run a resume is exactly
         for — or an unreadable file) is stolen with a

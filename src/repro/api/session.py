@@ -8,20 +8,18 @@ never thread raw ``engine=`` handles through their code.  Any number of
 experiments can run on one session and share cache entries; closing the
 session (or using it as a context manager) shuts the worker pool down.
 
-Execution has job lifecycle semantics:
+Execution runs on the caller's thread and returns the result:
 
-* :meth:`Session.submit` resolves every method through the registry
+* :meth:`Session.run` resolves every method through the registry
   (fail-fast, before any synthesis), optionally creates a durable run
-  directory (:mod:`repro.api.rundir`), and returns a
-  :class:`~repro.api.handle.RunHandle` streaming typed events
-  (:mod:`repro.api.events`) while the grid executes in the background.
+  directory (:mod:`repro.api.rundir`), executes the grid and returns an
+  :class:`ExperimentResult`.  ``on_event`` observes the typed events of
+  :mod:`repro.api.events` as they happen and may stop the run.
 * :meth:`Session.resume` reopens an interrupted run directory and
   continues only its unfinished (method, seed) cells — finished cells
   are served from the completion ledger, partial cells replay their
   recorded evaluation history through the engine's warm cache (zero new
   synthesis for recorded work) and run on, bit-identically.
-* :meth:`Session.run` stays the simple blocking form: a thin wrapper
-  that submits and drains the event stream.
 
 Records are bit-identical to serial execution in every mode (see
 :mod:`repro.engine`); interruption and resume never change
@@ -38,6 +36,7 @@ from ..engine.telemetry import derived_fields
 from ..opt.records_io import save_records
 from ..opt.results import RunRecord, aggregate_curves, median_iqr
 from .events import RunEvent
+from .handle import execute
 from .registry import build_config, get_method
 from .rundir import RunDirectory
 from .spec import ExperimentSpec
@@ -159,59 +158,47 @@ class Session:
         ]
         return task, seeds, resolved
 
-    def submit(
+    def run(
         self,
         spec: ExperimentSpec,
         out_dir: Optional[str] = None,
-        run_id: Optional[str] = None,
         on_event: Optional[Callable[[RunEvent], None]] = None,
-    ) -> "RunHandle":
-        """Start one experiment in the background; returns its handle.
+    ) -> ExperimentResult:
+        """Execute one experiment spec on this session's engine.
+
+        Records are bit-identical to a direct serial run of the same
+        (config, task, budget, seed) grid — the engine changes wall-clock
+        only, never paper-semantics accounting.
 
         With ``out_dir`` the run is durable: the spec, every seed's
         evaluation history (each line written before its
-        ``EvaluationDone`` is emitted) and
-        each finished cell's record land under that directory, so an
-        interrupt — :meth:`RunHandle.interrupt`, Ctrl-C, or a kill —
-        loses nothing and :meth:`resume` continues the run
-        bit-identically.  Without it the run is in-memory only.
+        ``EvaluationDone`` is emitted) and each finished cell's record
+        land under that directory, so a stop — ``RunInterrupted`` from
+        ``on_event``, Ctrl-C, or a kill — loses nothing and
+        :meth:`resume` continues the run bit-identically.  Without it the
+        run is in-memory only.
 
-        ``on_event`` is the *synchronous* observer, called in the thread
-        that produced each event before it is queued (with
-        ``parallel_seeds > 1`` that is several seed threads at once, so
-        the callback must be thread-safe): raising
+        ``on_event`` is called with each event in the thread that
+        produced it (with ``parallel_seeds > 1`` that is several seed
+        threads at once, so it must be thread-safe).  Raising
         :class:`~repro.opt.simulator.RunInterrupted` from it stops the
-        raising seed deterministically at that exact boundary (and the
-        rest of the run at their next ones) — e.g. an early-stop policy
-        after a particular ``EvaluationDone`` — which the asynchronous
-        :meth:`RunHandle.events` stream cannot guarantee.
+        raising seed at that exact boundary and the rest of the run at
+        their next ones — e.g. an early-stop policy after a particular
+        ``EvaluationDone``; the call then raises ``RunInterrupted``
+        naming the directory that resumes it.  A Ctrl-C settles the run
+        the same way and re-raises ``KeyboardInterrupt``.
         """
-        from .handle import RunHandle
-
         task, seeds, resolved = self._resolve(spec)
-        run_dir = (
-            RunDirectory.create(out_dir, spec, run_id=run_id)
-            if out_dir is not None
-            else None
+        run_dir = RunDirectory.create(out_dir, spec) if out_dir is not None else None
+        return execute(
+            self, spec, task, resolved, seeds, run_dir=run_dir, on_event=on_event
         )
-        if run_dir is not None:
-            run_dir.acquire_lock()  # released when the run settles
-        return RunHandle(
-            self,
-            spec,
-            task,
-            resolved,
-            seeds,
-            run_dir=run_dir,
-            resumed=False,
-            on_event=on_event,
-        )._start()
 
     def resume(
         self,
         run_dir: Union[str, RunDirectory],
         on_event: Optional[Callable[[RunEvent], None]] = None,
-    ) -> "RunHandle":
+    ) -> ExperimentResult:
         """Continue an interrupted run directory where it left off.
 
         Finished (method, seed) cells are served from their ledgered
@@ -220,10 +207,8 @@ class Session:
         recorded evaluations — all registered methods are deterministic
         given seed + history, so the replay is bit-identical) and keep
         going.  Resuming an already-finished run is a no-op that returns
-        the stored records.
+        the stored records.  ``on_event`` is observed as in :meth:`run`.
         """
-        from .handle import RunHandle
-
         directory = (
             run_dir
             if isinstance(run_dir, RunDirectory)
@@ -231,8 +216,7 @@ class Session:
         )
         spec = directory.spec()
         task, seeds, resolved = self._resolve(spec)
-        directory.acquire_lock()  # refuses a directory another live run owns
-        return RunHandle(
+        return execute(
             self,
             spec,
             task,
@@ -241,38 +225,7 @@ class Session:
             run_dir=directory,
             resumed=True,
             on_event=on_event,
-        )._start()
-
-    def run(
-        self,
-        spec: ExperimentSpec,
-        out_dir: Optional[str] = None,
-        progress: Optional[Callable[[RunEvent], None]] = None,
-    ) -> ExperimentResult:
-        """Execute one experiment spec on this session's engine (blocking).
-
-        A thin wrapper over :meth:`submit` that drains the event stream
-        (forwarding each event to ``progress`` when given) and returns
-        the result.  Records are bit-identical to a direct serial run of
-        the same (config, task, budget, seed) grid — the engine changes
-        wall-clock only, never paper-semantics accounting.  If draining
-        is interrupted (e.g. Ctrl-C), the run is asked to stop at its
-        next query boundary and allowed to settle before the exception
-        propagates, so a durable ``out_dir`` is always left resumable.
-        """
-        return self._drain(self.submit(spec, out_dir=out_dir), progress)
-
-    @staticmethod
-    def _drain(handle: "RunHandle", progress=None) -> ExperimentResult:
-        try:
-            for event in handle.events():
-                if progress is not None:
-                    progress(event)
-        except BaseException:
-            handle.interrupt()
-            handle.wait()
-            raise
-        return handle.result()
+        )
 
     # ------------------------------------------------------------------
     def close(self) -> None:

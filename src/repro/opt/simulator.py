@@ -46,9 +46,9 @@ class RunInterrupted(RuntimeError):
     """A run was asked to stop at a simulator query boundary.
 
     Raised from the simulator hooks (:attr:`CircuitSimulator.check_abort`,
-    :attr:`CircuitSimulator.on_evaluation`), e.g. after
-    :meth:`repro.api.RunHandle.interrupt`; never caught by the algorithms
-    themselves — they only handle :class:`BudgetExhausted` — so it
+    :attr:`CircuitSimulator.on_evaluation`), e.g. by an ``on_event``
+    observer of :meth:`repro.api.Session.run` or when a sibling seed
+    thread failed; never caught by the algorithms themselves — they only handle :class:`BudgetExhausted` — so it
     unwinds the whole seed cleanly.  Everything evaluated before the
     interrupt is already recorded (the history append happens before
     the hook runs), which is what makes interrupted runs resumable.
@@ -71,12 +71,11 @@ class CircuitSimulator:
         #: the simulator-boundary hook: called with each *new*
         #: :class:`Evaluation` right after it is appended to ``history``
         #: (cache hits and budget refusals never fire it).  This is how
-        #: the streaming run API (:meth:`repro.api.Session.submit`)
-        #: observes, checkpoints and interrupts every method without
-        #: per-method changes — the hook may raise (e.g.
-        #: :class:`RunInterrupted`) to abort the run at
-        #: a query boundary; the evaluation it was called with is already
-        #: durable in ``history`` at that point.
+        #: the run API (:meth:`repro.api.Session.run`) observes,
+        #: checkpoints and interrupts every method without per-method
+        #: changes — the hook may raise (e.g. :class:`RunInterrupted`) to
+        #: abort the run at a query boundary; the evaluation it was
+        #: called with is already durable in ``history`` at that point.
         self.on_evaluation: Optional[Callable[[Evaluation], None]] = None
         #: abort hook checked at the *start* of every query and batch —
         #: cache hits included, so an interrupt lands at the very next query

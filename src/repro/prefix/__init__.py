@@ -16,8 +16,8 @@ from .encoding import (
     unique_random_graphs,
 )
 from .graph import PrefixGraph, Span
-from .io import graph_from_dict, graph_to_dict, load_designs, save_designs
-from .legalize import legalize, legalize_grid, legalize_grids, prune_redundant
+from .io import graph_from_dict, graph_to_dict
+from .legalize import legalize, legalize_grid, legalize_grids
 from .metrics import (
     batch_levels,
     depth,
@@ -52,12 +52,9 @@ __all__ = [
     "Span",
     "graph_to_dict",
     "graph_from_dict",
-    "save_designs",
-    "load_designs",
     "legalize",
     "legalize_grid",
     "legalize_grids",
-    "prune_redundant",
     "ripple_carry",
     "sklansky",
     "kogge_stone",

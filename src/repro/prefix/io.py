@@ -1,23 +1,21 @@
-"""Persistence of prefix graphs and design collections.
+"""Persistence of prefix graphs.
 
-Search runs produce circuits a user wants to keep (tape-out candidates,
-regression baselines); these helpers serialize graphs compactly and
-re-validate on load, so a corrupted or hand-edited file can never smuggle
-an illegal circuit back into a flow.
+Run records and evaluation histories store the graphs they found; these
+helpers serialize a graph compactly and re-validate it on load, so a
+corrupted or hand-edited file can never smuggle an illegal circuit back
+into a flow.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict
 
 import numpy as np
 
 from .graph import PrefixGraph
 
-__all__ = ["graph_to_dict", "graph_from_dict", "save_designs", "load_designs"]
+__all__ = ["graph_to_dict", "graph_from_dict"]
 
 _FORMAT_VERSION = 1
 
@@ -52,33 +50,3 @@ def graph_from_dict(payload: Dict) -> PrefixGraph:
     if not graph.is_legal():
         raise ValueError("stored design is not a legal prefix graph")
     return graph
-
-
-def save_designs(
-    path: str,
-    designs: Sequence[Tuple[PrefixGraph, Dict]],
-) -> None:
-    """Write [(graph, metadata), ...] as a JSON design library."""
-    payload = {
-        "version": _FORMAT_VERSION,
-        "designs": [
-            {"graph": graph_to_dict(graph), "meta": dict(meta)}
-            for graph, meta in designs
-        ],
-    }
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-
-
-def load_designs(path: str) -> List[Tuple[PrefixGraph, Dict]]:
-    """Read a design library; every graph is re-validated."""
-    with open(path) as handle:
-        payload = json.load(handle)
-    if payload.get("version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported library version {payload.get('version')!r}")
-    return [
-        (graph_from_dict(entry["graph"]), entry.get("meta", {}))
-        for entry in payload["designs"]
-    ]

@@ -34,7 +34,7 @@ import numpy as np
 
 from .graph import PrefixGraph
 
-__all__ = ["legalize", "legalize_grid", "legalize_grids", "prune_redundant"]
+__all__ = ["legalize", "legalize_grid", "legalize_grids"]
 
 
 @lru_cache(maxsize=None)
@@ -88,31 +88,3 @@ def legalize_grid(grid: np.ndarray) -> np.ndarray:
 def legalize(grid: np.ndarray) -> PrefixGraph:
     """Legalize a raw grid and wrap it as a :class:`PrefixGraph`."""
     return PrefixGraph(legalize_grid(grid), validate=False)
-
-
-def prune_redundant(graph: PrefixGraph) -> PrefixGraph:
-    """Remove internal nodes that no output transitively depends on.
-
-    Legal graphs can contain dead spans (present but unused by any column-0
-    output).  Synthesis would waste area on them; this pass computes the
-    transitive fan-in of the outputs and drops everything else.  The result
-    is still legal: parents of needed nodes are needed.
-    """
-    needed = set()
-    stack = [(i, 0) for i in range(graph.n)]
-    while stack:
-        node = stack.pop()
-        if node in needed:
-            continue
-        needed.add(node)
-        if node[0] != node[1]:
-            upper, lower = graph.parents(*node)
-            stack.append(upper)
-            stack.append(lower)
-    grid = np.zeros_like(graph.grid)
-    for i, j in needed:
-        grid[i, j] = True
-    pruned = PrefixGraph(grid, validate=False)
-    if not pruned.is_legal():  # pragma: no cover - defensive
-        raise AssertionError("pruning broke legality")
-    return pruned

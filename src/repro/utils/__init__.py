@@ -1,5 +1,5 @@
 """``repro.utils`` — RNG management, ASCII plotting, table formatting, OpenBLAS thread budgets."""
 
-from .rng import make_rng, seed_sequence, spawn
+from .rng import seed_sequence
 
-__all__ = ["make_rng", "spawn", "seed_sequence"]
+__all__ = ["seed_sequence"]

@@ -1,9 +1,10 @@
 """Deterministic random-number management.
 
 Every stochastic component in the repository takes an explicit
-``np.random.Generator``.  Experiments spawn independent child generators
-per (method, seed) so runs are reproducible and independent regardless of
-execution order — the paper runs "five different random seeds and
+``np.random.Generator``.  An experiment derives its seeds from one base
+seed, and each (method, seed) cell builds its own generator from its
+seed, so runs are reproducible and independent regardless of execution
+order — the paper runs "five different random seeds and
 independently collected initial datasets".
 """
 
@@ -13,18 +14,7 @@ from typing import List
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn", "seed_sequence"]
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """A fresh PCG64 generator from an integer seed."""
-    return np.random.default_rng(seed)
-
-
-def spawn(rng: np.random.Generator, count: int) -> List[np.random.Generator]:
-    """Split ``count`` statistically independent child generators."""
-    seeds = rng.integers(0, 2 ** 63 - 1, size=count)
-    return [np.random.default_rng(int(s)) for s in seeds]
+__all__ = ["seed_sequence"]
 
 
 def seed_sequence(base_seed: int, count: int) -> List[int]:

@@ -1,19 +1,18 @@
-"""End-to-end tests for the streaming run lifecycle.
+"""End-to-end tests for the run lifecycle.
 
-Covers the acceptance criteria of the job-system API: submit -> events
--> checkpoint -> interrupt -> resume, with resumed records bit-identical
-to an uninterrupted run for every registered method and zero new
-synthesis for already-recorded evaluations.
+Covers run -> events -> checkpoint -> interrupt -> resume, with resumed
+records bit-identical to an uninterrupted run for every registered
+method and zero new synthesis for already-recorded evaluations.
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from repro.api import (
     EvaluationDone,
-    ExperimentFinished,
     ExperimentStarted,
     ExperimentSpec,
     MethodSpec,
@@ -72,16 +71,14 @@ def stop_after_evaluations(count):
 class TestEventStream:
     def test_stream_shape_and_contents(self):
         spec = tiny_spec()
+        events = []
         with Session() as session:
-            handle = session.submit(spec)
-            events = list(handle.events())
-            result = handle.result()
+            result = session.run(spec, on_event=events.append)
 
         assert isinstance(events[0], ExperimentStarted)
-        assert isinstance(events[-1], ExperimentFinished)
+        assert isinstance(events[-1], SeedFinished)
         assert events[0].methods == ("GA", "Random")
         assert tuple(events[0].seeds) == tuple(spec.seed_list())
-        assert events[-1].status == "finished"
 
         started = [e for e in events if isinstance(e, SeedStarted)]
         finished = [e for e in events if isinstance(e, SeedFinished)]
@@ -104,11 +101,14 @@ class TestEventStream:
             np.testing.assert_array_equal([e.best_cost for e in cell], running)
 
     def test_streamed_records_match_blocking_run(self):
+        # Observing every event changes nothing about the records.
         spec = tiny_spec()
         with Session() as session:
             reference = session.run(spec)
+        events = []
         with Session() as session:
-            result = session.submit(spec).result()
+            result = session.run(spec, on_event=events.append)
+        assert events
         for name in reference.records:
             for a, b in zip(reference.records[name], result.records[name]):
                 assert_bit_identical(b, a)
@@ -121,14 +121,14 @@ class TestRunDirectory:
         durable_lines = []
 
         def observer(event):
-            # Runs before the event is queued: the evaluation it
+            # Runs as the event is emitted: the evaluation it
             # announces must already be in the cell's history on disk.
             if isinstance(event, EvaluationDone):
                 history = RunDirectory.open(out).load_history(event.method, event.seed)
                 durable_lines.append((len(history), event.sim_index))
 
         with Session() as session:
-            result = session.submit(spec, out_dir=out, on_event=observer).result()
+            result = session.run(spec, out_dir=out, on_event=observer)
 
         run_dir = RunDirectory.open(out)
         assert run_dir.status == "finished"
@@ -162,16 +162,15 @@ class TestRunDirectory:
         with Session() as session:
             session.run(tiny_spec(), out_dir=out)
             with pytest.raises(ValueError, match="already holds a run"):
-                session.submit(tiny_spec(), out_dir=out)
+                session.run(tiny_spec(), out_dir=out)
 
     def test_progress_reports_cell_states(self, tmp_path):
         out = str(tmp_path / "run")
         with Session() as session:
-            handle = session.submit(
-                tiny_spec(), out_dir=out, on_event=stop_after_evaluations(3)
-            )
             with pytest.raises(RunInterrupted):
-                handle.result()
+                session.run(
+                    tiny_spec(), out_dir=out, on_event=stop_after_evaluations(3)
+                )
         rows = RunDirectory.open(out).progress()
         states = {(r["method"], r["seed"]): r["state"] for r in rows}
         assert len(states) == 4
@@ -255,12 +254,10 @@ class TestInterruptResume:
 
         out = str(tmp_path / "run")
         with Session() as session:
-            handle = session.submit(
-                spec, out_dir=out, on_event=stop_after_evaluations(stop_at)
-            )
             with pytest.raises(RunInterrupted, match="resume"):
-                handle.result()
-            assert handle.status == "interrupted"
+                session.run(
+                    spec, out_dir=out, on_event=stop_after_evaluations(stop_at)
+                )
 
         run_dir = RunDirectory.open(out)
         assert run_dir.status == "interrupted"
@@ -271,12 +268,10 @@ class TestInterruptResume:
 
         # Resume in a *fresh* session (empty engine cache): everything
         # recorded must come back via replay priming, not residual state.
+        events = []
         with Session() as session:
-            handle = session.resume(out)
-            replayed = [
-                e.replayed for e in handle.events() if isinstance(e, SeedStarted)
-            ]
-            result = handle.result()
+            result = session.resume(out, on_event=events.append)
+        replayed = [e.replayed for e in events if isinstance(e, SeedStarted)]
 
         assert replayed == [recorded]
         record = result.records[name][0]
@@ -302,14 +297,11 @@ class TestInterruptResume:
 
         out = str(tmp_path / "run")
         with Session() as session:
-            handle = session.submit(
-                spec, out_dir=out, on_event=stop_after_evaluations(8)
-            )
             with pytest.raises(RunInterrupted):
-                handle.result()
+                session.run(spec, out_dir=out, on_event=stop_after_evaluations(8))
 
         with Session(parallel_seeds=2) as session:
-            result = session.resume(out).result()
+            result = session.resume(out)
 
         for method in reference.records:
             for a, b in zip(reference.records[method], result.records[method]):
@@ -330,10 +322,9 @@ class TestInterruptResume:
             lambda pool, task, graphs: batches.append(len(graphs))
             or real_batch(pool, task, graphs),
         )
+        events = []
         with Session() as session:
-            handle = session.resume(out)
-            events = list(handle.events())
-            result = handle.result()
+            result = session.resume(out, on_event=events.append)
         # every cell served from the ledger; the engine synthesized nothing
         assert batches == []
         finished = [e for e in events if isinstance(e, SeedFinished)]
@@ -365,11 +356,8 @@ def _trail_bytes(out, name):
 
 def _interrupted_run(spec, out, stop_at):
     with Session() as session:
-        handle = session.submit(
-            spec, out_dir=out, on_event=stop_after_evaluations(stop_at)
-        )
         with pytest.raises(RunInterrupted):
-            handle.result()
+            session.run(spec, out_dir=out, on_event=stop_after_evaluations(stop_at))
 
 
 class TestAppendOnlyTrail:
@@ -392,20 +380,15 @@ class TestAppendOnlyTrail:
         # Interrupt the resume itself while it is still replaying the
         # recorded prefix: the trail must not shrink below it.
         with Session() as session:
-            handle = session.resume(
-                out, on_event=stop_after_evaluations(stop_at // 2)
-            )
             with pytest.raises(RunInterrupted):
-                handle.result()
+                session.resume(out, on_event=stop_after_evaluations(stop_at // 2))
         assert len(run_dir.load_history(name, 0)) == stop_at
         assert run_dir.completed_record(name, 0) is None
 
+        events = []
         with Session() as session:
-            handle = session.resume(out)
-            replayed = [
-                e.replayed for e in handle.events() if isinstance(e, SeedStarted)
-            ]
-            record = handle.result().records[name][0]
+            record = session.resume(out, on_event=events.append).records[name][0]
+        replayed = [e.replayed for e in events if isinstance(e, SeedStarted)]
 
         assert replayed == [stop_at]
         assert_bit_identical(record, reference)
@@ -435,7 +418,7 @@ class TestAppendOnlyTrail:
 
         with pytest.warns(RuntimeWarning, match="corrupt evaluation-history"):
             with Session() as session:
-                record = session.resume(out).result().records[name][0]
+                record = session.resume(out).records[name][0]
         assert_bit_identical(record, reference)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # parses cleanly: no torn line
@@ -463,23 +446,71 @@ class TestInterruptBoundaries:
             simulator.query(sklansky(4))  # a pure run-memo hit
 
     def test_on_event_interrupt_flags_the_whole_run(self, tmp_path):
-        # RunInterrupted raised by the synchronous observer must set the
-        # handle's interrupt flag so sibling parallel seeds stop too —
-        # and the triggering event must still reach the async stream.
+        # RunInterrupted raised by the observer stops the whole run at
+        # that exact boundary — nothing is emitted after the raising
+        # event, no later cell starts — and flags it interrupted.
         out = str(tmp_path / "run")
+        events = []
+
+        def observer(event):
+            events.append(event)
+            stop(event)
+
+        stop = stop_after_evaluations(2)
         with Session() as session:
-            handle = session.submit(
-                tiny_spec(name="flag"), out_dir=out,
-                on_event=stop_after_evaluations(2),
-            )
-            events = list(handle.events())
             with pytest.raises(RunInterrupted):
-                handle.result()
-            assert handle._interrupt.is_set()
+                session.run(tiny_spec(name="flag"), out_dir=out, on_event=observer)
+        assert isinstance(events[-1], EvaluationDone)
         evaluations = [e for e in events if isinstance(e, EvaluationDone)]
         assert len(evaluations) == 2  # the stopping evaluation included
-        assert isinstance(events[-1], ExperimentFinished)
-        assert events[-1].status == "interrupted"
+        assert len([e for e in events if isinstance(e, SeedStarted)]) == 1
+        assert RunDirectory.open(out).status == "interrupted"
+
+    @pytest.mark.parametrize(
+        "error, status", [(RunInterrupted, "interrupted"), (ValueError, "failed")]
+    )
+    def test_a_failing_seed_stops_its_parallel_sibling(self, error, status, tmp_path):
+        # One seed raises at its second evaluation while the other is
+        # held mid-run; once released, the sibling must stop at its next
+        # query boundary, well short of its budget, and the call must
+        # raise the failing seed's error rather than the sibling's stop.
+        spec = ExperimentSpec(
+            name="sibling",
+            task=TaskSpec(circuit_type="adder", n=8),
+            methods=(MethodSpec("Random"),),
+            budget=200,
+            num_seeds=2,
+            curve_points=1,
+        )
+        # The failing seed is the later one, so the run must not wait
+        # on the sibling's result before it sees the failure.
+        sibling, failing = spec.seed_list()
+        raised = threading.Event()
+        sibling_sims = []
+
+        def observer(event):
+            if not isinstance(event, EvaluationDone):
+                return
+            if event.seed == failing and event.sim_index == 2:
+                raised.set()
+                raise error("test failure in one seed")
+            if event.seed == sibling:
+                sibling_sims.append(event.sim_index)
+                if event.sim_index == 1:
+                    assert raised.wait(timeout=60)
+
+        out = str(tmp_path / "run")
+        with Session(parallel_seeds=2) as session:
+            with pytest.raises(error) as caught:
+                session.run(spec, out_dir=out, on_event=observer)
+        # RunInterrupted is re-raised with the resume hint, from its cause.
+        cause = caught.value.__cause__ or caught.value
+        assert "test failure in one seed" in str(cause)
+        run_dir = RunDirectory.open(out)
+        assert run_dir.status == status
+        assert 1 <= len(sibling_sims) < spec.budget
+        assert run_dir.completed_record("Random", sibling) is None
+        assert not os.path.exists(run_dir._lock_path())
 
     def test_live_run_directory_refuses_concurrent_execution(self, tmp_path):
         # Two executors appending to the same cell trails would lose
@@ -504,7 +535,7 @@ class TestInterruptBoundaries:
             _json.dump({"pid": dead_pid}, handle)
         with pytest.warns(RuntimeWarning, match=f"stale advisory lock.*{dead_pid}"):
             with Session() as session:
-                session.resume(out).result()
+                session.resume(out)
         assert not os.path.exists(run_dir._lock_path())  # released on settle
 
 
@@ -530,6 +561,35 @@ class TestCLILifecycle:
         # resuming a finished run from the CLI is a clean no-op
         assert main(["run", "--resume", out]) == 0
         capsys.readouterr()
+
+    def test_ctrl_c_exits_130_with_the_resume_command(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.api.rundir import RunCellWriter
+
+        out = str(tmp_path / "run")
+        spec_path = str(tmp_path / "spec.json")
+        from repro.api import save_spec
+
+        save_spec(tiny_spec(name="cli-ctrl-c"), spec_path)
+        appends = {"n": 0}
+        real_append = RunCellWriter.append
+
+        def append_then_ctrl_c(writer, evaluation):
+            real_append(writer, evaluation)
+            appends["n"] += 1
+            if appends["n"] == 3:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(RunCellWriter, "append", append_then_ctrl_c)
+        assert main(["run", spec_path, "--out-dir", out]) == 130
+        assert f"--resume {os.path.abspath(out)}" in capsys.readouterr().err
+        assert RunDirectory.open(out).status == "interrupted"
+
+        monkeypatch.setattr(RunCellWriter, "append", real_append)
+        assert main(["run", "--resume", out]) == 0
+        capsys.readouterr()
+        assert RunDirectory.open(out).status == "finished"
 
     def test_run_quiet_by_default(self, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -565,12 +625,12 @@ class TestTrainingCheckpointsInRunDir:
     """Durable CircuitVAE runs checkpoint training epochs per cell, and
     resume restores them instead of re-training (PR-5 satellite)."""
 
-    def _vae_spec(self, name):
+    def _vae_spec(self, name, budget=24):
         return ExperimentSpec(
             name=name,
             task=TaskSpec(circuit_type="adder", n=8),
             methods=(MethodSpec("CircuitVAE", params=_tiny_vae_params()),),
-            budget=24,
+            budget=budget,
             seeds=(0,),
             curve_points=1,
         )
@@ -578,10 +638,10 @@ class TestTrainingCheckpointsInRunDir:
     def test_durable_run_writes_train_checkpoints_and_events(self, tmp_path):
         spec = self._vae_spec("train-ckpt")
         out = str(tmp_path / "run")
+        events = []
         with Session() as session:
-            handle = session.submit(spec, out_dir=out)
-            events = list(handle.events())
-            record = handle.result().records["CircuitVAE"][0]
+            result = session.run(spec, out_dir=out, on_event=events.append)
+        record = result.records["CircuitVAE"][0]
         train_dir = os.path.join(
             RunDirectory.open(out).cell_dir("CircuitVAE", 0), "train"
         )
@@ -602,14 +662,11 @@ class TestTrainingCheckpointsInRunDir:
 
         out = str(tmp_path / "run")
         with Session() as session:
-            handle = session.submit(
-                spec, out_dir=out, on_event=stop_after_evaluations(16)
-            )
             with pytest.raises(RunInterrupted):
-                handle.result()
+                session.run(spec, out_dir=out, on_event=stop_after_evaluations(16))
 
         with Session() as session:
-            result = session.resume(out).result()
+            result = session.resume(out)
         record = result.records["CircuitVAE"][0]
         assert_bit_identical(record, reference)
         # The resumed attempt restored at least the first round's epochs
@@ -622,3 +679,41 @@ class TestTrainingCheckpointsInRunDir:
             + record.telemetry["train_epochs_skipped"]
             >= ref_epochs
         )
+
+    def test_ctrl_c_in_training_settles_and_resumes(self, tmp_path, monkeypatch):
+        # A KeyboardInterrupt lands wherever the caller's thread is — here
+        # inside the second training round, between query boundaries.
+        # The run must still settle (run.json interrupted, lock
+        # released) and resume bit-identically.
+        import repro.core.algorithm as algorithm
+
+        spec = self._vae_spec("train-ctrl-c", budget=36)  # two rounds
+        with Session() as session:
+            reference = session.run(spec).records["CircuitVAE"][0]
+
+        rounds = {"n": 0}
+        real_train = algorithm.train_model
+
+        def train_then_ctrl_c(*args, **kwargs):
+            rounds["n"] += 1
+            if rounds["n"] == 2:
+                raise KeyboardInterrupt
+            return real_train(*args, **kwargs)
+
+        out = str(tmp_path / "run")
+        monkeypatch.setattr(algorithm, "train_model", train_then_ctrl_c)
+        with Session() as session:
+            with pytest.raises(KeyboardInterrupt):
+                session.run(spec, out_dir=out)
+        monkeypatch.setattr(algorithm, "train_model", real_train)
+        assert rounds["n"] == 2
+        run_dir = RunDirectory.open(out)
+        assert run_dir.status == "interrupted"
+        assert not os.path.exists(run_dir._lock_path())
+        recorded = len(run_dir.load_history("CircuitVAE", 0))
+        assert 0 < recorded < reference.num_simulations
+
+        with Session() as session:
+            record = session.resume(out).records["CircuitVAE"][0]
+        assert_bit_identical(record, reference)
+        assert run_dir.status == "finished"

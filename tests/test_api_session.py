@@ -165,7 +165,7 @@ class TestSessionRun:
             assert blas_thread_counts() == before
             tracer = Tracer(collect=True)
             with tracer.activate(), Session(parallel_seeds=2) as parallel_session:
-                parallel = parallel_session.submit(spec, on_event=sample).result()
+                parallel = parallel_session.run(spec, on_event=sample)
             assert blas_thread_counts() == before
             # Each seed span records the budget it ran under.
             seed_spans = [s for s in tracer.drain() if s["name"] == "seed"]
@@ -195,9 +195,8 @@ class TestSessionRun:
                 raise RunInterrupted("test stop")
 
         with Session(parallel_seeds=2) as session:
-            handle = session.submit(model_based_spec(), on_event=stop)
             with pytest.raises(RunInterrupted):
-                handle.result()
+                session.run(model_based_spec(), on_event=stop)
         assert blas_thread_counts() == before
 
 

@@ -467,7 +467,7 @@ class TestTracedRun:
             result = session.run(
                 load_spec(tiny),
                 out_dir=out,
-                progress=lambda e: started.append(e)
+                on_event=lambda e: started.append(e)
                 if isinstance(e, ExperimentStarted)
                 else None,
             )
@@ -492,7 +492,7 @@ class TestTracedRun:
             result = session.run(
                 self._spec(),
                 out_dir=out,
-                progress=lambda e: started.append(e)
+                on_event=lambda e: started.append(e)
                 if isinstance(e, ExperimentStarted)
                 else None,
             )
@@ -507,7 +507,7 @@ class TestTracedRun:
         with Session() as session:
             result = session.run(
                 self._spec(),
-                progress=lambda e: started.append(e)
+                on_event=lambda e: started.append(e)
                 if isinstance(e, ExperimentStarted)
                 else None,
             )

@@ -169,9 +169,8 @@ class TestEvaluationHistory:
             curve_points=3,
         )
         with Session() as session:
-            handle = session.submit(spec, out_dir=str(tmp_path / "run"), on_event=stop)
             with pytest.raises(RunInterrupted):
-                handle.result()
+                session.run(spec, out_dir=str(tmp_path / "run"), on_event=stop)
         assert len(writers) == 1
         assert writers[0]._handle.closed
 

@@ -8,9 +8,7 @@ import pytest
 from repro.prefix import (
     graph_from_dict,
     graph_to_dict,
-    load_designs,
     random_graph,
-    save_designs,
     sklansky,
 )
 
@@ -65,35 +63,3 @@ class TestDictRoundtrip:
         with pytest.raises(ValueError):
             graph_from_dict(payload)
 
-
-class TestDesignLibrary:
-    def test_save_load(self, tmp_path):
-        path = str(tmp_path / "designs.json")
-        designs = [
-            (sklansky(8), {"cost": 4.5, "task": "adder8"}),
-            (random_graph(8, np.random.default_rng(1), 0.3), {"cost": 4.2}),
-        ]
-        save_designs(path, designs)
-        loaded = load_designs(path)
-        assert len(loaded) == 2
-        assert loaded[0][0] == designs[0][0]
-        assert loaded[0][1]["task"] == "adder8"
-
-    def test_tampered_file_rejected(self, tmp_path):
-        path = str(tmp_path / "designs.json")
-        save_designs(path, [(sklansky(8), {})])
-        with open(path) as fh:
-            payload = json.load(fh)
-        # (6, 1) in Sklansky-8 lacks its lower parent (3, 1) -> illegal.
-        payload["designs"][0]["graph"]["nodes"].append([6, 1])
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-        with pytest.raises(ValueError):
-            load_designs(path)
-
-    def test_wrong_library_version(self, tmp_path):
-        path = str(tmp_path / "bad.json")
-        with open(path, "w") as fh:
-            json.dump({"version": 2, "designs": []}, fh)
-        with pytest.raises(ValueError):
-            load_designs(path)

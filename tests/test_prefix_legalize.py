@@ -13,7 +13,6 @@ from repro.prefix import (
     legalize,
     legalize_grid,
     legalize_grids,
-    prune_redundant,
     sklansky,
 )
 
@@ -121,24 +120,3 @@ class TestLegalizeGrids:
         with pytest.raises(ValueError):
             legalize_grids(np.zeros(shape))
 
-
-class TestPrune:
-    def test_prune_never_adds(self):
-        rng = np.random.default_rng(2)
-        g = legalize(random_raw_grid(12, rng, 0.5))
-        p = prune_redundant(g)
-        assert p.node_count() <= g.node_count()
-        assert np.all(g.grid >= p.grid)
-
-    def test_prune_preserves_function(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            g = legalize(random_raw_grid(10, rng, rng.random()))
-            p = prune_redundant(g)
-            assert p.is_legal()
-            assert check_adder(p, rng, trials=32)
-
-    def test_prune_is_identity_on_lean_structures(self):
-        # Sklansky has no dead nodes: every span feeds an output.
-        g = sklansky(16)
-        assert prune_redundant(g) == g

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg  # noqa: F401  (loads scipy's own OpenBLAS build)
 
 from repro.prefix import sklansky
-from repro.utils import make_rng, seed_sequence, spawn
+from repro.utils import seed_sequence
 from repro.utils import threads
 from repro.utils.threads import (
     blas_budget,
@@ -21,14 +21,6 @@ from repro.utils.tables import format_median_iqr, format_table
 
 
 class TestRng:
-    def test_make_rng_deterministic(self):
-        assert make_rng(1).random() == make_rng(1).random()
-
-    def test_spawn_children_independent(self):
-        children = spawn(make_rng(0), 3)
-        values = [c.random() for c in children]
-        assert len(set(values)) == 3
-
     def test_seed_sequence_stable(self):
         assert seed_sequence(42, 5) == seed_sequence(42, 5)
         assert len(set(seed_sequence(42, 5))) == 5
