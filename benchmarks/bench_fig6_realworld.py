@@ -17,7 +17,7 @@ import pytest
 
 from repro.circuits import realistic_adder_task
 from repro.core import CircuitVAEOptimizer
-from repro.opt import CircuitSimulator
+from repro.opt import CircuitSimulator, dominates, pareto_front
 from repro.synth import CommercialTool, scaled_library
 from repro.utils.plotting import ascii_scatter, format_series_csv
 
@@ -27,19 +27,6 @@ from common import BUDGET, REAL_BITS, once, vae_config
 # fixed cost normalization (area/100, delay*10) weighs delay heavily, so two
 # lower weights are added to cover the area end of the frontier.
 REAL_WEIGHTS = [0.02, 0.08, 0.3, 0.6, 0.95]
-
-
-def pareto_front(points):
-    """Non-dominated subset of (area, delay) pairs."""
-    front = []
-    for p in points:
-        if not any(q[0] <= p[0] and q[1] <= p[1] and q != p for q in points):
-            front.append(p)
-    return sorted(front)
-
-
-def dominates_or_ties(a, b):
-    return a[0] <= b[0] + 1e-9 and a[1] <= b[1] + 1e-9
 
 
 def run_realworld():
@@ -89,6 +76,7 @@ def test_fig6_realworld(benchmark):
     # (2) the majority of baseline designs are dominated-or-tied by some
     #     CircuitVAE design.
     dominated = sum(
-        any(dominates_or_ties(v, b) for v in vae_front) for b in baseline_points
+        any(dominates(v, b, strict=False) for v in vae_front)
+        for b in baseline_points
     )
     assert dominated * 2 >= len(baseline_points), (vae_front, baseline_points)

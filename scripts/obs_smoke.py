@@ -13,7 +13,11 @@ Proves the whole :mod:`repro.obs` pipeline through the real API:
    gate), and that trace-derived stage totals reproduce the run's
    ``stage_seconds`` telemetry within 1%;
 4. export the Perfetto/chrome://tracing JSON and load it back;
-5. re-run with ``REPRO_TRACE=0`` and assert no trace is written.
+5. run the same spec under ``Session(workers=2)``, whose GA
+   generations reach the synthesis pool, apply checks 2-3 to its trace
+   and assert every span was written by this process (pool workers
+   record none);
+6. re-run with ``REPRO_TRACE=0`` and assert no trace is written.
 
 Exit code 0 = the trace pipeline is sound.  Used by the CI
 ``obs-smoke`` job; run locally with
@@ -46,21 +50,20 @@ def main() -> int:
         return smoke(base)
 
 
-def smoke(base) -> int:
-    spec = load_spec(TINY_SPEC)
-    traced_dir = os.path.join(base, "traced")
-    untraced_dir = os.path.join(base, "untraced")
-
+def traced_run(spec, run_dir, workers=None):
+    """Run ``spec`` durably into ``run_dir``; check its trace (schema,
+    one well-covered ``experiment`` root, stage totals within 1% of
+    telemetry).  Returns ``(spans, coverage, stage count, trace path)``."""
     started = []
-    with Session() as session:
+    with Session(workers=workers) as session:
         result = session.run(
             spec,
-            out_dir=traced_dir,
+            out_dir=run_dir,
             on_event=lambda e: started.append(e)
             if isinstance(e, ExperimentStarted)
             else None,
         )
-    trace_path = os.path.join(traced_dir, "trace.jsonl")
+    trace_path = os.path.join(run_dir, "trace.jsonl")
     assert started and started[0].trace_path == trace_path, started
     assert result.trace_path == trace_path, result.trace_path
     assert os.path.exists(trace_path), trace_path
@@ -87,6 +90,12 @@ def smoke(base) -> int:
             got,
             seconds,
         )
+    return spans, cov, len(from_telemetry), trace_path
+
+
+def smoke(base) -> int:
+    spec = load_spec(TINY_SPEC)
+    spans, cov, stages, trace_path = traced_run(spec, os.path.join(base, "traced"))
 
     perfetto_path = export_perfetto(trace_path)
     with open(perfetto_path) as handle:
@@ -95,6 +104,13 @@ def smoke(base) -> int:
     assert len(events) == len(spans), (len(events), len(spans))
     assert all(e["ph"] == "X" and e["dur"] >= 0 for e in events)
 
+    pooled, pooled_cov, _, _ = traced_run(
+        spec, os.path.join(base, "pooled"), workers=2
+    )
+    pids = {s["pid"] for s in pooled}
+    assert pids == {os.getpid()}, f"spans from pids {sorted(pids)}"
+
+    untraced_dir = os.path.join(base, "untraced")
     os.environ["REPRO_TRACE"] = "0"
     try:
         with Session() as session:
@@ -105,8 +121,9 @@ def smoke(base) -> int:
 
     print(
         f"obs smoke ok: {len(spans)} spans, coverage {cov:.1%}, "
-        f"{len(from_telemetry)} stage totals reproduced, "
-        f"perfetto -> {perfetto_path}"
+        f"{stages} stage totals reproduced, "
+        f"perfetto -> {perfetto_path}; "
+        f"workers=2: {len(pooled)} spans, coverage {pooled_cov:.1%}, one pid"
     )
     return 0
 

@@ -11,7 +11,11 @@ same serializable description and get identical records back:
     :class:`ExperimentSpec` — frozen dataclasses with strict
     ``to_dict``/``from_dict``/JSON round-trips that reject unknown
     fields, unknown method names and unknown method parameters before
-    any synthesis runs.  Defaults mirror the paper's grid.
+    any synthesis runs.  Defaults mirror the paper's grid.  The
+    ``engine`` block (:class:`EngineSpec`) is read by ``repro run``
+    only; :meth:`Session.run` ignores it, so library callers pass
+    ``workers`` / ``cache_dir`` / ``parallel_seeds`` to
+    :class:`Session` itself.
 ``registry``
     One table maps method names to (config dataclass, algorithm class)
     pairs for CircuitVAE and its four baselines;

@@ -28,14 +28,16 @@ Reduced-scale versions of the paper's grid are spec files under
 ``examples/specs/`` and run with ``run``.
 
 ``--workers``, ``--cache-dir`` and ``--parallel-seeds`` override the
-spec's advisory :class:`~repro.api.spec.EngineSpec`; ``--out`` writes
-records via :mod:`repro.opt.records_io`.
+spec's :class:`~repro.api.spec.EngineSpec`, which in turn overrides the
+environment; the CLI is the only reader of that block.  ``--out``
+writes records via :mod:`repro.opt.records_io`.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -421,6 +423,27 @@ def _execute(
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``); that is not a bad
+        # argument.  Exit as a SIGPIPE-killed command would, with stdout
+        # on /dev/null so the interpreter's exit flush cannot fail again.
+        _stdout_to_devnull()
+        return 128 + 13
+
+
+def _stdout_to_devnull() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except io.UnsupportedOperation:
+        return  # an in-memory stream: nothing to flush at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "methods":
         _print_methods()
         return 0
@@ -459,6 +482,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             spec = load_spec(args.spec)
         engine = _effective_engine(spec, args)
+    except BrokenPipeError:
+        raise  # a closed stdout, handled by main
     except (ValueError, OSError, json.JSONDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -13,8 +13,10 @@ code:
     which parameter overrides, under an optional display label.
 :class:`EngineSpec`
     How to execute: cache directory, synthesis workers, seed
-    parallelism — advisory defaults a :class:`repro.api.Session` (or the
-    CLI's flags) may override.
+    parallelism.  Only ``python -m repro run`` reads it, merging each
+    field as flag > spec > environment; :meth:`repro.api.Session.run`
+    ignores it, so a library caller passes these to the
+    :class:`repro.api.Session` constructor instead.
 :class:`ExperimentSpec`
     The whole grid: one task, several methods, a budget and a seed
     derivation — everything :meth:`repro.api.Session.run` needs.
@@ -188,7 +190,13 @@ class MethodSpec:
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """Execution defaults: how a Session should run this experiment."""
+    """Execution settings for ``python -m repro run``.
+
+    The CLI builds its :class:`repro.api.Session` from this block, each
+    field overridden by the matching flag (flag > spec > environment).
+    ``Session.run`` never reads it: in library code, pass ``cache_dir``,
+    ``workers`` and ``parallel_seeds`` to ``Session(...)``.
+    """
 
     #: persistent cache directory (None = ``$REPRO_CACHE_DIR``, unset =
     #: memory-only).

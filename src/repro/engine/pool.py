@@ -8,7 +8,8 @@ through :meth:`CircuitTask.evaluate_many` (:mod:`repro.synth.batched`),
 one numpy-vectorized pass instead of N interpreter round-trips, with
 contiguous chunks vectorized inside ``fork``'ed worker processes when
 the batch holds at least two designs per worker.  Both paths are
-bit-identical, so the rule changes wall-clock only.
+bit-identical, so the rule changes wall-clock only.  Workers record no
+trace spans; the caller's ``synthesis`` stage span times the batch.
 
 Worker count comes from the constructor or the ``REPRO_ENGINE_WORKERS``
 environment variable (default 1 = serial, no processes spawned).  Worker
@@ -21,7 +22,6 @@ and the pool degrades to in-process execution if process creation fails
 from __future__ import annotations
 
 import functools
-import itertools
 import multiprocessing
 import os
 import sys
@@ -29,8 +29,6 @@ import threading
 from typing import List, Optional, Sequence, Tuple
 
 from ..circuits.task import CircuitTask
-from ..obs import trace
-from ..obs.trace import SpanContext, Tracer
 from ..prefix.graph import PrefixGraph
 
 __all__ = ["SynthesisPool", "default_worker_count"]
@@ -72,41 +70,6 @@ def _synth_many_job(task: CircuitTask, graphs: Sequence[PrefixGraph]) -> List[Me
         (result.area_um2, result.delay_ns)
         for result in task.evaluate_many(graphs)
     ]
-
-
-# -- traced worker entry points -----------------------------------------
-# When the parent run is traced, each work item ships its parent span
-# context (a picklable (trace_id, span_id) pair); the worker records its
-# spans into a collecting Tracer and ships the dicts back alongside the
-# metrics, and the parent re-emits them into its sink (Tracer.emit_raw).
-# Span ids are prefixed per (worker pid, job) so they never collide with
-# the parent's or another worker's inside one trace file.
-
-# thread-safe: itertools.count.__next__ is atomic under the GIL, and
-# each worker process owns its own copy (the prefix also embeds the pid).
-_WORKER_JOB_SEQ = itertools.count(1)
-
-
-def _worker_tracer(parent_ctx: Optional[SpanContext], trace_id: str) -> Tracer:
-    trace.reset_in_child()  # drop any fork-inherited ambient tracer
-    return Tracer(
-        collect=True,
-        trace_id=trace_id,
-        id_prefix=f"w{os.getpid():x}j{next(_WORKER_JOB_SEQ):x}-",
-    )
-
-
-def _traced_synth_many_job(
-    task: CircuitTask,
-    parent_ctx: Optional[SpanContext],
-    trace_id: str,
-    graphs: Sequence[PrefixGraph],
-) -> Tuple[List[Metrics], List[dict]]:
-    tracer = _worker_tracer(parent_ctx, trace_id)
-    with tracer.span("synthesize_chunk", parent=parent_ctx) as span:
-        span.set_attr("chunk", len(graphs))
-        metrics = _synth_many_job(task, graphs)
-    return metrics, tracer.drain()
 
 
 class SynthesisPool:
@@ -180,19 +143,7 @@ class SynthesisPool:
                     size = base + (1 if worker < extra else 0)
                     chunks.append(graphs[start : start + size])
                     start += size
-                tracer = trace.current_tracer()
                 try:
-                    if tracer is not None:
-                        job = functools.partial(
-                            _traced_synth_many_job,
-                            task,
-                            tracer.current_context(),
-                            tracer.trace_id,
-                        )
-                        pairs = pool.map(job, chunks)
-                        for _, spans in pairs:
-                            tracer.emit_raw(spans)
-                        return [m for part, _ in pairs for m in part]
                     job = functools.partial(_synth_many_job, task)
                     parts = pool.map(job, chunks)
                     return [metrics for part in parts for metrics in part]

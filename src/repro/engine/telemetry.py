@@ -72,7 +72,6 @@ KNOWN_SPANS = frozenset(
         "final_records",
         "engine_evaluate",
         "evaluate_batch",
-        "synthesize_chunk",
         "cache_load",
         "cache_refresh",
         "bench",

@@ -4,7 +4,7 @@ Two stdlib-only cores (safe for the dependency-light engine layers to
 import) plus analysis tooling:
 
 - :mod:`repro.obs.trace` — spans, the ambient :class:`Tracer`,
-  cross-thread and cross-process context propagation.
+  cross-thread context propagation.
 - :mod:`repro.obs.sink` — durable ``trace.jsonl`` writer, readers, the
   Perfetto exporter and the CI schema validator.
 - :mod:`repro.obs.report` — span trees, self/total attribution,
@@ -22,11 +22,8 @@ from .sink import (
 from .trace import (
     NULL_SPAN,
     Span,
-    SpanContext,
     Tracer,
     active,
-    current_tracer,
-    reset_in_child,
     span,
 )
 from .report import (
@@ -49,11 +46,8 @@ __all__ = [
     "validate_spans",
     "NULL_SPAN",
     "Span",
-    "SpanContext",
     "Tracer",
     "active",
-    "current_tracer",
-    "reset_in_child",
     "span",
     "SpanNode",
     "aggregate",

@@ -30,7 +30,6 @@ __all__ = [
     "TRACE_FILENAME",
     "TraceSink",
     "read_trace",
-    "iter_trace",
     "to_perfetto",
     "export_perfetto",
     "validate_spans",
@@ -56,8 +55,8 @@ class TraceSink:
 
     Owned by the pid that created it: a forked worker that inherits the
     sink cannot corrupt the file — writes from a foreign pid are
-    silently dropped (workers ship their spans back through the pool
-    protocol instead; see :meth:`repro.obs.trace.Tracer.emit_raw`).
+    silently dropped.  Spans are only ever written by the run's own
+    process; pool workers record none.
     """
 
     def __init__(self, path: str) -> None:
@@ -94,8 +93,10 @@ class TraceSink:
         return f"TraceSink({self.path!r}, written={self.written})"
 
 
-def iter_trace(path: str) -> Iterable[Dict]:
-    """Yield span dicts from a trace file, skipping a truncated tail."""
+def read_trace(path: str) -> List[Dict]:
+    """Every readable span in the file, in write (i.e. finish) order,
+    skipping a truncated tail."""
+    spans = []
     with open(path) as handle:
         for line in handle:
             line = line.strip()
@@ -106,12 +107,8 @@ def iter_trace(path: str) -> Iterable[Dict]:
             except json.JSONDecodeError:
                 continue  # torn final line from a killed writer
             if isinstance(payload, dict):
-                yield payload
-
-
-def read_trace(path: str) -> List[Dict]:
-    """Every readable span in the file, in write (i.e. finish) order."""
-    return list(iter_trace(path))
+                spans.append(payload)
+    return spans
 
 
 # ----------------------------------------------------------------------
@@ -122,8 +119,7 @@ def to_perfetto(spans: Iterable[Dict]) -> Dict:
 
     Timestamps become microseconds relative to the earliest span start,
     so the viewer opens at t=0; thread/process ids pass through, giving
-    one track per (pid, tid) — parallel seeds and pool workers land on
-    their own rows.
+    one track per (pid, tid) — parallel seeds land on their own rows.
     """
     spans = list(spans)
     base = min((s["t0"] for s in spans), default=0.0)

@@ -7,8 +7,9 @@ and counter deltas — covering one experiment run::
       seed GA/0                      (one (method, seed) cell)
         evaluate_batch               (one query or query_plan call)
           engine_evaluate            (cache classification + synthesis)
-            synthesis                (stage span, == telemetry seconds)
-              synthesize_chunk       (shipped back from a pool worker)
+            synthesis                (stage span, == telemetry seconds;
+                                      also times a pooled batch — pool
+                                      workers record no spans)
         train                        (stage span around a retrain round)
 
 Design constraints, in order:
@@ -22,14 +23,7 @@ Design constraints, in order:
    thread that has no stack yet (a freshly spawned parallel-seed thread)
    parents to the tracer's *default context* — the experiment root — so
    seed spans land in the right tree without any explicit plumbing.
-3. **Propagates into worker processes.**  A :class:`SpanContext` is a
-   picklable ``(trace_id, span_id)`` pair; the synthesis pool ships it
-   with each work item, records worker-side spans into a collecting
-   tracer, and the parent re-emits them (:meth:`Tracer.emit_raw`) into
-   its sink.  Forked workers that inherit the parent's ambient tracer
-   must call :func:`reset_in_child` — the sink also refuses writes from
-   a foreign pid as a second line of defense.
-4. **Durations can be imposed.**  ``Span.finish(elapsed=...)`` lets the
+3. **Durations can be imposed.**  ``Span.finish(elapsed=...)`` lets the
    telemetry stage helpers measure wall-clock *once* and charge the same
    number to both the stage counters and the span, so a report derived
    from the trace reproduces ``stage_seconds`` exactly.
@@ -45,19 +39,16 @@ import itertools
 import os
 import threading
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
-    "SpanContext",
     "Span",
     "Tracer",
     "active",
-    "current_tracer",
     "span",
-    "reset_in_child",
 ]
 
-#: picklable span address: (trace_id, span_id).
+#: span address: (trace_id, span_id).
 SpanContext = Tuple[str, str]
 
 #: the process-ambient tracer (None = tracing off everywhere).
@@ -68,16 +59,6 @@ _AMBIENT_LOCK = threading.Lock()
 def active() -> bool:
     """Whether any tracer is currently activated (one global check)."""
     return _AMBIENT is not None
-
-
-def current_tracer() -> Optional["Tracer"]:
-    return _AMBIENT
-
-
-def reset_in_child() -> None:
-    """Drop inherited ambient state after a ``fork`` (worker entry)."""
-    global _AMBIENT
-    _AMBIENT = None
 
 
 class _NullSpan:
@@ -203,7 +184,7 @@ class Span:
 
 
 class Tracer:
-    """Produces spans and routes them to a sink (or an in-memory list).
+    """Produces spans and routes them to a sink.
 
     Parameters
     ----------
@@ -212,37 +193,22 @@ class Tracer:
         :class:`repro.obs.sink.TraceSink`); spans are delivered as dicts,
         children strictly before their parents close (spans are emitted
         on *finish*).
-    collect:
-        Record spans into an internal list instead (pool workers use
-        this and ship :meth:`drain`'s result back with their results).
     trace_id:
         Fixed id for the whole tree; generated when omitted.
     """
 
-    def __init__(
-        self,
-        sink=None,
-        collect: bool = False,
-        trace_id: Optional[str] = None,
-        id_prefix: str = "s",
-    ) -> None:
-        if sink is not None and not hasattr(sink, "write"):
+    def __init__(self, sink, trace_id: Optional[str] = None) -> None:
+        if not hasattr(sink, "write"):
             raise TypeError("sink must expose .write(span_dict)")
         self._sink = sink
-        self._collected: Optional[List[Dict]] = [] if collect else None
         self.trace_id = (
             trace_id
             if trace_id is not None
             else f"tr-{os.getpid():x}-{time.time_ns() & 0xFFFFFFFF:08x}"
         )
-        #: span-id prefix; collecting tracers in pool workers use a
-        #: per-(worker, job) prefix so shipped ids never collide with the
-        #: parent's (or another worker's) ids inside one trace.
-        self._id_prefix = id_prefix
         #: epoch anchor: span times are ``anchor + perf_counter()`` so
         #: durations are monotonic but timestamps read as wall clock.
         self.anchor = time.time() - time.perf_counter()
-        self._pid = os.getpid()
         self._ids = itertools.count(1)
         self._id_lock = threading.Lock()
         self._local = threading.local()
@@ -253,7 +219,7 @@ class Tracer:
     # -- id / stack management -----------------------------------------
     def _next_id(self) -> str:
         with self._id_lock:
-            return f"{self._id_prefix}{next(self._ids):06d}"
+            return f"s{next(self._ids):06d}"
 
     def _stack(self) -> List[Span]:
         stack = getattr(self._local, "stack", None)
@@ -273,8 +239,7 @@ class Tracer:
             del stack[stack.index(span):]
 
     def current_context(self) -> Optional[SpanContext]:
-        """This thread's innermost span context (picklable), or the
-        tracer default — what a work item ships to a pool worker."""
+        """This thread's innermost span context, or the tracer default."""
         stack = self._stack()
         if stack:
             return stack[-1].context
@@ -285,16 +250,14 @@ class Tracer:
         self,
         name: str,
         attrs: Optional[Dict] = None,
-        parent: Optional[SpanContext] = None,
         default: bool = False,
     ) -> Span:
-        """A new span parented to ``parent``, this thread's current span,
-        or the tracer default, in that order.  Use as a context manager
-        (which also makes it the thread's current span) or call
-        :meth:`Span.finish` manually.  ``default=True`` additionally
-        installs the span as the tracer-wide fallback parent."""
-        if parent is None:
-            parent = self.current_context()
+        """A new span parented to this thread's current span, or the
+        tracer default.  Use as a context manager (which also makes it
+        the thread's current span) or call :meth:`Span.finish` manually.
+        ``default=True`` additionally installs the span as the
+        tracer-wide fallback parent."""
+        parent = self.current_context()
         parent_id = parent[1] if parent is not None else None
         span = Span(self, name, self.trace_id, self._next_id(), parent_id, attrs)
         if default:
@@ -302,28 +265,7 @@ class Tracer:
         return span
 
     def _emit(self, span: Span) -> None:
-        self._write(span.to_dict())
-
-    def _write(self, payload: Dict) -> None:
-        if self._collected is not None:
-            self._collected.append(payload)
-        elif self._sink is not None:
-            self._sink.write(payload)
-
-    def emit_raw(self, span_dicts: List[Dict]) -> None:
-        """Forward already-finished span dicts (from a pool worker's
-        collecting tracer) into this tracer's sink unchanged — their
-        parent ids were assigned from the shipped context, so they slot
-        into the tree directly."""
-        for payload in span_dicts:
-            self._write(payload)
-
-    def drain(self) -> List[Dict]:
-        """Collected span dicts (collect mode); resets the buffer."""
-        if self._collected is None:
-            return []
-        out, self._collected = self._collected, []
-        return out
+        self._sink.write(span.to_dict())
 
     # -- activation ------------------------------------------------------
     def activate(self) -> "_Activation":
@@ -336,8 +278,7 @@ class Tracer:
         return _Activation(self)
 
     def __repr__(self) -> str:
-        mode = "collect" if self._collected is not None else repr(self._sink)
-        return f"Tracer({self.trace_id}, sink={mode})"
+        return f"Tracer({self.trace_id}, sink={self._sink!r})"
 
 
 class _Activation:

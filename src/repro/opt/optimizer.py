@@ -10,7 +10,6 @@ that trace into :class:`~repro.opt.results.RunRecord` rows.
 from __future__ import annotations
 
 import abc
-from typing import Optional
 
 import numpy as np
 

@@ -15,13 +15,13 @@ semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..prefix.graph import PrefixGraph
-from .simulator import CircuitSimulator, Evaluation
+from .simulator import CircuitSimulator
 
 __all__ = [
     "RunRecord",

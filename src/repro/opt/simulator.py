@@ -96,12 +96,6 @@ class CircuitSimulator:
         """Unique physical simulations performed so far."""
         return len(self.history)
 
-    @property
-    def remaining(self) -> Optional[int]:
-        if self.budget is None:
-            return None
-        return max(self.budget - self.num_simulations, 0)
-
     def exhausted(self) -> bool:
         return self.budget is not None and self.num_simulations >= self.budget
 

@@ -20,10 +20,7 @@ from .io import graph_from_dict, graph_to_dict
 from .legalize import legalize, legalize_grid, legalize_grids
 from .metrics import (
     batch_levels,
-    depth,
     hamming_distance,
-    max_fanout,
-    node_count,
     stacked_grids,
     structure_summary,
 )
@@ -78,9 +75,6 @@ __all__ = [
     "legalize_bits",
     "random_graph",
     "unique_random_graphs",
-    "node_count",
-    "depth",
-    "max_fanout",
     "hamming_distance",
     "structure_summary",
     "stacked_grids",

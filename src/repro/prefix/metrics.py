@@ -1,9 +1,7 @@
 """Structural metrics over prefix graphs — scalar and stacked-batch forms.
 
 Used by Fig. 8's structure comparison (best adder vs best gray-to-binary
-converter), by the analytics in the benchmark harnesses, and as features in
-tests' sanity assertions (e.g. Kogge-Stone has unit fanout, Sklansky has
-fanout ~ n/2).
+converter) and by the analytics in the benchmark harnesses.
 
 ``stacked_grids`` / ``batch_levels`` lift the per-graph level computation
 to whole populations: one ``(B, n, n)`` boolean array, iterated
@@ -14,36 +12,18 @@ separate ``PrefixGraph.levels()`` dictionaries.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from .graph import PrefixGraph
 
 __all__ = [
-    "node_count",
-    "depth",
-    "max_fanout",
     "hamming_distance",
     "structure_summary",
     "stacked_grids",
     "batch_levels",
 ]
-
-
-def node_count(graph: PrefixGraph) -> int:
-    """Number of prefix operators (excludes the diagonal inputs)."""
-    return graph.node_count()
-
-
-def depth(graph: PrefixGraph) -> int:
-    """Logic depth in operator levels."""
-    return graph.depth()
-
-
-def max_fanout(graph: PrefixGraph) -> int:
-    """Largest number of children any span feeds."""
-    return max(graph.fanouts().values())
 
 
 def hamming_distance(a: PrefixGraph, b: PrefixGraph) -> int:

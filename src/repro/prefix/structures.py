@@ -14,7 +14,7 @@ suite for every width.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 import numpy as np
 

@@ -8,7 +8,7 @@ and the commercial-tool emulation used by the Fig. 6 experiment.
 
 from .batched import synthesize_many
 from .commercial import CommercialTool
-from .cost import AREA_SCALE, DELAY_SCALE, CostWeights, cost_from_metrics
+from .cost import AREA_SCALE, DELAY_SCALE, cost_from_metrics
 from .library import Cell, CellLibrary, LIBRARIES, nangate45, scaled_library
 from .mapping import (
     map_adder,
@@ -67,7 +67,6 @@ __all__ = [
     "size_gates",
     "synthesize",
     "synthesize_many",
-    "CostWeights",
     "cost_from_metrics",
     "DELAY_SCALE",
     "AREA_SCALE",

@@ -24,12 +24,11 @@ means in Fig. 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..prefix.graph import PrefixGraph
 from ..prefix.structures import STRUCTURES
-from .library import Cell, CellLibrary
+from .library import CellLibrary
 from .physical import PhysicalResult, SynthesisOptions, synthesize
 from .timing import IOTiming
 

@@ -8,11 +8,7 @@ smoothly.  ``omega`` is the **delay weight**.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .physical import PhysicalResult
-
-__all__ = ["DELAY_SCALE", "AREA_SCALE", "CostWeights", "cost_from_metrics"]
+__all__ = ["DELAY_SCALE", "AREA_SCALE", "cost_from_metrics"]
 
 DELAY_SCALE = 10.0  # ns -> cost units
 AREA_SCALE = 0.01  # um^2 -> cost units
@@ -23,20 +19,3 @@ def cost_from_metrics(area_um2: float, delay_ns: float, delay_weight: float) -> 
     if not 0.0 <= delay_weight <= 1.0:
         raise ValueError(f"delay weight must be in [0, 1], got {delay_weight}")
     return delay_weight * DELAY_SCALE * delay_ns + (1.0 - delay_weight) * AREA_SCALE * area_um2
-
-
-@dataclass(frozen=True)
-class CostWeights:
-    """A delay weight with convenience evaluation over synthesis results."""
-
-    delay_weight: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.delay_weight <= 1.0:
-            raise ValueError(f"delay weight must be in [0, 1], got {self.delay_weight}")
-
-    def cost(self, result: PhysicalResult) -> float:
-        return cost_from_metrics(result.area_um2, result.delay_ns, self.delay_weight)
-
-    def __repr__(self) -> str:
-        return f"CostWeights(omega={self.delay_weight})"

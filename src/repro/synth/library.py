@@ -18,8 +18,8 @@ fanout ``h = C_out / C_in``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 __all__ = ["Cell", "CellLibrary", "nangate45", "scaled_library", "LIBRARIES", "LIBRARY_NAMES"]
 

@@ -19,7 +19,7 @@ the paper's two tasks; both share the span-decomposition structure so the
 
 from __future__ import annotations
 
-from typing import Dict, Literal, Tuple
+from typing import Dict, Literal
 
 from ..prefix.graph import PrefixGraph, Span
 from .library import CellLibrary

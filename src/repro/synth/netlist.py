@@ -10,8 +10,8 @@ number of sinks.  Primary outputs are named references to nets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .library import Cell, CellLibrary
 
@@ -55,7 +55,7 @@ class Gate:
     cell: Cell
     inputs: List[int]  # net indices, one per pin
     output: int  # net index
-    column: Optional[float] = None  # datapath bit column
+    column: float  # datapath bit column
     x: float = 0.0  # placement coordinates (um)
     y: float = 0.0
 
@@ -104,9 +104,11 @@ class Netlist:
         cell: Cell,
         inputs: Sequence[int],
         name: str = "",
-        column: Optional[float] = None,
+        *,
+        column: float,
     ) -> int:
-        """Instantiate ``cell`` on the given input nets; returns output net."""
+        """Instantiate ``cell`` on the given input nets at datapath bit
+        ``column``; returns the output net."""
         if len(inputs) != cell.num_inputs:
             raise ValueError(
                 f"{cell.name} needs {cell.num_inputs} inputs, got {len(inputs)}"
@@ -142,11 +144,6 @@ class Netlist:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def fanout(self, net: int) -> int:
-        """Gate sinks plus primary-output sinks on this net."""
-        extra = sum(1 for po_net in self.primary_outputs.values() if po_net == net)
-        return len(self.net_sinks[net]) + extra
-
     def area(self) -> float:
         """Total cell area in um^2."""
         return sum(g.cell.area for g in self.gates)

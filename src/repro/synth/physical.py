@@ -17,7 +17,7 @@ of the prefix graph — a property the optimizer's caching relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..prefix.graph import PrefixGraph
@@ -28,7 +28,6 @@ from .placement import place_datapath, total_wire_length
 from .timing import (
     IOTiming,
     TimingReport,
-    analyze_timing,
     dirty_after_swaps,
     extract_report,
     net_load,
@@ -103,11 +102,7 @@ def buffer_fanout(netlist: Netlist, max_fanout: int = 4) -> int:
                 cell = variant
                 if variant.input_cap * 4.0 >= load:
                     break
-            sink_columns = [
-                netlist.gates[g].column for g, _ in group
-                if netlist.gates[g].column is not None
-            ]
-            centroid = sum(sink_columns) / len(sink_columns) if sink_columns else None
+            centroid = sum(netlist.gates[g].column for g, _ in group) / len(group)
             buf_out = netlist.add_gate(
                 cell, [net], name=f"buf{len(netlist.gates)}", column=centroid
             )

@@ -19,9 +19,8 @@ depends in a complicated way on many other physical factors").
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional
+from typing import List
 
-from .library import CellLibrary
 from .netlist import Netlist
 
 __all__ = ["place_datapath", "wire_length", "total_wire_length", "input_column"]
@@ -35,32 +34,10 @@ def input_column(netlist: Netlist, net: int) -> float:
     return float(match.group(1)) if match else 0.0
 
 
-def _resolve_column(netlist: Netlist, gate_index: int, memo: Dict[int, float]) -> float:
-    """Gate column: the mapping-provided hint, else the fanin centroid."""
-    if gate_index in memo:
-        return memo[gate_index]
-    gate = netlist.gates[gate_index]
-    if gate.column is not None:
-        memo[gate_index] = float(gate.column)
-        return memo[gate_index]
-    memo[gate_index] = 0.0  # break cycles defensively (DAG: unreachable)
-    cols: List[float] = []
-    for net in gate.inputs:
-        driver = netlist.net_driver[net]
-        if driver >= 0:
-            cols.append(_resolve_column(netlist, driver, memo))
-        else:
-            cols.append(input_column(netlist, net))
-    column = sum(cols) / len(cols) if cols else 0.0
-    memo[gate_index] = column
-    return column
-
-
 def place_datapath(netlist: Netlist) -> None:
     """Assign (x, y) coordinates in um to every gate, in place."""
     library = netlist.library
     depth: List[int] = [0] * len(netlist.gates)
-    memo: Dict[int, float] = {}
     for gate_index in netlist.topological_order():
         gate = netlist.gates[gate_index]
         level = 0
@@ -69,7 +46,7 @@ def place_datapath(netlist: Netlist) -> None:
             if driver >= 0:
                 level = max(level, depth[driver] + 1)
         depth[gate_index] = level
-        gate.x = _resolve_column(netlist, gate_index, memo) * library.bit_pitch_um
+        gate.x = gate.column * library.bit_pitch_um
         gate.y = level * library.row_height_um
 
 

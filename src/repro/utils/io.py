@@ -22,8 +22,8 @@ from typing import Any, Optional
 
 __all__ = [
     "ensure_parent_dir",
-    "atomic_write_text",
     "atomic_write_bytes",
+    "atomic_write_text",
     "atomic_write_json",
 ]
 
@@ -35,37 +35,14 @@ def ensure_parent_dir(path: str) -> str:
     return parent
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Write binary ``data`` to ``path`` atomically (temp file +
+    ``os.replace``).
 
     Creates missing parent directories.  On any failure the destination
     is untouched: either the old content survives intact or the new
-    content is fully in place, never a mix.
-    """
-    parent = ensure_parent_dir(path)
-    fd, tmp_path = tempfile.mkstemp(
-        dir=parent, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write binary ``data`` to ``path`` atomically (temp + ``os.replace``).
-
-    The binary sibling of :func:`atomic_write_text`; used for ``.npz``
-    model/optimizer archives (serialize the archive to memory first,
-    then land it in one rename).
+    content is fully in place, never a mix.  ``.npz`` model/optimizer
+    archives are serialized to memory first, then land in one rename.
     """
     parent = ensure_parent_dir(path)
     fd, tmp_path = tempfile.mkstemp(
@@ -83,6 +60,14 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` atomically, encoded as UTF-8.
+
+    The text form of :func:`atomic_write_bytes`.
+    """
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_json(path: str, payload: Any, indent: Optional[int] = None) -> None:

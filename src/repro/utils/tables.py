@@ -6,7 +6,7 @@ The Table 1 bench prints cells in the paper's own format:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 __all__ = ["format_table", "format_median_iqr"]
 

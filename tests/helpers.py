@@ -32,6 +32,14 @@ def unique_random_graphs(n, count, seed=0, base_density=0.1):
     )
 
 
+class ListSink(list):
+    """In-memory trace sink: ``Tracer(sink=ListSink())`` appends every
+    finished span dict to the list, in finish order."""
+
+    def write(self, span_dict):
+        self.append(span_dict)
+
+
 def run_serial_grid(factory, task, budget, seeds, method_name):
     """The plain reference grid: one serial :class:`CircuitSimulator`
     (scalar ``task.synthesize`` per design) per seed."""

@@ -1,5 +1,6 @@
 """End-to-end tests for Session.run and the python -m repro CLI."""
 
+import io
 import json
 import os
 
@@ -15,7 +16,7 @@ from repro.opt import RunInterrupted, load_records
 from repro.obs.trace import Tracer
 from repro.utils.threads import blas_thread_counts, usable_cores
 
-from helpers import VAE_PARAMS, run_serial_grid
+from helpers import VAE_PARAMS, ListSink, run_serial_grid
 
 SPECS_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -163,12 +164,13 @@ class TestSessionRun:
             with Session() as serial_session:
                 serial = serial_session.run(spec)
             assert blas_thread_counts() == before
-            tracer = Tracer(collect=True)
+            spans = ListSink()
+            tracer = Tracer(sink=spans)
             with tracer.activate(), Session(parallel_seeds=2) as parallel_session:
                 parallel = parallel_session.run(spec, on_event=sample)
             assert blas_thread_counts() == before
             # Each seed span records the budget it ran under.
-            seed_spans = [s for s in tracer.drain() if s["name"] == "seed"]
+            seed_spans = [s for s in spans if s["name"] == "seed"]
             assert len(seed_spans) == spec.num_seeds * len(spec.methods)
             for seed_span in seed_spans:
                 assert seed_span["attrs"]["seed_threads"] == 2
@@ -224,6 +226,25 @@ class TestCLI:
         for name in ("CircuitVAE", "GA", "RL", "BO", "Random"):
             assert name in output
         assert "population_size" in output
+
+    def test_closed_stdout_exits_141_quietly(self, tmp_path, capsys, monkeypatch):
+        # ``repro report <run_dir> | head -2``: once the reader is gone,
+        # every write raises BrokenPipeError.  That is no bad argument,
+        # so no ``error:`` line and the SIGPIPE exit code, not 2.
+        run_dir = str(tmp_path / "run")
+        with Session() as session:
+            session.run(load_spec(TINY_SPEC_PATH), out_dir=run_dir)
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        capsys.readouterr()
+        for argv in (["report", run_dir, "--top", "200"], ["methods"]):
+            monkeypatch.setattr("sys.stdout", ClosedPipe())
+            assert main(argv) == 141, argv
+            monkeypatch.undo()
+            assert capsys.readouterr().err == "", argv
 
     def test_checked_in_specs_load_and_round_trip(self):
         names = sorted(os.listdir(SPECS_DIR))

@@ -484,7 +484,7 @@ class TestTelemetryNames:
                 telemetry.add("synth_calls", 1)
                 telemetry.add_stage_time("synthesis", 0.1)
                 telemetry.add_stage_time("train_kernel:matmul", 0.1)
-                with tracer.span("synthesize_chunk"):
+                with tracer.span("engine_evaluate"):
                     pass
                 trace.span("seed")
                 queue.add("anything")  # not a telemetry receiver

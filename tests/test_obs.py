@@ -30,11 +30,15 @@ from repro.obs.sink import (
     to_perfetto,
     validate_spans,
 )
-from repro.obs.trace import NULL_SPAN, Span, Tracer
+from repro.obs.trace import NULL_SPAN, Tracer
+
+from helpers import ListSink
 
 
 def collect_tracer():
-    return Tracer(collect=True, trace_id="tr-test")
+    """A tracer and the list its finished spans land in."""
+    spans = ListSink()
+    return Tracer(sink=spans, trace_id="tr-test"), spans
 
 
 # ----------------------------------------------------------------------
@@ -49,12 +53,11 @@ class TestTrace:
             assert s.context is None
 
     def test_nesting_and_parentage(self):
-        tracer = collect_tracer()
+        tracer, spans = collect_tracer()
         with tracer.span("root") as root:
             with tracer.span("child") as child:
                 with tracer.span("grandchild"):
                     pass
-        spans = tracer.drain()
         by_name = {s["name"]: s for s in spans}
         assert by_name["child"]["parent_id"] == root.span_id
         assert by_name["grandchild"]["parent_id"] == child.span_id
@@ -63,29 +66,29 @@ class TestTrace:
         assert [s["name"] for s in spans] == ["grandchild", "child", "root"]
 
     def test_imposed_duration(self):
-        tracer = collect_tracer()
+        tracer, spans = collect_tracer()
         s = tracer.span("stage")
         s.finish(elapsed=1.5)
-        (payload,) = tracer.drain()
+        (payload,) = spans
         assert payload["t1"] - payload["t0"] == pytest.approx(1.5)
 
     def test_finish_idempotent(self):
-        tracer = collect_tracer()
+        tracer, spans = collect_tracer()
         s = tracer.span("once")
         s.finish()
         s.finish()
-        assert len(tracer.drain()) == 1
+        assert len(spans) == 1
 
     def test_error_attr_on_exception(self):
-        tracer = collect_tracer()
+        tracer, spans = collect_tracer()
         with pytest.raises(ValueError):
             with tracer.span("boom"):
                 raise ValueError("no")
-        (payload,) = tracer.drain()
+        (payload,) = spans
         assert payload["attrs"]["error"] == "ValueError"
 
     def test_default_context_parents_fresh_threads(self):
-        tracer = collect_tracer()
+        tracer, spans = collect_tracer()
         root = tracer.span("experiment", default=True)
         root.__enter__()
 
@@ -99,13 +102,12 @@ class TestTrace:
         for t in threads:
             t.join()
         root.finish()
-        spans = tracer.drain()
         seeds = [s for s in spans if s["name"] == "seed"]
         assert len(seeds) == 3
         assert all(s["parent_id"] == root.span_id for s in seeds)
 
     def test_out_of_order_finish_tolerated(self):
-        tracer = collect_tracer()
+        tracer, _ = collect_tracer()
         outer = tracer.span("outer")
         outer.__enter__()
         inner = tracer.span("inner")
@@ -115,51 +117,24 @@ class TestTrace:
         assert tracer.current_context() is None
 
     def test_activation_exclusive(self):
-        a, b = Tracer(collect=True), Tracer(collect=True)
+        (a, _), (b, _) = collect_tracer(), collect_tracer()
         with a.activate():
             assert trace.active()
-            assert trace.current_tracer() is a
             with pytest.raises(RuntimeError):
                 b.activate().__enter__()
+            # the active tracer is a, so the ambient span lands in its tree
+            assert trace.span("seed").tracer is a
         assert not trace.active()
-
-    def test_reset_in_child_drops_ambient(self):
-        tracer = Tracer(collect=True)
-        with tracer.activate():
-            trace.reset_in_child()
-            assert not trace.active()
-        # __exit__ after a reset must not reinstall or crash
-        assert not trace.active()
-
-    def test_id_prefix_keeps_worker_ids_distinct(self):
-        parent = collect_tracer()
-        worker = Tracer(collect=True, trace_id=parent.trace_id, id_prefix="w1j1-")
-        parent_ids = {parent.span("a").span_id, parent.span("b").span_id}
-        worker_ids = {worker.span("a").span_id, worker.span("b").span_id}
-        assert not parent_ids & worker_ids
-
-    def test_explicit_parent_and_emit_raw(self):
-        parent = collect_tracer()
-        with parent.span("engine") as engine_span:
-            ctx = parent.current_context()
-            worker = Tracer(collect=True, trace_id=parent.trace_id, id_prefix="w-")
-            w = worker.span("synthesize", parent=ctx)
-            w.finish()
-            parent.emit_raw(worker.drain())
-        spans = parent.drain()
-        by_name = {s["name"]: s for s in spans}
-        assert by_name["synthesize"]["parent_id"] == engine_span.span_id
-        assert validate_spans(spans) == []
 
 
 # ----------------------------------------------------------------------
 class TestSink:
-    def _spans(self, tracer=None):
-        tracer = tracer or collect_tracer()
+    def _spans(self):
+        tracer, spans = collect_tracer()
         with tracer.span("root"):
             with tracer.span("child", attrs={"batch": 2}) as c:
                 c.add_counter("synth_calls", 2)
-        return tracer.drain()
+        return spans
 
     def test_write_read_roundtrip(self, tmp_path):
         path = str(tmp_path / TRACE_FILENAME)
@@ -224,7 +199,7 @@ class TestSink:
 # ----------------------------------------------------------------------
 class TestReport:
     def _tree(self):
-        tracer = collect_tracer()
+        tracer, spans = collect_tracer()
         root = tracer.span("experiment", default=True)
         root.__enter__()
         for seed in range(2):
@@ -233,7 +208,7 @@ class TestReport:
                 with tracer.span("evaluate"):
                     pass
         root.finish()
-        return tracer.drain()
+        return spans
 
     def test_build_tree_and_aggregate(self):
         roots = build_tree(self._tree())
@@ -265,25 +240,24 @@ class TestReport:
         assert coverage(root) == pytest.approx(0.8)
 
     def test_stage_and_counter_totals(self):
-        tracer = collect_tracer()
+        tracer, spans = collect_tracer()
         for seconds in (1.0, 2.0):
             s = tracer.span("synthesis", attrs={"stage": True})
             s.finish(elapsed=seconds)
         plain = tracer.span("not_a_stage")
         plain.add_counter("queries", 3)
         plain.finish(elapsed=4.0)
-        spans = tracer.drain()
         assert stage_totals(spans) == {"synthesis": pytest.approx(3.0)}
         (counted,) = [s for s in spans if s["name"] == "not_a_stage"]
         assert counted["counters"] == {"queries": 3}
 
     def test_render_tree_collapses_repeats(self):
-        tracer = collect_tracer()
+        tracer, spans = collect_tracer()
         with tracer.span("root"):
             for _ in range(20):  # alternating names, like an iteration loop
                 tracer.span("proposal").finish(elapsed=0.001)
                 tracer.span("evaluate").finish(elapsed=0.001)
-        text = render_tree(build_tree(tracer.drain()), collapse_over=8)
+        text = render_tree(build_tree(spans), collapse_over=8)
         assert "proposal ×20" in text
         assert "evaluate ×20" in text
         assert len(text.splitlines()) == 3  # root + two collapsed groups
@@ -300,11 +274,9 @@ class TestReport:
 
         def writer():
             with TraceSink(path) as sink:
-                tracer = collect_tracer()
+                tracer = Tracer(sink=sink, trace_id="tr-test")
                 for i in range(5):
-                    s = tracer.span(f"s{i}")
-                    s.finish()
-                    sink.write(tracer.drain()[0])
+                    tracer.span(f"s{i}").finish()
                     time.sleep(0.01)
 
         thread = threading.Thread(target=writer)
@@ -320,12 +292,12 @@ class TestReport:
 # ----------------------------------------------------------------------
 class TestTelemetryObs:
     def test_stage_emits_imposed_span(self):
-        tracer = collect_tracer()
+        tracer, spans = collect_tracer()
         telemetry = EngineTelemetry()
         with tracer.activate():
             with stage(telemetry, "synthesis"):
                 time.sleep(0.002)
-        (payload,) = tracer.drain()
+        (payload,) = spans
         assert payload["name"] == "synthesis"
         assert payload["attrs"] == {"stage": True}
         # one measurement, charged identically to both sides (abs
@@ -416,7 +388,7 @@ class TestKernelProfiling:
 
         sim = Sim()
         sim.telemetry = EngineTelemetry()
-        tracer = collect_tracer()
+        tracer, spans = collect_tracer()
         with tracer.activate():
             report_training_round(sim, stats, round_index=0)
         d = sim.telemetry.as_dict()
@@ -431,7 +403,6 @@ class TestKernelProfiling:
         }
         # matching imposed-duration spans, so trace-derived stage totals
         # keep reproducing stage_seconds under profiling too
-        spans = tracer.drain()
         assert stage_totals(spans) == {
             name: pytest.approx(seconds, abs=1e-6)
             for name, seconds in folded.items()
@@ -483,6 +454,38 @@ class TestTracedRun:
         from_trace = stage_totals(spans)
         for name, seconds in result.telemetry["stage_seconds"].items():
             assert from_trace[name] == pytest.approx(seconds, rel=0.01, abs=1e-6)
+
+    def test_pooled_run_traces_in_one_process(self, tmp_path, monkeypatch):
+        # GA generations of 8 designs reach the pool (two designs per
+        # worker); the parent's synthesis stage span times each pooled
+        # batch and the workers write no spans of their own.
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        spec = ExperimentSpec(
+            name="obs-pool",
+            task=TaskSpec(circuit_type="adder", n=8, delay_weight=0.66),
+            methods=(MethodSpec("GA", params={"population_size": 8}),),
+            budget=16,
+            num_seeds=1,
+            curve_points=3,
+        )
+        results = {}
+        for workers in (1, 2):
+            out = str(tmp_path / f"workers{workers}")
+            with Session(workers=workers) as session:
+                assert session.engine.pool.parallel == (workers > 1)
+                results[workers] = session.run(spec, out_dir=out)
+        spans = read_trace(results[2].trace_path)
+        assert validate_spans(spans) == []
+        assert {s["pid"] for s in spans} == {os.getpid()}
+        assert "synthesize_chunk" not in {s["name"] for s in spans}
+        assert any(
+            s["name"] == "engine_evaluate" and s["attrs"]["batch"] >= 4
+            for s in spans
+        )
+        (serial,), (pooled,) = results[1].records["GA"], results[2].records["GA"]
+        for field in ("costs", "areas", "delays"):
+            assert np.array_equal(getattr(serial, field), getattr(pooled, field))
+        assert serial.best_graph.key() == pooled.best_graph.key()
 
     def test_repro_trace_zero_disables(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "0")

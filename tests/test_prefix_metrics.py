@@ -6,11 +6,8 @@ import pytest
 from repro.prefix import (
     batch_levels,
     brent_kung,
-    depth,
     hamming_distance,
     kogge_stone,
-    max_fanout,
-    node_count,
     ripple_carry,
     sklansky,
     stacked_grids,
@@ -20,14 +17,18 @@ from repro.prefix import (
 
 
 def test_node_count_and_depth_delegate():
+    # structure_summary reports the graph's own node count and depth
     g = sklansky(16)
-    assert node_count(g) == g.node_count()
-    assert depth(g) == g.depth()
+    s = structure_summary(g)
+    assert s["nodes"] == g.node_count()
+    assert s["depth"] == g.depth()
 
 
 def test_kogge_stone_unit_span_fanout():
     # In KS every span feeds at most a few children; Sklansky roots feed many.
-    assert max_fanout(kogge_stone(32)) < max_fanout(sklansky(32))
+    assert max(kogge_stone(32).fanouts().values()) < max(
+        sklansky(32).fanouts().values()
+    )
 
 
 def test_hamming_distance_zero_iff_equal():

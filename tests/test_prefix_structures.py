@@ -12,7 +12,6 @@ from repro.prefix import (
     kogge_stone,
     ladner_fischer,
     make_structure,
-    max_fanout,
     ripple_carry,
     sklansky,
 )
@@ -54,7 +53,7 @@ class TestKnownProperties:
         assert g.node_count() == 8 * 4
 
     def test_sklansky_has_high_fanout(self):
-        assert max_fanout(sklansky(32)) >= 32 // 2 // 2
+        assert max(sklansky(32).fanouts().values()) >= 32 // 2 // 2
 
     def test_kogge_stone_node_count(self):
         # KS: sum over levels t of (n - 2^t + ... ) -> n*log2(n) - n + 1 for 2^k.
@@ -79,7 +78,9 @@ class TestKnownProperties:
         assert han_carlson(32).depth() == kogge_stone(32).depth() + 1
 
     def test_ladner_fischer_fanout_below_sklansky(self):
-        assert max_fanout(ladner_fischer(32)) <= max_fanout(sklansky(32))
+        assert max(ladner_fischer(32).fanouts().values()) <= max(
+            sklansky(32).fanouts().values()
+        )
 
     def test_unknown_structure_raises(self):
         with pytest.raises(KeyError):

@@ -183,8 +183,8 @@ class TestMutantPopulations:
 
 class TestFlatColumns:
     """Every gate the structural builder emits has a finite column, so
-    the packed placer needs no fanin-centroid fallback (the scalar
-    placer keeps one for hand-built netlists without column hints)."""
+    the packed placer, like the scalar one, needs no fallback for
+    column-less gates."""
 
     @pytest.mark.parametrize("build", [adder_task, gray_to_binary_task, lzd_task])
     @pytest.mark.parametrize("node", [None, "8nm"])

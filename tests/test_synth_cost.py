@@ -3,7 +3,7 @@
 import pytest
 
 from repro.prefix import ripple_carry, sklansky
-from repro.synth import CostWeights, cost_from_metrics, nangate45, synthesize
+from repro.synth import cost_from_metrics, nangate45, synthesize
 
 
 def test_formula_matches_paper_units():
@@ -22,7 +22,7 @@ def test_invalid_weight_rejected():
     with pytest.raises(ValueError):
         cost_from_metrics(1, 1, -0.1)
     with pytest.raises(ValueError):
-        CostWeights(1.5)
+        cost_from_metrics(1, 1, 1.5)
 
 
 def test_omega_sweep_changes_winner():
@@ -31,11 +31,9 @@ def test_omega_sweep_changes_winner():
     lib = nangate45()
     ripple = synthesize(ripple_carry(32), lib)
     skl = synthesize(sklansky(32), lib)
-    low = CostWeights(0.05)
-    high = CostWeights(0.95)
-    assert low.cost(ripple) < low.cost(skl)
-    assert high.cost(skl) < high.cost(ripple)
 
+    def cost(result, omega):
+        return cost_from_metrics(result.area_um2, result.delay_ns, omega)
 
-def test_cost_weights_repr():
-    assert "0.66" in repr(CostWeights(0.66))
+    assert cost(ripple, 0.05) < cost(skl, 0.05)
+    assert cost(skl, 0.95) < cost(ripple, 0.95)

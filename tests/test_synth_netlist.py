@@ -3,6 +3,8 @@
 import pytest
 
 from repro.synth import Netlist, nangate45
+from repro.synth.placement import wire_length
+from repro.synth.timing import PO_LOAD_FF, net_load
 
 
 @pytest.fixture
@@ -15,8 +17,8 @@ def small_netlist(lib):
     nl = Netlist(lib)
     a = nl.add_input("a")
     b = nl.add_input("b")
-    y = nl.add_gate(lib.cell("AND2_X1"), [a, b], name="y")
-    z = nl.add_gate(lib.cell("INV_X1"), [y], name="z")
+    y = nl.add_gate(lib.cell("AND2_X1"), [a, b], name="y", column=0)
+    z = nl.add_gate(lib.cell("INV_X1"), [y], name="z", column=0)
     nl.mark_output("z", z)
     return nl, (a, b, y, z)
 
@@ -33,7 +35,7 @@ class TestConstruction:
         nl = Netlist(lib)
         a = nl.add_input("a")
         with pytest.raises(ValueError):
-            nl.add_gate(lib.cell("AND2_X1"), [a])
+            nl.add_gate(lib.cell("AND2_X1"), [a], column=0)
 
     def test_area_sums_cells(self, lib):
         nl, _ = small_netlist(lib)
@@ -46,8 +48,15 @@ class TestConstruction:
 
     def test_fanout_counts_pos(self, lib):
         nl, (a, b, y, z) = small_netlist(lib)
-        assert nl.fanout(y) == 1
-        assert nl.fanout(z) == 1  # primary output counts as a sink
+        assert len(nl.net_sinks[y]) == 1
+        assert nl.net_sinks[z] == []
+        # the primary output on z is a sink: it loads the net like a pin
+        wire = wire_length(nl, z) * lib.wire_cap_per_um
+        assert net_load(nl, z) == pytest.approx(wire + PO_LOAD_FF)
+        inv_cap = lib.cell("INV_X1").input_cap
+        assert net_load(nl, y) == pytest.approx(
+            wire_length(nl, y) * lib.wire_cap_per_um + inv_cap
+        )
 
 
 class TestTopologicalOrder:
@@ -59,7 +68,7 @@ class TestTopologicalOrder:
     def test_cycle_detection(self, lib):
         nl = Netlist(lib)
         a = nl.add_input("a")
-        y = nl.add_gate(lib.cell("AND2_X1"), [a, a], name="y")
+        y = nl.add_gate(lib.cell("AND2_X1"), [a, a], name="y", column=0)
         # Manually create a cycle: feed y's output back into itself.
         nl.gates[0].inputs[1] = y
         nl.net_sinks[a].remove((0, 1))
@@ -81,7 +90,7 @@ class TestRewrites:
 
     def test_rewire_sink(self, lib):
         nl, (a, b, y, z) = small_netlist(lib)
-        buf_out = nl.add_gate(lib.cell("BUF_X1"), [y], name="ybuf")
+        buf_out = nl.add_gate(lib.cell("BUF_X1"), [y], name="ybuf", column=0)
         nl.rewire_sink(y, (1, 0), buf_out)
         nl.validate()
         assert nl.gates[1].inputs[0] == buf_out
@@ -96,7 +105,7 @@ class TestEvaluate:
     def test_aoi21_truth_table(self, lib):
         nl = Netlist(lib)
         a, b, c = (nl.add_input(x) for x in "abc")
-        z = nl.add_gate(lib.cell("AOI21_X1"), [a, b, c], name="z")
+        z = nl.add_gate(lib.cell("AOI21_X1"), [a, b, c], name="z", column=0)
         nl.mark_output("z", z)
         for va in (0, 1):
             for vb in (0, 1):
