@@ -8,9 +8,6 @@ The three betas are labeled variants of one registered method in a
 single experiment spec.
 """
 
-import numpy as np
-import pytest
-
 from repro.api import ExperimentSpec, MethodSpec, TaskSpec
 from repro.utils.tables import format_table
 

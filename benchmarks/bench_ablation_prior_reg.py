@@ -8,9 +8,6 @@ optimizer under the three regimes (labeled search-config variants in one
 experiment spec) and compares achieved cost.
 """
 
-import numpy as np
-import pytest
-
 from repro.api import ExperimentSpec, MethodSpec, TaskSpec
 from repro.utils.tables import format_table
 

@@ -4,36 +4,36 @@ Measures the PR-3 fast path (:mod:`repro.synth.batched`, surfaced as
 ``CircuitTask.evaluate_many``) against the reference per-graph
 ``task.synthesize`` loop on one population of unique legalized designs,
 asserts the two are **bit-identical** on every ``PhysicalResult`` field,
-and writes a ``BENCH_batched_eval.json`` throughput record (consumed by
-the CI perf-smoke job, which uploads it as an artifact).  The record also
-carries batch-of-one costs (``b1_scalar_ms`` / ``b1_batched_ms``: one
-design per call through each flow, on the same graphs, bit-identity
-asserted) — the number that decides whether single queries can take the
-batched flow too.
+and writes one ``BENCH_batched_eval-n<bits>-pop<population>.json``
+throughput record per case (the CI perf-smoke job uploads the records of
+the cases it runs).  The record also carries batch-of-one costs
+(``b1_scalar_ms`` / ``b1_batched_ms``: one design per call through each
+flow, on the same graphs, bit-identity asserted) — the number that
+decides whether single queries can take the batched flow too.
 
-Environment knobs:
+Cases (pytest ids):
 
-* ``REPRO_BENCH_POPULATION`` — population size (default 64).  The >= 3x
-  speedup gate only applies at populations of 64+; CI's perf-smoke job
-  runs a tiny population where only bit-identity is asserted.
-* ``REPRO_BENCH_ASSERT_SPEEDUP=0`` — disable the speedup gate (the
-  record is still written).
+* ``n16-pop64`` — the >= 3x speedup gate arms here, where packing
+  overhead is amortized over a population of 64+;
+* ``n16-pop12`` — a tiny population, CI's quick smoke;
+* ``n64-pop16`` — 64-bit nets outgrow ``max_fanout**2`` sinks, so buffer
+  trees take two or more waves.
+
+Bit-identity is asserted in every case.
 """
 
-import json
 import os
 import time
 
 import numpy as np
+import pytest
 
 from repro.circuits import adder_task
 from repro.prefix import unique_random_graphs
 
-from _record import record_path, write_record
-from common import BITWIDTHS, once
+from _record import write_record
+from common import once
 
-POPULATION = int(os.environ.get("REPRO_BENCH_POPULATION", "64"))
-OUT_PATH = record_path("batched_eval")
 ROUNDS = 3
 SPEEDUP_TARGET = 3.0
 SPEEDUP_MIN_POPULATION = 64
@@ -51,12 +51,11 @@ def _assert_identical(scalar, batched):
         assert a.critical_output == b.critical_output, i
 
 
-def run_batched_eval():
-    n = max(BITWIDTHS)
+def run_batched_eval(n, population):
     task = adder_task(n, 0.66)
     rng = np.random.default_rng(7)
     graphs = unique_random_graphs(
-        n, POPULATION, rng, density_low=0.15, density_high=0.65
+        n, population, rng, density_low=0.15, density_high=0.65
     )
 
     # Warm both paths (imports, library tables, allocator pools), then
@@ -90,23 +89,27 @@ def run_batched_eval():
 
     stats = {
         "n": n,
-        "population": POPULATION,
+        "population": population,
         "scalar_s": scalar_s,
         "batched_s": batched_s,
         "speedup": scalar_s / batched_s,
-        "scalar_graphs_per_s": POPULATION / scalar_s,
-        "batched_graphs_per_s": POPULATION / batched_s,
-        "b1_scalar_ms": scalar_s * 1000 / POPULATION,
-        "b1_batched_ms": b1_batched_s * 1000 / POPULATION,
+        "scalar_graphs_per_s": population / scalar_s,
+        "batched_graphs_per_s": population / batched_s,
+        "b1_scalar_ms": scalar_s * 1000 / population,
+        "b1_batched_ms": b1_batched_s * 1000 / population,
         "bit_identical": True,
         "cpus": os.cpu_count() or 1,
     }
-    write_record("batched_eval", stats)
-    return stats
+    return stats, write_record(f"batched_eval-n{n}-pop{population}", stats)
 
 
-def test_batched_eval(benchmark):
-    stats = once(benchmark, run_batched_eval)
+@pytest.mark.parametrize(
+    "n, population",
+    [(16, 64), (16, 12), (64, 16)],
+    ids=["n16-pop64", "n16-pop12", "n64-pop16"],
+)
+def test_batched_eval(benchmark, n, population):
+    stats, path = once(benchmark, lambda: run_batched_eval(n, population))
     print()
     print(
         f"batched evaluation: n={stats['n']} population={stats['population']} "
@@ -124,12 +127,9 @@ def test_batched_eval(benchmark):
         f"  batch of one  {stats['b1_batched_ms']:8.1f} ms/design "
         f"(scalar {stats['b1_scalar_ms']:.1f} ms/design)"
     )
-    print(f"  record -> {OUT_PATH}")
+    print(f"  record -> {path}")
     # Bit-identity always holds (asserted inside run_batched_eval); the
     # throughput gate applies at population scale, where packing
     # overhead is amortized.
-    if (
-        POPULATION >= SPEEDUP_MIN_POPULATION
-        and os.environ.get("REPRO_BENCH_ASSERT_SPEEDUP") != "0"
-    ):
+    if population >= SPEEDUP_MIN_POPULATION:
         assert stats["speedup"] >= SPEEDUP_TARGET, stats

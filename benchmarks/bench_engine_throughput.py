@@ -96,9 +96,7 @@ def test_engine_throughput(benchmark):
     # The warm cache always wins big; that is hardware-independent.
     assert stats["warm_speedup"] > 2.0
     # The engine fast path (vectorized batches + worker pool) must beat
-    # the serial loop on any multi-core host, so the gate auto-enables
-    # when the machine has >= 2 CPUs.  REPRO_BENCH_ASSERT_SPEEDUP=1
-    # forces it (single-core included, for the record), =0 disables it.
-    gate = os.environ.get("REPRO_BENCH_ASSERT_SPEEDUP")
-    if gate == "1" or (gate != "0" and stats["cpus"] >= 2):
+    # the serial loop on any multi-core host, so the gate arms when the
+    # machine has >= 2 CPUs.
+    if stats["cpus"] >= 2:
         assert stats["pooled_speedup"] >= 2.0, stats

@@ -7,7 +7,6 @@ the flip-book the paper shows.
 """
 
 import numpy as np
-import pytest
 
 from repro.circuits import adder_task
 from repro.core import CircuitVAEOptimizer

@@ -7,7 +7,6 @@ CircuitVAE curve sits at or below every other method at (almost) every
 budget, on every panel.
 """
 
-import numpy as np
 import pytest
 
 from repro.api import ExperimentSpec, TaskSpec

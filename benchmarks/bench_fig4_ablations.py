@@ -16,9 +16,6 @@ Paper's finding to check: full CircuitVAE dominates; Sklansky init beats
 prior init; removing reweighting hurts.
 """
 
-import numpy as np
-import pytest
-
 from repro.api import ExperimentSpec, MethodSpec, TaskSpec
 from repro.utils.plotting import ascii_plot, format_series_csv
 

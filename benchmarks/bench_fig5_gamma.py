@@ -12,7 +12,6 @@ the log-uniform band gives the best actual costs.
 """
 
 import numpy as np
-import pytest
 
 from repro.circuits import adder_task
 from repro.core import (

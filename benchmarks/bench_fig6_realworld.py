@@ -13,7 +13,6 @@ point is at least as good in both axes).
 """
 
 import numpy as np
-import pytest
 
 from repro.circuits import realistic_adder_task
 from repro.core import CircuitVAEOptimizer

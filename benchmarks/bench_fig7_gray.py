@@ -7,8 +7,6 @@ framework is circuit-type agnostic because only the cell mapping changes,
 which at the spec level is a one-word edit: ``circuit_type="gray"``.
 """
 
-import pytest
-
 from repro.api import ExperimentSpec, TaskSpec
 from repro.utils.plotting import ascii_plot, format_series_csv
 

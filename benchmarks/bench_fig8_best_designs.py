@@ -9,7 +9,6 @@ prior.
 """
 
 import numpy as np
-import pytest
 
 from repro.circuits import adder_task, gray_to_binary_task
 from repro.core import CircuitVAEOptimizer

@@ -8,7 +8,6 @@ the lowest cost row-by-row, and speedups are typically > 2x.
 """
 
 import numpy as np
-import pytest
 
 from repro.api import ExperimentSpec, TaskSpec
 from repro.opt import median_iqr, vae_speedup

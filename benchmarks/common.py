@@ -1,10 +1,12 @@
 """Shared configuration for the figure/table benchmarks.
 
-Every bench regenerates one table or figure of the paper at a reduced
-default scale (bitwidths, budgets and seed counts are scaled so the whole
-suite runs on a laptop CPU in tens of minutes; the paper used an A100 plus
-a 24-core simulation farm per run).  Set ``REPRO_SCALE=paper`` to run the
-full-size grid — identical code, larger constants.
+Every bench regenerates one table or figure of the paper at one reduced
+scale: bitwidths, budgets and seed counts are scaled so the whole suite
+runs on a laptop CPU in tens of minutes (the paper used an A100 plus a
+24-core simulation farm per run).  For reference, the paper-size grid
+is 32/64-bit adders, a 26-bit gray-to-binary converter, a 31-bit
+real-world adder, budgets of 5000 and 20000 simulations, 5 seeds, a VAE
+of latent 48 / 16 base channels / hidden 256, and 1000 initial designs.
 
 The qualitative comparisons (who wins at a budget, by what factor) are
 scale-stable.
@@ -20,33 +22,19 @@ multiprocessing synthesis pool.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional, Tuple
 
 from repro.api import MethodSpec, Session, build_config
 from repro.core import CircuitVAEConfig
 
-SCALE = os.environ.get("REPRO_SCALE", "small")
-
-if SCALE == "paper":
-    BITWIDTHS = [32, 64]
-    GRAY_BITS = 26
-    REAL_BITS = 31
-    BUDGET = 5000
-    HIGH_BUDGET = 20000
-    SEEDS = 5
-    VAE_SIZES = dict(latent_dim=48, base_channels=16, hidden_dim=256)
-    INITIAL = 1000
-else:
-    BITWIDTHS = [8, 16]
-    GRAY_BITS = 13
-    REAL_BITS = 16
-    BUDGET = 140
-    HIGH_BUDGET = 180
-    SEEDS = 2
-    VAE_SIZES = dict(latent_dim=16, base_channels=6, hidden_dim=64)
-    INITIAL = 48
-
+BITWIDTHS = [8, 16]
+GRAY_BITS = 13
+REAL_BITS = 16
+BUDGET = 140
+HIGH_BUDGET = 180
+SEEDS = 2
+VAE_SIZES = dict(latent_dim=16, base_channels=6, hidden_dim=64)
+INITIAL = 48
 DELAY_WEIGHTS = [0.33, 0.66, 0.95]
 
 _SESSION: Optional[Session] = None

@@ -14,13 +14,13 @@ exactly as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from ..engine.telemetry import stage
 from ..opt.optimizer import SearchAlgorithm
-from ..opt.simulator import BudgetExhausted, CircuitSimulator, Evaluation
+from ..opt.simulator import CircuitSimulator, Evaluation
 # mutate/crossover are breed's per-design form; perfbench's traced run
 # wraps them under this module's names, so they stay importable here.
 from ..opt.variation import breed, crossover, mutate, random_population  # noqa: F401

@@ -9,7 +9,6 @@ improvement acquisition.  Matches what latent-space BO pipelines
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np

@@ -10,7 +10,7 @@ turns a task into a black-box cost oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..prefix.graph import PrefixGraph
 from ..synth.batched import synthesize_many

@@ -20,7 +20,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .. import nn
-from ..nn import functional as F
 from ..prefix.graph import PrefixGraph
 from ..prefix.legalize import legalize
 

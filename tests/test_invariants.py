@@ -12,6 +12,8 @@ Plain :mod:`ast` scans of ``src/repro``, ``scripts/`` and ``benchmarks/``:
   every registered span name keeps at least one call site;
 * mutable module/class state in code reached from more than one thread
   carries a lock or ``thread-safe`` annotation comment;
+* every top-level import is read, exported in ``__all__`` or marked
+  ``# noqa: F401``;
 * (run, not scanned) every op in ``repro.nn.graph.OPS`` is applied by a
   learner step.
 
@@ -328,6 +330,53 @@ def shared_state_problems(sources: Sequence[Source]) -> List[str]:
 
 
 # ----------------------------------------------------------------------
+# unused imports
+# ----------------------------------------------------------------------
+def _exported(tree: ast.Module) -> List[str]:
+    """The names a module-level ``__all__ = [...]`` lists."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def unused_import_problems(sources: Sequence[Source]) -> List[str]:
+    """Top-level imports whose bound name the module never reads (as a
+    name or an attribute base), unless ``__all__`` exports it or the
+    statement carries ``# noqa: F401``."""
+    problems = []
+    for source in sources:
+        if source.tree is None:
+            continue
+        lines = source.text.splitlines()
+        read = {
+            node.id
+            for node in ast.walk(source.tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        kept = read.union(_exported(source.tree))
+        for node in source.tree.body:
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names if a.name != "*"]
+            else:
+                continue
+            if any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            problems += [
+                f"{source.rel}:{node.lineno}: imports {name}, which the module "
+                "never reads"
+                for name in bound
+                if name not in kept
+            ]
+    return problems
+
+
+# ----------------------------------------------------------------------
 # the tree
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -352,6 +401,9 @@ class TestTree:
 
     def test_shared_state_is_annotated(self, tree):
         assert shared_state_problems(tree) == []
+
+    def test_every_import_is_read(self, tree):
+        assert unused_import_problems(tree) == []
 
 
 # ----------------------------------------------------------------------
@@ -453,7 +505,15 @@ class TestReadmeEnvTable:
     def test_table_lists_no_removed_switch(self):
         with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
             names = readme_env_names(handle.read())
-        assert "REPRO_COMPILED_TRAIN" not in names and "REPRO_IR_VERIFY" not in names
+        removed = {
+            "REPRO_COMPILED_TRAIN",
+            "REPRO_IR_VERIFY",
+            "REPRO_SCALE",
+            "REPRO_BENCH_POPULATION",
+            "REPRO_BENCH_TRAIN_EPOCHS",
+            "REPRO_BENCH_ASSERT_SPEEDUP",
+        }
+        assert sorted(removed.intersection(names)) == []
 
 
 class TestTelemetryNames:
@@ -609,6 +669,42 @@ class TestThreadSafety:
 
     def test_out_of_scope_files_ignored(self, tmp_path):
         assert self._problems(tmp_path, "src/repro/prefix/state.py", "CACHE = {}\n") == []
+
+
+class TestUnusedImports:
+    def test_unused_import_fires(self, tmp_path):
+        _write(
+            tmp_path,
+            "mod.py",
+            """
+            from __future__ import annotations
+            import os.path
+            import numpy as np
+            from typing import List, Optional
+            x: List[int] = np.zeros(3).tolist()
+            """,
+        )
+        assert unused_import_problems(_sources(tmp_path)) == [
+            "mod.py:3: imports os, which the module never reads",
+            "mod.py:5: imports Optional, which the module never reads",
+        ]
+
+    def test_all_and_noqa_silence(self, tmp_path):
+        _write(
+            tmp_path,
+            "mod.py",
+            """
+            from json import dumps, loads
+            from os import (  # noqa: F401  (kept for a patcher)
+                sep,
+            )
+            import sys  # noqa: F401
+            __all__ = ["dumps"]
+            def f():
+                return loads("1")
+            """,
+        )
+        assert unused_import_problems(_sources(tmp_path)) == []
 
 
 class TestParseErrors:

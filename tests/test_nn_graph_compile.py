@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn import losses
 from repro.nn.graph import OPS, Trace, active_trace
 from repro.nn.tensor import _promotion_warned
 

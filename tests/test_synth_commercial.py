@@ -3,7 +3,7 @@
 import pytest
 
 from repro.prefix import sklansky
-from repro.synth import CommercialTool, nangate45, scaled_library, synthesize
+from repro.synth import CommercialTool, scaled_library, synthesize
 
 
 @pytest.fixture(scope="module")

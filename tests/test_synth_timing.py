@@ -1,6 +1,5 @@
 """Tests for placement and static timing analysis (repro.synth.timing)."""
 
-import numpy as np
 import pytest
 
 from repro.prefix import kogge_stone, ripple_carry, sklansky

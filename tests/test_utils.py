@@ -2,7 +2,6 @@
 
 import threading
 
-import numpy as np
 import pytest
 import scipy.linalg  # noqa: F401  (loads scipy's own OpenBLAS build)
 
