@@ -21,7 +21,10 @@ Asserts the **equivalence contract** (identical per-epoch loss curves to
 1e-10 across both engines, same seeds) and the **>= 2x steady-state
 speedup gate**, then writes one ``BENCH_vae_training-epochs<k>.json``
 record per case (the CI perf-smoke job uploads the record of the case it
-runs).
+runs).  The record's ``compile_counters`` include the compiled step's
+storage footprint (the ``*_bytes`` counters of
+:class:`repro.nn.CompileStats`), and ``ru_maxrss_mb`` is the process's
+peak RSS, so the uploaded records track training memory.
 
 Cases (pytest ids) are the timed epochs per engine:
 
@@ -35,6 +38,7 @@ Equivalence is asserted in every case.
 
 import contextlib
 import os
+import resource
 import time
 
 import numpy as np
@@ -147,6 +151,8 @@ def run_vae_training(epochs):
         "speedup": eager_s / compiled_s,
         "loss_curve_max_rel_dev": curve_dev,
         "compile_counters": dict(compiled_ref.compile_counters),
+        # ru_maxrss is in KiB on Linux
+        "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "cpus": os.cpu_count() or 1,
     }
     return stats, write_record(f"vae_training-epochs{epochs}", stats)
@@ -169,6 +175,13 @@ def test_vae_training(benchmark, epochs):
         f"  loss-curve max rel deviation {stats['loss_curve_max_rel_dev']:.2e} "
         f"(contract: 1e-10)"
     )
+    footprint = ", ".join(
+        f"{name} {count / 2**20:.1f}"
+        for name, count in stats["compile_counters"].items()
+        if name.endswith("_bytes")
+    )
+    print(f"  compiled step footprint (MiB): {footprint}")
+    print(f"  process peak RSS {stats['ru_maxrss_mb']:.0f} MB")
     print(f"  record -> {path}")
     # Equivalence is asserted inside run_vae_training in every case;
     # the throughput gate arms once there are enough timed steps for a

@@ -21,7 +21,8 @@ import numpy as np
 
 from .. import nn
 from ..prefix.graph import PrefixGraph
-from ..prefix.legalize import legalize
+from ..prefix.legalize import legalize  # noqa: F401 (perfbench wrap target)
+from ..prefix.legalize import legalize_grids
 
 __all__ = ["VAEConfig", "CircuitVAEModel"]
 
@@ -193,8 +194,9 @@ class CircuitVAEModel(nn.Module):
 
         With ``rng`` the decoder's Bernoulli distribution is sampled (the
         paper samples designs from p(x|z)); without it, cells are
-        thresholded at probability 0.5.  Either way the raw grid is
-        legalized, making every latent vector a valid circuit.
+        thresholded at probability 0.5.  Either way the raw grids are
+        legalized (in one batch), making every latent vector a valid
+        circuit.
         """
         with nn.no_grad():
             logits = self.decode(nn.Tensor(np.atleast_2d(z))).data
@@ -203,7 +205,7 @@ class CircuitVAEModel(nn.Module):
             raw = rng.random(probs.shape) < probs
         else:
             raw = probs > 0.5
-        return [legalize(raw[b]) for b in range(raw.shape[0])]
+        return [PrefixGraph(grid, validate=False) for grid in legalize_grids(raw)]
 
     def standardize_costs(self, costs: np.ndarray) -> np.ndarray:
         return (np.asarray(costs, dtype=np.float64) - self.cost_mean) / self.cost_std

@@ -11,17 +11,27 @@ compiles it into a :class:`GraphProgram`:
   accumulation associates identically; every non-conv node runs its
   registry VJP — the same function eager runs — so its gradients are
   bit-for-bit eager's.
-* **Liveness-analyzed buffer arena** — every intermediate gets a
-  preallocated numpy buffer written with ``out=`` kernels; values not
-  needed by any VJP are placed in a shared arena where buffers are
-  reused across liveness-disjoint intermediates, and *all* buffers are
-  reused across steps (zero allocations in the steady-state forward
-  pass).
+* **Liveness-analyzed buffer arenas** — every intermediate gets a
+  preallocated numpy buffer written with ``out=`` kernels.  Values not
+  needed by any VJP share an arena whose buffers are reused across
+  liveness-disjoint intermediates of the same size; gradients share a
+  second arena by their backward live range (first write by a consumer
+  to their own backward instruction), except the loss seed and the
+  parameter gradients, which stay dedicated.  All buffers are reused
+  across steps.
 * **Fast kernels** — convolutions replay through matmul-based kernels
-  with persistent im2col workspaces (the batched GEMM numpy's einsum
-  performs internally, called directly), and the backward pass reuses
-  the forward's unfolded patches instead of re-unfolding.  They match
-  the eager conv kernels up to summation order (~1 ulp).
+  (the batched GEMM numpy's einsum performs internally, called
+  directly), and the backward pass reuses the forward's unfolded
+  patches instead of re-unfolding.  They match the eager conv kernels
+  up to summation order (~1 ulp).  Every other workspace of a conv
+  instruction is live for that instruction only, so each program has
+  one scratch region, sized to its largest conv instruction's
+  workspace, that every conv kernel views from offset 0.  The
+  col2im index tables, which no replay writes, are built once per
+  :class:`CompiledTrainStep` and shared by its programs.  A replay
+  still allocates temporaries: the registry VJPs return fresh arrays,
+  relu's kernel builds its ``x > 0`` mask, and every col2im fold's
+  ``bincount`` allocates its output.
 * **Shape-guarded replay** — programs are cached per input-shape
   signature; a new shape triggers a fresh trace, never a wrong replay.
 * **Sharded steps** — ``CompiledTrainStep(shards=k)`` splits each batch
@@ -59,11 +69,13 @@ otherwise replay the traced batch's rows forever.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -122,8 +134,16 @@ class CompileStats:
     scheduled ops (``nodes``), dedicated buffers for outputs and
     backward-needed values (``buffers``), arena buffers allocated
     (``arena_slots``) and arena buffers handed to a later intermediate
-    (``arena_reused``), and conv replay kernels (``fast_kernels``).  Every counter is cumulative, so
-    callers can take deltas of any of them.
+    (``arena_reused``), and conv replay kernels (``fast_kernels``).
+
+    The ``*_bytes`` counters are the programs' storage footprint: value
+    buffers, dedicated and arena (``value_bytes``); gradient buffers,
+    dedicated and arena (``grad_bytes``); the scratch regions
+    (``scratch_bytes``); the forward conv2d unfold columns the backward
+    reads (``cols_bytes``); and the col2im index tables the
+    step's programs share, counted once per step (``shared_bytes``).
+    Every counter is cumulative, so callers can take deltas of any of
+    them.
     """
 
     traces: int = 0
@@ -133,6 +153,11 @@ class CompileStats:
     arena_reused: int = 0
     fast_kernels: int = 0
     nodes: int = 0
+    value_bytes: int = 0
+    grad_bytes: int = 0
+    scratch_bytes: int = 0
+    cols_bytes: int = 0
+    shared_bytes: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -148,9 +173,14 @@ class ProgramPlan:
     topological order — without re-deriving it
     from the closures.  Everything here is plain data (ints, tuples,
     dicts keyed by node id); ``buffer_token`` maps each materialized
-    alias root to the identity of its backing array, so two roots
-    sharing storage share a token.  Tests mutate copies of this to
-    inject IR bugs and assert the verifier catches them.
+    alias root, and ``grad_token`` each node that receives a gradient,
+    to the identity of the array owning its storage, so two slots
+    sharing storage share a token.  ``scratch_token`` is the identity
+    of the program's scratch region (``None`` without conv kernels) and
+    ``scratch_extents`` lists, per conv instruction (``fwd:<id>`` /
+    ``bwd:<id>``), the ``[start, stop)`` element extents its workspaces
+    take in that region.  Tests mutate copies of this to inject IR bugs
+    and assert the verifier catches them.
     """
 
     sched: List[int] = field(default_factory=list)
@@ -163,6 +193,9 @@ class ProgramPlan:
     view: Dict[int, bool] = field(default_factory=dict)
     root: Dict[int, int] = field(default_factory=dict)
     buffer_token: Dict[int, int] = field(default_factory=dict)
+    grad_token: Dict[int, int] = field(default_factory=dict)
+    scratch_token: Optional[int] = None
+    scratch_extents: Dict[str, List[Tuple[int, int]]] = field(default_factory=dict)
     pinned_roots: set = field(default_factory=set)
     needed_val: set = field(default_factory=set)
     outputs: Dict[str, int] = field(default_factory=dict)
@@ -181,6 +214,12 @@ class ProgramPlan:
             view=dict(self.view),
             root=dict(self.root),
             buffer_token=dict(self.buffer_token),
+            grad_token=dict(self.grad_token),
+            scratch_token=self.scratch_token,
+            scratch_extents={
+                label: list(extents)
+                for label, extents in self.scratch_extents.items()
+            },
             pinned_roots=set(self.pinned_roots),
             needed_val=set(self.needed_val),
             outputs=dict(self.outputs),
@@ -189,33 +228,124 @@ class ProgramPlan:
 
 
 # ----------------------------------------------------------------------
-# Fast convolution kernels (persistent workspaces, matmul-based)
+# Storage planning: arenas, the shared scratch region, shared tables
 # ----------------------------------------------------------------------
-class _Col2Im:
-    """Adjoint of im2col as one flat ``bincount`` scatter-add.
+def _storage_token(array: np.ndarray) -> int:
+    """Identity of the array that owns ``array``'s memory, so that a view
+    and its base share a token (:class:`ProgramPlan`)."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return id(array)
 
-    The destination index of every patch element is static, so it is
-    precomputed once; each call is a single vectorized scatter-sum —
-    2-5x faster than the reference loop of strided adds (whose
-    per-``(u, v)`` numpy dispatch dominates at CNN-VAE sizes) and equal
-    to it up to summation order.
+
+class _Arena:
+    """Buffers recycled by live range, keyed by element count.
+
+    :meth:`take` is called in increasing ``at`` order; it hands out a
+    buffer whose previous occupant was freed at or before ``at`` (the
+    first such of the requested size), else a new one, and files it as
+    free again from ``free_at`` on.  Buffers are flat; each occupant
+    gets a view in its own shape.
     """
 
-    def __init__(self, cols6: np.ndarray, padded_shape, stride: int) -> None:
-        batch, channels, kh, kw, oh, ow = cols6.shape
-        hp, wp = padded_shape[2], padded_shape[3]
-        self.shape = (batch, channels, hp, wp)
-        self.size = batch * channels * hp * wp
-        plane = hp * wp
+    def __init__(self) -> None:
+        self._pool: Dict[int, List[Tuple[int, np.ndarray]]] = {}
+        self.slots = 0
+        self.reused = 0
+        self.nbytes = 0
+
+    def take(self, shape: Tuple[int, ...], at: int, free_at: int) -> np.ndarray:
+        size = math.prod(shape)
+        pool = self._pool.setdefault(size, [])
+        for i, (ready, flat) in enumerate(pool):
+            if ready <= at:
+                del pool[i]
+                self.reused += 1
+                break
+        else:
+            flat = np.empty(size)
+            self.slots += 1
+            self.nbytes += flat.nbytes
+        pool.append((free_at, flat))
+        return flat.reshape(shape)
+
+
+class _Workspace:
+    """The scratch one conv instruction uses while it runs.
+
+    Instructions replay one at a time, so every instruction's extents
+    start at offset 0 of its program's one scratch region, and the region
+    is as large as the largest workspace.  :meth:`take` records disjoint
+    ``[start, stop)`` element extents (starts 64-byte aligned) at build
+    time; the kernels view them once the region exists (``bind``).
+    """
+
+    def __init__(self) -> None:
+        self.extents: List[Tuple[int, int]] = []
+
+    @property
+    def size(self) -> int:
+        return self.extents[-1][1] if self.extents else 0
+
+    def take(self, shape: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
+        start = -(-self.size // 8) * 8
+        self.extents.append((start, start + math.prod(shape)))
+        return start, tuple(shape)
+
+
+def _view(region: np.ndarray, extent: Tuple[int, Tuple[int, ...]]) -> np.ndarray:
+    start, shape = extent
+    return region[start : start + math.prod(shape)].reshape(shape)
+
+
+def _col2im_index(tables: Dict, stats: CompileStats, cols_shape, padded_hw, stride):
+    """The static scatter index of :class:`_Col2Im`, built once per
+    ``tables`` (one per :class:`CompiledTrainStep`) and never written.
+
+    The array stays flagged writeable: ``np.bincount`` copies an index
+    that is not, on every call (33 MiB per convT forward at n=64).
+    """
+    key = (tuple(cols_shape), tuple(padded_hw), stride)
+    index = tables.get(key)
+    if index is None:
+        batch, channels, kh, kw, oh, ow = cols_shape
+        hp, wp = padded_hw
         per_patch = np.empty((kh, kw, oh, ow), dtype=np.intp)
         for u in range(kh):
             for v in range(kw):
                 rows = u + stride * np.arange(oh)
                 cols_ = v + stride * np.arange(ow)
                 per_patch[u, v] = rows[:, None] * wp + cols_[None, :]
-        offsets = (np.arange(batch * channels) * plane)[:, None]
-        self.index = (per_patch.reshape(1, -1) + offsets).ravel()
-        self.weights = cols6.reshape(-1)  # view of the persistent workspace
+        offsets = (np.arange(batch * channels) * (hp * wp))[:, None]
+        index = (per_patch.reshape(1, -1) + offsets).ravel()
+        tables[key] = index
+        stats.shared_bytes += index.nbytes
+    return index
+
+
+# ----------------------------------------------------------------------
+# Fast convolution kernels (scratch workspaces, matmul-based)
+# ----------------------------------------------------------------------
+class _Col2Im:
+    """Adjoint of im2col as one flat ``bincount`` scatter-add.
+
+    The destination index of every patch element is static, so it is
+    precomputed once (:func:`_col2im_index`); each call is a single
+    vectorized scatter-sum —
+    2-5x faster than the reference loop of strided adds (whose
+    per-``(u, v)`` numpy dispatch dominates at CNN-VAE sizes) and equal
+    to it up to summation order.  ``bincount`` allocates the folded
+    array on every call.
+    """
+
+    def __init__(self, index: np.ndarray, padded_shape) -> None:
+        self.index = index
+        self.shape = tuple(padded_shape)
+        self.size = math.prod(self.shape)
+        self.weights: Optional[np.ndarray] = None
+
+    def bind(self, cols6: np.ndarray) -> None:
+        self.weights = cols6.reshape(-1)  # view of the scratch workspace
 
     def __call__(self) -> np.ndarray:
         folded = np.bincount(self.index, weights=self.weights, minlength=self.size)
@@ -223,28 +353,48 @@ class _Col2Im:
 
 
 class _Im2Col:
-    """Persistent unfold workspace: x (B,C,H,W) -> cols (B, C*kh*kw, L).
+    """Unfold workspace: x (B,C,H,W) -> cols (B, C*kh*kw, L).
 
-    The strided window view into the (persistent) padded buffer is built
-    once; each call is one interior copy plus one gather copy.
+    The padded copy of ``x`` and (unless ``keep_cols``) the columns live
+    in the program's scratch region.  Other kernels overwrite the
+    scratch between calls, so each call re-zeroes the padded copy's
+    border strips before the interior copy and the gather copy.
+    ``keep_cols`` gives the columns a dedicated buffer instead, for the
+    forward conv2d whose backward reads them.
     """
 
-    def __init__(self, x_shape, kh, kw, stride, padding):
+    def __init__(self, x_shape, kh, kw, stride, padding, ws: _Workspace, keep_cols=False):
         batch, channels, height, width = x_shape
         self.stride, self.padding = stride, padding
         hp, wp = height + 2 * padding, width + 2 * padding
         self.oh = (hp - kh) // stride + 1
         self.ow = (wp - kw) // stride + 1
-        self.pad_buf = np.zeros((batch, channels, hp, wp)) if padding else None
-        self.cols = np.empty((batch, channels, kh, kw, self.oh, self.ow))
-        self.cols_mat = self.cols.reshape(batch, channels * kh * kw, self.oh * self.ow)
         self.kh, self.kw = kh, kw
+        cols_shape = (batch, channels, kh, kw, self.oh, self.ow)
+        self.mat_shape = (batch, channels * kh * kw, self.oh * self.ow)
+        self._pad_at = ws.take((batch, channels, hp, wp)) if padding else None
+        self._cols_at = None if keep_cols else ws.take(cols_shape)
+        self.cols = np.empty(cols_shape) if keep_cols else None
         self._window_src = None
         self._windows = None
         self._interior = None
-        if padding:
-            self._interior = self.pad_buf[:, :, padding:-padding, padding:-padding]
-            self._bind_windows(self.pad_buf)
+        self._borders: Tuple[np.ndarray, ...] = ()
+
+    def bind(self, region: np.ndarray) -> None:
+        if self._cols_at is not None:
+            self.cols = _view(region, self._cols_at)
+        self.cols_mat = self.cols.reshape(self.mat_shape)
+        if self.padding:
+            pad = self.padding
+            pad_buf = _view(region, self._pad_at)
+            self._interior = pad_buf[:, :, pad:-pad, pad:-pad]
+            self._borders = (
+                pad_buf[:, :, :pad],
+                pad_buf[:, :, -pad:],
+                pad_buf[:, :, pad:-pad, :pad],
+                pad_buf[:, :, pad:-pad, -pad:],
+            )
+            self._bind_windows(pad_buf)
 
     def _bind_windows(self, xp: np.ndarray) -> None:
         windows = sliding_window_view(xp, (self.kh, self.kw), axis=(2, 3))
@@ -254,6 +404,8 @@ class _Im2Col:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.padding:
+            for strip in self._borders:
+                strip.fill(0.0)
             np.copyto(self._interior, x)
         elif x is not self._window_src:
             # Unpadded inputs are caller-owned arrays; rebind lazily (the
@@ -277,21 +429,32 @@ class _BatchGemmT:
       workspaces and issue one 2-D GEMM (what einsum does internally).
 
     Both differ from einsum only in summation association (~1 ulp),
-    which the program-level verify pass bounds.
+    which the program-level verify pass bounds.  The result and the
+    workspaces are scratch: the caller consumes the result within its
+    instruction.
     """
 
-    def __init__(self, a_shape, b_shape):
+    def __init__(self, a_shape, b_shape, ws: _Workspace):
         batch, rows, length = a_shape
         _, cols, _ = b_shape
-        self.out = np.empty((rows, cols))
+        self.shape_2d = (rows, batch * length), (cols, batch * length)
+        self._out_at = ws.take((rows, cols))
         self.batched = length >= 32
         if self.batched:
-            self.prod = np.empty((batch, rows, cols))
+            self._prod_at = ws.take((batch, rows, cols))
         else:
-            self.a_t = np.empty((rows, batch, length))
-            self.a_2d = self.a_t.reshape(rows, batch * length)
-            self.b_t = np.empty((cols, batch, length))
-            self.b_2d = self.b_t.reshape(cols, batch * length)
+            self._a_at = ws.take((rows, batch, length))
+            self._b_at = ws.take((cols, batch, length))
+
+    def bind(self, region: np.ndarray) -> None:
+        self.out = _view(region, self._out_at)
+        if self.batched:
+            self.prod = _view(region, self._prod_at)
+        else:
+            self.a_t = _view(region, self._a_at)
+            self.b_t = _view(region, self._b_at)
+            self.a_2d = self.a_t.reshape(self.shape_2d[0])
+            self.b_2d = self.b_t.reshape(self.shape_2d[1])
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.batched:
@@ -304,15 +467,24 @@ class _BatchGemmT:
 
 
 class _Conv2dForward:
-    """conv2d replay kernel: im2col once + broadcast matmul into ``out``."""
+    """conv2d replay kernel: im2col once + broadcast matmul into ``out``.
 
-    def __init__(self, node: Node, x_shape, w_shape, out_buf):
+    The unfolded columns are dedicated (the backward reads them); only
+    the padded input copy is scratch.
+    """
+
+    def __init__(self, node: Node, x_shape, w_shape, out_buf, ws: _Workspace):
         stride, padding = node.attrs["stride"], node.attrs["padding"]
-        self.unfold = _Im2Col(x_shape, w_shape[2], w_shape[3], stride, padding)
+        self.unfold = _Im2Col(
+            x_shape, w_shape[2], w_shape[3], stride, padding, ws, keep_cols=True
+        )
         batch = x_shape[0]
         self.out_buf = out_buf
         self.out_mat = out_buf.reshape(batch, w_shape[0], -1)
         self.w_rows = w_shape[0]
+
+    def bind(self, region: np.ndarray) -> None:
+        self.unfold.bind(region)
 
     def __call__(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         cols = self.unfold(x)
@@ -323,17 +495,20 @@ class _Conv2dForward:
 class _Conv2dBackward:
     """conv2d VJP reusing the forward's unfolded patches."""
 
-    def __init__(self, forward: _Conv2dForward, node: Node, x_shape, w_shape, need_dx):
+    def __init__(
+        self, forward: _Conv2dForward, node: Node, x_shape, w_shape, need_dx,
+        ws: _Workspace, index_for: Callable,
+    ):
         stride, padding = node.attrs["stride"], node.attrs["padding"]
         self.forward = forward
         self.w_shape = w_shape
         self.x_shape = x_shape
         self.need_dx = need_dx
         batch = x_shape[0]
-        length = forward.unfold.oh * forward.unfold.ow
-        g_shape = (batch, w_shape[0], length)
+        unfold = forward.unfold
+        g_shape = (batch, w_shape[0], unfold.oh * unfold.ow)
         self.g_shape = g_shape
-        self.gemm_dw = _BatchGemmT(g_shape, forward.unfold.cols_mat.shape)
+        self.gemm_dw = _BatchGemmT(g_shape, unfold.mat_shape, ws)
         # The flip-kernel correlation needs a non-negative flipped
         # padding (kh - 1 - padding); otherwise fall back to col2im.
         self.dx_as_conv = need_dx and stride == 1 and w_shape[2] - 1 - padding >= 0
@@ -343,24 +518,35 @@ class _Conv2dBackward:
             # gradient once and issue one matmul — no scatter-add at
             # all.  (Verified ~1 ulp from the reference col2im path.)
             kh, kw = w_shape[2], w_shape[3]
-            g_shape4 = (batch, w_shape[0], forward.unfold.oh, forward.unfold.ow)
-            self.dx_unfold = _Im2Col(g_shape4, kh, kw, 1, kh - 1 - padding)
-            self.w_flip = np.empty((x_shape[1], w_shape[0] * kh * kw))
-            self.w_flip_4d = self.w_flip.reshape(
-                x_shape[1], w_shape[0], kh, kw
-            )
-            self.dx_buf = np.empty((batch, x_shape[1], x_shape[2] * x_shape[3]))
+            g_shape4 = (batch, w_shape[0], unfold.oh, unfold.ow)
+            self.dx_unfold = _Im2Col(g_shape4, kh, kw, 1, kh - 1 - padding, ws)
+            self._w_flip_at = ws.take((x_shape[1], w_shape[0] * kh * kw))
+            self._dx_at = ws.take((batch, x_shape[1], x_shape[2] * x_shape[3]))
         elif need_dx:
             self.pad = padding
-            self.dcols = np.empty_like(forward.unfold.cols)
-            self.dcols_mat = self.dcols.reshape(forward.unfold.cols_mat.shape)
+            cols_shape = (batch, x_shape[1], w_shape[2], w_shape[3], unfold.oh, unfold.ow)
+            self._dcols_at = ws.take(cols_shape)
+            self.dcols_shape = unfold.mat_shape
             pad_shape = (
                 batch,
                 x_shape[1],
                 x_shape[2] + 2 * padding,
                 x_shape[3] + 2 * padding,
             )
-            self.fold = _Col2Im(self.dcols, pad_shape, stride)
+            self.fold = _Col2Im(index_for(cols_shape, pad_shape[2:], stride), pad_shape)
+
+    def bind(self, region: np.ndarray) -> None:
+        self.gemm_dw.bind(region)
+        if self.dx_as_conv:
+            self.dx_unfold.bind(region)
+            self.w_flip = _view(region, self._w_flip_at)
+            kh, kw = self.w_shape[2], self.w_shape[3]
+            self.w_flip_4d = self.w_flip.reshape(self.x_shape[1], self.w_shape[0], kh, kw)
+            self.dx_buf = _view(region, self._dx_at)
+        elif self.need_dx:
+            dcols = _view(region, self._dcols_at)
+            self.dcols_mat = dcols.reshape(self.dcols_shape)
+            self.fold.bind(dcols)
 
     def __call__(self, g, x, w):
         g_mat = g.reshape(self.g_shape)
@@ -380,21 +566,27 @@ class _Conv2dBackward:
 
 
 class _ConvT2dForward:
-    """conv_transpose2d replay kernel: matmul + persistent col2im."""
+    """conv_transpose2d replay kernel: matmul into scratch columns + col2im."""
 
-    def __init__(self, node: Node, x_shape, w_shape, out_buf):
+    def __init__(self, node: Node, x_shape, w_shape, out_buf, ws: _Workspace, index_for):
         stride, padding = node.attrs["stride"], node.attrs["padding"]
         batch, in_ch, height, width = x_shape
         _, out_ch, kh, kw = w_shape
         self.stride, self.padding = stride, padding
         self.x_mat_shape = (batch, in_ch, height * width)
-        self.cols = np.empty((batch, out_ch, kh, kw, height, width))
-        self.cols_mat = self.cols.reshape(batch, out_ch * kh * kw, height * width)
+        cols_shape = (batch, out_ch, kh, kw, height, width)
+        self._cols_at = ws.take(cols_shape)
+        self.cols_mat_shape = (batch, out_ch * kh * kw, height * width)
         out_h, out_w = out_buf.shape[2], out_buf.shape[3]
         pad_shape = (batch, out_ch, out_h + 2 * padding, out_w + 2 * padding)
-        self.fold = _Col2Im(self.cols, pad_shape, stride)
+        self.fold = _Col2Im(index_for(cols_shape, pad_shape[2:], stride), pad_shape)
         self.out_buf = out_buf
         self.in_ch = in_ch
+
+    def bind(self, region: np.ndarray) -> None:
+        cols = _view(region, self._cols_at)
+        self.cols_mat = cols.reshape(self.cols_mat_shape)
+        self.fold.bind(cols)
 
     def __call__(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         x_mat = x.reshape(self.x_mat_shape)
@@ -409,33 +601,42 @@ class _ConvT2dForward:
 class _ConvT2dBackward:
     """conv_transpose2d VJP: unfold the output gradient, two matmuls."""
 
-    def __init__(self, node: Node, x_shape, w_shape, g_shape, need_dx):
+    def __init__(self, node: Node, x_shape, w_shape, g_shape, need_dx, ws: _Workspace):
         stride, padding = node.attrs["stride"], node.attrs["padding"]
         batch, in_ch, height, width = x_shape
         _, out_ch, kh, kw = w_shape
-        self.unfold = _Im2Col(g_shape, kh, kw, stride, padding)
+        self.unfold = _Im2Col(g_shape, kh, kw, stride, padding, ws)
         self.x_shape, self.w_shape = x_shape, w_shape
-        if (self.unfold.oh, self.unfold.ow) == (height, width):
-            # The unfold covers the input grid exactly: its patches are
-            # the gradient columns, no per-step copy.
-            self.gcols_src = None
-            self.gcols_mat = self.unfold.cols_mat
-        else:
-            self.gcols = np.empty((batch, out_ch, kh, kw, height, width))
-            self.gcols_mat = self.gcols.reshape(
-                batch, out_ch * kh * kw, height * width
-            )
-            self.gcols_src = self.unfold.cols[:, :, :, :, :height, :width]
+        gcols_mat_shape = (batch, out_ch * kh * kw, height * width)
+        # When the unfold covers the input grid exactly its patches are
+        # the gradient columns, with no per-step copy.
+        self.exact = (self.unfold.oh, self.unfold.ow) == (height, width)
+        if not self.exact:
+            self._gcols_at = ws.take((batch, out_ch, kh, kw, height, width))
+        self.gcols_mat_shape = gcols_mat_shape
         self.in_ch = in_ch
         self.x_mat_shape = (batch, in_ch, height * width)
-        self.gemm_dw = _BatchGemmT(self.x_mat_shape, self.gcols_mat.shape)
+        self.gemm_dw = _BatchGemmT(self.x_mat_shape, gcols_mat_shape, ws)
         self.need_dx = need_dx
         if need_dx:
-            self.dx = np.empty(self.x_mat_shape)
+            self._dx_at = ws.take(self.x_mat_shape)
+
+    def bind(self, region: np.ndarray) -> None:
+        self.unfold.bind(region)
+        if self.exact:
+            self.gcols_mat = self.unfold.cols_mat
+        else:
+            height, width = self.x_shape[2], self.x_shape[3]
+            self.gcols = _view(region, self._gcols_at)
+            self.gcols_mat = self.gcols.reshape(self.gcols_mat_shape)
+            self.gcols_src = self.unfold.cols[:, :, :, :, :height, :width]
+        self.gemm_dw.bind(region)
+        if self.need_dx:
+            self.dx = _view(region, self._dx_at)
 
     def __call__(self, g, x, w):
         self.unfold(g)
-        if self.gcols_src is not None:
+        if not self.exact:
             np.copyto(self.gcols, self.gcols_src)
         x_mat = x.reshape(self.x_mat_shape)
         dw = self.gemm_dw(x_mat, self.gcols_mat).reshape(self.w_shape)
@@ -454,9 +655,12 @@ class GraphProgram:
 
     Built from a :class:`~repro.nn.graph.Trace` plus the ids of the loss
     node and the named output nodes.  ``run(inputs)`` executes the
-    forward schedule, then the backward schedule (accumulating into the
-    bound parameters' ``.grad`` buffers), and returns the output arrays.
-    The caller owns gradient clipping and the optimizer step.
+    forward schedule, then the backward schedule (parameter gradients
+    land in the program's own buffers, :meth:`param_grads`), and returns
+    the output arrays.
+    The caller owns gradient clipping and the optimizer step.  ``tables``
+    holds the col2im index tables the programs of one step share (a
+    fresh dict when omitted).
     """
 
     def __init__(
@@ -466,6 +670,7 @@ class GraphProgram:
         loss_id: int,
         params: Sequence[Tensor],
         stats: Optional[CompileStats] = None,
+        tables: Optional[Dict] = None,
     ) -> None:
         self.stats = stats if stats is not None else CompileStats()
         self._trace = trace
@@ -554,29 +759,96 @@ class GraphProgram:
 
         # -- 5. storage: dedicated / arena -----------------------------
         buffers: Dict[int, np.ndarray] = {}
-        free_slots: Dict[Tuple[Tuple[int, ...], str], List[Tuple[int, np.ndarray]]] = {}
+        values = _Arena()
+        value_bytes = 0
         for nid in sched:
             node = nodes[nid]
             if OPS[node.op].view or root[nid] != nid:
                 continue
             if nid in pinned_roots:
                 buffers[nid] = np.empty(node.shape)
+                value_bytes += buffers[nid].nbytes
                 self.stats.buffers += 1
                 continue
-            key = (node.shape, node.dtype.str)
-            pool = free_slots.setdefault(key, [])
-            taken = None
-            for i, (free_at, buf) in enumerate(pool):
-                if free_at <= pos[nid]:
-                    taken = pool.pop(i)[1]
-                    self.stats.arena_reused += 1
-                    break
-            if taken is None:
-                taken = np.empty(node.shape)
-                self.stats.arena_slots += 1
-            buffers[nid] = taken
-            pool.append((last_use[root[nid]] + 1, taken))
+            buffers[nid] = values.take(node.shape, pos[nid], last_use[root[nid]] + 1)
+        self.stats.arena_slots += values.slots
+        self.stats.arena_reused += values.reused
+        self.stats.value_bytes += value_bytes + values.nbytes
         self.stats.nodes += len(sched)
+
+        # -- 6. forward instructions -----------------------------------
+        self._storage: List[Optional[np.ndarray]] = [None] * len(nodes)
+        self._input_binds: List[Tuple[int, int]] = []  # (node id, input position)
+        self._param_binds: List[Tuple[int, Tensor]] = []
+        for nid, position in trace.input_nodes.items():
+            if nid in keep:
+                self._input_binds.append((nid, position))
+        for nid, tensor in trace.param_nodes.items():
+            if nid in keep:
+                self._param_binds.append((nid, tensor))
+        for nid, value in trace.constants.items():
+            if nid in keep:
+                self._storage[nid] = value
+
+        self._forward: List[Callable] = []
+        self._bwd_kernels: Dict[int, Callable] = {}
+        #: conv kernels by instruction label, each with its workspace
+        self._conv_kernels: Dict[str, Tuple[object, _Workspace]] = {}
+        self._col2im_index = partial(
+            _col2im_index, tables if tables is not None else {}, self.stats
+        )
+        for nid in sched:
+            node = nodes[nid]
+            op = OPS[node.op]
+            instr = self._build_forward_instr(node, op, buffers.get(nid))
+            self._forward.append(instr)
+
+        # -- 7. backward instructions ----------------------------------
+        # The loss seed and leaf (parameter) gradients are dedicated;
+        # every other gradient takes an arena slot for its backward live
+        # range: from the first consumer instruction that writes it to
+        # its own backward instruction, the last that reads it.
+        grads: Dict[int, np.ndarray] = {}
+        for nid in received:
+            if nid == loss_id:
+                grads[nid] = np.ones(nodes[nid].shape)
+            elif nodes[nid].kind != "op":
+                grads[nid] = np.empty(nodes[nid].shape)
+        grad_bytes = sum(buf.nbytes for buf in grads.values())
+        grad_slots = _Arena()
+        grad_pos = {nid: i for i, nid in enumerate(grad_sched)}
+        self._grads = grads
+        self._param_grad_binds = [
+            (tensor, grads[nid])
+            for nid, tensor in trace.param_nodes.items()
+            if nid in received
+        ]
+        first_write = set(received) - {loss_id}
+        self._backward: List[Callable] = []
+        for index, nid in enumerate(grad_sched):
+            node = nodes[nid]
+            sites = []
+            for slot, parent in enumerate(node.parents):
+                if parent not in received:
+                    continue
+                first = parent in first_write
+                if first and parent not in grads:
+                    grads[parent] = grad_slots.take(
+                        nodes[parent].shape, index, grad_pos[parent] + 1
+                    )
+                sites.append((slot, parent, first, nodes[parent].shape))
+                first_write.discard(parent)
+            self._backward.append(self._build_backward_instr(node, sites))
+        self.stats.grad_bytes += grad_bytes + grad_slots.nbytes
+
+        # -- 8. the scratch region -------------------------------------
+        # One per program, sized to the largest conv instruction's
+        # workspace; every conv kernel views its workspace from offset 0.
+        scratch = max((ws.size for _, ws in self._conv_kernels.values()), default=0)
+        self._scratch = np.empty(scratch) if scratch else None
+        for kernel, _ in self._conv_kernels.values():
+            kernel.bind(self._scratch)
+        self.stats.scratch_bytes += scratch * 8
 
         # Retain the scheduling/storage decisions as plain data so the
         # IR verifier (repro.nn.verify) can prove them sound without
@@ -599,63 +871,22 @@ class GraphProgram:
                 if nodes[nid].kind == "op"
             },
             root=dict(root),
-            buffer_token={nid: id(buf) for nid, buf in buffers.items()},
+            buffer_token={nid: _storage_token(buf) for nid, buf in buffers.items()},
+            grad_token={nid: _storage_token(buf) for nid, buf in grads.items()},
+            scratch_token=(
+                None if self._scratch is None else _storage_token(self._scratch)
+            ),
+            scratch_extents={
+                label: list(ws.extents)
+                for label, (_, ws) in self._conv_kernels.items()
+            },
             pinned_roots=set(pinned_roots),
             needed_val=set(needed_val),
             outputs=dict(self._outputs),
             loss_id=loss_id,
         )
 
-        # -- 6. forward instructions -----------------------------------
-        self._storage: List[Optional[np.ndarray]] = [None] * len(nodes)
-        self._input_binds: List[Tuple[int, int]] = []  # (node id, input position)
-        self._param_binds: List[Tuple[int, Tensor]] = []
-        for nid, position in trace.input_nodes.items():
-            if nid in keep:
-                self._input_binds.append((nid, position))
-        for nid, tensor in trace.param_nodes.items():
-            if nid in keep:
-                self._param_binds.append((nid, tensor))
-        for nid, value in trace.constants.items():
-            if nid in keep:
-                self._storage[nid] = value
-
-        self._forward: List[Callable] = []
-        self._bwd_kernels: Dict[int, Callable] = {}
-        for nid in sched:
-            node = nodes[nid]
-            op = OPS[node.op]
-            instr = self._build_forward_instr(node, op, buffers.get(nid))
-            self._forward.append(instr)
-
-        # -- 7. backward instructions ----------------------------------
-        grads: Dict[int, np.ndarray] = {}
-        for nid in received:
-            if nid == loss_id:
-                grads[nid] = np.ones(nodes[nid].shape)
-            else:
-                grads[nid] = np.empty(nodes[nid].shape)
-        self._grads = grads
-        self._param_grad_binds = [
-            (tensor, grads[nid])
-            for nid, tensor in trace.param_nodes.items()
-            if nid in received
-        ]
-        first_write = set(received) - {loss_id}
-        self._backward: List[Callable] = []
-        for nid in grad_sched:
-            node = nodes[nid]
-            sites = []
-            for slot, parent in enumerate(node.parents):
-                if parent not in received:
-                    continue
-                sites.append(
-                    (slot, parent, parent in first_write, nodes[parent].shape)
-                )
-                first_write.discard(parent)
-            self._backward.append(self._build_backward_instr(node, sites))
-
-        # -- 8. optional per-kernel profiling (REPRO_PROFILE=1) --------
+        # -- 9. optional per-kernel profiling (REPRO_PROFILE=1) --------
         # Cumulative replay seconds per op label.
         self.kernel_seconds: Dict[str, float] = {}
         if profile_enabled():
@@ -711,25 +942,35 @@ class GraphProgram:
         return run_copy
 
     def _build_fast_kernel(self, node: Node, buf: np.ndarray) -> Optional[Callable]:
-        """Specialized conv kernels (and their VJPs) with workspaces."""
+        """Specialized conv kernels (and their VJPs) on scratch workspaces."""
         if node.op not in ("conv2d", "conv_transpose2d"):
             return None
         nodes = self._trace.nodes
         x_shape = nodes[node.parents[0]].shape
         w_shape = nodes[node.parents[1]].shape
         need_dx = nodes[node.parents[0]].requires_grad
+        fwd_ws, bwd_ws = _Workspace(), _Workspace()
+        backward = None
         if node.op == "conv2d":
-            forward = _Conv2dForward(node, x_shape, w_shape, buf)
-            if node.id in set(self._grad_sched):
-                self._bwd_kernels[node.id] = _Conv2dBackward(
-                    forward, node, x_shape, w_shape, need_dx
+            forward = _Conv2dForward(node, x_shape, w_shape, buf, fwd_ws)
+            self.stats.cols_bytes += forward.unfold.cols.nbytes
+            if node.id in self._grad_sched:
+                backward = _Conv2dBackward(
+                    forward, node, x_shape, w_shape, need_dx, bwd_ws,
+                    self._col2im_index,
                 )
         else:
-            forward = _ConvT2dForward(node, x_shape, w_shape, buf)
-            if node.id in set(self._grad_sched):
-                self._bwd_kernels[node.id] = _ConvT2dBackward(
-                    node, x_shape, w_shape, node.shape, need_dx
+            forward = _ConvT2dForward(
+                node, x_shape, w_shape, buf, fwd_ws, self._col2im_index
+            )
+            if node.id in self._grad_sched:
+                backward = _ConvT2dBackward(
+                    node, x_shape, w_shape, node.shape, need_dx, bwd_ws
                 )
+        self._conv_kernels[f"fwd:{node.id}"] = (forward, fwd_ws)
+        if backward is not None:
+            self._bwd_kernels[node.id] = backward
+            self._conv_kernels[f"bwd:{node.id}"] = (backward, bwd_ws)
         return forward
 
     def _build_backward_instr(self, node: Node, sites) -> Callable:
@@ -942,6 +1183,8 @@ class CompiledTrainStep:
         self._worker_programs: Dict[Tuple, GraphProgram] = {}
         self._pool: Optional[ThreadPoolExecutor] = None
         self._combined = ShardMean()
+        #: col2im index tables, shared by this step's programs
+        self._tables: Dict[Tuple, np.ndarray] = {}
 
     def signature(self, arrays: Sequence[np.ndarray]) -> Tuple:
         return tuple((a.shape, a.dtype.str) for a in arrays)
@@ -1061,6 +1304,7 @@ class CompiledTrainStep:
             trace.tensor_nodes[id(loss)],
             self.params,
             stats=self.stats,
+            tables=self._tables,
         )
         program.verify(arrays, outputs)
         # Static pass: prove the plan sound before caching it for replay

@@ -17,7 +17,14 @@ properties the buffer-arena compiler relies on:
     each materialized root's storage token may only be reassigned after
     the previous occupant's last read (backward-needed, pinned and
     output values count as read at +infinity).  No op may write the
-    buffer of a value it reads itself.
+    buffer of a value it reads itself.  The same holds for gradient
+    slots over the backward schedule: a gradient is live from the first
+    consumer instruction that writes it to its own backward instruction
+    (the loss seed from before the first, leaf gradients past the
+    last), and two gradients whose live ranges overlap may not share a
+    token.  No value or gradient may live in the scratch region, which
+    every conv instruction overwrites, and the workspace extents of one
+    conv instruction may not overlap each other.
 
 Verification is pure data analysis over the plan — it never executes
 the program, so running it on every compile adds compile-time cost
@@ -194,6 +201,9 @@ def verify_program(program) -> List[Finding]:
                 )
             )
 
+    findings.extend(_gradient_slot_findings(plan, grad_pos))
+    findings.extend(_scratch_findings(plan))
+
     # every scheduled non-view op must have materialized storage
     for nid in sched:
         if nid not in pos or plan.kinds.get(nid) != "op":
@@ -209,4 +219,70 @@ def verify_program(program) -> List[Finding]:
                 )
             )
 
+    return findings
+
+
+def _gradient_slot_findings(plan, grad_pos: Dict[int, int]) -> List[Finding]:
+    """Gradients sharing a token must have disjoint backward live ranges,
+    re-derived from ``grad_sched`` rather than taken from the compiler."""
+    first_write: Dict[int, int] = {}
+    for index, nid in enumerate(plan.grad_sched):
+        for parent in plan.parents.get(nid, ()):
+            if parent in plan.grad_token:
+                first_write.setdefault(parent, index)
+    by_token: Dict[int, List[tuple]] = {}
+    for nid, token in plan.grad_token.items():
+        start = -1 if nid == plan.loss_id else first_write.get(nid, -1)
+        stop = grad_pos.get(nid, _FOREVER)
+        by_token.setdefault(token, []).append((start, stop, nid))
+    findings: List[Finding] = []
+    # Sorted by start, any overlap shows between two neighbours.
+    for ranges in by_token.values():
+        ranges.sort()
+        for (_, stop, held), (start, _, nid) in zip(ranges, ranges[1:]):
+            if start <= stop:
+                findings.append(
+                    Finding(
+                        "ir-overwrite-live",
+                        f"gradient of node {nid} ({plan.ops.get(nid)}), "
+                        f"written at backward position {start}, shares the "
+                        f"slot of the gradient of node {held} "
+                        f"({plan.ops.get(held)}), still read at backward "
+                        f"position {stop}",
+                        f"grad:{nid}",
+                    )
+                )
+    return findings
+
+
+def _scratch_findings(plan) -> List[Finding]:
+    """Nothing but conv workspaces in the scratch region, and no two
+    workspaces of one instruction overlapping."""
+    findings: List[Finding] = []
+    if plan.scratch_token is not None:
+        for what, tokens in (("value", plan.buffer_token), ("gradient", plan.grad_token)):
+            for nid, token in tokens.items():
+                if token == plan.scratch_token:
+                    findings.append(
+                        Finding(
+                            "ir-overwrite-live",
+                            f"the {what} of node {nid} ({plan.ops.get(nid)}) "
+                            "lives in the scratch region, which every conv "
+                            "instruction overwrites",
+                            f"scratch:{what}:{nid}",
+                        )
+                    )
+    for label, extents in plan.scratch_extents.items():
+        ordered = sorted(extents)  # any overlap shows between neighbours
+        for (start, stop), (next_start, next_stop) in zip(ordered, ordered[1:]):
+            if next_start < stop:
+                findings.append(
+                    Finding(
+                        "ir-overwrite-live",
+                        f"conv instruction {label} has overlapping scratch "
+                        f"workspaces [{start}, {stop}) and "
+                        f"[{next_start}, {next_stop})",
+                        f"scratch:{label}",
+                    )
+                )
     return findings

@@ -5,7 +5,8 @@ import pytest
 
 from repro import nn
 from repro.core.vae import CircuitVAEModel, VAEConfig
-from repro.prefix import sklansky
+from repro.prefix import PrefixGraph, sklansky
+from repro.prefix.legalize import legalize
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +79,25 @@ class TestDesignSampling:
         a = model.sample_designs(z)
         b = model.sample_designs(z)
         assert a == b
+
+    @pytest.mark.parametrize("sampled", [True, False], ids=["rng", "threshold"])
+    def test_batched_legalization_matches_per_design_loop(self, model, sampled):
+        """One ``legalize_grids`` call per decoded batch gives exactly the
+        designs of legalizing each raw grid on its own."""
+        z = np.random.default_rng(8).standard_normal((16, 6))
+        with nn.no_grad():
+            probs = 1.0 / (1.0 + np.exp(-model.decode(nn.Tensor(z)).data))
+        if sampled:
+            raw = np.random.default_rng(9).random(probs.shape) < probs
+        else:
+            raw = probs > 0.5
+        expected = [legalize(grid) for grid in raw]
+        designs = model.sample_designs(z, np.random.default_rng(9) if sampled else None)
+        assert [d.grid.tolist() for d in designs] == [e.grid.tolist() for e in expected]
+        # legalization had work to do: it inserted missing parents
+        assert any(
+            not PrefixGraph(r, validate=False).is_legal() for r in raw
+        )
 
 
 class TestCostHead:

@@ -419,3 +419,113 @@ class TestCompilerRobustness:
             for tensor, eager in zip((x, w), eager_grads):
                 np.testing.assert_allclose(tensor.grad, eager, rtol=1e-10, atol=1e-12)
         assert step.stats.traces == 1 and step.stats.replays == 2
+
+
+def _small_vae_step(shards=1, adam=False):
+    """A compiled CNN-VAE training step at a small config: conv2d at
+    stride 1 and 2 with padding, conv_transpose2d, and the dense heads.
+    Without ``adam`` the parameters stay put, so replays on one batch
+    must repeat exactly."""
+    from repro.core.vae import CircuitVAEModel, VAEConfig
+
+    model = CircuitVAEModel(
+        VAEConfig(n=8, latent_dim=6, base_channels=4, hidden_dim=16),
+        np.random.default_rng(9),
+    )
+    step = nn.compile_train_step(
+        lambda x, t, e, c: model.training_losses(x, t, e, c, beta=0.01, lam=10.0),
+        model.parameters(),
+        optimizer=nn.Adam(model.parameters(), lr=1e-3) if adam else None,
+        shards=shards,
+    )
+    return model, step
+
+
+def _vae_batch(model, seed, batch=6):
+    rng = np.random.default_rng(seed)
+    grids = (rng.random((batch, 8, 8)) > 0.5).astype(float)
+    return (
+        model._pad_grids(grids),
+        grids,
+        rng.standard_normal((batch, 6)),
+        rng.standard_normal(batch),
+    )
+
+
+def _replay(step, model, arrays):
+    """Outputs and parameter gradients of one step, copied out."""
+    outputs = step(*arrays)
+    return outputs, [p.grad.copy() for p in model.parameters()]
+
+
+def _assert_bitwise(got, want):
+    assert got[0] == want[0]
+    for g, w in zip(got[1], want[1]):
+        np.testing.assert_array_equal(g, w)
+
+
+class TestSharedStorage:
+    """Conv workspaces share one scratch region per program, gradients
+    share arena slots, and col2im index tables are shared per step."""
+
+    def test_replays_do_not_see_stale_workspaces(self):
+        """Batch A, then B, then A again through one program: each step
+        equals a freshly compiled program's on the same batch, so no
+        kernel reads what another left in the shared scratch (e.g. the
+        zero border of a padded unfold)."""
+        model, step = _small_vae_step()
+        batches = {"A": _vae_batch(model, 1), "B": _vae_batch(model, 2)}
+        for name in ("A", "B", "A"):
+            got = _replay(step, model, batches[name])
+            fresh_model, fresh = _small_vae_step()
+            _assert_bitwise(got, _replay(fresh, fresh_model, batches[name]))
+        assert step.stats.traces == 1
+
+    def test_two_shards_are_bitwise_equal_at_core_budget_1_and_2(self, monkeypatch):
+        import repro.nn.compile as compile_mod
+
+        results = {}
+        for cores in (1, 2):
+            monkeypatch.setattr(compile_mod, "core_budget", lambda cores=cores: cores)
+            model, step = _small_vae_step(shards=2, adam=True)
+            results[cores] = [
+                _replay(step, model, _vae_batch(model, seed)) for seed in (1, 2, 1)
+            ]
+            assert step.stats.traces == cores
+        for serial, overlapped in zip(results[1], results[2]):
+            _assert_bitwise(overlapped, serial)
+
+    def test_footprint_counters(self):
+        model, step = _small_vae_step()
+        step(*_vae_batch(model, 1))
+        (program,) = step._programs.values()
+        plan, stats = program.plan, step.stats
+        every_gradient = sum(8 * int(np.prod(plan.shapes[nid])) for nid in plan.grad_token)
+        assert 0 < stats.grad_bytes < every_gradient
+        largest = max(
+            stop for extents in plan.scratch_extents.values() for _, stop in extents
+        )
+        assert stats.scratch_bytes == 8 * largest == program._scratch.nbytes
+        assert stats.value_bytes > 0 and stats.cols_bytes > 0 and stats.shared_bytes > 0
+
+    def test_shard_programs_share_col2im_tables(self, monkeypatch):
+        import repro.nn.compile as compile_mod
+
+        monkeypatch.setattr(compile_mod, "core_budget", lambda: 2)
+        model, step = _small_vae_step(shards=2)
+        step(*_vae_batch(model, 1))
+        before = {key: table.copy() for key, table in step._tables.items()}
+        step(*_vae_batch(model, 2))
+        programs = [*step._programs.values(), *step._worker_programs.values()]
+        assert len(programs) == 2
+        used = [
+            {id(kernel.fold.index) for kernel, _ in p._conv_kernels.values() if hasattr(kernel, "fold")}
+            for p in programs
+        ]
+        assert used[0] and used[0] == used[1] == {id(t) for t in step._tables.values()}
+        # replays on both threads leave the shared tables as built
+        for key, table in step._tables.items():
+            np.testing.assert_array_equal(table, before[key])
+        assert step.stats.shared_bytes == sum(t.nbytes for t in step._tables.values())
+        # ...while each program keeps its own scratch region
+        assert programs[0]._scratch is not programs[1]._scratch

@@ -4,7 +4,8 @@ The clean direction compiles real programs (an MLP step and the actual
 CNN-VAE training step) and asserts zero findings.  The dirty direction
 hand-injects each bug class into a copied :class:`ProgramPlan` —
 use-before-def schedules, backward disorder, aliasing writes over live
-values — and asserts the verifier names the specific
+values or live gradients, values in the conv scratch region,
+overlapping workspaces — and asserts the verifier names the specific
 ``ir-*`` rule.  A wiring test proves every ``compile_train_step`` runs
 the pass at compile time only.
 """
@@ -37,42 +38,61 @@ def mlp_plan():
     return program.plan
 
 
+@pytest.fixture(scope="module")
+def cnn_program():
+    """One compiled CNN-VAE train step program (conv scratch + grad arena)."""
+    from repro.core.vae import CircuitVAEModel, VAEConfig
+
+    model = CircuitVAEModel(
+        VAEConfig(n=8, latent_dim=4, base_channels=4, hidden_dim=16),
+        np.random.default_rng(2),
+    )
+    opt = nn.Adam(model.parameters(), lr=1e-3)
+
+    def step_fn(x_pad, grids, eps, costs):
+        return model.training_losses(x_pad, grids, eps, costs, beta=1.0, lam=0.1)
+
+    step = nn.compile_train_step(
+        step_fn, model.parameters(), optimizer=opt, grad_clip=5.0
+    )
+    rng = np.random.default_rng(3)
+    grids = rng.integers(0, 2, size=(4, 8, 8)).astype(np.float64)
+    x_pad = model._pad_grids(grids)
+    eps = rng.standard_normal((4, model.config.latent_dim))
+    costs = rng.standard_normal(4)
+    step(x_pad, grids, eps, costs)
+    (program,) = step._programs.values()
+    return program
+
+
+def _grad_live_ranges(plan):
+    """Backward live range ``(first write, own instruction)`` of every
+    arena gradient (op nodes other than the loss)."""
+    own = {nid: i for i, nid in enumerate(plan.grad_sched)}
+    first = {}
+    for i, nid in enumerate(plan.grad_sched):
+        for parent in plan.parents[nid]:
+            first.setdefault(parent, i)
+    return {
+        nid: (first[nid], own[nid])
+        for nid in plan.grad_token
+        if nid in own and nid != plan.loss_id
+    }
+
+
 class TestCleanPrograms:
     def test_mlp_program_verifies_clean(self, mlp_plan):
         assert verify_program(mlp_plan) == []
 
-    def test_cnn_vae_train_step_verifies_clean(self):
+    def test_cnn_vae_train_step_verifies_clean(self, cnn_program):
         """The acceptance criterion: the real CNN-VAE step, zero findings."""
-        from repro.core.vae import CircuitVAEModel, VAEConfig
-
-        model = CircuitVAEModel(
-            VAEConfig(n=8, latent_dim=4, base_channels=4, hidden_dim=16),
-            np.random.default_rng(2),
-        )
-        opt = nn.Adam(model.parameters(), lr=1e-3)
-
-        def step_fn(x_pad, grids, eps, costs):
-            return model.training_losses(
-                x_pad, grids, eps, costs, beta=1.0, lam=0.1
-            )
-
-        step = nn.compile_train_step(
-            step_fn, model.parameters(), optimizer=opt, grad_clip=5.0
-        )
-        rng = np.random.default_rng(3)
-        grids = rng.integers(0, 2, size=(4, 8, 8)).astype(np.float64)
-        x_pad = model._pad_grids(grids)
-        eps = rng.standard_normal((4, model.config.latent_dim))
-        costs = rng.standard_normal(4)
-        step(x_pad, grids, eps, costs)
-        (program,) = step._programs.values()
-        findings = verify_program(program)
+        findings = verify_program(cnn_program)
         assert findings == [], [f.message for f in findings]
         # real programs exercise the interesting case: buffer reuse is
         # present, not vacuously absent
-        assert len(set(program.plan.buffer_token.values())) < len(
-            program.plan.buffer_token
-        )
+        plan = cnn_program.plan
+        for tokens in (plan.buffer_token, plan.grad_token):
+            assert len(set(tokens.values())) < len(tokens)
 
     def test_verifier_accepts_program_or_plan(self, mlp_plan):
         # duck-typed: a GraphProgram (with .plan) or a bare plan
@@ -180,6 +200,75 @@ class TestInjectedBugs:
         tokens = list(mlp_plan.buffer_token.values())
         assert len(set(tokens)) < len(tokens)
         assert verify_program(mlp_plan) == []
+
+    def test_gradients_sharing_a_slot_while_live_are_flagged(self, cnn_program):
+        plan = cnn_program.plan.copy()
+        ranges = _grad_live_ranges(plan)
+        # a node and its parent: the parent's gradient is written by the
+        # node's own backward instruction, while the node's is still read
+        node, parent = next(
+            (nid, p)
+            for nid in plan.grad_sched
+            for p in plan.parents[nid]
+            if nid in ranges and p in ranges
+            and plan.grad_token[p] != plan.grad_token[nid]
+        )
+        plan.grad_token[parent] = plan.grad_token[node]
+        findings = [
+            f for f in verify_program(plan) if f.rule == "ir-overwrite-live"
+        ]
+        assert f"grad:{parent}" in [f.symbol for f in findings]
+
+    def test_value_in_scratch_region_is_flagged(self, cnn_program):
+        plan = cnn_program.plan.copy()
+        assert plan.scratch_token is not None
+        victim = next(iter(plan.buffer_token))
+        plan.buffer_token[victim] = plan.scratch_token
+        findings = verify_program(plan)
+        assert any(
+            f.rule == "ir-overwrite-live" and f.symbol == f"scratch:value:{victim}"
+            for f in findings
+        )
+
+    def test_gradient_in_scratch_region_is_flagged(self, cnn_program):
+        plan = cnn_program.plan.copy()
+        victim = next(iter(plan.grad_token))
+        plan.grad_token[victim] = plan.scratch_token
+        assert [f.symbol for f in verify_program(plan)] == [
+            f"scratch:gradient:{victim}"
+        ]
+
+    def test_overlapping_workspaces_of_one_kernel_are_flagged(self, cnn_program):
+        plan = cnn_program.plan.copy()
+        label = next(
+            label for label, extents in plan.scratch_extents.items()
+            if len(extents) >= 2
+        )
+        (start, stop), (_, next_stop) = plan.scratch_extents[label][:2]
+        plan.scratch_extents[label][1] = (stop - 1, next_stop)
+        assert [f.symbol for f in verify_program(plan)] == [f"scratch:{label}"]
+
+    def test_legitimate_slot_reuse_is_not_flagged(self, cnn_program):
+        plan = cnn_program.plan.copy()
+        # every conv instruction's workspace starts at offset 0 of the
+        # one region: extents of different instructions overlap freely
+        starts = [extents[0][0] for extents in plan.scratch_extents.values()]
+        assert len(starts) > 2 and set(starts) == {0}
+        # a gradient may move into a slot whose occupants are all dead
+        # before it is written
+        ranges = _grad_live_ranges(plan)
+        holders = {}
+        for nid in ranges:
+            holders.setdefault(plan.grad_token[nid], []).append(ranges[nid])
+        token, late = next(
+            (token, nid)
+            for token, occupied in holders.items()
+            for nid in ranges
+            if plan.grad_token[nid] != token
+            and all(stop < ranges[nid][0] for _, stop in occupied)
+        )
+        plan.grad_token[late] = token
+        assert verify_program(plan) == []
 
     def test_all_rule_ids_are_documented(self):
         assert set(IR_RULES) == {
