@@ -24,7 +24,9 @@ record per case (the CI perf-smoke job uploads the record of the case it
 runs).  The record's ``compile_counters`` include the compiled step's
 storage footprint (the ``*_bytes`` counters of
 :class:`repro.nn.CompileStats`), and ``ru_maxrss_mb`` is the process's
-peak RSS, so the uploaded records track training memory.
+peak RSS, so the uploaded records track training memory; ``compile_s``
+and ``traces`` are the trace, eager-verify and program-build seconds
+and the trace count of one fresh compiled call.
 
 Cases (pytest ids) are the timed epochs per engine:
 
@@ -150,6 +152,10 @@ def run_vae_training(epochs):
         "compiled_ms_per_step": compiled_s / steps * 1e3,
         "speedup": eager_s / compiled_s,
         "loss_curve_max_rel_dev": curve_dev,
+        # trace + eager verify + program builds of one fresh call, and
+        # its traces (one per batch shape)
+        "compile_s": compiled_ref.compile_s,
+        "traces": compiled_ref.compile_counters.get("traces", 0),
         "compile_counters": dict(compiled_ref.compile_counters),
         # ru_maxrss is in KiB on Linux
         "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -181,6 +187,9 @@ def test_vae_training(benchmark, epochs):
         if name.endswith("_bytes")
     )
     print(f"  compiled step footprint (MiB): {footprint}")
+    print(
+        f"  compile {stats['compile_s'] * 1e3:.0f} ms over {stats['traces']} trace(s)"
+    )
     print(f"  process peak RSS {stats['ru_maxrss_mb']:.0f} MB")
     print(f"  record -> {path}")
     # Equivalence is asserted inside run_vae_training in every case;

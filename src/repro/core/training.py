@@ -16,14 +16,18 @@ Execution engine
 ----------------
 The step graph never changes shape within a call, so every
 forward+backward+optimizer step runs through the traced graph executor
-(:mod:`repro.nn.compile`): one eager trace, then buffer-reusing replay
-with matmul-based convolution kernels, gated by
+(:mod:`repro.nn.compile`): one eager trace per batch shape, then
+buffer-reusing replay with matmul-based convolution kernels, gated by
 ``benchmarks/bench_vae_training.py`` at >= 2x the eager tape on the
 CNN-VAE configuration.  The eager tape stays the numerical reference
 (per-epoch losses agree to well below 1e-10) but is not a runtime
 alternative: a step the compiler rejects raises
 :class:`repro.nn.CompileUnsupported` instead of training on another
-engine, so records never depend on whether a trace compiled.
+engine, so records never depend on whether a trace compiled.  The
+compiled programs and their storage live only for one call: it
+releases them on the way out (the eager decode that follows each round
+needs the memory), and the next round rebuilds them from the kept,
+verified traces.
 
 Every step is the size-weighted mean of :data:`TRAIN_SHARDS`
 half-batch passes.  The compiled step overlaps the halves on two
@@ -89,6 +93,9 @@ class TrainStats:
     #: compile/replay/arena counter *deltas* from this call
     #: (:class:`repro.nn.CompileStats` keys).
     compile_counters: Dict[str, int] = field(default_factory=dict)
+    #: seconds this call spent tracing, eager-verifying and building
+    #: compiled programs (every call rebuilds its programs).
+    compile_s: float = 0.0
     #: per-kernel replay-second *deltas* (``fwd:<op>`` / ``bwd:<op>``)
     #: from this call, summed over every shard's program; populated only
     #: under ``REPRO_PROFILE=1``.  Shards that overlap on two threads
@@ -354,6 +361,7 @@ def train_model(
     step = _compiled_step_for(model, optimizer, config)
     counters_before = step.stats.as_dict()
     kernels_before = step.kernel_seconds()
+    compile_before = step.compile_seconds
 
     latent_dim = model.config.latent_dim
     batch = min(config.batch_size, len(dataset))
@@ -366,32 +374,35 @@ def train_model(
     sample_p = dataset.weights() if config.reweight else dataset.uniform_weights()
     all_grids = dataset.grids()
     model.train()
+    try:
+        for epoch in range(start_epoch, config.epochs):
+            epoch_total = epoch_rec = epoch_kl = epoch_cost = 0.0
+            for _batch in range(batches_per_epoch):
+                idx = rng.choice(len(dataset), size=batch, replace=True, p=sample_p)
+                grids = all_grids[idx]
+                batch_targets = targets[idx]
+                x_pad = model._pad_grids(grids)
+                eps = rng.standard_normal((grids.shape[0], latent_dim))
+                values = step(x_pad, grids, eps, batch_targets)
+                epoch_total += values["loss"]
+                epoch_rec += values["reconstruction"]
+                epoch_kl += values["kl"]
+                epoch_cost += values["cost"]
+            stats.total.append(epoch_total / batches_per_epoch)
+            stats.reconstruction.append(epoch_rec / batches_per_epoch)
+            stats.kl.append(epoch_kl / batches_per_epoch)
+            stats.cost.append(epoch_cost / batches_per_epoch)
 
-    for epoch in range(start_epoch, config.epochs):
-        epoch_total = epoch_rec = epoch_kl = epoch_cost = 0.0
-        for _batch in range(batches_per_epoch):
-            idx = rng.choice(len(dataset), size=batch, replace=True, p=sample_p)
-            grids = all_grids[idx]
-            batch_targets = targets[idx]
-            x_pad = model._pad_grids(grids)
-            eps = rng.standard_normal((grids.shape[0], latent_dim))
-            values = step(x_pad, grids, eps, batch_targets)
-            epoch_total += values["loss"]
-            epoch_rec += values["reconstruction"]
-            epoch_kl += values["kl"]
-            epoch_cost += values["cost"]
-        stats.total.append(epoch_total / batches_per_epoch)
-        stats.reconstruction.append(epoch_rec / batches_per_epoch)
-        stats.kl.append(epoch_kl / batches_per_epoch)
-        stats.cost.append(epoch_cost / batches_per_epoch)
-
-        done = epoch + 1
-        if checkpoint_dir is not None and config.checkpoint_every > 0:
-            if done % config.checkpoint_every == 0 or done == config.epochs:
-                _save_checkpoint(
-                    checkpoint_dir, checkpoint_tag, done, model, optimizer,
-                    rng, stats, fingerprint,
-                )
+            done = epoch + 1
+            if checkpoint_dir is not None and config.checkpoint_every > 0:
+                if done % config.checkpoint_every == 0 or done == config.epochs:
+                    _save_checkpoint(
+                        checkpoint_dir, checkpoint_tag, done, model, optimizer,
+                        rng, stats, fingerprint,
+                    )
+    finally:
+        # The programs' storage is needed only while this call trains.
+        step.release()
     model.eval()
 
     after = step.stats.as_dict()
@@ -400,6 +411,7 @@ def train_model(
         for name in after
         if after[name] - counters_before.get(name, 0) != 0
     }
+    stats.compile_s = step.compile_seconds - compile_before
     kernels_after = step.kernel_seconds()
     stats.kernel_seconds = {
         label: kernels_after[label] - kernels_before.get(label, 0.0)
@@ -412,7 +424,8 @@ def train_model(
 def report_training_round(simulator, stats: TrainStats, round_index: int) -> None:
     """Fold one ``train_model`` round into the simulator's per-run
     :class:`~repro.engine.telemetry.EngineTelemetry`: its epoch and
-    compiled-step counters, plus the per-kernel stage seconds under
+    compiled-step counters, a ``train_compile`` span lasting the round's
+    compile seconds, plus the per-kernel stage seconds under
     ``REPRO_PROFILE=1``.  A no-op against a bare simulator without
     telemetry.
     """
@@ -424,6 +437,8 @@ def report_training_round(simulator, stats: TrainStats, round_index: int) -> Non
     counters = stats.compile_counters
     telemetry.add("train_compiles", counters.get("traces", 0))
     telemetry.add("train_replays", counters.get("replays", 0))
+    span = trace.span("train_compile", attrs={"round": round_index})
+    span.finish(elapsed=stats.compile_s)
     # REPRO_PROFILE=1 only: fold the round's per-kernel replay seconds
     # into the stage timers and emit matching imposed-duration spans, so
     # trace-derived stage totals keep reproducing ``stage_seconds`` even

@@ -74,6 +74,7 @@ KNOWN_SPANS = frozenset(
         "evaluate_batch",
         "cache_load",
         "cache_refresh",
+        "train_compile",
         "bench",
     }
 )

@@ -18,7 +18,9 @@ compiles it into a :class:`GraphProgram`:
   second arena by their backward live range (first write by a consumer
   to their own backward instruction), except the loss seed and the
   parameter gradients, which stay dedicated.  All buffers are reused
-  across steps.
+  across steps, and each one is its own anonymous memory map
+  (:func:`_storage`), so a dropped program's storage leaves the process
+  at once instead of lingering in the allocator's heap.
 * **Fast kernels** — convolutions replay through matmul-based kernels
   (the batched GEMM numpy's einsum performs internally, called
   directly), and the backward pass reuses the forward's unfolded
@@ -27,31 +29,42 @@ compiles it into a :class:`GraphProgram`:
   instruction is live for that instruction only, so each program has
   one scratch region, sized to its largest conv instruction's
   workspace, that every conv kernel views from offset 0.  The
-  col2im index tables, which no replay writes, are built once per
-  :class:`CompiledTrainStep` and shared by its programs.  A replay
+  col2im index tables, which no replay writes, are shared by the live
+  programs of one :class:`CompiledTrainStep` and go with them.  A replay
   still allocates temporaries: the registry VJPs return fresh arrays,
   relu's kernel builds its ``x > 0`` mask, and every col2im fold's
   ``bincount`` allocates its output.
-* **Shape-guarded replay** — programs are cached per input-shape
-  signature; a new shape triggers a fresh trace, never a wrong replay.
+* **Shape-guarded replay** — traces and programs are cached per
+  input-shape signature; a new shape triggers a fresh trace, never a
+  wrong replay.
+* **Traces outlive programs** — a step keeps one verified trace per
+  signature and builds every program from it, each with fresh storage.
+  ``CompiledTrainStep.release`` drops the programs (``train_model``
+  calls it on return, so the storage exists only while a call trains),
+  and the next call rebuilds them from the kept traces without
+  re-tracing.
 * **Sharded steps** — ``CompiledTrainStep(shards=k)`` splits each batch
   into ``k`` row shards (:func:`shard_slices`), replays forward+backward
   per shard and combines outputs and gradients as the size-weighted
   mean (:class:`ShardMean`) before one clip and one optimizer step.
   The shard count is part of the numerics; the core budget
   (:func:`repro.utils.threads.core_budget`) decides only whether the
-  shards overlap — each on its own thread and program instance, under
-  ``blas_budget(1)`` — or replay back to back through one program.
+  shards overlap — each on its own thread and program instance, all
+  built from one trace, under ``blas_budget(1)`` — or replay back to
+  back through one program.
   Both placements are bitwise identical, so the records of a run do not
   depend on the machine.  Programs therefore never write ``Tensor.grad``
   themselves; the step points each parameter at its gradient.
 
 **Equivalence contract**: a compiled step must be *numerically
 equivalent* to the eager step.  The compiler enforces this mechanically:
-at compile time the program runs once on the traced arrays and its
-outputs and parameter gradients are compared against the eager engine's
-(`verify`), and the IR verifier (:mod:`repro.nn.verify`) checks the
-buffer plan.  A mismatch, a finding, a non-float64 graph or an
+the first program built from a new trace runs once on the traced arrays
+and its outputs and parameter gradients are compared against the eager
+engine's (`verify`), and the IR verifier (:mod:`repro.nn.verify`)
+checks the buffer plan of every program built.  A trace is kept only
+once its first program passes both; a later program from it differs
+only in where its storage lives, which the IR verifier re-checks.  A
+mismatch, a finding, a non-float64 graph or an
 unrepresentable op raises :class:`CompileUnsupported`, and any other
 error during trace/build/verify propagates with its own type: a step
 that cannot be compiled stops training loudly rather than running on
@@ -70,6 +83,7 @@ otherwise replay the traced batch's rows forever.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -104,7 +118,8 @@ def profile_enabled() -> bool:
     """``REPRO_PROFILE=1``: per-kernel replay timings (see GraphProgram).
 
     Checked once per program *build*, not per replay, so flipping the
-    variable mid-run only affects programs compiled afterwards.
+    variable mid-run only affects programs built afterwards (a training
+    step rebuilds its programs on every ``train_model`` call).
     """
     return os.environ.get("REPRO_PROFILE", "0").strip() not in ("", "0")
 
@@ -124,26 +139,29 @@ def _profiled(instr: Callable, label: str, totals: Dict[str, float]) -> Callable
 class CompileStats:
     """Counters one :class:`CompiledTrainStep` accumulates.
 
-    ``traces`` counts compilations: one per new input-shape signature,
-    plus one per worker-thread shard program — a two-shard step on an
-    even batch compiles once when its shards replay back to back and
-    twice when they run on two threads (``nn.train_compiles`` in the
-    benchmark's per-layer metrics).  ``replays`` counts steps served by
-    cached programs, one per step however many shards it replays
-    (``nn.train_replays``).  The rest sum over every program built:
-    scheduled ops (``nodes``), dedicated buffers for outputs and
-    backward-needed values (``buffers``), arena buffers allocated
-    (``arena_slots``) and arena buffers handed to a later intermediate
-    (``arena_reused``), and conv replay kernels (``fast_kernels``).
+    ``traces`` counts traces, one per input-shape signature however
+    many programs are built from it: a two-shard step on an even batch
+    traces once whether its shards replay back to back or on two
+    threads (``nn.train_compiles`` in the benchmark's per-layer
+    metrics).  ``replays`` counts steps served by cached programs, one
+    per step however many shards it replays (``nn.train_replays``).
+    The rest sum over every program built, rebuilds after
+    :meth:`CompiledTrainStep.release` included: scheduled ops
+    (``nodes``), dedicated buffers for outputs and backward-needed
+    values (``buffers``), arena buffers allocated (``arena_slots``) and
+    arena buffers handed to a later intermediate (``arena_reused``), and
+    conv replay kernels (``fast_kernels``).
 
-    The ``*_bytes`` counters are the programs' storage footprint: value
-    buffers, dedicated and arena (``value_bytes``); gradient buffers,
-    dedicated and arena (``grad_bytes``); the scratch regions
-    (``scratch_bytes``); the forward conv2d unfold columns the backward
-    reads (``cols_bytes``); and the col2im index tables the
-    step's programs share, counted once per step (``shared_bytes``).
-    Every counter is cumulative, so callers can take deltas of any of
-    them.
+    The ``*_bytes`` counters are the storage of every program built,
+    counted at each build: value buffers, dedicated and arena
+    (``value_bytes``); gradient buffers, dedicated and arena
+    (``grad_bytes``); the scratch regions (``scratch_bytes``); the
+    forward conv2d unfold columns the backward reads (``cols_bytes``);
+    and the col2im index tables the programs built between two releases
+    share, counted once per such round (``shared_bytes``).  Every
+    counter is cumulative, so callers can take deltas of any of them;
+    the delta over one ``train_model`` call is the footprint of the
+    programs that call built.
     """
 
     traces: int = 0
@@ -230,6 +248,19 @@ class ProgramPlan:
 # ----------------------------------------------------------------------
 # Storage planning: arenas, the shared scratch region, shared tables
 # ----------------------------------------------------------------------
+def _storage(shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """A zeroed array of ``shape`` on its own anonymous memory map.
+
+    Every array a program owns is allocated here, so dropping the
+    program unmaps its storage at once: freed heap memory would stay in
+    the allocator's arenas (and the process RSS) until a later
+    allocation happened to reuse it.  Untouched pages cost no RSS.
+    """
+    size = math.prod(shape)
+    region = mmap.mmap(-1, max(size * np.dtype(dtype).itemsize, 1))
+    return np.frombuffer(region, dtype=dtype, count=size).reshape(shape)
+
+
 def _storage_token(array: np.ndarray) -> int:
     """Identity of the array that owns ``array``'s memory, so that a view
     and its base share a token (:class:`ProgramPlan`)."""
@@ -263,7 +294,7 @@ class _Arena:
                 self.reused += 1
                 break
         else:
-            flat = np.empty(size)
+            flat = _storage((size,))
             self.slots += 1
             self.nbytes += flat.nbytes
         pool.append((free_at, flat))
@@ -300,7 +331,8 @@ def _view(region: np.ndarray, extent: Tuple[int, Tuple[int, ...]]) -> np.ndarray
 
 def _col2im_index(tables: Dict, stats: CompileStats, cols_shape, padded_hw, stride):
     """The static scatter index of :class:`_Col2Im`, built once per
-    ``tables`` (one per :class:`CompiledTrainStep`) and never written.
+    ``tables`` (the live programs of one :class:`CompiledTrainStep`)
+    and never written.
 
     The array stays flagged writeable: ``np.bincount`` copies an index
     that is not, on every call (33 MiB per convT forward at n=64).
@@ -317,7 +349,9 @@ def _col2im_index(tables: Dict, stats: CompileStats, cols_shape, padded_hw, stri
                 cols_ = v + stride * np.arange(ow)
                 per_patch[u, v] = rows[:, None] * wp + cols_[None, :]
         offsets = (np.arange(batch * channels) * (hp * wp))[:, None]
-        index = (per_patch.reshape(1, -1) + offsets).ravel()
+        index = _storage((batch * channels, per_patch.size), np.intp)
+        np.add(per_patch.reshape(1, -1), offsets, out=index)
+        index = index.ravel()
         tables[key] = index
         stats.shared_bytes += index.nbytes
     return index
@@ -374,7 +408,7 @@ class _Im2Col:
         self.mat_shape = (batch, channels * kh * kw, self.oh * self.ow)
         self._pad_at = ws.take((batch, channels, hp, wp)) if padding else None
         self._cols_at = None if keep_cols else ws.take(cols_shape)
-        self.cols = np.empty(cols_shape) if keep_cols else None
+        self.cols = _storage(cols_shape) if keep_cols else None
         self._window_src = None
         self._windows = None
         self._interior = None
@@ -659,7 +693,7 @@ class GraphProgram:
     land in the program's own buffers, :meth:`param_grads`), and returns
     the output arrays.
     The caller owns gradient clipping and the optimizer step.  ``tables``
-    holds the col2im index tables the programs of one step share (a
+    holds the col2im index tables the live programs of one step share (a
     fresh dict when omitted).
     """
 
@@ -766,7 +800,7 @@ class GraphProgram:
             if OPS[node.op].view or root[nid] != nid:
                 continue
             if nid in pinned_roots:
-                buffers[nid] = np.empty(node.shape)
+                buffers[nid] = _storage(node.shape)
                 value_bytes += buffers[nid].nbytes
                 self.stats.buffers += 1
                 continue
@@ -811,9 +845,10 @@ class GraphProgram:
         grads: Dict[int, np.ndarray] = {}
         for nid in received:
             if nid == loss_id:
-                grads[nid] = np.ones(nodes[nid].shape)
+                grads[nid] = _storage(nodes[nid].shape)
+                grads[nid].fill(1.0)
             elif nodes[nid].kind != "op":
-                grads[nid] = np.empty(nodes[nid].shape)
+                grads[nid] = _storage(nodes[nid].shape)
         grad_bytes = sum(buf.nbytes for buf in grads.values())
         grad_slots = _Arena()
         grad_pos = {nid: i for i, nid in enumerate(grad_sched)}
@@ -845,7 +880,7 @@ class GraphProgram:
         # One per program, sized to the largest conv instruction's
         # workspace; every conv kernel views its workspace from offset 0.
         scratch = max((ws.size for _, ws in self._conv_kernels.values()), default=0)
-        self._scratch = np.empty(scratch) if scratch else None
+        self._scratch = _storage((scratch,)) if scratch else None
         for kernel, _ in self._conv_kernels.values():
             kernel.bind(self._scratch)
         self.stats.scratch_bytes += scratch * 8
@@ -1151,16 +1186,22 @@ class CompiledTrainStep:
     the shards overlap.  While :func:`~repro.utils.threads.core_budget`
     is at least the shard count, shard 0 replays on the calling thread
     and each other shard on a lazily created worker thread, each through
-    its own program instance (compiled through the same trace + verify
-    path), all under ``blas_budget(1)``; otherwise the shards replay
-    back to back through the caller's programs.  Both placements give
-    bitwise-identical results.  ``shards=1`` (the default) replays the
-    whole batch and is bitwise eager on graphs without convolutions.
+    its own program instance, all under ``blas_budget(1)``; otherwise
+    the shards replay back to back through the caller's programs.  Both
+    placements give bitwise-identical results.  ``shards=1`` (the
+    default) replays the whole batch and is bitwise eager on graphs
+    without convolutions.
 
-    Programs are cached per input-shape signature (shape-guarded
-    replay).  A trace that cannot be compiled raises
-    :class:`CompileUnsupported` (or the compiler's own error) out of the
-    call; nothing is cached for it.
+    **Traces and programs.**  The step traces once per input-shape
+    signature and keeps the trace once the first program built from it
+    passes the eager verify; every later program for that signature (a
+    worker shard's, or any program after :meth:`release`) is built from
+    the kept trace with fresh storage and checked by the IR verifier
+    only.  Programs are cached per (thread slot, signature) until
+    :meth:`release` drops them and returns their storage to the OS.  A
+    trace that cannot be compiled raises :class:`CompileUnsupported`
+    (or the compiler's own error) out of the call; nothing is kept for
+    it.
     """
 
     def __init__(
@@ -1177,14 +1218,18 @@ class CompiledTrainStep:
         self.grad_clip = grad_clip
         self.shards = max(1, int(shards))
         self.stats = CompileStats()
-        #: the calling thread's programs, by signature
-        self._programs: Dict[Tuple, GraphProgram] = {}
-        #: worker-thread instances, by (shard index, signature)
-        self._worker_programs: Dict[Tuple, GraphProgram] = {}
+        #: seconds spent tracing, eager-verifying and building programs
+        self.compile_seconds = 0.0
+        #: verified ``(trace, output node ids, loss id)``, by signature
+        self._traces: Dict[Tuple, Tuple[Trace, Dict[str, int], int]] = {}
+        #: live programs, by (thread slot, signature); slot 0 is the caller
+        self._programs: Dict[Tuple[int, Tuple], GraphProgram] = {}
         self._pool: Optional[ThreadPoolExecutor] = None
         self._combined = ShardMean()
-        #: col2im index tables, shared by this step's programs
+        #: col2im index tables, shared by the live programs
         self._tables: Dict[Tuple, np.ndarray] = {}
+        #: kernel seconds of released programs (``REPRO_PROFILE=1``)
+        self._released_seconds: Dict[str, float] = {}
 
     def signature(self, arrays: Sequence[np.ndarray]) -> Tuple:
         return tuple((a.shape, a.dtype.str) for a in arrays)
@@ -1194,15 +1239,34 @@ class CompiledTrainStep:
 
         Empty unless the programs were built with ``REPRO_PROFILE=1``
         (see :func:`profile_enabled`); labels are ``fwd:<op>`` /
-        ``bwd:<op>`` summed over every shape-specialized program and
-        every shard's program.  Shards on worker threads overlap in
-        time, so these are thread-seconds and may exceed the wall time.
+        ``bwd:<op>`` summed over every program built, released ones
+        included.  Shards on worker threads overlap in time, so these
+        are thread-seconds and may exceed the wall time.
         """
-        totals: Dict[str, float] = {}
-        for program in (*self._programs.values(), *self._worker_programs.values()):
+        totals = dict(self._released_seconds)
+        for program in self._programs.values():
             for label, seconds in program.kernel_seconds.items():
                 totals[label] = totals.get(label, 0.0) + seconds
         return totals
+
+    def release(self) -> None:
+        """Drop every program and the col2im tables, keeping the traces.
+
+        Their storage is unmapped as the last reference goes, so it is
+        back with the OS when this returns.  Kernel seconds fold into
+        the step first, and a parameter whose ``.grad`` is a program's
+        gradient buffer gets ``None``.  The next call rebuilds its
+        programs from the kept traces.
+        """
+        released = self._released_seconds
+        for program in self._programs.values():
+            for label, seconds in program.kernel_seconds.items():
+                released[label] = released.get(label, 0.0) + seconds
+            for tensor, grad_buf in program.param_grads():
+                if tensor.grad is grad_buf:
+                    tensor.grad = None
+        self._programs.clear()
+        self._tables.clear()
 
     def __call__(self, *arrays: np.ndarray) -> Dict[str, float]:
         arrays = tuple(np.asarray(a, dtype=np.float64) for a in arrays)
@@ -1213,13 +1277,10 @@ class CompiledTrainStep:
                 for rows in shard_slices(len(arrays[0]), self.shards)
             ]
         overlap = len(parts) > 1 and core_budget() >= len(parts)
-        programs = []
-        for index, part in enumerate(parts):
-            key = self.signature(part)
-            if overlap and index > 0:
-                programs.append(self._program(self._worker_programs, (index, key), part))
-            else:
-                programs.append(self._program(self._programs, key, part))
+        programs = [
+            self._program(index if overlap else 0, part)
+            for index, part in enumerate(parts)
+        ]
         self.stats.replays += 1
 
         if len(parts) == 1:
@@ -1276,14 +1337,49 @@ class CompiledTrainStep:
             tensor.grad = grad
         return {name: float(value) for name, value in zip(names, means)}
 
-    def _program(self, cache: Dict, key: Tuple, arrays) -> GraphProgram:
-        """The cached program for ``key``, compiling it on first use."""
-        program = cache.get(key)
+    def _program(self, slot: int, arrays: Tuple[np.ndarray, ...]) -> GraphProgram:
+        """The live program of ``slot`` for ``arrays``' signature,
+        building it on first use."""
+        signature = self.signature(arrays)
+        program = self._programs.get((slot, signature))
         if program is None:
-            program = cache[key] = self._compile(arrays)
+            start = time.perf_counter()
+            program = self._programs[slot, signature] = self._build(signature, arrays)
+            self.compile_seconds += time.perf_counter() - start
         return program
 
-    def _compile(self, arrays: Tuple[np.ndarray, ...]) -> GraphProgram:
+    def _build(self, signature: Tuple, arrays: Tuple[np.ndarray, ...]) -> GraphProgram:
+        """A program with fresh storage, from the kept trace of
+        ``signature`` or, the first time, from a new trace of ``arrays``
+        that its program must verify against eager."""
+        kept = self._traces.get(signature)
+        traced = None
+        if kept is None:
+            kept, traced = self._trace(arrays)
+        trace, node_ids, loss_id = kept
+        program = GraphProgram(
+            trace, node_ids, loss_id, self.params, stats=self.stats, tables=self._tables
+        )
+        if traced is not None:
+            program.verify(arrays, traced)
+        # Static pass: prove every program's plan sound before replaying
+        # it (build time only; a rejected program stops the step).
+        ir_findings = ir_verify.verify_program(program)
+        if ir_findings:
+            first = ir_findings[0]
+            raise CompileUnsupported(
+                f"IR verifier rejected the program: {len(ir_findings)} "
+                f"finding(s), first [{first.rule}] {first.message}"
+            )
+        if traced is not None:
+            trace.release()  # drop the tensor pins; builds need only the tables
+            self._traces[signature] = kept
+            self.stats.traces += 1
+        return program
+
+    def _trace(self, arrays: Tuple[np.ndarray, ...]):
+        """Trace ``step_fn`` on ``arrays``: ``((trace, output node ids,
+        loss id), the traced output tensors)``."""
         input_tensors = [Tensor(a) for a in arrays]
         with Trace(params=self.params, inputs=input_tensors) as trace:
             outputs = self.step_fn(*input_tensors)
@@ -1298,27 +1394,7 @@ class CompiledTrainStep:
         node_ids = {
             name: trace.tensor_nodes[id(tensor)] for name, tensor in outputs.items()
         }
-        program = GraphProgram(
-            trace,
-            node_ids,
-            trace.tensor_nodes[id(loss)],
-            self.params,
-            stats=self.stats,
-            tables=self._tables,
-        )
-        program.verify(arrays, outputs)
-        # Static pass: prove the plan sound before caching it for replay
-        # (compile time only; a rejected program stops the step).
-        ir_findings = ir_verify.verify_program(program)
-        if ir_findings:
-            first = ir_findings[0]
-            raise CompileUnsupported(
-                f"IR verifier rejected the program: {len(ir_findings)} "
-                f"finding(s), first [{first.rule}] {first.message}"
-            )
-        trace.release()  # drop the tensor pins; run() needs only the tables
-        self.stats.traces += 1
-        return program
+        return (trace, node_ids, trace.tensor_nodes[id(loss)]), outputs
 
 
 def compile_train_step(

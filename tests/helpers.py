@@ -322,9 +322,13 @@ class EagerTrainStep:
 
         self.model, self.optimizer, self.config = model, optimizer, config
         self.stats = nn.CompileStats()
+        self.compile_seconds = 0.0
 
     def kernel_seconds(self):
         return {}
+
+    def release(self):
+        pass
 
     def __call__(self, *arrays):
         return eager_train_step(self.model, self.optimizer, self.config, arrays)

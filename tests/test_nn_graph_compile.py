@@ -482,16 +482,36 @@ class TestSharedStorage:
         assert step.stats.traces == 1
 
     def test_two_shards_are_bitwise_equal_at_core_budget_1_and_2(self, monkeypatch):
+        """One trace and one eager verify either way; the worker shard's
+        program is built from shard 0's trace and IR-verified only."""
         import repro.nn.compile as compile_mod
 
+        calls = {"eager": 0, "ir": 0}
+        verify = compile_mod.GraphProgram.verify
+        verify_program = compile_mod.ir_verify.verify_program
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(compile_mod.GraphProgram, "verify", counted("eager", verify))
+        monkeypatch.setattr(
+            compile_mod.ir_verify, "verify_program", counted("ir", verify_program)
+        )
         results = {}
         for cores in (1, 2):
             monkeypatch.setattr(compile_mod, "core_budget", lambda cores=cores: cores)
+            calls.update(eager=0, ir=0)
             model, step = _small_vae_step(shards=2, adam=True)
             results[cores] = [
                 _replay(step, model, _vae_batch(model, seed)) for seed in (1, 2, 1)
             ]
-            assert step.stats.traces == cores
+            assert step.stats.traces == 1
+            assert calls == {"eager": 1, "ir": cores}
+            assert len(step._programs) == cores
         for serial, overlapped in zip(results[1], results[2]):
             _assert_bitwise(overlapped, serial)
 
@@ -516,7 +536,7 @@ class TestSharedStorage:
         step(*_vae_batch(model, 1))
         before = {key: table.copy() for key, table in step._tables.items()}
         step(*_vae_batch(model, 2))
-        programs = [*step._programs.values(), *step._worker_programs.values()]
+        programs = list(step._programs.values())
         assert len(programs) == 2
         used = [
             {id(kernel.fold.index) for kernel, _ in p._conv_kernels.values() if hasattr(kernel, "fold")}
@@ -529,3 +549,51 @@ class TestSharedStorage:
         assert step.stats.shared_bytes == sum(t.nbytes for t in step._tables.values())
         # ...while each program keeps its own scratch region
         assert programs[0]._scratch is not programs[1]._scratch
+
+
+class TestRelease:
+    """``release()`` drops every program; the next call rebuilds from
+    the kept trace."""
+
+    def test_release_drops_programs_and_gradient_buffers(self):
+        """On the one-shard path ``.grad`` is a program buffer; after
+        release no parameter keeps one alive, and the program (with its
+        mapped storage) is dead without a cyclic collection."""
+        import gc
+        import weakref
+
+        model, step = _small_vae_step()
+        batch = _vae_batch(model, 1)
+        step(*batch)
+        (program,) = step._programs.values()
+        grads = dict(program.param_grads())
+        assert all(p.grad is grads[p] for p in model.parameters())
+        ref = weakref.ref(program)
+        del program, grads
+        gc.disable()
+        try:
+            step.release()
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert all(p.grad is None for p in model.parameters())
+        assert not step._programs and not step._tables
+        # The rebuilt program replays like a fresh compile, with no retrace.
+        got = _replay(step, model, batch)
+        fresh_model, fresh = _small_vae_step()
+        _assert_bitwise(got, _replay(fresh, fresh_model, batch))
+        assert step.stats.traces == 1
+
+    def test_profile_seconds_accumulate_across_release(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        model, step = _small_vae_step()
+        batch = _vae_batch(model, 1)
+        step(*batch)
+        first = step.kernel_seconds()
+        assert first and all(seconds > 0 for seconds in first.values())
+        step.release()
+        assert step.kernel_seconds() == first
+        step(*batch)
+        second = step.kernel_seconds()
+        assert set(second) == set(first)
+        assert all(second[label] > first[label] for label in first)

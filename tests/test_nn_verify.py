@@ -325,4 +325,5 @@ class TestCompileWiring:
         a = nn.Tensor([1.0, 2.0], requires_grad=True)
         step = nn.compile_train_step(lambda: {"loss": (a * a).sum()}, [a])
         with pytest.raises(nn.CompileUnsupported, match="ir-overwrite-live"):
-            step._compile(())
+            step()
+        assert not step._traces and not step._programs

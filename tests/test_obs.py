@@ -368,6 +368,33 @@ class TestKernelProfiling:
         assert stats.kernel_seconds == {}
         assert stats.compile_counters["replays"] > 0
 
+    def test_report_training_round_emits_one_compile_span_per_round(
+        self, monkeypatch
+    ):
+        """Every round rebuilds its programs, so each carries compile
+        seconds; they surface as one ``train_compile`` span per round."""
+        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+        from repro.core.training import report_training_round
+
+        class Sim:
+            pass
+
+        sim = Sim()
+        sim.telemetry = EngineTelemetry()
+        tracer, spans = collect_tracer()
+        rounds = [self._train(), self._train()]
+        with tracer.activate():
+            for index, stats in enumerate(rounds):
+                report_training_round(sim, stats, round_index=index)
+        compile_spans = [s for s in spans if s["name"] == "train_compile"]
+        assert [s["attrs"]["round"] for s in compile_spans] == [0, 1]
+        for span_dict, stats in zip(compile_spans, rounds):
+            assert stats.compile_s > 0.0
+            assert span_dict["t1"] - span_dict["t0"] == pytest.approx(
+                stats.compile_s, abs=1e-6
+            )
+            assert not span_dict["attrs"].get("stage")
+
     def test_profile_on_collects_kernel_seconds(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "1")
         stats = self._train()
