@@ -17,7 +17,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy>=1.22", "scipy"],
+    install_requires=["numpy>=1.22"],
     entry_points={"console_scripts": ["repro=repro.api.cli:main"]},
     extras_require={
         "test": ["pytest", "pytest-benchmark"],

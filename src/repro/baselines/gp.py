@@ -5,17 +5,29 @@ lengthscale (optionally refined by a small grid search over the marginal
 likelihood), Cholesky-based posterior, and the closed-form expected
 improvement acquisition.  Matches what latent-space BO pipelines
 (Tripp et al.; Jin et al.) use as their surrogate.
+
+numpy only: :meth:`GaussianProcess.fit` factors the kernel matrix with
+``np.linalg.cholesky`` and forms the inverse factor ``L^-1`` once by
+blocked forward substitution (:func:`solve_lower`; numpy has no
+triangular solve, and ``np.linalg.solve`` would LU-factor the triangle
+with pivoting), so :meth:`~GaussianProcess.predict` is one GEMM.  The
+normal CDF of :func:`expected_improvement` goes through ``math.erf``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import erf
 
-__all__ = ["rbf_kernel", "median_lengthscale", "GaussianProcess", "expected_improvement"]
+__all__ = [
+    "rbf_kernel",
+    "median_lengthscale",
+    "solve_lower",
+    "GaussianProcess",
+    "expected_improvement",
+]
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, lengthscale: float, variance: float) -> np.ndarray:
@@ -39,6 +51,30 @@ def median_lengthscale(x: np.ndarray, rng: Optional[np.random.Generator] = None)
     return med if med > 1e-9 else 1.0
 
 
+#: :func:`solve_lower` substitutes blocks of at most this many rows row by row
+_LEAF_ROWS = 32
+
+
+def solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x`` with ``l @ x == b`` for a lower-triangular ``l``.
+
+    Recursive blocked forward substitution: the top half of the rows is
+    solved first, its contribution leaves the bottom half's right-hand
+    side in one GEMM, and blocks of at most ``_LEAF_ROWS`` rows
+    substitute row by row.  ``b`` is a vector or a matrix of columns.
+    """
+    n = len(l)
+    if n <= _LEAF_ROWS:
+        x = np.empty(np.shape(b))
+        for i in range(n):
+            x[i] = (b[i] - l[i, :i] @ x[:i]) / l[i, i]
+        return x
+    half = n // 2
+    top = solve_lower(l[:half, :half], b[:half])
+    bottom = solve_lower(l[half:, half:], b[half:] - l[half:, :half] @ top)
+    return np.concatenate([top, bottom])
+
+
 class GaussianProcess:
     """Exact GP regression with an RBF kernel and fixed noise."""
 
@@ -50,7 +86,8 @@ class GaussianProcess:
         self.noise = noise
         self._x: Optional[np.ndarray] = None
         self._alpha: Optional[np.ndarray] = None
-        self._chol = None
+        #: inverse of the kernel matrix's lower Cholesky factor
+        self._chol_inv: Optional[np.ndarray] = None
         self._y_mean = 0.0
         self._y_std = 1.0
 
@@ -65,8 +102,9 @@ class GaussianProcess:
         y_normalized = (y - self._y_mean) / self._y_std
         k = rbf_kernel(x, x, self.lengthscale, self.variance)
         k[np.diag_indices_from(k)] += self.noise
-        self._chol = cho_factor(k, lower=True)
-        self._alpha = cho_solve(self._chol, y_normalized)
+        chol_inv = solve_lower(np.linalg.cholesky(k), np.eye(len(k)))
+        self._chol_inv = chol_inv
+        self._alpha = chol_inv.T @ (chol_inv @ y_normalized)
         self._x = x
         return self
 
@@ -77,14 +115,19 @@ class GaussianProcess:
         x_star = np.atleast_2d(np.asarray(x_star, dtype=np.float64))
         k_star = rbf_kernel(x_star, self._x, self.lengthscale, self.variance)
         mean = k_star @ self._alpha
-        v = cho_solve(self._chol, k_star.T)
-        var = self.variance + self.noise - np.sum(k_star * v.T, axis=1)
+        # k*^T K^-1 k* = |L^-1 k*|^2, one column per query point
+        w = self._chol_inv @ k_star.T
+        var = self.variance + self.noise - np.sum(w * w, axis=0)
         var = np.maximum(var, 1e-12)
         return mean * self._y_std + self._y_mean, np.sqrt(var) * self._y_std
 
 
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
 def _norm_cdf(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    """Standard normal CDF, elementwise."""
+    return 0.5 * (1.0 + np.asarray(_erf(x / np.sqrt(2.0)), dtype=np.float64))
 
 
 def _norm_pdf(x: np.ndarray) -> np.ndarray:

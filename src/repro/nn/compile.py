@@ -39,8 +39,9 @@ compiles it into a :class:`GraphProgram`:
   wrong replay.
 * **Traces outlive programs** — a step keeps one verified trace per
   signature and builds every program from it, each with fresh storage.
-  ``CompiledTrainStep.release`` drops the programs (``train_model``
-  calls it on return, so the storage exists only while a call trains),
+  ``CompiledTrainStep.release`` drops the programs and the shard sums
+  (``train_model`` calls it on return, so the storage exists only while
+  a call trains, and no parameter ``.grad`` points into it after),
   and the next call rebuilds them from the kept traces without
   re-tracing.
 * **Sharded steps** — ``CompiledTrainStep(shards=k)`` splits each batch
@@ -1250,23 +1251,27 @@ class CompiledTrainStep:
         return totals
 
     def release(self) -> None:
-        """Drop every program and the col2im tables, keeping the traces.
+        """Drop every program, the col2im tables and the shard sums,
+        keeping the traces.
 
-        Their storage is unmapped as the last reference goes, so it is
+        Program storage is unmapped as the last reference goes, so it is
         back with the OS when this returns.  Kernel seconds fold into
         the step first, and a parameter whose ``.grad`` is a program's
-        gradient buffer gets ``None``.  The next call rebuilds its
-        programs from the kept traces.
+        gradient buffer or a combined shard mean gets ``None``.  The
+        next call rebuilds its programs from the kept traces.
         """
         released = self._released_seconds
+        owned = {id(total) for total in self._combined._sums}
         for program in self._programs.values():
             for label, seconds in program.kernel_seconds.items():
                 released[label] = released.get(label, 0.0) + seconds
-            for tensor, grad_buf in program.param_grads():
-                if tensor.grad is grad_buf:
-                    tensor.grad = None
+            owned.update(id(grad_buf) for _, grad_buf in program.param_grads())
+        for tensor in self.params:
+            if id(tensor.grad) in owned:
+                tensor.grad = None
         self._programs.clear()
         self._tables.clear()
+        self._combined = ShardMean()
 
     def __call__(self, *arrays: np.ndarray) -> Dict[str, float]:
         arrays = tuple(np.asarray(a, dtype=np.float64) for a in arrays)

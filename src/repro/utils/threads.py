@@ -6,14 +6,14 @@ Python thread per seed: each seed's GEMMs then fan out over every core
 again, and ``seeds × cores`` threads contend for ``cores``.  This module
 lets the grid hand each seed its share instead.
 
-Two OpenBLAS builds can live in one process, each with its own thread
-pool: numpy's ``libscipy_openblas64_`` (the training GEMMs) and scipy's
-``libscipy_openblas`` (the GP Cholesky).  :func:`blas_libraries` finds
-every loaded build through ``ctypes`` — stdlib only, no
-``threadpoolctl`` — and :func:`blas_budget` caps all of them for the
-duration of a ``with`` block.  Where no OpenBLAS symbol is found (numpy
-on Accelerate/MKL, non-Linux platforms without the wheel's bundled
-library) everything here is a silent no-op.
+The process loads one OpenBLAS build, numpy's (``libscipy_openblas64_``
+in numpy 2.x wheels), which runs the training GEMMs and the GP's
+Cholesky alike.  :func:`blas_libraries` finds it through ``ctypes``
+(no ``threadpoolctl``) once, on first use, and
+:func:`blas_budget` caps it for the duration of a ``with`` block.
+Where no OpenBLAS symbol is found (numpy on Accelerate/MKL, non-Linux
+platforms without the wheel's bundled library) everything here is a
+silent no-op.
 
 Thread counts change wall-clock only: the records of a run do not
 depend on them (the parallel-seed tests compare records bit for bit).
@@ -34,10 +34,11 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
-import sys
 import threading
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
+
+import numpy as np
 
 __all__ = [
     "BlasLibrary",
@@ -48,10 +49,10 @@ __all__ = [
     "usable_cores",
 ]
 
-#: (getter, setter) symbol pairs, one per OpenBLAS flavour: numpy's
-#: ILP64 scipy-openblas build, scipy's LP64 one, and the plain-prefixed
-#: builds that numpy 1.x / older scipy wheels bundle (setup.py allows
-#: numpy>=1.22).
+#: (getter, setter) symbol pairs, one per OpenBLAS flavour numpy may
+#: link: the ILP64 scipy-openblas build of numpy 2.x wheels, its LP64
+#: flavour (32-bit wheels), and the plain-prefixed builds of numpy 1.x
+#: wheels and system OpenBLAS (setup.py allows numpy>=1.22).
 _SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
@@ -89,20 +90,19 @@ class BlasLibrary:
 
 # thread-safety: _LOCK guards all three module-level stores below.
 _LOCK = threading.Lock()
-#: path -> BlasLibrary (None: loaded, but no OpenBLAS symbols).
-_LIBRARIES: Dict[str, Optional[BlasLibrary]] = {}
+#: the loaded OpenBLAS builds; None until the first scan.
+_LIBRARIES: Optional[List[BlasLibrary]] = None
 #: budgets currently entered, duplicates allowed (guarded by _LOCK).
 _ACTIVE: List[int] = []
-#: each library's count when the outermost budget was entered (or when
-#: it first appeared under an active budget); restored on the last exit.
-#: Guarded by _LOCK.
+#: each library's count when the outermost budget was entered; restored
+#: on the last exit.  Guarded by _LOCK.
 _SAVED: Dict[str, int] = {}
 
 
 def _loaded_paths() -> List[str]:
     """Shared objects with ``openblas`` in their name mapped into this
-    process (Linux), else the wheels' bundled libraries of the numpy and
-    scipy already imported (ctypes re-opens an already-loaded library)."""
+    process (Linux), else the libraries bundled with the numpy wheel
+    (ctypes re-opens an already-loaded library)."""
     try:
         with open("/proc/self/maps") as maps:
             paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
@@ -113,14 +113,10 @@ def _loaded_paths() -> List[str]:
         )
     except OSError:
         pass
+    root = os.path.dirname(np.__file__)
     paths: List[str] = []
-    for package in ("numpy", "scipy"):
-        module = sys.modules.get(package)
-        if module is None or not getattr(module, "__file__", None):
-            continue
-        root = os.path.dirname(module.__file__)
-        for libdir in (root + ".libs", os.path.join(root, ".dylibs")):
-            paths.extend(sorted(glob.glob(os.path.join(libdir, "*openblas*"))))
+    for libdir in (root + ".libs", os.path.join(root, ".dylibs")):
+        paths.extend(sorted(glob.glob(os.path.join(libdir, "*openblas*"))))
     return paths
 
 
@@ -142,18 +138,19 @@ def _open(path: str) -> Optional[BlasLibrary]:
 
 
 def _discover() -> List[BlasLibrary]:
-    # Caller holds _LOCK.  Re-scanned on every call: scipy's build only
-    # loads when scipy.linalg is first imported.
-    for path in _loaded_paths():
-        if path not in _LIBRARIES:
-            _LIBRARIES[path] = _open(path)
-    return [lib for lib in _LIBRARIES.values() if lib is not None]
+    # Caller holds _LOCK.  One scan serves the process: numpy (imported
+    # above) maps its build at import, and nothing here loads another.
+    global _LIBRARIES
+    if _LIBRARIES is None:
+        opened = (_open(path) for path in _loaded_paths())
+        _LIBRARIES = [lib for lib in opened if lib is not None]
+    return _LIBRARIES
 
 
 def blas_libraries() -> List[BlasLibrary]:
     """Every OpenBLAS build loaded in this process (may be empty)."""
     with _LOCK:
-        return _discover()
+        return list(_discover())
 
 
 def blas_thread_counts() -> Dict[str, int]:
@@ -182,7 +179,7 @@ def core_budget() -> int:
 
 @contextmanager
 def blas_budget(threads: int) -> Iterator[None]:
-    """Cap every loaded OpenBLAS build at ``threads`` for the block.
+    """Cap the loaded OpenBLAS build at ``threads`` for the block.
 
     Budgets nest and overlap across threads: while any is active the
     count is the minimum of the active budgets, and it never rises above
@@ -202,9 +199,6 @@ def blas_budget(threads: int) -> Iterator[None]:
             if _ACTIVE:
                 _apply()
             else:
-                # Only libraries in _SAVED were ever capped, and each was
-                # discovered on the way in: no rescan of the process maps.
-                for lib in _LIBRARIES.values():
-                    if lib is not None and lib.path in _SAVED:
-                        lib.set_num_threads(_SAVED[lib.path])
+                for lib in _discover():
+                    lib.set_num_threads(_SAVED[lib.path])
                 _SAVED.clear()

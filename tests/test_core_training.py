@@ -10,6 +10,7 @@ import pytest
 
 from repro import nn
 from repro.core.dataset import CircuitDataset
+from repro.core.search import SearchConfig, latent_gradient_search
 from repro.core.training import (
     TRAIN_SHARDS,
     TrainConfig,
@@ -238,6 +239,51 @@ class TestCompiledTraining:
         step = _compiled_step_for(model, optimizer, cfg)
         assert not step._programs and not step._tables
         assert len(step._traces) == 1
+
+    def test_no_grad_points_into_step_storage_after_train_model(self, monkeypatch):
+        """Once train_model returns, no parameter ``.grad`` shares memory
+        with the step's storage (program gradient buffers, the shard
+        sums), so the latent search's eager backward writes gradients of
+        its own; the next call trains bitwise as if it had not run."""
+        storage = []
+        release = nn.CompiledTrainStep.release
+
+        def recording(self):
+            storage.extend(self._combined._sums)
+            for program in self._programs.values():
+                storage.extend(buf for _, buf in program.param_grads())
+            release(self)
+
+        monkeypatch.setattr(nn.CompiledTrainStep, "release", recording)
+        ds = small_dataset(seed=10)
+        cfg = TrainConfig(epochs=2, batch_size=16)
+        runs = []
+        for search_between in (False, True):
+            storage.clear()
+            model = small_model(seed=11)
+            optimizer = nn.Adam(model.parameters(), lr=1e-3)
+            rng = np.random.default_rng(12)
+            train_model(model, ds, rng, cfg, optimizer=optimizer)
+            assert len(storage) > len(model.parameters())
+            for name, p in model.named_parameters():
+                assert p.grad is None or not any(
+                    np.shares_memory(p.grad, buf) for buf in storage
+                ), name
+            if search_between:
+                search_rng = np.random.default_rng(13)
+                z = search_rng.standard_normal((4, model.config.latent_dim))
+                latent_gradient_search(
+                    model, z, search_rng, SearchConfig(num_steps=2, capture_every=1)
+                )
+            second = train_model(model, ds, rng, cfg, optimizer=optimizer)
+            runs.append((second, model))
+        (quiet, quiet_model), (searched, searched_model) = runs
+        for name in ("total", "reconstruction", "kl", "cost"):
+            assert getattr(searched, name) == getattr(quiet, name), name
+        for (name, p1), (_, p2) in zip(
+            quiet_model.named_parameters(), searched_model.named_parameters()
+        ):
+            np.testing.assert_array_equal(p1.data, p2.data, err_msg=name)
 
     def test_rebuilt_programs_match_fresh_compiles_bitwise(self):
         """Round 2 through programs rebuilt from round 1's kept trace

@@ -14,6 +14,9 @@ Plain :mod:`ast` scans of ``src/repro``, ``scripts/`` and ``benchmarks/``:
   carries a lock or ``thread-safe`` annotation comment;
 * every top-level import is read, exported in ``__all__`` or marked
   ``# noqa: F401``;
+* nothing under ``src/`` imports ``scipy``: numpy is the only runtime
+  dependency (a subprocess run also checks that ``import repro.api``
+  leaves it unloaded);
 * (run, not scanned) every op in ``repro.nn.graph.OPS`` is applied by a
   learner step.
 
@@ -24,6 +27,8 @@ so the seeded-violation fixtures exercise the same code the tree tests run.
 import ast
 import os
 import re
+import subprocess
+import sys
 import textwrap
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -377,6 +382,35 @@ def unused_import_problems(sources: Sequence[Source]) -> List[str]:
 
 
 # ----------------------------------------------------------------------
+# runtime dependencies
+# ----------------------------------------------------------------------
+#: packages the library must not import (setup.py requires numpy only)
+BANNED_IMPORTS = ("scipy",)
+
+
+def banned_import_problems(sources: Sequence[Source]) -> List[str]:
+    """Every absolute import, top-level or local, of a package in
+    :data:`BANNED_IMPORTS`."""
+    problems = []
+    for source in sources:
+        if source.tree is None:
+            continue
+        for node in ast.walk(source.tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            problems += [
+                f"{source.rel}:{node.lineno}: imports {module}"
+                for module in modules
+                if module.split(".")[0] in BANNED_IMPORTS
+            ]
+    return problems
+
+
+# ----------------------------------------------------------------------
 # the tree
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -404,6 +438,22 @@ class TestTree:
 
     def test_every_import_is_read(self, tree):
         assert unused_import_problems(tree) == []
+
+    def test_src_imports_no_banned_package(self, tree):
+        src = [s for s in tree if s.rel.startswith("src/")]
+        assert src and banned_import_problems(src) == []
+
+    def test_api_import_leaves_scipy_unloaded(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", "import repro.api, sys; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 # ----------------------------------------------------------------------
@@ -705,6 +755,42 @@ class TestUnusedImports:
             """,
         )
         assert unused_import_problems(_sources(tmp_path)) == []
+
+
+class TestBannedImports:
+    def test_every_import_form_fires(self, tmp_path):
+        _write(
+            tmp_path,
+            "bad.py",
+            """\
+            import scipy
+            import numpy, scipy.linalg as la
+            from scipy.special import erf
+            def f():
+                from scipy import linalg
+                return linalg
+            """,
+        )
+        assert banned_import_problems(_sources(tmp_path)) == [
+            "bad.py:1: imports scipy",
+            "bad.py:2: imports scipy.linalg",
+            "bad.py:3: imports scipy.special",
+            "bad.py:5: imports scipy",
+        ]
+
+    def test_lookalikes_and_relative_imports_silent(self, tmp_path):
+        _write(
+            tmp_path,
+            "ok.py",
+            """\
+            import numpy as np
+            import scipyx
+            from . import scipy
+            from .scipy import erf
+            from numpy import linalg
+            """,
+        )
+        assert banned_import_problems(_sources(tmp_path)) == []
 
 
 class TestParseErrors:

@@ -584,6 +584,25 @@ class TestRelease:
         _assert_bitwise(got, _replay(fresh, fresh_model, batch))
         assert step.stats.traces == 1
 
+    def test_release_drops_shard_sums(self):
+        """On the two-shard path ``.grad`` is a :class:`nn.ShardMean`
+        sum; release drops the sums and points no parameter at them, and
+        the next call equals a fresh step's bitwise."""
+        model, step = _small_vae_step(shards=2)
+        batch = _vae_batch(model, 1)
+        step(*batch)
+        sums = list(step._combined._sums)
+        assert all(any(p.grad is total for total in sums) for p in model.parameters())
+        step.release()
+        assert all(p.grad is None for p in model.parameters())
+        assert step._combined._sums == []
+        got = _replay(step, model, batch)
+        assert not any(
+            np.shares_memory(p.grad, total) for p in model.parameters() for total in sums
+        )
+        fresh_model, fresh = _small_vae_step(shards=2)
+        _assert_bitwise(got, _replay(fresh, fresh_model, batch))
+
     def test_profile_seconds_accumulate_across_release(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "1")
         model, step = _small_vae_step()

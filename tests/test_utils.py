@@ -3,7 +3,6 @@
 import threading
 
 import pytest
-import scipy.linalg  # noqa: F401  (loads scipy's own OpenBLAS build)
 
 from repro.prefix import sklansky
 from repro.utils import seed_sequence
@@ -93,10 +92,10 @@ def _counts():
 
 
 class TestBlasThreads:
-    def test_numpy_and_scipy_builds_round_trip(self):
+    def test_found_builds_round_trip(self):
         libraries = blas_libraries()
-        if len(libraries) < 2:
-            pytest.skip("numpy and scipy do not load two OpenBLAS builds here")
+        if not libraries:
+            pytest.skip("no OpenBLAS build loaded")
         for lib in libraries:
             original = lib.get_num_threads()
             lib.set_num_threads(1)
@@ -171,7 +170,7 @@ class TestBlasThreads:
 
     def test_missing_library_is_a_silent_noop(self, monkeypatch):
         # A path that cannot be opened, as if no OpenBLAS were loaded.
-        monkeypatch.setattr(threads, "_LIBRARIES", {})
+        monkeypatch.setattr(threads, "_LIBRARIES", None)
         monkeypatch.setattr(
             threads, "_loaded_paths", lambda: ["/nonexistent/libopenblas.so"]
         )
@@ -180,3 +179,12 @@ class TestBlasThreads:
         with blas_budget(1):
             pass
         assert threads._ACTIVE == [] and threads._SAVED == {}
+
+    def test_builds_are_found_once(self, monkeypatch):
+        blas_libraries()
+        scans = []
+        monkeypatch.setattr(threads, "_loaded_paths", lambda: scans.append(1) or [])
+        before = blas_libraries()
+        with blas_budget(1):
+            pass
+        assert scans == [] and blas_libraries() == before
