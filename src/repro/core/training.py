@@ -23,11 +23,13 @@ CNN-VAE configuration.  The eager tape stays the numerical reference
 (per-epoch losses agree to well below 1e-10) but is not a runtime
 alternative: a step the compiler rejects raises
 :class:`repro.nn.CompileUnsupported` instead of training on another
-engine, so records never depend on whether a trace compiled.  The
-compiled programs and their storage live only for one call: it
-releases them on the way out (the eager decode that follows each round
-needs the memory), and the next round rebuilds them from the kept,
-verified traces.
+engine, so records never depend on whether a trace compiled.  Each
+call builds its own compiled step and releases its programs and their
+storage on the way out (the eager decode that follows each round needs
+the memory).  The verified traces are the process's: every model of one
+architecture (model class, ``VAEConfig``, ``beta``, ``lam``) shares one
+trace and one eager verify per batch shape, across rounds, cells and
+seed threads, and each call builds its programs from them.
 
 Every step is the size-weighted mean of :data:`TRAIN_SHARDS`
 half-batch passes.  The compiled step overlaps the halves on two
@@ -51,8 +53,8 @@ from __future__ import annotations
 
 import json
 import os
-import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -90,14 +92,14 @@ class TrainStats:
     cost: List[float] = field(default_factory=list)
     #: epochs restored from a checkpoint instead of re-trained.
     epochs_skipped: int = 0
-    #: compile/replay/arena counter *deltas* from this call
+    #: the non-zero compile/replay/arena counters of this call's step
     #: (:class:`repro.nn.CompileStats` keys).
     compile_counters: Dict[str, int] = field(default_factory=dict)
     #: seconds this call spent tracing, eager-verifying and building
     #: compiled programs (every call rebuilds its programs).
     compile_s: float = 0.0
-    #: per-kernel replay-second *deltas* (``fwd:<op>`` / ``bwd:<op>``)
-    #: from this call, summed over every shard's program; populated only
+    #: per-kernel replay seconds (``fwd:<op>`` / ``bwd:<op>``) of this
+    #: call, summed over every shard's program; populated only
     #: under ``REPRO_PROFILE=1``.  Shards that overlap on two threads
     #: both count, so these are thread-seconds and may exceed the wall
     #: time of the steps.
@@ -123,50 +125,24 @@ class TrainStats:
 TRAIN_SHARDS = 2
 
 
-def _compiled_step_for(
+def _train_step(
     model: CircuitVAEModel, optimizer: nn.Optimizer, config: TrainConfig
 ) -> nn.CompiledTrainStep:
-    """The model's compiled step, cached on the optimizer across rounds.
+    """A fresh compiled step for one ``train_model`` call.
 
-    Keyed per live model through a ``WeakKeyDictionary`` — a
-    garbage-collected model's entries die with it, so a new model whose
-    ``id()`` happens to be recycled can never inherit a stale compiled
-    step — then by everything that changes the traced graph or the
-    update rule (epochs do not); shape changes are handled inside the
-    step's own signature cache.
+    Its key is what fixes the traced graph besides the batch shape and
+    the parameter shapes: the model class, its ``VAEConfig``, and the
+    ``beta`` and ``lam`` the loss bakes in as constants.  ``grad_clip``
+    and the optimizer act outside the traced graph.
     """
-    cache = getattr(optimizer, "_compiled_train_steps", None)
-    if cache is None:
-        cache = weakref.WeakKeyDictionary()
-        optimizer._compiled_train_steps = cache
-    per_model = cache.get(model)
-    if per_model is None:
-        per_model = {}
-        cache[model] = per_model
-    key = (config.beta, config.lam, config.grad_clip)
-    step = per_model.get(key)
-    if step is None:
-        # The step must not strongly reference the model (a WeakKey
-        # entry whose value holds its key is immortal), so the trace
-        # closure goes through a weakref.  Only tracing calls it; an
-        # already-compiled program replays without touching the model.
-        model_ref = weakref.ref(model)
-
-        def step_fn(x_pad, target_grid, eps, cost_targets):
-            live = model_ref()
-            if live is None:
-                raise nn.CompileUnsupported("model was garbage-collected")
-            return live.training_losses(
-                x_pad, target_grid, eps, cost_targets,
-                beta=config.beta, lam=config.lam,
-            )
-
-        step = nn.compile_train_step(
-            step_fn, model.parameters(), optimizer=optimizer,
-            grad_clip=config.grad_clip, shards=TRAIN_SHARDS,
-        )
-        per_model[key] = step
-    return step
+    return nn.CompiledTrainStep(
+        partial(model.training_losses, beta=config.beta, lam=config.lam),
+        model.parameters(),
+        (type(model), model.config, config.beta, config.lam),
+        optimizer=optimizer,
+        grad_clip=config.grad_clip,
+        shards=TRAIN_SHARDS,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -358,10 +334,7 @@ def train_model(
             checkpoint_dir, checkpoint_tag, model, optimizer, rng, stats, fingerprint
         )
 
-    step = _compiled_step_for(model, optimizer, config)
-    counters_before = step.stats.as_dict()
-    kernels_before = step.kernel_seconds()
-    compile_before = step.compile_seconds
+    step = _train_step(model, optimizer, config)
 
     latent_dim = model.config.latent_dim
     batch = min(config.batch_size, len(dataset))
@@ -400,24 +373,15 @@ def train_model(
                         checkpoint_dir, checkpoint_tag, done, model, optimizer,
                         rng, stats, fingerprint,
                     )
+        stats.kernel_seconds = step.kernel_seconds()
     finally:
         # The programs' storage is needed only while this call trains.
         step.release()
     model.eval()
-
-    after = step.stats.as_dict()
     stats.compile_counters = {
-        name: after[name] - counters_before.get(name, 0)
-        for name in after
-        if after[name] - counters_before.get(name, 0) != 0
+        name: count for name, count in step.stats.as_dict().items() if count
     }
-    stats.compile_s = step.compile_seconds - compile_before
-    kernels_after = step.kernel_seconds()
-    stats.kernel_seconds = {
-        label: kernels_after[label] - kernels_before.get(label, 0.0)
-        for label in kernels_after
-        if kernels_after[label] - kernels_before.get(label, 0.0) > 0.0
-    }
+    stats.compile_s = step.compile_seconds
     return stats
 
 

@@ -17,7 +17,6 @@ from .compile import (
     CompileStats,
     CompileUnsupported,
     ShardMean,
-    compile_train_step,
     shard_slices,
 )
 from .layers import (
@@ -56,7 +55,6 @@ __all__ = [
     "CompiledTrainStep",
     "CompileStats",
     "CompileUnsupported",
-    "compile_train_step",
     "ShardMean",
     "shard_slices",
 ]

@@ -34,16 +34,17 @@ compiles it into a :class:`GraphProgram`:
   still allocates temporaries: the registry VJPs return fresh arrays,
   relu's kernel builds its ``x > 0`` mask, and every col2im fold's
   ``bincount`` allocates its output.
-* **Shape-guarded replay** — traces and programs are cached per
-  input-shape signature; a new shape triggers a fresh trace, never a
-  wrong replay.
-* **Traces outlive programs** — a step keeps one verified trace per
-  signature and builds every program from it, each with fresh storage.
-  ``CompiledTrainStep.release`` drops the programs and the shard sums
-  (``train_model`` calls it on return, so the storage exists only while
-  a call trains, and no parameter ``.grad`` points into it after),
-  and the next call rebuilds them from the kept traces without
-  re-tracing.
+* **Shape-guarded replay** — programs are built per input-shape
+  signature; a new shape gets a trace of its own, never a wrong replay.
+* **One verified trace per graph per process** — kept traces live in
+  one process-wide table keyed by the step's ``key`` (what fixes the
+  graph; for ``train_model`` the model class, ``VAEConfig``, ``beta``
+  and ``lam``), the input signature and the parameter shapes.  A kept
+  trace binds parameters by position and pins no tensor, so it keeps no
+  model alive.  ``CompiledTrainStep.release`` drops the programs, the
+  shard sums and the shard worker thread (``train_model`` builds a step
+  per call and releases it on return, so the storage exists only while
+  a call trains, and no parameter ``.grad`` points into it after).
 * **Sharded steps** — ``CompiledTrainStep(shards=k)`` splits each batch
   into ``k`` row shards (:func:`shard_slices`), replays forward+backward
   per shard and combines outputs and gradients as the size-weighted
@@ -64,7 +65,8 @@ and its outputs and parameter gradients are compared against the eager
 engine's (`verify`), and the IR verifier (:mod:`repro.nn.verify`)
 checks the buffer plan of every program built.  A trace is kept only
 once its first program passes both; a later program from it differs
-only in where its storage lives, which the IR verifier re-checks.  A
+only in where its storage lives and which same-shaped parameters it
+binds, and the IR verifier re-checks its plan.  A
 mismatch, a finding, a non-float64 graph or an
 unrepresentable op raises :class:`CompileUnsupported`, and any other
 error during trace/build/verify propagates with its own type: a step
@@ -86,12 +88,13 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -109,7 +112,6 @@ __all__ = [
     "ProgramPlan",
     "CompiledTrainStep",
     "ShardMean",
-    "compile_train_step",
     "profile_enabled",
     "shard_slices",
 ]
@@ -140,12 +142,14 @@ def _profiled(instr: Callable, label: str, totals: Dict[str, float]) -> Callable
 class CompileStats:
     """Counters one :class:`CompiledTrainStep` accumulates.
 
-    ``traces`` counts traces, one per input-shape signature however
-    many programs are built from it: a two-shard step on an even batch
-    traces once whether its shards replay back to back or on two
-    threads (``nn.train_compiles`` in the benchmark's per-layer
-    metrics).  ``replays`` counts steps served by cached programs, one
-    per step however many shards it replays (``nn.train_replays``).
+    ``traces`` counts the traces the step made, one per table key it
+    was the first in the process to need, however many programs are
+    built from it: a two-shard step on an even batch traces once whether
+    its shards replay back to back or on two threads, and a step whose
+    key is already kept counts none (``nn.train_compiles`` in the
+    benchmark's per-layer metrics).  ``replays`` counts steps served by
+    cached programs, one per step however many shards it replays
+    (``nn.train_replays``).
     The rest sum over every program built, rebuilds after
     :meth:`CompiledTrainStep.release` included: scheduled ops
     (``nodes``), dedicated buffers for outputs and backward-needed
@@ -160,9 +164,8 @@ class CompileStats:
     forward conv2d unfold columns the backward reads (``cols_bytes``);
     and the col2im index tables the programs built between two releases
     share, counted once per such round (``shared_bytes``).  Every
-    counter is cumulative, so callers can take deltas of any of them;
-    the delta over one ``train_model`` call is the footprint of the
-    programs that call built.
+    counter is cumulative over the step's life; ``train_model`` builds a
+    step per call, so its counters are that call's.
     """
 
     traces: int = 0
@@ -689,7 +692,8 @@ class GraphProgram:
     """One traced step, scheduled onto preallocated storage.
 
     Built from a :class:`~repro.nn.graph.Trace` plus the ids of the loss
-    node and the named output nodes.  ``run(inputs)`` executes the
+    node and the named output nodes; ``params`` are bound by the
+    positions the trace recorded.  ``run(inputs)`` executes the
     forward schedule, then the backward schedule (parameter gradients
     land in the program's own buffers, :meth:`param_grads`), and returns
     the output arrays.
@@ -818,9 +822,9 @@ class GraphProgram:
         for nid, position in trace.input_nodes.items():
             if nid in keep:
                 self._input_binds.append((nid, position))
-        for nid, tensor in trace.param_nodes.items():
+        for nid, position in trace.param_nodes.items():
             if nid in keep:
-                self._param_binds.append((nid, tensor))
+                self._param_binds.append((nid, self._params[position]))
         for nid, value in trace.constants.items():
             if nid in keep:
                 self._storage[nid] = value
@@ -855,8 +859,8 @@ class GraphProgram:
         grad_pos = {nid: i for i, nid in enumerate(grad_sched)}
         self._grads = grads
         self._param_grad_binds = [
-            (tensor, grads[nid])
-            for nid, tensor in trace.param_nodes.items()
+            (self._params[position], grads[nid])
+            for nid, position in trace.param_nodes.items()
             if nid in received
         ]
         first_write = set(received) - {loss_id}
@@ -1167,6 +1171,21 @@ class ShardMean:
         return self._sums
 
 
+#: Verified traces shared by every step in the process, keyed by
+#: ``(step key, input signature, parameter shapes)``.
+_TRACES: Dict[Tuple, "_KeptTrace"] = {}
+_TRACES_LOCK = threading.Lock()
+
+
+class _KeptTrace:
+    """One :data:`_TRACES` entry: the lock a key's first trace and eager
+    verify hold, then the verified ``(trace, output node ids, loss id)``."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.kept: Optional[Tuple[Trace, Dict[str, int], int]] = None
+
+
 class CompiledTrainStep:
     """Trace-once, replay-many wrapper around one training step.
 
@@ -1193,12 +1212,17 @@ class CompiledTrainStep:
     default) replays the whole batch and is bitwise eager on graphs
     without convolutions.
 
-    **Traces and programs.**  The step traces once per input-shape
-    signature and keeps the trace once the first program built from it
-    passes the eager verify; every later program for that signature (a
-    worker shard's, or any program after :meth:`release`) is built from
-    the kept trace with fresh storage and checked by the IR verifier
-    only.  Programs are cached per (thread slot, signature) until
+    **Traces and programs.**  ``key`` names what fixes the graph
+    ``step_fn`` traces besides the input signature and the parameter
+    shapes: steps may share a key only if their ``step_fn`` trace the
+    same graph (a fresh ``object()`` shares with no other step).  The
+    first step of the process to need a (key, signature, shapes) traces
+    it under that entry's lock, and the trace is kept in the table once
+    the first program built from it passes the eager verify; every
+    other program for it (a worker shard's, another step's, any program
+    after :meth:`release`) is built from the kept trace with fresh
+    storage, bound to its own step's parameters, and checked by the IR
+    verifier only.  Programs are cached per (thread slot, signature) until
     :meth:`release` drops them and returns their storage to the OS.  A
     trace that cannot be compiled raises :class:`CompileUnsupported`
     (or the compiler's own error) out of the call; nothing is kept for
@@ -1209,62 +1233,57 @@ class CompiledTrainStep:
         self,
         step_fn: Callable[..., Dict[str, Tensor]],
         params: Sequence[Tensor],
+        key: Hashable,
         optimizer: Optional[Optimizer] = None,
         grad_clip: Optional[float] = None,
         shards: int = 1,
     ) -> None:
         self.step_fn = step_fn
         self.params = list(params)
+        self.key = key
         self.optimizer = optimizer
         self.grad_clip = grad_clip
         self.shards = max(1, int(shards))
         self.stats = CompileStats()
         #: seconds spent tracing, eager-verifying and building programs
         self.compile_seconds = 0.0
-        #: verified ``(trace, output node ids, loss id)``, by signature
-        self._traces: Dict[Tuple, Tuple[Trace, Dict[str, int], int]] = {}
         #: live programs, by (thread slot, signature); slot 0 is the caller
         self._programs: Dict[Tuple[int, Tuple], GraphProgram] = {}
         self._pool: Optional[ThreadPoolExecutor] = None
         self._combined = ShardMean()
         #: col2im index tables, shared by the live programs
         self._tables: Dict[Tuple, np.ndarray] = {}
-        #: kernel seconds of released programs (``REPRO_PROFILE=1``)
-        self._released_seconds: Dict[str, float] = {}
 
     def signature(self, arrays: Sequence[np.ndarray]) -> Tuple:
         return tuple((a.shape, a.dtype.str) for a in arrays)
 
     def kernel_seconds(self) -> Dict[str, float]:
-        """Cumulative per-kernel replay seconds across all programs.
+        """Per-kernel replay seconds of the live programs.
 
         Empty unless the programs were built with ``REPRO_PROFILE=1``
         (see :func:`profile_enabled`); labels are ``fwd:<op>`` /
-        ``bwd:<op>`` summed over every program built, released ones
-        included.  Shards on worker threads overlap in time, so these
+        ``bwd:<op>`` summed over the programs :meth:`release` has not
+        dropped yet.  Shards on worker threads overlap in time, so these
         are thread-seconds and may exceed the wall time.
         """
-        totals = dict(self._released_seconds)
+        totals: Dict[str, float] = {}
         for program in self._programs.values():
             for label, seconds in program.kernel_seconds.items():
                 totals[label] = totals.get(label, 0.0) + seconds
         return totals
 
     def release(self) -> None:
-        """Drop every program, the col2im tables and the shard sums,
-        keeping the traces.
+        """Drop every program, the col2im tables, the shard sums and the
+        shard worker thread.
 
         Program storage is unmapped as the last reference goes, so it is
-        back with the OS when this returns.  Kernel seconds fold into
-        the step first, and a parameter whose ``.grad`` is a program's
-        gradient buffer or a combined shard mean gets ``None``.  The
-        next call rebuilds its programs from the kept traces.
+        back with the OS when this returns, and a parameter whose
+        ``.grad`` is a program's gradient buffer or a combined shard
+        mean gets ``None``.  A later call rebuilds its programs from the
+        process's kept traces.
         """
-        released = self._released_seconds
         owned = {id(total) for total in self._combined._sums}
         for program in self._programs.values():
-            for label, seconds in program.kernel_seconds.items():
-                released[label] = released.get(label, 0.0) + seconds
             owned.update(id(grad_buf) for _, grad_buf in program.param_grads())
         for tensor in self.params:
             if id(tensor.grad) in owned:
@@ -1272,6 +1291,9 @@ class CompiledTrainStep:
         self._programs.clear()
         self._tables.clear()
         self._combined = ShardMean()
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
     def __call__(self, *arrays: np.ndarray) -> Dict[str, float]:
         arrays = tuple(np.asarray(a, dtype=np.float64) for a in arrays)
@@ -1354,21 +1376,31 @@ class CompiledTrainStep:
         return program
 
     def _build(self, signature: Tuple, arrays: Tuple[np.ndarray, ...]) -> GraphProgram:
-        """A program with fresh storage, from the kept trace of
-        ``signature`` or, the first time, from a new trace of ``arrays``
-        that its program must verify against eager."""
-        kept = self._traces.get(signature)
-        traced = None
-        if kept is None:
-            kept, traced = self._trace(arrays)
+        """A program with fresh storage, from the process's kept trace of
+        this step's key and ``signature`` or, the first time, from a new
+        trace of ``arrays`` that its program must verify against eager
+        (under the entry's lock: another thread's step waits for it)."""
+        shapes = tuple(p.data.shape for p in self.params)
+        with _TRACES_LOCK:
+            entry = _TRACES.setdefault((self.key, signature, shapes), _KeptTrace())
+        with entry.lock:
+            if entry.kept is None:
+                kept, traced = self._trace(arrays)
+                program = self._checked_program(kept)
+                program.verify(arrays, traced)
+                kept[0].release()  # drop the tensor pins; builds need only the tables
+                entry.kept = kept
+                self.stats.traces += 1
+                return program
+        return self._checked_program(entry.kept)
+
+    def _checked_program(self, kept: Tuple[Trace, Dict[str, int], int]) -> GraphProgram:
+        """A program built from ``kept`` whose plan the IR verifier proves
+        sound (build time only; a rejected program stops the step)."""
         trace, node_ids, loss_id = kept
         program = GraphProgram(
             trace, node_ids, loss_id, self.params, stats=self.stats, tables=self._tables
         )
-        if traced is not None:
-            program.verify(arrays, traced)
-        # Static pass: prove every program's plan sound before replaying
-        # it (build time only; a rejected program stops the step).
         ir_findings = ir_verify.verify_program(program)
         if ir_findings:
             first = ir_findings[0]
@@ -1376,10 +1408,6 @@ class CompiledTrainStep:
                 f"IR verifier rejected the program: {len(ir_findings)} "
                 f"finding(s), first [{first.rule}] {first.message}"
             )
-        if traced is not None:
-            trace.release()  # drop the tensor pins; builds need only the tables
-            self._traces[signature] = kept
-            self.stats.traces += 1
         return program
 
     def _trace(self, arrays: Tuple[np.ndarray, ...]):
@@ -1400,16 +1428,3 @@ class CompiledTrainStep:
             name: trace.tensor_nodes[id(tensor)] for name, tensor in outputs.items()
         }
         return (trace, node_ids, trace.tensor_nodes[id(loss)]), outputs
-
-
-def compile_train_step(
-    step_fn: Callable[..., Dict[str, Tensor]],
-    params: Sequence[Tensor],
-    optimizer: Optional[Optimizer] = None,
-    grad_clip: Optional[float] = None,
-    shards: int = 1,
-) -> CompiledTrainStep:
-    """Build a :class:`CompiledTrainStep` (convenience constructor)."""
-    return CompiledTrainStep(
-        step_fn, params, optimizer=optimizer, grad_clip=grad_clip, shards=shards
-    )

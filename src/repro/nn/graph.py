@@ -309,7 +309,9 @@ class Trace:
     ``params`` become ``param`` nodes (their storage is read live at
     every replay, so in-place optimizer updates are seen), tensors in
     ``inputs`` become ``input`` nodes (rebound to fresh arrays on every
-    replay), and anything else — scalars and arrays created *inside*
+    replay), both recorded by their position in that list, so a program
+    built from the trace binds whichever same-shaped list its caller
+    passes; anything else — scalars and arrays created *inside*
     the traced function — is captured as a ``constant`` by reference.
     A traced function must therefore route all per-step data through
     declared inputs; that contract is what makes replay valid.
@@ -324,11 +326,10 @@ class Trace:
         self.nodes: List[Node] = []
         self._ids: Dict[int, int] = {}
         self._pins: List[object] = []  # keep tensors alive: id() stays unique
-        self._param_tensors = {id(p): p for p in params}
-        self._input_tensors = {id(t): t for t in inputs}
-        self.param_nodes: Dict[int, object] = {}  # node id -> param Tensor
+        self._param_positions = {id(p): i for i, p in enumerate(params)}
+        self._input_positions = {id(t): i for i, t in enumerate(inputs)}
+        self.param_nodes: Dict[int, int] = {}  # node id -> position in `params`
         self.input_nodes: Dict[int, int] = {}  # node id -> position in `inputs`
-        self._input_order = [id(t) for t in inputs]
         self.constants: Dict[int, np.ndarray] = {}  # node id -> array
         self.tensor_nodes: Dict[int, int] = {}  # id(tensor) -> node id
 
@@ -355,9 +356,9 @@ class Trace:
         if existing is not None:
             return existing
         self._pins.append(tensor)
-        if key in self._param_tensors:
+        if key in self._param_positions:
             kind = "param"
-        elif key in self._input_tensors:
+        elif key in self._input_positions:
             kind = "input"
         else:
             kind = "constant"
@@ -371,9 +372,9 @@ class Trace:
             requires_grad=bool(tensor.requires_grad),
         )
         if kind == "param":
-            self.param_nodes[node.id] = tensor
+            self.param_nodes[node.id] = self._param_positions[key]
         elif kind == "input":
-            self.input_nodes[node.id] = self._input_order.index(key)
+            self.input_nodes[node.id] = self._input_positions[key]
         else:
             self.constants[node.id] = tensor.data
         self._ids[key] = node.id
@@ -406,9 +407,9 @@ class Trace:
         """Drop the tensor pins after compilation.
 
         They are only needed while a program is built and verified; a
-        cached program holds the trace for its node/leaf tables, and
-        without this the full set of traced intermediate arrays would
-        stay resident for the program's whole lifetime.
+        kept trace holds only its node/leaf tables, and without this the
+        full set of traced intermediate arrays (and the traced
+        parameters) would stay resident for as long as it is kept.
         """
         self._pins.clear()
         self._ids.clear()

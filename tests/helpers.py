@@ -338,18 +338,18 @@ class EagerTrainStep:
 def eager_training():
     """Run every ``train_model`` call inside on the eager reference tape.
 
-    Patches ``repro.core.training._compiled_step_for`` (the one place
+    Patches ``repro.core.training._train_step`` (the one place
     ``train_model`` gets its step) for the duration; the compiled step
     stays the only engine the library itself runs.
     """
     from repro.core import training
 
-    compiled_step_for = training._compiled_step_for
-    training._compiled_step_for = EagerTrainStep
+    train_step = training._train_step
+    training._train_step = EagerTrainStep
     try:
         yield
     finally:
-        training._compiled_step_for = compiled_step_for
+        training._train_step = train_step
 
 
 def numerical_grad(f, x, eps=1e-6):
@@ -382,7 +382,9 @@ def gradcheck(fn, *tensors, eps=1e-6, atol=1e-6, rtol=1e-4, compiled=False):
 
     assert all(t.requires_grad for t in tensors), "gradcheck needs grad-enabled tensors"
     if compiled:
-        step = nn.compile_train_step(lambda: {"loss": fn(*tensors)}, list(tensors))
+        step = nn.CompiledTrainStep(
+            lambda: {"loss": fn(*tensors)}, list(tensors), object()
+        )
         step()
     else:
         for t in tensors:

@@ -1,8 +1,11 @@
 """Tests for VAE + cost-head training (repro.core.training)."""
 
 import contextlib
+import dataclasses
 import gc
 import os
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -11,12 +14,7 @@ import pytest
 from repro import nn
 from repro.core.dataset import CircuitDataset
 from repro.core.search import SearchConfig, latent_gradient_search
-from repro.core.training import (
-    TRAIN_SHARDS,
-    TrainConfig,
-    _compiled_step_for,
-    train_model,
-)
+from repro.core.training import TRAIN_SHARDS, TrainConfig, train_model
 from repro.core.vae import CircuitVAEModel, VAEConfig
 from repro.prefix import random_graph
 from repro.utils.threads import blas_budget
@@ -38,6 +36,13 @@ def small_model(seed=1):
         VAEConfig(n=8, latent_dim=8, base_channels=4, hidden_dim=48),
         np.random.default_rng(seed),
     )
+
+
+@pytest.fixture(autouse=True)
+def fresh_trace_table(monkeypatch):
+    """Each test starts with no kept trace, so the trace counts it reads
+    do not depend on which tests ran before it in the process."""
+    monkeypatch.setattr(nn.compile, "_TRACES", {})
 
 
 @pytest.fixture(scope="module")
@@ -236,9 +241,26 @@ class TestCompiledTraining:
             assert all(ref() is None for ref in built)
         finally:
             gc.enable()
-        step = _compiled_step_for(model, optimizer, cfg)
-        assert not step._programs and not step._tables
-        assert len(step._traces) == 1
+        # ...while the one verified trace stays in the process's table.
+        assert [entry.kept is not None for entry in nn.compile._TRACES.values()] == [True]
+
+    def test_no_shard_thread_outlives_train_model(self, monkeypatch):
+        monkeypatch.setattr(nn.compile, "core_budget", lambda: TRAIN_SHARDS)
+        pools, started = [], []  # held, so only a shutdown can stop the threads
+        submit = nn.compile.ThreadPoolExecutor.submit
+
+        def recording(pool, *args):
+            pools.append(pool)
+            started.extend(pool._threads)
+            return submit(pool, *args)
+
+        monkeypatch.setattr(nn.compile.ThreadPoolExecutor, "submit", recording)
+        train_model(
+            small_model(seed=16), small_dataset(seed=17), np.random.default_rng(18),
+            TrainConfig(epochs=1, batch_size=16),
+        )
+        assert started and all(t.name.startswith("repro-shard") for t in started)
+        assert not any(t.is_alive() for t in started)
 
     def test_no_grad_points_into_step_storage_after_train_model(self, monkeypatch):
         """Once train_model returns, no parameter ``.grad`` shares memory
@@ -285,7 +307,7 @@ class TestCompiledTraining:
         ):
             np.testing.assert_array_equal(p1.data, p2.data, err_msg=name)
 
-    def test_rebuilt_programs_match_fresh_compiles_bitwise(self):
+    def test_rebuilt_programs_match_fresh_compiles_bitwise(self, monkeypatch):
         """Round 2 through programs rebuilt from round 1's kept trace
         trains the same parameters as a step traced afresh for round 2."""
         ds = small_dataset(seed=10)
@@ -297,7 +319,7 @@ class TestCompiledTraining:
             rng = np.random.default_rng(12)
             train_model(model, ds, rng, cfg, optimizer=optimizer)
             if fresh:
-                optimizer._compiled_train_steps.clear()
+                monkeypatch.setattr(nn.compile, "_TRACES", {})
             second = train_model(model, ds, rng, cfg, optimizer=optimizer)
             assert second.compile_counters.get("traces", 0) == int(fresh)
             models.append(model)
@@ -322,10 +344,12 @@ class TestShardedTraining:
             return model, stats, rng.bit_generator.state
 
         # Overlap even on a one-core machine; then force the back-to-back
-        # placement the way a two-seed grid on two cores does.
-        monkeypatch.setattr(nn.compile, "core_budget", lambda: TRAIN_SHARDS)
-        m_par, s_par, rng_par = fit()
-        monkeypatch.undo()
+        # placement the way a two-seed grid on two cores does, tracing
+        # afresh.
+        with monkeypatch.context() as patch:
+            patch.setattr(nn.compile, "core_budget", lambda: TRAIN_SHARDS)
+            m_par, s_par, rng_par = fit()
+        monkeypatch.setattr(nn.compile, "_TRACES", {})
         with blas_budget(1):
             m_ser, s_ser, rng_ser = fit()
         odd = batch_size % 2
@@ -475,55 +499,98 @@ class TestTrainingCheckpoints:
         assert meta["epoch"] == self.CFG.epochs  # gates genuinely matched
 
 
-class TestCompiledStepCache:
-    """The per-optimizer compiled-step cache holds its models weakly."""
+class TestTraceTable:
+    """One verified trace per architecture and batch shape per process,
+    whichever model, cell or thread trains it."""
 
-    CFG = TrainConfig(epochs=2, batch_size=16)
+    CFG = TrainConfig(epochs=3, batch_size=16)
+    VAE = VAEConfig(n=8, latent_dim=8, base_channels=4, hidden_dim=48)
 
-    def test_cache_hit_same_model_and_config(self):
-        model = small_model()
-        optimizer = nn.Adam(model.parameters(), lr=1e-3)
-        step = _compiled_step_for(model, optimizer, self.CFG)
-        assert _compiled_step_for(model, optimizer, self.CFG) is step
-
-    def test_distinct_models_get_distinct_steps(self):
-        model_a, model_b = small_model(1), small_model(2)
-        opt_a = nn.Adam(model_a.parameters(), lr=1e-3)
-        opt_b = nn.Adam(model_b.parameters(), lr=1e-3)
-        assert _compiled_step_for(model_a, opt_a, self.CFG) is not (
-            _compiled_step_for(model_b, opt_b, self.CFG)
-        )
-
-    def test_entry_dies_with_model(self):
-        """Regression: the cached step must not strongly reference the
-        model (a WeakKeyDictionary entry whose value holds its key is
-        immortal), so dropping the model drops the whole entry — even
-        after a full compiled training round."""
-        model = small_model()
-        optimizer = nn.Adam(model.parameters(), lr=1e-3)
+    def _fit(self, model_seed, cfg=CFG, vae=VAE):
+        model = CircuitVAEModel(vae, np.random.default_rng(model_seed))
         stats = train_model(
-            model, small_dataset(), np.random.default_rng(5), self.CFG,
-            optimizer=optimizer,
+            model, small_dataset(seed=30), np.random.default_rng(model_seed + 100), cfg
         )
-        assert stats.compile_counters["replays"] > 0
-        cache = optimizer._compiled_train_steps
-        assert len(cache) == 1
-        model_ref = weakref.ref(model)
-        del model
-        gc.collect()
-        assert model_ref() is None
-        assert len(cache) == 0
+        return model, stats
 
-    def test_dead_model_trace_raises_compile_unsupported(self):
-        model = small_model()
-        optimizer = nn.Adam(model.parameters(), lr=1e-3)
-        step = _compiled_step_for(model, optimizer, self.CFG)
-        del model
-        gc.collect()
-        with pytest.raises(nn.CompileUnsupported):
-            step.step_fn(
-                nn.Tensor(np.zeros((2, 1, 12, 12))),
-                nn.Tensor(np.zeros((2, 8, 8))),
-                nn.Tensor(np.zeros((2, 8))),
-                nn.Tensor(np.zeros(2)),
-            )
+    @staticmethod
+    def _assert_bitwise(got, want):
+        (m1, s1), (m2, s2) = got, want
+        for name in ("total", "reconstruction", "kl", "cost"):
+            assert getattr(s1, name) == getattr(s2, name), name
+        for (name, p1), (_, p2) in zip(m1.named_parameters(), m2.named_parameters()):
+            np.testing.assert_array_equal(p1.data, p2.data, err_msg=name)
+
+    def test_second_cell_reuses_first_cells_trace_bitwise(self, monkeypatch):
+        """A second model of the same architecture builds its programs
+        from the first model's trace, bound to its own parameters, and
+        trains exactly as a step that traced it afresh."""
+        _, first = self._fit(model_seed=20)
+        second = self._fit(model_seed=21)
+        assert first.compile_counters["traces"] == 1
+        assert "traces" not in second[1].compile_counters
+        monkeypatch.setattr(nn.compile, "_TRACES", {})
+        fresh = self._fit(model_seed=21)
+        assert fresh[1].compile_counters["traces"] == 1
+        self._assert_bitwise(second, fresh)
+
+    def test_beta_lam_and_architecture_each_get_a_trace(self):
+        """Every part of the key fixes the graph: a trace reused across
+        a changed ``beta``, ``lam`` or ``VAEConfig`` would replay the
+        wrong loss, which the eager reference would show."""
+        vae, cfg = self.VAE, TrainConfig(epochs=2, batch_size=16)
+        for vae_config, train_config in (
+            (vae, cfg),
+            (vae, dataclasses.replace(cfg, beta=0.5)),
+            (vae, dataclasses.replace(cfg, lam=1.0)),
+            (dataclasses.replace(vae, hidden_dim=32), cfg),
+        ):
+            _, compiled = self._fit(22, train_config, vae_config)
+            assert compiled.compile_counters["traces"] == 1
+            with eager_training():
+                _, eager = self._fit(22, train_config, vae_config)
+            for name in ("total", "reconstruction", "kl", "cost"):
+                np.testing.assert_allclose(
+                    getattr(compiled, name), getattr(eager, name),
+                    rtol=1e-10, atol=1e-12, err_msg=name,
+                )
+
+    def test_table_keeps_no_model_alive(self):
+        gc.disable()
+        try:
+            model, stats = self._fit(model_seed=23)
+            assert stats.compile_counters["traces"] == 1
+            ref = weakref.ref(model)
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_two_threads_trace_once_and_match_serial_runs(self, monkeypatch):
+        """Same-architecture models training on two threads at once: the
+        key's lock makes one trace (held open here so that both threads
+        reach it), and each thread trains as it does alone."""
+        serial = {seed: self._fit(seed) for seed in (24, 25)}
+        monkeypatch.setattr(nn.compile, "_TRACES", {})
+        traced = []
+        trace = nn.CompiledTrainStep._trace
+
+        def slow_trace(step, arrays):
+            traced.append(step)
+            time.sleep(0.2)
+            return trace(step, arrays)
+
+        monkeypatch.setattr(nn.CompiledTrainStep, "_trace", slow_trace)
+        results = {}
+        threads = [
+            threading.Thread(target=lambda s=seed: results.update({s: self._fit(s)}))
+            for seed in serial
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(traced) == 1
+        assert sum(stats.compile_counters.get("traces", 0) for _, stats in results.values()) == 1
+        for seed, run in serial.items():
+            self._assert_bitwise(results[seed], run)

@@ -139,7 +139,7 @@ class TestEngineAgreement:
         eager = (x1.grad.copy(), w1.grad.copy())
         x2 = nn.Tensor(x1.data.copy(), requires_grad=True)
         w2 = nn.Tensor(w1.data.copy(), requires_grad=True)
-        step = nn.compile_train_step(lambda: {"loss": fn(x2, w2)}, [x2, w2])
+        step = nn.CompiledTrainStep(lambda: {"loss": fn(x2, w2)}, [x2, w2], object())
         step()
         np.testing.assert_allclose(x2.grad, eager[0], rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(w2.grad, eager[1], rtol=1e-12, atol=1e-14)

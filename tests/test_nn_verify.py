@@ -6,8 +6,9 @@ hand-injects each bug class into a copied :class:`ProgramPlan` —
 use-before-def schedules, backward disorder, aliasing writes over live
 values or live gradients, values in the conv scratch region,
 overlapping workspaces — and asserts the verifier names the specific
-``ir-*`` rule.  A wiring test proves every ``compile_train_step`` runs
-the pass at compile time only.
+``ir-*`` rule.  A wiring test proves every compiled step runs the pass
+at program build time only.  Steps pass a fresh ``object()`` as their
+key, so each traces its own graph.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ def mlp_plan():
         diff = model(x) - y
         return {"loss": (diff * diff).mean()}
 
-    step = nn.compile_train_step(step_fn, model.parameters(), optimizer=opt)
+    step = nn.CompiledTrainStep(step_fn, model.parameters(), object(), optimizer=opt)
     rng = np.random.default_rng(1)
     step(rng.standard_normal((8, 6)), rng.standard_normal((8, 1)))
     (program,) = step._programs.values()
@@ -52,8 +53,8 @@ def cnn_program():
     def step_fn(x_pad, grids, eps, costs):
         return model.training_losses(x_pad, grids, eps, costs, beta=1.0, lam=0.1)
 
-    step = nn.compile_train_step(
-        step_fn, model.parameters(), optimizer=opt, grad_clip=5.0
+    step = nn.CompiledTrainStep(
+        step_fn, model.parameters(), object(), optimizer=opt, grad_clip=5.0
     )
     rng = np.random.default_rng(3)
     grids = rng.integers(0, 2, size=(4, 8, 8)).astype(np.float64)
@@ -298,7 +299,9 @@ class TestCompileWiring:
             diff = model(x) - y
             return {"loss": (diff * diff).mean()}
 
-        step = nn.compile_train_step(step_fn, model.parameters(), optimizer=opt)
+        step = nn.CompiledTrainStep(
+            step_fn, model.parameters(), object(), optimizer=opt
+        )
         rng = np.random.default_rng(5)
         X, Y = rng.standard_normal((8, 4)), rng.standard_normal((8, 1))
         for _ in range(4):
@@ -323,7 +326,11 @@ class TestCompileWiring:
             ],
         )
         a = nn.Tensor([1.0, 2.0], requires_grad=True)
-        step = nn.compile_train_step(lambda: {"loss": (a * a).sum()}, [a])
+        step = nn.CompiledTrainStep(lambda: {"loss": (a * a).sum()}, [a], object())
         with pytest.raises(nn.CompileUnsupported, match="ir-overwrite-live"):
             step()
-        assert not step._traces and not step._programs
+        assert step.stats.traces == 0 and not step._programs
+        (entry,) = (
+            entry for key, entry in nn.compile._TRACES.items() if key[0] is step.key
+        )
+        assert entry.kept is None
