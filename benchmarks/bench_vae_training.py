@@ -1,13 +1,15 @@
 """Microbench: compiled CircuitVAE train step vs the eager tape.
 
 Measures ``repro.core.training.train_model`` on the paper's CNN-VAE
-configuration at the size the ``vae_adder32`` workload trains (n=32, the
-default ``VAEConfig`` — the architecture of Sec. 5.1 at this repo's CPU
-scale — and the paper training hyperparameters: beta=0.01, lambda=10,
-Adam 1e-3, batch 64) on two engines:
+configuration (the default ``VAEConfig`` — the architecture of Sec. 5.1
+at this repo's CPU scale — and the paper training hyperparameters:
+beta=0.01, lambda=10, Adam 1e-3, batch 64) at the sizes the
+``vae_adder32`` (n=32) and ``bo_adder16_par2`` (n=16) workloads train,
+on two engines:
 
 * **compiled** — the traced graph executor (:mod:`repro.nn.compile`),
-  the only engine ``train_model`` runs: matmul-based conv kernels,
+  the only engine ``train_model`` runs: matmul-based conv kernels (the
+  tap kernel for the narrowing output conv, im2col for the others),
   liveness-arena buffer reuse, shape-guarded replay, and the two
   half-batch shards on two threads when the core budget allows;
 * **eager** — the define-by-run tape, the numerical reference, swapped
@@ -19,22 +21,27 @@ like for like.
 
 Asserts the **equivalence contract** (identical per-epoch loss curves to
 1e-10 across both engines, same seeds) and the **>= 2x steady-state
-speedup gate**, then writes one ``BENCH_vae_training-epochs<k>.json``
-record per case (the CI perf-smoke job uploads the record of the case it
-runs).  The record's ``compile_counters`` include the compiled step's
-storage footprint (the ``*_bytes`` counters of
-:class:`repro.nn.CompileStats`), and ``ru_maxrss_mb`` is the process's
+speedup gate**, then writes one record per case,
+``BENCH_vae_training-epochs<k>.json`` at n=32 and
+``BENCH_vae_training-n<n>-epochs<k>.json`` at other sizes (the CI
+perf-smoke job uploads the records of the cases it runs).  The record's
+``compile_counters`` include the compiled step's storage footprint (the
+``*_bytes`` counters of :class:`repro.nn.CompileStats`: values,
+gradients, scratch, the conv2d forward storage the backward reads for
+dW, and the shared col2im tables), and ``ru_maxrss_mb`` is the process's
 peak RSS, so the uploaded records track training memory; ``compile_s``
 and ``traces`` are the trace, eager-verify and program-build seconds
 and the trace count of one compiled call that finds no kept trace (it
 runs on an empty process trace table).
 
-Cases (pytest ids) are the timed epochs per engine:
+Cases (pytest ids) are the bitwidth and the timed epochs per engine:
 
-* ``epochs2`` — CI's quick smoke, where only the equivalence contract is
-  asserted;
-* ``epochs8`` — the speedup gate arms at 4+ epochs, enough replay steps
-  to amortize timing noise.
+* ``epochs2`` — n=32, CI's quick smoke, where only the equivalence
+  contract is asserted;
+* ``epochs8`` — n=32; the speedup gate arms at 4+ epochs, enough replay
+  steps to amortize timing noise;
+* ``n16-epochs2`` — n=16, ``bo_adder16_par2``'s grid (the tap kernel on
+  16x16 maps); equivalence only, also run by CI.
 
 Equivalence is asserted in every case.
 """
@@ -60,17 +67,16 @@ from helpers import eager_training
 
 SPEEDUP_TARGET = 2.0
 SPEEDUP_MIN_EPOCHS = 4
-N = 32  # the bitwidth of the vae_adder32 workload, default VAEConfig
 DATASET = 128
 BATCH = 64  # paper batch size -> 2 steps per epoch
 EQUIV_EPOCHS = 4
 
 
-def _dataset():
+def _dataset(n):
     rng = np.random.default_rng(0)
     ds = CircuitDataset()
     while len(ds) < DATASET:
-        g = random_graph(N, rng, rng.random() * 0.6)
+        g = random_graph(n, rng, rng.random() * 0.6)
         ds.add(g, float(g.node_count()))
     return ds
 
@@ -80,11 +86,11 @@ def _engine(compiled):
     return contextlib.nullcontext() if compiled else eager_training()
 
 
-def _fit(ds, compiled, epochs):
+def _fit(ds, n, compiled, epochs):
     """One fresh train_model call under the chosen engine, tracing
     afresh when compiled."""
     with _engine(compiled), mock.patch.object(nn.compile, "_TRACES", {}):
-        model = CircuitVAEModel(VAEConfig(n=N), np.random.default_rng(1))
+        model = CircuitVAEModel(VAEConfig(n=n), np.random.default_rng(1))
         return train_model(
             model, ds, np.random.default_rng(2),
             TrainConfig(epochs=epochs, batch_size=BATCH),
@@ -99,10 +105,10 @@ class _SteadyTrainer:
     tracing is left, the timed rounds measure program builds and replay.
     """
 
-    def __init__(self, ds, compiled, epochs):
+    def __init__(self, ds, n, compiled, epochs):
         self.ds = ds
         self.compiled = compiled
-        self.model = CircuitVAEModel(VAEConfig(n=N), np.random.default_rng(1))
+        self.model = CircuitVAEModel(VAEConfig(n=n), np.random.default_rng(1))
         self.optimizer = nn.Adam(self.model.parameters(), lr=1e-3)
         self.rng = np.random.default_rng(2)
         self.config = TrainConfig(epochs=epochs, batch_size=BATCH)
@@ -117,12 +123,12 @@ class _SteadyTrainer:
             return time.perf_counter() - start
 
 
-def run_vae_training(epochs):
-    ds = _dataset()
+def run_vae_training(n, epochs):
+    ds = _dataset(n)
 
     # -- equivalence contract: identical loss curves to 1e-10 ----------
-    eager_ref = _fit(ds, compiled=False, epochs=EQUIV_EPOCHS)
-    compiled_ref = _fit(ds, compiled=True, epochs=EQUIV_EPOCHS)
+    eager_ref = _fit(ds, n, compiled=False, epochs=EQUIV_EPOCHS)
+    compiled_ref = _fit(ds, n, compiled=True, epochs=EQUIV_EPOCHS)
     assert compiled_ref.compile_counters["replays"] > 0
     assert not eager_ref.compile_counters
     curve_dev = 0.0
@@ -136,14 +142,14 @@ def run_vae_training(epochs):
     # Min-of-rounds per engine: scheduler/VM load spikes only ever add
     # time, so the minimum is the robust steady-state estimator (the
     # classic microbenchmark rule; medians drift under sustained load).
-    eager = _SteadyTrainer(ds, compiled=False, epochs=epochs)
+    eager = _SteadyTrainer(ds, n, compiled=False, epochs=epochs)
     eager_s = min(eager() for _ in range(5))
-    compiled = _SteadyTrainer(ds, compiled=True, epochs=epochs)
+    compiled = _SteadyTrainer(ds, n, compiled=True, epochs=epochs)
     compiled_s = min(compiled() for _ in range(5))
     steps = epochs * (DATASET // BATCH)
 
     stats = {
-        "n": N,
+        "n": n,
         "dataset": DATASET,
         "batch_size": BATCH,
         "epochs": epochs,
@@ -163,12 +169,15 @@ def run_vae_training(epochs):
         "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "cpus": os.cpu_count() or 1,
     }
-    return stats, write_record(f"vae_training-epochs{epochs}", stats)
+    size = "" if n == 32 else f"n{n}-"
+    return stats, write_record(f"vae_training-{size}epochs{epochs}", stats)
 
 
-@pytest.mark.parametrize("epochs", [2, 8], ids=["epochs2", "epochs8"])
-def test_vae_training(benchmark, epochs):
-    stats, path = once(benchmark, lambda: run_vae_training(epochs))
+@pytest.mark.parametrize(
+    "n, epochs", [(32, 2), (32, 8), (16, 2)], ids=["epochs2", "epochs8", "n16-epochs2"]
+)
+def test_vae_training(benchmark, n, epochs):
+    stats, path = once(benchmark, lambda: run_vae_training(n, epochs))
     print()
     print(
         f"CNN-VAE train step: n={stats['n']} batch={stats['batch_size']} "

@@ -23,9 +23,16 @@ compiles it into a :class:`GraphProgram`:
   at once instead of lingering in the allocator's heap.
 * **Fast kernels** — convolutions replay through matmul-based kernels
   (the batched GEMM numpy's einsum performs internally, called
-  directly), and the backward pass reuses the forward's unfolded
-  patches instead of re-unfolding.  They match the eager conv kernels
-  up to summation order (~1 ulp).  Every other workspace of a conv
+  directly), chosen by the conv's shape.  A stride-1 conv2d with fewer
+  output than input channels (the decoder's output conv) builds no
+  unfold columns: one GEMM of every tap's weights against its flat
+  zero-padded input, whose shifted rows sum to the output
+  (:class:`_TapConv2dForward`); its backward writes the tap-shifted
+  output gradient once and takes dW and dx as one GEMM each.  Other
+  conv2d forwards unfold the input once, and their dx is a col2im fold.
+  Either way the forward keeps what its backward reads for dW (the
+  padded input or the columns).  They match the eager conv kernels up
+  to summation order (~1 ulp).  Every other workspace of a conv
   instruction is live for that instruction only, so each program has
   one scratch region, sized to its largest conv instruction's
   workspace, that every conv kernel views from offset 0.  The
@@ -85,6 +92,7 @@ otherwise replay the traced batch's rows forever.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import mmap
 import os
@@ -161,7 +169,8 @@ class CompileStats:
     counted at each build: value buffers, dedicated and arena
     (``value_bytes``); gradient buffers, dedicated and arena
     (``grad_bytes``); the scratch regions (``scratch_bytes``); the
-    forward conv2d unfold columns the backward reads (``cols_bytes``);
+    conv2d forward storage the backward reads for dW (``cols_bytes``:
+    the unfold columns, or the tap kernel's padded input);
     and the col2im index tables the programs built between two releases
     share, counted once per such round (``shared_bytes``).  Every
     counter is cumulative over the step's life; ``train_model`` builds a
@@ -201,8 +210,11 @@ class ProgramPlan:
     of the program's scratch region (``None`` without conv kernels) and
     ``scratch_extents`` lists, per conv instruction (``fwd:<id>`` /
     ``bwd:<id>``), the ``[start, stop)`` element extents its workspaces
-    take in that region.  Tests mutate copies of this to inject IR bugs
-    and assert the verifier catches them.
+    take in that region.  ``kept_token`` maps each conv2d node to the
+    identity of the storage its forward keeps for its backward (the
+    unfold columns or the padded input), which must not be scratch.
+    Tests mutate copies of this to inject IR bugs and assert the
+    verifier catches them.
     """
 
     sched: List[int] = field(default_factory=list)
@@ -218,6 +230,7 @@ class ProgramPlan:
     grad_token: Dict[int, int] = field(default_factory=dict)
     scratch_token: Optional[int] = None
     scratch_extents: Dict[str, List[Tuple[int, int]]] = field(default_factory=dict)
+    kept_token: Dict[int, int] = field(default_factory=dict)
     pinned_roots: set = field(default_factory=set)
     needed_val: set = field(default_factory=set)
     outputs: Dict[str, int] = field(default_factory=dict)
@@ -242,6 +255,7 @@ class ProgramPlan:
                 label: list(extents)
                 for label, extents in self.scratch_extents.items()
             },
+            kept_token=dict(self.kept_token),
             pinned_roots=set(self.pinned_roots),
             needed_val=set(self.needed_val),
             outputs=dict(self.outputs),
@@ -507,8 +521,8 @@ class _BatchGemmT:
 class _Conv2dForward:
     """conv2d replay kernel: im2col once + broadcast matmul into ``out``.
 
-    The unfolded columns are dedicated (the backward reads them); only
-    the padded input copy is scratch.
+    The unfolded columns are dedicated (the backward reads them for dW);
+    only the padded input copy is scratch.
     """
 
     def __init__(self, node: Node, x_shape, w_shape, out_buf, ws: _Workspace):
@@ -516,6 +530,7 @@ class _Conv2dForward:
         self.unfold = _Im2Col(
             x_shape, w_shape[2], w_shape[3], stride, padding, ws, keep_cols=True
         )
+        self.kept = self.unfold.cols
         batch = x_shape[0]
         self.out_buf = out_buf
         self.out_mat = out_buf.reshape(batch, w_shape[0], -1)
@@ -530,8 +545,141 @@ class _Conv2dForward:
         return self.out_buf
 
 
+class _Taps:
+    """Flat geometry of a stride-1 conv2d, x (B,C,H,W) * w (O,C,kh,kw).
+
+    Each channel's zero-padded grid (Hp, Wp) is flattened and followed by
+    ``kw - 1`` zeros, ``length`` elements in all.  On an output grid
+    ``Wp`` wide, tap ``(u, v)`` of output ``q = i*Wp + j`` reads flat
+    element ``q + u*Wp + v``; columns ``j >= ow`` wrap into the next row
+    and are never read out.  Arrays of per-tap rows are ``(B, kh*kw*O,
+    length)``, taps major, ``O`` rows each.
+    """
+
+    def __init__(self, x_shape, w_shape, padding: int) -> None:
+        self.x_shape, self.padding = tuple(x_shape), padding
+        self.out_ch, self.in_ch, self.kh, self.kw = w_shape
+        height, width = x_shape[2], x_shape[3]
+        self.hp, self.wp = height + 2 * padding, width + 2 * padding
+        self.oh, self.ow = self.hp - self.kh + 1, self.wp - self.kw + 1
+        self.length = self.hp * self.wp + self.kw - 1
+        self.offsets = [u * self.wp + v for u in range(self.kh) for v in range(self.kw)]
+
+    def interior(self, flat: np.ndarray) -> np.ndarray:
+        """The unpadded ``(B, K, H, W)`` grid of a ``(B, K, length)`` array."""
+        batch, rows, _ = flat.shape
+        grid = flat[:, :, : self.hp * self.wp].reshape(batch, rows, self.hp, self.wp)
+        pad, height, width = self.padding, self.x_shape[2], self.x_shape[3]
+        return grid[:, :, pad : pad + height, pad : pad + width]
+
+    def windows(self, rows: np.ndarray) -> List[np.ndarray]:
+        """Per tap, the ``(B, O, oh, ow)`` view of per-tap ``rows`` at
+        its offset: where the forward reads the tap's output terms, and
+        where the backward writes the output gradient."""
+        batch, out_ch = rows.shape[0], self.out_ch
+        taps = rows.reshape(batch, len(self.offsets), out_ch, self.length)
+        span = self.oh * self.wp
+        views = []
+        for t, offset in enumerate(self.offsets):
+            window = taps[:, t, :, offset : offset + span]
+            # splitting the contiguous last axis: always a view
+            views.append(window.reshape(batch, out_ch, self.oh, self.wp)[..., : self.ow])
+        return views
+
+
+class _TapConv2dForward:
+    """Stride-1 conv2d with fewer output than input channels, no im2col.
+
+    One GEMM of every tap's weights, stacked ``(kh*kw*O, C)``, against
+    the flat zero-padded input (:class:`_Taps`) gives each tap's output
+    terms; the output is the sum of the taps' rows, each shifted by its
+    flat offset.  The padded input is dedicated (the backward reads it
+    for dW) and its zero border is written once, at allocation; the
+    stacked weights and the tap rows are scratch.
+    """
+
+    def __init__(self, node: Node, x_shape, w_shape, out_buf, ws: _Workspace):
+        self.taps = taps = _Taps(x_shape, w_shape, node.attrs["padding"])
+        batch, channels = x_shape[0], x_shape[1]
+        self.padded = _storage((batch, channels, taps.length))
+        self.kept = self.padded
+        self.interior = taps.interior(self.padded)
+        self._w_at = ws.take((taps.kh, taps.kw, taps.out_ch, channels))
+        self._rows_at = ws.take((batch, len(taps.offsets) * taps.out_ch, taps.length))
+        self.out_buf = out_buf
+
+    def bind(self, region: np.ndarray) -> None:
+        taps = self.taps
+        self.w_stack = _view(region, self._w_at)
+        self.w_mat = self.w_stack.reshape(-1, taps.in_ch)
+        self.rows = _view(region, self._rows_at)
+        self.first, *self.rest = taps.windows(self.rows)
+
+    def __call__(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        np.copyto(self.interior, x)
+        np.copyto(self.w_stack, w.transpose(2, 3, 0, 1))
+        np.matmul(self.w_mat, self.padded, out=self.rows)
+        out = self.out_buf
+        np.copyto(out, self.first)
+        for window in self.rest:
+            np.add(out, window, out=out)
+        return out
+
+
+class _TapConv2dBackward:
+    """VJP of :class:`_TapConv2dForward`.
+
+    The output gradient is written once per tap at the tap's flat offset
+    (:class:`_Taps`): ``rows[b, (u, v, o), m]`` is ``g[b, o, i, j]`` at
+    ``m = (i + u)*Wp + j + v`` and zero elsewhere.  Against these rows,
+    dW is a :class:`_BatchGemmT` with the kept padded input and dx over
+    the flat padded input is one GEMM with the stacked weights, which it
+    stacks from ``w`` itself, since later conv instructions overwrite
+    the forward's scratch copy.  Rows, weights and the padded dx are
+    scratch.
+    """
+
+    def __init__(self, forward: _TapConv2dForward, need_dx: bool, ws: _Workspace):
+        self.forward = forward
+        self.taps = taps = forward.taps
+        batch = taps.x_shape[0]
+        rows_shape = (batch, len(taps.offsets) * taps.out_ch, taps.length)
+        self._rows_at = ws.take(rows_shape)
+        self.need_dx = need_dx
+        if need_dx:
+            self._w_at = ws.take((taps.kh, taps.kw, taps.out_ch, taps.in_ch))
+            self._dx_at = ws.take((batch, taps.in_ch, taps.length))
+        self.gemm_dw = _BatchGemmT(rows_shape, forward.padded.shape, ws)
+        self.dw_shape = (taps.kh, taps.kw, taps.out_ch, taps.in_ch)
+
+    def bind(self, region: np.ndarray) -> None:
+        taps = self.taps
+        self.rows = _view(region, self._rows_at)
+        self.windows = taps.windows(self.rows)
+        if self.need_dx:
+            self.w_stack = _view(region, self._w_at)
+            self.w_mat_t = self.w_stack.reshape(-1, taps.in_ch).T
+            self.dx_flat = _view(region, self._dx_at)
+            self.dx_interior = taps.interior(self.dx_flat)
+        self.gemm_dw.bind(region)
+
+    def __call__(self, g, x, w):
+        self.rows.fill(0.0)
+        for window in self.windows:
+            np.copyto(window, g)
+        dw = self.gemm_dw(self.rows, self.forward.padded)
+        dw = dw.reshape(self.dw_shape).transpose(2, 3, 0, 1)
+        dx = None
+        if self.need_dx:
+            np.copyto(self.w_stack, w.transpose(2, 3, 0, 1))
+            np.matmul(self.w_mat_t, self.rows, out=self.dx_flat)
+            dx = self.dx_interior
+        return dx, dw
+
+
 class _Conv2dBackward:
-    """conv2d VJP reusing the forward's unfolded patches."""
+    """VJP of :class:`_Conv2dForward`: dW against the kept columns, dx
+    as a col2im fold."""
 
     def __init__(
         self, forward: _Conv2dForward, node: Node, x_shape, w_shape, need_dx,
@@ -540,27 +688,12 @@ class _Conv2dBackward:
         stride, padding = node.attrs["stride"], node.attrs["padding"]
         self.forward = forward
         self.w_shape = w_shape
-        self.x_shape = x_shape
         self.need_dx = need_dx
         batch = x_shape[0]
         unfold = forward.unfold
-        g_shape = (batch, w_shape[0], unfold.oh * unfold.ow)
-        self.g_shape = g_shape
-        self.gemm_dw = _BatchGemmT(g_shape, unfold.mat_shape, ws)
-        # The flip-kernel correlation needs a non-negative flipped
-        # padding (kh - 1 - padding); otherwise fall back to col2im.
-        self.dx_as_conv = need_dx and stride == 1 and w_shape[2] - 1 - padding >= 0
-        if self.dx_as_conv:
-            # Stride-1 dx is a correlation of g with the spatially
-            # flipped, channel-swapped kernel: unfold the (small) output
-            # gradient once and issue one matmul — no scatter-add at
-            # all.  (Verified ~1 ulp from the reference col2im path.)
-            kh, kw = w_shape[2], w_shape[3]
-            g_shape4 = (batch, w_shape[0], unfold.oh, unfold.ow)
-            self.dx_unfold = _Im2Col(g_shape4, kh, kw, 1, kh - 1 - padding, ws)
-            self._w_flip_at = ws.take((x_shape[1], w_shape[0] * kh * kw))
-            self._dx_at = ws.take((batch, x_shape[1], x_shape[2] * x_shape[3]))
-        elif need_dx:
+        self.g_shape = (batch, w_shape[0], unfold.oh * unfold.ow)
+        self.gemm_dw = _BatchGemmT(self.g_shape, unfold.mat_shape, ws)
+        if need_dx:
             self.pad = padding
             cols_shape = (batch, x_shape[1], w_shape[2], w_shape[3], unfold.oh, unfold.ow)
             self._dcols_at = ws.take(cols_shape)
@@ -575,13 +708,7 @@ class _Conv2dBackward:
 
     def bind(self, region: np.ndarray) -> None:
         self.gemm_dw.bind(region)
-        if self.dx_as_conv:
-            self.dx_unfold.bind(region)
-            self.w_flip = _view(region, self._w_flip_at)
-            kh, kw = self.w_shape[2], self.w_shape[3]
-            self.w_flip_4d = self.w_flip.reshape(self.x_shape[1], self.w_shape[0], kh, kw)
-            self.dx_buf = _view(region, self._dx_at)
-        elif self.need_dx:
+        if self.need_dx:
             dcols = _view(region, self._dcols_at)
             self.dcols_mat = dcols.reshape(self.dcols_shape)
             self.fold.bind(dcols)
@@ -590,12 +717,7 @@ class _Conv2dBackward:
         g_mat = g.reshape(self.g_shape)
         dw = self.gemm_dw(g_mat, self.forward.unfold.cols_mat).reshape(self.w_shape)
         dx = None
-        if self.dx_as_conv:
-            gcols = self.dx_unfold(g)
-            np.copyto(self.w_flip_4d, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-            np.matmul(self.w_flip, gcols, out=self.dx_buf)
-            dx = self.dx_buf.reshape(self.x_shape)
-        elif self.need_dx:
+        if self.need_dx:
             np.matmul(w.reshape(self.w_shape[0], -1).T, g_mat, out=self.dcols_mat)
             folded = self.fold()
             pad = self.pad
@@ -766,9 +888,9 @@ class GraphProgram:
 
         # -- 3. which values does the backward pass read? --------------
         # The registry metadata, with one refinement: the conv2d VJP
-        # reuses the forward's unfolded patches, so only the weight — a
-        # param leaf — is read, and the large input activation can go
-        # to the arena.
+        # reads the storage its forward kept (the unfolded columns or
+        # the padded input), so of the values only the weight — a param
+        # leaf — is read, and the input activation can go to the arena.
         needed_val = set(self._outputs.values())
         for nid in grad_sched:
             node = nodes[nid]
@@ -833,6 +955,8 @@ class GraphProgram:
         self._bwd_kernels: Dict[int, Callable] = {}
         #: conv kernels by instruction label, each with its workspace
         self._conv_kernels: Dict[str, Tuple[object, _Workspace]] = {}
+        #: conv2d node id -> the forward storage its backward reads
+        self._kept: Dict[int, np.ndarray] = {}
         self._col2im_index = partial(
             _col2im_index, tables if tables is not None else {}, self.stats
         )
@@ -920,6 +1044,7 @@ class GraphProgram:
                 label: list(ws.extents)
                 for label, (_, ws) in self._conv_kernels.items()
             },
+            kept_token={nid: _storage_token(kept) for nid, kept in self._kept.items()},
             pinned_roots=set(pinned_roots),
             needed_val=set(needed_val),
             outputs=dict(self._outputs),
@@ -991,9 +1116,17 @@ class GraphProgram:
         need_dx = nodes[node.parents[0]].requires_grad
         fwd_ws, bwd_ws = _Workspace(), _Workspace()
         backward = None
-        if node.op == "conv2d":
+        if node.op == "conv2d" and node.attrs["stride"] == 1 and w_shape[0] < w_shape[1]:
+            # The kept padded input is ~1/(kh*kw) of the columns.  Only
+            # narrowing convs: on the widening enc_conv1 (1->8, n=32, one
+            # 32-row shard) the tap kernel kept 0.28 vs 2.25 MiB but took
+            # 10.4 vs 0.4 ms forward, 4.4 vs 0.25 ms backward, and 20 vs
+            # 0.3 MiB of scratch, since it writes kh*kw*O rows per C.
+            forward = _TapConv2dForward(node, x_shape, w_shape, buf, fwd_ws)
+            if node.id in self._grad_sched:
+                backward = _TapConv2dBackward(forward, need_dx, bwd_ws)
+        elif node.op == "conv2d":
             forward = _Conv2dForward(node, x_shape, w_shape, buf, fwd_ws)
-            self.stats.cols_bytes += forward.unfold.cols.nbytes
             if node.id in self._grad_sched:
                 backward = _Conv2dBackward(
                     forward, node, x_shape, w_shape, need_dx, bwd_ws,
@@ -1007,6 +1140,9 @@ class GraphProgram:
                 backward = _ConvT2dBackward(
                     node, x_shape, w_shape, node.shape, need_dx, bwd_ws
                 )
+        if node.op == "conv2d":
+            self._kept[node.id] = forward.kept
+            self.stats.cols_bytes += forward.kept.nbytes
         self._conv_kernels[f"fwd:{node.id}"] = (forward, fwd_ws)
         if backward is not None:
             self._bwd_kernels[node.id] = backward
@@ -1175,6 +1311,20 @@ class ShardMean:
 #: ``(step key, input signature, parameter shapes)``.
 _TRACES: Dict[Tuple, "_KeptTrace"] = {}
 _TRACES_LOCK = threading.Lock()
+
+
+def _trim_heap() -> None:
+    """Hand the C allocator's free heap pages back to the OS.
+
+    A first trace and its eager verify free the eager graph's arrays,
+    which glibc keeps in its heap under every program built after them;
+    ``malloc_trim(0)`` returns them.  A no-op where the C library has no
+    ``malloc_trim``.
+    """
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):
+        pass
 
 
 class _KeptTrace:
@@ -1389,6 +1539,8 @@ class CompiledTrainStep:
                 program = self._checked_program(kept)
                 program.verify(arrays, traced)
                 kept[0].release()  # drop the tensor pins; builds need only the tables
+                del traced  # the eager graph, so the trim returns its heap
+                _trim_heap()
                 entry.kept = kept
                 self.stats.traces += 1
                 return program

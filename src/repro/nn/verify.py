@@ -22,9 +22,10 @@ properties the buffer-arena compiler relies on:
     consumer instruction that writes it to its own backward instruction
     (the loss seed from before the first, leaf gradients past the
     last), and two gradients whose live ranges overlap may not share a
-    token.  No value or gradient may live in the scratch region, which
-    every conv instruction overwrites, and the workspace extents of one
-    conv instruction may not overlap each other.
+    token.  No value, gradient or kept conv storage (what a conv2d
+    forward keeps for its backward) may live in the scratch region,
+    which every conv instruction overwrites, and the workspace extents
+    of one conv instruction may not overlap each other.
 
 Verification is pure data analysis over the plan — it never executes
 the program, so running it on every compile adds compile-time cost
@@ -260,7 +261,11 @@ def _scratch_findings(plan) -> List[Finding]:
     workspaces of one instruction overlapping."""
     findings: List[Finding] = []
     if plan.scratch_token is not None:
-        for what, tokens in (("value", plan.buffer_token), ("gradient", plan.grad_token)):
+        for kind, what, tokens in (
+            ("value", "value", plan.buffer_token),
+            ("gradient", "gradient", plan.grad_token),
+            ("kept", "kept conv storage", plan.kept_token),
+        ):
             for nid, token in tokens.items():
                 if token == plan.scratch_token:
                     findings.append(
@@ -269,7 +274,7 @@ def _scratch_findings(plan) -> List[Finding]:
                             f"the {what} of node {nid} ({plan.ops.get(nid)}) "
                             "lives in the scratch region, which every conv "
                             "instruction overwrites",
-                            f"scratch:{what}:{nid}",
+                            f"scratch:{kind}:{nid}",
                         )
                     )
     for label, extents in plan.scratch_extents.items():

@@ -429,6 +429,134 @@ class TestCompilerRobustness:
         assert step.stats.traces == 1 and step.stats.replays == 2
 
 
+def _rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def _tap_kernels(x_shape, w_shape, padding):
+    """One tap-kernel conv2d forward + backward pair (needing dx) on one
+    scratch region, as a program builds them."""
+    from repro.nn import compile as compile_mod
+    from repro.nn.graph import Node
+
+    oh = x_shape[2] + 2 * padding - w_shape[2] + 1
+    ow = x_shape[3] + 2 * padding - w_shape[3] + 1
+    out_shape = (x_shape[0], w_shape[0], oh, ow)
+    node = Node(0, "op", "conv2d", (1, 2), {"stride": 1, "padding": padding},
+                out_shape, np.dtype(np.float64), True)
+    fwd_ws, bwd_ws = compile_mod._Workspace(), compile_mod._Workspace()
+    out = np.empty(out_shape)
+    forward = compile_mod._TapConv2dForward(node, x_shape, w_shape, out, fwd_ws)
+    backward = compile_mod._TapConv2dBackward(forward, True, bwd_ws)
+    region = np.empty(max(fwd_ws.size, bwd_ws.size))
+    forward.bind(region)
+    backward.bind(region)
+    return forward, backward, region
+
+
+class TestTapConv2d:
+    """Narrowing stride-1 conv2d (O < C) replays through the tap kernel."""
+
+    @pytest.mark.parametrize("out_ch", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_tap_kernel_matches_reference(self, out_ch, padding):
+        """Forward, dx and dW against ``repro.nn.conv`` on a non-square
+        grid; padding 2 exceeds kh - 1.  The scratch region is poisoned
+        between the forward and the backward, which must read nothing
+        the forward left there (the stacked weights included)."""
+        rng = np.random.default_rng(out_ch * 10 + padding)
+        x = rng.standard_normal((3, 4, 7, 5))
+        w = rng.standard_normal((out_ch, 4, 3, 3))
+        want = nn.conv.conv2d_forward(x, w, 1, padding)
+        g = rng.standard_normal(want.shape)
+        want_dx, want_dw = nn.conv.conv2d_backward(g, x, w, 1, padding)
+
+        forward, backward, region = _tap_kernels(x.shape, w.shape, padding)
+        for _ in range(2):  # a replay must not depend on the last one
+            region.fill(np.nan)
+            got = forward(x, w).copy()
+            region.fill(np.nan)
+            dx, dw = backward(g, None, w)
+            assert _rel_err(got, want) < 1e-12
+            assert _rel_err(dx, want_dx) < 1e-12
+            assert _rel_err(dw, want_dw) < 1e-12
+        assert forward.kept is forward.padded
+        assert forward.padded.shape == (3, 4, (7 + 2 * padding) * (5 + 2 * padding) + 2)
+
+    def test_program_replays_match_eager_on_new_batches(self):
+        """A narrowing conv between a widening stride-1 conv and a
+        stride-2 conv: the compiled program, replayed on two different
+        batches, gives eager's loss and gradients each time."""
+        from repro.nn import functional as F
+
+        rng = np.random.default_rng(4)
+        params = [
+            nn.Tensor(rng.standard_normal(shape) * 0.3, requires_grad=True)
+            for shape in ((6, 2, 3, 3), (3, 6, 3, 3), (4, 3, 3, 3))
+        ]
+        weight = nn.Tensor(rng.standard_normal((5, 4, 4, 3)))
+
+        def step_fn(x):
+            h = F.conv2d(x, params[0], stride=1, padding=1).relu()
+            h = F.conv2d(h, params[1], stride=1, padding=1).relu()
+            h = F.conv2d(h, params[2], stride=2, padding=1)
+            return {"loss": (h * weight).sum()}
+
+        step = nn.CompiledTrainStep(step_fn, params, object())
+        for seed in (1, 2):
+            x = np.random.default_rng(seed).standard_normal((5, 2, 8, 6))
+            got = step(x)["loss"]
+            got_grads = [p.grad.copy() for p in params]
+            for p in params:
+                p.grad = None
+            eager = step_fn(nn.Tensor(x))["loss"]
+            eager.backward()
+            np.testing.assert_allclose(got, eager.item(), rtol=1e-12)
+            for g, p in zip(got_grads, params):
+                assert _rel_err(g, p.grad) < 1e-12
+                p.grad = None
+        assert step.stats.traces == 1 and step.stats.replays == 2
+        (program,) = step._programs.values()
+        kinds = sorted(
+            type(kernel).__name__ for kernel, _ in program._conv_kernels.values()
+        )
+        assert kinds == sorted([
+            "_Conv2dForward", "_Conv2dBackward", "_TapConv2dForward",
+            "_TapConv2dBackward", "_Conv2dForward", "_Conv2dBackward",
+        ])
+
+    def test_cols_bytes_of_the_default_n32_model(self):
+        """``cols_bytes`` is what the conv2d forwards keep: the unfold
+        columns of the three encoder convs and the padded input of the
+        narrowing output conv (its columns would be 9x that)."""
+        from repro.core.vae import CircuitVAEModel, VAEConfig
+
+        model = CircuitVAEModel(VAEConfig(n=32), np.random.default_rng(0))
+        step = nn.CompiledTrainStep(
+            lambda x, t, e, c: model.training_losses(x, t, e, c, beta=0.01, lam=10.0),
+            model.parameters(),
+            object(),
+        )
+        batch = 2
+        rng = np.random.default_rng(1)
+        grids = (rng.random((batch, 32, 32)) > 0.5).astype(float)
+        step(model._pad_grids(grids), grids,
+             rng.standard_normal((batch, 24)), rng.standard_normal(batch))
+
+        def cols(layer, side):  # im2col: (B, C*kh*kw, oh*ow)
+            out_side = (side + 2 * layer.padding - 3) // layer.stride + 1
+            return batch * layer.weight.shape[1] * 9 * out_side**2
+
+        padded_side = 32 + 2 * model.dec_out.padding  # tap: (B, C, Hp*Wp + kw - 1)
+        tap = batch * model.dec_out.weight.shape[1] * (padded_side**2 + 2)
+        expected = 8 * (
+            cols(model.enc_conv1, 32) + cols(model.enc_conv2, 32)
+            + cols(model.enc_conv3, 16) + tap
+        )
+        assert step.stats.cols_bytes == expected
+        assert cols(model.dec_out, 32) > 7 * tap
+
+
 def _small_vae_step(shards=1, adam=False):
     """A compiled CNN-VAE training step at a small config: conv2d at
     stride 1 and 2 with padding, conv_transpose2d, and the dense heads.

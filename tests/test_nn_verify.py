@@ -4,9 +4,9 @@ The clean direction compiles real programs (an MLP step and the actual
 CNN-VAE training step) and asserts zero findings.  The dirty direction
 hand-injects each bug class into a copied :class:`ProgramPlan` —
 use-before-def schedules, backward disorder, aliasing writes over live
-values or live gradients, values in the conv scratch region,
-overlapping workspaces — and asserts the verifier names the specific
-``ir-*`` rule.  A wiring test proves every compiled step runs the pass
+values or live gradients, values or kept conv storage in the conv
+scratch region, overlapping workspaces — and asserts the verifier names
+the specific ``ir-*`` rule.  A wiring test proves every compiled step runs the pass
 at program build time only.  Steps pass a fresh ``object()`` as their
 key, so each traces its own graph.
 """
@@ -238,6 +238,18 @@ class TestInjectedBugs:
         assert [f.symbol for f in verify_program(plan)] == [
             f"scratch:gradient:{victim}"
         ]
+
+    def test_kept_conv_storage_in_scratch_region_is_flagged(self, cnn_program):
+        """The columns or padded input a conv2d forward keeps for its
+        backward must outlive the other conv instructions' scratch."""
+        plan = cnn_program.plan.copy()
+        conv2d = sorted(nid for nid, op in plan.ops.items() if op == "conv2d")
+        assert sorted(plan.kept_token) == conv2d and len(conv2d) == 4
+        assert verify_program(plan) == []
+        victim = conv2d[-1]  # dec_out: the tap kernel's padded input
+        plan.kept_token[victim] = plan.scratch_token
+        assert [f.symbol for f in verify_program(plan)] == [f"scratch:kept:{victim}"]
+        assert _rules(verify_program(plan)) == {"ir-overwrite-live"}
 
     def test_overlapping_workspaces_of_one_kernel_are_flagged(self, cnn_program):
         plan = cnn_program.plan.copy()
