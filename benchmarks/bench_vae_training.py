@@ -5,7 +5,7 @@ configuration (the default ``VAEConfig`` — the architecture of Sec. 5.1
 at this repo's CPU scale — and the paper training hyperparameters:
 beta=0.01, lambda=10, Adam 1e-3, batch 64) at the sizes the
 ``vae_adder32`` (n=32) and ``bo_adder16_par2`` (n=16) workloads train,
-on two engines:
+and at the paper's n=64, on two engines:
 
 * **compiled** — the traced graph executor (:mod:`repro.nn.compile`),
   the only engine ``train_model`` runs: matmul-based conv kernels (the
@@ -27,9 +27,9 @@ speedup gate**, then writes one record per case,
 perf-smoke job uploads the records of the cases it runs).  The record's
 ``compile_counters`` include the compiled step's storage footprint (the
 ``*_bytes`` counters of :class:`repro.nn.CompileStats`: values,
-gradients, scratch, the conv2d forward storage the backward reads for
-dW, and the shared col2im tables), and ``ru_maxrss_mb`` is the process's
-peak RSS, so the uploaded records track training memory; ``compile_s``
+gradients, scratch and the shared col2im tables), and ``ru_maxrss_mb``
+is the process's peak RSS, so the uploaded records track training
+memory; ``compile_s``
 and ``traces`` are the trace, eager-verify and program-build seconds
 and the trace count of one compiled call that finds no kept trace (it
 runs on an empty process trace table).
@@ -41,7 +41,9 @@ Cases (pytest ids) are the bitwidth and the timed epochs per engine:
 * ``epochs8`` — n=32; the speedup gate arms at 4+ epochs, enough replay
   steps to amortize timing noise;
 * ``n16-epochs2`` — n=16, ``bo_adder16_par2``'s grid (the tap kernel on
-  16x16 maps); equivalence only, also run by CI.
+  16x16 maps); equivalence only, also run by CI;
+* ``n64-epochs2`` — n=64, where training storage grows 4x; equivalence
+  only, also run by CI, whose record tracks n=64 training memory.
 
 Equivalence is asserted in every case.
 """
@@ -174,7 +176,9 @@ def run_vae_training(n, epochs):
 
 
 @pytest.mark.parametrize(
-    "n, epochs", [(32, 2), (32, 8), (16, 2)], ids=["epochs2", "epochs8", "n16-epochs2"]
+    "n, epochs",
+    [(32, 2), (32, 8), (16, 2), (64, 2)],
+    ids=["epochs2", "epochs8", "n16-epochs2", "n64-epochs2"],
 )
 def test_vae_training(benchmark, n, epochs):
     stats, path = once(benchmark, lambda: run_vae_training(n, epochs))

@@ -29,18 +29,20 @@ compiles it into a :class:`GraphProgram`:
   zero-padded input, whose shifted rows sum to the output
   (:class:`_TapConv2dForward`); its backward writes the tap-shifted
   output gradient once and takes dW and dx as one GEMM each.  Other
-  conv2d forwards unfold the input once, and their dx is a col2im fold.
-  Either way the forward keeps what its backward reads for dW (the
-  padded input or the columns).  They match the eager conv kernels up
-  to summation order (~1 ulp).  Every other workspace of a conv
-  instruction is live for that instruction only, so each program has
-  one scratch region, sized to its largest conv instruction's
-  workspace, that every conv kernel views from offset 0.  The
-  col2im index tables, which no replay writes, are shared by the live
-  programs of one :class:`CompiledTrainStep` and go with them.  A replay
-  still allocates temporaries: the registry VJPs return fresh arrays,
-  relu's kernel builds its ``x > 0`` mask, and every col2im fold's
-  ``bincount`` allocates its output.
+  conv2d forwards unfold the input, and their dx is a col2im fold.
+  A conv2d forward keeps nothing: its backward reads the input value,
+  which the registry pins like any VJP input, and pads or unfolds it
+  again for dW.  The kernels match the eager conv kernels up to
+  summation order (~1 ulp).  Every workspace of a conv instruction is
+  live for that instruction only, so each program has one scratch
+  region, sized to its largest conv instruction's workspace, that every
+  conv kernel views from offset 0.  A col2im fold scatters one sample
+  at a time, so its index table covers one sample; the tables, which
+  no replay writes, are shared by the live programs of one
+  :class:`CompiledTrainStep` and go with them.  A replay still
+  allocates temporaries: the registry VJPs return fresh arrays, relu's
+  kernel builds its ``x > 0`` mask, and every col2im ``bincount``
+  allocates one sample's output.
 * **Shape-guarded replay** — programs are built per input-shape
   signature; a new shape gets a trace of its own, never a wrong replay.
 * **One verified trace per graph per process** — kept traces live in
@@ -168,13 +170,11 @@ class CompileStats:
     The ``*_bytes`` counters are the storage of every program built,
     counted at each build: value buffers, dedicated and arena
     (``value_bytes``); gradient buffers, dedicated and arena
-    (``grad_bytes``); the scratch regions (``scratch_bytes``); the
-    conv2d forward storage the backward reads for dW (``cols_bytes``:
-    the unfold columns, or the tap kernel's padded input);
-    and the col2im index tables the programs built between two releases
-    share, counted once per such round (``shared_bytes``).  Every
-    counter is cumulative over the step's life; ``train_model`` builds a
-    step per call, so its counters are that call's.
+    (``grad_bytes``); the scratch regions (``scratch_bytes``); and the
+    per-sample col2im index tables the programs built between two
+    releases share, counted once per such round (``shared_bytes``).
+    Every counter is cumulative over the step's life; ``train_model``
+    builds a step per call, so its counters are that call's.
     """
 
     traces: int = 0
@@ -187,7 +187,6 @@ class CompileStats:
     value_bytes: int = 0
     grad_bytes: int = 0
     scratch_bytes: int = 0
-    cols_bytes: int = 0
     shared_bytes: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -210,11 +209,8 @@ class ProgramPlan:
     of the program's scratch region (``None`` without conv kernels) and
     ``scratch_extents`` lists, per conv instruction (``fwd:<id>`` /
     ``bwd:<id>``), the ``[start, stop)`` element extents its workspaces
-    take in that region.  ``kept_token`` maps each conv2d node to the
-    identity of the storage its forward keeps for its backward (the
-    unfold columns or the padded input), which must not be scratch.
-    Tests mutate copies of this to inject IR bugs and assert the
-    verifier catches them.
+    take in that region.  Tests mutate copies of this to inject IR bugs
+    and assert the verifier catches them.
     """
 
     sched: List[int] = field(default_factory=list)
@@ -230,7 +226,6 @@ class ProgramPlan:
     grad_token: Dict[int, int] = field(default_factory=dict)
     scratch_token: Optional[int] = None
     scratch_extents: Dict[str, List[Tuple[int, int]]] = field(default_factory=dict)
-    kept_token: Dict[int, int] = field(default_factory=dict)
     pinned_roots: set = field(default_factory=set)
     needed_val: set = field(default_factory=set)
     outputs: Dict[str, int] = field(default_factory=dict)
@@ -255,7 +250,6 @@ class ProgramPlan:
                 label: list(extents)
                 for label, extents in self.scratch_extents.items()
             },
-            kept_token=dict(self.kept_token),
             pinned_roots=set(self.pinned_roots),
             needed_val=set(self.needed_val),
             outputs=dict(self.outputs),
@@ -348,17 +342,20 @@ def _view(region: np.ndarray, extent: Tuple[int, Tuple[int, ...]]) -> np.ndarray
 
 
 def _col2im_index(tables: Dict, stats: CompileStats, cols_shape, padded_hw, stride):
-    """The static scatter index of :class:`_Col2Im`, built once per
-    ``tables`` (the live programs of one :class:`CompiledTrainStep`)
-    and never written.
+    """The static scatter index of :class:`_Col2Im` for one sample,
+    built once per ``tables`` (the live programs of one
+    :class:`CompiledTrainStep`) and never written.
 
+    Element ``(c, u, v, i, j)`` of a sample's ``(C, kh, kw, oh, ow)``
+    columns lands at row ``u + stride*i``, column ``v + stride*j`` of
+    channel ``c`` of the sample's flat padded ``(C, Hp, Wp)`` grids.
     The array stays flagged writeable: ``np.bincount`` copies an index
-    that is not, on every call (33 MiB per convT forward at n=64).
+    that is not, on every call.
     """
-    key = (tuple(cols_shape), tuple(padded_hw), stride)
+    key = (tuple(cols_shape[1:]), tuple(padded_hw), stride)
     index = tables.get(key)
     if index is None:
-        batch, channels, kh, kw, oh, ow = cols_shape
+        _, channels, kh, kw, oh, ow = cols_shape
         hp, wp = padded_hw
         per_patch = np.empty((kh, kw, oh, ow), dtype=np.intp)
         for u in range(kh):
@@ -366,8 +363,8 @@ def _col2im_index(tables: Dict, stats: CompileStats, cols_shape, padded_hw, stri
                 rows = u + stride * np.arange(oh)
                 cols_ = v + stride * np.arange(ow)
                 per_patch[u, v] = rows[:, None] * wp + cols_[None, :]
-        offsets = (np.arange(batch * channels) * (hp * wp))[:, None]
-        index = _storage((batch * channels, per_patch.size), np.intp)
+        offsets = (np.arange(channels) * (hp * wp))[:, None]
+        index = _storage((channels, per_patch.size), np.intp)
         np.add(per_patch.reshape(1, -1), offsets, out=index)
         index = index.ravel()
         tables[key] = index
@@ -379,74 +376,112 @@ def _col2im_index(tables: Dict, stats: CompileStats, cols_shape, padded_hw, stri
 # Fast convolution kernels (scratch workspaces, matmul-based)
 # ----------------------------------------------------------------------
 class _Col2Im:
-    """Adjoint of im2col as one flat ``bincount`` scatter-add.
+    """Adjoint of im2col: one ``bincount`` scatter-add per sample,
+    written into a destination.
 
-    The destination index of every patch element is static, so it is
-    precomputed once (:func:`_col2im_index`); each call is a single
-    vectorized scatter-sum —
+    The destination index of every element of a sample's columns is
+    static, so it is precomputed once (:func:`_col2im_index`); each
+    sample is then a single vectorized scatter-sum —
     2-5x faster than the reference loop of strided adds (whose
     per-``(u, v)`` numpy dispatch dominates at CNN-VAE sizes) and equal
-    to it up to summation order.  ``bincount`` allocates the folded
-    array on every call.
+    to it up to summation order.  ``bincount`` sums every bin in index
+    order, so the per-sample folds are bitwise one fold over the whole
+    batch, and no slower: on a 32-row shard at n=32 (2 CPU cores)
+    blocks of 1, 2, 4 and 32 samples took 1.01/0.98/1.01/1.13 ms for
+    ``enc_conv2``'s dx and 1.57/1.56/1.63/1.70 ms for ``dec_deconv2``;
+    at n=64 ``dec_deconv2`` took 8.6 ms per sample and 10.7 ms as one
+    fold, whose table is 32x the size.  Each ``bincount`` allocates the
+    sample's padded output, whose interior is copied into the
+    destination (``bind``): a convT output buffer or a conv2d dx
+    workspace.
     """
 
-    def __init__(self, index: np.ndarray, padded_shape) -> None:
+    def __init__(self, index: np.ndarray, padded_shape, padding: int) -> None:
         self.index = index
-        self.shape = tuple(padded_shape)
+        self.shape = tuple(padded_shape)  # one sample's (C, Hp, Wp)
         self.size = math.prod(self.shape)
-        self.weights: Optional[np.ndarray] = None
+        _, hp, wp = self.shape
+        inner = slice(padding, hp - padding), slice(padding, wp - padding)
+        self.interior = (slice(None),) + inner
+        self.samples: List[Tuple[np.ndarray, np.ndarray]] = []
 
-    def bind(self, cols6: np.ndarray) -> None:
-        self.weights = cols6.reshape(-1)  # view of the scratch workspace
+    def bind(self, cols6: np.ndarray, dest: np.ndarray) -> None:
+        """Fold ``cols6`` (scratch columns) into ``dest`` (B, C, H, W)."""
+        self.samples = [(cols.reshape(-1), out) for cols, out in zip(cols6, dest)]
 
-    def __call__(self) -> np.ndarray:
-        folded = np.bincount(self.index, weights=self.weights, minlength=self.size)
-        return folded.reshape(self.shape)
+    def __call__(self) -> None:
+        for weights, out in self.samples:
+            folded = np.bincount(self.index, weights=weights, minlength=self.size)
+            np.copyto(out, folded.reshape(self.shape)[self.interior])
+
+
+class _Padded:
+    """A zero-padded scratch copy of ``x`` (B,C,H,W): each channel's
+    ``(H + 2p, W + 2p)`` grid, flat and followed by ``tail`` zeros.
+
+    Other kernels overwrite the scratch between calls, so each call
+    re-zeroes the border strips and the tail before copying ``x`` into
+    the interior.
+    """
+
+    def __init__(self, x_shape, padding: int, tail: int, ws: _Workspace) -> None:
+        batch, channels, height, width = x_shape
+        self.padding, self.hw = padding, (height, width)
+        self.hp, self.wp = height + 2 * padding, width + 2 * padding
+        self.shape = (batch, channels, self.hp * self.wp + tail)
+        self._at = ws.take(self.shape)
+
+    def bind(self, region: np.ndarray) -> None:
+        self.flat = flat = _view(region, self._at)
+        batch, channels, _ = self.shape
+        area = self.hp * self.wp
+        # splitting the contiguous last axis: always a view
+        self.grid = grid = flat[:, :, :area].reshape(batch, channels, self.hp, self.wp)
+        pad, (height, width) = self.padding, self.hw
+        inner = slice(pad, pad + height)
+        self.interior = grid[:, :, inner, pad : pad + width]
+        strips = (
+            grid[:, :, :pad],
+            grid[:, :, pad + height :],
+            grid[:, :, inner, :pad],
+            grid[:, :, inner, pad + width :],
+            flat[:, :, area:],
+        )
+        self._strips = [strip for strip in strips if strip.size]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        for strip in self._strips:
+            strip.fill(0.0)
+        np.copyto(self.interior, x)
+        return self.flat
 
 
 class _Im2Col:
     """Unfold workspace: x (B,C,H,W) -> cols (B, C*kh*kw, L).
 
-    The padded copy of ``x`` and (unless ``keep_cols``) the columns live
-    in the program's scratch region.  Other kernels overwrite the
-    scratch between calls, so each call re-zeroes the padded copy's
-    border strips before the interior copy and the gather copy.
-    ``keep_cols`` gives the columns a dedicated buffer instead, for the
-    forward conv2d whose backward reads them.
+    The columns and, with padding, the padded copy of ``x``
+    (:class:`_Padded`) live in the program's scratch region.
     """
 
-    def __init__(self, x_shape, kh, kw, stride, padding, ws: _Workspace, keep_cols=False):
+    def __init__(self, x_shape, kh, kw, stride, padding, ws: _Workspace):
         batch, channels, height, width = x_shape
-        self.stride, self.padding = stride, padding
+        self.stride = stride
         hp, wp = height + 2 * padding, width + 2 * padding
         self.oh = (hp - kh) // stride + 1
         self.ow = (wp - kw) // stride + 1
         self.kh, self.kw = kh, kw
-        cols_shape = (batch, channels, kh, kw, self.oh, self.ow)
         self.mat_shape = (batch, channels * kh * kw, self.oh * self.ow)
-        self._pad_at = ws.take((batch, channels, hp, wp)) if padding else None
-        self._cols_at = None if keep_cols else ws.take(cols_shape)
-        self.cols = _storage(cols_shape) if keep_cols else None
+        self.pad = _Padded(x_shape, padding, 0, ws) if padding else None
+        self._cols_at = ws.take((batch, channels, kh, kw, self.oh, self.ow))
         self._window_src = None
         self._windows = None
-        self._interior = None
-        self._borders: Tuple[np.ndarray, ...] = ()
 
     def bind(self, region: np.ndarray) -> None:
-        if self._cols_at is not None:
-            self.cols = _view(region, self._cols_at)
+        self.cols = _view(region, self._cols_at)
         self.cols_mat = self.cols.reshape(self.mat_shape)
-        if self.padding:
-            pad = self.padding
-            pad_buf = _view(region, self._pad_at)
-            self._interior = pad_buf[:, :, pad:-pad, pad:-pad]
-            self._borders = (
-                pad_buf[:, :, :pad],
-                pad_buf[:, :, -pad:],
-                pad_buf[:, :, pad:-pad, :pad],
-                pad_buf[:, :, pad:-pad, -pad:],
-            )
-            self._bind_windows(pad_buf)
+        if self.pad is not None:
+            self.pad.bind(region)
+            self._bind_windows(self.pad.grid)
 
     def _bind_windows(self, xp: np.ndarray) -> None:
         windows = sliding_window_view(xp, (self.kh, self.kw), axis=(2, 3))
@@ -455,10 +490,8 @@ class _Im2Col:
         self._window_src = xp
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self.padding:
-            for strip in self._borders:
-                strip.fill(0.0)
-            np.copyto(self._interior, x)
+        if self.pad is not None:
+            self.pad(x)
         elif x is not self._window_src:
             # Unpadded inputs are caller-owned arrays; rebind lazily (the
             # compiled executor feeds the same buffer every step).
@@ -519,18 +552,12 @@ class _BatchGemmT:
 
 
 class _Conv2dForward:
-    """conv2d replay kernel: im2col once + broadcast matmul into ``out``.
-
-    The unfolded columns are dedicated (the backward reads them for dW);
-    only the padded input copy is scratch.
-    """
+    """conv2d replay kernel: im2col into scratch + broadcast matmul into
+    ``out``."""
 
     def __init__(self, node: Node, x_shape, w_shape, out_buf, ws: _Workspace):
         stride, padding = node.attrs["stride"], node.attrs["padding"]
-        self.unfold = _Im2Col(
-            x_shape, w_shape[2], w_shape[3], stride, padding, ws, keep_cols=True
-        )
-        self.kept = self.unfold.cols
+        self.unfold = _Im2Col(x_shape, w_shape[2], w_shape[3], stride, padding, ws)
         batch = x_shape[0]
         self.out_buf = out_buf
         self.out_mat = out_buf.reshape(batch, w_shape[0], -1)
@@ -565,6 +592,10 @@ class _Taps:
         self.length = self.hp * self.wp + self.kw - 1
         self.offsets = [u * self.wp + v for u in range(self.kh) for v in range(self.kw)]
 
+    def padded(self, ws: _Workspace) -> _Padded:
+        """The flat zero-padded input, a workspace of ``ws``."""
+        return _Padded(self.x_shape, self.padding, self.kw - 1, ws)
+
     def interior(self, flat: np.ndarray) -> np.ndarray:
         """The unpadded ``(B, K, H, W)`` grid of a ``(B, K, length)`` array."""
         batch, rows, _ = flat.shape
@@ -593,32 +624,29 @@ class _TapConv2dForward:
     One GEMM of every tap's weights, stacked ``(kh*kw*O, C)``, against
     the flat zero-padded input (:class:`_Taps`) gives each tap's output
     terms; the output is the sum of the taps' rows, each shifted by its
-    flat offset.  The padded input is dedicated (the backward reads it
-    for dW) and its zero border is written once, at allocation; the
-    stacked weights and the tap rows are scratch.
+    flat offset.  The padded input, the stacked weights and the tap rows
+    are scratch.
     """
 
     def __init__(self, node: Node, x_shape, w_shape, out_buf, ws: _Workspace):
         self.taps = taps = _Taps(x_shape, w_shape, node.attrs["padding"])
-        batch, channels = x_shape[0], x_shape[1]
-        self.padded = _storage((batch, channels, taps.length))
-        self.kept = self.padded
-        self.interior = taps.interior(self.padded)
-        self._w_at = ws.take((taps.kh, taps.kw, taps.out_ch, channels))
-        self._rows_at = ws.take((batch, len(taps.offsets) * taps.out_ch, taps.length))
+        self.pad = taps.padded(ws)
+        self._w_at = ws.take((taps.kh, taps.kw, taps.out_ch, taps.in_ch))
+        self._rows_at = ws.take((x_shape[0], len(taps.offsets) * taps.out_ch, taps.length))
         self.out_buf = out_buf
 
     def bind(self, region: np.ndarray) -> None:
         taps = self.taps
+        self.pad.bind(region)
         self.w_stack = _view(region, self._w_at)
         self.w_mat = self.w_stack.reshape(-1, taps.in_ch)
         self.rows = _view(region, self._rows_at)
         self.first, *self.rest = taps.windows(self.rows)
 
     def __call__(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        np.copyto(self.interior, x)
+        padded = self.pad(x)
         np.copyto(self.w_stack, w.transpose(2, 3, 0, 1))
-        np.matmul(self.w_mat, self.padded, out=self.rows)
+        np.matmul(self.w_mat, padded, out=self.rows)
         out = self.out_buf
         np.copyto(out, self.first)
         for window in self.rest:
@@ -632,30 +660,28 @@ class _TapConv2dBackward:
     The output gradient is written once per tap at the tap's flat offset
     (:class:`_Taps`): ``rows[b, (u, v, o), m]`` is ``g[b, o, i, j]`` at
     ``m = (i + u)*Wp + j + v`` and zero elsewhere.  Against these rows,
-    dW is a :class:`_BatchGemmT` with the kept padded input and dx over
-    the flat padded input is one GEMM with the stacked weights, which it
-    stacks from ``w`` itself, since later conv instructions overwrite
-    the forward's scratch copy.  Rows, weights and the padded dx are
-    scratch.
+    dW is a :class:`_BatchGemmT` with the input padded again and dx over
+    the flat padded input is one GEMM with the stacked weights.  Rows,
+    the padded input, the weights and the padded dx are scratch.
     """
 
-    def __init__(self, forward: _TapConv2dForward, need_dx: bool, ws: _Workspace):
-        self.forward = forward
-        self.taps = taps = forward.taps
-        batch = taps.x_shape[0]
-        rows_shape = (batch, len(taps.offsets) * taps.out_ch, taps.length)
+    def __init__(self, node: Node, x_shape, w_shape, need_dx: bool, ws: _Workspace):
+        self.taps = taps = _Taps(x_shape, w_shape, node.attrs["padding"])
+        rows_shape = (x_shape[0], len(taps.offsets) * taps.out_ch, taps.length)
         self._rows_at = ws.take(rows_shape)
+        self.pad = taps.padded(ws)
         self.need_dx = need_dx
         if need_dx:
             self._w_at = ws.take((taps.kh, taps.kw, taps.out_ch, taps.in_ch))
-            self._dx_at = ws.take((batch, taps.in_ch, taps.length))
-        self.gemm_dw = _BatchGemmT(rows_shape, forward.padded.shape, ws)
+            self._dx_at = ws.take((x_shape[0], taps.in_ch, taps.length))
+        self.gemm_dw = _BatchGemmT(rows_shape, self.pad.shape, ws)
         self.dw_shape = (taps.kh, taps.kw, taps.out_ch, taps.in_ch)
 
     def bind(self, region: np.ndarray) -> None:
         taps = self.taps
         self.rows = _view(region, self._rows_at)
         self.windows = taps.windows(self.rows)
+        self.pad.bind(region)
         if self.need_dx:
             self.w_stack = _view(region, self._w_at)
             self.w_mat_t = self.w_stack.reshape(-1, taps.in_ch).T
@@ -667,7 +693,7 @@ class _TapConv2dBackward:
         self.rows.fill(0.0)
         for window in self.windows:
             np.copyto(window, g)
-        dw = self.gemm_dw(self.rows, self.forward.padded)
+        dw = self.gemm_dw(self.rows, self.pad(x))
         dw = dw.reshape(self.dw_shape).transpose(2, 3, 0, 1)
         dx = None
         if self.need_dx:
@@ -678,83 +704,79 @@ class _TapConv2dBackward:
 
 
 class _Conv2dBackward:
-    """VJP of :class:`_Conv2dForward`: dW against the kept columns, dx
-    as a col2im fold."""
+    """VJP of :class:`_Conv2dForward`: dW against the input unfolded
+    again into this instruction's workspace, dx a col2im fold into it.
+
+    The column gradient takes the columns' extent, which dW has read by
+    the time it is written; on ``enc_conv2`` (n=32, a 32-row shard) that
+    is 4.5 of the 13.5 MiB the largest conv instruction held.
+    """
 
     def __init__(
-        self, forward: _Conv2dForward, node: Node, x_shape, w_shape, need_dx,
-        ws: _Workspace, index_for: Callable,
+        self, node: Node, x_shape, w_shape, need_dx, ws: _Workspace, index_for: Callable,
     ):
         stride, padding = node.attrs["stride"], node.attrs["padding"]
-        self.forward = forward
+        self.unfold = unfold = _Im2Col(x_shape, w_shape[2], w_shape[3], stride, padding, ws)
         self.w_shape = w_shape
         self.need_dx = need_dx
         batch = x_shape[0]
-        unfold = forward.unfold
         self.g_shape = (batch, w_shape[0], unfold.oh * unfold.ow)
         self.gemm_dw = _BatchGemmT(self.g_shape, unfold.mat_shape, ws)
         if need_dx:
-            self.pad = padding
             cols_shape = (batch, x_shape[1], w_shape[2], w_shape[3], unfold.oh, unfold.ow)
-            self._dcols_at = ws.take(cols_shape)
-            self.dcols_shape = unfold.mat_shape
-            pad_shape = (
-                batch,
-                x_shape[1],
-                x_shape[2] + 2 * padding,
-                x_shape[3] + 2 * padding,
+            self._dx_at = ws.take(x_shape)
+            padded_hw = (x_shape[2] + 2 * padding, x_shape[3] + 2 * padding)
+            self.fold = _Col2Im(
+                index_for(cols_shape, padded_hw, stride), (x_shape[1],) + padded_hw, padding
             )
-            self.fold = _Col2Im(index_for(cols_shape, pad_shape[2:], stride), pad_shape)
 
     def bind(self, region: np.ndarray) -> None:
+        self.unfold.bind(region)
         self.gemm_dw.bind(region)
         if self.need_dx:
-            dcols = _view(region, self._dcols_at)
-            self.dcols_mat = dcols.reshape(self.dcols_shape)
-            self.fold.bind(dcols)
+            self.dx = _view(region, self._dx_at)
+            self.fold.bind(self.unfold.cols, self.dx)
 
     def __call__(self, g, x, w):
         g_mat = g.reshape(self.g_shape)
-        dw = self.gemm_dw(g_mat, self.forward.unfold.cols_mat).reshape(self.w_shape)
+        dw = self.gemm_dw(g_mat, self.unfold(x)).reshape(self.w_shape)
         dx = None
         if self.need_dx:
-            np.matmul(w.reshape(self.w_shape[0], -1).T, g_mat, out=self.dcols_mat)
-            folded = self.fold()
-            pad = self.pad
-            dx = folded[:, :, pad:-pad, pad:-pad] if pad else folded
+            dcols = self.unfold.cols_mat
+            np.matmul(w.reshape(self.w_shape[0], -1).T, g_mat, out=dcols)
+            self.fold()
+            dx = self.dx
         return dx, dw
 
 
 class _ConvT2dForward:
-    """conv_transpose2d replay kernel: matmul into scratch columns + col2im."""
+    """conv_transpose2d replay kernel: matmul into scratch columns, then
+    a col2im fold into ``out``."""
 
     def __init__(self, node: Node, x_shape, w_shape, out_buf, ws: _Workspace, index_for):
         stride, padding = node.attrs["stride"], node.attrs["padding"]
         batch, in_ch, height, width = x_shape
         _, out_ch, kh, kw = w_shape
-        self.stride, self.padding = stride, padding
         self.x_mat_shape = (batch, in_ch, height * width)
         cols_shape = (batch, out_ch, kh, kw, height, width)
         self._cols_at = ws.take(cols_shape)
         self.cols_mat_shape = (batch, out_ch * kh * kw, height * width)
-        out_h, out_w = out_buf.shape[2], out_buf.shape[3]
-        pad_shape = (batch, out_ch, out_h + 2 * padding, out_w + 2 * padding)
-        self.fold = _Col2Im(index_for(cols_shape, pad_shape[2:], stride), pad_shape)
+        padded_hw = (out_buf.shape[2] + 2 * padding, out_buf.shape[3] + 2 * padding)
+        self.fold = _Col2Im(
+            index_for(cols_shape, padded_hw, stride), (out_ch,) + padded_hw, padding
+        )
         self.out_buf = out_buf
         self.in_ch = in_ch
 
     def bind(self, region: np.ndarray) -> None:
         cols = _view(region, self._cols_at)
         self.cols_mat = cols.reshape(self.cols_mat_shape)
-        self.fold.bind(cols)
+        self.fold.bind(cols, self.out_buf)
 
     def __call__(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         x_mat = x.reshape(self.x_mat_shape)
         np.matmul(w.reshape(self.in_ch, -1).T, x_mat, out=self.cols_mat)
-        folded = self.fold()
-        pad = self.padding
-        interior = folded[:, :, pad:-pad, pad:-pad] if pad else folded
-        np.copyto(self.out_buf, interior)
+        self.fold()
         return self.out_buf
 
 
@@ -887,17 +909,10 @@ class GraphProgram:
         self._grad_sched = grad_sched
 
         # -- 3. which values does the backward pass read? --------------
-        # The registry metadata, with one refinement: the conv2d VJP
-        # reads the storage its forward kept (the unfolded columns or
-        # the padded input), so of the values only the weight — a param
-        # leaf — is read, and the input activation can go to the arena.
         needed_val = set(self._outputs.values())
         for nid in grad_sched:
             node = nodes[nid]
             op = OPS[node.op]
-            if node.op == "conv2d":
-                needed_val.add(node.parents[1])
-                continue
             if op.needs_out:
                 needed_val.add(nid)
             if op.needs_inputs:
@@ -955,8 +970,6 @@ class GraphProgram:
         self._bwd_kernels: Dict[int, Callable] = {}
         #: conv kernels by instruction label, each with its workspace
         self._conv_kernels: Dict[str, Tuple[object, _Workspace]] = {}
-        #: conv2d node id -> the forward storage its backward reads
-        self._kept: Dict[int, np.ndarray] = {}
         self._col2im_index = partial(
             _col2im_index, tables if tables is not None else {}, self.stats
         )
@@ -1044,7 +1057,6 @@ class GraphProgram:
                 label: list(ws.extents)
                 for label, (_, ws) in self._conv_kernels.items()
             },
-            kept_token={nid: _storage_token(kept) for nid, kept in self._kept.items()},
             pinned_roots=set(pinned_roots),
             needed_val=set(needed_val),
             outputs=dict(self._outputs),
@@ -1117,20 +1129,19 @@ class GraphProgram:
         fwd_ws, bwd_ws = _Workspace(), _Workspace()
         backward = None
         if node.op == "conv2d" and node.attrs["stride"] == 1 and w_shape[0] < w_shape[1]:
-            # The kept padded input is ~1/(kh*kw) of the columns.  Only
-            # narrowing convs: on the widening enc_conv1 (1->8, n=32, one
-            # 32-row shard) the tap kernel kept 0.28 vs 2.25 MiB but took
+            # Only narrowing convs: the tap rows are kh*kw*O per input
+            # channel where the columns are kh*kw.  On the widening
+            # enc_conv1 (1->8, n=32, one 32-row shard) the tap kernel took
             # 10.4 vs 0.4 ms forward, 4.4 vs 0.25 ms backward, and 20 vs
-            # 0.3 MiB of scratch, since it writes kh*kw*O rows per C.
+            # 0.3 MiB of scratch.
             forward = _TapConv2dForward(node, x_shape, w_shape, buf, fwd_ws)
             if node.id in self._grad_sched:
-                backward = _TapConv2dBackward(forward, need_dx, bwd_ws)
+                backward = _TapConv2dBackward(node, x_shape, w_shape, need_dx, bwd_ws)
         elif node.op == "conv2d":
             forward = _Conv2dForward(node, x_shape, w_shape, buf, fwd_ws)
             if node.id in self._grad_sched:
                 backward = _Conv2dBackward(
-                    forward, node, x_shape, w_shape, need_dx, bwd_ws,
-                    self._col2im_index,
+                    node, x_shape, w_shape, need_dx, bwd_ws, self._col2im_index
                 )
         else:
             forward = _ConvT2dForward(
@@ -1140,9 +1151,6 @@ class GraphProgram:
                 backward = _ConvT2dBackward(
                     node, x_shape, w_shape, node.shape, need_dx, bwd_ws
                 )
-        if node.op == "conv2d":
-            self._kept[node.id] = forward.kept
-            self.stats.cols_bytes += forward.kept.nbytes
         self._conv_kernels[f"fwd:{node.id}"] = (forward, fwd_ws)
         if backward is not None:
             self._bwd_kernels[node.id] = backward
@@ -1285,17 +1293,19 @@ class ShardMean:
 
     def __init__(self) -> None:
         self._sums: List[np.ndarray] = []
-        self._scaled: List[np.ndarray] = []
+        #: one buffer the size of the largest value, for each ``n*v``
+        self._scaled = np.empty(0)
         self.rows = 0
 
     def add(self, values: Sequence, rows: int) -> None:
         if not self._sums:
             self._sums = [np.empty(np.shape(value)) for value in values]
-            self._scaled = [np.empty(np.shape(value)) for value in values]
-        for total, scaled, value in zip(self._sums, self._scaled, values):
+            self._scaled = np.empty(max(total.size for total in self._sums))
+        for total, value in zip(self._sums, values):
             if self.rows == 0:
                 np.multiply(value, rows, out=total)
             else:
+                scaled = self._scaled[: total.size].reshape(total.shape)
                 np.multiply(value, rows, out=scaled)
                 np.add(total, scaled, out=total)
         self.rows += rows

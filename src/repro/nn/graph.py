@@ -154,9 +154,13 @@ _op(
 _op(
     "relu",
     lambda x, a: x[0] * (x[0] > 0),
-    lambda g, out, x, a, need: (g * (x[0] > 0),),
+    # The VJP reads the output: ``x * (x > 0) > 0`` is ``x > 0`` for
+    # every float (both are False for both zeros, -inf, whose output is
+    # NaN, and NaN), and the output is the value the next layer's VJP
+    # reads anyway.
+    lambda g, out, x, a, need: (g * (out > 0),),
     kernel=lambda x, a, out: np.multiply(x[0], x[0] > 0, out=out),
-    needs_inputs=True,
+    needs_out=True,
 )
 _op(
     "softplus",

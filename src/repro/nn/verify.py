@@ -16,16 +16,18 @@ properties the buffer-arena compiler relies on:
     No write lands in a buffer whose previous occupant is still live:
     each materialized root's storage token may only be reassigned after
     the previous occupant's last read (backward-needed, pinned and
-    output values count as read at +infinity).  No op may write the
+    output values count as read at +infinity; what the backward reads
+    is re-derived from the op registry's ``needs_out`` /
+    ``needs_inputs`` for every op in the backward schedule, besides the
+    plan's own ``needed_val``).  No op may write the
     buffer of a value it reads itself.  The same holds for gradient
     slots over the backward schedule: a gradient is live from the first
     consumer instruction that writes it to its own backward instruction
     (the loss seed from before the first, leaf gradients past the
     last), and two gradients whose live ranges overlap may not share a
-    token.  No value, gradient or kept conv storage (what a conv2d
-    forward keeps for its backward) may live in the scratch region,
-    which every conv instruction overwrites, and the workspace extents
-    of one conv instruction may not overlap each other.
+    token.  No value or gradient may live in the scratch region, which
+    every conv instruction overwrites, and the workspace extents of one
+    conv instruction may not overlap each other.
 
 Verification is pure data analysis over the plan — it never executes
 the program, so running it on every compile adds compile-time cost
@@ -40,6 +42,8 @@ the point is to catch the compiler lying to itself.
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple
+
+from .graph import OPS
 
 __all__ = ["Finding", "IR_RULES", "verify_program"]
 
@@ -165,7 +169,15 @@ def verify_program(program) -> List[Finding]:
         for parent in plan.parents.get(nid, ()):
             root = plan.root.get(parent, parent)
             last_read[root] = max(last_read.get(root, -1), pos[nid])
-    for nid in plan.needed_val | set(plan.outputs.values()) | {plan.loss_id}:
+    backward_reads = set()
+    for nid in plan.grad_sched:
+        op = OPS.get(plan.ops.get(nid))
+        if op is not None and op.needs_out:
+            backward_reads.add(nid)
+        if op is not None and op.needs_inputs:
+            backward_reads.update(plan.parents.get(nid, ()))
+    forever = plan.needed_val | backward_reads | set(plan.outputs.values())
+    for nid in forever | {plan.loss_id}:
         root = plan.root.get(nid, nid)
         last_read[root] = _FOREVER
     for root in plan.pinned_roots:
@@ -261,17 +273,13 @@ def _scratch_findings(plan) -> List[Finding]:
     workspaces of one instruction overlapping."""
     findings: List[Finding] = []
     if plan.scratch_token is not None:
-        for kind, what, tokens in (
-            ("value", "value", plan.buffer_token),
-            ("gradient", "gradient", plan.grad_token),
-            ("kept", "kept conv storage", plan.kept_token),
-        ):
+        for kind, tokens in (("value", plan.buffer_token), ("gradient", plan.grad_token)):
             for nid, token in tokens.items():
                 if token == plan.scratch_token:
                     findings.append(
                         Finding(
                             "ir-overwrite-live",
-                            f"the {what} of node {nid} ({plan.ops.get(nid)}) "
+                            f"the {kind} of node {nid} ({plan.ops.get(nid)}) "
                             "lives in the scratch region, which every conv "
                             "instruction overwrites",
                             f"scratch:{kind}:{nid}",

@@ -100,6 +100,36 @@ class TestDesignSampling:
         )
 
 
+class TestBlockedDecode:
+    """``sample_designs`` decodes ``_DECODE_BLOCK`` latents at a time."""
+
+    @pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 80])
+    @pytest.mark.parametrize("sampled", [True, False], ids=["rng", "threshold"])
+    def test_blocks_match_one_batch_decode(self, model, monkeypatch, count, sampled):
+        """Designs and the rng state after them equal a one-batch
+        decode's, whatever the count's remainder modulo the block."""
+        import repro.core.vae as vae
+
+        assert vae._DECODE_BLOCK == 16
+        z = np.random.default_rng(count).standard_normal((count, 6))
+
+        def decode():
+            rng = np.random.default_rng(11) if sampled else None
+            designs = model.sample_designs(z, rng)
+            return [d.grid.tolist() for d in designs], rng and rng.random(4).tolist()
+
+        blocked = decode()
+        monkeypatch.setattr(vae, "_DECODE_BLOCK", count + 1)  # one batch
+        assert blocked == decode()
+        assert len(blocked[0]) == count
+
+    def test_no_latents_give_no_designs(self, model):
+        assert model.sample_designs(np.zeros((0, 6))) == []
+        rng = np.random.default_rng(3)
+        assert model.sample_designs(np.zeros((0, 6)), rng) == []
+        assert rng.random() == np.random.default_rng(3).random()
+
+
 class TestCostHead:
     def test_normalizer_roundtrip(self, model):
         model.set_cost_normalizer(10.0, 2.0)

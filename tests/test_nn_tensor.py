@@ -50,6 +50,22 @@ class TestElementwise:
         t.relu().sum().backward()
         np.testing.assert_array_equal(t.grad, [0.0, 0.0, 1.0])
 
+    def test_relu_vjp_reads_the_output(self):
+        """relu's VJP masks by ``out > 0``; that is ``x > 0`` on every
+        float, signed zeros, tiny values, infinities and NaN
+        included, so gradients are unchanged."""
+        from repro.nn.graph import OPS
+
+        relu = OPS["relu"]
+        assert relu.needs_out and not relu.needs_inputs
+        x = np.array([0.0, -0.0, 1e-300, -1e-300, np.inf, -np.inf, np.nan, 2.5, -2.5])
+        with np.errstate(invalid="ignore"):
+            out = relu.forward((x,), {})
+        np.testing.assert_array_equal(out > 0, x > 0)
+        g = np.arange(1.0, x.size + 1)
+        (grad,) = relu.vjp(g, out, (x,), {}, (True,))
+        np.testing.assert_array_equal(grad, g * (x > 0))
+
     def test_softplus_matches_log1pexp(self):
         x = np.array([-30.0, -1.0, 0.0, 1.0, 30.0])
         out = nn.Tensor(x).softplus().numpy()

@@ -4,8 +4,9 @@ The clean direction compiles real programs (an MLP step and the actual
 CNN-VAE training step) and asserts zero findings.  The dirty direction
 hand-injects each bug class into a copied :class:`ProgramPlan` —
 use-before-def schedules, backward disorder, aliasing writes over live
-values or live gradients, values or kept conv storage in the conv
-scratch region, overlapping workspaces — and asserts the verifier names
+values (a conv2d input the backward reads included) or live gradients,
+values or gradients in the conv scratch region, overlapping
+workspaces — and asserts the verifier names
 the specific ``ir-*`` rule.  A wiring test proves every compiled step runs the pass
 at program build time only.  Steps pass a fresh ``object()`` as their
 key, so each traces its own graph.
@@ -239,17 +240,44 @@ class TestInjectedBugs:
             f"scratch:gradient:{victim}"
         ]
 
-    def test_kept_conv_storage_in_scratch_region_is_flagged(self, cnn_program):
-        """The columns or padded input a conv2d forward keeps for its
-        backward must outlive the other conv instructions' scratch."""
-        plan = cnn_program.plan.copy()
-        conv2d = sorted(nid for nid, op in plan.ops.items() if op == "conv2d")
-        assert sorted(plan.kept_token) == conv2d and len(conv2d) == 4
+    def test_conv2d_input_in_a_reused_arena_slot_is_flagged(self):
+        """conv2d's backward reads its input (unfolded again for dW), so
+        a plan that hands the input's slot to a later value is flagged.
+        The input here is a bias add no other VJP reads, and the plan's
+        own ``needed_val`` and pins are stripped of it: the verifier
+        re-derives the read from the registry's ``needs_inputs``."""
+        from repro.nn import functional as F
+
+        rng = np.random.default_rng(5)
+        w1 = nn.Tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
+        bias = nn.Tensor(rng.standard_normal(4), requires_grad=True)
+        w2 = nn.Tensor(rng.standard_normal((3, 4, 3, 3)), requires_grad=True)
+
+        def step_fn(x):
+            h = F.conv2d(x, w1, bias, stride=1, padding=1)
+            out = F.conv2d(h, w2, stride=2, padding=1)
+            return {"loss": (out * out).sum()}
+
+        step = nn.CompiledTrainStep(step_fn, [w1, bias, w2], object())
+        step(rng.standard_normal((2, 2, 6, 6)))
+        (program,) = step._programs.values()
+        plan = program.plan.copy()
         assert verify_program(plan) == []
-        victim = conv2d[-1]  # dec_out: the tap kernel's padded input
-        plan.kept_token[victim] = plan.scratch_token
-        assert [f.symbol for f in verify_program(plan)] == [f"scratch:kept:{victim}"]
-        assert _rules(verify_program(plan)) == {"ir-overwrite-live"}
+        conv2 = max(nid for nid, op in plan.ops.items() if op == "conv2d")
+        victim = plan.parents[conv2][0]
+        assert plan.ops[victim] == "add" and victim in plan.needed_val
+        later = next(
+            nid for nid in plan.sched[plan.sched.index(conv2) + 1 :]
+            if nid in plan.buffer_token and plan.root[nid] == nid
+        )
+        plan.needed_val.discard(victim)
+        plan.pinned_roots.discard(victim)
+        plan.buffer_token[later] = plan.buffer_token[victim]
+        findings = verify_program(plan)
+        assert [(f.rule, f.symbol) for f in findings] == [
+            ("ir-overwrite-live", f"node:{later}")
+        ]
+        assert "pinned/backward-needed" in findings[0].message
 
     def test_overlapping_workspaces_of_one_kernel_are_flagged(self, cnn_program):
         plan = cnn_program.plan.copy()
